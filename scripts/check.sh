@@ -154,8 +154,10 @@ if [[ "${TSAN}" == 1 ]]; then
   # Race-check the code that actually runs concurrently: the parallel_for /
   # ThreadPool primitives, the wavefront propagation kernels, the parallel
   # speculative scoring waves of the sizer and area recovery, the sharded
-  # MC/ISLE draw loops, and the analyzer conformance suite (which drives
-  # concurrent speculations through every engine). TSan detects races through
+  # MC/ISLE draw loops, the FASSTA engine's lazily refreshed base (many
+  # scorers race to refresh it after an epoch bump), and the analyzer
+  # conformance suite (which drives concurrent speculations through every
+  # engine). TSan detects races through
   # happens-before analysis, so findings do not depend on the host's core
   # count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.
@@ -165,7 +167,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # worker triangle are exactly the lifetimes TSan should walk.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

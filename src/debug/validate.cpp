@@ -1,5 +1,6 @@
 #include "debug/validate.h"
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -145,6 +146,25 @@ void validate_pdf(double origin, double step, std::span<const double> masses) {
 
 void validate_pdf(const pdf::DiscretePdf& p) {
   validate_pdf(p.origin(), p.step(), p.masses());
+  // The moments cached at construction must be bitwise what the grid gives
+  // today (same accumulation order as the pdf's own moment loops).
+  double mean = 0.0;
+  for (std::size_t i = 0; i < p.size(); ++i) mean += p.value_at(i) * p.mass_at(i);
+  double variance = 0.0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const double d = p.value_at(i) - mean;
+    variance += d * d * p.mass_at(i);
+  }
+  STATSIZER_PARANOID_CHECK(std::bit_cast<std::uint64_t>(p.mean()) ==
+                               std::bit_cast<std::uint64_t>(mean),
+                           "validate_pdf",
+                           "cached mean " + std::to_string(p.mean()) +
+                               " differs from the grid's " + std::to_string(mean));
+  STATSIZER_PARANOID_CHECK(std::bit_cast<std::uint64_t>(p.variance()) ==
+                               std::bit_cast<std::uint64_t>(variance),
+                           "validate_pdf",
+                           "cached variance " + std::to_string(p.variance()) +
+                               " differs from the grid's " + std::to_string(variance));
 }
 
 void validate_epoch(std::string_view engine, std::uint64_t speculation_epoch,

@@ -43,7 +43,8 @@ void validate_load_terms(const netlist::Netlist& nl,
 /// CDF that ends at the total mass.
 void validate_pdf(double origin, double step, std::span<const double> masses);
 
-/// Convenience overload over an assembled pdf.
+/// The same over an assembled pdf, plus: its cached mean() and variance()
+/// are bitwise equal to a fresh recomputation from the grid.
 void validate_pdf(const pdf::DiscretePdf& p);
 
 /// Speculation-epoch discipline: a speculation can be stamped at or before

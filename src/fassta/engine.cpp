@@ -11,7 +11,10 @@ using netlist::GateId;
 using sta::NodeMoments;
 
 Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
-    : ctx_(ctx), options_(options) {}
+    : ctx_(ctx), options_(options), topo_pos_(ctx.netlist().node_count()) {
+  const auto& order = ctx_.topo_order();
+  for (std::uint32_t p = 0; p < order.size(); ++p) topo_pos_[order[p]] = p;
+}
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
@@ -28,35 +31,57 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   return NodeMoments{r.mean, std::sqrt(r.var)};
 }
 
+template <typename ArrivalOf, typename ArcOf>
+NodeMoments Engine::fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
+                              ArcOf&& arc_of) const {
+  NodeMoments acc;  // PI/constant: arrival (0, 0)
+  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+    const NodeMoments& in = arrival_of(g.fanins[i]);
+    const auto [d, s] = arc_of(i);
+    const NodeMoments through{in.mean_ps + d, std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
+    acc = (i == 0) ? through : stat_max(acc, through);
+  }
+  return acc;
+}
+
+template <typename ArrivalOf>
+NodeMoments Engine::fold_outputs(ArrivalOf&& arrival_of) const {
+  NodeMoments out{0.0, 0.0};
+  bool first = true;
+  for (const auto& po : ctx_.netlist().outputs()) {
+    out = first ? arrival_of(po.driver) : stat_max(out, arrival_of(po.driver));
+    first = false;
+  }
+  return out;
+}
+
 std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
   const auto& nl = ctx_.netlist();
   std::vector<NodeMoments> arrival(nl.node_count());
-
+  const auto arrival_of = [&](GateId f) -> const NodeMoments& { return arrival[f]; };
   for (const GateId id : ctx_.topo_order()) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) continue;  // PI/constant: arrival (0, 0)
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments& in = arrival[g.fanins[i]];
-      const double d = ctx_.arc_delay_ps(id, i);
-      const double s = ctx_.arc_sigma_ps(id, i);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
-    arrival[id] = acc;
+    arrival[id] = fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
+      return std::pair{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
+    });
   }
-
-  if (circuit != nullptr) {
-    NodeMoments out{0.0, 0.0};
-    bool first = true;
-    for (const auto& po : nl.outputs()) {
-      out = first ? arrival[po.driver] : stat_max(out, arrival[po.driver]);
-      first = false;
-    }
-    *circuit = out;
-  }
+  if (circuit != nullptr) *circuit = fold_outputs(arrival_of);
   return arrival;
+}
+
+const std::vector<NodeMoments>& Engine::base_arrivals() const {
+  // Double-checked: the acquire load pairs with the release store below, so
+  // a scorer that sees the current epoch also sees the finished base_. The
+  // epoch only moves while no scorer runs (the snapshot's mutation rule),
+  // so base_ is never rewritten under a reader.
+  const std::uint64_t epoch = ctx_.snapshot_epoch();
+  if (base_epoch_.load(std::memory_order_acquire) != epoch) {
+    const std::lock_guard<std::mutex> lock(base_mutex_);
+    if (base_epoch_.load(std::memory_order_relaxed) != epoch) {
+      base_ = run();
+      base_epoch_.store(epoch, std::memory_order_release);
+    }
+  }
+  return base_;
 }
 
 sta::NodeMoments Engine::run_with_candidate(GateId center,
@@ -68,48 +93,74 @@ sta::NodeMoments Engine::run_with_candidate(GateId center,
 sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
                                             Scratch& scratch) const {
   const auto& nl = ctx_.netlist();
+  const auto& order = ctx_.topo_order();
+  const std::vector<NodeMoments>& base = base_arrivals();
+
+  // Cone membership is a per-call stamp, so nothing is cleared between
+  // calls; arrival[id] is meaningful only where the stamp matches.
   std::vector<NodeMoments>& arrival = scratch.arrival;
-  arrival.assign(nl.node_count(), NodeMoments{});
+  std::vector<std::uint32_t>& mark = scratch.cone_mark;
+  if (mark.size() != nl.node_count()) {
+    mark.assign(nl.node_count(), 0);
+    arrival.resize(nl.node_count());
+    scratch.cone_stamp = 0;
+  }
+  if (++scratch.cone_stamp == 0) {  // wrapped: retire every old stamp
+    std::fill(mark.begin(), mark.end(), 0);
+    scratch.cone_stamp = 1;
+  }
+  const std::uint32_t stamp = scratch.cone_stamp;
 
-  for (const GateId id : ctx_.topo_order()) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) continue;
+  std::size_t pending = 0;  // marked, not yet recomputed
+  const auto enter = [&](GateId id) {
+    if (mark[id] == stamp) return;
+    mark[id] = stamp;
+    ++pending;
+  };
 
-    const bool is_center = (id == center);
-    // Drivers of the center see a load delta; everything else is snapshot.
+  // Seeds: the center, and the drivers whose load the candidate's input pin
+  // caps change (a PI driver has no arcs to perturb). Every other gate reads
+  // the snapshot's arcs, in or out of the cone.
+  std::vector<std::pair<GateId, double>>& drivers = scratch.perturbed;
+  drivers.clear();
+  enter(center);
+  for (const GateId f : nl.gate(center).fanins) {
+    if (mark[f] == stamp || nl.gate(f).fanins.empty()) continue;
+    const double load = ctx_.load_ff_with_resize(f, center, candidate);
+    if (load == ctx_.load_ff(f)) continue;
+    enter(f);
+    drivers.emplace_back(f, load);
+  }
+  std::size_t first = topo_pos_[center];
+  for (const auto& [f, load] : drivers) first = std::min<std::size_t>(first, topo_pos_[f]);
+
+  const auto arrival_of = [&](GateId f) -> const NodeMoments& {
+    return mark[f] == stamp ? arrival[f] : base[f];
+  };
+  // The cone in topological order: a linear scan from the lowest seed,
+  // recomputing marked gates and marking their fanouts (which always sit
+  // later in the order), until none is pending.
+  for (std::size_t p = first; pending > 0; ++p) {
+    const GateId id = order[p];
+    if (mark[id] != stamp) continue;
+    --pending;
     double load = ctx_.load_ff(id);
-    bool perturbed = is_center;
-    if (!is_center) {
-      const auto& outs = g.fanouts;
-      if (std::find(outs.begin(), outs.end(), center) != outs.end()) {
-        load = ctx_.load_ff_with_resize(id, center, candidate);
-        perturbed = (load != ctx_.load_ff(id));
+    const liberty::Cell* cell = (id == center) ? &candidate : nullptr;
+    for (const auto& [f, driver_load] : drivers) {
+      if (f == id) {
+        load = driver_load;
+        cell = &ctx_.cell(id);
       }
     }
-    const liberty::Cell* cell = nullptr;
-    if (perturbed) cell = is_center ? &candidate : &ctx_.cell(id);
-
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments& in = arrival[g.fanins[i]];
-      const double d =
-          perturbed ? ctx_.arc_delay_with(id, i, *cell, load) : ctx_.arc_delay_ps(id, i);
-      const double s =
-          perturbed ? ctx_.sigma_for(*cell, d) : ctx_.arc_sigma_ps(id, i);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
-    arrival[id] = acc;
+    const auto& g = nl.gate(id);
+    arrival[id] = fold_arcs(g, arrival_of, [&](std::size_t i) {
+      if (cell == nullptr) return std::pair{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
+      const double d = ctx_.arc_delay_with(id, i, *cell, load);
+      return std::pair{d, ctx_.sigma_for(*cell, d)};
+    });
+    for (const GateId fo : g.fanouts) enter(fo);
   }
-
-  NodeMoments out{0.0, 0.0};
-  bool first = true;
-  for (const auto& po : nl.outputs()) {
-    out = first ? arrival[po.driver] : stat_max(out, arrival[po.driver]);
-    first = false;
-  }
-  return out;
+  return fold_outputs(arrival_of);
 }
 
 std::vector<NodeMoments> Engine::compute_downstream() const {

@@ -7,17 +7,23 @@
 // pass. The engine's whole reason to exist is evaluating candidate gate sizes
 // inside the optimizer's inner loop at negligible cost.
 //
-// Thread safety: an Engine holds only a const reference to the TimingContext
-// snapshot plus immutable options, and every method is const and re-entrant —
-// one Engine may be shared by any number of threads as long as nobody mutates
-// the netlist or calls TimingContext::update() concurrently. The only mutable
-// state a call needs lives in an explicit Scratch workspace; give each worker
-// thread its own (see docs/ARCHITECTURE.md, "Concurrency & determinism
-// contracts").
+// Thread safety: an Engine holds a const reference to the TimingContext
+// snapshot, immutable options, and one cache: the base arrivals of a full
+// run() that candidate scoring reads outside each resize's fanout cone. The
+// cache is keyed on TimingContext::snapshot_epoch() and refreshed lazily by
+// the first scorer that sees the epoch move (under a mutex; the others wait
+// for it), so every method is const and re-entrant — one Engine may be
+// shared by any number of threads as long as nobody mutates the netlist or
+// writes the snapshot concurrently. The per-call mutable state lives in an
+// explicit Scratch workspace; give each worker thread its own (see
+// docs/ARCHITECTURE.md, "Concurrency & determinism contracts").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/subcircuit.h"
@@ -53,7 +59,10 @@ class Engine {
   /// optimizer's parallel inner loop cheap. If a call throws, discard the
   /// Scratch (its bookkeeping may be mid-reset).
   struct Scratch {
-    std::vector<sta::NodeMoments> arrival;   ///< run_with_candidate workspace
+    std::vector<sta::NodeMoments> arrival;   ///< run_with_candidate: cone arrivals
+    std::vector<std::uint32_t> cone_mark;    ///< run_with_candidate: == cone_stamp if in cone
+    std::uint32_t cone_stamp = 0;            ///< run_with_candidate: this call's mark
+    std::vector<std::pair<netlist::GateId, double>> perturbed;  ///< run_with_candidate: driver loads
     std::vector<sta::NodeMoments> local;     ///< evaluate_candidate: member arrivals
     std::vector<std::uint32_t> local_index;  ///< evaluate_candidate: GateId -> member slot
   };
@@ -77,9 +86,19 @@ class Engine {
   /// circuit moments (statistical max over primary outputs). This is the
   /// robust inner-loop score: unlike a truncated window it sees the
   /// max-over-all-paths behaviour of the objective (see DESIGN.md,
-  /// "window truncation"). Cost: one O(E) pass, a few microseconds per call.
-  /// Const and re-entrant; allocates its own workspace. Hot loops should use
-  /// the Scratch overload instead.
+  /// "window truncation").
+  ///
+  /// Only the fanout cone of the perturbed gates (the center, plus those of
+  /// its drivers whose load_ff_with_resize differs from load_ff) is
+  /// recomputed; every other arrival is read from a cached run() of the
+  /// current snapshot, refreshed when TimingContext::snapshot_epoch() moves.
+  /// The result is bitwise-identical to sweeping the whole netlist. Cost:
+  /// the cone's edges plus a scan of the topological order from the lowest
+  /// perturbed gate. c6288's cones average ~30% of its nodes; perfbench's
+  /// fassta.candidate_us reads ~120 us per call there and ~75 us on
+  /// mesh6 (4-core x86-64 host, RelWithDebInfo). Const and re-entrant;
+  /// allocates its own workspace. Hot loops should use the Scratch overload
+  /// instead.
   [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
                                                     const liberty::Cell& candidate) const;
 
@@ -126,8 +145,25 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
  private:
+  /// One gate's arrival: the statistical max over its arcs of
+  /// arrival_of(fanin) + arc, where arc_of(i) yields arc i's (delay, sigma).
+  template <typename ArrivalOf, typename ArcOf>
+  sta::NodeMoments fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
+                             ArcOf&& arc_of) const;
+  /// Statistical max over the primary-output drivers' arrivals.
+  template <typename ArrivalOf>
+  sta::NodeMoments fold_outputs(ArrivalOf&& arrival_of) const;
+  /// run()'s arrivals for the snapshot at its current epoch (lazily refreshed).
+  const std::vector<sta::NodeMoments>& base_arrivals() const;
+
   const sta::TimingContext& ctx_;
   EngineOptions options_;
+  std::vector<std::uint32_t> topo_pos_;  ///< GateId -> index in ctx_.topo_order()
+
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+  mutable std::mutex base_mutex_;  ///< serializes refreshes of base_
+  mutable std::atomic<std::uint64_t> base_epoch_{kNoEpoch};
+  mutable std::vector<sta::NodeMoments> base_;
 };
 
 }  // namespace statsizer::fassta

@@ -43,6 +43,39 @@ void deposit(std::vector<double>& bins, double origin, double step, double x, do
 /// at any depth. Mass outside the window (~1e-6) folds into the end bins.
 constexpr double kGridSpanSigmas = 5.0;
 
+/// The CDF of @p p at non-decreasing points, in one pass: the bins wholly
+/// below x are summed once, in bin order, rather than rescanned from bin 0
+/// per point, so a sweep's value at x is bitwise DiscretePdf::cdf(x) (which
+/// is a one-point sweep). Precondition: successive x never decrease.
+class CdfSweep {
+ public:
+  explicit CdfSweep(const DiscretePdf& p) : p_(p) {}
+
+  double operator()(double x) {
+    if (p_.is_point()) return x >= p_.origin() ? 1.0 : 0.0;
+    // Centered-bin convention: the mass at grid point v is spread uniformly
+    // over [v - step/2, v + step/2], so a symmetric pdf has cdf(mean) = 0.5.
+    const double step = p_.step();
+    const double half = 0.5 * step;
+    for (; full_ < p_.size(); ++full_) {
+      const double lo = p_.value_at(full_) - half;
+      if (!(x >= lo + step)) break;
+      acc_ += p_.mass_at(full_);
+    }
+    double acc = acc_;
+    if (full_ < p_.size()) {
+      const double lo = p_.value_at(full_) - half;
+      if (x > lo) acc += p_.mass_at(full_) * (x - lo) / step;
+    }
+    return std::min(acc, 1.0);
+  }
+
+ private:
+  const DiscretePdf& p_;
+  std::size_t full_ = 0;  ///< bins [0, full_) lie wholly below the last x
+  double acc_ = 0.0;      ///< their mass, summed in bin order
+};
+
 /// Affinely rescales @p p around its mean so that its mean/variance equal the
 /// externally known exact values. Grid-based sum/max unavoidably smear mass
 /// across bins (each linear deposit adds ~step^2/6 of variance); left alone
@@ -67,6 +100,7 @@ DiscretePdf DiscretePdf::point(double value) {
   p.origin_ = value;
   p.step_ = 0.0;
   p.mass_ = {1.0};
+  p.cache_moments();
   return p;
 }
 
@@ -91,6 +125,7 @@ DiscretePdf DiscretePdf::normal(double mean, double sigma, std::size_t samples,
     p.mass_[i] = c - prev_cdf;
     prev_cdf = c;
   }
+  p.cache_moments();
   // Tail folding biases the raw bin moments (noticeably so at coarse sample
   // counts); pin them to the requested values.
   return moment_matched(p, mean, sigma * sigma);
@@ -109,46 +144,25 @@ DiscretePdf DiscretePdf::from_masses(double origin, double step, std::vector<dou
   p.origin_ = origin;
   p.step_ = masses.size() == 1 ? 0.0 : step;
   p.mass_ = std::move(masses);
+  p.cache_moments();
   return p;
 }
 
-double DiscretePdf::mean() const {
+void DiscretePdf::cache_moments() {
   double m = 0.0;
   for (std::size_t i = 0; i < mass_.size(); ++i) m += value_at(i) * mass_[i];
-  return m;
-}
-
-double DiscretePdf::variance() const {
-  const double m = mean();
   double v = 0.0;
   for (std::size_t i = 0; i < mass_.size(); ++i) {
     const double d = value_at(i) - m;
     v += d * d * mass_[i];
   }
-  return v;
+  mean_ = m;
+  variance_ = v;
 }
 
 double DiscretePdf::stddev() const { return std::sqrt(variance()); }
 
-double DiscretePdf::cdf(double x) const {
-  if (is_point()) return x >= origin_ ? 1.0 : 0.0;
-  // Centered-bin convention: the mass at grid point v is spread uniformly
-  // over [v - step/2, v + step/2], so a symmetric pdf has cdf(mean) = 0.5.
-  const double half = 0.5 * step_;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < mass_.size(); ++i) {
-    const double lo = value_at(i) - half;
-    if (x >= lo + step_) {
-      acc += mass_[i];
-    } else if (x > lo) {
-      acc += mass_[i] * (x - lo) / step_;
-      break;
-    } else {
-      break;
-    }
-  }
-  return std::min(acc, 1.0);
-}
+double DiscretePdf::cdf(double x) const { return CdfSweep(*this)(x); }
 
 double DiscretePdf::quantile(double q) const {
   if (q < 0.0 || q > 1.0) throw std::domain_error("DiscretePdf::quantile: q outside [0,1]");
@@ -169,6 +183,7 @@ double DiscretePdf::quantile(double q) const {
 DiscretePdf DiscretePdf::shifted(double c) const {
   DiscretePdf p = *this;
   p.origin_ += c;
+  p.cache_moments();
   return p;
 }
 
@@ -183,6 +198,7 @@ DiscretePdf DiscretePdf::resampled(std::size_t samples) const {
   for (std::size_t i = 0; i < mass_.size(); ++i) {
     deposit(p.mass_, p.origin_, p.step_, value_at(i), mass_[i]);
   }
+  p.cache_moments();
   // Rebinning smears mass across neighbouring bins; restore the moments.
   return moment_matched(p, mean(), variance());
 }
@@ -235,11 +251,13 @@ DiscretePdf max(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples)
   const auto eval = [&](double lo, double hi) {
     std::vector<double> bins(n, 0.0);
     const double step = (hi - lo) / static_cast<double>(n - 1);
+    CdfSweep fx(x);
+    CdfSweep fy(y);
     double prev = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double t = lo + step * static_cast<double>(i);
       // Independence: F_max(t) = Fx(t) * Fy(t).
-      const double c = std::min(1.0, x.cdf(t) * y.cdf(t));
+      const double c = std::min(1.0, fx(t) * fy(t));
       bins[i] = std::max(0.0, c - prev);
       prev = c;
     }

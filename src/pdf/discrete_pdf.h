@@ -42,8 +42,10 @@ class DiscretePdf {
   [[nodiscard]] bool is_point() const { return mass_.size() == 1; }
 
   // -- moments / statistics ------------------------------------------------------
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;
+  /// Moments are computed once, when the pdf is constructed (every factory
+  /// and transform below), and cached.
+  [[nodiscard]] double mean() const { return mean_; }
+  [[nodiscard]] double variance() const { return variance_; }
   [[nodiscard]] double stddev() const;
   /// P(X <= x), with linear interpolation between grid points.
   [[nodiscard]] double cdf(double x) const;
@@ -58,9 +60,14 @@ class DiscretePdf {
   [[nodiscard]] DiscretePdf resampled(std::size_t samples) const;
 
  private:
+  /// Fills mean_/variance_ from the grid; every constructor calls it last.
+  void cache_moments();
+
   double origin_ = 0.0;
   double step_ = 0.0;
   std::vector<double> mass_;
+  double mean_ = 0.0;
+  double variance_ = 0.0;
 };
 
 /// X + Y for independent X, Y: full discrete convolution, rebinned to

@@ -1,9 +1,11 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -28,9 +30,31 @@ double get_number(const Json& req, std::string_view key, double fallback) {
   return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
 }
 
+/// True when @p v is an integer in [lo, hi]. JSON numbers arrive as doubles,
+/// and converting a non-finite or out-of-range double to an integer type is
+/// UB, so every such conversion below is gated on this.
+bool integral_in(double v, double lo, double hi) {
+  return v >= lo && v <= hi && std::trunc(v) == v;
+}
+
+/// Upper bound on deadline_ms: one year, far below where adding it to a
+/// steady_clock time point could overflow.
+constexpr double kMaxDeadlineMs = 365.0 * 24 * 3600 * 1000;
+
 bool get_bool(const Json& req, std::string_view key, bool fallback) {
   const Json* v = req.find(key);
   return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
+}
+
+/// Appends the resize {gate, size} to @p out; size must be an integer in
+/// [0, 65535] (a uint16_t size index).
+Status add_resize(const Json& gate, const Json& size, std::vector<ResizeRequest>& out) {
+  if (!integral_in(size.as_number(), 0.0, 65535.0)) {
+    return Status::invalid_argument("whatif: 'size' must be an integer in [0, 65535]");
+  }
+  out.push_back(
+      ResizeRequest{gate.as_string(), static_cast<std::uint16_t>(size.as_number())});
+  return Status();
 }
 
 Status parse_resizes(const Json& req, std::vector<ResizeRequest>& out) {
@@ -45,8 +69,7 @@ Status parse_resizes(const Json& req, std::vector<ResizeRequest>& out) {
         return Status::invalid_argument(
             "whatif: each resize needs a string 'gate' and a numeric 'size'");
       }
-      out.push_back(ResizeRequest{gate->as_string(),
-                                  static_cast<std::uint16_t>(size->as_number())});
+      if (const Status s = add_resize(*gate, *size, out); !s.ok()) return s;
     }
     return Status();
   }
@@ -56,9 +79,7 @@ Status parse_resizes(const Json& req, std::vector<ResizeRequest>& out) {
     return Status::invalid_argument(
         "whatif: needs 'gate' + 'size' (or a 'resizes' array)");
   }
-  out.push_back(ResizeRequest{gate->as_string(),
-                              static_cast<std::uint16_t>(size->as_number())});
-  return Status();
+  return add_resize(*gate, *size, out);
 }
 
 /// One output line, in request order. Either an already-rendered inline
@@ -204,11 +225,24 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
       continue;
     }
 
+    const double priority = get_number(req, "priority", 0.0);
+    const double deadline_ms = get_number(req, "deadline_ms", 0.0);
+    if (!integral_in(priority, std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max())) {
+      enqueue_inline(render_inline(
+          id, Status::invalid_argument("'priority' must be an integer in the int range")));
+      continue;
+    }
+    if (!integral_in(deadline_ms, 0.0, kMaxDeadlineMs)) {
+      enqueue_inline(render_inline(
+          id, Status::invalid_argument(
+                  "'deadline_ms' must be an integer in [0, 31536000000] (0 = none)")));
+      continue;
+    }
     const SessionRef session = session_for(get_string(req, "session", "default"));
     JobOptions job_options;
-    job_options.priority = static_cast<int>(get_number(req, "priority", 0.0));
-    job_options.deadline =
-        std::chrono::milliseconds(static_cast<long>(get_number(req, "deadline_ms", 0.0)));
+    job_options.priority = static_cast<int>(priority);
+    job_options.deadline = std::chrono::milliseconds(static_cast<long>(deadline_ms));
 
     auto payload = std::make_shared<Json>();
     std::function<void()> body;

@@ -115,6 +115,7 @@ void TimingContext::update() {
     debug::validate_levelization(nl_, levels_);
     debug::validate_load_terms(nl_, load_term_offset_, load_terms_);
   }
+  ++snapshot_epoch_;
   const std::size_t n = nl_.node_count();
   load_.assign(n, 0.0);
   slew_.assign(n, options_.primary_input_slew_ps);
@@ -212,6 +213,7 @@ void TimingContext::apply_snapshot_patch(std::span<const std::uint8_t> dirty,
                              "apply_snapshot_patch",
                              "patch spans do not match the snapshot's node/arc shape");
   }
+  ++snapshot_epoch_;
   for (GateId id = 0; id < n; ++id) {
     if (load_dirty[id]) load_[id] = load[id];
     if (!dirty[id]) continue;

@@ -140,6 +140,13 @@ class TimingContext {
   /// only run with no parallel region reading the snapshot in flight.
   void update();
 
+  /// Counter bumped by every write to the snapshot (update() and
+  /// apply_snapshot_patch()). Caches derived from the snapshot — e.g.
+  /// fassta::Engine's base arrivals — key on it and refresh lazily when it
+  /// moves. Same exclusivity rule as the writers: it only moves while no
+  /// parallel region reads the snapshot.
+  [[nodiscard]] std::uint64_t snapshot_epoch() const { return snapshot_epoch_; }
+
   // -- bound objects ---------------------------------------------------------
   [[nodiscard]] const netlist::Netlist& netlist() const { return nl_; }
   [[nodiscard]] netlist::Netlist& mutable_netlist() { return nl_; }
@@ -269,6 +276,7 @@ class TimingContext {
   std::vector<double> arc_delay_;
   std::vector<double> arc_sigma_;
   double area_um2_ = 0.0;
+  std::uint64_t snapshot_epoch_ = 0;
 };
 
 }  // namespace statsizer::sta

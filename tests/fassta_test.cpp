@@ -1,13 +1,21 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "circuits/generators.h"
+#include "circuits/iscas_suite.h"
 #include "fassta/engine.h"
 #include "liberty/synthetic.h"
 #include "netlist/subcircuit.h"
 #include "ssta/fullssta.h"
 #include "techmap/mapper.h"
+#include "timing/analyzer.h"
 
 namespace statsizer::fassta {
 namespace {
@@ -187,6 +195,225 @@ TEST(Engine, DominanceThresholdOptionRespected) {
   (void)Engine(*b.ctx).run(&a);
   (void)Engine(*b.ctx, no_shortcut).run(&c);
   EXPECT_NEAR(a.mean_ps, c.mean_ps, 0.01 * c.mean_ps);
+}
+
+// ---------------------------------------------------------------------------
+// Cone-bounded candidate scoring
+// ---------------------------------------------------------------------------
+
+/// The full-netlist sweep run_with_candidate must reproduce bit for bit:
+/// every gate recomputed in topological order, the center with the
+/// candidate, the center's drivers with their load_ff_with_resize load
+/// where it differs from the snapshot, everything else from snapshot arcs.
+sta::NodeMoments full_sweep_with_candidate(const Engine& eng, const sta::TimingContext& ctx,
+                                           GateId center, const liberty::Cell& candidate) {
+  const auto& nl = ctx.netlist();
+  std::vector<sta::NodeMoments> arrival(nl.node_count());
+  for (const GateId id : ctx.topo_order()) {
+    const auto& g = nl.gate(id);
+    if (g.fanins.empty()) continue;
+    const bool is_center = (id == center);
+    double load = ctx.load_ff(id);
+    bool perturbed = is_center;
+    if (!is_center &&
+        std::find(g.fanouts.begin(), g.fanouts.end(), center) != g.fanouts.end()) {
+      load = ctx.load_ff_with_resize(id, center, candidate);
+      perturbed = (load != ctx.load_ff(id));
+    }
+    const liberty::Cell* cell = nullptr;
+    if (perturbed) cell = is_center ? &candidate : &ctx.cell(id);
+    sta::NodeMoments acc;
+    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+      const sta::NodeMoments& in = arrival[g.fanins[i]];
+      const double d =
+          perturbed ? ctx.arc_delay_with(id, i, *cell, load) : ctx.arc_delay_ps(id, i);
+      const double sg = perturbed ? ctx.sigma_for(*cell, d) : ctx.arc_sigma_ps(id, i);
+      const sta::NodeMoments through{in.mean_ps + d,
+                                     std::sqrt(in.sigma_ps * in.sigma_ps + sg * sg)};
+      acc = (i == 0) ? through : eng.stat_max(acc, through);
+    }
+    arrival[id] = acc;
+  }
+  sta::NodeMoments out{0.0, 0.0};
+  bool first = true;
+  for (const auto& po : nl.outputs()) {
+    out = first ? arrival[po.driver] : eng.stat_max(out, arrival[po.driver]);
+    first = false;
+  }
+  return out;
+}
+
+bool bitwise_equal(const sta::NodeMoments& a, const sta::NodeMoments& b) {
+  return std::bit_cast<std::uint64_t>(a.mean_ps) == std::bit_cast<std::uint64_t>(b.mean_ps) &&
+         std::bit_cast<std::uint64_t>(a.sigma_ps) == std::bit_cast<std::uint64_t>(b.sigma_ps);
+}
+
+/// Wide balanced XOR fabric (as in the analyzer conformance suite).
+Netlist parity_fabric(unsigned width) {
+  circuits::Builder b("parity" + std::to_string(width));
+  const auto xs = b.bus("x", width);
+  b.output("p", b.xor_tree(xs));
+  return b.take();
+}
+
+struct Candidate {
+  GateId gate;
+  std::uint16_t size;
+};
+
+/// Every mapped gate × every library size of its group.
+std::vector<Candidate> all_candidates(const Bench& b) {
+  std::vector<Candidate> out;
+  for (GateId id = 0; id < b.nl.node_count(); ++id) {
+    if (!b.ctx->has_cell(id)) continue;
+    const auto& group = b.lib.group(b.nl.gate(id).cell_group);
+    for (std::uint16_t s = 0; s < group.size_count(); ++s) out.push_back(Candidate{id, s});
+  }
+  return out;
+}
+
+const liberty::Cell& cell_of(const Bench& b, const Candidate& c) {
+  return b.lib.cell_for(b.nl.gate(c.gate).cell_group, c.size);
+}
+
+/// Cone scoring (one shared Scratch, so stamps and stale cone entries carry
+/// across calls) against the full-sweep reference, every candidate.
+void expect_cone_equals_full_sweep(const Bench& b, const Engine& eng) {
+  Engine::Scratch scratch;
+  std::size_t checked = 0;
+  for (const Candidate& c : all_candidates(b)) {
+    const liberty::Cell& cell = cell_of(b, c);
+    const sta::NodeMoments cone = eng.run_with_candidate(c.gate, cell, scratch);
+    const sta::NodeMoments full = full_sweep_with_candidate(eng, *b.ctx, c.gate, cell);
+    ASSERT_TRUE(bitwise_equal(cone, full))
+        << b.nl.gate(c.gate).name << " size " << c.size << ": cone (" << cone.mean_ps << ", "
+        << cone.sigma_ps << ") vs full (" << full.mean_ps << ", " << full.sigma_ps << ")";
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+class FasstaConeScoring : public ::testing::TestWithParam<std::string> {};
+
+Netlist cone_workload(const std::string& name) {
+  if (name == "cla8") return circuits::make_cla_adder(8);
+  if (name == "parity16") return parity_fabric(16);
+  return circuits::make_table1_circuit(name);
+}
+
+TEST_P(FasstaConeScoring, EqualsFullSweepBitwiseForEveryGateAndSize) {
+  Bench b(cone_workload(GetParam()));
+  const Engine eng(*b.ctx);
+  expect_cone_equals_full_sweep(b, eng);
+  // The allocating overload goes through the same cone.
+  const Candidate c = all_candidates(b).back();
+  EXPECT_TRUE(bitwise_equal(eng.run_with_candidate(c.gate, cell_of(b, c)),
+                            full_sweep_with_candidate(eng, *b.ctx, c.gate, cell_of(b, c))));
+}
+
+TEST_P(FasstaConeScoring, ExactMaxModeEqualsFullSweepBitwise) {
+  Bench b(cone_workload(GetParam()));
+  EngineOptions exact;
+  exact.max_mode = MaxMode::kExact;
+  const Engine eng(*b.ctx, exact);
+  expect_cone_equals_full_sweep(b, eng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, FasstaConeScoring,
+                         ::testing::Values("cla8", "parity16", "c432", "c880"),
+                         [](const auto& info) { return info.param; });
+
+/// Scores a fixed candidate sample with @p eng and with a fresh Engine on the
+/// same snapshot; both must agree bitwise (and with the full sweep).
+void expect_matches_fresh_engine(const Bench& b, const Engine& eng) {
+  const Engine fresh(*b.ctx);
+  Engine::Scratch scratch;
+  const auto cands = all_candidates(b);
+  for (std::size_t i = 0; i < cands.size(); i += 3) {
+    const liberty::Cell& cell = cell_of(b, cands[i]);
+    const sta::NodeMoments reused = eng.run_with_candidate(cands[i].gate, cell, scratch);
+    EXPECT_TRUE(bitwise_equal(reused, fresh.run_with_candidate(cands[i].gate, cell)))
+        << b.nl.gate(cands[i].gate).name << " size " << cands[i].size;
+    EXPECT_TRUE(
+        bitwise_equal(reused, full_sweep_with_candidate(eng, *b.ctx, cands[i].gate, cell)));
+  }
+}
+
+/// A mid-circuit gate and a size different from its current one.
+Candidate some_resize(const Bench& b, std::size_t skip) {
+  for (GateId id = 0; id < b.nl.node_count(); ++id) {
+    if (!b.ctx->has_cell(id) || b.nl.gate(id).fanouts.empty()) continue;
+    if (skip-- > 0) continue;
+    const auto& group = b.lib.group(b.nl.gate(id).cell_group);
+    const auto size = static_cast<std::uint16_t>(
+        (b.nl.gate(id).size_index + 1) % group.size_count());
+    return Candidate{id, size};
+  }
+  throw std::logic_error("no resizable gate");
+}
+
+TEST(FasstaConeStaleness, ScoreAfterResizeAndUpdateMatchesFreshEngine) {
+  Bench b(circuits::make_cla_adder(8));
+  const Engine eng(*b.ctx);
+  expect_matches_fresh_engine(b, eng);  // base cached at this epoch
+
+  const std::uint64_t before = b.ctx->snapshot_epoch();
+  const Candidate r = some_resize(b, 5);
+  b.nl.gate(r.gate).size_index = r.size;
+  b.ctx->update();
+  EXPECT_GT(b.ctx->snapshot_epoch(), before);
+  expect_matches_fresh_engine(b, eng);
+}
+
+TEST(FasstaConeStaleness, ScoreAfterCommittedFullsstaSpeculationMatchesFreshEngine) {
+  Bench b(circuits::make_cla_adder(8));
+  const Engine eng(*b.ctx);
+  expect_matches_fresh_engine(b, eng);
+
+  auto analyzer = timing::make_analyzer("fullssta");
+  (void)analyzer->analyze(*b.ctx);
+  const std::uint64_t before = b.ctx->snapshot_epoch();
+  const Candidate r = some_resize(b, 7);
+  auto spec = analyzer->propose(r.gate, r.size);
+  (void)spec->score();
+  spec->commit();  // apply_snapshot_patch, no update()
+  ASSERT_EQ(b.nl.gate(r.gate).size_index, r.size);
+  EXPECT_GT(b.ctx->snapshot_epoch(), before);
+  expect_matches_fresh_engine(b, eng);
+}
+
+TEST(FasstaConeConcurrency, EightThreadsScoreThroughOneEngineAfterEpochBump) {
+  Bench b(circuits::make_table1_circuit("c432"));
+  const Engine eng(*b.ctx);
+  const auto cands = all_candidates(b);
+  (void)eng.run_with_candidate(cands[0].gate, cell_of(b, cands[0]));  // cache a base
+
+  const Candidate r = some_resize(b, 11);
+  b.nl.gate(r.gate).size_index = r.size;
+  b.ctx->update();  // every thread below races to refresh the stale base
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<sta::NodeMoments> got(cands.size());
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Engine::Scratch scratch;
+      start.arrive_and_wait();
+      for (std::size_t i = t; i < cands.size(); i += kThreads) {
+        got[i] = eng.run_with_candidate(cands[i].gate, cell_of(b, cands[i]), scratch);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const Engine fresh(*b.ctx);
+  Engine::Scratch scratch;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    ASSERT_TRUE(bitwise_equal(
+        got[i], fresh.run_with_candidate(cands[i].gate, cell_of(b, cands[i]), scratch)))
+        << b.nl.gate(cands[i].gate).name << " size " << cands[i].size;
+  }
 }
 
 }  // namespace

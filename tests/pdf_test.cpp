@@ -1,7 +1,12 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "debug/validate.h"
 #include "pdf/discrete_pdf.h"
 #include "util/numeric.h"
 #include "util/rng.h"
@@ -200,6 +205,104 @@ TEST(Max, SampleCountInsensitivity) {
   const DiscretePdf m15 = max(a15, b15, 15);
   EXPECT_NEAR(m10.mean(), m15.mean(), 0.25);
   EXPECT_NEAR(m10.stddev(), m15.stddev(), 0.25);
+}
+
+/// max() as a per-point CDF product: the same windowing and moment pinning,
+/// but every grid point calls cdf() on both operands (each a scan from bin
+/// 0). pdf::max's one-pass CDF sweep must reproduce it bit for bit.
+DiscretePdf per_point_cdf_max(const DiscretePdf& x, const DiscretePdf& y,
+                              std::size_t samples) {
+  const double lo_support = std::max(x.min_value(), y.min_value());
+  const double hi_support = std::max(x.max_value(), y.max_value());
+  if (hi_support <= lo_support) return DiscretePdf::point(hi_support);
+  const std::size_t n = std::max<std::size_t>(samples, 2);
+  double e1 = 0.0;
+  double e2 = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x.mass_at(i) == 0.0) continue;
+    for (std::size_t j = 0; j < y.size(); ++j) {
+      const double v = std::max(x.value_at(i), y.value_at(j));
+      const double m = x.mass_at(i) * y.mass_at(j);
+      e1 += v * m;
+      e2 += v * v * m;
+    }
+  }
+  const double var = std::max(0.0, e2 - e1 * e1);
+  const double sd = std::sqrt(var);
+  if (sd == 0.0) return DiscretePdf::point(e1);
+  const double lo = std::max(lo_support, e1 - 5.0 * sd);
+  const double hi = std::min(hi_support, e1 + 5.0 * sd);
+  if (hi <= lo) return DiscretePdf::point(e1);
+  std::vector<double> bins(n, 0.0);
+  const double step = (hi - lo) / static_cast<double>(n - 1);
+  double prev = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = lo + step * static_cast<double>(i);
+    const double c = std::min(1.0, x.cdf(t) * y.cdf(t));
+    bins[i] = std::max(0.0, c - prev);
+    prev = c;
+  }
+  bins[n - 1] += std::max(0.0, 1.0 - prev);
+  const DiscretePdf raw = DiscretePdf::from_masses(lo, step, std::move(bins));
+  // Moment pinning, as pdf's internal moment_matched does it.
+  if (raw.is_point() || raw.variance() <= 0.0) return DiscretePdf::point(e1);
+  const double r = std::sqrt(var / raw.variance());
+  return DiscretePdf::from_masses(e1 + r * (raw.origin() - raw.mean()), r * raw.step(),
+                                  raw.masses());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const DiscretePdf& a, const DiscretePdf& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(bits(a.origin()), bits(b.origin()));
+  EXPECT_EQ(bits(a.step()), bits(b.step()));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a.mass_at(i)), bits(b.mass_at(i))) << "bin " << i;
+  }
+  EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+  EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+}
+
+TEST(Max, CdfSweepEqualsPerPointCdfProductBitwise) {
+  util::Rng rng(2005);
+  std::vector<DiscretePdf> pool = {
+      DiscretePdf::point(50.0),
+      DiscretePdf::from_masses(40.0, 2.5, {0.0, 0.2, 0.0, 0.5, 0.3, 0.0}),
+  };
+  for (int k = 0; k < 24; ++k) {
+    const std::size_t samples = 5 + static_cast<std::size_t>(rng.uniform(0.0, 20.0));
+    pool.push_back(DiscretePdf::normal(rng.uniform(30.0, 70.0), rng.uniform(0.5, 12.0), samples));
+  }
+  // Derived shapes: sums, maxes and rebinned grids (skewed, trimmed supports).
+  for (std::size_t k = 2; k + 1 < 26; k += 2) {
+    pool.push_back(sum(pool[k], pool[k + 1], 13));
+    pool.push_back(max(pool[k], pool[k + 1].shifted(rng.uniform(-8.0, 8.0)), 13));
+    pool.push_back(pool[k].resampled(9));
+  }
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = 0; j < pool.size(); j += 3) {
+      for (const std::size_t samples : {2u, 13u, 21u}) {
+        SCOPED_TRACE(testing::Message() << "pair " << i << "," << j << " samples " << samples);
+        expect_bitwise_equal(max(pool[i], pool[j], samples),
+                             per_point_cdf_max(pool[i], pool[j], samples));
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 1000u);
+}
+
+TEST(DiscretePdf, CachedMomentsEqualTheGridsMoments) {
+  const DiscretePdf a = DiscretePdf::normal(100.0, 7.0, 13);
+  const DiscretePdf b = DiscretePdf::from_masses(10.0, 0.5, {1.0, 3.0, 0.0, 2.0});
+  // validate_pdf recomputes both moments from the grid and compares bitwise.
+  for (const DiscretePdf& p : {a, b, a.shifted(3.25), a.resampled(9), b.resampled(7),
+                               sum(a, b, 13), max(a, b.shifted(90.0), 13),
+                               DiscretePdf::point(-0.0)}) {
+    EXPECT_NO_THROW(debug::validate_pdf(p));
+  }
 }
 
 }  // namespace

@@ -625,6 +625,42 @@ TEST(ServeServer, DeadlineExceededRequestAnswersStructurally) {
   EXPECT_TRUE(ok_of(responses[2]));
 }
 
+TEST(ServeServer, RejectsOutOfRangeOrFractionalIntegerFieldsAsInvalidArgument) {
+  ServerOptions options;
+  Server server(options);
+  // Each of these would be an out-of-range (UB) or lossy double->integer
+  // conversion if cast unchecked; the server must answer structurally.
+  const std::vector<std::string> bad = {
+      R"({"id":1,"op":"whatif","gate":"g","size":65537})",
+      R"({"id":2,"op":"whatif","gate":"g","size":-1})",
+      R"({"id":3,"op":"whatif","gate":"g","size":1.5})",
+      R"({"id":4,"op":"whatif","gate":"g","size":1e300})",
+      R"({"id":5,"op":"whatif","resizes":[{"gate":"g","size":1},{"gate":"h","size":65536}]})",
+      R"({"id":6,"op":"info","priority":1e300})",
+      R"({"id":7,"op":"info","priority":-3000000000})",
+      R"({"id":8,"op":"info","priority":0.5})",
+      R"({"id":9,"op":"info","deadline_ms":1e300})",
+      R"({"id":10,"op":"info","deadline_ms":-5})",
+      R"({"id":11,"op":"info","deadline_ms":2.5})",
+  };
+  std::string script;
+  for (const std::string& line : bad) script += line + "\n";
+  script += R"({"id":12,"op":"info","priority":-7,"deadline_ms":60000})" "\n";
+  script += R"({"id":13,"op":"quit"})" "\n";
+  const auto responses = run_script(server, script);
+  ASSERT_EQ(responses.size(), bad.size() + 2);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(ok_of(responses[i])) << bad[i];
+    EXPECT_EQ(string_at(responses[i], "code"), "invalid_argument") << bad[i];
+    EXPECT_EQ(number_at(responses[i], "id"), static_cast<double>(i + 1));
+  }
+  // In-range integers still pass validation (info on an empty session then
+  // fails for its own reason, not the numeric fields).
+  EXPECT_EQ(string_at(responses[bad.size()], "error").find("must be an integer"),
+            std::string::npos);
+  EXPECT_TRUE(ok_of(responses.back()));  // quit
+}
+
 TEST(ServeServer, ShedsWhenTheQueueIsFullWithRetryAfter) {
   ServerOptions options;
   options.threads = 1;
