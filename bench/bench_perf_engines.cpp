@@ -7,10 +7,10 @@
 // snapshots under scripts/bench_snapshot.sh.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "core/flow.h"
 #include "drc/drc.h"
 #include "fassta/engine.h"
@@ -576,37 +576,5 @@ BENCHMARK_CAPTURE(BM_PlainMcYield, c880, std::string("c880"))->Unit(benchmark::k
 BENCHMARK_CAPTURE(BM_IsleYield, mesh8, std::string("mesh8"))->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlainMcYield, mesh8, std::string("mesh8"))->Unit(benchmark::kMillisecond);
 
-// Custom main: `--json <path>` is shorthand for google-benchmark's
-// --benchmark_out=<path> --benchmark_out_format=json, so callers (and
-// scripts/bench_snapshot.sh) get per-benchmark wall/CPU times as JSON
-// without memorizing the long flags. `--context key=value` (repeatable)
-// stamps the pair into the JSON header via benchmark::AddCustomContext —
-// bench_snapshot.sh uses it to record the git SHA and workload.
-int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.push_back(std::string("--benchmark_out=") + argv[i + 1]);
-      args.push_back("--benchmark_out_format=json");
-      ++i;
-    } else if (std::strcmp(argv[i], "--context") == 0 && i + 1 < argc) {
-      const std::string pair = argv[i + 1];
-      const std::size_t eq = pair.find('=');
-      benchmark::AddCustomContext(pair.substr(0, eq),
-                                  eq == std::string::npos ? "" : pair.substr(eq + 1));
-      ++i;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(args.size());
-  for (std::string& a : args) cargv.push_back(a.data());
-  int cargc = static_cast<int>(cargv.size());
-  benchmark::Initialize(&cargc, cargv.data());
-  if (benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+// --json / --context main (bench/bench_main.h).
+int main(int argc, char** argv) { return statsizer::bench::run_benchmarks(argc, argv); }

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_main.h"
 #include "core/flow.h"
 #include "serve/job.h"
 #include "serve/session.h"
@@ -132,33 +132,5 @@ BENCHMARK_CAPTURE(BM_ServerMixed, c880, std::string("c880"))
 BENCHMARK_CAPTURE(BM_ServerMixed, mesh8, std::string("mesh8"))
     ->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Custom main, matching bench_perf_engines: --json writes google-benchmark's
-// JSON report; --context stamps key=value pairs into its header.
-int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.push_back(std::string("--benchmark_out=") + argv[i + 1]);
-      args.push_back("--benchmark_out_format=json");
-      ++i;
-    } else if (std::strcmp(argv[i], "--context") == 0 && i + 1 < argc) {
-      const std::string pair = argv[i + 1];
-      const std::size_t eq = pair.find('=');
-      benchmark::AddCustomContext(pair.substr(0, eq),
-                                  eq == std::string::npos ? "" : pair.substr(eq + 1));
-      ++i;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(args.size());
-  for (std::string& a : args) cargv.push_back(a.data());
-  int cargc = static_cast<int>(cargv.size());
-  benchmark::Initialize(&cargc, cargv.data());
-  if (benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+// --json / --context main (bench/bench_main.h).
+int main(int argc, char** argv) { return statsizer::bench::run_benchmarks(argc, argv); }

@@ -9,6 +9,12 @@ template <typename Body>
 void parallel_for(std::size_t total, std::size_t chunk, std::size_t threads, Body&& body);
 }
 
+namespace sta {
+struct TimingContext;
+template <typename Body>
+void sweep_levels(const TimingContext& ctx, std::size_t threads, std::size_t chunk, Body&& body);
+}
+
 void racy_push_back(std::size_t n) {
   std::vector<double> results;
   util::parallel_for(n, 16, 0, [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -33,6 +39,20 @@ void racy_counter(std::size_t n) {
     for (std::size_t i = begin; i < end; ++i) {
       ++hits;  // expect-lint: shared-mutable-capture
     }
+  });
+}
+
+// The levelized sweep runs its body on pool workers too.
+void racy_sweep_count(const sta::TimingContext& ctx) {
+  std::size_t visited = 0;
+  sta::sweep_levels(ctx, 0, 16, [&](unsigned id) {
+    visited += id;  // expect-lint: shared-mutable-capture
+  });
+}
+
+void per_slot_sweep(const sta::TimingContext& ctx, std::vector<double>& slew) {
+  sta::sweep_levels(ctx, 0, 16, [&](unsigned id) {
+    slew[id] = 1.0;  // silent: per-gate slot
   });
 }
 

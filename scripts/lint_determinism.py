@@ -31,21 +31,21 @@ break it before they ever reach a test:
                           allowed.
 
   shared-mutable-capture  An inline by-reference-capturing lambda handed to
-                          parallel_for / run_wavefront_level whose body grows
-                          a captured container (push_back / emplace_back /
-                          insert / ...) or compound-assigns a captured
-                          scalar. Worker bodies must write per-slot
+                          parallel_for / run_wavefront_level / sweep_levels
+                          whose body grows a captured container (push_back /
+                          emplace_back / insert / ...) or compound-assigns a
+                          captured scalar. Worker bodies must write per-slot
                           (v[i] = ...) or into per-chunk locals merged after
                           the join.
 
   throw-in-parallel       A throw expression inside an inline lambda handed
-                          to parallel_for / run_wavefront_level. An exception
-                          escaping a pool worker is std::terminate (and even
-                          a caught-and-rethrown one races the other workers
-                          for which failure wins), so the abort behavior
-                          depends on thread scheduling. Record the failure in
-                          a per-slot status and fail deterministically after
-                          the join.
+                          to parallel_for / run_wavefront_level /
+                          sweep_levels. An exception escaping a pool worker
+                          is std::terminate (and even a caught-and-rethrown
+                          one races the other workers for which failure
+                          wins), so the abort behavior depends on thread
+                          scheduling. Record the failure in a per-slot status
+                          and fail deterministically after the join.
 
 Waivers: append `// lint-ok: <rule-id> <justification>` to the offending
 line (or place it on the immediately preceding line). The justification is
@@ -251,7 +251,8 @@ def check_unordered(code: str, findings: list, path: Path) -> None:
 # rule: shared-mutable-capture
 # ---------------------------------------------------------------------------
 
-PARALLEL_CALL_RE = re.compile(r"\b(?:util\s*::\s*)?(?:parallel_for|run_wavefront_level)\s*\(")
+PARALLEL_CALL_RE = re.compile(
+    r"\b(?:util\s*::\s*|sta\s*::\s*)?(?:parallel_for|run_wavefront_level|sweep_levels)\s*\(")
 GROWTH_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*\.\s*(push_back|emplace_back|emplace|insert|erase|clear|resize)\s*\(")
 COMPOUND_RE = re.compile(

@@ -31,30 +31,6 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   return NodeMoments{r.mean, std::sqrt(r.var)};
 }
 
-template <typename ArrivalOf, typename ArcOf>
-NodeMoments Engine::fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
-                              ArcOf&& arc_of) const {
-  NodeMoments acc;  // PI/constant: arrival (0, 0)
-  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-    const NodeMoments& in = arrival_of(g.fanins[i]);
-    const auto [d, s] = arc_of(i);
-    const NodeMoments through{in.mean_ps + d, std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-    acc = (i == 0) ? through : stat_max(acc, through);
-  }
-  return acc;
-}
-
-template <typename ArrivalOf>
-NodeMoments Engine::fold_outputs(ArrivalOf&& arrival_of) const {
-  NodeMoments out{0.0, 0.0};
-  bool first = true;
-  for (const auto& po : ctx_.netlist().outputs()) {
-    out = first ? arrival_of(po.driver) : stat_max(out, arrival_of(po.driver));
-    first = false;
-  }
-  return out;
-}
-
 std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
   const auto& nl = ctx_.netlist();
   std::vector<NodeMoments> arrival(nl.node_count());
@@ -243,22 +219,14 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
       }
     }
 
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments in = arrival_of(g.fanins[i]);
-      // Recompute the arc delay only where the candidate perturbs it; reuse
-      // the snapshot everywhere else (this is what makes FASSTA fast).
-      double d = 0.0;
-      if (is_center || load != ctx_.load_ff(id)) {
-        d = ctx_.arc_delay_with(id, i, cell, load);
-      } else {
-        d = ctx_.arc_delay_ps(id, i);
-      }
-      const double s = ctx_.sigma_for(cell, d);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
+    // Recompute the arc delay only where the candidate perturbs it; reuse
+    // the snapshot everywhere else (this is what makes FASSTA fast).
+    const bool perturbed = is_center || load != ctx_.load_ff(id);
+    const NodeMoments acc = fold_arcs(g, arrival_of, [&](std::size_t i) {
+      const double d =
+          perturbed ? ctx_.arc_delay_with(id, i, cell, load) : ctx_.arc_delay_ps(id, i);
+      return std::pair{d, ctx_.sigma_for(cell, d)};
+    });
     local[gi] = acc;
   }
 

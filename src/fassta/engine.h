@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -144,15 +145,39 @@ class Engine {
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
- private:
-  /// One gate's arrival: the statistical max over its arcs of
-  /// arrival_of(fanin) + arc, where arc_of(i) yields arc i's (delay, sigma).
+  /// The one FASSTA gate kernel: gate @p g's arrival moments, the
+  /// statistical max over its arcs of arrival_of(fanin) + arc, where
+  /// arc_of(i) yields arc i's (delay, sigma); (0, 0) for a gate without
+  /// fanins. run(), run_with_candidate(), evaluate_candidate() and the
+  /// FASSTA analyzer's what-if all fold through it.
   template <typename ArrivalOf, typename ArcOf>
-  sta::NodeMoments fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
-                             ArcOf&& arc_of) const;
-  /// Statistical max over the primary-output drivers' arrivals.
+  [[nodiscard]] sta::NodeMoments fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
+                                           ArcOf&& arc_of) const {
+    sta::NodeMoments acc;
+    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+      const sta::NodeMoments& in = arrival_of(g.fanins[i]);
+      const auto [d, s] = arc_of(i);
+      const sta::NodeMoments through{in.mean_ps + d,
+                                     std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
+      acc = (i == 0) ? through : stat_max(acc, through);
+    }
+    return acc;
+  }
+
+  /// Statistical max over the primary-output drivers' arrivals, in output
+  /// order: the circuit moments.
   template <typename ArrivalOf>
-  sta::NodeMoments fold_outputs(ArrivalOf&& arrival_of) const;
+  [[nodiscard]] sta::NodeMoments fold_outputs(ArrivalOf&& arrival_of) const {
+    sta::NodeMoments out{0.0, 0.0};
+    bool first = true;
+    for (const auto& po : ctx_.netlist().outputs()) {
+      out = first ? arrival_of(po.driver) : stat_max(out, arrival_of(po.driver));
+      first = false;
+    }
+    return out;
+  }
+
+ private:
   /// run()'s arrivals for the snapshot at its current epoch (lazily refreshed).
   const std::vector<sta::NodeMoments>& base_arrivals() const;
 

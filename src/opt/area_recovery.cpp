@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sta/dsta.h"
 #include "ssta/fullssta.h"
 #include "util/thread_pool.h"
 
@@ -252,104 +251,5 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   }
   return stats;
 }
-
-namespace detail {
-
-AreaRecoveryStats recover_area_reference(sta::TimingContext& ctx,
-                                         const AreaRecoveryOptions& options) {
-  auto& nl = ctx.mutable_netlist();
-  const fassta::Engine engine(ctx, options.fassta);
-  const Objective& obj = options.objective;
-  const bool statistical = options.criterion == RecoveryCriterion::kStatisticalCost;
-
-  AreaRecoveryStats stats;
-  ctx.update();
-  stats.area_before_um2 = ctx.area_um2();
-
-  double screen_sigma = 0.0;
-  const auto screen = [&]() {
-    if (!statistical) return run_dsta(ctx).max_arrival_ps;
-    sta::NodeMoments m;
-    (void)engine.run(&m);
-    screen_sigma = m.sigma_ps;
-    return obj.cost(m.mean_ps, m.sigma_ps);
-  };
-  const double screen_budget = screen() * (1.0 + options.tolerance);
-  const double screen_sigma_budget = screen_sigma * (1.0 + options.sigma_tolerance);
-
-  double exact_cost_budget = 0.0;
-  double exact_sigma_budget = 0.0;
-  if (statistical) {
-    const ssta::FullSstaResult full = ssta::run_fullssta(ctx, options.fullssta);
-    exact_cost_budget = obj.cost(full.mean_ps, full.sigma_ps) * (1.0 + options.tolerance);
-    exact_sigma_budget = full.sigma_ps * (1.0 + options.sigma_tolerance);
-  }
-  const auto exact_ok = [&]() {
-    const ssta::FullSstaResult full = ssta::run_fullssta(ctx, options.fullssta);
-    return obj.cost(full.mean_ps, full.sigma_ps) <= exact_cost_budget &&
-           full.sigma_ps <= exact_sigma_budget;
-  };
-
-  auto checkpoint = nl.sizes();
-  std::size_t since_checkpoint = 0;
-  bool stopped = false;
-
-  for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
-    const std::vector<GateId> order = recovery_order(ctx);
-
-    std::size_t changed = 0;
-    for (const GateId g : order) {
-      auto& gate = nl.gate(g);
-      while (gate.size_index > 0) {
-        const std::uint16_t keep = gate.size_index;
-        gate.size_index = static_cast<std::uint16_t>(keep - 1);
-        ctx.update();
-        ++stats.screen_trials;
-        const double cost = screen();
-        const bool ok = cost <= screen_budget &&
-                        (!statistical || screen_sigma <= screen_sigma_budget);
-        if (!ok) {
-          gate.size_index = keep;
-          ctx.update();
-          break;
-        }
-        ++stats.downsizes;
-        ++changed;
-        if (statistical && ++since_checkpoint >= kChunk) {
-          ++stats.exact_verifications;
-          if (exact_ok()) {
-            checkpoint = nl.sizes();
-          } else {
-            nl.set_sizes(checkpoint);
-            ctx.update();
-            stats.downsizes -= since_checkpoint;
-            ++stats.chunk_rollbacks;
-            stopped = true;
-          }
-          since_checkpoint = 0;
-          if (stopped) break;
-        }
-      }
-      if (stopped) break;
-    }
-    if (changed == 0) break;
-  }
-
-  if (statistical && since_checkpoint > 0 && !stopped) {
-    ++stats.exact_verifications;
-    if (!exact_ok()) {
-      nl.set_sizes(checkpoint);
-      ctx.update();
-      stats.downsizes -= since_checkpoint;
-      ++stats.chunk_rollbacks;
-    }
-  }
-
-  ctx.update();
-  stats.area_after_um2 = ctx.area_um2();
-  return stats;
-}
-
-}  // namespace detail
 
 }  // namespace statsizer::opt

@@ -36,8 +36,8 @@
 // loop's semantics. Accepted downsizes, final sizes, and AreaRecoveryStats
 // are bitwise-identical for any `threads` value, and identical to the
 // pre-port serial mutate-and-rerun loop (pinned by
-// tests/area_recovery_parallel_test.cpp against detail::
-// recover_area_reference).
+// tests/area_recovery_parallel_test.cpp, which keeps that loop as its
+// reference oracle).
 #pragma once
 
 #include <cstddef>
@@ -114,16 +114,5 @@ struct AreaRecoveryStats {
 /// header comment).
 AreaRecoveryStats recover_area(sta::TimingContext& ctx,
                                const AreaRecoveryOptions& options = {});
-
-namespace detail {
-
-/// The pre-port serial reference: per trial, mutate + full
-/// TimingContext::update() + engine re-run. Kept (test-only) so
-/// area_recovery_parallel_test can pin recover_area's analyzer port against
-/// the original loop's decisions bitwise.
-AreaRecoveryStats recover_area_reference(sta::TimingContext& ctx,
-                                         const AreaRecoveryOptions& options = {});
-
-}  // namespace detail
 
 }  // namespace statsizer::opt

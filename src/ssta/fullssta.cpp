@@ -1,10 +1,9 @@
 #include "ssta/fullssta.h"
 
-#include <cmath>
+#include <utility>
 
 #include "debug/validate.h"
 #include "util/check.h"
-#include "util/exec.h"
 
 namespace statsizer::ssta {
 
@@ -13,7 +12,6 @@ using pdf::DiscretePdf;
 
 FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions& options) {
   const auto& nl = ctx.netlist();
-  const std::size_t samples = options.samples_per_pdf;
 
   if constexpr (debug::kParanoid) {
     debug::validate_structure_fresh(nl, ctx.levelization());
@@ -35,61 +33,32 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
     }
   }
 
+  const auto arrival_of = [&](GateId f) -> const DiscretePdf& { return arrival[f]; };
+
   // One gate's arrival from its (already finished) fanins: reads lower-level
-  // pdfs, writes only the gate's own slots.
-  const auto propagate_gate = [&](GateId id) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) return;  // PI / constant: point mass at 0
+  // pdfs, writes only the gate's own slots. Per-gate pdf convolutions are
+  // heavy (~samples^2 work each), so chunk size 1 load-balances the wavefront
+  // best.
+  sta::sweep_levels(
+      ctx, options.threads, 1,
+      [&](GateId id) {
+        const auto& g = nl.gate(id);
+        if (g.fanins.empty()) return;  // PI / constant: its launch point mass
+        DiscretePdf acc = gate_arrival(g, options, arrival_of, [&](std::size_t i) {
+          return std::pair{ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i)};
+        });
+        if constexpr (debug::kParanoid) {
+          // Exceptions from a wavefront worker are captured and rethrown on
+          // the calling thread by parallel_for, so the audit is safe in both
+          // modes.
+          debug::validate_pdf(acc);
+        }
+        result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
+        arrival[id] = std::move(acc);
+      },
+      {}, "ssta/fullssta/level");
 
-    DiscretePdf acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const DiscretePdf delay = DiscretePdf::normal(
-          ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i), samples, options.span_sigmas);
-      const DiscretePdf through = pdf::sum(arrival[g.fanins[i]], delay, samples);
-      acc = (i == 0) ? through : pdf::max(acc, through, samples);
-    }
-    if constexpr (debug::kParanoid) {
-      // Exceptions from a wavefront worker are captured and rethrown on the
-      // calling thread by parallel_for, so the audit is safe in both modes.
-      debug::validate_pdf(acc);
-    }
-    result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
-    arrival[id] = std::move(acc);
-  };
-
-  // Cooperative control at wavefront granularity (see util/exec.h): one
-  // checkpoint per level on the calling thread, or a fixed gate stride on
-  // the serial path. Value-neutral — aborts or stalls only.
-  if (options.threads == 1) {
-    std::size_t propagated = 0;
-    for (const GateId id : ctx.topo_order()) {
-      if ((propagated++ & 0xFF) == 0) util::checkpoint("ssta/fullssta/level");
-      propagate_gate(id);
-    }
-  } else {
-    // Levelized wavefront: gates of one level are independent (all fanins
-    // live in strictly lower levels), so each level fans across the pool and
-    // acts as the barrier for the next. Per-gate pdf convolutions are heavy
-    // (~samples^2 work each), so chunk size 1 load-balances best.
-    const netlist::Levelization& lv = ctx.levelization();
-    const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-    for (std::size_t l = 0; l < lv.level_count(); ++l) {
-      util::checkpoint("ssta/fullssta/level");
-      const std::span<const GateId> level = lv.level(l);
-      // Chunk size 1: per-gate pdf convolutions are heavy (~samples^2 work
-      // each), so per-gate scheduling load-balances best.
-      sta::run_wavefront_level(level, level.size(), cutoff, 1, options.threads,
-                               propagate_gate);
-    }
-  }
-
-  // RV_O = statistical max over all primary outputs.
-  DiscretePdf out = DiscretePdf::point(0.0);
-  bool first = true;
-  for (const auto& po : nl.outputs()) {
-    out = first ? arrival[po.driver] : pdf::max(out, arrival[po.driver], samples);
-    first = false;
-  }
+  DiscretePdf out = output_arrival(nl, options, arrival_of);
   if constexpr (debug::kParanoid) {
     debug::validate_pdf(out);
   }

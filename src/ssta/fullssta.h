@@ -8,6 +8,7 @@
 // values FASSTA later uses as subcircuit boundary conditions.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "pdf/discrete_pdf.h"
@@ -44,6 +45,43 @@ struct FullSstaResult {
   double mean_ps = 0.0;
   double sigma_ps = 0.0;
 };
+
+/// The one FULLSSTA gate kernel: gate @p g's arrival pdf, the statistical
+/// max over its arcs of arrival_of(fanin) (+) Normal(delay, sigma), where
+/// arc_of(i) yields arc i's (delay, sigma). run_fullssta runs it over the
+/// snapshot; the FULLSSTA analyzer's what-if runs it over its dirty cone
+/// (timing/fullssta_analyzer.cpp), which is what keeps the two bitwise-equal.
+template <typename ArrivalOf, typename ArcOf>
+[[nodiscard]] pdf::DiscretePdf gate_arrival(const netlist::Gate& g,
+                                            const FullSstaOptions& options,
+                                            ArrivalOf&& arrival_of, ArcOf&& arc_of) {
+  const std::size_t samples = options.samples_per_pdf;
+  pdf::DiscretePdf acc;
+  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+    const auto [delay_ps, sigma_ps] = arc_of(i);
+    const pdf::DiscretePdf delay =
+        pdf::DiscretePdf::normal(delay_ps, sigma_ps, samples, options.span_sigmas);
+    const pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
+    acc = (i == 0) ? through : pdf::max(acc, through, samples);
+  }
+  return acc;
+}
+
+/// RV_O, the other half of the kernel: the statistical max over the primary
+/// outputs' driver arrivals, in output order.
+template <typename ArrivalOf>
+[[nodiscard]] pdf::DiscretePdf output_arrival(const netlist::Netlist& nl,
+                                              const FullSstaOptions& options,
+                                              ArrivalOf&& arrival_of) {
+  pdf::DiscretePdf out = pdf::DiscretePdf::point(0.0);
+  bool first = true;
+  for (const auto& po : nl.outputs()) {
+    out = first ? arrival_of(po.driver)
+                : pdf::max(out, arrival_of(po.driver), options.samples_per_pdf);
+    first = false;
+  }
+  return out;
+}
 
 /// Runs discrete-pdf SSTA over the whole netlist.
 [[nodiscard]] FullSstaResult run_fullssta(const sta::TimingContext& ctx,

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "ssta/monte_carlo.h"
 #include "util/exec.h"
 #include "util/numeric.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace statsizer::ssta {
@@ -75,7 +75,7 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
   std::vector<std::int32_t> best(nl.node_count(), -1);
   for (const GateId id : ctx.topo_order()) {
     const auto& g = nl.gate(id);
-    double s = (g.fanins.empty() && !pi_arrival.empty()) ? pi_arrival[id] : 0.0;
+    double s = ctx.launch_arrival_ps(id);
     std::int32_t arg = -1;
     for (std::size_t i = 0; i < g.fanins.size(); ++i) {
       const double cand = score[g.fanins[i]] + ctx.arc_delay_ps(id, i) +
@@ -211,7 +211,6 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
 
   const auto& nl = ctx.netlist();
   const auto& var = ctx.variation();
-  const auto& pi_arrival = ctx.constraints().input_arrival_ps;
   const double gf = var.params().global_fraction;
   const double sqrt_gf = std::sqrt(gf);
   const double sqrt_1mgf = std::sqrt(1.0 - gf);
@@ -281,44 +280,29 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
             const double zg = rng.normal();
             const double xg =
                 zg + (comp >= 0 ? prop.components[comp].theta_global : 0.0);
-            for (const GateId id : ctx.topo_order()) {
-              const auto& g = nl.gate(id);
-              double arr =
-                  (g.fanins.empty() && !pi_arrival.empty()) ? pi_arrival[id] : 0.0;
-              const std::uint32_t off = ctx.arc_offset(id);
-              for (std::size_t a = 0; a < g.fanins.size(); ++a) {
-                double d;
-                const std::int32_t slot =
-                    prop.tracked == 0 ? -1 : prop.slot_of_arc[off + a];
-                if (slot >= 0) {
-                  // Tracked coordinate: decompose the draw so the shift can
-                  // be applied and x recorded for the likelihood ratio.
-                  // Mirrors VariationModel::sample_delay_ps with the z's
-                  // drawn in explicit sequence.
-                  const double delay = ctx.arc_delay_ps(id, a);
-                  const double sys = var.systematic_sigma_ps(delay, ctx.drive(id));
-                  const double z1 = rng.normal();
-                  const double z2 = rng.normal();
-                  const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
-                  const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
-                  x1s[slot] = x1;
-                  x2s[slot] = x2;
-                  const double raw = delay + sqrt_gf * sys * xg +
-                                     sqrt_1mgf * sys * x1 + floor_ps * x2;
-                  d = std::max(raw, min_frac * delay);
-                } else {
-                  d = var.sample_delay_ps(ctx.arc_delay_ps(id, a), ctx.drive(id), xg,
-                                          rng);
-                }
-                arr = std::max(arr, arrival[g.fanins[a]] + d);
-              }
-              arrival[id] = arr;
-            }
-            double circuit = 0.0;
-            for (const auto& po : nl.outputs()) {
-              circuit = std::max(circuit, arrival[po.driver]);
-            }
-            result.delay_samples[s] = circuit;
+            // The shared per-draw propagation; tracked coordinates decompose
+            // the draw so the shift can be applied and x recorded for the
+            // likelihood ratio (VariationModel::sample_delay_ps with the z's
+            // drawn in explicit sequence).
+            const auto tracked = [&](GateId id, std::size_t a, double& d) {
+              if (prop.tracked == 0) return false;
+              const std::int32_t slot = prop.slot_of_arc[ctx.arc_offset(id) + a];
+              if (slot < 0) return false;
+              const double delay = ctx.arc_delay_ps(id, a);
+              const double sys = var.systematic_sigma_ps(delay, ctx.drive(id));
+              const double z1 = rng.normal();
+              const double z2 = rng.normal();
+              const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
+              const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
+              x1s[slot] = x1;
+              x2s[slot] = x2;
+              const double raw =
+                  delay + sqrt_gf * sys * xg + sqrt_1mgf * sys * x1 + floor_ps * x2;
+              d = std::max(raw, min_frac * delay);
+              return true;
+            };
+            result.delay_samples[s] =
+                propagate_draw(ctx, xg, rng, arrival, tracked, [](GateId, double) {});
             // Likelihood ratio against the defensive mixture:
             //   w = 1 / (alpha + (1-alpha)/K * sum_k exp(theta_k.x - |theta_k|^2/2)).
             double w = 1.0;

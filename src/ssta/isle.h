@@ -35,9 +35,12 @@
 // a separate derived stream (seed ^ salt, s), per-sample results land in
 // per-slot vectors, and all statistics fold serially in sample order — so
 // the estimate, the weights, and every diagnostic are bitwise-identical for
-// any thread count. With `proposal = kNominal` the sampler *is* plain Monte
-// Carlo: weights are identically 1 and the per-draw circuit delays are
-// bitwise-equal to run_monte_carlo's circuit_samples for the same seed.
+// any thread count. Each draw calls the Monte Carlo engine's per-draw
+// propagation (ssta::propagate_draw), with the shifted path arcs plugged in
+// as its tracked-arc hook, so with `proposal = kNominal` the sampler *is*
+// plain Monte Carlo: weights are identically 1 and the per-draw circuit
+// delays are bitwise-equal to run_monte_carlo's circuit_samples for the same
+// seed.
 #pragma once
 
 #include <cstdint>

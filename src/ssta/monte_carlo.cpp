@@ -1,13 +1,10 @@
 #include "ssta/monte_carlo.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 
 #include "util/exec.h"
 #include "util/numeric.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace statsizer::ssta {
@@ -27,8 +24,6 @@ constexpr std::size_t kChunkSamples = 64;
 MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
                                  const MonteCarloOptions& options) {
   const auto& nl = ctx.netlist();
-  const auto& var = ctx.variation();
-  const auto& pi_arrival = ctx.constraints().input_arrival_ps;
 
   MonteCarloResult result;
   result.circuit_samples.resize(options.samples, 0.0);
@@ -70,24 +65,11 @@ MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
           // which thread runs it.
           util::Rng rng(util::stream_seed(options.seed, s));
           const double global_z = rng.normal();
-          for (const GateId id : ctx.topo_order()) {
-            const auto& g = nl.gate(id);
-            // Constrained primary inputs (set_input_delay) launch at their
-            // fixed offset; the guard keeps the unconstrained path bitwise.
-            double arr = (g.fanins.empty() && !pi_arrival.empty()) ? pi_arrival[id] : 0.0;
-            for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-              const double d = var.sample_delay_ps(ctx.arc_delay_ps(id, i), ctx.drive(id),
-                                                   global_z, rng);
-              arr = std::max(arr, arrival[g.fanins[i]] + d);
-            }
-            arrival[id] = arr;
-            if (node_stats_ptr != nullptr) (*node_stats_ptr)[id].add(arr);
-          }
-          double circuit = 0.0;
-          for (const auto& po : nl.outputs()) {
-            circuit = std::max(circuit, arrival[po.driver]);
-          }
-          result.circuit_samples[s] = circuit;
+          result.circuit_samples[s] = propagate_draw(
+              ctx, global_z, rng, arrival, [](GateId, std::size_t, double&) { return false; },
+              [&](GateId id, double arr) {
+                if (node_stats_ptr != nullptr) (*node_stats_ptr)[id].add(arr);
+              });
         }
         if (options.per_node_stats) {
           const std::lock_guard<std::mutex> lock(merge_mutex);

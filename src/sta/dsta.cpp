@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 namespace statsizer::sta {
 
@@ -14,24 +15,12 @@ DstaResult run_dsta(const TimingContext& ctx, std::optional<double> clock_period
   DstaResult r;
   r.arrival_ps.assign(n, 0.0);
 
+  const auto arrival_of = [&](GateId f) { return r.arrival_ps[f]; };
   for (const GateId id : ctx.topo_order()) {
-    const auto& g = nl.gate(id);
-    // Constrained primary inputs launch at their set_input_delay offset.
-    double arr = (g.fanins.empty() && !cons.input_arrival_ps.empty())
-                     ? cons.input_arrival_ps[id]
-                     : 0.0;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      arr = std::max(arr, r.arrival_ps[g.fanins[i]] + ctx.arc_delay_ps(id, i));
-    }
-    r.arrival_ps[id] = arr;
+    r.arrival_ps[id] =
+        latest_arrival(ctx, id, arrival_of, [&](std::size_t i) { return ctx.arc_delay_ps(id, i); });
   }
-
-  for (const auto& out : nl.outputs()) {
-    if (r.arrival_ps[out.driver] >= r.max_arrival_ps) {
-      r.max_arrival_ps = r.arrival_ps[out.driver];
-      r.critical_output = out.driver;
-    }
-  }
+  std::tie(r.max_arrival_ps, r.critical_output) = latest_output(nl, arrival_of);
 
   // Required times: initialize at POs, relax backwards. Precedence for the
   // PO target: explicit argument, then the context's constraints

@@ -80,23 +80,6 @@ double TimingContext::gate_delay_ps(GateId g) const {
   return worst;
 }
 
-void TimingContext::relax_gate(GateId id) {
-  const auto& g = nl_.gate(id);
-  if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
-  const liberty::Cell& c = lib_.cell_for(g.cell_group, g.size_index);
-  const double load = load_[id];
-  double out_slew = 0.0;
-  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-    const liberty::TimingArc& arc = c.arc_from(i);
-    const double in_slew = slew_[g.fanins[i]];
-    const double d = arc.delay(in_slew, load);
-    arc_delay_[arc_offset_[id] + i] = d;
-    arc_sigma_[arc_offset_[id] + i] = var_.sigma_ps(d, c.drive);
-    out_slew = std::max(out_slew, arc.output_slew(in_slew, load));
-  }
-  slew_[id] = out_slew;
-}
-
 void TimingContext::update() {
   // The context's derived structure (topo order, levelization, arc offsets,
   // load-term lists) is frozen at construction; a structural netlist edit
@@ -149,28 +132,19 @@ void TimingContext::update() {
                        });
   }
 
-  // Slews / arc delays / sigmas. Serial: the classic topological sweep.
-  // Parallel: a levelized wavefront — all fanins of a level-l gate live in
-  // strictly lower levels, so within a level gates only read finished slews
-  // and write their own slots; levels form the barriers.
-  // Cooperative control: the wavefront path checkpoints once per level on
-  // the calling thread; the serial path matches that granularity with a
-  // fixed gate stride. Checkpoints only abort or stall (see util/exec.h) —
-  // never change values — so the bitwise contracts hold.
-  if (threads == 1) {
-    std::size_t relaxed = 0;
-    for (const GateId id : order_) {
-      if ((relaxed++ & 0xFF) == 0) util::checkpoint("sta/update/level");
-      relax_gate(id);
-    }
-    return;
-  }
-  for (std::size_t l = 0; l < levels_.level_count(); ++l) {
-    util::checkpoint("sta/update/level");
-    const std::span<const GateId> level = levels_.level(l);
-    run_wavefront_level(level, level.size(), options_.min_level_width_for_parallel,
-                        kRelaxChunk, threads, [this](GateId id) { relax_gate(id); });
-  }
+  // Slews / arc delays / sigmas: the slew/arc kernel over the levelized
+  // sweep. Within a level gates only read finished (lower-level) slews and
+  // write their own slots; levels form the barriers.
+  sweep_levels(
+      *this, threads, kRelaxChunk,
+      [this](GateId id) {
+        const auto& g = nl_.gate(id);
+        if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
+        slew_[id] = relax_gate(id, lib_.cell_for(g.cell_group, g.size_index), load_[id],
+                               [this](GateId f) { return slew_[f]; }, arc_delay_.data(),
+                               arc_sigma_.data());
+      },
+      {}, "sta/update/level");
 }
 
 double TimingContext::load_ff_with_resize(GateId driver, GateId center,

@@ -12,6 +12,7 @@
 // is built on (paper section 4.5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -20,6 +21,7 @@
 #include "liberty/model.h"
 #include "netlist/netlist.h"
 #include "netlist/topo.h"
+#include "util/exec.h"
 #include "util/thread_pool.h"
 #include "variation/model.h"
 
@@ -30,9 +32,10 @@ namespace statsizer::sta {
 /// across util::ThreadPool in fixed @p chunk pieces. @p width is the number
 /// of gates that will actually do work — level.size() for a full sweep;
 /// replays of a sparse dirty set pass the level's dirty count so clean or
-/// thin waves never pay pool dispatch. Shared by update(), run_fullssta, and
-/// the what-if cone replays; determinism follows from per-slot writes (chunk
-/// geometry and thread count never affect results).
+/// thin waves never pay pool dispatch. Timing kernels reach it through
+/// sweep_levels (below); the DRC sweep calls it directly. Determinism follows
+/// from per-slot writes (chunk geometry and thread count never affect
+/// results).
 template <typename Body>
 void run_wavefront_level(std::span<const netlist::GateId> level, std::size_t width,
                          std::size_t cutoff, std::size_t chunk, std::size_t threads,
@@ -169,6 +172,13 @@ class TimingContext {
     constraints_ = std::move(constraints);
   }
   [[nodiscard]] const TimingConstraints& constraints() const { return constraints_; }
+  /// Arrival a node launches at before its fanins are folded in: its
+  /// set_input_delay for a constrained primary input, else 0.
+  [[nodiscard]] double launch_arrival_ps(netlist::GateId id) const {
+    return (nl_.gate(id).fanins.empty() && !constraints_.input_arrival_ps.empty())
+               ? constraints_.input_arrival_ps[id]
+               : 0.0;
+  }
 
   // -- per-node --------------------------------------------------------------
   /// True for nodes bound to a library cell (logic gates).
@@ -192,7 +202,7 @@ class TimingContext {
   /// Worst arc delay of the gate (its "gate delay").
   [[nodiscard]] double gate_delay_ps(netlist::GateId g) const;
   /// First slot of gate @p g in the dense arc arrays (arc (g, i) lives at
-  /// arc_offset(g) + i). Exposed so incremental what-if overlays can mirror
+  /// arc_offset(g) + i). Exposed so incremental what-if overlays can share
   /// the snapshot's arc indexing (timing/cone.h).
   [[nodiscard]] std::uint32_t arc_offset(netlist::GateId g) const { return arc_offset_[g]; }
   /// Total number of arcs (the size of the dense arc arrays).
@@ -239,6 +249,32 @@ class TimingContext {
   /// Sigma for a delay through @p cell (variation model shortcut).
   [[nodiscard]] double sigma_for(const liberty::Cell& cell, double delay_ps) const;
 
+  // -- the slew/arc kernel -------------------------------------------------------
+  /// The one slew/arc kernel: relaxes gate @p id bound to @p cell under
+  /// @p load_ff, reading each fanin's slew through @p slew_of. Writes arc i's
+  /// delay and sigma to @p arc_delay / @p arc_sigma at arc_offset(id) + i
+  /// (dense arrays in this context's arc indexing) and returns the worst
+  /// output slew. update() runs it over the snapshot; the what-if cone replay
+  /// (timing/cone.h) runs it over its overlay with candidate cells and
+  /// re-folded loads, which is what keeps the two bitwise-equal.
+  template <typename SlewOf>
+  [[nodiscard]] double relax_gate(netlist::GateId id, const liberty::Cell& cell, double load_ff,
+                                  SlewOf&& slew_of, double* arc_delay,
+                                  double* arc_sigma) const {
+    const auto& g = nl_.gate(id);
+    const std::uint32_t off = arc_offset_[id];
+    double out_slew = 0.0;
+    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+      const liberty::TimingArc& arc = cell.arc_from(i);
+      const double in_slew = slew_of(g.fanins[i]);
+      const double d = arc.delay(in_slew, load_ff);
+      arc_delay[off + i] = d;
+      arc_sigma[off + i] = var_.sigma_ps(d, cell.drive);
+      out_slew = std::max(out_slew, arc.output_slew(in_slew, load_ff));
+    }
+    return out_slew;
+  }
+
   // -- incremental snapshot commit ---------------------------------------------
   /// Commits an exact what-if overlay (timing/cone.h) in place of a full
   /// update(): for every node with @p load_dirty set, writes @p load; for
@@ -262,10 +298,6 @@ class TimingContext {
   TimingOptions options_;
   TimingConstraints constraints_;
 
-  /// Serial body of the slew/arc pass for one gate (shared by the serial
-  /// topo-order loop and the per-level wavefront workers).
-  void relax_gate(netlist::GateId id);
-
   std::vector<netlist::GateId> order_;
   netlist::Levelization levels_;
   std::vector<std::uint32_t> load_term_offset_;
@@ -278,5 +310,43 @@ class TimingContext {
   double area_um2_ = 0.0;
   std::uint64_t snapshot_epoch_ = 0;
 };
+
+/// The one levelized sweep every timing kernel runs on: body(id) for every
+/// node of @p ctx in dependency order. threads == 1 walks the topological
+/// order on the calling thread. Otherwise each level of ctx.levelization()
+/// is one run_wavefront_level wave (all fanins of a level-l gate live in
+/// strictly lower levels, so a level's gates are independent and levels are
+/// the barriers), fanned across util::ThreadPool in @p chunk pieces when its
+/// working width reaches TimingOptions::min_level_width_for_parallel.
+/// @p level_width, when non-empty, gives each level's working width (a
+/// sparse cone replay passes its per-level dirty counts, so clean levels skip
+/// and thin ones run serially); empty means every level's full size.
+/// @p checkpoint_site, when set, is passed to util::checkpoint on the calling
+/// thread once per level, or every 256 gates on the serial path. Checkpoints
+/// only abort or stall (util/exec.h), so results are bitwise-identical for
+/// any thread count as long as body writes only its own gate's slots.
+template <typename Body>
+void sweep_levels(const TimingContext& ctx, std::size_t threads, std::size_t chunk,
+                  Body&& body, std::span<const std::uint32_t> level_width = {},
+                  const char* checkpoint_site = nullptr) {
+  if (threads == 1) {
+    std::size_t visited = 0;
+    for (const netlist::GateId id : ctx.topo_order()) {
+      if (checkpoint_site != nullptr && (visited++ & 0xFF) == 0) {
+        util::checkpoint(checkpoint_site);
+      }
+      body(id);
+    }
+    return;
+  }
+  const netlist::Levelization& lv = ctx.levelization();
+  const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
+  for (std::size_t l = 0; l < lv.level_count(); ++l) {
+    if (checkpoint_site != nullptr) util::checkpoint(checkpoint_site);
+    const std::span<const netlist::GateId> level = lv.level(l);
+    run_wavefront_level(level, level_width.empty() ? level.size() : level_width[l], cutoff,
+                        chunk, threads, body);
+  }
+}
 
 }  // namespace statsizer::sta

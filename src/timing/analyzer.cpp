@@ -2,8 +2,6 @@
 // adapter (the incremental what-if overlay) lives in fullssta_analyzer.cpp.
 #include "timing/analyzer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -72,78 +70,17 @@ using netlist::GateId;
 // isle_analyzer.cpp — can subclass it too.
 
 // ---------------------------------------------------------------------------
-// FASSTA and DSTA: exact incremental what-ifs over the shared ConeSnapshot.
-//
-// Both engines propagate a scalar "arrival" per node (moment pairs for
-// FASSTA, latest arrival for DSTA) from the snapshot's arc delays, so an
-// exact speculation needs the same two halves:
-//   1. the snapshot half — loads (re-folded in update()'s accumulation
-//      order), slews, arc delays and sigmas over the resize's fanout cone
-//      (detail::ConeSnapshot, mirroring TimingContext::update() bitwise);
-//   2. the engine half — arrival propagation over the dirty set in
-//      topological order, reading everything outside the cone from the
-//      analyzer's cached base (Summary::node).
-// score() touches only the speculation's private overlay, so speculations
-// fan out in parallel; commit() installs the overlay incrementally — sizes
-// into the netlist, the snapshot half through
-// TimingContext::apply_snapshot_patch() (bitwise-equal to a full update()),
-// the arrival half into the base summary — with no O(E) re-run. This is
-// what lets opt::recover_area screen thousands of downsize trials without a
+// FASSTA and DSTA: exact incremental what-ifs over the shared cone
+// speculation (timing/cone.h). Both engines propagate a scalar "arrival"
+// per node (moment pairs for FASSTA, latest arrival for DSTA) from the
+// snapshot's arc delays, so the engine half of a speculation calls the
+// engine's kernel (fassta::Engine::fold_arcs / fold_outputs,
+// sta::latest_arrival / latest_output) over the dirty set in topological
+// order, reading everything outside the cone from the analyzer's cached
+// base (Summary::node). Commits patch the snapshot in place, which is what
+// lets opt::recover_area screen thousands of downsize trials without a
 // single full TimingContext::update().
 // ---------------------------------------------------------------------------
-
-/// Shared plumbing of the two cone speculations: epoch/caching discipline,
-/// the snapshot half, and the incremental commit. Subclasses implement the
-/// engine half (propagate_arrivals) and the base merge (merge_arrivals).
-template <typename Owner>
-class ConeSpeculation : public Speculation {
- public:
-  ConeSpeculation(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
-      : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
-    resizes_.assign(resizes.begin(), resizes.end());
-  }
-
-  const Summary& score() final {
-    if (scored_) return result_;  // cached scores stay readable after invalidation
-    owner_.guard_epoch(epoch_);
-    // The snapshot half replays with update()'s thread knob (wavefront on
-    // the caller's thread; inline when scoring inside a pool worker).
-    cone_.propagate(ctx_, resizes_, ctx_.options().threads);
-    propagate_arrivals();
-    scored_ = true;
-    return result_;
-  }
-
-  void commit() final {
-    if (committed_) return;  // uniform contract: a second commit is a no-op
-    owner_.guard_epoch(epoch_);
-    if (!scored_) (void)score();  // must run against the pre-resize snapshot
-    auto& nl = ctx_.mutable_netlist();
-    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    ctx_.apply_snapshot_patch(cone_.dirty, cone_.load_dirty, cone_.load, cone_.slew,
-                              cone_.arc_delay, cone_.arc_sigma);
-    merge_arrivals();          // dirty nodes of the base summary
-    owner_.merge_committed(result_);  // summary scalars; bumps the epoch
-    committed_ = true;
-  }
-
-  void rollback() final {}  // the overlay never touched shared state
-
- protected:
-  /// Engine half of score(): propagate arrivals over cone_.dirty and fill
-  /// result_.mean_ps / result_.sigma_ps.
-  virtual void propagate_arrivals() = 0;
-  /// Commit half: write the overlay arrivals into the owner's base summary.
-  virtual void merge_arrivals() = 0;
-
-  Owner& owner_;
-  sta::TimingContext& ctx_;
-  std::uint64_t epoch_ = 0;
-  detail::ConeSnapshot cone_;
-  Summary result_;
-  bool scored_ = false;
-  bool committed_ = false;
-};
 
 class FasstaAnalyzer final : public SerializedAnalyzer {
  public:
@@ -172,8 +109,8 @@ class FasstaAnalyzer final : public SerializedAnalyzer {
     using ConeSpeculation::ConeSpeculation;
 
    private:
-    /// Mirrors fassta::Engine::run() over the dirty set: moment propagation
-    /// from the cone's arc delays/sigmas, base moments outside the cone.
+    /// The FASSTA gate kernel over the dirty set: moment propagation from
+    /// the cone's arc delays/sigmas, base moments outside the cone.
     void propagate_arrivals() override {
       const auto& nl = ctx_.netlist();
       ov_moments_.assign(nl.node_count(), sta::NodeMoments{});
@@ -184,26 +121,12 @@ class FasstaAnalyzer final : public SerializedAnalyzer {
       };
       for (const GateId id : ctx_.topo_order()) {
         if (!cone_.dirty[id]) continue;
-        const auto& g = nl.gate(id);
-        if (g.fanins.empty()) continue;  // PI/constant: arrival (0, 0)
         const std::uint32_t off = ctx_.arc_offset(id);
-        sta::NodeMoments acc;
-        for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-          const sta::NodeMoments& in = arrival_of(g.fanins[i]);
-          const double d = cone_.arc_delay[off + i];
-          const double s = cone_.arc_sigma[off + i];
-          const sta::NodeMoments through{in.mean_ps + d,
-                                         std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-          acc = (i == 0) ? through : engine.stat_max(acc, through);
-        }
-        ov_moments_[id] = acc;
+        ov_moments_[id] = engine.fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
+          return std::pair{cone_.arc_delay[off + i], cone_.arc_sigma[off + i]};
+        });
       }
-      sta::NodeMoments out{0.0, 0.0};
-      bool first = true;
-      for (const auto& po : nl.outputs()) {
-        out = first ? arrival_of(po.driver) : engine.stat_max(out, arrival_of(po.driver));
-        first = false;
-      }
+      const sta::NodeMoments out = engine.fold_outputs(arrival_of);
       result_.mean_ps = out.mean_ps;
       result_.sigma_ps = out.sigma_ps;
     }
@@ -229,19 +152,8 @@ class FasstaAnalyzer final : public SerializedAnalyzer {
 
   void on_bind(sta::TimingContext& ctx) override { engine_.emplace(ctx, options_); }
 
-  /// Installs a committed speculation's summary scalars (merge_arrivals
-  /// already patched the node moments) and invalidates siblings.
-  void merge_committed(const Summary& scored) {
-    base_.mean_ps = scored.mean_ps;
-    base_.sigma_ps = scored.sigma_ps;
-    ++epoch_;
-  }
-
   fassta::EngineOptions options_;
   std::optional<fassta::Engine> engine_;
-
-  template <typename Owner>
-  friend class ConeSpeculation;
 };
 
 // ---------------------------------------------------------------------------
@@ -276,8 +188,8 @@ class DstaAnalyzer final : public SerializedAnalyzer {
     using ConeSpeculation::ConeSpeculation;
 
    private:
-    /// Mirrors run_dsta()'s forward pass over the dirty set: latest arrival
-    /// from the cone's arc delays, base arrivals outside the cone.
+    /// The DSTA arrival kernel over the dirty set: latest arrival from the
+    /// cone's arc delays, base arrivals outside the cone.
     void propagate_arrivals() override {
       const auto& nl = ctx_.netlist();
       ov_arrival_.assign(nl.node_count(), 0.0);
@@ -287,20 +199,11 @@ class DstaAnalyzer final : public SerializedAnalyzer {
       };
       for (const GateId id : ctx_.topo_order()) {
         if (!cone_.dirty[id]) continue;
-        const auto& g = nl.gate(id);
         const std::uint32_t off = ctx_.arc_offset(id);
-        double arr = 0.0;
-        for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-          arr = std::max(arr, arrival_of(g.fanins[i]) + cone_.arc_delay[off + i]);
-        }
-        ov_arrival_[id] = arr;
+        ov_arrival_[id] = sta::latest_arrival(
+            ctx_, id, arrival_of, [&](std::size_t i) { return cone_.arc_delay[off + i]; });
       }
-      // run_dsta's max fold over primary outputs (>= keeps the last winner).
-      double max_arrival = 0.0;
-      for (const auto& po : nl.outputs()) {
-        if (arrival_of(po.driver) >= max_arrival) max_arrival = arrival_of(po.driver);
-      }
-      result_.mean_ps = max_arrival;
+      result_.mean_ps = sta::latest_output(nl, arrival_of).first;
       result_.sigma_ps = 0.0;
     }
 
@@ -325,16 +228,7 @@ class DstaAnalyzer final : public SerializedAnalyzer {
     return s;
   }
 
-  void merge_committed(const Summary& scored) {
-    base_.mean_ps = scored.mean_ps;
-    base_.sigma_ps = 0.0;
-    ++epoch_;
-  }
-
   std::optional<double> clock_period_ps_;
-
-  template <typename Owner>
-  friend class ConeSpeculation;
 };
 
 // ---------------------------------------------------------------------------

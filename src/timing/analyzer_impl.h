@@ -44,6 +44,14 @@ class BoundAnalyzer : public Analyzer {
     }
   }
 
+  /// Installs a committed cone speculation's summary scalars (its engine
+  /// half already merged the per-node state) and invalidates its siblings.
+  void merge_committed(const Summary& scored) {
+    base_.mean_ps = scored.mean_ps;
+    base_.sigma_ps = scored.sigma_ps;
+    ++epoch_;
+  }
+
  protected:
   sta::TimingContext& bound() const {
     if (ctx_ == nullptr) {

@@ -1,7 +1,5 @@
 #include "timing/cone.h"
 
-#include <algorithm>
-
 namespace statsizer::timing::detail {
 
 using netlist::GateId;
@@ -46,7 +44,8 @@ void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resi
         // update()'s exact accumulation order, candidates substituted.
         load[d] = ctx.fold_load(d, cell_of);
       }
-      // A PI/constant driver's load feeds no arc: patch it, don't propagate.
+      // A PI/constant driver's load feeds no arc: patch it, don't propagate
+      // (engines read its arrival, e.g. a set_input_delay launch, from base).
       if (ctx.has_cell(d)) mark(d);
     }
   }
@@ -57,53 +56,38 @@ void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resi
     for (const GateId f : nl.gate(g).fanouts) mark(f);
   }
 
-  // Re-propagate the dirty set, mirroring update()'s slew/delay/sigma loop
-  // (unmapped nodes keep the base slew and zero arcs, exactly as update()
-  // leaves them). A dirty gate reads only lower-level slews — finished by
-  // the level barrier — and writes its own slots, so the wavefront is
-  // bitwise-identical to the serial topological sweep.
-  const auto replay_gate = [&](GateId id) {
-    if (!dirty[id]) return;
-    const auto& g = nl.gate(id);
-    if (!ctx.has_cell(id)) {
-      slew[id] = ctx.slew_ps(id);
-      return;
-    }
-    const liberty::Cell* cell = cand[id] != nullptr ? cand[id] : &ctx.cell(id);
-    const double ld = load_dirty[id] ? load[id] : ctx.load_ff(id);
-    double out_slew = 0.0;
-    const std::uint32_t off = ctx.arc_offset(id);
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const GateId fi = g.fanins[i];
-      const double in_slew = dirty[fi] ? slew[fi] : ctx.slew_ps(fi);
-      const liberty::TimingArc& arc = cell->arc_from(i);
-      const double d = arc.delay(in_slew, ld);
-      arc_delay[off + i] = d;
-      arc_sigma[off + i] = ctx.sigma_for(*cell, d);
-      out_slew = std::max(out_slew, arc.output_slew(in_slew, ld));
-    }
-    slew[id] = out_slew;
-  };
-
-  dirty_per_level.clear();
-  if (threads == 1) {
-    for (const GateId id : ctx.topo_order()) replay_gate(id);
-    return;
-  }
   // Fan out only where the cone actually is: a resize's dirty closure
-  // usually touches a sliver of each level, so the dispatch decision uses
-  // the level's *dirty* count (clean levels skip entirely, thin ones run
+  // usually touches a sliver of each level, so the wavefront's working width
+  // is the level's *dirty* count (clean levels skip entirely, thin ones run
   // serially). One O(nodes) byte scan — trivial next to the replay work.
-  const netlist::Levelization& lv = ctx.levelization();
-  dirty_per_level.assign(lv.level_count(), 0);
-  for (GateId id = 0; id < n; ++id) {
-    if (dirty[id]) ++dirty_per_level[lv.level_of[id]];
+  dirty_per_level.clear();
+  if (threads != 1) {
+    const netlist::Levelization& lv = ctx.levelization();
+    dirty_per_level.assign(lv.level_count(), 0);
+    for (GateId id = 0; id < n; ++id) {
+      if (dirty[id]) ++dirty_per_level[lv.level_of[id]];
+    }
   }
-  const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-  for (std::size_t l = 0; l < lv.level_count(); ++l) {
-    sta::run_wavefront_level(lv.level(l), dirty_per_level[l], cutoff, 16, threads,
-                             replay_gate);
-  }
+
+  // Re-propagate the dirty set through the context's slew/arc kernel
+  // (TimingContext::relax_gate) with candidate cells and re-folded loads
+  // substituted; unmapped nodes keep the base slew and zero arcs, exactly as
+  // update() leaves them.
+  sta::sweep_levels(
+      ctx, threads, 16,
+      [&](GateId id) {
+        if (!dirty[id]) return;
+        if (!ctx.has_cell(id)) {
+          slew[id] = ctx.slew_ps(id);
+          return;
+        }
+        slew[id] = ctx.relax_gate(
+            id, cand[id] != nullptr ? *cand[id] : ctx.cell(id),
+            load_dirty[id] ? load[id] : ctx.load_ff(id),
+            [&](GateId fi) { return dirty[fi] ? slew[fi] : ctx.slew_ps(fi); },
+            arc_delay.data(), arc_sigma.data());
+      },
+      dirty_per_level);
 }
 
 }  // namespace statsizer::timing::detail

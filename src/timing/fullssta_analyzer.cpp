@@ -1,20 +1,17 @@
 // FULLSSTA behind the timing::Analyzer interface, with the incremental
 // what-if overlay that makes parallel speculative confirmations possible.
 //
-// A speculation re-propagates only the resize's fanout cone: the snapshot
-// half (loads of the resized gates' drivers re-folded in update()'s exact
-// accumulation order, then slews / arc delays / arc sigmas over the dirty
-// set) comes from the shared detail::ConeSnapshot (timing/cone.h — also the
-// engine behind the FASSTA/DSTA what-ifs); this file adds the pdf half,
-// propagating arrival pdfs over the same dirty set in topological order and
-// reading everything outside the cone from the analyzer's cached base. The
-// recomputation MIRRORS TimingContext::update() and ssta::run_fullssta()
-// operation for operation, which is what makes the score — and the base
-// state a commit() installs — bitwise-identical to a from-scratch update()
-// + run_fullssta() of the resized netlist. The conformance suite
-// (tests/analyzer_conformance_test.cpp) pins this. Commits install the
-// snapshot half through TimingContext::apply_snapshot_patch (bitwise-equal
-// to a full update(), without the O(E) rebuild).
+// A speculation re-propagates only the resize's fanout cone. The snapshot
+// half and the transaction come from the shared ConeSpeculation
+// (timing/cone.h — also the engine behind the FASSTA/DSTA what-ifs); this
+// file adds the pdf half, which calls the engine's kernel
+// (ssta::gate_arrival and ssta::output_arrival) over the dirty set in
+// topological order, reading everything outside the cone from the
+// analyzer's cached base. Calling the same kernels as update() and
+// ssta::run_fullssta() is what makes the score — and the base state a
+// commit() installs — bitwise-identical to a from-scratch update() +
+// run_fullssta() of the resized netlist. The conformance suite
+// (tests/analyzer_conformance_test.cpp) pins this.
 //
 // Overlay storage is dense (GateId-indexed vectors, cleared per score):
 // the O(nodes) clears are memset-class and dwarfed by the cone's pdf
@@ -22,7 +19,6 @@
 // memory — callers that score many speculations concurrently should window
 // their waves (opt::size_statistically caps waves at a few times the worker
 // count).
-#include <algorithm>
 #include <utility>
 
 #include "timing/analyzer_impl.h"
@@ -35,7 +31,7 @@ namespace {
 using netlist::GateId;
 using pdf::DiscretePdf;
 
-class FullSstaAnalyzer final : public BoundAnalyzer {
+class FullSstaAnalyzer final : public SerializedAnalyzer {
  public:
   explicit FullSstaAnalyzer(const AnalyzerOptions& options) : options_(options.fullssta) {}
 
@@ -51,8 +47,70 @@ class FullSstaAnalyzer final : public BoundAnalyzer {
     return c;
   }
 
-  const Summary& analyze(sta::TimingContext& ctx) override {
-    ctx_ = &ctx;
+  // Single-resize propose() is inherited: it delegates to this override.
+  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
+    validate_resizes(resizes);
+    return std::make_unique<WhatIfSpeculation>(*this, bound(), resizes);
+  }
+
+ private:
+  class WhatIfSpeculation final : public ConeSpeculation<FullSstaAnalyzer> {
+   public:
+    using ConeSpeculation::ConeSpeculation;
+
+   private:
+    /// Both halves run wavefront-parallel with FullSstaOptions::threads (a
+    /// speculation scored from inside a pool worker runs inline; the big
+    /// win is the atomic multi-resize confirmations scored on the caller's
+    /// thread).
+    std::size_t replay_threads() const override { return owner_.options_.threads; }
+
+    /// The pdf half: the FULLSSTA gate kernel over the dirty set, reusing
+    /// the snapshot half's per-level dirty counts (clean levels skip, thin
+    /// ones run serially, pdf-heavy waves get per-gate chunks).
+    void propagate_arrivals() override {
+      const auto& nl = ctx_.netlist();
+      const ssta::FullSstaOptions& options = owner_.options_;
+      ov_arrival_.assign(nl.node_count(), DiscretePdf());
+      ov_moments_.assign(nl.node_count(), sta::NodeMoments{});
+      const auto arrival_of = [&](GateId id) -> const DiscretePdf& {
+        return cone_.dirty[id] ? ov_arrival_[id] : owner_.base_arrival_[id];
+      };
+      // Dirty nodes are mapped gates, so each has fanins to fold.
+      sta::sweep_levels(
+          ctx_, options.threads, 1,
+          [&](GateId id) {
+            if (!cone_.dirty[id]) return;
+            const std::uint32_t off = ctx_.arc_offset(id);
+            DiscretePdf acc =
+                ssta::gate_arrival(nl.gate(id), options, arrival_of, [&](std::size_t i) {
+                  return std::pair{cone_.arc_delay[off + i], cone_.arc_sigma[off + i]};
+                });
+            ov_moments_[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
+            ov_arrival_[id] = std::move(acc);
+          },
+          cone_.dirty_per_level);
+      ov_output_ = ssta::output_arrival(nl, options, arrival_of);
+      result_.mean_ps = ov_output_.mean();
+      result_.sigma_ps = ov_output_.stddev();
+    }
+
+    void merge_arrivals() override {
+      for (GateId id = 0; id < ov_arrival_.size(); ++id) {
+        if (!cone_.dirty[id]) continue;
+        owner_.base_arrival_[id] = std::move(ov_arrival_[id]);
+        owner_.base_.node[id] = ov_moments_[id];
+      }
+      owner_.base_.output_pdf = std::move(ov_output_);
+    }
+
+    // Overlay state, kept after score() so commit() can merge it.
+    std::vector<DiscretePdf> ov_arrival_;
+    std::vector<sta::NodeMoments> ov_moments_;
+    DiscretePdf ov_output_;
+  };
+
+  Summary compute(sta::TimingContext& ctx) override {
     ssta::FullSstaOptions opt = options_;
     opt.keep_node_pdfs = true;
     ssta::FullSstaResult r = ssta::run_fullssta(ctx, opt);
@@ -62,144 +120,7 @@ class FullSstaAnalyzer final : public BoundAnalyzer {
     s.sigma_ps = r.sigma_ps;
     s.node = std::move(r.node);
     s.output_pdf = std::move(r.output_pdf);
-    install_base(std::move(s));
-    return current();
-  }
-
-  std::unique_ptr<Speculation> propose(GateId gate, std::uint16_t size) override {
-    const Resize r{gate, size};
-    return propose_resizes(std::span<const Resize>(&r, 1));
-  }
-
-  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
-    validate_resizes(resizes);
-    return std::make_unique<WhatIfSpeculation>(*this, bound(), resizes);
-  }
-
- private:
-  class WhatIfSpeculation final : public Speculation {
-   public:
-    WhatIfSpeculation(FullSstaAnalyzer& owner, sta::TimingContext& ctx,
-                      std::span<const Resize> resizes)
-        : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
-      resizes_.assign(resizes.begin(), resizes.end());
-    }
-
-    const Summary& score() override {
-      if (scored_) return result_;
-      owner_.guard_epoch(epoch_);
-      propagate();
-      scored_ = true;
-      return result_;
-    }
-
-    void commit() override {
-      if (committed_) return;
-      owner_.guard_epoch(epoch_);
-      if (!scored_) (void)score();  // must run against the pre-resize snapshot
-      auto& nl = ctx_.mutable_netlist();
-      for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-      ctx_.apply_snapshot_patch(cone_.dirty, cone_.load_dirty, cone_.load, cone_.slew,
-                                cone_.arc_delay, cone_.arc_sigma);
-      owner_.merge(*this);  // installs the overlay as the new base; bumps epoch
-      committed_ = true;
-    }
-
-    void rollback() override {}  // the overlay never touched shared state
-
-   private:
-    /// The incremental re-propagation: the shared snapshot half, then the
-    /// pdf half mirroring run_fullssta()'s loop over the dirty set — both
-    /// wavefront-parallel with FullSstaOptions::threads (a speculation
-    /// scored from inside a pool worker runs inline; the big win is the
-    /// atomic multi-resize confirmations scored on the caller's thread).
-    void propagate() {
-      const auto& nl = ctx_.netlist();
-      const std::size_t n = nl.node_count();
-      const std::size_t samples = owner_.options_.samples_per_pdf;
-      const double span_sigmas = owner_.options_.span_sigmas;
-      const std::size_t threads = owner_.options_.threads;
-
-      cone_.propagate(ctx_, resizes_, threads);
-
-      ov_arrival_.assign(n, DiscretePdf());
-      ov_moments_.assign(n, sta::NodeMoments{});
-      const auto arrival_of = [&](GateId id) -> const DiscretePdf& {
-        return cone_.dirty[id] ? ov_arrival_[id] : owner_.base_arrival_[id];
-      };
-      const auto replay_gate = [&](GateId id) {
-        if (!cone_.dirty[id]) return;
-        const auto& g = nl.gate(id);
-        if (g.fanins.empty()) {  // unreachable for dirty nodes; mirror anyway
-          ov_arrival_[id] = DiscretePdf::point(0.0);
-          return;
-        }
-        const std::uint32_t off = ctx_.arc_offset(id);
-        DiscretePdf acc;
-        for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-          const DiscretePdf delay = DiscretePdf::normal(
-              cone_.arc_delay[off + i], cone_.arc_sigma[off + i], samples, span_sigmas);
-          const DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
-          acc = (i == 0) ? through : pdf::max(acc, through, samples);
-        }
-        ov_moments_[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
-        ov_arrival_[id] = std::move(acc);
-      };
-      if (threads == 1) {
-        for (const GateId id : ctx_.topo_order()) replay_gate(id);
-      } else {
-        // Same wavefront as the snapshot half, reusing its per-level dirty
-        // counts (the cone just ran with the same threads value): clean
-        // levels skip, thin ones run serially, pdf-heavy waves get per-gate
-        // chunks.
-        const netlist::Levelization& lv = ctx_.levelization();
-        const std::size_t cutoff = ctx_.options().min_level_width_for_parallel;
-        for (std::size_t l = 0; l < lv.level_count(); ++l) {
-          sta::run_wavefront_level(lv.level(l), cone_.dirty_per_level[l], cutoff, 1,
-                                   threads, replay_gate);
-        }
-      }
-
-      // RV_O: statistical max over all primary outputs, in output order.
-      DiscretePdf out = DiscretePdf::point(0.0);
-      bool first = true;
-      for (const auto& po : nl.outputs()) {
-        const DiscretePdf& a = arrival_of(po.driver);
-        out = first ? a : pdf::max(out, a, samples);
-        first = false;
-      }
-      ov_output_ = std::move(out);
-      result_.mean_ps = ov_output_.mean();
-      result_.sigma_ps = ov_output_.stddev();
-    }
-
-    FullSstaAnalyzer& owner_;
-    sta::TimingContext& ctx_;
-    std::uint64_t epoch_ = 0;
-    Summary result_;
-    bool scored_ = false;
-    bool committed_ = false;
-    // Overlay state, kept after score() so commit() can merge it.
-    ConeSnapshot cone_;
-    std::vector<DiscretePdf> ov_arrival_;
-    std::vector<sta::NodeMoments> ov_moments_;
-    DiscretePdf ov_output_;
-
-    friend class FullSstaAnalyzer;
-  };
-
-  /// Installs a committed speculation's overlay as the new base state.
-  void merge(WhatIfSpeculation& spec) {
-    const std::size_t n = base_arrival_.size();
-    for (GateId id = 0; id < n; ++id) {
-      if (!spec.cone_.dirty[id]) continue;
-      base_arrival_[id] = std::move(spec.ov_arrival_[id]);
-      base_.node[id] = spec.ov_moments_[id];
-    }
-    base_.output_pdf = std::move(spec.ov_output_);
-    base_.mean_ps = spec.result_.mean_ps;
-    base_.sigma_ps = spec.result_.sigma_ps;
-    ++epoch_;  // siblings' base is gone
+    return s;
   }
 
   ssta::FullSstaOptions options_;

@@ -205,6 +205,54 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
   }
 }
 
+// The one input on which an engine kernel's two callers differ: a full
+// analysis launches constrained primary inputs at their set_input_delay,
+// while a cone replay reads their arrivals from the base. A committed what-if
+// on an SDC-constrained context must still equal a from-scratch analysis.
+TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSdc) {
+  AnalyzerOptions opt;
+  opt.monte_carlo.samples = 400;
+  opt.isle.samples = 400;
+  auto an = make_analyzer(GetParam(), opt);
+  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
+
+  const auto constrained = [] {
+    auto b = std::make_unique<Bench>(circuits::make_cla_adder(4));
+    sta::TimingConstraints c;
+    c.clock_period_ps = 400.0;
+    c.input_arrival_ps.assign(b->nl.node_count(), 0.0);
+    const auto& inputs = b->nl.inputs();
+    for (std::size_t i = 0; i < inputs.size(); i += 2) {
+      c.input_arrival_ps[inputs[i]] = 25.0 + 10.0 * static_cast<double>(i);
+    }
+    b->ctx->set_constraints(std::move(c));
+    return b;
+  };
+
+  const auto b = constrained();
+  (void)an->analyze(*b->ctx);
+  const auto cands = some_candidates(*b->ctx, 1);
+  ASSERT_FALSE(cands.empty());
+
+  auto spec = an->propose(cands[0].gate, cands[0].size);
+  const Summary scored = spec->score();
+  spec->commit();
+  const Summary committed = an->current();
+
+  const auto twin = constrained();
+  twin->nl.gate(cands[0].gate).size_index = cands[0].size;
+  twin->ctx->update();
+  auto fresh = make_analyzer(GetParam(), opt);
+  const Summary& reference = fresh->analyze(*twin->ctx);
+
+  expect_summaries_equal(committed, reference);
+  EXPECT_EQ(fingerprint(*b->ctx), fingerprint(*twin->ctx));
+  if (an->capabilities().exact_speculation) {
+    EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+    EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
+  }
+}
+
 TEST_P(AnalyzerConformance, CommitInvalidatesSiblingSpeculations) {
   AnalyzerOptions opt;
   opt.monte_carlo.samples = 400;

@@ -6,11 +6,12 @@
 // public API only (the same NLDM lookups, the same accumulation orders), so
 // a regression in either the serial path or the wavefront path fails
 // loudly. The what-if cone replay (the third wavefront kernel) is pinned
-// through a parallel-context FULLSSTA speculation against a serial-context
-// reference.
+// through parallel-context FULLSSTA, FASSTA and DSTA speculations against
+// serial-context references.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -298,12 +299,16 @@ TEST(LevelizedUpdate, UpdateThrowsAfterStructuralNetlistEdit) {
   EXPECT_THROW(b.ctx->update(), std::logic_error);
 }
 
-// The third wavefront kernel: the what-if cone replay (timing/cone.cpp) and
-// the FULLSSTA analyzer's pdf half. A multi-resize speculation scored on a
-// parallel-everything configuration must match the all-serial one bitwise —
-// score AND committed base.
-TEST(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
-  const auto run = [](std::size_t threads) {
+// The third wavefront kernel: the what-if cone replay (timing/cone.cpp), run
+// by every exact cone speculation, plus the FULLSSTA analyzer's pdf half. A
+// multi-resize speculation scored on a parallel-everything configuration
+// must match the all-serial one bitwise — score AND committed base — for
+// each engine whose cone replay runs on the shared sweep.
+class LevelizedWhatIf : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
+  const std::string engine = GetParam();
+  const auto run = [&engine](std::size_t threads) {
     sta::TimingOptions topt;
     topt.threads = threads;
     topt.min_level_width_for_parallel = threads == 1 ? 16 : 1;
@@ -311,7 +316,7 @@ TEST(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
 
     timing::AnalyzerOptions aopt;
     aopt.fullssta.threads = threads;
-    const auto analyzer = timing::make_analyzer("fullssta", aopt);
+    const auto analyzer = timing::make_analyzer(engine, aopt);
     (void)analyzer->analyze(*b.ctx);
 
     // A deterministic multi-resize wave: bump the first 6 mapped gates.
@@ -337,6 +342,10 @@ TEST(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
     EXPECT_EQ(run(threads), ref);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, LevelizedWhatIf,
+                         ::testing::Values("fullssta", "fassta", "dsta"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace statsizer
