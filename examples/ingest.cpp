@@ -22,12 +22,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/flow.h"
 #include "core/lint.h"
 #include "netlist/topo.h"
 #include "sta/dsta.h"
+#include "util/numeric.h"
 
 using namespace statsizer;
 
@@ -95,7 +97,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atol(argv[++i]));
+      const std::optional<std::uint64_t> n = util::parse_uint(argv[++i], 1024);
+      if (!n) return usage(argv[0]);
+      threads = *n;
     } else if (arg == "--workload" && i + 1 < argc) {
       workload = argv[++i];
     } else if (arg == "--lint") {

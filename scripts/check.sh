@@ -44,9 +44,10 @@
 #                                    # over a scripted newline-JSON session
 #                                    # (load/whatif/yield, malformed input,
 #                                    # unknown op, expired deadline — each
-#                                    # must answer with its structured code)
-#                                    # and bench_table1 --inject (a poisoned
-#                                    # shard must fail its row, exit 1)
+#                                    # must answer with its structured code),
+#                                    # check that bad numeric flags exit 2,
+#                                    # and run bench_table1 --inject (a
+#                                    # poisoned shard must fail its row, exit 1)
 #
 # CHECK_REQUIRE_TOOLS=1 turns the clang-tidy / clang-format "not installed,
 # gate SKIPPED" warnings into hard failures (for CI images that bake the
@@ -164,10 +165,12 @@ if [[ "${TSAN}" == 1 ]]; then
   # The serving suites (JobManager, BatchIsolation, ServeSession, ServeServer)
   # are in: the job system's pool handoffs, the session's shared/exclusive
   # lock discipline under concurrent what-ifs, and the server's reader/writer/
-  # worker triangle are exactly the lifetimes TSan should walk.
+  # worker triangle are exactly the lifetimes TSan should walk. ConeBuilder is
+  # in too: concurrent FASSTA scorers and speculation waves each collect
+  # their cones into their own reused workspace.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"
@@ -298,6 +301,19 @@ if [[ "${SERVE}" == 1 ]]; then
   # injection into one bench_table1 shard must fail exactly that row (exit 1)
   # while a clean run stays green.
   echo "check.sh: serve smoke (statsizer_serve protocol + bench_table1 --inject)"
+  # Numeric flags parse strictly: a negative, non-numeric or out-of-range
+  # value is a usage error (exit 2), never a crash or a silent default.
+  for bad in '--threads -1' '--threads abc' '--socket 70000'; do
+    set +e
+    # shellcheck disable=SC2086  # split the flag from its value
+    ./build/statsizer_serve ${bad} </dev/null >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "check.sh: serve smoke FAILED: statsizer_serve ${bad} exited ${rc} (want 2)" >&2
+      exit 1
+    fi
+  done
   SERVE_OUT="$(./build/statsizer_serve --queue-depth 8 <<'EOF'
 {"id":1,"op":"load","workload":"c432"}
 {"id":2,"op":"whatif","gate":"g10","size":1}

@@ -1,5 +1,6 @@
 #include "debug/validate.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <string>
@@ -62,6 +63,46 @@ void validate_levelization(const netlist::Netlist& nl, const netlist::Levelizati
           "edge " + std::to_string(f) + " -> " + std::to_string(id) +
               " is not strictly level-up (levels " + std::to_string(lv.level_of[f]) + " -> " +
               std::to_string(lv.level_of[id]) + ")");
+    }
+  }
+}
+
+void validate_cone(const netlist::Netlist& nl, const netlist::Levelization& lv,
+                   std::span<const GateId> seeds, std::span<const GateId> nodes,
+                   std::span<const std::uint32_t> level_offset) {
+  constexpr const char* kWhere = "validate_cone";
+  STATSIZER_PARANOID_CHECK(level_offset.size() == lv.level_count() + 1 &&
+                               level_offset.front() == 0 && level_offset.back() == nodes.size(),
+                           kWhere, "level offsets do not partition the cone");
+  for (std::size_t l = 0; l < lv.level_count(); ++l) {
+    STATSIZER_PARANOID_CHECK(level_offset[l] <= level_offset[l + 1], kWhere,
+                             "level offsets decrease at level " + std::to_string(l));
+    for (std::uint32_t i = level_offset[l]; i < level_offset[l + 1]; ++i) {
+      STATSIZER_PARANOID_CHECK(nodes[i] < nl.node_count() && lv.level_of[nodes[i]] == l, kWhere,
+                               "node " + std::to_string(nodes[i]) + " sits in level " +
+                                   std::to_string(l) + "'s bucket");
+    }
+  }
+  std::vector<std::uint32_t> position(nl.node_count());
+  for (std::uint32_t i = 0; i < lv.order_by_level.size(); ++i) position[lv.order_by_level[i]] = i;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    const char* what = nodes[i] == nodes[i - 1] ? " appears twice" : " is out of level order";
+    STATSIZER_PARANOID_CHECK(position[nodes[i - 1]] < position[nodes[i]], kWhere,
+                             "node " + std::to_string(nodes[i]) + what);
+  }
+  // Sorted by position, so membership is a binary search.
+  const auto member = [&](GateId id) {
+    return std::binary_search(nodes.begin(), nodes.end(), id,
+                              [&](GateId a, GateId b) { return position[a] < position[b]; });
+  };
+  for (const GateId s : seeds) {
+    STATSIZER_PARANOID_CHECK(member(s), kWhere, "seed " + std::to_string(s) + " is missing");
+  }
+  for (const GateId id : nodes) {
+    for (const GateId f : nl.gate(id).fanouts) {
+      STATSIZER_PARANOID_CHECK(member(f), kWhere,
+                               "fanout " + std::to_string(f) + " of " + std::to_string(id) +
+                                   " is missing: the cone is not closed");
     }
   }
 }

@@ -27,6 +27,16 @@ namespace statsizer::debug {
 /// every edge goes *strictly* level-up (fanin-less nodes sit at level 0).
 void validate_levelization(const netlist::Netlist& nl, const netlist::Levelization& lv);
 
+/// Fanout-cone invariants (sta::collect_cone's contract) against @p lv:
+/// @p level_offset is a monotone [level_count + 1] partition of @p nodes,
+/// each node sits in its own level's bucket, the list is strictly increasing
+/// in order_by_level position (sorted and duplicate-free), every seed is a
+/// member, and every member's fanouts are members (closed under fanout).
+void validate_cone(const netlist::Netlist& nl, const netlist::Levelization& lv,
+                   std::span<const netlist::GateId> seeds,
+                   std::span<const netlist::GateId> nodes,
+                   std::span<const std::uint32_t> level_offset);
+
 /// Load-term CSR consistency against @p nl's structure: offsets form a
 /// monotone [node_count + 1] prefix-sum ending at terms.size(), and the term
 /// sequence is exactly what TimingContext's constructor builds — per driver,

@@ -317,14 +317,11 @@ void append_electrical(const sta::TimingContext& ctx, const DrcOptions& options,
                        const bench_format::Provenance* prov, DrcReport& report) {
   const Netlist& nl = ctx.netlist();
   std::vector<ElectricalSlot> slots(nl.node_count());
-  const netlist::Levelization& lv = ctx.levelization();
-  for (std::size_t l = 0; l < lv.level_count(); ++l) {
-    const std::span<const GateId> level = lv.level(l);
-    sta::run_wavefront_level(level, level.size(), options.min_level_width_for_parallel,
-                             /*chunk=*/64, options.threads, [&](const GateId id) {
-                               electrical_body(ctx, options, id, slots[id]);
-                             });
-  }
+  sta::sweep_levels(sta::all_levels(ctx.levelization()), options.threads,
+                    options.min_level_width_for_parallel, /*chunk=*/64,
+                    [&](const GateId id, std::uint32_t) {
+                      electrical_body(ctx, options, id, slots[id]);
+                    });
   for (GateId id = 0; id < nl.node_count(); ++id) {
     for (Diagnostic& d : slots[id].findings) {
       attribute(d, prov);

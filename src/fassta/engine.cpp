@@ -11,10 +11,7 @@ using netlist::GateId;
 using sta::NodeMoments;
 
 Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
-    : ctx_(ctx), options_(options), topo_pos_(ctx.netlist().node_count()) {
-  const auto& order = ctx_.topo_order();
-  for (std::uint32_t p = 0; p < order.size(); ++p) topo_pos_[order[p]] = p;
-}
+    : ctx_(ctx), options_(options) {}
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
@@ -69,57 +66,37 @@ sta::NodeMoments Engine::run_with_candidate(GateId center,
 sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
                                             Scratch& scratch) const {
   const auto& nl = ctx_.netlist();
-  const auto& order = ctx_.topo_order();
   const std::vector<NodeMoments>& base = base_arrivals();
-
-  // Cone membership is a per-call stamp, so nothing is cleared between
-  // calls; arrival[id] is meaningful only where the stamp matches.
-  std::vector<NodeMoments>& arrival = scratch.arrival;
-  std::vector<std::uint32_t>& mark = scratch.cone_mark;
-  if (mark.size() != nl.node_count()) {
-    mark.assign(nl.node_count(), 0);
-    arrival.resize(nl.node_count());
-    scratch.cone_stamp = 0;
-  }
-  if (++scratch.cone_stamp == 0) {  // wrapped: retire every old stamp
-    std::fill(mark.begin(), mark.end(), 0);
-    scratch.cone_stamp = 1;
-  }
-  const std::uint32_t stamp = scratch.cone_stamp;
-
-  std::size_t pending = 0;  // marked, not yet recomputed
-  const auto enter = [&](GateId id) {
-    if (mark[id] == stamp) return;
-    mark[id] = stamp;
-    ++pending;
-  };
 
   // Seeds: the center, and the drivers whose load the candidate's input pin
   // caps change (a PI driver has no arcs to perturb). Every other gate reads
   // the snapshot's arcs, in or out of the cone.
+  std::vector<GateId>& seeds = scratch.seeds;
   std::vector<std::pair<GateId, double>>& drivers = scratch.perturbed;
+  seeds.assign(1, center);
   drivers.clear();
-  enter(center);
   for (const GateId f : nl.gate(center).fanins) {
-    if (mark[f] == stamp || nl.gate(f).fanins.empty()) continue;
+    if (nl.gate(f).fanins.empty() || std::find(seeds.begin(), seeds.end(), f) != seeds.end()) {
+      continue;
+    }
     const double load = ctx_.load_ff_with_resize(f, center, candidate);
     if (load == ctx_.load_ff(f)) continue;
-    enter(f);
+    seeds.push_back(f);
     drivers.emplace_back(f, load);
   }
-  std::size_t first = topo_pos_[center];
-  for (const auto& [f, load] : drivers) first = std::min<std::size_t>(first, topo_pos_[f]);
 
+  // The cone in level order: every in-cone fanin is recomputed before it is
+  // read, everything else comes from the base.
+  const sta::LevelList cone = sta::collect_cone(ctx_, seeds, scratch.cone);
+  const sta::ConeWorkspace& ws = scratch.cone;
+  std::vector<NodeMoments>& arrival = scratch.arrival;
+  arrival.resize(cone.nodes.size());
   const auto arrival_of = [&](GateId f) -> const NodeMoments& {
-    return mark[f] == stamp ? arrival[f] : base[f];
+    const std::uint32_t s = ws.slot(f);
+    return s != sta::ConeWorkspace::kNoSlot ? arrival[s] : base[f];
   };
-  // The cone in topological order: a linear scan from the lowest seed,
-  // recomputing marked gates and marking their fanouts (which always sit
-  // later in the order), until none is pending.
-  for (std::size_t p = first; pending > 0; ++p) {
-    const GateId id = order[p];
-    if (mark[id] != stamp) continue;
-    --pending;
+  for (std::uint32_t s = 0; s < cone.nodes.size(); ++s) {
+    const GateId id = cone.nodes[s];
     double load = ctx_.load_ff(id);
     const liberty::Cell* cell = (id == center) ? &candidate : nullptr;
     for (const auto& [f, driver_load] : drivers) {
@@ -128,13 +105,11 @@ sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& 
         cell = &ctx_.cell(id);
       }
     }
-    const auto& g = nl.gate(id);
-    arrival[id] = fold_arcs(g, arrival_of, [&](std::size_t i) {
+    arrival[s] = fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
       if (cell == nullptr) return std::pair{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
       const double d = ctx_.arc_delay_with(id, i, *cell, load);
       return std::pair{d, ctx_.sigma_for(*cell, d)};
     });
-    for (const GateId fo : g.fanouts) enter(fo);
   }
   return fold_outputs(arrival_of);
 }
@@ -185,22 +160,17 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
   const auto& nl = ctx_.netlist();
 
   // Local arrival moments for members only, indexed by position in sc.gates.
-  // A parallel map from GateId -> local index keeps lookups O(1). The map is
-  // kept all-UINT32_MAX between calls: only the member entries are set here
-  // and restored before returning, so a reused scratch pays O(|sc|), not
-  // O(nodes), per candidate.
-  std::vector<NodeMoments>& local = scratch.local;
+  // The scratch's stamped slot index maps GateId -> member in O(1); a new
+  // stamp retires the previous call's entries, so a reused scratch pays
+  // O(|sc|), not O(nodes), per candidate.
+  std::vector<NodeMoments>& local = scratch.arrival;
   local.assign(sc.gates.size(), NodeMoments{});
-  std::vector<std::uint32_t>& local_index = scratch.local_index;
-  if (local_index.size() != nl.node_count()) {
-    local_index.assign(nl.node_count(), UINT32_MAX);
-  }
-  for (std::uint32_t i = 0; i < sc.gates.size(); ++i) local_index[sc.gates[i]] = i;
+  scratch.cone.index_list(nl.node_count(), sc.gates);
+  const sta::ConeWorkspace& members = scratch.cone;
 
   const auto arrival_of = [&](GateId id) -> NodeMoments {
-    const std::uint32_t li = local_index[id];
-    if (li != UINT32_MAX) return local[li];
-    return boundary[id];
+    const std::uint32_t li = members.slot(id);
+    return li != sta::ConeWorkspace::kNoSlot ? local[li] : boundary[id];
   };
 
   for (std::uint32_t gi = 0; gi < sc.gates.size(); ++gi) {
@@ -233,7 +203,7 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
   SubcircuitCost result;
   bool first = true;
   for (const GateId out : sc.outputs) {
-    const NodeMoments m = local[local_index[out]];
+    const NodeMoments m = local[members.slot(out)];
     // Project the window output to the primary outputs: local arrival plus
     // the node's downstream potential (independent path segments => RSS).
     const NodeMoments& d = downstream[out];
@@ -248,8 +218,6 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
       first = false;
     }
   }
-
-  for (const GateId g : sc.gates) local_index[g] = UINT32_MAX;
   return result;
 }
 

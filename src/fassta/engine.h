@@ -56,16 +56,17 @@ class Engine {
   /// Reusable workspace for the scoring entry points. A Scratch is NOT
   /// thread-safe: each thread scoring candidates must own its own instance
   /// (the engine itself may be shared). Reusing one Scratch across calls
-  /// avoids an O(nodes) allocation per candidate, which is what makes the
-  /// optimizer's parallel inner loop cheap. If a call throws, discard the
-  /// Scratch (its bookkeeping may be mid-reset).
+  /// keeps the per-call cost proportional to the cone (or subcircuit): its
+  /// one O(nodes) array, the workspace's stamped GateId -> slot index, is
+  /// allocated once and never cleared per call. If a call throws, discard
+  /// the Scratch (its bookkeeping may be mid-reset).
   struct Scratch {
-    std::vector<sta::NodeMoments> arrival;   ///< run_with_candidate: cone arrivals
-    std::vector<std::uint32_t> cone_mark;    ///< run_with_candidate: == cone_stamp if in cone
-    std::uint32_t cone_stamp = 0;            ///< run_with_candidate: this call's mark
+    /// run_with_candidate: the fanout cone (sta::collect_cone);
+    /// evaluate_candidate: the subcircuit members' slots.
+    sta::ConeWorkspace cone;
+    std::vector<sta::NodeMoments> arrival;  ///< cone / member arrivals, by slot
+    std::vector<netlist::GateId> seeds;     ///< run_with_candidate: the cone's seeds
     std::vector<std::pair<netlist::GateId, double>> perturbed;  ///< run_with_candidate: driver loads
-    std::vector<sta::NodeMoments> local;     ///< evaluate_candidate: member arrivals
-    std::vector<std::uint32_t> local_index;  ///< evaluate_candidate: GateId -> member slot
   };
 
   explicit Engine(const sta::TimingContext& ctx, EngineOptions options = {});
@@ -91,13 +92,14 @@ class Engine {
   ///
   /// Only the fanout cone of the perturbed gates (the center, plus those of
   /// its drivers whose load_ff_with_resize differs from load_ff) is
-  /// recomputed; every other arrival is read from a cached run() of the
-  /// current snapshot, refreshed when TimingContext::snapshot_epoch() moves.
-  /// The result is bitwise-identical to sweeping the whole netlist. Cost:
-  /// the cone's edges plus a scan of the topological order from the lowest
-  /// perturbed gate. c6288's cones average ~30% of its nodes; perfbench's
-  /// fassta.candidate_us reads ~120 us per call there and ~75 us on
-  /// mesh6 (4-core x86-64 host, RelWithDebInfo). Const and re-entrant;
+  /// recomputed, in level order over sta::collect_cone's list; every other
+  /// arrival is read from a cached run() of the current snapshot, refreshed
+  /// when TimingContext::snapshot_epoch() moves. The result is
+  /// bitwise-identical to sweeping the whole netlist. Cost: the cone's
+  /// edges plus collect_cone's scan, with nothing cleared per call.
+  /// c6288's cones average ~34% of its nodes and mesh6's ~18%; perfbench's
+  /// fassta.candidate_us reads ~80-100 us per call on c6288 and ~65-80 us
+  /// on mesh6 (4-core x86-64 host, RelWithDebInfo). Const and re-entrant;
   /// allocates its own workspace. Hot loops should use the Scratch overload
   /// instead.
   [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
@@ -134,8 +136,8 @@ class Engine {
                                                   double lambda) const;
 
   /// Same, reusing @p scratch (one Scratch per thread). The GateId -> member
-  /// map inside the scratch is restored on exit, so the reset cost per call
-  /// is O(|subcircuit|) rather than O(nodes).
+  /// map is the scratch's stamped slot index, so the reset cost per call is
+  /// O(|subcircuit|) rather than O(nodes).
   [[nodiscard]] SubcircuitCost evaluate_candidate(const netlist::Subcircuit& sc,
                                                   std::span<const sta::NodeMoments> boundary,
                                                   std::span<const sta::NodeMoments> downstream,
@@ -183,7 +185,6 @@ class Engine {
 
   const sta::TimingContext& ctx_;
   EngineOptions options_;
-  std::vector<std::uint32_t> topo_pos_;  ///< GateId -> index in ctx_.topo_order()
 
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   mutable std::mutex base_mutex_;  ///< serializes refreshes of base_

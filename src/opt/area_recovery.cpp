@@ -203,8 +203,9 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
         const bool ok = screen_cost(s) <= screen_budget &&
                         (!statistical || s.sigma_ps <= screen_sigma_budget);
         if (!ok) {
-          // Rejected: the gate is done for this pass. Free the overlay now
-          // instead of holding every rejected one until the window ends.
+          // Rejected: the gate is done for this pass. Free its cone-sized
+          // overlay now instead of holding every rejected one until the
+          // window ends.
           wave[i].reset();
           continue;
         }

@@ -280,7 +280,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
           committed = true;
         } else {
           // A rejected trial's cached score is never reread — free its
-          // O(nodes) overlay now instead of holding every rejected overlay
+          // cone-sized overlay now instead of holding every rejected overlay
           // until the window ends (the serial path's window is unbounded).
           specs[i].reset();
         }

@@ -40,8 +40,9 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
   // heavy (~samples^2 work each), so chunk size 1 load-balances the wavefront
   // best.
   sta::sweep_levels(
-      ctx, options.threads, 1,
-      [&](GateId id) {
+      sta::all_levels(ctx.levelization()), options.threads,
+      ctx.options().min_level_width_for_parallel, 1,
+      [&](GateId id, std::uint32_t) {
         const auto& g = nl.gate(id);
         if (g.fanins.empty()) return;  // PI / constant: its launch point mass
         DiscretePdf acc = gate_arrival(g, options, arrival_of, [&](std::size_t i) {
@@ -56,7 +57,7 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
         result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
         arrival[id] = std::move(acc);
       },
-      {}, "ssta/fullssta/level");
+      "ssta/fullssta/level");
 
   DiscretePdf out = output_arrival(nl, options, arrival_of);
   if constexpr (debug::kParanoid) {

@@ -49,7 +49,7 @@ struct FullSstaResult {
 /// The one FULLSSTA gate kernel: gate @p g's arrival pdf, the statistical
 /// max over its arcs of arrival_of(fanin) (+) Normal(delay, sigma), where
 /// arc_of(i) yields arc i's (delay, sigma). run_fullssta runs it over the
-/// snapshot; the FULLSSTA analyzer's what-if runs it over its dirty cone
+/// snapshot; the FULLSSTA analyzer's what-if runs it over its fanout cone
 /// (timing/fullssta_analyzer.cpp), which is what keeps the two bitwise-equal.
 template <typename ArrivalOf, typename ArcOf>
 [[nodiscard]] pdf::DiscretePdf gate_arrival(const netlist::Gate& g,

@@ -33,7 +33,7 @@ struct DstaResult {
 /// The one DSTA arrival kernel: node @p id's latest arrival, the max of its
 /// launch arrival (TimingContext::launch_arrival_ps) and, over its arcs,
 /// arrival_of(fanin) + delay_of(i). run_dsta runs it over the snapshot, the
-/// DSTA analyzer's what-if over its dirty cone, and Monte Carlo over each
+/// DSTA analyzer's what-if over its fanout cone, and Monte Carlo over each
 /// draw's sampled delays (ssta/monte_carlo.h).
 template <typename ArrivalOf, typename DelayOf>
 [[nodiscard]] double latest_arrival(const TimingContext& ctx, netlist::GateId id,

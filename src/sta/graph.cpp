@@ -136,15 +136,16 @@ void TimingContext::update() {
   // sweep. Within a level gates only read finished (lower-level) slews and
   // write their own slots; levels form the barriers.
   sweep_levels(
-      *this, threads, kRelaxChunk,
-      [this](GateId id) {
+      all_levels(levels_), threads, options_.min_level_width_for_parallel, kRelaxChunk,
+      [this](GateId id, std::uint32_t) {
         const auto& g = nl_.gate(id);
         if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
         slew_[id] = relax_gate(id, lib_.cell_for(g.cell_group, g.size_index), load_[id],
-                               [this](GateId f) { return slew_[f]; }, arc_delay_.data(),
-                               arc_sigma_.data());
+                               [this](GateId f) { return slew_[f]; },
+                               arc_delay_.data() + arc_offset_[id],
+                               arc_sigma_.data() + arc_offset_[id]);
       },
-      {}, "sta/update/level");
+      "sta/update/level");
 }
 
 double TimingContext::load_ff_with_resize(GateId driver, GateId center,
@@ -171,39 +172,96 @@ double TimingContext::sigma_for(const liberty::Cell& cell, double delay_ps) cons
   return var_.sigma_ps(delay_ps, cell.drive);
 }
 
-void TimingContext::apply_snapshot_patch(std::span<const std::uint8_t> dirty,
-                                         std::span<const std::uint8_t> load_dirty,
-                                         std::span<const double> load,
+void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
+                                         std::span<const std::pair<GateId, double>> loads,
                                          std::span<const double> slew,
                                          std::span<const double> arc_delay,
                                          std::span<const double> arc_sigma) {
-  const std::size_t n = nl_.node_count();
   if constexpr (debug::kParanoid) {
     debug::validate_structure_fresh(nl_, levels_);
-    STATSIZER_PARANOID_CHECK(dirty.size() == n && load_dirty.size() == n &&
-                                 load.size() == n && slew.size() == n &&
-                                 arc_delay.size() == arc_count() &&
-                                 arc_sigma.size() == arc_count(),
-                             "apply_snapshot_patch",
-                             "patch spans do not match the snapshot's node/arc shape");
+    std::size_t arcs = 0;
+    for (const GateId id : cone) arcs += arc_offset_[id + 1] - arc_offset_[id];
+    STATSIZER_PARANOID_CHECK(slew.size() == cone.size() && arc_delay.size() == arcs &&
+                                 arc_sigma.size() == arcs,
+                             "apply_snapshot_patch", "patch spans do not match the cone's shape");
   }
   ++snapshot_epoch_;
-  for (GateId id = 0; id < n; ++id) {
-    if (load_dirty[id]) load_[id] = load[id];
-    if (!dirty[id]) continue;
-    slew_[id] = slew[id];
-    for (std::uint32_t a = arc_offset_[id]; a < arc_offset_[id + 1]; ++a) {
-      arc_delay_[a] = arc_delay[a];
-      arc_sigma_[a] = arc_sigma[a];
+  for (const auto& [driver, load] : loads) load_[driver] = load;
+  std::size_t next = 0;  // the cone's arcs, back to back
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    const GateId id = cone[i];
+    slew_[id] = slew[i];
+    for (std::uint32_t a = arc_offset_[id]; a < arc_offset_[id + 1]; ++a, ++next) {
+      arc_delay_[a] = arc_delay[next];
+      arc_sigma_[a] = arc_sigma[next];
     }
   }
   // Area re-sum in update()'s exact visit order.
   area_um2_ = 0.0;
-  for (GateId id = 0; id < n; ++id) {
+  for (GateId id = 0; id < nl_.node_count(); ++id) {
     const auto& g = nl_.gate(id);
     if (g.cell_group == netlist::kUnmapped) continue;
     area_um2_ += lib_.cell_for(g.cell_group, g.size_index).area_um2;
   }
+}
+
+void ConeWorkspace::restamp(std::size_t node_count) {
+  if (stamps.size() != node_count || ++stamp == 0) {  // resized or wrapped: reset
+    stamps.assign(node_count, 0);
+    slots.resize(node_count);
+    stamp = 1;
+  }
+  nodes.clear();
+}
+
+void ConeWorkspace::index_list(std::size_t node_count, std::span<const GateId> list) {
+  restamp(node_count);
+  for (std::uint32_t i = 0; i < list.size(); ++i) {
+    stamps[list[i]] = stamp;
+    slots[list[i]] = i;
+  }
+}
+
+LevelList collect_cone(const TimingContext& ctx, std::span<const GateId> seeds,
+                       ConeWorkspace& ws) {
+  const netlist::Netlist& nl = ctx.netlist();
+  const netlist::Levelization& lv = ctx.levelization();
+  ws.restamp(nl.node_count());
+  std::size_t pending = 0;  // entered, not yet listed
+  const auto enter = [&](GateId id) {
+    if (ws.stamps[id] == ws.stamp) return;
+    ws.stamps[id] = ws.stamp;
+    ++pending;
+  };
+  auto level = static_cast<std::uint32_t>(lv.level_count());  // lowest seed level
+  for (const GateId s : seeds) {
+    enter(s);
+    level = std::min(level, lv.level_of[s]);
+  }
+
+  // Scan order_by_level from the lowest seed's level: every member's fanouts
+  // sit in strictly higher levels, hence later in the scan, so listing the
+  // entered nodes as they come up yields the closure already sorted. The
+  // scan stops at the last member.
+  ws.level_offset.assign(lv.level_count() + 1, 0);
+  for (std::uint32_t p = lv.level_offset[level]; pending > 0; ++p) {
+    const GateId id = lv.order_by_level[p];
+    if (ws.stamps[id] != ws.stamp) continue;
+    --pending;
+    for (; lv.level_offset[level + 1] <= p; ++level) {
+      ws.level_offset[level + 1] = static_cast<std::uint32_t>(ws.nodes.size());
+    }
+    ws.slots[id] = static_cast<std::uint32_t>(ws.nodes.size());
+    ws.nodes.push_back(id);
+    for (const GateId f : nl.gate(id).fanouts) enter(f);
+  }
+  for (std::size_t l = level; l < lv.level_count(); ++l) {
+    ws.level_offset[l + 1] = static_cast<std::uint32_t>(ws.nodes.size());
+  }
+  if constexpr (debug::kParanoid) {
+    debug::validate_cone(nl, lv, seeds, ws.nodes, ws.level_offset);
+  }
+  return ws.cone();
 }
 
 }  // namespace statsizer::sta

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "liberty/model.h"
@@ -26,30 +27,6 @@
 #include "variation/model.h"
 
 namespace statsizer::sta {
-
-/// Dispatches one wavefront level: runs body(id) for every gate in @p level,
-/// serially when @p width < @p cutoff (or threads == 1), otherwise fanned
-/// across util::ThreadPool in fixed @p chunk pieces. @p width is the number
-/// of gates that will actually do work — level.size() for a full sweep;
-/// replays of a sparse dirty set pass the level's dirty count so clean or
-/// thin waves never pay pool dispatch. Timing kernels reach it through
-/// sweep_levels (below); the DRC sweep calls it directly. Determinism follows
-/// from per-slot writes (chunk geometry and thread count never affect
-/// results).
-template <typename Body>
-void run_wavefront_level(std::span<const netlist::GateId> level, std::size_t width,
-                         std::size_t cutoff, std::size_t chunk, std::size_t threads,
-                         Body&& body) {
-  if (width == 0) return;
-  if (threads == 1 || width < cutoff) {
-    for (const netlist::GateId id : level) body(id);
-    return;
-  }
-  util::parallel_for(level.size(), chunk, threads,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       for (std::size_t i = begin; i < end; ++i) body(level[i]);
-                     });
-}
 
 /// First two moments of a node's statistical arrival time. FULLSSTA computes
 /// these for every node; FASSTA consumes them as subcircuit boundary
@@ -202,8 +179,8 @@ class TimingContext {
   /// Worst arc delay of the gate (its "gate delay").
   [[nodiscard]] double gate_delay_ps(netlist::GateId g) const;
   /// First slot of gate @p g in the dense arc arrays (arc (g, i) lives at
-  /// arc_offset(g) + i). Exposed so incremental what-if overlays can share
-  /// the snapshot's arc indexing (timing/cone.h).
+  /// arc_offset(g) + i), for consumers that index per-arc data the same way
+  /// (e.g. ISLE's tracked arcs).
   [[nodiscard]] std::uint32_t arc_offset(netlist::GateId g) const { return arc_offset_[g]; }
   /// Total number of arcs (the size of the dense arc arrays).
   [[nodiscard]] std::size_t arc_count() const { return arc_offset_[nl_.node_count()]; }
@@ -252,24 +229,23 @@ class TimingContext {
   // -- the slew/arc kernel -------------------------------------------------------
   /// The one slew/arc kernel: relaxes gate @p id bound to @p cell under
   /// @p load_ff, reading each fanin's slew through @p slew_of. Writes arc i's
-  /// delay and sigma to @p arc_delay / @p arc_sigma at arc_offset(id) + i
-  /// (dense arrays in this context's arc indexing) and returns the worst
-  /// output slew. update() runs it over the snapshot; the what-if cone replay
-  /// (timing/cone.h) runs it over its overlay with candidate cells and
-  /// re-folded loads, which is what keeps the two bitwise-equal.
+  /// delay and sigma to @p arc_delay[i] / @p arc_sigma[i] (the gate's first
+  /// arc slot in the caller's storage) and returns the worst output slew.
+  /// update() runs it over the snapshot; the what-if cone replay
+  /// (timing/cone.h) runs it over its cone-sized overlay with candidate cells
+  /// and re-folded loads, which is what keeps the two bitwise-equal.
   template <typename SlewOf>
   [[nodiscard]] double relax_gate(netlist::GateId id, const liberty::Cell& cell, double load_ff,
                                   SlewOf&& slew_of, double* arc_delay,
                                   double* arc_sigma) const {
     const auto& g = nl_.gate(id);
-    const std::uint32_t off = arc_offset_[id];
     double out_slew = 0.0;
     for (std::size_t i = 0; i < g.fanins.size(); ++i) {
       const liberty::TimingArc& arc = cell.arc_from(i);
       const double in_slew = slew_of(g.fanins[i]);
       const double d = arc.delay(in_slew, load_ff);
-      arc_delay[off + i] = d;
-      arc_sigma[off + i] = var_.sigma_ps(d, cell.drive);
+      arc_delay[i] = d;
+      arc_sigma[i] = var_.sigma_ps(d, cell.drive);
       out_slew = std::max(out_slew, arc.output_slew(in_slew, load_ff));
     }
     return out_slew;
@@ -277,18 +253,17 @@ class TimingContext {
 
   // -- incremental snapshot commit ---------------------------------------------
   /// Commits an exact what-if overlay (timing/cone.h) in place of a full
-  /// update(): for every node with @p load_dirty set, writes @p load; for
-  /// every node with @p dirty set, writes @p slew and the node's slots of
-  /// @p arc_delay / @p arc_sigma (dense arrays in this context's arc
-  /// indexing); then re-sums the cell area exactly as update() does
-  /// (floating-point addition is not associative, so an area *delta* would
-  /// drift by ULPs). The caller guarantees the patched values are what a full
-  /// update() would compute for the netlist's current sizing state — after
-  /// the call the snapshot is bitwise-identical to having called update().
-  void apply_snapshot_patch(std::span<const std::uint8_t> dirty,
-                            std::span<const std::uint8_t> load_dirty,
-                            std::span<const double> load, std::span<const double> slew,
-                            std::span<const double> arc_delay,
+  /// update(): writes each (driver, load) of @p loads; for the i-th node of
+  /// @p cone, writes @p slew[i] and its arcs from @p arc_delay / @p arc_sigma,
+  /// which hold the cone's arcs back to back in cone order; then re-sums the
+  /// cell area exactly as update() does (floating-point addition is not
+  /// associative, so an area *delta* would drift by ULPs). The caller
+  /// guarantees the patched values are what a full update() would compute
+  /// for the netlist's current sizing state — after the call the snapshot is
+  /// bitwise-identical to having called update().
+  void apply_snapshot_patch(std::span<const netlist::GateId> cone,
+                            std::span<const std::pair<netlist::GateId, double>> loads,
+                            std::span<const double> slew, std::span<const double> arc_delay,
                             std::span<const double> arc_sigma);
 
  private:
@@ -311,41 +286,79 @@ class TimingContext {
   std::uint64_t snapshot_epoch_ = 0;
 };
 
-/// The one levelized sweep every timing kernel runs on: body(id) for every
-/// node of @p ctx in dependency order. threads == 1 walks the topological
-/// order on the calling thread. Otherwise each level of ctx.levelization()
-/// is one run_wavefront_level wave (all fanins of a level-l gate live in
-/// strictly lower levels, so a level's gates are independent and levels are
-/// the barriers), fanned across util::ThreadPool in @p chunk pieces when its
-/// working width reaches TimingOptions::min_level_width_for_parallel.
-/// @p level_width, when non-empty, gives each level's working width (a
-/// sparse cone replay passes its per-level dirty counts, so clean levels skip
-/// and thin ones run serially); empty means every level's full size.
-/// @p checkpoint_site, when set, is passed to util::checkpoint on the calling
-/// thread once per level, or every 256 gates on the serial path. Checkpoints
-/// only abort or stall (util/exec.h), so results are bitwise-identical for
-/// any thread count as long as body writes only its own gate's slots.
+/// A node list in Levelization::order_by_level order, cut into levels: level
+/// l is nodes[level_offset[l] .. level_offset[l + 1]), and a node's index is
+/// its *slot*. A full pass sweeps all_levels(); a what-if, its collect_cone().
+struct LevelList {
+  std::span<const netlist::GateId> nodes;
+  std::span<const std::uint32_t> level_offset;  ///< level_count() + 1 entries
+};
+
+[[nodiscard]] inline LevelList all_levels(const netlist::Levelization& lv) {
+  return LevelList{lv.order_by_level, lv.level_offset};
+}
+
+/// Reusable storage for collect_cone and its O(1) GateId -> slot lookup.
+/// slots[id] is live only while stamps[id] == stamp, so a new list retires
+/// the old one without clearing anything. One workspace per concurrent user.
+struct ConeWorkspace {
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> stamps;
+  std::vector<std::uint32_t> slots;
+  std::uint32_t stamp = 0;  ///< stamp of the current list (0 never marks)
+  std::vector<netlist::GateId> nodes;       ///< the current list, by slot
+  std::vector<std::uint32_t> level_offset;  ///< its per-level offsets
+
+  [[nodiscard]] std::uint32_t slot(netlist::GateId id) const {
+    return stamps[id] == stamp ? slots[id] : kNoSlot;
+  }
+  [[nodiscard]] LevelList cone() const { return LevelList{nodes, level_offset}; }
+  /// Retires the current list (new stamp; the index is reset only when the
+  /// stamp wraps or @p node_count changes) and empties nodes.
+  void restamp(std::size_t node_count);
+  /// Indexes @p list (slot i = list[i]) without level offsets.
+  void index_list(std::size_t node_count, std::span<const netlist::GateId> list);
+};
+
+/// The one fanout-cone builder behind every what-if: the fanout closure of
+/// @p seeds (duplicates allowed) as a LevelList over all of the context's
+/// levels, viewing @p ws until its next use. Cost: the cone's edges plus a
+/// stamp test per order_by_level entry from the lowest seed's level to the
+/// cone's last member; nothing node-sized is cleared or sorted. Audited by
+/// debug::validate_cone under STATSIZER_PARANOID.
+LevelList collect_cone(const TimingContext& ctx, std::span<const netlist::GateId> seeds,
+                       ConeWorkspace& ws);
+
+/// The one levelized sweep every wavefront kernel runs on: body(id, slot)
+/// for every node of @p list in dependency order — serially when threads ==
+/// 1, else one wave per level (a level's gates only read lower levels, so
+/// levels are the barriers), fanned across util::ThreadPool in @p chunk
+/// pieces when it holds at least @p cutoff gates (the timing kernels pass
+/// TimingOptions::min_level_width_for_parallel), so a cone's clean levels
+/// skip and its thin ones run serially. @p checkpoint_site, when set, goes
+/// to util::checkpoint on the calling thread once per level, or every 256
+/// gates serially. Checkpoints only abort or stall (util/exec.h), so results
+/// are bitwise-identical for any thread count as long as body writes only
+/// its own gate's slots.
 template <typename Body>
-void sweep_levels(const TimingContext& ctx, std::size_t threads, std::size_t chunk,
-                  Body&& body, std::span<const std::uint32_t> level_width = {},
-                  const char* checkpoint_site = nullptr) {
+void sweep_levels(LevelList list, std::size_t threads, std::size_t cutoff, std::size_t chunk,
+                  Body&& body, const char* checkpoint_site = nullptr) {
+  const std::span<const netlist::GateId> nodes = list.nodes;
   if (threads == 1) {
-    std::size_t visited = 0;
-    for (const netlist::GateId id : ctx.topo_order()) {
-      if (checkpoint_site != nullptr && (visited++ & 0xFF) == 0) {
-        util::checkpoint(checkpoint_site);
-      }
-      body(id);
+    for (std::uint32_t s = 0; s < nodes.size(); ++s) {
+      if (checkpoint_site != nullptr && (s & 0xFF) == 0) util::checkpoint(checkpoint_site);
+      body(nodes[s], s);
     }
     return;
   }
-  const netlist::Levelization& lv = ctx.levelization();
-  const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-  for (std::size_t l = 0; l < lv.level_count(); ++l) {
+  for (std::size_t l = 0; l + 1 < list.level_offset.size(); ++l) {
     if (checkpoint_site != nullptr) util::checkpoint(checkpoint_site);
-    const std::span<const netlist::GateId> level = lv.level(l);
-    run_wavefront_level(level, level_width.empty() ? level.size() : level_width[l], cutoff,
-                        chunk, threads, body);
+    const std::uint32_t begin = list.level_offset[l];
+    const std::uint32_t end = list.level_offset[l + 1];
+    util::parallel_for(end - begin, chunk, end - begin < cutoff ? 1 : threads,
+                       [&](std::size_t lo, std::size_t hi, std::size_t) {
+                         for (std::uint32_t s = begin + lo; s < begin + hi; ++s) body(nodes[s], s);
+                       });
   }
 }
 

@@ -2,6 +2,7 @@
 // adapter (the incremental what-if overlay) lives in fullssta_analyzer.cpp.
 #include "timing/analyzer.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -35,29 +36,17 @@ void BoundAnalyzer::validate_resizes(std::span<const Resize> resizes) const {
                                   nl.gate(r.gate).name);
     }
   }
-  // Duplicate-gate detection, sized to the batch: the hot paths propose
-  // single resizes (vacuously duplicate-free, no allocation), small batches
-  // compare pairwise, and only the netlist-wide population bumps pay for a
-  // seen-flag vector.
+  // Duplicate-gate detection over a sorted copy of the batch's gates: no
+  // allocation for the hot single-resize path, O(m log m) for a bump.
   if (resizes.size() < 2) return;
-  if (resizes.size() <= 32) {
-    for (std::size_t i = 1; i < resizes.size(); ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        if (resizes[j].gate == resizes[i].gate) {
-          throw std::invalid_argument(std::string(name()) + ": duplicate gate " +
-                                      nl.gate(resizes[i].gate).name + " in one speculation");
-        }
-      }
-    }
-    return;
-  }
-  std::vector<std::uint8_t> seen(nl.node_count(), 0);
-  for (const Resize& r : resizes) {
-    if (seen[r.gate] != 0) {
-      throw std::invalid_argument(std::string(name()) + ": duplicate gate " +
-                                  nl.gate(r.gate).name + " in one speculation");
-    }
-    seen[r.gate] = 1;
+  std::vector<netlist::GateId> gates;
+  gates.reserve(resizes.size());
+  for (const Resize& r : resizes) gates.push_back(r.gate);
+  std::sort(gates.begin(), gates.end());
+  const auto dup = std::adjacent_find(gates.begin(), gates.end());
+  if (dup != gates.end()) {
+    throw std::invalid_argument(std::string(name()) + ": duplicate gate " +
+                                nl.gate(*dup).name + " in one speculation");
   }
 }
 
@@ -75,69 +64,46 @@ using netlist::GateId;
 // per node (moment pairs for FASSTA, latest arrival for DSTA) from the
 // snapshot's arc delays, so the engine half of a speculation calls the
 // engine's kernel (fassta::Engine::fold_arcs / fold_outputs,
-// sta::latest_arrival / latest_output) over the dirty set in topological
-// order, reading everything outside the cone from the analyzer's cached
-// base (Summary::node). Commits patch the snapshot in place, which is what
+// sta::latest_arrival / latest_output) over the level-sorted cone, reading
+// everything outside the cone from the analyzer's cached base
+// (Summary::node). Commits patch the snapshot in place, which is what
 // lets opt::recover_area screen thousands of downsize trials without a
 // single full TimingContext::update().
 // ---------------------------------------------------------------------------
 
-class FasstaAnalyzer final : public SerializedAnalyzer {
+class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
  public:
   explicit FasstaAnalyzer(const AnalyzerOptions& options) : options_(options.fassta) {}
 
   std::string_view name() const override { return "fassta"; }
 
-  Capabilities capabilities() const override {
-    Capabilities c;
-    c.per_node_moments = true;
-    c.what_if = true;
-    c.concurrent_speculations = true;
-    c.exact_speculation = true;
-    return c;
-  }
-
-  // Single-resize propose() is inherited: it delegates to this override.
-  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
-    validate_resizes(resizes);
-    return std::make_unique<WhatIfSpeculation>(*this, bound(), resizes);
-  }
-
  private:
+  friend class ConeAnalyzer<FasstaAnalyzer>;
+
   class WhatIfSpeculation final : public ConeSpeculation<FasstaAnalyzer> {
    public:
     using ConeSpeculation::ConeSpeculation;
 
    private:
-    /// The FASSTA gate kernel over the dirty set: moment propagation from
-    /// the cone's arc delays/sigmas, base moments outside the cone.
-    void propagate_arrivals() override {
+    /// The FASSTA gate kernel over the cone: moment propagation from the
+    /// cone's arc delays/sigmas, base moments outside the cone.
+    void propagate_arrivals(const sta::ConeWorkspace& ws) override {
       const auto& nl = ctx_.netlist();
-      ov_moments_.assign(nl.node_count(), sta::NodeMoments{});
+      moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
       const fassta::Engine& engine = *owner_.engine_;
       const std::span<const sta::NodeMoments> base = owner_.current().node;
       const auto arrival_of = [&](GateId id) -> const sta::NodeMoments& {
-        return cone_.dirty[id] ? ov_moments_[id] : base[id];
+        const std::uint32_t s = ws.slot(id);
+        return s != sta::ConeWorkspace::kNoSlot ? moments_[s] : base[id];
       };
-      for (const GateId id : ctx_.topo_order()) {
-        if (!cone_.dirty[id]) continue;
-        const std::uint32_t off = ctx_.arc_offset(id);
-        ov_moments_[id] = engine.fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
-          return std::pair{cone_.arc_delay[off + i], cone_.arc_sigma[off + i]};
-        });
+      for (std::uint32_t s = 0; s < cone_.nodes.size(); ++s) {
+        moments_[s] = engine.fold_arcs(nl.gate(cone_.nodes[s]), arrival_of,
+                                       [&](std::size_t i) { return cone_.arc(s, i); });
       }
       const sta::NodeMoments out = engine.fold_outputs(arrival_of);
       result_.mean_ps = out.mean_ps;
       result_.sigma_ps = out.sigma_ps;
     }
-
-    void merge_arrivals() override {
-      for (GateId id = 0; id < ov_moments_.size(); ++id) {
-        if (cone_.dirty[id]) owner_.base_.node[id] = ov_moments_[id];
-      }
-    }
-
-    std::vector<sta::NodeMoments> ov_moments_;
   };
 
   Summary compute(sta::TimingContext& ctx) override {
@@ -160,60 +126,37 @@ class FasstaAnalyzer final : public SerializedAnalyzer {
 // Deterministic STA: mean = latest primary-output arrival, sigma = 0.
 // ---------------------------------------------------------------------------
 
-class DstaAnalyzer final : public SerializedAnalyzer {
+class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
  public:
   explicit DstaAnalyzer(const AnalyzerOptions& options)
       : clock_period_ps_(options.clock_period_ps) {}
 
   std::string_view name() const override { return "dsta"; }
 
-  Capabilities capabilities() const override {
-    Capabilities c;
-    c.per_node_moments = true;
-    c.what_if = true;
-    c.concurrent_speculations = true;
-    c.exact_speculation = true;
-    return c;
-  }
-
-  // Single-resize propose() is inherited: it delegates to this override.
-  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
-    validate_resizes(resizes);
-    return std::make_unique<WhatIfSpeculation>(*this, bound(), resizes);
-  }
-
  private:
+  friend class ConeAnalyzer<DstaAnalyzer>;
+
   class WhatIfSpeculation final : public ConeSpeculation<DstaAnalyzer> {
    public:
     using ConeSpeculation::ConeSpeculation;
 
    private:
-    /// The DSTA arrival kernel over the dirty set: latest arrival from the
+    /// The DSTA arrival kernel over the cone: latest arrival from the
     /// cone's arc delays, base arrivals outside the cone.
-    void propagate_arrivals() override {
-      const auto& nl = ctx_.netlist();
-      ov_arrival_.assign(nl.node_count(), 0.0);
+    void propagate_arrivals(const sta::ConeWorkspace& ws) override {
+      moments_.assign(cone_.nodes.size(), sta::NodeMoments{});  // sigma stays 0
       const std::span<const sta::NodeMoments> base = owner_.current().node;
       const auto arrival_of = [&](GateId id) {
-        return cone_.dirty[id] ? ov_arrival_[id] : base[id].mean_ps;
+        const std::uint32_t s = ws.slot(id);
+        return (s != sta::ConeWorkspace::kNoSlot ? moments_[s] : base[id]).mean_ps;
       };
-      for (const GateId id : ctx_.topo_order()) {
-        if (!cone_.dirty[id]) continue;
-        const std::uint32_t off = ctx_.arc_offset(id);
-        ov_arrival_[id] = sta::latest_arrival(
-            ctx_, id, arrival_of, [&](std::size_t i) { return cone_.arc_delay[off + i]; });
+      for (std::uint32_t s = 0; s < cone_.nodes.size(); ++s) {
+        moments_[s].mean_ps = sta::latest_arrival(
+            ctx_, cone_.nodes[s], arrival_of, [&](std::size_t i) { return cone_.arc(s, i).first; });
       }
-      result_.mean_ps = sta::latest_output(nl, arrival_of).first;
+      result_.mean_ps = sta::latest_output(ctx_.netlist(), arrival_of).first;
       result_.sigma_ps = 0.0;
     }
-
-    void merge_arrivals() override {
-      for (GateId id = 0; id < ov_arrival_.size(); ++id) {
-        if (cone_.dirty[id]) owner_.base_.node[id] = sta::NodeMoments{ov_arrival_[id], 0.0};
-      }
-    }
-
-    std::vector<double> ov_arrival_;
   };
 
   Summary compute(sta::TimingContext& ctx) override {

@@ -30,9 +30,9 @@
 // shared; Speculations are per-worker. When capabilities().
 // concurrent_speculations is set, any number of *single-resize* speculations
 // from the same base may be propose()d and score()d concurrently — each one
-// carries a private overlay and only reads the shared base. commit(),
-// rollback(), and analyze() are serial operations (no speculation may be
-// scoring while they run). Engines whose score() has to mutate the shared
+// carries a private cone-sized overlay and only reads the shared base.
+// commit(), rollback(), and analyze() are serial operations (no speculation
+// may be scoring while they run). Engines whose score() has to mutate the shared
 // context (the generic mutate/re-run/revert fallback used by "canonical"
 // and "mc") report concurrent_speculations = false and must be scored
 // serially.
@@ -40,15 +40,16 @@
 // The FULLSSTA, FASSTA, and DSTA implementations are *incremental*: a
 // speculation re-propagates only the candidate's fanout cone (loads, slews,
 // arc delays, then arrival pdfs / moments / deterministic arrivals) against
-// a private overlay, and both the score and the committed base are
-// bitwise-identical to a from-scratch TimingContext::update() + full engine
-// run of the resized netlist. All three commit by patching the snapshot in
-// place (TimingContext::apply_snapshot_patch — bitwise-equal to a full
-// update() without the O(E) rebuild), which is what lets area recovery
-// commit thousands of accepted downsizes without a single full snapshot
-// refresh. This is also what lets the optimizer score accurate rescue
-// confirmations in parallel and commit them serially in gain order without
-// changing any result.
+// a private overlay sized by the cone (timing/cone.h), and both the score
+// and the committed base are bitwise-identical to a from-scratch
+// TimingContext::update() + full engine run of the resized netlist. All
+// three commit by patching the snapshot in place
+// (TimingContext::apply_snapshot_patch — bitwise-equal to a full update()
+// without the O(E) rebuild), which is what lets area recovery commit
+// thousands of accepted downsizes without a single full snapshot refresh.
+// This is also what lets the optimizer score accurate rescue confirmations
+// in parallel and commit them serially in gain order without changing any
+// result.
 #pragma once
 
 #include <cstdint>

@@ -44,11 +44,14 @@ class BoundAnalyzer : public Analyzer {
     }
   }
 
-  /// Installs a committed cone speculation's summary scalars (its engine
-  /// half already merged the per-node state) and invalidates its siblings.
-  void merge_committed(const Summary& scored) {
+  /// Installs a committed cone speculation's summary scalars and the arrival
+  /// moments of its cone (@p moments[s] belongs to @p cone[s]), and
+  /// invalidates its siblings.
+  void merge_committed(const Summary& scored, std::span<const netlist::GateId> cone,
+                       std::span<const sta::NodeMoments> moments) {
     base_.mean_ps = scored.mean_ps;
     base_.sigma_ps = scored.sigma_ps;
+    for (std::size_t s = 0; s < cone.size(); ++s) base_.node[cone[s]] = moments[s];
     ++epoch_;
   }
 

@@ -1,17 +1,21 @@
 // Shared machinery for *exact* incremental what-if speculations over a
 // resize set's fanout cone. Internal to src/timing (not installed).
 //
-// ConeSnapshot is the snapshot half: the dirty closure of a resize set plus
-// the recomputed loads, slews, arc delays, and arc sigmas over it, computed
-// by calling the context's own kernels — loads through the shared
-// per-driver fold (TimingContext::fold_load, in update()'s exact
-// accumulation order with candidate cells substituted; a cap *delta* added
-// to the cached load would drift by an ULP), slews and arcs through the
-// slew/arc kernel (TimingContext::relax_gate), over the same levelized sweep
-// (sta::sweep_levels). Values outside the cone are untouched (they are
+// ConeSnapshot is the snapshot half: the fanout cone of a resize set
+// (sta::collect_cone — the one cone builder, level-sorted) plus the
+// recomputed loads, slews, arc delays, and arc sigmas over it, computed by
+// calling the context's own kernels — loads through the shared per-driver
+// fold (TimingContext::fold_load, in update()'s exact accumulation order with
+// candidate cells substituted; a cap *delta* added to the cached load would
+// drift by an ULP), slews and arcs through the slew/arc kernel
+// (TimingContext::relax_gate), over the same levelized sweep
+// (sta::sweep_levels). Every value array is indexed by cone slot, so a
+// speculation holds O(cone) memory and never allocates or clears anything
+// node- or arc-sized; the only GateId -> slot map is the scoring thread's
+// reused sta::ConeWorkspace. Values outside the cone are untouched (they are
 // bitwise-unchanged by the resizes), so an engine that calls its own gate
-// kernel over `dirty` in topological order — reading everything else from
-// its cached base — reproduces a from-scratch update() + full run bitwise.
+// kernel over the cone in level order — reading everything else from its
+// cached base — reproduces a from-scratch update() + full run bitwise.
 // TimingContext::apply_snapshot_patch() consumes the same arrays to commit
 // the overlay in place of a full update().
 //
@@ -22,55 +26,62 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "timing/analyzer.h"
+#include "timing/analyzer_impl.h"
 
 namespace statsizer::timing::detail {
 
-/// The snapshot overlay of one exact what-if: dirty flags plus the
-/// recomputed load/slew/arc values for the resize set's fanout cone. Dense
-/// (GateId / arc-slot indexed) so the arrays drop straight into
-/// TimingContext::apply_snapshot_patch(); each live speculation holds
-/// O(nodes + arcs) overlay memory, so callers scoring many speculations
-/// concurrently should window their waves.
+/// The snapshot overlay of one exact what-if: the resize set's fanout cone
+/// and the recomputed load/slew/arc values over it, indexed by cone slot.
 struct ConeSnapshot {
-  /// Candidate cell per gate (nullptr = keep the bound cell).
-  std::vector<const liberty::Cell*> cand;
-  /// Nodes whose slews/arc delays/arc sigmas are recomputed (the resized
-  /// gates, their mapped drivers, and the downstream fanout closure).
-  std::vector<std::uint8_t> dirty;
-  /// Nodes whose loads are recomputed: every driver of a resized gate,
-  /// including unmapped ones (a primary input's load feeds no arc, but
-  /// apply_snapshot_patch must still write it to stay bitwise-equal to a
-  /// full update()).
-  std::vector<std::uint8_t> load_dirty;
-  std::vector<double> load;       ///< valid where load_dirty
-  std::vector<double> slew;       ///< valid where dirty
-  std::vector<double> arc_delay;  ///< dense, ctx.arc_offset() indexing, valid where dirty
+  /// The cone in order_by_level order (the resized gates, their mapped
+  /// drivers, and the downstream fanout closure): slot s is nodes[s].
+  std::vector<netlist::GateId> nodes;
+  /// Re-folded load of every driver of a resized gate, including unmapped
+  /// ones (a primary input's load feeds no arc, but apply_snapshot_patch
+  /// must still write it to stay bitwise-equal to a full update()).
+  std::vector<std::pair<netlist::GateId, double>> loads;
+  std::vector<double> slew;  ///< per slot
+  /// Slot s's arcs are [arc_begin[s], arc_begin[s + 1]) of arc_delay and
+  /// arc_sigma: the cone's arcs back to back, in cone order.
+  std::vector<std::uint32_t> arc_begin;
+  std::vector<double> arc_delay;
   std::vector<double> arc_sigma;
-  /// Dirty gates per wavefront level — populated only when propagate() ran
-  /// with threads != 1 (empty otherwise). Engine halves replaying the same
-  /// dirty set on sta::sweep_levels pass it as the per-level working width.
-  std::vector<std::uint32_t> dirty_per_level;
 
-  /// Recomputes the cone for @p resizes against @p ctx's current snapshot
-  /// with update()'s load fold and slew/arc kernel. With @p threads != 1 the
-  /// dirty replay runs as a levelized wavefront (bitwise-identical results
-  /// for any value). Callers already running inside a pool worker — a wave
-  /// of speculations scoring concurrently — execute inline regardless.
+  /// Arc @p i of the node at slot @p s: its (delay, sigma).
+  [[nodiscard]] std::pair<double, double> arc(std::uint32_t s, std::size_t i) const {
+    return {arc_delay[arc_begin[s] + i], arc_sigma[arc_begin[s] + i]};
+  }
+
+  /// Collects the cone of @p resizes into @p ws and recomputes it against
+  /// @p ctx's current snapshot with update()'s load fold and slew/arc
+  /// kernel. With @p threads != 1 the replay runs as a levelized wavefront
+  /// (bitwise-identical results for any value). Callers already running
+  /// inside a pool worker — a wave of speculations scoring concurrently —
+  /// execute inline regardless. @p ws keeps the cone's slot lookup for the
+  /// engine half.
   void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-                 std::size_t threads = 1);
+                 sta::ConeWorkspace& ws, std::size_t threads = 1);
 };
+
+/// The calling thread's cone workspace, reused by every speculation scored
+/// on it, so no score allocates an O(nodes) slot index. A thread scores one
+/// speculation at a time — pool workers run each task to completion and
+/// nested parallel regions run inline — so nothing else touches it mid-score.
+sta::ConeWorkspace& thread_cone_workspace();
 
 /// The exact cone speculation. Owner is the analyzer (a BoundAnalyzer); the
 /// subclass is nested in it, so its engine half reads the owner's cached
-/// base directly. score() touches only the speculation's private overlay, so
-/// speculations fan out in parallel; commit() installs the overlay
-/// incrementally — sizes into the netlist, the snapshot half through
-/// TimingContext::apply_snapshot_patch() (bitwise-equal to a full update()),
-/// the engine half into the owner's base — with no O(E) re-run.
+/// base directly. score() writes only the speculation's private overlay and
+/// its thread's cone workspace, so speculations fan out in parallel;
+/// commit() installs the overlay incrementally — sizes into the netlist, the
+/// snapshot half through TimingContext::apply_snapshot_patch()
+/// (bitwise-equal to a full update()), the engine half into the owner's
+/// base — with no O(E) re-run.
 template <typename Owner>
 class ConeSpeculation : public Speculation {
  public:
@@ -82,8 +93,9 @@ class ConeSpeculation : public Speculation {
   const Summary& score() final {
     if (scored_) return result_;  // cached scores stay readable after invalidation
     owner_.guard_epoch(epoch_);
-    cone_.propagate(ctx_, resizes_, replay_threads());
-    propagate_arrivals();
+    sta::ConeWorkspace& ws = thread_cone_workspace();
+    cone_.propagate(ctx_, resizes_, ws, replay_threads());
+    propagate_arrivals(ws);
     scored_ = true;
     return result_;
   }
@@ -94,10 +106,10 @@ class ConeSpeculation : public Speculation {
     if (!scored_) (void)score();  // must run against the pre-resize snapshot
     auto& nl = ctx_.mutable_netlist();
     for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    ctx_.apply_snapshot_patch(cone_.dirty, cone_.load_dirty, cone_.load, cone_.slew,
-                              cone_.arc_delay, cone_.arc_sigma);
-    merge_arrivals();                 // the engine half's per-node base state
-    owner_.merge_committed(result_);  // summary scalars; bumps the epoch
+    ctx_.apply_snapshot_patch(cone_.nodes, cone_.loads, cone_.slew, cone_.arc_delay,
+                              cone_.arc_sigma);
+    merge_arrivals();  // engine-specific base state
+    owner_.merge_committed(result_, cone_.nodes, moments_);  // bumps the epoch
     committed_ = true;
   }
 
@@ -107,19 +119,42 @@ class ConeSpeculation : public Speculation {
   /// Threads for the snapshot half's wavefront (on the caller's thread;
   /// inline when scoring inside a pool worker): update()'s knob by default.
   virtual std::size_t replay_threads() const { return ctx_.options().threads; }
-  /// Engine half of score(): run the engine's gate kernel over cone_.dirty
-  /// and fill result_.mean_ps / result_.sigma_ps.
-  virtual void propagate_arrivals() = 0;
-  /// Commit half: write the overlay's per-node state into the owner's base.
-  virtual void merge_arrivals() = 0;
+  /// Engine half of score(): run the engine's gate kernel over the cone
+  /// (ws.cone(), slots shared with cone_), reading nodes outside it
+  /// (ws.slot() == kNoSlot) from the owner's base, and fill moments_ and
+  /// result_.mean_ps / result_.sigma_ps.
+  virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
+  /// Commit half: install any per-slot state besides moments_ in the base.
+  virtual void merge_arrivals() {}
 
   Owner& owner_;
   sta::TimingContext& ctx_;
   std::uint64_t epoch_ = 0;
   ConeSnapshot cone_;
+  std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
   Summary result_;
   bool scored_ = false;
   bool committed_ = false;
+};
+
+/// Base of the analyzers whose what-ifs are ConeSpeculations (FULLSSTA,
+/// FASSTA, DSTA; Self::WhatIfSpeculation is the engine's subclass): their
+/// shared capabilities and propose_resizes().
+template <typename Self>
+class ConeAnalyzer : public SerializedAnalyzer {
+ public:
+  Capabilities capabilities() const override {
+    Capabilities c;
+    c.per_node_moments = c.what_if = c.concurrent_speculations = c.exact_speculation = true;
+    return c;
+  }
+
+  // Single-resize propose() is inherited: it delegates to this override.
+  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
+    validate_resizes(resizes);
+    return std::make_unique<typename Self::WhatIfSpeculation>(static_cast<Self&>(*this),
+                                                              bound(), resizes);
+  }
 };
 
 }  // namespace statsizer::timing::detail

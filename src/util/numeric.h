@@ -1,14 +1,30 @@
 // Numeric building blocks shared across the library:
 //  * Gaussian pdf/cdf and the paper's fast quadratic erf approximation,
 //  * linear / bilinear interpolation used by NLDM table lookup,
-//  * streaming statistics (Welford) used by the Monte-Carlo engine and tests.
+//  * streaming statistics (Welford) used by the Monte-Carlo engine and tests,
+//  * the strict unsigned parse behind the command-line tools' numeric flags.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace statsizer::util {
+
+/// Strict unsigned decimal parse for command-line values: all of @p text
+/// must be digits (no sign, whitespace or suffix) and the value at most
+/// @p max; nullopt otherwise.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                                            std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  const bool whole = !text.empty() && ec == std::errc() && end == text.data() + text.size();
+  return whole && value <= max ? std::optional<std::uint64_t>(value) : std::nullopt;
+}
 
 /// Standard normal probability density phi(x) = exp(-x^2/2) / sqrt(2 pi).
 [[nodiscard]] double normal_pdf(double x);

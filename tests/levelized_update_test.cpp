@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 
 #include "circuits/generators.h"
 #include "circuits/iscas_suite.h"
+#include "debug/validate.h"
 #include "liberty/synthetic.h"
 #include "netlist/topo.h"
 #include "pdf/discrete_pdf.h"
@@ -25,6 +27,7 @@
 #include "sta/graph.h"
 #include "techmap/mapper.h"
 #include "timing/analyzer.h"
+#include "timing/cone.h"
 
 namespace statsizer {
 namespace {
@@ -345,6 +348,163 @@ TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, LevelizedWhatIf,
                          ::testing::Values("fullssta", "fassta", "dsta"),
+                         [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// The one fanout-cone builder (sta::collect_cone) behind every what-if: the
+// FULLSSTA/FASSTA/DSTA speculations and FASSTA's candidate scoring.
+// ---------------------------------------------------------------------------
+
+Netlist cone_circuit(const std::string& name) {
+  if (name == "cla8") return circuits::make_cla_adder(8);
+  if (name == "mesh3x3x4") return circuits::make_mesh_interconnect({3, 3, 4});
+  return circuits::make_table1_circuit(name);
+}
+
+/// Brute-force fanout closure of @p seeds, listed in order_by_level order.
+std::vector<GateId> brute_force_cone(const Netlist& nl, const netlist::Levelization& lv,
+                                     const std::vector<GateId>& seeds) {
+  std::vector<bool> in(nl.node_count(), false);
+  std::vector<GateId> stack(seeds.begin(), seeds.end());
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (in[g]) continue;
+    in[g] = true;
+    for (const GateId f : nl.gate(g).fanouts) stack.push_back(f);
+  }
+  std::vector<GateId> cone;
+  for (const GateId id : lv.order_by_level) {
+    if (in[id]) cone.push_back(id);
+  }
+  return cone;
+}
+
+/// Collects @p seeds into @p ws and checks the result against the brute-force
+/// closure: same members in order_by_level order (hence sorted and
+/// duplicate-free), per-level offsets that bucket each node at its level, and
+/// a slot lookup that answers every node of the netlist.
+void expect_cone(const Bench& b, const std::vector<GateId>& seeds, sta::ConeWorkspace& ws) {
+  const netlist::Levelization& lv = b.ctx->levelization();
+  const sta::LevelList cone = sta::collect_cone(*b.ctx, seeds, ws);
+  const std::vector<GateId> want = brute_force_cone(b.nl, lv, seeds);
+  ASSERT_EQ(std::vector<GateId>(cone.nodes.begin(), cone.nodes.end()), want);
+
+  ASSERT_EQ(cone.level_offset.size(), lv.level_count() + 1);
+  EXPECT_EQ(cone.level_offset.front(), 0u);
+  EXPECT_EQ(cone.level_offset.back(), cone.nodes.size());
+  for (std::size_t l = 0; l < lv.level_count(); ++l) {
+    ASSERT_LE(cone.level_offset[l], cone.level_offset[l + 1]);
+    for (std::uint32_t s = cone.level_offset[l]; s < cone.level_offset[l + 1]; ++s) {
+      EXPECT_EQ(lv.level_of[cone.nodes[s]], l);
+    }
+  }
+  std::vector<std::uint32_t> slot_of(b.nl.node_count(), sta::ConeWorkspace::kNoSlot);
+  for (std::uint32_t s = 0; s < cone.nodes.size(); ++s) slot_of[cone.nodes[s]] = s;
+  for (GateId id = 0; id < b.nl.node_count(); ++id) ASSERT_EQ(ws.slot(id), slot_of[id]);
+  debug::validate_cone(b.nl, lv, seeds, cone.nodes, cone.level_offset);
+}
+
+/// Multi-resize seed sets: strided gates, a leading batch with duplicates,
+/// and every primary-output driver (the shallowest possible cones).
+std::vector<std::vector<GateId>> multi_seed_sets(const Bench& b) {
+  std::vector<GateId> mapped;
+  for (GateId g = 0; g < b.nl.node_count(); ++g) {
+    if (b.ctx->has_cell(g)) mapped.push_back(g);
+  }
+  std::vector<std::vector<GateId>> sets(3);
+  for (std::size_t i = 0; i < mapped.size(); i += 7) sets[0].push_back(mapped[i]);
+  for (std::size_t i = 0; i < std::min<std::size_t>(6, mapped.size()); ++i) {
+    sets[1].push_back(mapped[i]);
+    sets[1].push_back(mapped[i]);
+  }
+  for (const auto& po : b.nl.outputs()) sets[2].push_back(po.driver);
+  return sets;
+}
+
+class ConeBuilder : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConeBuilder, EqualsBruteForceClosureForEveryGateAndSeedSet) {
+  const Bench b(cone_circuit(GetParam()));
+  sta::ConeWorkspace ws;  // one workspace across every call: stale entries carry over
+  std::size_t gates = 0;
+  for (GateId g = 0; g < b.nl.node_count(); ++g) {
+    if (!b.ctx->has_cell(g)) continue;
+    // The speculation seeds: the gate plus its mapped drivers.
+    std::vector<GateId> seeds{g};
+    for (const GateId d : b.nl.gate(g).fanins) {
+      if (b.ctx->has_cell(d)) seeds.push_back(d);
+    }
+    expect_cone(b, seeds, ws);
+    ++gates;
+  }
+  EXPECT_GT(gates, 0u);
+  for (const std::vector<GateId>& seeds : multi_seed_sets(b)) expect_cone(b, seeds, ws);
+}
+
+TEST_P(ConeBuilder, SurvivesWorkspaceReuseAndStampWraparound) {
+  const Bench b(cone_circuit(GetParam()));
+  const std::vector<std::vector<GateId>> sets = multi_seed_sets(b);
+  sta::ConeWorkspace ws;
+  for (const auto& seeds : sets) expect_cone(b, seeds, ws);
+  // Force the stamp to the top of its range: the next collection uses the
+  // last stamp, the one after wraps, retires every entry, and restarts at 1.
+  ws.stamp = ~std::uint32_t{0} - 1;
+  expect_cone(b, sets[0], ws);
+  EXPECT_EQ(ws.stamp, ~std::uint32_t{0});
+  expect_cone(b, sets[2], ws);
+  EXPECT_EQ(ws.stamp, 1u);
+  expect_cone(b, sets[1], ws);
+  // A workspace moved to a different netlist resizes its index.
+  const Bench other(circuits::make_cla_adder(4));
+  expect_cone(other, {other.nl.outputs()[0].driver}, ws);
+  expect_cone(b, sets[0], ws);
+}
+
+TEST_P(ConeBuilder, ScoredConeSnapshotIsSizedByTheCone) {
+  const Bench b(cone_circuit(GetParam()));
+  // A mid-circuit gate with fanouts, bumped one size.
+  GateId gate = netlist::kNoGate;
+  for (GateId g = 0; g < b.nl.node_count() && gate == netlist::kNoGate; ++g) {
+    if (b.ctx->has_cell(g) && !b.nl.gate(g).fanins.empty() &&
+        b.ctx->has_cell(b.nl.gate(g).fanins[0]) && !b.nl.gate(g).fanouts.empty()) {
+      gate = g;
+    }
+  }
+  ASSERT_NE(gate, netlist::kNoGate);
+  const auto& group = b.lib.group(b.nl.gate(gate).cell_group);
+  const timing::Resize r{gate, static_cast<std::uint16_t>(
+                                   (b.nl.gate(gate).size_index + 1) % group.size_count())};
+  sta::ConeWorkspace ws;
+  timing::detail::ConeSnapshot snap;
+  snap.propagate(*b.ctx, std::span<const timing::Resize>(&r, 1), ws);
+
+  EXPECT_EQ(snap.nodes, ws.nodes);
+  EXPECT_LT(snap.nodes.size(), b.nl.node_count());
+  std::size_t arcs = 0;
+  for (const GateId id : snap.nodes) arcs += b.nl.gate(id).fanins.size();
+  EXPECT_LT(arcs, b.ctx->arc_count());
+  EXPECT_EQ(snap.slew.size(), snap.nodes.size());
+  EXPECT_EQ(snap.arc_begin.size(), snap.nodes.size() + 1);
+  EXPECT_EQ(snap.arc_delay.size(), arcs);
+  EXPECT_EQ(snap.arc_sigma.size(), arcs);
+  EXPECT_LE(snap.loads.size(), b.nl.gate(gate).fanins.size());
+  // Re-binding the gate's current size replays the same cone with the bound
+  // cells, which must reproduce the snapshot bitwise.
+  const timing::Resize same{gate, b.nl.gate(gate).size_index};
+  snap.propagate(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
+  for (std::uint32_t s = 0; s < snap.nodes.size(); ++s) {
+    const GateId id = snap.nodes[s];
+    EXPECT_EQ(snap.slew[s], b.ctx->slew_ps(id));
+    for (std::size_t i = 0; i < b.nl.gate(id).fanins.size(); ++i) {
+      EXPECT_EQ(snap.arc(s, i), std::pair(b.ctx->arc_delay_ps(id, i), b.ctx->arc_sigma_ps(id, i)));
+    }
+  }
+  for (const auto& [driver, load] : snap.loads) EXPECT_EQ(load, b.ctx->load_ff(driver));
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, ConeBuilder,
+                         ::testing::Values("cla8", "c432", "c880", "mesh3x3x4"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

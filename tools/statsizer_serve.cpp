@@ -20,11 +20,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "serve/server.h"
 #include "util/fault.h"
+#include "util/numeric.h"
 
 #ifdef __unix__
 #include <arpa/inet.h>
@@ -39,10 +41,14 @@
 
 namespace {
 
+/// Upper bound for --threads: far above any real core count, low enough that
+/// a typo cannot ask the pool for millions of threads.
+constexpr std::uint64_t kMaxThreads = 1024;
+
 void usage() {
   std::cerr
       << "usage: statsizer_serve [options]\n"
-         "  --threads N          worker threads (default 1; 0 = hardware)\n"
+         "  --threads N          worker threads (default 1; 0 = hardware; max 1024)\n"
          "  --queue-depth N      admission: max pending requests (default 64)\n"
          "  --max-inflight-mb N  admission: max summed request cost (default off)\n"
          "  --retry-after-ms N   backoff hint on shed requests (default 10)\n"
@@ -50,7 +56,7 @@ void usage() {
          "  --fault SPEC         deterministic fault rule (repeatable)\n"
          "  --seed N             fault-plan seed (default 1)\n"
 #ifdef __unix__
-         "  --socket PORT        serve TCP instead of stdin/stdout\n"
+         "  --socket PORT        serve TCP instead of stdin/stdout (0..65535)\n"
 #endif
          "  --help               this text\n";
 }
@@ -75,17 +81,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse strictly (whole string, range-checked); a bad
+    // one is a usage error.
+    const auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const char* text = next();
+      const std::optional<std::uint64_t> value = statsizer::util::parse_uint(text, max);
+      if (!value) {
+        std::cerr << "statsizer_serve: bad " << arg << " value '" << text << "' (want 0.."
+                  << max << ")\n";
+        usage();
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--threads") {
-      options.threads = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      options.threads = number(kMaxThreads);
     } else if (arg == "--queue-depth") {
-      options.limits.max_queue_depth =
-          static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      options.limits.max_queue_depth = number(SIZE_MAX);
     } else if (arg == "--max-inflight-mb") {
-      options.limits.max_inflight_bytes =
-          static_cast<std::size_t>(std::strtoul(next(), nullptr, 10)) << 20;
+      options.limits.max_inflight_bytes = number(SIZE_MAX >> 20) << 20;
     } else if (arg == "--retry-after-ms") {
-      options.limits.retry_after =
-          std::chrono::milliseconds(std::strtol(next(), nullptr, 10));
+      options.limits.retry_after = std::chrono::milliseconds(number(INT32_MAX));
     } else if (arg == "--engine") {
       options.session.engine = next();
     } else if (arg == "--fault") {
@@ -96,9 +112,9 @@ int main(int argc, char** argv) {
       }
       options.faults.rules.push_back(std::move(rule.value()));
     } else if (arg == "--seed") {
-      options.faults.seed = std::strtoull(next(), nullptr, 10);
+      options.faults.seed = number(UINT64_MAX);
     } else if (arg == "--socket") {
-      port = static_cast<int>(std::strtol(next(), nullptr, 10));
+      port = static_cast<int>(number(65535));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
