@@ -5,7 +5,9 @@
 //
 // Usage: bench_table1 [--quick] [--threads N] [--inject SPEC] [circuit ...]
 //   --quick       only the sub-1000-gate circuits (CI-friendly)
-//   --threads N   shard circuits across N job-system workers (the
+//   --threads N   (0..1024; 0 = hardware concurrency; anything else,
+//                 including a negative or non-numeric value, exits 2)
+//                 shard circuits across N job-system workers (the
 //                 serve::JobManager fan-out pattern); each sharded run then
 //                 scores sizing candidates serially. With N = 1 (default)
 //                 circuits run sequentially and the candidate scoring inside
@@ -36,12 +38,17 @@
 #include "netlist/topo.h"
 #include "serve/job.h"
 #include "util/fault.h"
+#include "util/numeric.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 using namespace statsizer;
 
 namespace {
+
+/// Upper bound for --threads, as in statsizer_serve: far above any real core
+/// count, low enough that a typo cannot ask for millions of workers.
+constexpr std::size_t kMaxThreads = 1024;
 
 struct RowResult {
   std::vector<std::string> row;
@@ -150,13 +157,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       const char* value = argv[++i];
-      char* end = nullptr;
-      threads = static_cast<std::size_t>(std::strtoul(value, &end, 10));
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "--threads: not a number: '%s'\n", value);
+      const auto n = util::parse_uint(value, kMaxThreads);
+      if (!n.has_value()) {
+        std::fprintf(stderr, "--threads: want an integer in [0, %zu], got '%s'\n", kMaxThreads,
+                     value);
         return 2;
       }
-      if (threads == 0) threads = util::ThreadPool::default_thread_count();
+      threads = *n == 0 ? util::ThreadPool::default_thread_count() : *n;
     } else {
       selected.emplace_back(argv[i]);
     }

@@ -7,6 +7,10 @@
 //   ingest --lint <netlist.(bench|v)> [--sdc file.sdc] [--json] [--strict]
 //   ingest --lint --workload <name> [--json] [--strict]
 //
+// --threads n (0..1024, 0 = hardware concurrency) sets the sizing and yield
+// workers in the flow and the DRC sweep's workers under --lint; omitted, the
+// library defaults apply. Results are identical for any value.
+//
 // The netlist format is picked by extension: .bench (ISCAS, mapped with the
 // default mapper) or .v (structural Verilog, cell bindings adopted as-is).
 // Exits non-zero with the parser's line-numbered message on any malformed
@@ -51,9 +55,10 @@ int usage(const char* argv0) {
 }
 
 int run_lint(const std::string& netlist_path, const std::string& workload,
-             const std::string& sdc_path, bool json, bool strict, std::size_t threads) {
+             const std::string& sdc_path, bool json, bool strict,
+             std::optional<std::size_t> threads) {
   core::LintOptions options;
-  options.drc.threads = threads;
+  if (threads) options.drc.threads = *threads;
   options.sdc_path = sdc_path;
   const core::LintResult result = workload.empty() ? core::lint_file(netlist_path, options)
                                                    : core::lint_workload(workload, options);
@@ -86,7 +91,7 @@ int main(int argc, char** argv) {
   bool lint = false;
   bool json = false;
   bool strict = false;
-  std::size_t threads = 1;
+  std::optional<std::size_t> threads;  // unset: the library defaults
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--sdc" && i + 1 < argc) {
@@ -120,9 +125,14 @@ int main(int argc, char** argv) {
   }
   if (netlist_path.empty() || !workload.empty()) return usage(argv[0]);
 
+  // --threads sets the sizer and yield workers; without it the library
+  // defaults (hardware concurrency) apply. update()'s wavefront stays on its
+  // serial default: it loses to the serial loop at every thread count.
   core::FlowOptions options;
-  options.timing.threads = threads;
-  options.sizer_threads = threads;
+  if (threads) {
+    options.sizer_threads = *threads;
+    options.isle.threads = *threads;
+  }
   core::Flow flow(options);
 
   // 1. Ingest: library is the synthetic 90nm; netlist by extension.

@@ -25,7 +25,8 @@
 #                                    # clang-format is not installed
 #   scripts/check.sh --table1-smoke  # additionally run
 #                                    # bench_table1 --quick --threads 2 as a
-#                                    # post-ctest end-to-end smoke check
+#                                    # post-ctest end-to-end smoke check, and
+#                                    # check that a bad --threads exits 2
 #   scripts/check.sh --parser-smoke  # additionally drive example_ingest over
 #                                    # the malformed corpus: every file must
 #                                    # fail with a loud error (exit 1), never
@@ -167,10 +168,13 @@ if [[ "${TSAN}" == 1 ]]; then
   # lock discipline under concurrent what-ifs, and the server's reader/writer/
   # worker triangle are exactly the lifetimes TSan should walk. ConeBuilder is
   # in too: concurrent FASSTA scorers and speculation waves each collect
-  # their cones into their own reused workspace.
+  # their cones into their own reused workspace. So are FlowThreading (the
+  # default, threaded flow against the serial one) and WhatIfAllocation /
+  # PdfAllocation (a pool worker scoring an overlay sized on the proposing
+  # thread).
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"
@@ -210,6 +214,19 @@ if [[ "${SMOKE}" == 1 ]]; then
   # workers. bench_table1 exits nonzero on unknown circuits or failed runs,
   # so this catches whole-flow breakage the unit suites can miss.
   echo "check.sh: table1 smoke (--quick --threads 2)"
+  # --threads parses strictly: a negative or non-numeric value is a usage
+  # error (exit 2), never a wrapped-around or silently saturated count.
+  for bad in '--threads -1' '--threads abc'; do
+    set +e
+    # shellcheck disable=SC2086  # split the flag from its value
+    ./build/bench_table1 --quick ${bad} >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "check.sh: table1 smoke FAILED: bench_table1 ${bad} exited ${rc} (want 2)" >&2
+      exit 1
+    fi
+  done
   ./build/bench_table1 --quick --threads 2 >/dev/null
 fi
 

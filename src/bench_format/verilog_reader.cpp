@@ -1,7 +1,6 @@
 #include "bench_format/verilog_reader.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -30,7 +29,9 @@ class Lexer {
 
   struct Token {
     enum class Kind { kId, kPunct, kEnd } kind = Kind::kEnd;
-    std::string value;  // identifier text, or the punctuation character
+    /// Identifier text, or the punctuation character: a view of the lexer's
+    /// text, valid while the lexer lives.
+    std::string_view value;
     int line = 0;
   };
 
@@ -42,30 +43,29 @@ class Lexer {
     const char c = text_[pos_];
     if (is_punct(c)) {
       t.kind = Token::Kind::kPunct;
-      t.value = std::string(1, c);
-      ++pos_;
+      t.value = std::string_view(text_).substr(pos_++, 1);
       return t;
     }
     t.kind = Token::Kind::kId;
-    if (c == '\\') {
-      ++pos_;  // escaped identifier: everything up to whitespace, '\' dropped
-      while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-        t.value += text_[pos_++];
-      }
-      return t;
-    }
+    const bool escaped = c == '\\';
+    if (escaped) ++pos_;  // escaped identifier: everything up to whitespace, '\' dropped
+    const std::size_t begin = pos_;
     while (pos_ < text_.size()) {
       const char d = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(d)) || is_punct(d)) break;
-      t.value += d;
+      if (is_space(d) || (!escaped && is_punct(d))) break;
       ++pos_;
     }
+    t.value = std::string_view(text_).substr(begin, pos_ - begin);
     return t;
   }
 
  private:
   static bool is_punct(char c) {
     return c == '(' || c == ')' || c == ',' || c == ';' || c == '.' || c == '=';
+  }
+  /// std::isspace in the "C" locale, without the per-character library call.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
   }
 
   void skip_space() {
@@ -74,7 +74,7 @@ class Lexer {
       if (c == '\n') {
         ++line_;
         ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
+      } else if (is_space(c)) {
         ++pos_;
       } else {
         break;
@@ -138,29 +138,33 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
   Lexer lex(strip_comments(text));
   using Token = Lexer::Token;
 
-  const auto expect_punct = [&](const char* what) -> StatusOr<Token> {
-    Token t = lex.next();
-    if (t.kind != Token::Kind::kPunct || t.value != what) {
-      return err(t.line, std::string("expected '") + what + "', got '" +
-                             (t.kind == Token::Kind::kEnd ? "<eof>" : t.value) + "'");
-    }
-    return t;
+  // The expect_* helpers consume one token; on a mismatch they record the
+  // syntax error in `error` and return false.
+  Status error;
+  const auto got = [](const Token& t) {
+    return t.kind == Token::Kind::kEnd ? std::string("<eof>") : std::string(t.value);
   };
-  const auto expect_id = [&](const char* what) -> StatusOr<Token> {
-    Token t = lex.next();
-    if (t.kind != Token::Kind::kId) {
-      return err(t.line, std::string("expected ") + what + ", got '" +
-                             (t.kind == Token::Kind::kEnd ? "<eof>" : t.value) + "'");
-    }
-    return t;
+  const auto expect_punct = [&](const char* what) {
+    const Token t = lex.next();
+    if (t.kind == Token::Kind::kPunct && t.value == what) return true;
+    error = err(t.line, std::string("expected '") + what + "', got '" + got(t) + "'");
+    return false;
+  };
+  const auto expect_id = [&](const char* what, Token& out) {
+    out = lex.next();
+    if (out.kind == Token::Kind::kId) return true;
+    error = err(out.line, std::string("expected ") + what + ", got '" + got(out) + "'");
+    return false;
   };
 
   // ---- module header -------------------------------------------------------
-  auto kw = expect_id("'module'");
-  if (!kw.ok()) return kw.status();
-  if (kw->value != "module") return err(kw->line, "expected 'module', got '" + kw->value + "'");
-  auto mod_name = expect_id("module name");
-  if (!mod_name.ok()) return mod_name.status();
+  Token kw;
+  if (!expect_id("'module'", kw)) return error;
+  if (kw.value != "module") {
+    return err(kw.line, "expected 'module', got '" + std::string(kw.value) + "'");
+  }
+  Token mod_name;
+  if (!expect_id("module name", mod_name)) return error;
 
   std::vector<std::string> header_ports;
   Token t = lex.next();
@@ -169,7 +173,7 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
       t = lex.next();
       if (t.kind == Token::Kind::kPunct && t.value == ")") break;
       if (t.kind != Token::Kind::kId) return err(t.line, "expected port name in module header");
-      header_ports.push_back(t.value);
+      header_ports.emplace_back(t.value);
       t = lex.next();
       if (t.kind == Token::Kind::kPunct && t.value == ")") break;
       if (t.kind != Token::Kind::kPunct || t.value != ",") {
@@ -189,19 +193,23 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
   std::vector<Instance> instances;
   std::vector<Assign> assigns;
 
-  const auto declare = [&](const std::string& name, int line) -> Status {
-    if (!declared.emplace(name, line).second) {
-      return err(line, "net '" + name + "' declared twice (first at line " +
-                           std::to_string(declared[name]) + ")");
+  const auto declare = [&](std::string_view name, int line) -> Status {
+    const auto [it, inserted] = declared.emplace(name, line);
+    if (!inserted) {
+      return err(line, "net '" + it->first + "' declared twice (first at line " +
+                           std::to_string(it->second) + ")");
     }
     return Status();
   };
 
+  const std::size_t max_pins = lib.max_arity() + 1;  // a cell's inputs and its output
   bool saw_endmodule = false;
   for (;;) {
     t = lex.next();
     if (t.kind == Token::Kind::kEnd) break;
-    if (t.kind != Token::Kind::kId) return err(t.line, "unexpected '" + t.value + "'");
+    if (t.kind != Token::Kind::kId) {
+      return err(t.line, "unexpected '" + std::string(t.value) + "'");
+    }
 
     if (t.value == "endmodule") {
       saw_endmodule = true;
@@ -211,13 +219,13 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
     }
 
     if (t.value == "input" || t.value == "output" || t.value == "wire") {
-      const std::string kind = t.value;
+      const std::string kind(t.value);
       for (;;) {
-        auto id = expect_id("net name");
-        if (!id.ok()) return id.status();
-        if (Status s = declare(id->value, id->line); !s.ok()) return s;
-        if (kind == "input") input_decls.emplace_back(id->value, id->line);
-        if (kind == "output") output_decls.emplace_back(id->value, id->line);
+        Token id;
+        if (!expect_id("net name", id)) return error;
+        if (Status s = declare(id.value, id.line); !s.ok()) return s;
+        if (kind == "input") input_decls.emplace_back(id.value, id.line);
+        if (kind == "output") output_decls.emplace_back(id.value, id.line);
         Token sep = lex.next();
         if (sep.kind == Token::Kind::kPunct && sep.value == ";") break;
         if (sep.kind != Token::Kind::kPunct || sep.value != ",") {
@@ -230,14 +238,14 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
     if (t.value == "assign") {
       Assign a;
       a.line = t.line;
-      auto lhs = expect_id("assign target");
-      if (!lhs.ok()) return lhs.status();
-      a.lhs = lhs->value;
-      if (auto p = expect_punct("="); !p.ok()) return p.status();
-      auto rhs = expect_id("assign source net");
-      if (!rhs.ok()) return rhs.status();
-      a.rhs = rhs->value;
-      if (auto p = expect_punct(";"); !p.ok()) return p.status();
+      Token lhs;
+      if (!expect_id("assign target", lhs)) return error;
+      a.lhs = lhs.value;
+      if (!expect_punct("=")) return error;
+      Token rhs;
+      if (!expect_id("assign source net", rhs)) return error;
+      a.rhs = rhs.value;
+      if (!expect_punct(";")) return error;
       assigns.push_back(std::move(a));
       continue;
     }
@@ -246,10 +254,11 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
     Instance inst;
     inst.cell_name = t.value;
     inst.line = t.line;
-    auto inst_name = expect_id("instance name");
-    if (!inst_name.ok()) return inst_name.status();
-    inst.inst_name = inst_name->value;
-    if (auto p = expect_punct("("); !p.ok()) return p.status();
+    Token inst_name;
+    if (!expect_id("instance name", inst_name)) return error;
+    inst.inst_name = inst_name.value;
+    if (!expect_punct("(")) return error;
+    inst.connections.reserve(max_pins);
     for (;;) {
       Token dot = lex.next();
       if (dot.kind == Token::Kind::kPunct && dot.value == ")") break;
@@ -258,15 +267,15 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
                                  inst.inst_name + "'");
       }
       Connection c;
-      auto pin = expect_id("pin name");
-      if (!pin.ok()) return pin.status();
-      c.pin = pin->value;
-      c.line = pin->line;
-      if (auto p = expect_punct("("); !p.ok()) return p.status();
-      auto net = expect_id("net name");
-      if (!net.ok()) return net.status();
-      c.net = net->value;
-      if (auto p = expect_punct(")"); !p.ok()) return p.status();
+      Token pin;
+      if (!expect_id("pin name", pin)) return error;
+      c.pin = pin.value;
+      c.line = pin.line;
+      if (!expect_punct("(")) return error;
+      Token net;
+      if (!expect_id("net name", net)) return error;
+      c.net = net.value;
+      if (!expect_punct(")")) return error;
       inst.connections.push_back(std::move(c));
       Token sep = lex.next();
       if (sep.kind == Token::Kind::kPunct && sep.value == ")") break;
@@ -274,7 +283,7 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
         return err(sep.line, "expected ',' or ')' in instance connection list");
       }
     }
-    if (auto p = expect_punct(";"); !p.ok()) return p.status();
+    if (!expect_punct(";")) return error;
     instances.push_back(std::move(inst));
   }
   if (!saw_endmodule) return Status::invalid_argument("missing 'endmodule'");
@@ -295,63 +304,75 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
   }
 
   // ---- bind instances against the library ---------------------------------
+  // Net names below point into `instances` and the declarations, which no
+  // longer change.
   struct GateDef {
     const Instance* inst = nullptr;
+    std::uint32_t group_index = 0;
+    std::uint16_t size_index = 0;
+    std::vector<const std::string*> fanin_nets;  // in cell input-pin order
+    bool on_stack = false;  // resolve(): on the current DFS path
+  };
+  std::unordered_map<std::string_view, GateDef> driven;  // output net -> definition
+  driven.reserve(instances.size());
+  std::vector<const std::string*> driven_order;
+  driven_order.reserve(instances.size());
+
+  /// A cell name's library binding, resolved once per distinct name.
+  struct Binding {
     const liberty::Cell* cell = nullptr;
     std::uint32_t group_index = 0;
     std::uint16_t size_index = 0;
-    std::vector<std::string> fanin_nets;  // in cell input-pin order
   };
-  std::unordered_map<std::string, GateDef> driven;  // output net -> definition
-  std::vector<std::string> driven_order;
-
-  for (const Instance& inst : instances) {
+  std::unordered_map<std::string_view, Binding> bindings;
+  const auto bind = [&](const Instance& inst) -> StatusOr<Binding> {
+    if (const auto it = bindings.find(inst.cell_name); it != bindings.end()) return it->second;
     const auto cell_index = lib.find_cell(inst.cell_name);
     if (!cell_index.has_value()) {
       return err(inst.line, "unknown cell '" + inst.cell_name + "' (library " +
                                 lib.name() + ")");
     }
-    const liberty::Cell& cell = lib.cell(*cell_index);
     const auto parsed = liberty::parse_cell_name(inst.cell_name);
     const auto group_index = lib.find_group(parsed.base);
     if (!group_index.has_value()) {
       return err(inst.line, "cell '" + inst.cell_name + "' has no sizing group");
     }
     const liberty::CellGroup& group = lib.group(*group_index);
-    std::uint16_t size_index = 0;
-    bool size_found = false;
     for (std::size_t s = 0; s < group.sizes().size(); ++s) {
       if (group.sizes()[s] == *cell_index) {
-        size_index = static_cast<std::uint16_t>(s);
-        size_found = true;
-        break;
+        const Binding b{&lib.cell(*cell_index), *group_index, static_cast<std::uint16_t>(s)};
+        bindings.emplace(inst.cell_name, b);
+        return b;
       }
     }
-    if (!size_found) {
-      return err(inst.line, "cell '" + inst.cell_name + "' missing from group '" +
-                                group.base_name() + "'");
-    }
+    return err(inst.line, "cell '" + inst.cell_name + "' missing from group '" +
+                              group.base_name() + "'");
+  };
+
+  for (const Instance& inst : instances) {
+    const StatusOr<Binding> binding = bind(inst);
+    if (!binding.ok()) return binding.status();
+    const liberty::Cell& cell = *binding->cell;
 
     GateDef def;
     def.inst = &inst;
-    def.cell = &cell;
-    def.group_index = *group_index;
-    def.size_index = size_index;
+    def.group_index = binding->group_index;
+    def.size_index = binding->size_index;
     const auto input_pins = cell.input_pins();
-    def.fanin_nets.assign(input_pins.size(), std::string());
+    def.fanin_nets.assign(input_pins.size(), nullptr);
     std::vector<bool> pin_seen(input_pins.size(), false);
-    std::string out_net;
+    const std::string* out_net = nullptr;
 
     for (const Connection& c : inst.connections) {
       if (!declared.contains(c.net)) {
         return err(c.line, "net '" + c.net + "' is not declared");
       }
       if (c.pin == cell.output().name) {
-        if (!out_net.empty()) {
+        if (out_net != nullptr) {
           return err(c.line, "output pin '" + c.pin + "' connected twice on instance '" +
                                  inst.inst_name + "'");
         }
-        out_net = c.net;
+        out_net = &c.net;
         continue;
       }
       bool matched = false;
@@ -362,7 +383,7 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
                                    inst.inst_name + "'");
           }
           pin_seen[i] = true;
-          def.fanin_nets[i] = c.net;
+          def.fanin_nets[i] = &c.net;
           matched = true;
           break;
         }
@@ -371,7 +392,7 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
         return err(c.line, "cell '" + inst.cell_name + "' has no pin '" + c.pin + "'");
       }
     }
-    if (out_net.empty()) {
+    if (out_net == nullptr) {
       return err(inst.line, "instance '" + inst.inst_name + "' leaves output pin '" +
                                 cell.output().name + "' unconnected");
     }
@@ -381,11 +402,11 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
                                   input_pins[i]->name + "' unconnected");
       }
     }
-    if (driven.contains(out_net)) {
-      return err(inst.line, "net '" + out_net + "' driven twice (also by instance '" +
-                                driven[out_net].inst->inst_name + "')");
+    const auto [it, inserted] = driven.emplace(*out_net, std::move(def));
+    if (!inserted) {
+      return err(inst.line, "net '" + *out_net + "' driven twice (also by instance '" +
+                                it->second.inst->inst_name + "')");
     }
-    driven.emplace(out_net, std::move(def));
     driven_order.push_back(out_net);
   }
 
@@ -428,25 +449,25 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
   }
 
   // ---- build the netlist (depth-first resolution, like read_bench) --------
-  Netlist nl(mod_name->value);
-  std::unordered_map<std::string, GateId> ids;
+  Netlist nl{std::string(mod_name.value)};
+  // A net's node carries the net's name (names are unique: each net is
+  // declared once and resolved once), so the netlist's own name index maps
+  // resolved nets to their nodes.
   for (const auto& [name, line] : input_decls) {
     if (driven.contains(name) || const_nets.contains(name)) {
       return err(line, "input '" + name + "' is also driven inside the module");
     }
-    ids.emplace(name, nl.add_input(name));
+    (void)nl.add_input(name);
     if (provenance != nullptr) provenance->line_of.emplace(name, line);
   }
 
-  std::unordered_map<std::string, int> state;   // 1 = on stack (cycle detection)
-  std::vector<std::string> stack;               // current DFS path, for cycle witnesses
+  std::vector<std::string_view> stack;  // current DFS path, for cycle witnesses
   Status failure;
   const std::function<GateId(const std::string&)> resolve =
       [&](const std::string& net) -> GateId {
-    if (const auto it = ids.find(net); it != ids.end()) return it->second;
+    if (const GateId id = nl.find(net); id != netlist::kNoGate) return id;
     if (const auto it = const_nets.find(net); it != const_nets.end()) {
       const GateId id = nl.add_gate(it->second, std::initializer_list<GateId>{}, net);
-      ids.emplace(net, id);
       if (provenance != nullptr) {
         if (const auto cl = const_lines.find(net); cl != const_lines.end()) {
           provenance->line_of.emplace(net, cl->second);
@@ -459,7 +480,8 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
       if (failure.ok()) failure = Status::invalid_argument("net '" + net + "' has no driver");
       return netlist::kNoGate;
     }
-    if (state[net] == 1) {
+    GateDef& def = def_it->second;
+    if (def.on_stack) {
       if (failure.ok()) {
         // The DFS stack from the first occurrence of @p net down to here is
         // the cycle; report it in signal-flow order as the witness.
@@ -472,28 +494,26 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
           if (!path.empty()) path += " -> ";
           path += s;
         }
-        failure = Status::invalid_argument("line " + std::to_string(def_it->second.inst->line) +
+        failure = Status::invalid_argument("line " + std::to_string(def.inst->line) +
                                 ": combinational cycle: " + path);
         if (provenance != nullptr) provenance->cycle = std::move(cycle);
       }
       return netlist::kNoGate;
     }
-    state[net] = 1;
+    def.on_stack = true;
     stack.push_back(net);
-    GateDef& def = def_it->second;
     std::vector<GateId> fanins;
     fanins.reserve(def.fanin_nets.size());
-    for (const std::string& f : def.fanin_nets) {
-      const GateId fid = resolve(f);
+    for (const std::string* f : def.fanin_nets) {
+      const GateId fid = resolve(*f);
       if (fid == netlist::kNoGate) return netlist::kNoGate;
       fanins.push_back(fid);
     }
-    state[net] = 2;
+    def.on_stack = false;
     stack.pop_back();
     const GateId id = nl.add_gate(lib.group(def.group_index).func(), fanins, net);
     nl.gate(id).cell_group = def.group_index;
     nl.gate(id).size_index = def.size_index;
-    ids.emplace(net, id);
     if (provenance != nullptr) provenance->line_of.emplace(net, def.inst->line);
     return id;
   };
@@ -507,8 +527,8 @@ StatusOr<Netlist> read_verilog(std::string_view text, const liberty::Library& li
       if (!failure.ok()) return failure;
     }
   }
-  for (const std::string& net : driven_order) {
-    resolve(net);
+  for (const std::string* net : driven_order) {
+    resolve(*net);
     if (!failure.ok()) return failure;
   }
 

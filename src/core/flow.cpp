@@ -303,6 +303,7 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
   // equivalent result-wise.
   FlowOptions job_options = options;
   job_options.sizer_threads = 1;
+  job_options.isle.threads = 1;
   serve::JobManagerOptions manager_options;
   manager_options.threads = threads;
   // Batch mode admits everything: admission control is a serving concern.

@@ -59,13 +59,16 @@ struct FlowOptions {
   opt::RecoveryCriterion recovery_criterion = opt::RecoveryCriterion::kDeterministicArrival;
   double recovery_tolerance = 0.003;
   std::size_t post_recovery_polish_iterations = 20;
-  /// Worker threads for StatisticalGreedy's candidate scoring and area
-  /// recovery's screening waves, applied to run_baseline's stages and to
-  /// optimize() when no overrides are passed (explicit overrides carry their
-  /// own threads field, which optimize() also forwards to its recovery
-  /// stage). 1 = serial, 0 = hardware concurrency; results are identical for
-  /// any value.
-  std::size_t sizer_threads = 1;
+  /// Worker threads for StatisticalGreedy's candidate scoring and exact
+  /// confirmation waves and area recovery's screening waves, applied to
+  /// run_baseline's stages and to optimize() when no overrides are passed
+  /// (explicit overrides carry their own threads field, which optimize()
+  /// also forwards to its recovery stage). 0 (the default) = hardware
+  /// concurrency, 1 = serial on the calling thread; results are
+  /// bitwise-identical for any value (flow_threading_test pins the default
+  /// against 1). Each extra worker holds one speculative overlay at a time
+  /// and allocates nothing of its own while scoring.
+  std::size_t sizer_threads = 0;
   /// Engine selection for the statistical sizer and area recovery
   /// (timing::make_analyzer registry names), applied — like sizer_threads —
   /// to run_baseline's stages and to optimize() without overrides.

@@ -186,7 +186,7 @@ void validate_pdf(double origin, double step, std::span<const double> masses) {
 }
 
 void validate_pdf(const pdf::DiscretePdf& p) {
-  validate_pdf(p.origin(), p.step(), p.masses());
+  validate_pdf(p.origin(), p.step(), p.mass_view());
   // The moments cached at construction must be bitwise what the grid gives
   // today (same accumulation order as the pdf's own moment loops).
   double mean = 0.0;

@@ -11,7 +11,11 @@ using netlist::GateId;
 using sta::NodeMoments;
 
 Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
-    : ctx_(ctx), options_(options) {}
+    : ctx_(ctx), options_(options) {
+  // Sized here, on the constructing thread: the lazy refreshes in
+  // base_arrivals() then reuse this buffer on whichever scorer runs them.
+  base_.reserve(ctx.netlist().node_count());
+}
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
@@ -29,8 +33,14 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
 }
 
 std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
+  std::vector<NodeMoments> arrival;
+  run_into(arrival, circuit);
+  return arrival;
+}
+
+void Engine::run_into(std::vector<NodeMoments>& arrival, NodeMoments* circuit) const {
   const auto& nl = ctx_.netlist();
-  std::vector<NodeMoments> arrival(nl.node_count());
+  arrival.assign(nl.node_count(), NodeMoments{});
   const auto arrival_of = [&](GateId f) -> const NodeMoments& { return arrival[f]; };
   for (const GateId id : ctx_.topo_order()) {
     arrival[id] = fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
@@ -38,7 +48,6 @@ std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
     });
   }
   if (circuit != nullptr) *circuit = fold_outputs(arrival_of);
-  return arrival;
 }
 
 const std::vector<NodeMoments>& Engine::base_arrivals() const {
@@ -50,7 +59,7 @@ const std::vector<NodeMoments>& Engine::base_arrivals() const {
   if (base_epoch_.load(std::memory_order_acquire) != epoch) {
     const std::lock_guard<std::mutex> lock(base_mutex_);
     if (base_epoch_.load(std::memory_order_relaxed) != epoch) {
-      base_ = run();
+      run_into(base_, nullptr);  // in place: a refresh reuses the buffer
       base_epoch_.store(epoch, std::memory_order_release);
     }
   }

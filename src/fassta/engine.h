@@ -12,7 +12,9 @@
 // run() that candidate scoring reads outside each resize's fanout cone. The
 // cache is keyed on TimingContext::snapshot_epoch() and refreshed lazily by
 // the first scorer that sees the epoch move (under a mutex; the others wait
-// for it), so every method is const and re-entrant — one Engine may be
+// for it), in place, into a buffer reserved on the constructing thread — so
+// a pool worker that happens to refresh it allocates nothing. Every method
+// is const and re-entrant — one Engine may be
 // shared by any number of threads as long as nobody mutates the netlist or
 // writes the snapshot concurrently. The per-call mutable state lives in an
 // explicit Scratch workspace; give each worker thread its own (see
@@ -182,6 +184,8 @@ class Engine {
  private:
   /// run()'s arrivals for the snapshot at its current epoch (lazily refreshed).
   const std::vector<sta::NodeMoments>& base_arrivals() const;
+  /// run() into @p arrival, reusing its capacity.
+  void run_into(std::vector<sta::NodeMoments>& arrival, sta::NodeMoments* circuit) const;
 
   const sta::TimingContext& ctx_;
   EngineOptions options_;

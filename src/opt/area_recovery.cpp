@@ -142,20 +142,13 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     return ok;
   };
 
-  // Wave geometry: with a concurrent screen engine, up to a few times the
-  // worker count of per-gate candidates are speculatively prescored at once;
-  // a commit invalidates the tail (the base moved), so wider waves would
-  // waste speculative scores during accept-heavy stretches. The serial path
-  // scores one trial at a time — zero waste, and the wave walk below makes
-  // the committed sequence independent of the window size, so results are
-  // bitwise-identical for any thread count.
-  const bool parallel_screen =
-      screen->capabilities().concurrent_speculations && options.threads != 1;
-  const std::size_t wave_limit =
-      parallel_screen
-          ? 4 * (options.threads == 0 ? util::ThreadPool::default_thread_count()
-                                      : options.threads)
-          : std::size_t{1};
+  // Wave geometry: timing::speculation_window — one per-gate candidate per
+  // worker with a concurrent screen engine, else 1 (one trial at a time).
+  // A commit invalidates the tail (the base moved), so wider waves would
+  // waste speculative scores during accept-heavy stretches; the wave walk
+  // below makes the committed sequence independent of the window size, so
+  // results are bitwise-identical for any thread count.
+  const std::size_t window = timing::speculation_window(*screen, options.threads);
 
   bool stopped = false;
   for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
@@ -178,7 +171,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     std::size_t pos = 0;
     std::vector<std::unique_ptr<timing::Speculation>> wave;
     while (pos < order.size() && !stopped) {
-      const std::size_t count = std::min(order.size() - pos, wave_limit);
+      const std::size_t count = std::min(order.size() - pos, window);
       wave.clear();
       wave.resize(count);
       for (std::size_t i = 0; i < count; ++i) {
@@ -186,9 +179,9 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
         if (cur == 0) continue;  // defensive: nothing left to shrink
         wave[i] = screen->propose(order[pos + i], static_cast<std::uint16_t>(cur - 1));
       }
-      if (parallel_screen) {
+      if (count > 1) {
         // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, options.threads,
+        util::parallel_for(count, 1, window,
                            [&](std::size_t begin, std::size_t end, std::size_t) {
                              for (std::size_t i = begin; i < end; ++i) {
                                if (wave[i] != nullptr) (void)wave[i]->score();

@@ -73,9 +73,10 @@ struct AreaRecoveryOptions {
   /// reported objective use one statistical model (core::Flow plumbs its
   /// options_.fullssta here).
   ssta::FullSstaOptions fullssta;
-  /// Worker threads for the speculative screening waves. 1 = serial on the
-  /// calling thread; 0 = hardware concurrency. Results are bitwise-identical
-  /// for any value.
+  /// Worker threads for the speculative screening waves (one candidate per
+  /// worker per wave: timing::speculation_window). 1 = serial on the calling
+  /// thread; 0 = hardware concurrency. Results are bitwise-identical for any
+  /// value.
   std::size_t threads = 1;
   /// Screen engine (timing::make_analyzer registry name). Empty = pick by
   /// criterion: "dsta" for kDeterministicArrival, "fassta" for

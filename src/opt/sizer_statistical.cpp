@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -114,7 +113,9 @@ std::vector<double> score_candidates(sta::TimingContext& ctx,
   util::parallel_for(
       jobs.size(), kChunk, options.threads,
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        fassta::Engine::Scratch scratch;
+        // One scratch per thread, reused across chunks and calls: once it
+        // has served the largest cone, scoring allocates nothing.
+        thread_local fassta::Engine::Scratch scratch;
         netlist::Subcircuit sc;
         GateId sc_gate = netlist::kNoGate;
         for (std::size_t i = begin; i < end; ++i) {
@@ -216,37 +217,26 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   };
 
   // Wave-based speculative confirmation of a fixed-order candidate list.
-  // Each wave proposes a speculation per remaining candidate against the
-  // committed base, scores them — in parallel when the confirm engine
-  // supports concurrent speculations — then walks the fixed order and
-  // commits the first improvement. The commit invalidates the wave (the
-  // base moved), so the tail re-speculates against the new base: candidate
-  // i is always judged against the state containing exactly the commits
-  // ordered before it, which is the serial trial loop's semantics. Scores
-  // are pure functions of (base, candidate), so the decisions — and every
-  // downstream result — are bitwise-identical for any thread count, and
-  // identical between the lazy serial walk and the prescored parallel wave.
-  const bool parallel_confirm =
-      confirm->capabilities().concurrent_speculations && options.threads != 1;
-  // Parallel waves are windowed to a few times the worker count: a commit
-  // invalidates every score after it in the wave, so an unbounded wave would
-  // waste O(commits x tail) speculative scores (and hold that many overlays
-  // in memory at once). The serial path scores lazily, so its window is the
-  // whole tail. The window size never changes the committed sequence — each
-  // candidate is judged against the state holding exactly the commits
-  // ordered before it, whatever the window boundaries.
-  const std::size_t wave_limit =
-      parallel_confirm
-          ? 4 * (options.threads == 0 ? util::ThreadPool::default_thread_count()
-                                      : options.threads)
-          : std::numeric_limits<std::size_t>::max();
+  // Each wave proposes a speculation per candidate in its window against the
+  // committed base, scores them — in parallel when the window holds more
+  // than one — then walks the fixed order and commits the first
+  // improvement. The commit invalidates the wave (the base moved), so the
+  // tail re-speculates against the new base: candidate i is always judged
+  // against the state containing exactly the commits ordered before it,
+  // which is the serial trial loop's semantics. Scores are pure functions
+  // of (base, candidate), so the decisions — and every downstream result —
+  // are bitwise-identical for any thread count and any window. The window
+  // is timing::speculation_window: one candidate per worker (a commit lands
+  // early in the order, so wider waves mostly score candidates it throws
+  // away), and 1 when serial.
+  const std::size_t window = timing::speculation_window(*confirm, options.threads);
   const auto confirm_in_order = [&](std::span<const timing::Resize> ordered,
                                     double& accepted_cost, MoveSource source) {
     std::size_t kept = 0;
     std::size_t next = 0;
     std::vector<std::unique_ptr<timing::Speculation>> specs;
     while (next < ordered.size()) {
-      const std::size_t count = std::min(ordered.size() - next, wave_limit);
+      const std::size_t count = std::min(ordered.size() - next, window);
       specs.clear();
       specs.resize(count);
       for (std::size_t i = 0; i < count; ++i) {
@@ -254,9 +244,9 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
         if (nl.gate(c.gate).size_index == c.size) continue;  // earlier commit moved it here
         specs[i] = confirm->propose(c.gate, c.size);
       }
-      if (parallel_confirm) {
+      if (count > 1) {
         // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, options.threads,
+        util::parallel_for(count, 1, window,
                            [&](std::size_t begin, std::size_t end, std::size_t) {
                              for (std::size_t i = begin; i < end; ++i) {
                                if (specs[i] != nullptr) (void)specs[i]->score();
@@ -279,10 +269,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
           next += i + 1;
           committed = true;
         } else {
-          // A rejected trial's cached score is never reread — free its
-          // cone-sized overlay now instead of holding every rejected overlay
-          // until the window ends (the serial path's window is unbounded).
-          specs[i].reset();
+          specs[i].reset();  // a rejected trial's overlay is never reread
         }
       }
       if (!committed) next += count;  // whole window rejected: move on

@@ -30,11 +30,11 @@
 // rescue sweeps) run through the timing::Analyzer what-if API: each trial is
 // a Speculation scored against the committed base without touching the
 // netlist or the snapshot. When the confirm engine supports concurrent
-// speculations (FULLSSTA's incremental fanout-cone overlay does), a whole
-// wave of pending trials is scored in parallel and commits are applied
-// serially in the fixed gain order — the decisions, and therefore every
-// result, are bitwise-identical to the serial trial loop for any thread
-// count.
+// speculations (FULLSSTA's incremental fanout-cone overlay does), a wave of
+// pending trials — one per worker (timing::speculation_window) — is scored
+// in parallel and commits are applied serially in the fixed gain order —
+// the decisions, and therefore every result, are bitwise-identical to the
+// serial trial loop for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -67,9 +67,10 @@ struct StatisticalSizerOptions {
   InnerScoring scoring = InnerScoring::kGlobalFassta;
   unsigned subcircuit_levels = 2;          ///< TFI/TFO depth (paper: 2)
   /// Worker threads for the inner-loop candidate scoring (and the rescue
-  /// paths' fast-engine prescoring). 1 = serial on the calling thread; 0 =
-  /// hardware concurrency. Results — trajectory, stats, final sizes — are
-  /// bitwise-identical for any value.
+  /// paths' fast-engine prescoring) and the exact confirmation waves. 1 =
+  /// serial on the calling thread; 0 = hardware concurrency (core::Flow's
+  /// default, FlowOptions::sizer_threads). Results — trajectory, stats,
+  /// final sizes — are bitwise-identical for any value.
   std::size_t threads = 1;
   /// Record every confirmed resize in StatisticalSizerStats::trajectory
   /// (off by default: large runs commit thousands of moves).

@@ -11,11 +11,30 @@
 
 namespace statsizer::pdf {
 
+/// from_masses() over a MassBuffer: the one normalizing constructor, so the
+/// library's own transforms build pdfs without a std::vector.
+DiscretePdf from_bins(double origin, double step, MassBuffer masses) {
+  if (masses.size() == 0) throw std::invalid_argument("DiscretePdf: empty mass vector");
+  double total = 0.0;
+  for (std::size_t i = 0; i < masses.size(); ++i) {
+    if (masses[i] < 0.0) throw std::invalid_argument("DiscretePdf: negative mass");
+    total += masses[i];
+  }
+  if (total <= 0.0) throw std::invalid_argument("DiscretePdf: all-zero masses");
+  for (std::size_t i = 0; i < masses.size(); ++i) masses[i] /= total;
+  DiscretePdf p;
+  p.origin_ = origin;
+  p.step_ = masses.size() == 1 ? 0.0 : step;
+  p.mass_ = std::move(masses);
+  p.cache_moments();
+  return p;
+}
+
 namespace {
 /// Deposits @p mass at continuous position @p x onto the grid (origin, step,
 /// bins), splitting linearly between the two neighbouring bins so the first
 /// moment is preserved exactly.
-void deposit(std::vector<double>& bins, double origin, double step, double x, double mass) {
+void deposit(MassBuffer& bins, double origin, double step, double x, double mass) {
   if (step == 0.0 || bins.size() == 1) {
     bins[0] += mass;
     return;
@@ -90,8 +109,10 @@ DiscretePdf moment_matched(const DiscretePdf& p, double mean_target, double var_
   if (var_actual <= 0.0) return DiscretePdf::point(mean_target);
   const double r = std::sqrt(var_target / var_actual);
   // The affine map x -> mean_target + r * (x - mean_actual) preserves masses.
-  return DiscretePdf::from_masses(mean_target + r * (p.origin() - mean_actual),
-                                  r * p.step(), std::vector<double>(p.masses()));
+  MassBuffer masses(p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) masses[i] = p.mass_at(i);
+  return from_bins(mean_target + r * (p.origin() - mean_actual), r * p.step(),
+                   std::move(masses));
 }
 }  // namespace
 
@@ -99,7 +120,8 @@ DiscretePdf DiscretePdf::point(double value) {
   DiscretePdf p;
   p.origin_ = value;
   p.step_ = 0.0;
-  p.mass_ = {1.0};
+  p.mass_ = MassBuffer(1);
+  p.mass_[0] = 1.0;
   p.cache_moments();
   return p;
 }
@@ -113,7 +135,7 @@ DiscretePdf DiscretePdf::normal(double mean, double sigma, std::size_t samples,
   const double hi = mean + span_sigmas * sigma;
   p.origin_ = lo;
   p.step_ = (hi - lo) / static_cast<double>(samples - 1);
-  p.mass_.resize(samples);
+  p.mass_ = MassBuffer(samples);
   // Exact bin masses: each grid point owns the CDF mass of the half-open
   // interval around it (tails folded into the end bins).
   double prev_cdf = 0.0;
@@ -132,20 +154,9 @@ DiscretePdf DiscretePdf::normal(double mean, double sigma, std::size_t samples,
 }
 
 DiscretePdf DiscretePdf::from_masses(double origin, double step, std::vector<double> masses) {
-  if (masses.empty()) throw std::invalid_argument("DiscretePdf: empty mass vector");
-  double total = 0.0;
-  for (const double m : masses) {
-    if (m < 0.0) throw std::invalid_argument("DiscretePdf: negative mass");
-    total += m;
-  }
-  if (total <= 0.0) throw std::invalid_argument("DiscretePdf: all-zero masses");
-  for (double& m : masses) m /= total;
-  DiscretePdf p;
-  p.origin_ = origin;
-  p.step_ = masses.size() == 1 ? 0.0 : step;
-  p.mass_ = std::move(masses);
-  p.cache_moments();
-  return p;
+  MassBuffer bins(masses.size());
+  std::copy(masses.begin(), masses.end(), bins.data());
+  return from_bins(origin, step, std::move(bins));
 }
 
 void DiscretePdf::cache_moments() {
@@ -194,7 +205,7 @@ DiscretePdf DiscretePdf::resampled(std::size_t samples) const {
   DiscretePdf p;
   p.origin_ = origin_;
   p.step_ = (max_value() - origin_) / static_cast<double>(samples - 1);
-  p.mass_.assign(samples, 0.0);
+  p.mass_ = MassBuffer(samples);
   for (std::size_t i = 0; i < mass_.size(); ++i) {
     deposit(p.mass_, p.origin_, p.step_, value_at(i), mass_[i]);
   }
@@ -217,7 +228,7 @@ DiscretePdf sum(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples)
   const double hi = std::min(x.max_value() + y.max_value(), mu + kGridSpanSigmas * sd);
   if (hi <= lo) return DiscretePdf::point(mu);
 
-  std::vector<double> bins(std::max<std::size_t>(samples, 2), 0.0);
+  MassBuffer bins(std::max<std::size_t>(samples, 2));
   const double step = (hi - lo) / static_cast<double>(bins.size() - 1);
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double xv = x.value_at(i);
@@ -230,7 +241,7 @@ DiscretePdf sum(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples)
     }
   }
   // Independence: exact result moments are known — pin them.
-  DiscretePdf r = moment_matched(DiscretePdf::from_masses(lo, step, std::move(bins)), mu,
+  DiscretePdf r = moment_matched(from_bins(lo, step, std::move(bins)), mu,
                                  x.variance() + y.variance());
   if constexpr (debug::kParanoid) {
     debug::validate_pdf(r);
@@ -249,7 +260,7 @@ DiscretePdf max(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples)
   // rationale as in sum()).
   const std::size_t n = std::max<std::size_t>(samples, 2);
   const auto eval = [&](double lo, double hi) {
-    std::vector<double> bins(n, 0.0);
+    MassBuffer bins(n);
     const double step = (hi - lo) / static_cast<double>(n - 1);
     CdfSweep fx(x);
     CdfSweep fy(y);
@@ -263,7 +274,7 @@ DiscretePdf max(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples)
     }
     // Guarantee total mass 1 even if the top grid point undershoots F = 1.
     bins[n - 1] += std::max(0.0, 1.0 - prev);
-    return DiscretePdf::from_masses(lo, step, std::move(bins));
+    return from_bins(lo, step, std::move(bins));
   };
 
   // Exact moments of max(X, Y) over the discrete input atoms — O(|x| * |y|),

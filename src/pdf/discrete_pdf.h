@@ -5,10 +5,69 @@
 // accuracy/speed tradeoff.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace statsizer::pdf {
+
+/// A pdf's grid masses. Grids of up to kInline samples (the paper's 10-15
+/// and every engine default) live inline, so constructing, copying and
+/// combining such pdfs never touches the heap; larger grids spill to one
+/// heap block. Only storage: values and arithmetic are those of the
+/// std::vector it replaces.
+class MassBuffer {
+ public:
+  static constexpr std::size_t kInline = 16;
+
+  MassBuffer() = default;
+  /// @p n zero masses.
+  explicit MassBuffer(std::size_t n) : size_(n) {
+    if (n > kInline) heap_ = std::make_unique<double[]>(n);
+    std::fill_n(data(), n, 0.0);
+  }
+  MassBuffer(const MassBuffer& o) : size_(o.size_) {
+    if (size_ > kInline) heap_ = std::make_unique_for_overwrite<double[]>(size_);
+    std::copy_n(o.data(), size_, data());
+  }
+  MassBuffer(MassBuffer&& o) noexcept : size_(o.size_), heap_(std::move(o.heap_)) {
+    if (!heap_) std::copy_n(o.inline_, size_, inline_);
+    o.size_ = 0;
+  }
+  MassBuffer& operator=(const MassBuffer& o) {
+    if (this == &o) return *this;
+    if (o.size_ <= kInline) {
+      heap_.reset();
+    } else if (!heap_ || size_ != o.size_) {
+      heap_ = std::make_unique_for_overwrite<double[]>(o.size_);
+    }
+    size_ = o.size_;
+    std::copy_n(o.data(), size_, data());
+    return *this;
+  }
+  MassBuffer& operator=(MassBuffer&& o) noexcept {
+    size_ = o.size_;
+    heap_ = std::move(o.heap_);
+    if (!heap_) std::copy_n(o.inline_, size_, inline_);
+    o.size_ = 0;
+    return *this;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] double* data() { return heap_ ? heap_.get() : inline_; }
+  [[nodiscard]] const double* data() const { return heap_ ? heap_.get() : inline_; }
+  double& operator[](std::size_t i) { return data()[i]; }
+  double operator[](std::size_t i) const { return data()[i]; }
+  double& front() { return data()[0]; }
+  double& back() { return data()[size_ - 1]; }
+
+ private:
+  std::size_t size_ = 0;
+  std::unique_ptr<double[]> heap_;  ///< set only when size_ > kInline
+  double inline_[kInline];          ///< [0, size_) live when heap_ is null
+};
 
 /// A probability mass function on the uniform grid
 ///   x_i = origin + i * step,  i in [0, size)
@@ -36,7 +95,12 @@ class DiscretePdf {
   [[nodiscard]] double step() const { return step_; }
   [[nodiscard]] double value_at(std::size_t i) const { return origin_ + step_ * i; }
   [[nodiscard]] double mass_at(std::size_t i) const { return mass_[i]; }
-  [[nodiscard]] const std::vector<double>& masses() const { return mass_; }
+  /// The masses, viewed in place.
+  [[nodiscard]] std::span<const double> mass_view() const { return {mass_.data(), mass_.size()}; }
+  /// A copy of the masses.
+  [[nodiscard]] std::vector<double> masses() const {
+    return std::vector<double>(mass_view().begin(), mass_view().end());
+  }
   [[nodiscard]] double min_value() const { return origin_; }
   [[nodiscard]] double max_value() const { return value_at(size() - 1); }
   [[nodiscard]] bool is_point() const { return mass_.size() == 1; }
@@ -60,12 +124,14 @@ class DiscretePdf {
   [[nodiscard]] DiscretePdf resampled(std::size_t samples) const;
 
  private:
+  friend DiscretePdf from_bins(double origin, double step, MassBuffer masses);
+
   /// Fills mean_/variance_ from the grid; every constructor calls it last.
   void cache_moments();
 
   double origin_ = 0.0;
   double step_ = 0.0;
-  std::vector<double> mass_;
+  MassBuffer mass_;
   double mean_ = 0.0;
   double variance_ = 0.0;
 };

@@ -46,7 +46,10 @@
 namespace statsizer::serve {
 
 struct ServerOptions {
-  /// Worker threads for request execution. 0 = hardware concurrency.
+  /// Worker threads for request execution. 0 = hardware concurrency. Stays
+  /// at 1 by default while the library's flow defaults to every core: the
+  /// serving mix is synthetic, so there is no measured traffic to tune for.
+  /// A request runs its kernels inline on its worker either way.
   std::size_t threads = 1;
   JobLimits limits;
   /// Deterministic fault plan applied to every request job (empty = off).

@@ -64,9 +64,12 @@ struct IsleOptions {
   /// otherwise it is the cap on the adaptive loop.
   std::size_t samples = 4096;
   std::uint64_t seed = 12345;
-  /// Worker threads sharding the draw loop. 1 = serial on the calling
-  /// thread; 0 = hardware concurrency. Results are identical for any value.
-  std::size_t threads = 1;
+  /// Worker threads sharding the draw loop. 0 (the default) = hardware
+  /// concurrency, 1 = serial on the calling thread. Results are
+  /// bitwise-identical for any value (counter-based per-draw streams, slot
+  /// writes, in-order folds). Called from inside a pool worker (a serving
+  /// job, a batch flow) the loop runs inline.
+  std::size_t threads = 0;
   /// Clock period (the yield target). 0 = take the bound context's SDC
   /// constraint (TimingConstraints::clock_period_ps); when that is absent
   /// too, fall back to surrogate mean + 2 * surrogate sigma (documented

@@ -1,6 +1,7 @@
 #include "sta/graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "debug/validate.h"
@@ -206,6 +207,8 @@ void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
 }
 
 void ConeWorkspace::restamp(std::size_t node_count) {
+  static std::atomic<std::uint64_t> lists{0};
+  generation = lists.fetch_add(1, std::memory_order_relaxed) + 1;
   if (stamps.size() != node_count || ++stamp == 0) {  // resized or wrapped: reset
     stamps.assign(node_count, 0);
     slots.resize(node_count);

@@ -306,6 +306,10 @@ struct ConeWorkspace {
   std::vector<std::uint32_t> stamps;
   std::vector<std::uint32_t> slots;
   std::uint32_t stamp = 0;  ///< stamp of the current list (0 never marks)
+  /// The current list's id, unique across every workspace in the process
+  /// (drawn from one counter at each restamp), so a holder of a list's
+  /// generation can tell whether a workspace still indexes that list.
+  std::uint64_t generation = 0;
   std::vector<netlist::GateId> nodes;       ///< the current list, by slot
   std::vector<std::uint32_t> level_offset;  ///< its per-level offsets
 

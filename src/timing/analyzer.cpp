@@ -12,6 +12,7 @@
 #include "sta/dsta.h"
 #include "timing/analyzer_impl.h"
 #include "timing/cone.h"
+#include "util/thread_pool.h"
 
 namespace statsizer::timing {
 
@@ -89,7 +90,6 @@ class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
     /// cone's arc delays/sigmas, base moments outside the cone.
     void propagate_arrivals(const sta::ConeWorkspace& ws) override {
       const auto& nl = ctx_.netlist();
-      moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
       const fassta::Engine& engine = *owner_.engine_;
       const std::span<const sta::NodeMoments> base = owner_.current().node;
       const auto arrival_of = [&](GateId id) -> const sta::NodeMoments& {
@@ -144,7 +144,7 @@ class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
     /// The DSTA arrival kernel over the cone: latest arrival from the
     /// cone's arc delays, base arrivals outside the cone.
     void propagate_arrivals(const sta::ConeWorkspace& ws) override {
-      moments_.assign(cone_.nodes.size(), sta::NodeMoments{});  // sigma stays 0
+      // moments_ arrives zeroed; sigma stays 0.
       const std::span<const sta::NodeMoments> base = owner_.current().node;
       const auto arrival_of = [&](GateId id) {
         const std::uint32_t s = ws.slot(id);
@@ -257,6 +257,11 @@ std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
 }
 
 }  // namespace detail
+
+std::size_t speculation_window(const Analyzer& engine, std::size_t threads) {
+  if (!engine.capabilities().concurrent_speculations) return 1;
+  return threads == 0 ? util::ThreadPool::default_thread_count() : threads;
+}
 
 // ---------------------------------------------------------------------------
 // Registry

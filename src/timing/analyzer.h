@@ -175,6 +175,16 @@ class Analyzer {
       std::span<const Resize> resizes) = 0;
 };
 
+/// The one speculation-window rule of the optimizer's speculative walks (the
+/// sizer's in-order confirmations, area recovery's screen): how many
+/// candidates one wave proposes and scores before the walk decides them in
+/// order. It is the resolved worker count (@p threads, 0 = hardware
+/// concurrency) when @p engine scores speculations concurrently, else 1 —
+/// one candidate per worker, because a commit discards the rest of its
+/// wave. Windows never change which moves commit, only how many speculative
+/// scores a commit throws away and how many overlays are held at once.
+[[nodiscard]] std::size_t speculation_window(const Analyzer& engine, std::size_t threads);
+
 /// Engine-specific knobs carried through the registry. Each adapter reads
 /// only its own field.
 struct AnalyzerOptions {

@@ -12,7 +12,9 @@
 // (sta::sweep_levels). Every value array is indexed by cone slot, so a
 // speculation holds O(cone) memory and never allocates or clears anything
 // node- or arc-sized; the only GateId -> slot map is the scoring thread's
-// reused sta::ConeWorkspace. Values outside the cone are untouched (they are
+// reused sta::ConeWorkspace. The cone is collected, and every array sized,
+// when the speculation is proposed; scoring only fills them (collect() /
+// replay()). Values outside the cone are untouched (they are
 // bitwise-unchanged by the resizes), so an engine that calls its own gate
 // kernel over the cone in level order — reading everything else from its
 // cached base — reproduces a from-scratch update() + full run bitwise.
@@ -41,6 +43,7 @@ struct ConeSnapshot {
   /// The cone in order_by_level order (the resized gates, their mapped
   /// drivers, and the downstream fanout closure): slot s is nodes[s].
   std::vector<netlist::GateId> nodes;
+  std::vector<std::uint32_t> level_offset;  ///< nodes' per-level offsets
   /// Re-folded load of every driver of a resized gate, including unmapped
   /// ones (a primary input's load feeds no arc, but apply_snapshot_patch
   /// must still write it to stay bitwise-equal to a full update()).
@@ -56,28 +59,46 @@ struct ConeSnapshot {
   [[nodiscard]] std::pair<double, double> arc(std::uint32_t s, std::size_t i) const {
     return {arc_delay[arc_begin[s] + i], arc_sigma[arc_begin[s] + i]};
   }
+  [[nodiscard]] sta::LevelList list() const { return sta::LevelList{nodes, level_offset}; }
 
-  /// Collects the cone of @p resizes into @p ws and recomputes it against
-  /// @p ctx's current snapshot with update()'s load fold and slew/arc
-  /// kernel. With @p threads != 1 the replay runs as a levelized wavefront
-  /// (bitwise-identical results for any value). Callers already running
-  /// inside a pool worker — a wave of speculations scoring concurrently —
-  /// execute inline regardless. @p ws keeps the cone's slot lookup for the
-  /// engine half.
+  /// The structural half, on the proposing thread: collects the cone of
+  /// @p resizes into @p ws and sizes every value array, so replay() only
+  /// fills storage that already exists. @p ws then indexes the cone.
+  void collect(const sta::TimingContext& ctx, std::span<const Resize> resizes,
+               sta::ConeWorkspace& ws);
+
+  /// The value half: recomputes the collected cone against @p ctx's current
+  /// snapshot with update()'s load fold and slew/arc kernel. @p ws must
+  /// index this cone. With @p threads != 1 the replay runs as a levelized
+  /// wavefront (bitwise-identical results for any value); callers already
+  /// running inside a pool worker — a wave of speculations scoring
+  /// concurrently — execute inline regardless. Allocates nothing once the
+  /// calling thread's temporaries have served a cone this large.
+  void replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
+              const sta::ConeWorkspace& ws, std::size_t threads = 1);
+
+  /// collect() then replay(): a one-shot overlay.
   void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-                 sta::ConeWorkspace& ws, std::size_t threads = 1);
+                 sta::ConeWorkspace& ws, std::size_t threads = 1) {
+    collect(ctx, resizes, ws);
+    replay(ctx, resizes, ws, threads);
+  }
 };
 
-/// The calling thread's cone workspace, reused by every speculation scored
-/// on it, so no score allocates an O(nodes) slot index. A thread scores one
-/// speculation at a time — pool workers run each task to completion and
-/// nested parallel regions run inline — so nothing else touches it mid-score.
+/// The calling thread's cone workspace, reused by every speculation
+/// collected or scored on it, so no what-if allocates an O(nodes) slot
+/// index. A thread scores one speculation at a time — pool workers run each
+/// task to completion and nested parallel regions run inline — so nothing
+/// else touches it mid-score.
 sta::ConeWorkspace& thread_cone_workspace();
 
 /// The exact cone speculation. Owner is the analyzer (a BoundAnalyzer); the
 /// subclass is nested in it, so its engine half reads the owner's cached
-/// base directly. score() writes only the speculation's private overlay and
-/// its thread's cone workspace, so speculations fan out in parallel;
+/// base directly. Construction (propose(), on the proposing thread) collects
+/// the cone and allocates the whole overlay; score() writes only that
+/// pre-sized overlay and its thread's cone workspace, so speculations fan
+/// out in parallel and a pool worker scoring one allocates nothing of its
+/// own (its workspace and replay temporaries are reused across scores).
 /// commit() installs the overlay incrementally — sizes into the netlist, the
 /// snapshot half through TimingContext::apply_snapshot_patch()
 /// (bitwise-equal to a full update()), the engine half into the owner's
@@ -85,16 +106,29 @@ sta::ConeWorkspace& thread_cone_workspace();
 template <typename Owner>
 class ConeSpeculation : public Speculation {
  public:
+  /// Collects the cone and sizes the whole overlay on the proposing thread
+  /// (see the class comment); subclasses size their own overlay state in
+  /// their constructors.
   ConeSpeculation(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
       : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
     resizes_.assign(resizes.begin(), resizes.end());
+    sta::ConeWorkspace& ws = thread_cone_workspace();
+    cone_.collect(ctx_, resizes_, ws);
+    collected_generation_ = ws.generation;
+    moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
   }
 
   const Summary& score() final {
     if (scored_) return result_;  // cached scores stay readable after invalidation
     owner_.guard_epoch(epoch_);
     sta::ConeWorkspace& ws = thread_cone_workspace();
-    cone_.propagate(ctx_, resizes_, ws, replay_threads());
+    // A speculation scored where it was proposed, with nothing collected in
+    // between, finds its cone still indexed; elsewhere the scoring thread
+    // re-stamps its own workspace from the collected list.
+    if (ws.generation != collected_generation_) {
+      ws.index_list(ctx_.netlist().node_count(), cone_.nodes);
+    }
+    cone_.replay(ctx_, resizes_, ws, replay_threads());
     propagate_arrivals(ws);
     scored_ = true;
     return result_;
@@ -120,9 +154,9 @@ class ConeSpeculation : public Speculation {
   /// inline when scoring inside a pool worker): update()'s knob by default.
   virtual std::size_t replay_threads() const { return ctx_.options().threads; }
   /// Engine half of score(): run the engine's gate kernel over the cone
-  /// (ws.cone(), slots shared with cone_), reading nodes outside it
-  /// (ws.slot() == kNoSlot) from the owner's base, and fill moments_ and
-  /// result_.mean_ps / result_.sigma_ps.
+  /// (cone_.list(); ws.slot() maps a GateId to its slot), reading nodes
+  /// outside it (ws.slot() == kNoSlot) from the owner's base, and fill the
+  /// pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
   virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
   /// Commit half: install any per-slot state besides moments_ in the base.
   virtual void merge_arrivals() {}
@@ -132,6 +166,7 @@ class ConeSpeculation : public Speculation {
   std::uint64_t epoch_ = 0;
   ConeSnapshot cone_;
   std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
+  std::uint64_t collected_generation_ = 0;  ///< the cone's list in the proposer's workspace
   Summary result_;
   bool scored_ = false;
   bool committed_ = false;

@@ -16,7 +16,9 @@
 // Overlay storage is sparse: the arrival pdfs and moments are indexed by
 // cone slot, so a speculation holds O(cone) pdfs and never touches an
 // O(nodes) array (the GateId -> slot lookup is the scoring thread's reused
-// sta::ConeWorkspace).
+// sta::ConeWorkspace). Both are sized when the speculation is proposed, and
+// the pdfs' grids are inline (pdf::MassBuffer), so a pool worker scoring a
+// what-if fills them without allocating.
 #include <utility>
 
 #include "timing/cone.h"
@@ -45,7 +47,9 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
 
   class WhatIfSpeculation final : public ConeSpeculation<FullSstaAnalyzer> {
    public:
-    using ConeSpeculation::ConeSpeculation;
+    WhatIfSpeculation(FullSstaAnalyzer& owner, sta::TimingContext& ctx,
+                      std::span<const Resize> resizes)
+        : ConeSpeculation(owner, ctx, resizes), ov_arrival_(cone_.nodes.size()) {}
 
    private:
     /// Both halves run wavefront-parallel with FullSstaOptions::threads (a
@@ -60,15 +64,13 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
     void propagate_arrivals(const sta::ConeWorkspace& ws) override {
       const auto& nl = ctx_.netlist();
       const ssta::FullSstaOptions& options = owner_.options_;
-      ov_arrival_.assign(cone_.nodes.size(), DiscretePdf());
-      moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
       const auto arrival_of = [&](GateId id) -> const DiscretePdf& {
         const std::uint32_t s = ws.slot(id);
         return s != sta::ConeWorkspace::kNoSlot ? ov_arrival_[s] : owner_.base_arrival_[id];
       };
       // Cone nodes are mapped gates, so each has fanins to fold.
       const std::size_t cutoff = ctx_.options().min_level_width_for_parallel;
-      sta::sweep_levels(ws.cone(), options.threads, cutoff, 1, [&](GateId id, std::uint32_t s) {
+      sta::sweep_levels(cone_.list(), options.threads, cutoff, 1, [&](GateId id, std::uint32_t s) {
         DiscretePdf acc = ssta::gate_arrival(nl.gate(id), options, arrival_of,
                                              [&](std::size_t i) { return cone_.arc(s, i); });
         moments_[s] = sta::NodeMoments{acc.mean(), acc.stddev()};

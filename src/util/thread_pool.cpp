@@ -14,7 +14,10 @@ std::size_t ThreadPool::default_thread_count() {
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(default_thread_count());
+  // parallel_for's caller drains chunks too, so one worker fewer than the
+  // hardware's threads already reaches full concurrency; a spare worker
+  // would only hold its own stack, arena and per-thread scratch.
+  static ThreadPool pool(std::max<std::size_t>(1, default_thread_count() - 1));
   return pool;
 }
 

@@ -52,10 +52,11 @@ class ThreadPool {
   /// hardware_concurrency clamped to >= 1.
   [[nodiscard]] static std::size_t default_thread_count();
 
-  /// Lazily-created process-wide pool (default_thread_count workers) that
-  /// parallel_for dispatches onto — repeated parallel regions reuse threads
-  /// instead of paying spawn/join per call. Thread-safe (C++ static-local
-  /// initialization).
+  /// Lazily-created process-wide pool that parallel_for dispatches onto —
+  /// repeated parallel regions reuse threads instead of paying spawn/join
+  /// per call. It has default_thread_count() - 1 workers (at least 1): the
+  /// calling thread drains chunks too, so that reaches hardware concurrency.
+  /// Thread-safe (C++ static-local initialization).
   [[nodiscard]] static ThreadPool& shared();
 
   /// True when the calling thread is a worker of any ThreadPool. Used by
@@ -91,7 +92,7 @@ namespace detail {
 /// parallel region, everything executes inline on the calling thread.
 /// Otherwise the caller plus up to threads - 1 helper tasks on the shared
 /// pool pull chunks from an atomic cursor (actual concurrency is also capped
-/// by the shared pool's size). threads == 0 means
+/// by the shared pool's size plus the caller). threads == 0 means
 /// ThreadPool::default_thread_count(). Returns only after every helper has
 /// finished, so the body may capture caller-stack state by reference.
 ///

@@ -297,6 +297,16 @@ TEST_P(AreaRecoveryParallel, MatchesPrePortSerialLoop) {
   }
 }
 
+TEST_P(AreaRecoveryParallel, OddScreenWindowsIdenticalToSerial) {
+  // The screen window is the worker count (timing::speculation_window), so 3
+  // and 5 cut the wave walk at boundaries no other case uses.
+  const RunResult ref = run_once(circuit(), options(), 1, headroom());
+  ASSERT_GT(ref.stats.downsizes, 0u);
+  for (const std::size_t threads : {3u, 5u}) {
+    expect_identical(ref, run_once(circuit(), options(), threads, headroom()), threads);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Circuits, AreaRecoveryParallel,
     ::testing::Values(std::pair(0, RecoveryCriterion::kDeterministicArrival),

@@ -114,6 +114,19 @@ TEST(SizerParallel, BalancedFabricGlobalSweepIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SizerParallel, OddSpeculationWindowsIdenticalToSerial) {
+  // The confirmation window is the worker count (timing::speculation_window),
+  // so 3 and 5 cut the in-order walks at boundaries no other case uses.
+  const auto chain = run_once(circuits::make_cla_adder(8), 3.0, 1);
+  const auto fabric = run_once(parity_fabric(16), 9.0, 1);
+  ASSERT_GT(chain.stats.exact_resizes, 0u);
+  ASSERT_GT(fabric.stats.global_sweeps, 0u);
+  for (const std::size_t threads : {3u, 5u}) {
+    expect_identical(chain, run_once(circuits::make_cla_adder(8), 3.0, threads), threads);
+    expect_identical(fabric, run_once(parity_fabric(16), 9.0, threads), threads);
+  }
+}
+
 TEST(SizerParallel, SubcircuitScoringModeIdenticalAcrossThreadCounts) {
   const auto run = [](std::size_t threads) {
     Bench b(circuits::make_ripple_adder(8));
