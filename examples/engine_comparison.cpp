@@ -53,11 +53,9 @@ int compare(const std::string& name, const std::vector<std::string>& engines,
     // Copy: the timed re-analyze below invalidates the returned reference.
     const timing::Summary s = analyzer->analyze(flow.timing());
     const double ms = time_ms([&] { (void)analyzer->analyze(flow.timing()); });
-    const timing::Capabilities caps = analyzer->capabilities();
     t.add_row({engine, util::fmt(s.mean_ps, 1), util::fmt(s.sigma_ps, 2),
                util::fmt(ms, 2),
-               caps.concurrent_speculations ? "parallel"
-                                            : (caps.what_if ? "serial" : "-")});
+               analyzer->capabilities().concurrent_speculations ? "parallel" : "serial"});
   }
   std::printf("global_fraction = %.1f\n%s\n", global_fraction, t.to_string().c_str());
   return 0;

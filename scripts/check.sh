@@ -155,7 +155,7 @@ fi
 if [[ "${TSAN}" == 1 ]]; then
   # Race-check the code that actually runs concurrently: the parallel_for /
   # ThreadPool primitives, the wavefront propagation kernels, the parallel
-  # speculative scoring waves of the sizer and area recovery, the sharded
+  # speculative scoring windows of the sizer and area recovery, the sharded
   # MC/ISLE draw loops, the FASSTA engine's lazily refreshed base (many
   # scorers race to refresh it after an epoch bump), and the analyzer
   # conformance suite (which drives concurrent speculations through every
@@ -169,12 +169,12 @@ if [[ "${TSAN}" == 1 ]]; then
   # worker triangle are exactly the lifetimes TSan should walk. ConeBuilder is
   # in too: concurrent FASSTA scorers and speculation waves each collect
   # their cones into their own reused workspace. So are FlowThreading (the
-  # default, threaded flow against the serial one) and WhatIfAllocation /
+  # default, threaded flow against the serial one), WhatIfAllocation /
   # PdfAllocation (a pool worker scoring an overlay sized on the proposing
-  # thread).
+  # thread), and FirstAccepted (the speculative walk's parallel windows).
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "netlist/topo.h"
+#include "util/json.h"
 
 namespace statsizer::drc {
 
@@ -544,55 +545,24 @@ std::string format_text(const DrcReport& report) {
   return out;
 }
 
-namespace {
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-}  // namespace
-
 std::string format_json(const DrcReport& report) {
-  std::string out = "{\"errors\":" + std::to_string(report.errors()) +
-                    ",\"warnings\":" + std::to_string(report.warnings()) +
-                    ",\"diagnostics\":[";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
-    if (i > 0) out += ",";
-    out += "{\"rule\":\"";
-    out += rule_id(d.rule);
-    out += "\",\"severity\":\"";
-    out += severity_name(d.severity);
-    out += "\",\"object\":\"";
-    json_escape(out, d.object);
-    out += "\",\"message\":\"";
-    json_escape(out, d.message);
-    out += "\",\"witness\":[";
-    for (std::size_t w = 0; w < d.witness.size(); ++w) {
-      if (w > 0) out += ",";
-      out += "\"";
-      json_escape(out, d.witness[w]);
-      out += "\"";
-    }
-    out += "],\"file\":\"";
-    json_escape(out, d.file);
-    out += "\",\"line\":" + std::to_string(d.line) + "}";
+  util::Json root;
+  root["errors"] = report.errors();
+  root["warnings"] = report.warnings();
+  util::Json& diagnostics = root["diagnostics"] = util::Json::Array{};
+  for (const Diagnostic& d : report.diagnostics) {
+    util::Json j;
+    j["rule"] = rule_id(d.rule);
+    j["severity"] = severity_name(d.severity);
+    j["object"] = d.object;
+    j["message"] = d.message;
+    util::Json& witness = j["witness"] = util::Json::Array{};
+    for (const std::string& w : d.witness) witness.push_back(w);
+    j["file"] = d.file;
+    j["line"] = d.line;
+    diagnostics.push_back(std::move(j));
   }
-  out += "]}\n";
-  return out;
+  return root.dump() + "\n";
 }
 
 }  // namespace statsizer::drc

@@ -127,8 +127,8 @@ struct DrcReport {
 /// ("file:line: error: [rule-id] message (witness: a -> b)").
 [[nodiscard]] std::string format_text(const DrcReport& report);
 
-/// Machine-readable rendering:
-/// {"errors":N,"warnings":M,"diagnostics":[{...}, ...]}.
+/// Machine-readable rendering, one line of util::Json (members sorted):
+/// {"diagnostics":[{...}, ...],"errors":N,"warnings":M}.
 [[nodiscard]] std::string format_json(const DrcReport& report);
 
 }  // namespace statsizer::drc

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
+#include <span>
 #include <vector>
 
 #include "ssta/fullssta.h"
-#include "util/thread_pool.h"
 
 namespace statsizer::opt {
 
@@ -48,10 +47,6 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   engine_options.fassta = options.fassta;
   const auto screen = timing::make_analyzer(screen_engine_name(options, statistical),
                                             engine_options);
-  if (!screen->capabilities().what_if) {
-    throw std::invalid_argument("recover_area: screen engine \"" +
-                                std::string(screen->name()) + "\" lacks what-if speculation");
-  }
 
   AreaRecoveryStats stats;
   ctx.update();
@@ -77,10 +72,6 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   double exact_sigma_budget = 0.0;
   if (statistical) {
     confirm = timing::make_analyzer(options.confirm_engine, engine_options);
-    if (!confirm->capabilities().what_if) {
-      throw std::invalid_argument("recover_area: confirm engine \"" +
-                                  options.confirm_engine + "\" lacks what-if speculation");
-    }
     const timing::Summary& full = confirm->analyze(ctx);
     exact_cost_budget = obj.cost(full.mean_ps, full.sigma_ps) * (1.0 + options.tolerance);
     exact_sigma_budget = full.sigma_ps * (1.0 + options.sigma_tolerance);
@@ -142,14 +133,6 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     return ok;
   };
 
-  // Wave geometry: timing::speculation_window — one per-gate candidate per
-  // worker with a concurrent screen engine, else 1 (one trial at a time).
-  // A commit invalidates the tail (the base moved), so wider waves would
-  // waste speculative scores during accept-heavy stretches; the wave walk
-  // below makes the committed sequence independent of the window size, so
-  // results are bitwise-identical for any thread count.
-  const std::size_t window = timing::speculation_window(*screen, options.threads);
-
   bool stopped = false;
   for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
     const std::vector<GateId> order = recovery_order(ctx);
@@ -159,75 +142,46 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     // share and `changed` keeps matching the committed netlist.
     std::size_t changed_since_checkpoint = 0;
 
-    // The wave walk. Serial semantics being reproduced: visit gates in
-    // descending-area order; downsize each one step at a time until a trial
-    // violates a budget (the gate is then done for this pass) or size 0.
-    // Every trial is judged against the committed base holding exactly the
-    // accepts ordered before it. A wave proposes the next candidate of each
-    // gate in the window; the walk scans the fixed order, rejections are
-    // final (their basis matched), and the first acceptance commits and
-    // invalidates the tail — the next wave restarts at the accepting gate
-    // (its next downsize step is the next serial trial).
-    std::size_t pos = 0;
-    std::vector<std::unique_ptr<timing::Speculation>> wave;
-    while (pos < order.size() && !stopped) {
-      const std::size_t count = std::min(order.size() - pos, window);
-      wave.clear();
-      wave.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint16_t cur = nl.gate(order[pos + i]).size_index;
-        if (cur == 0) continue;  // defensive: nothing left to shrink
-        wave[i] = screen->propose(order[pos + i], static_cast<std::uint16_t>(cur - 1));
+    // Visit gates in descending-area order and downsize each one step at a
+    // time until a trial violates a budget (the gate is then done for this
+    // pass) or size 0: after an acceptance the walk resumes at the accepted
+    // gate while it has headroom.
+    std::span<const GateId> rest = order;
+    while (!rest.empty() && !stopped) {
+      const timing::Accepted hit = timing::first_accepted(
+          *screen, options.threads, rest.size(),
+          [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
+            const std::uint16_t cur = nl.gate(rest[i]).size_index;
+            if (cur == 0) return nullptr;  // defensive: nothing left to shrink
+            return screen->propose(rest[i], static_cast<std::uint16_t>(cur - 1));
+          },
+          [&](std::size_t, const timing::Summary& s) {
+            ++stats.screen_trials;
+            return screen_cost(s) <= screen_budget &&
+                   (!statistical || s.sigma_ps <= screen_sigma_budget);
+          });
+      if (hit.speculation == nullptr) break;
+      const GateId g = rest[hit.index];
+      // Checkpoint bookkeeping is only consumed by the statistical chunk
+      // verification; the deterministic criterion skips its cost.
+      if (statistical) {
+        note_accept(g, nl.gate(g).size_index);
+        ++changed_since_checkpoint;
+        ++since_checkpoint;
       }
-      if (count > 1) {
-        // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, window,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               if (wave[i] != nullptr) (void)wave[i]->score();
-                             }
-                           });
+      hit.speculation->commit();  // incremental: patches the snapshot, no update()
+      ++stats.downsizes;
+      ++changed;
+      rest = rest.subspan(nl.gate(g).size_index > 0 ? hit.index : hit.index + 1);
+      if (statistical && since_checkpoint >= kChunk) {
+        if (verify_chunk()) {
+          changed_since_checkpoint = 0;
+        } else {
+          changed -= changed_since_checkpoint;
+          changed_since_checkpoint = 0;
+          stopped = true;
+        }
       }
-      std::size_t advanced = count;  // whole window decided, no acceptance
-      for (std::size_t i = 0; i < count; ++i) {
-        if (wave[i] == nullptr) continue;
-        ++stats.screen_trials;
-        const timing::Summary& s = wave[i]->score();  // cached when prescored
-        const bool ok = screen_cost(s) <= screen_budget &&
-                        (!statistical || s.sigma_ps <= screen_sigma_budget);
-        if (!ok) {
-          // Rejected: the gate is done for this pass. Free its cone-sized
-          // overlay now instead of holding every rejected one until the
-          // window ends.
-          wave[i].reset();
-          continue;
-        }
-        const GateId g = order[pos + i];
-        // Checkpoint bookkeeping is only consumed by the statistical
-        // chunk verification; the deterministic criterion skips its cost.
-        if (statistical) {
-          note_accept(g, nl.gate(g).size_index);
-          ++changed_since_checkpoint;
-          ++since_checkpoint;
-        }
-        wave[i]->commit();  // incremental: patches the snapshot, no update()
-        ++stats.downsizes;
-        ++changed;
-        // Re-wave at this gate while it has headroom (the serial loop keeps
-        // downsizing the same gate until a rejection).
-        advanced = nl.gate(g).size_index > 0 ? i : i + 1;
-        if (statistical && since_checkpoint >= kChunk) {
-          if (verify_chunk()) {
-            changed_since_checkpoint = 0;
-          } else {
-            changed -= changed_since_checkpoint;
-            changed_since_checkpoint = 0;
-            stopped = true;
-          }
-        }
-        break;  // the commit invalidated the remaining wave
-      }
-      pos += advanced;
     }
     if (changed == 0) break;
   }

@@ -26,16 +26,10 @@
 // speculation from the last checkpoint; a failed verification rolls the
 // whole chunk back and stops.
 //
-// Concurrency (docs/ARCHITECTURE.md, "Concurrency & determinism contracts"):
-// when the screen engine supports concurrent speculations, a wave of
-// per-gate downsize candidates is scored across util::ThreadPool workers
-// (each speculation holds a private overlay) and the descending-area order
-// is then walked serially — the first acceptance commits and the tail
-// re-speculates against the new base, so every trial is judged against the
-// state holding exactly the commits ordered before it, which is the serial
-// loop's semantics. Accepted downsizes, final sizes, and AreaRecoveryStats
-// are bitwise-identical for any `threads` value, and identical to the
-// pre-port serial mutate-and-rerun loop (pinned by
+// Concurrency: the screen walks the descending-area order through
+// timing::first_accepted, so accepted downsizes, final sizes, and
+// AreaRecoveryStats are bitwise-identical for any `threads` value, and
+// identical to the pre-port serial mutate-and-rerun loop (pinned by
 // tests/area_recovery_parallel_test.cpp, which keeps that loop as its
 // reference oracle).
 #pragma once
@@ -73,17 +67,16 @@ struct AreaRecoveryOptions {
   /// reported objective use one statistical model (core::Flow plumbs its
   /// options_.fullssta here).
   ssta::FullSstaOptions fullssta;
-  /// Worker threads for the speculative screening waves (one candidate per
-  /// worker per wave: timing::speculation_window). 1 = serial on the calling
-  /// thread; 0 = hardware concurrency. Results are bitwise-identical for any
-  /// value.
+  /// Worker threads for the speculative screening walk
+  /// (timing::first_accepted). 1 = serial on the calling thread; 0 =
+  /// hardware concurrency. Results are bitwise-identical for any value.
   std::size_t threads = 1;
-  /// Screen engine (timing::make_analyzer registry name). Empty = pick by
-  /// criterion: "dsta" for kDeterministicArrival, "fassta" for
-  /// kStatisticalCost — the pre-port behaviour. Must support what-if
-  /// speculation; engines without concurrent_speculations screen serially.
+  /// Screen engine (timing::make_analyzer name). Empty = pick by criterion:
+  /// "dsta" for kDeterministicArrival, "fassta" for kStatisticalCost — the
+  /// pre-port behaviour. Engines without concurrent_speculations screen
+  /// serially.
   std::string screen_engine;
-  /// Exact verification engine for kStatisticalCost (must support what-if).
+  /// Exact verification engine for kStatisticalCost.
   std::string confirm_engine = "fullssta";
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -55,15 +56,14 @@ CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library
 
 /// The fast-engine side of the inner loop: either the specialized fassta
 /// kernel (score_engine == "fassta", the default — per-worker Scratch, zero
-/// per-candidate allocation) or any other registry engine speculating
+/// per-candidate allocation) or any other engine speculating
 /// through the timing::Analyzer interface.
 struct InnerScorer {
   const fassta::Engine* fassta = nullptr;   ///< fast path when non-null
-  timing::Analyzer* analyzer = nullptr;     ///< registry path otherwise
-  /// Registry path only: the analyzer's base matches the current snapshot,
-  /// so score_candidates can skip the from-scratch re-base. The sizer clears
-  /// this whenever a confirmation commits (netlist + snapshot moved).
-  bool base_current = false;
+  timing::Analyzer* analyzer = nullptr;     ///< analyzer path otherwise
+  /// Analyzer path only: the TimingContext::snapshot_epoch() the analyzer's
+  /// base was taken at. score_candidates re-bases when the epoch has moved.
+  std::optional<std::uint64_t> base_epoch;
 };
 
 /// The parallel candidate-scoring kernel shared by the plan stage and the
@@ -92,9 +92,9 @@ std::vector<double> score_candidates(sta::TimingContext& ctx,
 
   if (scorer.fassta == nullptr) {
     timing::Analyzer& analyzer = *scorer.analyzer;
-    if (!scorer.base_current) {
+    if (scorer.base_epoch != ctx.snapshot_epoch()) {
       (void)analyzer.analyze(ctx);  // re-base against the frozen snapshot
-      scorer.base_current = true;
+      scorer.base_epoch = ctx.snapshot_epoch();
     }
     const std::size_t threads =
         analyzer.capabilities().concurrent_speculations ? options.threads : 1;
@@ -157,7 +157,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   const auto& lib = ctx.library();
   const Objective& obj = options.objective;
 
-  // Engine selection through the timing::Analyzer registry. The fassta
+  // Engine selection through timing::make_analyzer. The fassta
   // score engine keeps the specialized kernel below; everything accurate
   // goes through the confirm analyzer's transactional what-if API.
   timing::AnalyzerOptions engine_options;
@@ -170,16 +170,16 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   }
   const std::unique_ptr<timing::Analyzer> confirm =
       timing::make_analyzer(options.confirm_engine, engine_options);
-  if (!confirm->capabilities().what_if || !confirm->capabilities().per_node_moments) {
+  if (!confirm->capabilities().per_node_moments) {
     throw std::invalid_argument("confirm engine \"" + options.confirm_engine +
-                                "\" lacks what-if speculation or per-node moments");
+                                "\" lacks per-node moments");
   }
   const fassta::Engine engine(ctx, options.fassta);
   std::unique_ptr<timing::Analyzer> score_analyzer;
   if (!fassta_scorer) {
     score_analyzer = timing::make_analyzer(options.score_engine, engine_options);
   }
-  InnerScorer scorer{fassta_scorer ? &engine : nullptr, score_analyzer.get()};
+  InnerScorer scorer{fassta_scorer ? &engine : nullptr, score_analyzer.get(), std::nullopt};
 
   // Yield-constraint mode: validated up front so a typo'd engine name or a
   // missing clock fails loudly instead of surfacing mid-run (or never, when
@@ -216,63 +216,31 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     stats.trajectory.push_back(ResizeEvent{stats.iterations, gate, from, to, source});
   };
 
-  // Wave-based speculative confirmation of a fixed-order candidate list.
-  // Each wave proposes a speculation per candidate in its window against the
-  // committed base, scores them — in parallel when the window holds more
-  // than one — then walks the fixed order and commits the first
-  // improvement. The commit invalidates the wave (the base moved), so the
-  // tail re-speculates against the new base: candidate i is always judged
-  // against the state containing exactly the commits ordered before it,
-  // which is the serial trial loop's semantics. Scores are pure functions
-  // of (base, candidate), so the decisions — and every downstream result —
-  // are bitwise-identical for any thread count and any window. The window
-  // is timing::speculation_window: one candidate per worker (a commit lands
-  // early in the order, so wider waves mostly score candidates it throws
-  // away), and 1 when serial.
-  const std::size_t window = timing::speculation_window(*confirm, options.threads);
+  // Confirms a fixed-order candidate list through timing::first_accepted:
+  // commits each first improvement and walks on from the next candidate.
   const auto confirm_in_order = [&](std::span<const timing::Resize> ordered,
                                     double& accepted_cost, MoveSource source) {
     std::size_t kept = 0;
-    std::size_t next = 0;
-    std::vector<std::unique_ptr<timing::Speculation>> specs;
-    while (next < ordered.size()) {
-      const std::size_t count = std::min(ordered.size() - next, window);
-      specs.clear();
-      specs.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const timing::Resize& c = ordered[next + i];
-        if (nl.gate(c.gate).size_index == c.size) continue;  // earlier commit moved it here
-        specs[i] = confirm->propose(c.gate, c.size);
-      }
-      if (count > 1) {
-        // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, window,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               if (specs[i] != nullptr) (void)specs[i]->score();
-                             }
-                           });
-      }
-      bool committed = false;
-      for (std::size_t i = 0; i < count && !committed; ++i) {
-        if (specs[i] == nullptr) continue;
-        const timing::Summary& s = specs[i]->score();  // cached when prescored
-        const double cost = obj.cost(s.mean_ps, s.sigma_ps);
-        if (cost < accepted_cost - options.min_improvement) {
-          const timing::Resize& c = ordered[next + i];
-          const std::uint16_t from = nl.gate(c.gate).size_index;
-          specs[i]->commit();
-          scorer.base_current = false;  // the snapshot moved under the scorer
-          accepted_cost = cost;
-          ++kept;
-          record(c.gate, from, c.size, source);
-          next += i + 1;
-          committed = true;
-        } else {
-          specs[i].reset();  // a rejected trial's overlay is never reread
-        }
-      }
-      if (!committed) next += count;  // whole window rejected: move on
+    double cost = 0.0;
+    while (!ordered.empty()) {
+      const timing::Accepted hit = timing::first_accepted(
+          *confirm, options.threads, ordered.size(),
+          [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
+            const timing::Resize& c = ordered[i];
+            if (nl.gate(c.gate).size_index == c.size) return nullptr;  // moved here by a commit
+            return confirm->propose(c.gate, c.size);
+          },
+          [&](std::size_t, const timing::Summary& s) {
+            cost = obj.cost(s.mean_ps, s.sigma_ps);
+            return cost < accepted_cost - options.min_improvement;
+          });
+      if (hit.speculation == nullptr) break;
+      const timing::Resize& c = ordered[hit.index];
+      record(c.gate, nl.gate(c.gate).size_index, c.size, source);
+      hit.speculation->commit();
+      accepted_cost = cost;
+      ++kept;
+      ordered = ordered.subspan(hit.index + 1);
     }
     return kept;
   };
@@ -353,7 +321,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
           record(r.gate, nl.gate(r.gate).size_index, r.new_size, MoveSource::kPlan);
         }
         batch_spec->commit();
-        scorer.base_current = false;  // the snapshot moved under the scorer
         accepted = plan.size();
         accepted_cost = batch_cost;
       } else {
@@ -378,9 +345,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     // Bounded exact-engine sweep over a gate list: the fast engine prescores
     // every (gate, size) candidate in parallel — the same kernel as the plan
     // stage — to order the trials by predicted gain; the accurate engine then
-    // confirms the candidates in that fixed order through speculative
-    // what-ifs (each wave scores in parallel, commits apply serially, and a
-    // trial's basis always includes exactly the moves confirmed before it).
+    // confirms the candidates in that fixed order (confirm_in_order).
     // The prescore only orders, never filters: engine disagreement is
     // exactly what this rescue exists for.
     const auto exact_sweep = [&](std::span<const GateId> gates, MoveSource source) {
@@ -495,7 +460,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
         const double c = obj.cost(s.mean_ps, s.sigma_ps);
         if (c < accepted_cost - options.min_improvement) {
           spec->commit();
-          scorer.base_current = false;  // the snapshot moved under the scorer
           accepted_cost = c;
           return true;
         }

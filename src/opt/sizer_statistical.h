@@ -27,14 +27,9 @@
 // "Concurrency & determinism contracts").
 //
 // The accurate confirmations (batch acceptance, the singles retry, the
-// rescue sweeps) run through the timing::Analyzer what-if API: each trial is
-// a Speculation scored against the committed base without touching the
-// netlist or the snapshot. When the confirm engine supports concurrent
-// speculations (FULLSSTA's incremental fanout-cone overlay does), a wave of
-// pending trials — one per worker (timing::speculation_window) — is scored
-// in parallel and commits are applied serially in the fixed gain order —
-// the decisions, and therefore every result, are bitwise-identical to the
-// serial trial loop for any thread count.
+// rescue sweeps) are timing::Analyzer speculations scored against the
+// committed base; the in-order ones walk through timing::first_accepted,
+// whose contract keeps them bitwise-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +62,7 @@ struct StatisticalSizerOptions {
   InnerScoring scoring = InnerScoring::kGlobalFassta;
   unsigned subcircuit_levels = 2;          ///< TFI/TFO depth (paper: 2)
   /// Worker threads for the inner-loop candidate scoring (and the rescue
-  /// paths' fast-engine prescoring) and the exact confirmation waves. 1 =
+  /// paths' fast-engine prescoring) and the exact confirmation walks. 1 =
   /// serial on the calling thread; 0 = hardware concurrency (core::Flow's
   /// default, FlowOptions::sizer_threads). Results — trajectory, stats,
   /// final sizes — are bitwise-identical for any value.
@@ -86,13 +81,13 @@ struct StatisticalSizerOptions {
   fassta::EngineOptions fassta;            ///< inner-engine controls
   WnssOptions wnss;                        ///< tracer controls
   /// Accurate confirmation engine, resolved through timing::make_analyzer.
-  /// Must support what-if speculation and per-node moments (WNSS tracing).
+  /// Must report per-node moments (WNSS tracing).
   /// Default: the paper's FULLSSTA, whose incremental what-if lets rescue
   /// confirmations score in parallel.
   std::string confirm_engine = "fullssta";
-  /// Fast candidate-scoring engine (registry name). "fassta" uses the
+  /// Fast candidate-scoring engine (timing::make_analyzer name). "fassta" uses the
   /// specialized zero-allocation kernel (and is required for
-  /// InnerScoring::kSubcircuit); any other registered engine scores through
+  /// InnerScoring::kSubcircuit); any other engine scores through
   /// timing::Analyzer speculations.
   std::string score_engine = "fassta";
   /// Optional constraint mode: stop as soon as sigma reaches this target.

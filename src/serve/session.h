@@ -48,9 +48,8 @@ namespace statsizer::serve {
 
 struct SessionOptions {
   core::FlowOptions flow;
-  /// What-if engine (timing::make_analyzer registry name). Must support
-  /// what_if; "fullssta" (default) also supports concurrent single-resize
-  /// speculations.
+  /// What-if engine (timing::make_analyzer name). "fullssta" (default)
+  /// scores single-resize speculations concurrently.
   std::string engine = "fullssta";
 };
 

@@ -1,10 +1,9 @@
-// Registry plus the FASSTA / DSTA / Monte-Carlo adapters. The FULLSSTA
-// adapter (the incremental what-if overlay) lives in fullssta_analyzer.cpp.
+// The engine table, the speculative walk, and the FASSTA / DSTA / canonical /
+// Monte-Carlo adapters. The FULLSSTA adapter (the incremental what-if
+// overlay) lives in fullssta_analyzer.cpp, the ISLE one in isle_analyzer.cpp.
 #include "timing/analyzer.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -54,10 +53,6 @@ void BoundAnalyzer::validate_resizes(std::span<const Resize> resizes) const {
 namespace {
 
 using netlist::GateId;
-
-// The SerializedSpeculation / SerializedAnalyzer fallback plumbing lives in
-// analyzer_impl.h (detail) so out-of-file adapters — the ISLE engine in
-// isle_analyzer.cpp — can subclass it too.
 
 // ---------------------------------------------------------------------------
 // FASSTA and DSTA: exact incremental what-ifs over the shared cone
@@ -186,13 +181,7 @@ class CanonicalAnalyzer final : public SerializedAnalyzer {
 
   std::string_view name() const override { return "canonical"; }
 
-  Capabilities capabilities() const override {
-    Capabilities c;
-    c.per_node_moments = true;
-    c.what_if = true;
-    c.exact_speculation = true;
-    return c;
-  }
+  Capabilities capabilities() const override { return {.per_node_moments = true}; }
 
  private:
   Summary compute(sta::TimingContext& ctx) override {
@@ -221,11 +210,7 @@ class McAnalyzer final : public SerializedAnalyzer {
   std::string_view name() const override { return "mc"; }
 
   Capabilities capabilities() const override {
-    Capabilities c;
-    c.per_node_moments = mc_.per_node_stats;
-    c.what_if = true;
-    c.exact_speculation = true;
-    return c;
+    return {.per_node_moments = mc_.per_node_stats};
   }
 
  private:
@@ -258,71 +243,81 @@ std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
 
 }  // namespace detail
 
-std::size_t speculation_window(const Analyzer& engine, std::size_t threads) {
-  if (!engine.capabilities().concurrent_speculations) return 1;
-  return threads == 0 ? util::ThreadPool::default_thread_count() : threads;
+Accepted first_accepted(
+    Analyzer& engine, std::size_t threads, std::size_t count,
+    const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
+    const std::function<bool(std::size_t, const Summary&)>& accept) {
+  // One candidate per worker: an acceptance discards the rest of its window,
+  // and acceptances land early in the optimizer's orders.
+  std::size_t window = 1;
+  if (engine.capabilities().concurrent_speculations) {
+    window = threads == 0 ? util::ThreadPool::default_thread_count() : threads;
+  }
+  std::vector<std::unique_ptr<Speculation>> wave;
+  for (std::size_t next = 0; next < count;) {
+    const std::size_t width = std::min(count - next, window);
+    wave.clear();
+    wave.resize(width);
+    for (std::size_t i = 0; i < width; ++i) wave[i] = propose(next + i);
+    if (width > 1) {
+      // Chunk 1: each score is a whole fanout-cone replay.
+      util::parallel_for(width, 1, window, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (wave[i] != nullptr) (void)wave[i]->score();
+        }
+      });
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+      if (wave[i] == nullptr) continue;
+      if (accept(next + i, wave[i]->score())) return {next + i, std::move(wave[i])};
+      wave[i].reset();  // a rejected overlay is never reread
+    }
+    next += width;
+  }
+  return {count, nullptr};
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The engine table
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, AnalyzerFactory, std::less<>> factories;
+struct EngineEntry {
+  std::string_view name;
+  std::unique_ptr<Analyzer> (*make)(const AnalyzerOptions&);
+};
 
-  Registry() {
-    factories.emplace("fullssta", detail::make_fullssta_analyzer);
-    factories.emplace("fassta", detail::make_fassta_analyzer);
-    factories.emplace("canonical", detail::make_canonical_analyzer);
-    factories.emplace("dsta", detail::make_dsta_analyzer);
-    factories.emplace("mc", detail::make_mc_analyzer);
-    factories.emplace("isle", detail::make_isle_analyzer);
-  }
-
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
+/// Sorted by name: analyzer_names() and the unknown-name message list it in
+/// this order.
+constexpr EngineEntry kEngines[] = {
+    {"canonical", detail::make_canonical_analyzer},
+    {"dsta", detail::make_dsta_analyzer},
+    {"fassta", detail::make_fassta_analyzer},
+    {"fullssta", detail::make_fullssta_analyzer},
+    {"isle", detail::make_isle_analyzer},
+    {"mc", detail::make_mc_analyzer},
 };
 
 }  // namespace
 
 std::unique_ptr<Analyzer> make_analyzer(std::string_view name, const AnalyzerOptions& options) {
-  Registry& reg = Registry::instance();
-  AnalyzerFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    const auto it = reg.factories.find(name);
-    if (it == reg.factories.end()) {
-      std::string known;
-      for (const auto& [n, f] : reg.factories) {
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      throw std::invalid_argument("unknown analyzer \"" + std::string(name) +
-                                  "\" (known: " + known + ")");
-    }
-    factory = it->second;
+  for (const EngineEntry& e : kEngines) {
+    if (e.name == name) return e.make(options);
   }
-  return factory(options);
+  std::string known;
+  for (const EngineEntry& e : kEngines) {
+    if (!known.empty()) known += ", ";
+    known += e.name;
+  }
+  throw std::invalid_argument("unknown analyzer \"" + std::string(name) + "\" (known: " + known +
+                              ")");
 }
 
 std::vector<std::string> analyzer_names() {
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [n, f] : reg.factories) names.push_back(n);
-  return names;  // std::map iterates sorted
-}
-
-bool register_analyzer(std::string name, AnalyzerFactory factory) {
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.factories.emplace(std::move(name), std::move(factory)).second;
+  for (const EngineEntry& e : kEngines) names.emplace_back(e.name);
+  return names;
 }
 
 }  // namespace statsizer::timing

@@ -6,7 +6,7 @@
 // layer each engine lived behind its own free-function signature, so every
 // call site re-plumbed engines by hand. `Analyzer` unifies them:
 //
-//   auto an = timing::make_analyzer("fullssta");      // registry, by name
+//   auto an = timing::make_analyzer("fullssta");      // by engine name
 //   const timing::Summary& s = an->analyze(ctx);      // full analysis
 //   auto spec = an->propose(gate, size);              // transactional what-if
 //   double cost = spec->score().mean_ps + lambda * spec->score().sigma_ps;
@@ -47,9 +47,8 @@
 // (TimingContext::apply_snapshot_patch — bitwise-equal to a full update()
 // without the O(E) rebuild), which is what lets area recovery commit
 // thousands of accepted downsizes without a single full snapshot refresh.
-// This is also what lets the optimizer score accurate rescue confirmations
-// in parallel and commit them serially in gain order without changing any
-// result.
+// This is also what lets first_accepted() score a window of candidates in
+// parallel and commit them serially in order without changing any result.
 #pragma once
 
 #include <cstdint>
@@ -70,26 +69,21 @@
 
 namespace statsizer::timing {
 
-/// What an engine behind the interface can deliver. Callers gate optional
-/// behaviour (parallel confirmation fan-out, pdf-based yield, WNSS tracing)
-/// on these flags instead of hard-coding engine names.
+/// What an engine behind the interface can deliver beyond the transactional
+/// what-if every engine supports. Callers gate optional behaviour (parallel
+/// speculation, pdf-based yield, WNSS tracing) on these flags instead of
+/// hard-coding engine names.
 struct Capabilities {
   /// Summary::node carries per-node arrival moments (WNSS tracing and FASSTA
   /// boundary conditions need these).
   bool per_node_moments = false;
   /// Summary::output_pdf carries the full circuit-delay distribution.
   bool output_pdf = false;
-  /// propose() is supported.
-  bool what_if = false;
   /// Distinct single-resize speculations from one base may score() in
   /// parallel (each holds a private overlay; the base is read-only).
   /// Multi-resize speculations are always scored with no other speculation
   /// in flight (the optimizer's batch/bump pattern).
   bool concurrent_speculations = false;
-  /// score() is bitwise-identical to a from-scratch analyze() of the resized
-  /// netlist (FULLSSTA/FASSTA/DSTA re-propagate the full fanout cone —
-  /// loads, slews, arc delays — so their incremental scores are exact).
-  bool exact_speculation = false;
 };
 
 /// Engine-neutral analysis result. mean_ps/sigma_ps are always filled; node
@@ -150,7 +144,7 @@ class Analyzer {
  public:
   virtual ~Analyzer() = default;
 
-  /// Registry name ("fullssta", "fassta", "dsta", "mc", ...).
+  /// Engine name ("fullssta", "fassta", "dsta", "mc", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual Capabilities capabilities() const = 0;
 
@@ -175,17 +169,38 @@ class Analyzer {
       std::span<const Resize> resizes) = 0;
 };
 
-/// The one speculation-window rule of the optimizer's speculative walks (the
-/// sizer's in-order confirmations, area recovery's screen): how many
-/// candidates one wave proposes and scores before the walk decides them in
-/// order. It is the resolved worker count (@p threads, 0 = hardware
-/// concurrency) when @p engine scores speculations concurrently, else 1 —
-/// one candidate per worker, because a commit discards the rest of its
-/// wave. Windows never change which moves commit, only how many speculative
-/// scores a commit throws away and how many overlays are held at once.
-[[nodiscard]] std::size_t speculation_window(const Analyzer& engine, std::size_t threads);
+/// The result of first_accepted(): the index of the first candidate accept()
+/// approved — count when none was — and its scored, uncommitted speculation
+/// (nullptr when none was).
+struct Accepted {
+  std::size_t index = 0;
+  std::unique_ptr<Speculation> speculation;
+};
 
-/// Engine-specific knobs carried through the registry. Each adapter reads
+/// The optimizer's one speculative walk (the sizer's in-order confirmations,
+/// area recovery's screen). Walks candidates 0..count-1 of a fixed order and
+/// returns the first that @p accept approves, judged against @p engine's
+/// committed base: propose(i) opens candidate i's speculation (nullptr skips
+/// it), and accept(i, score) runs exactly once per non-null candidate, in
+/// ascending order, never past the one it approves; both run on the calling
+/// thread. The caller commits (or drops) the returned speculation and walks
+/// on from there, so every candidate is judged against the state holding
+/// exactly the commits ordered before it — the serial trial loop's
+/// semantics.
+///
+/// Candidates are proposed and scored in windows: one per worker (@p threads,
+/// 0 = hardware concurrency) when the engine scores speculations
+/// concurrently, else one at a time. Scores are pure functions of (base,
+/// candidate), so the result is bitwise-identical for any thread count; a
+/// window only sets how many speculative scores an acceptance throws away
+/// and how many overlays are held at once. std::function is cheap here: each
+/// candidate costs a cone replay.
+[[nodiscard]] Accepted first_accepted(
+    Analyzer& engine, std::size_t threads, std::size_t count,
+    const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
+    const std::function<bool(std::size_t, const Summary&)>& accept);
+
+/// Engine-specific knobs carried through make_analyzer. Each adapter reads
 /// only its own field.
 struct AnalyzerOptions {
   ssta::FullSstaOptions fullssta;
@@ -199,24 +214,17 @@ struct AnalyzerOptions {
   std::optional<double> clock_period_ps;
 };
 
-using AnalyzerFactory =
-    std::function<std::unique_ptr<Analyzer>(const AnalyzerOptions&)>;
-
-/// Creates an analyzer by registry name. Built-ins: "fullssta" (discrete-pdf
-/// SSTA with the incremental what-if overlay), "fassta" (Clark-moment fast
-/// engine), "canonical" (correlation-aware first-order SSTA), "dsta"
-/// (deterministic STA; sigma = 0), "mc" (Monte Carlo), "isle" (importance-
-/// sampled yield; summary carries the self-normalized weighted delay
-/// moments). Throws std::invalid_argument for unknown names (message lists
-/// the known ones).
+/// Creates an analyzer by name. The engines are a fixed table: "fullssta"
+/// (discrete-pdf SSTA with the incremental what-if overlay), "fassta"
+/// (Clark-moment fast engine), "canonical" (correlation-aware first-order
+/// SSTA), "dsta" (deterministic STA; sigma = 0), "mc" (Monte Carlo), "isle"
+/// (importance-sampled yield; summary carries the self-normalized weighted
+/// delay moments). Throws std::invalid_argument for unknown names (message
+/// lists the known ones).
 [[nodiscard]] std::unique_ptr<Analyzer> make_analyzer(std::string_view name,
                                                       const AnalyzerOptions& options = {});
 
-/// Registered names, sorted. The conformance suite iterates this.
+/// The engine names, sorted. The conformance suite iterates this.
 [[nodiscard]] std::vector<std::string> analyzer_names();
-
-/// Registers an additional backend. Returns false if the name is already
-/// taken.
-bool register_analyzer(std::string name, AnalyzerFactory factory);
 
 }  // namespace statsizer::timing

@@ -2,7 +2,6 @@
 // include only from src/timing/*.cpp.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -80,83 +79,12 @@ class BoundAnalyzer : public Analyzer {
   std::uint64_t epoch_ = 0;
 };
 
-/// The generic transactional fallback: score() applies the resizes, re-runs
-/// the engine from scratch, and reverts — exact by construction, but it
-/// mutates the shared TimingContext, so engines built on it report
-/// concurrent_speculations = false and must be scored serially.
-class SerializedSpeculation final : public Speculation {
- public:
-  using Compute = std::function<Summary(sta::TimingContext&)>;
-
-  SerializedSpeculation(BoundAnalyzer& owner, sta::TimingContext& ctx,
-                        std::function<void(Summary)> install, Compute compute,
-                        std::span<const Resize> resizes)
-      : owner_(owner), ctx_(ctx), install_(std::move(install)), compute_(std::move(compute)),
-        epoch_(owner.epoch()) {
-    resizes_.assign(resizes.begin(), resizes.end());
-    old_sizes_.reserve(resizes_.size());
-    for (const Resize& r : resizes_) {
-      old_sizes_.push_back(ctx_.netlist().gate(r.gate).size_index);
-    }
-  }
-
-  const Summary& score() override {
-    if (scored_) return result_;  // cached scores stay readable after invalidation
-    owner_.guard_epoch(epoch_);
-    apply();
-    try {
-      ctx_.update();
-      result_ = compute_(ctx_);
-    } catch (...) {
-      // The transactional contract: score() must never leak the speculative
-      // state, even when the engine throws mid-evaluation.
-      revert();
-      ctx_.update();
-      throw;
-    }
-    revert();
-    ctx_.update();  // pure function of the (restored) sizes: bitwise no-op
-    scored_ = true;
-    return result_;
-  }
-
-  void commit() override {
-    if (committed_) return;  // uniform contract: a second commit is a no-op
-    owner_.guard_epoch(epoch_);
-    if (!scored_) (void)score();  // the base refresh reuses the scored summary
-    apply();
-    ctx_.update();
-    install_(result_);  // bumps the epoch, invalidating siblings
-    committed_ = true;
-  }
-
-  void rollback() override {}  // score() reverted eagerly; nothing was shared
-
- private:
-  void apply() {
-    auto& nl = ctx_.mutable_netlist();
-    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-  }
-  void revert() {
-    auto& nl = ctx_.mutable_netlist();
-    for (std::size_t i = 0; i < resizes_.size(); ++i) {
-      nl.gate(resizes_[i].gate).size_index = old_sizes_[i];
-    }
-  }
-
-  BoundAnalyzer& owner_;
-  sta::TimingContext& ctx_;
-  std::function<void(Summary)> install_;
-  Compute compute_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint16_t> old_sizes_;  ///< pre-propose sizes, for revert()
-  Summary result_;
-  bool scored_ = false;
-  bool committed_ = false;
-};
-
-/// Adapter base for engines whose what-if goes through the serialized
-/// fallback. Subclasses supply compute() (a from-scratch run).
+/// Adapter base for engines whose what-if goes through the generic
+/// transactional fallback: score() applies the resizes, re-runs the engine
+/// from scratch (compute()), and reverts — exact by construction, but it
+/// mutates the shared TimingContext, so these engines report
+/// concurrent_speculations = false and must be scored serially. Subclasses
+/// supply compute() (a from-scratch run).
 class SerializedAnalyzer : public BoundAnalyzer {
  public:
   const Summary& analyze(sta::TimingContext& ctx) override {
@@ -173,14 +101,78 @@ class SerializedAnalyzer : public BoundAnalyzer {
 
   std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
     validate_resizes(resizes);
-    return std::make_unique<SerializedSpeculation>(
-        *this, bound(), [this](Summary s) { install_base(std::move(s)); },
-        [this](sta::TimingContext& c) { return compute(c); }, resizes);
+    return std::make_unique<SerializedSpeculation>(*this, bound(), resizes);
   }
 
  protected:
   virtual Summary compute(sta::TimingContext& ctx) = 0;
   virtual void on_bind(sta::TimingContext&) {}
+
+ private:
+  class SerializedSpeculation final : public Speculation {
+   public:
+    SerializedSpeculation(SerializedAnalyzer& owner, sta::TimingContext& ctx,
+                          std::span<const Resize> resizes)
+        : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
+      resizes_.assign(resizes.begin(), resizes.end());
+      old_sizes_.reserve(resizes_.size());
+      for (const Resize& r : resizes_) {
+        old_sizes_.push_back(ctx_.netlist().gate(r.gate).size_index);
+      }
+    }
+
+    const Summary& score() override {
+      if (scored_) return result_;  // cached scores stay readable after invalidation
+      owner_.guard_epoch(epoch_);
+      apply();
+      try {
+        ctx_.update();
+        result_ = owner_.compute(ctx_);
+      } catch (...) {
+        // The transactional contract: score() must never leak the speculative
+        // state, even when the engine throws mid-evaluation.
+        revert();
+        ctx_.update();
+        throw;
+      }
+      revert();
+      ctx_.update();  // pure function of the (restored) sizes: bitwise no-op
+      scored_ = true;
+      return result_;
+    }
+
+    void commit() override {
+      if (committed_) return;  // uniform contract: a second commit is a no-op
+      owner_.guard_epoch(epoch_);
+      if (!scored_) (void)score();  // the base refresh reuses the scored summary
+      apply();
+      ctx_.update();
+      owner_.install_base(result_);  // bumps the epoch, invalidating siblings
+      committed_ = true;
+    }
+
+    void rollback() override {}  // score() reverted eagerly; nothing was shared
+
+   private:
+    void apply() {
+      auto& nl = ctx_.mutable_netlist();
+      for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
+    }
+    void revert() {
+      auto& nl = ctx_.mutable_netlist();
+      for (std::size_t i = 0; i < resizes_.size(); ++i) {
+        nl.gate(resizes_[i].gate).size_index = old_sizes_[i];
+      }
+    }
+
+    SerializedAnalyzer& owner_;
+    sta::TimingContext& ctx_;
+    std::uint64_t epoch_ = 0;
+    std::vector<std::uint16_t> old_sizes_;  ///< pre-propose sizes, for revert()
+    Summary result_;
+    bool scored_ = false;
+    bool committed_ = false;
+  };
 };
 
 std::unique_ptr<Analyzer> make_fullssta_analyzer(const AnalyzerOptions& options);

@@ -179,9 +179,7 @@ template <typename Self>
 class ConeAnalyzer : public SerializedAnalyzer {
  public:
   Capabilities capabilities() const override {
-    Capabilities c;
-    c.per_node_moments = c.what_if = c.concurrent_speculations = c.exact_speculation = true;
-    return c;
+    return {.per_node_moments = true, .concurrent_speculations = true};
   }
 
   // Single-resize propose() is inherited: it delegates to this override.

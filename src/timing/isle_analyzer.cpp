@@ -30,12 +30,7 @@ class IsleAnalyzer final : public SerializedAnalyzer {
 
   std::string_view name() const override { return "isle"; }
 
-  Capabilities capabilities() const override {
-    Capabilities c;
-    c.what_if = true;
-    c.exact_speculation = true;  // deterministic given (seed, options)
-    return c;
-  }
+  Capabilities capabilities() const override { return {}; }
 
  private:
   Summary compute(sta::TimingContext& ctx) override {

@@ -1,5 +1,6 @@
-// Registry-driven conformance suite for the timing::Analyzer engine API.
-// Every registered engine runs through the same contract checks:
+// Table-driven conformance suite for the timing::Analyzer engine API.
+// Every engine in timing::analyzer_names() runs through the same contract
+// checks:
 //   * analyze() produces a finite summary consistent with its capabilities;
 //   * propose()/score()/rollback() leaves the netlist, the TimingContext,
 //     and the analyzer base bitwise-identical to the pre-propose state;
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -151,7 +153,6 @@ TEST_P(AnalyzerConformance, RollbackRestoresBitwiseIdenticalState) {
   opt.monte_carlo.samples = 400;
   opt.isle.samples = 400;
   auto an = make_analyzer(GetParam(), opt);
-  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
 
   (void)an->analyze(*b.ctx);
   const Summary before_summary = an->current();
@@ -177,7 +178,6 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
   opt.monte_carlo.samples = 400;
   opt.isle.samples = 400;
   auto an = make_analyzer(GetParam(), opt);
-  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -199,10 +199,8 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
 
   expect_summaries_equal(committed, reference);
   EXPECT_EQ(fingerprint(*b.ctx), fingerprint(*twin.ctx));
-  if (an->capabilities().exact_speculation) {
-    EXPECT_EQ(scored.mean_ps, reference.mean_ps);
-    EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
-  }
+  EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+  EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
 }
 
 // The one input on which an engine kernel's two callers differ: a full
@@ -214,7 +212,6 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSd
   opt.monte_carlo.samples = 400;
   opt.isle.samples = 400;
   auto an = make_analyzer(GetParam(), opt);
-  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
 
   const auto constrained = [] {
     auto b = std::make_unique<Bench>(circuits::make_cla_adder(4));
@@ -247,10 +244,8 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSd
 
   expect_summaries_equal(committed, reference);
   EXPECT_EQ(fingerprint(*b->ctx), fingerprint(*twin->ctx));
-  if (an->capabilities().exact_speculation) {
-    EXPECT_EQ(scored.mean_ps, reference.mean_ps);
-    EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
-  }
+  EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+  EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
 }
 
 TEST_P(AnalyzerConformance, CommitInvalidatesSiblingSpeculations) {
@@ -258,7 +253,6 @@ TEST_P(AnalyzerConformance, CommitInvalidatesSiblingSpeculations) {
   opt.monte_carlo.samples = 400;
   opt.isle.samples = 400;
   auto an = make_analyzer(GetParam(), opt);
-  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -282,7 +276,6 @@ TEST_P(AnalyzerConformance, ProposeValidatesArguments) {
   opt.monte_carlo.samples = 400;
   opt.isle.samples = 400;
   auto an = make_analyzer(GetParam(), opt);
-  if (!an->capabilities().what_if) GTEST_SKIP() << "engine has no what-if";
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -311,18 +304,6 @@ TEST(AnalyzerRegistry, KnowsTheBuiltins) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
   }
   EXPECT_THROW((void)make_analyzer("no-such-engine"), std::invalid_argument);
-}
-
-TEST(AnalyzerRegistry, AcceptsExtensionBackends) {
-  // Registering a new backend under a taken name fails; a fresh name works
-  // and resolves through make_analyzer.
-  EXPECT_FALSE(register_analyzer(
-      "fullssta", [](const AnalyzerOptions& o) { return make_analyzer("dsta", o); }));
-  static bool registered = register_analyzer(
-      "conformance-alias", [](const AnalyzerOptions& o) { return make_analyzer("dsta", o); });
-  EXPECT_TRUE(registered);
-  auto an = make_analyzer("conformance-alias");
-  EXPECT_EQ(an->name(), "dsta");
 }
 
 // ---------------------------------------------------------------------------
@@ -457,8 +438,88 @@ INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
                          });
 
 // ---------------------------------------------------------------------------
+// first_accepted: the optimizer's one speculative walk, over a concurrent
+// engine (dsta: windows of one candidate per worker) and a serialized one
+// (canonical: window 1).
+// ---------------------------------------------------------------------------
+
+class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
+ protected:
+  static std::string engine() { return std::get<0>(GetParam()); }
+  static std::size_t threads() { return std::get<1>(GetParam()); }
+};
+
+TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
+  Bench b(circuits::make_cla_adder(8));
+  auto an = make_analyzer(engine());
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 20);
+  ASSERT_EQ(cands.size(), 20u);
+  const std::size_t k = 13;  // past the first window at every thread count
+  const auto skipped = [](std::size_t i) { return i % 5 == 2; };  // never k
+  const Summary base = an->current();
+  const std::vector<std::uint16_t> sizes = b.nl.sizes();
+
+  std::vector<std::size_t> judged;
+  Accepted hit = first_accepted(
+      *an, threads(), cands.size(),
+      [&](std::size_t i) -> std::unique_ptr<Speculation> {
+        if (skipped(i)) return nullptr;
+        return an->propose(cands[i].gate, cands[i].size);
+      },
+      [&](std::size_t i, const Summary& s) {
+        EXPECT_GT(s.mean_ps, 0.0);
+        judged.push_back(i);
+        return i == k;
+      });
+
+  ASSERT_EQ(hit.index, k);
+  ASSERT_NE(hit.speculation, nullptr);
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i <= k; ++i) {
+    if (!skipped(i)) expected.push_back(i);
+  }
+  EXPECT_EQ(judged, expected);  // once each, ascending, none skipped, none past k
+
+  // Nothing moves until the caller commits.
+  EXPECT_EQ(b.nl.sizes(), sizes);
+  expect_summaries_equal(an->current(), base);
+  hit.speculation->commit();
+  EXPECT_EQ(b.nl.gate(cands[k].gate).size_index, cands[k].size);
+}
+
+TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
+  Bench b(circuits::make_cla_adder(8));
+  auto an = make_analyzer(engine());
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 11);
+  const std::vector<std::uint16_t> sizes = b.nl.sizes();
+
+  std::size_t judged = 0;
+  const Accepted hit = first_accepted(
+      *an, threads(), cands.size(),
+      [&](std::size_t i) { return an->propose(cands[i].gate, cands[i].size); },
+      [&](std::size_t, const Summary&) {
+        ++judged;
+        return false;
+      });
+  EXPECT_EQ(hit.index, cands.size());
+  EXPECT_EQ(hit.speculation, nullptr);
+  EXPECT_EQ(judged, cands.size());
+  EXPECT_EQ(b.nl.sizes(), sizes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, FirstAccepted,
+                         ::testing::Combine(::testing::Values("dsta", "canonical"),
+                                            ::testing::Values(1u, 2u, 3u, 8u)),
+                         [](const auto& info) {
+                           return std::get<0>(info.param) + "_threads" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
+
+// ---------------------------------------------------------------------------
 // Engine selection plumbing: the sizer and the flow resolve confirm/score
-// engines through the registry.
+// engines through timing::make_analyzer.
 // ---------------------------------------------------------------------------
 
 TEST(EngineSelection, SizerRunsWithAlternateEngines) {
@@ -468,7 +529,7 @@ TEST(EngineSelection, SizerRunsWithAlternateEngines) {
   opt::StatisticalSizerOptions opt;
   opt.objective.lambda = 3.0;
   opt.confirm_engine = "fassta";
-  opt.score_engine = "dsta";  // serialized analyzer-path inner scoring
+  opt.score_engine = "dsta";  // analyzer-path inner scoring (concurrent)
   opt.max_iterations = 3;
   const auto stats = opt::size_statistically(*b.ctx, opt);
   EXPECT_GT(stats.initial.mean_ps, 0.0);

@@ -25,6 +25,7 @@
 #include "drc/drc.h"
 #include "netlist/netlist.h"
 #include "sta/graph.h"
+#include "util/json.h"
 
 namespace statsizer {
 namespace {
@@ -368,6 +369,40 @@ TEST(DrcFormat, TextAndJsonCarryTheRuleId) {
   const std::string json = drc::format_json(report);
   EXPECT_NE(json.find("\"rule\":\"floating-input\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"warnings\":1"), std::string::npos) << json;
+
+  // Strings needing escapes survive a round trip through the JSON parser.
+  drc::DrcReport hostile = report;
+  drc::Diagnostic d;
+  d.rule = drc::Rule::kUnknownCell;
+  d.severity = drc::Severity::kError;
+  d.object = "g\"1\\";
+  d.message = "bad\ncell \x01\"x\"";
+  d.witness = {"a\\b", "c\nd", std::string("e\x01f\"")};
+  d.file = "dir\\in\"put.v";
+  d.line = 7;
+  hostile.diagnostics.push_back(d);
+  const std::string out = drc::format_json(hostile);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.back(), '\n');
+  const auto parsed = util::Json::parse(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message() << "\n" << out;
+  EXPECT_EQ(parsed->find("errors")->as_number(), 1.0);
+  EXPECT_EQ(parsed->find("warnings")->as_number(), 1.0);
+  const util::Json::Array& diags = parsed->find("diagnostics")->as_array();
+  ASSERT_EQ(diags.size(), hostile.diagnostics.size());
+  for (std::size_t i = 0; i < diags.size(); ++i) {
+    const drc::Diagnostic& want = hostile.diagnostics[i];
+    const util::Json& got = diags[i];
+    EXPECT_EQ(got.find("rule")->as_string(), drc::rule_id(want.rule));
+    EXPECT_EQ(got.find("severity")->as_string(), drc::severity_name(want.severity));
+    EXPECT_EQ(got.find("object")->as_string(), want.object);
+    EXPECT_EQ(got.find("message")->as_string(), want.message);
+    EXPECT_EQ(got.find("file")->as_string(), want.file);
+    EXPECT_EQ(got.find("line")->as_number(), static_cast<double>(want.line));
+    std::vector<std::string> witness;
+    for (const util::Json& w : got.find("witness")->as_array()) witness.push_back(w.as_string());
+    EXPECT_EQ(witness, want.witness);
+  }
 }
 
 TEST(DrcReportApi, CountsAndFirstError) {

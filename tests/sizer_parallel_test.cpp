@@ -152,6 +152,71 @@ TEST(SizerParallel, SubcircuitScoringModeIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SizerParallel, AnalyzerScorerIdenticalAcrossThreadCounts) {
+  // score_engine "dsta" scores candidates through timing::Analyzer
+  // speculations (concurrently: DSTA has a cone overlay) instead of the fassta
+  // kernel, and re-bases that analyzer whenever a confirmation commit moves
+  // the snapshot epoch.
+  const auto run = [](std::size_t threads) {
+    Bench b(circuits::make_cla_adder(8));
+    (void)apply_initial_sizing(*b.ctx);
+    StatisticalSizerOptions opt;
+    opt.objective.lambda = 3.0;
+    opt.score_engine = "dsta";
+    opt.threads = threads;
+    opt.record_trajectory = true;
+    RunResult r;
+    r.stats = size_statistically(*b.ctx, opt);
+    r.sizes = b.nl.sizes();
+    const auto full = ssta::run_fullssta(*b.ctx);
+    r.final_mean_ps = full.mean_ps;
+    r.final_sigma_ps = full.sigma_ps;
+    return r;
+  };
+  const auto ref = run(1);
+  // Commits land in more than one iteration, so later scoring rounds run on
+  // a re-based analyzer.
+  ASSERT_GT(ref.stats.iterations, 1u);
+  ASSERT_GT(ref.stats.resizes, 1u);
+  for (const std::size_t threads : {3u, 8u}) {
+    expect_identical(ref, run(threads), threads);
+  }
+}
+
+TEST(SizerParallel, AnalyzerScorerRebasesAfterEveryCommit) {
+  // Oracle for the re-base: one run against a chain of one-iteration runs,
+  // each of which scores with a freshly analyzed DSTA scorer. With the
+  // bounded rescues off, an iteration depends only on the netlist it starts
+  // from, so the two agree move for move only if the long run re-based its
+  // scorer after the commits of every earlier iteration.
+  StatisticalSizerOptions opt;
+  opt.objective.lambda = 3.0;
+  opt.score_engine = "dsta";
+  opt.max_global_sweeps = 0;
+  opt.max_uniform_bumps = 0;
+  opt.record_trajectory = true;
+
+  Bench whole(circuits::make_cla_adder(8));
+  (void)apply_initial_sizing(*whole.ctx);
+  const StatisticalSizerStats ref = size_statistically(*whole.ctx, opt);
+  ASSERT_GT(ref.iterations, 1u);
+
+  Bench chained(circuits::make_cla_adder(8));
+  (void)apply_initial_sizing(*chained.ctx);
+  opt.max_iterations = 1;
+  std::vector<ResizeEvent> moves;
+  for (std::size_t i = 0; i <= ref.iterations; ++i) {
+    const StatisticalSizerStats step = size_statistically(*chained.ctx, opt);
+    for (ResizeEvent e : step.trajectory) {
+      e.iteration = i;
+      moves.push_back(e);
+    }
+    if (step.resizes == 0) break;
+  }
+  EXPECT_EQ(moves, ref.trajectory);
+  EXPECT_EQ(chained.nl.sizes(), whole.nl.sizes());
+}
+
 TEST(SizerParallel, TrajectoryOffByDefault) {
   Bench b(circuits::make_ripple_adder(4));
   (void)apply_initial_sizing(*b.ctx);
