@@ -25,7 +25,6 @@
 // the semantic corpus and the builtin workloads.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -38,11 +37,6 @@
 using namespace statsizer;
 
 namespace {
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -135,12 +129,8 @@ int main(int argc, char** argv) {
   }
   core::Flow flow(options);
 
-  // 1. Ingest: library is the synthetic 90nm; netlist by extension.
-  Status load = ends_with(netlist_path, ".v") ? flow.load_verilog_file(netlist_path)
-              : ends_with(netlist_path, ".bench")
-                  ? flow.load_bench_file(netlist_path)
-                  : Status::error("unknown netlist extension (want .bench or .v): " +
-                                  netlist_path);
+  // 1. Ingest: library is the synthetic 90nm; netlist by extension (Flow::load_file).
+  const Status load = flow.load_file(netlist_path);
   if (!load.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", netlist_path.c_str(), load.message().c_str());
     return 1;

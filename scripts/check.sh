@@ -30,7 +30,9 @@
 #   scripts/check.sh --parser-smoke  # additionally drive example_ingest over
 #                                    # the malformed corpus: every file must
 #                                    # fail with a loud error (exit 1), never
-#                                    # crash or parse silently
+#                                    # crash or parse silently; and lint a
+#                                    # generated 200k-gate outputs-first
+#                                    # chain (.bench and .v, exit 0)
 #   scripts/check.sh --yield-smoke   # additionally run the importance-sampled
 #                                    # yield cross-check (isle vs plain MC on
 #                                    # c432, tight draw budget) via
@@ -252,7 +254,37 @@ if [[ "${PARSER}" == 1 ]]; then
   done
   # And the valid pairing netlist must still go through cleanly.
   ./build/example_ingest "${VALID_BENCH}" >/dev/null
-  echo "check.sh: parser smoke ok ($(ls tests/corpus/malformed | wc -l) files)"
+  # Depth is bounded by memory, not the call stack: a 200k-inverter chain
+  # listed outputs-first (every gate waits on the whole chain below it) must
+  # lint clean in both formats.
+  CHAIN_DIR="$(mktemp -d)"
+  python3 - "${CHAIN_DIR}/chain" 200000 <<'PY'
+import sys
+out, n = sys.argv[1], int(sys.argv[2])
+net = lambda i: "a" if i == 0 else ("y" if i == n else "n%d" % i)
+with open(out + ".bench", "w") as f:
+    f.write("INPUT(a)\nOUTPUT(y)\n")
+    f.writelines("%s = NOT(%s)\n" % (net(i), net(i - 1)) for i in range(n, 0, -1))
+with open(out + ".v", "w") as f:
+    f.write("module chain (a, y);\n  input a;\n  output y;\n")
+    f.writelines("  wire n%d;\n" % i for i in range(1, n))
+    f.writelines("  INV_X1 g%d (.A(%s), .ZN(%s));\n" % (i, net(i - 1), net(i))
+                 for i in range(n, 0, -1))
+    f.write("endmodule\n")
+PY
+  for f in "${CHAIN_DIR}/chain.bench" "${CHAIN_DIR}/chain.v"; do
+    set +e
+    ./build/example_ingest --lint "${f}" >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 0 ]]; then
+      echo "check.sh: parser smoke FAILED: 200k-gate chain ${f##*/} exited ${rc} (want 0)" >&2
+      rm -rf "${CHAIN_DIR}"
+      exit 1
+    fi
+  done
+  rm -rf "${CHAIN_DIR}"
+  echo "check.sh: parser smoke ok ($(ls tests/corpus/malformed | wc -l) files + 200k-gate chain)"
 fi
 
 if [[ "${DRC}" == 1 ]]; then

@@ -2,42 +2,33 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <functional>
-#include <sstream>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
+#include <filesystem>
+
+#include "bench_format/assemble.h"
 
 namespace statsizer::bench_format {
 
 using netlist::GateFunc;
-using netlist::GateId;
 using netlist::Netlist;
 
 namespace {
 
-std::string trim(std::string_view s) {
+std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
+  return s.substr(b, e - b);
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string upper(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
+  return out;
 }
 
-struct GateDef {
-  GateFunc func;
-  std::vector<std::string> fanins;
-  int line;
-};
-
-StatusOr<GateFunc> func_from_name(const std::string& raw, int line) {
+StatusOr<GateFunc> func_from_name(std::string_view raw, int line) {
   const std::string f = upper(raw);
   if (f == "AND") return GateFunc::kAnd;
   if (f == "NAND") return GateFunc::kNand;
@@ -47,31 +38,23 @@ StatusOr<GateFunc> func_from_name(const std::string& raw, int line) {
   if (f == "NXOR" || f == "XNOR") return GateFunc::kXnor;
   if (f == "NOT" || f == "INV") return GateFunc::kInv;
   if (f == "BUF" || f == "BUFF") return GateFunc::kBuf;
-  if (f == "DFF") {
-    return Status::invalid_argument("line " + std::to_string(line) +
-                         ": DFF is not supported (combinational netlists only)");
-  }
-  return Status::invalid_argument("line " + std::to_string(line) + ": unknown function '" + raw + "'");
+  if (f == "DFF") return line_error(line, "DFF is not supported (combinational netlists only)");
+  return line_error(line, "unknown function '", raw, "'");
 }
 
 }  // namespace
 
 StatusOr<Netlist> read_bench(std::string_view text, std::string name,
                              Provenance* provenance) {
-  std::vector<std::pair<std::string, int>> input_names;   // name, line
-  std::vector<std::pair<std::string, int>> output_names;  // name, line
-  std::unordered_map<std::string, GateDef> defs;
-  std::vector<std::string> def_order;
-
-  std::istringstream stream{std::string(text)};
-  std::string raw_line;
+  NetlistSource source;
+  source.module = std::move(name);
   int line_no = 0;
-  while (std::getline(stream, raw_line)) {
+  for (std::size_t next = 0; next < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', next), text.size());
+    std::string_view line = text.substr(next, newline - next);
+    line = trim(line.substr(0, line.find('#')));  // drop the comment
+    next = newline + 1;
     ++line_no;
-    std::string line = trim(raw_line);
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line = trim(line.substr(0, hash));
-    }
     if (line.empty()) continue;
 
     // A port declaration is INPUT(name) / OUTPUT(name); a gate assignment has
@@ -80,185 +63,82 @@ StatusOr<Netlist> read_bench(std::string_view text, std::string name,
     // the port branch requires the absence of '=' AND the keyword to be
     // exactly INPUT/OUTPUT up to the '('.
     const std::string uline = upper(line);
-    const bool port_prefix = uline.rfind("INPUT", 0) == 0 || uline.rfind("OUTPUT", 0) == 0;
-    if (port_prefix && line.find('=') == std::string::npos) {
-      const bool is_input = uline.rfind("INPUT", 0) == 0;
+    const bool is_input = uline.starts_with("INPUT");
+    if ((is_input || uline.starts_with("OUTPUT")) && line.find('=') == std::string_view::npos) {
       const auto open = line.find('(');
       const auto close = line.rfind(')');
-      if (open == std::string::npos || close == std::string::npos || close <= open) {
-        return Status::invalid_argument("line " + std::to_string(line_no) + ": malformed port: " + line);
+      if (open == std::string_view::npos || close == std::string_view::npos || close <= open) {
+        return line_error(line_no, "malformed port: ", line);
       }
-      const std::string keyword = trim(std::string_view(uline).substr(0, open));
+      const std::string_view keyword = trim(std::string_view(uline).substr(0, open));
       if (keyword != "INPUT" && keyword != "OUTPUT") {
-        return Status::invalid_argument("line " + std::to_string(line_no) +
-                             ": expected INPUT(...) or OUTPUT(...), got: " + line);
+        return line_error(line_no, "expected INPUT(...) or OUTPUT(...), got: ", line);
       }
-      if (!trim(std::string_view(line).substr(close + 1)).empty()) {
-        return Status::invalid_argument("line " + std::to_string(line_no) +
-                             ": trailing text after port declaration: " + line);
+      if (!trim(line.substr(close + 1)).empty()) {
+        return line_error(line_no, "trailing text after port declaration: ", line);
       }
-      const std::string port = trim(std::string_view(line).substr(open + 1, close - open - 1));
-      if (port.empty()) {
-        return Status::invalid_argument("line " + std::to_string(line_no) + ": empty port name");
-      }
+      const std::string_view port = trim(line.substr(open + 1, close - open - 1));
+      if (port.empty()) return line_error(line_no, "empty port name");
       if (is_input) {
-        input_names.emplace_back(port, line_no);
+        source.inputs.push_back({port, line_no});
       } else {
         // A repeated OUTPUT declaration parses: both primary outputs are
         // materialized and drc::check_netlist reports the multi-driven net.
-        output_names.emplace_back(port, line_no);
+        source.outputs.push_back({port, port, line_no, line_no});
       }
       continue;
     }
 
     const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status::invalid_argument("line " + std::to_string(line_no) + ": expected assignment: " + line);
-    }
-    const std::string target = trim(std::string_view(line).substr(0, eq));
-    const std::string rhs = trim(std::string_view(line).substr(eq + 1));
+    if (eq == std::string_view::npos) return line_error(line_no, "expected assignment: ", line);
+    const std::string_view target = trim(line.substr(0, eq));
+    const std::string_view rhs = trim(line.substr(eq + 1));
     const auto open = rhs.find('(');
     const auto close = rhs.rfind(')');
-    if (open == std::string::npos || close == std::string::npos || close <= open) {
-      return Status::invalid_argument("line " + std::to_string(line_no) + ": malformed gate: " + line);
+    if (open == std::string_view::npos || close == std::string_view::npos || close <= open) {
+      return line_error(line_no, "malformed gate: ", line);
     }
-    if (!trim(std::string_view(rhs).substr(close + 1)).empty()) {
-      return Status::invalid_argument("line " + std::to_string(line_no) +
-                           ": trailing text after gate definition: " + line);
+    if (!trim(rhs.substr(close + 1)).empty()) {
+      return line_error(line_no, "trailing text after gate definition: ", line);
     }
-    auto func = func_from_name(trim(std::string_view(rhs).substr(0, open)), line_no);
+    auto func = func_from_name(trim(rhs.substr(0, open)), line_no);
     if (!func.ok()) return func.status();
 
-    GateDef def;
+    NetDriver def;
     def.func = *func;
     def.line = line_no;
-    const std::string args(rhs.substr(open + 1, close - open - 1));
+    const std::string_view args = rhs.substr(open + 1, close - open - 1);
     if (!trim(args).empty()) {
       std::size_t pos = 0;
       for (;;) {
-        auto comma = args.find(',', pos);
-        if (comma == std::string::npos) comma = args.size();
-        const std::string arg = trim(std::string_view(args).substr(pos, comma - pos));
+        const std::size_t comma = std::min(args.find(',', pos), args.size());
+        const std::string_view arg = trim(args.substr(pos, comma - pos));
         if (arg.empty()) {
-          return Status::invalid_argument("line " + std::to_string(line_no) +
-                               ": empty fanin argument (stray comma?): " + line);
+          return line_error(line_no, "empty fanin argument (stray comma?): ", line);
         }
         def.fanins.push_back(arg);
         if (comma == args.size()) break;
         pos = comma + 1;
       }
     }
-    if (def.fanins.empty()) {
-      return Status::invalid_argument("line " + std::to_string(line_no) + ": gate with no fanins");
+    // .bench allows 1-input AND/OR (identity) and NAND/NOR (inversion).
+    if (def.fanins.size() == 1) {
+      if (def.func == GateFunc::kAnd || def.func == GateFunc::kOr) def.func = GateFunc::kBuf;
+      if (def.func == GateFunc::kNand || def.func == GateFunc::kNor) def.func = GateFunc::kInv;
     }
-    if (defs.contains(target)) {
-      return Status::invalid_argument("line " + std::to_string(line_no) + ": signal '" + target +
-                           "' defined twice");
+    if (!source.drivers.try_emplace(target, std::move(def)).second) {
+      return line_error(line_no, "signal '", target, "' defined twice");
     }
-    defs.emplace(target, std::move(def));
-    def_order.push_back(target);
+    source.build_order.push_back(target);
   }
-
-  Netlist nl(std::move(name));
-  std::unordered_map<std::string, GateId> ids;
-  for (const auto& [in, line] : input_names) {
-    if (ids.contains(in)) return Status::invalid_argument("input '" + in + "' declared twice");
-    if (defs.contains(in)) {
-      return Status::invalid_argument("signal '" + in + "' is both an INPUT and a gate output");
-    }
-    ids.emplace(in, nl.add_input(in));
-    if (provenance != nullptr) provenance->line_of.emplace(in, line);
-  }
-
-  // Resolve definitions depth-first; state 1 = on stack (cycle detection).
-  std::unordered_map<std::string, int> state;
-  std::vector<std::string> stack;  // current DFS path, for cycle witnesses
-  Status failure;
-  const std::function<GateId(const std::string&)> resolve =
-      [&](const std::string& signal) -> GateId {
-    if (const auto it = ids.find(signal); it != ids.end()) return it->second;
-    const auto def_it = defs.find(signal);
-    if (def_it == defs.end()) {
-      if (failure.ok()) failure = Status::invalid_argument("undefined signal '" + signal + "'");
-      return netlist::kNoGate;
-    }
-    if (state[signal] == 1) {
-      if (failure.ok()) {
-        // The DFS stack from the first occurrence of @p signal down to here
-        // is the cycle; report it in signal-flow order as the witness.
-        std::vector<std::string> cycle;
-        const auto first = std::find(stack.begin(), stack.end(), signal);
-        cycle.assign(first, stack.end());
-        cycle.push_back(signal);
-        std::string path;
-        for (const std::string& s : cycle) {
-          if (!path.empty()) path += " -> ";
-          path += s;
-        }
-        failure = Status::invalid_argument("line " + std::to_string(def_it->second.line) +
-                                ": combinational cycle: " + path);
-        if (provenance != nullptr) provenance->cycle = std::move(cycle);
-      }
-      return netlist::kNoGate;
-    }
-    state[signal] = 1;
-    stack.push_back(signal);
-    std::vector<GateId> fanins;
-    fanins.reserve(def_it->second.fanins.size());
-    for (const std::string& f : def_it->second.fanins) {
-      const GateId fid = resolve(f);
-      if (fid == netlist::kNoGate) return netlist::kNoGate;
-      fanins.push_back(fid);
-    }
-    state[signal] = 2;
-    stack.pop_back();
-    GateFunc func = def_it->second.func;
-    // .bench allows 1-input AND/OR (identity): normalize to BUF.
-    if (fanins.size() == 1 &&
-        (func == GateFunc::kAnd || func == GateFunc::kOr)) {
-      func = GateFunc::kBuf;
-    }
-    if (fanins.size() == 1 && (func == GateFunc::kNand || func == GateFunc::kNor)) {
-      func = GateFunc::kInv;
-    }
-    const GateId id = nl.add_gate(func, fanins, signal);
-    ids.emplace(signal, id);
-    if (provenance != nullptr) provenance->line_of.emplace(signal, def_it->second.line);
-    return id;
-  };
-
-  for (const std::string& signal : def_order) {
-    resolve(signal);
-    if (!failure.ok()) return failure;
-  }
-  for (const auto& [out, line] : output_names) {
-    const GateId id = resolve(out);
-    if (!failure.ok()) return failure;
-    if (id == netlist::kNoGate) {
-      return Status::invalid_argument("line " + std::to_string(line) + ": undefined output '" + out + "'");
-    }
-    nl.add_output(out, id);
-    if (provenance != nullptr) provenance->line_of.emplace(out, line);
-  }
-
-  if (const Status s = nl.check(); !s.ok()) return s;
-  return nl;
+  return assemble_netlist(std::move(source), provenance);
 }
 
 StatusOr<Netlist> read_bench_file(const std::string& path, Provenance* provenance) {
-  std::ifstream file(path);
-  if (!file) return Status::invalid_argument("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  std::string name = path;
-  if (const auto slash = name.find_last_of('/'); slash != std::string::npos) {
-    name = name.substr(slash + 1);
-  }
-  if (const auto dot = name.find_last_of('.'); dot != std::string::npos) {
-    name = name.substr(0, dot);
-  }
+  const StatusOr<std::string> text = read_text_file(path);
+  if (!text.ok()) return text.status();
   if (provenance != nullptr) provenance->file = path;
-  return read_bench(buffer.str(), name, provenance);
+  return read_bench(*text, std::filesystem::path(path).stem().string(), provenance);
 }
 
 }  // namespace statsizer::bench_format

@@ -6,13 +6,15 @@
 //   G10 = NAND(G1, G3)
 //   G11 = NOT(G10)
 //
-// Supported functions: AND, NAND, OR, NOR, XOR, NXOR/XNOR, NOT, BUF/BUFF.
-// DFFs are rejected (this library models combinational timing only).
-// Definitions may appear in any order; the reader resolves dependencies and
-// reports undefined signals and combinational cycles (with the witness path)
-// with line numbers. A duplicated OUTPUT declaration is *not* a syntax
-// error: both primary outputs are materialized and the DRC layer reports the
-// multi-driven net with provenance.
+// Supported functions: AND, NAND, OR, NOR, XOR, NXOR/XNOR, NOT, BUF/BUFF;
+// a 1-input AND/OR reads as BUF and a 1-input NAND/NOR as INV. DFFs are
+// rejected (this library models combinational timing only). The reader only
+// parses: definitions may appear in any order, and assemble_netlist
+// (assemble.h) builds the netlist, reporting undriven nets, combinational
+// cycles (with the witness path) and wrong fanin counts with line numbers.
+// A duplicated OUTPUT declaration is *not* an error: both primary outputs
+// are materialized and the DRC layer reports the multi-driven net with
+// provenance.
 #pragma once
 
 #include <string_view>

@@ -2,16 +2,13 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
 #include <sstream>
+
+#include "bench_format/assemble.h"
 
 namespace statsizer::bench_format {
 
 namespace {
-
-Status err(int line, const std::string& what) {
-  return Status::invalid_argument("line " + std::to_string(line) + ": " + what);
-}
 
 /// Tokens of one SDC line: words, '[', ']', and brace-quoted literals
 /// (returned with their braces stripped; inner '[' ']' are literal, so port
@@ -43,12 +40,12 @@ StatusOr<std::vector<SdcToken>> lex_line(const std::string& line, int line_no) {
     }
     if (c == '{') {
       const auto close = line.find('}', i + 1);
-      if (close == std::string::npos) return err(line_no, "unterminated '{' in: " + line);
+      if (close == std::string::npos) return line_error(line_no, "unterminated '{' in: " + line);
       tokens.push_back({SdcToken::Kind::kBraced, line.substr(i + 1, close - i - 1)});
       i = close + 1;
       continue;
     }
-    if (c == '}') return err(line_no, "unmatched '}' in: " + line);
+    if (c == '}') return line_error(line_no, "unmatched '}' in: " + line);
     std::string word;
     while (i < line.size() && !std::isspace(static_cast<unsigned char>(line[i])) &&
            line[i] != '[' && line[i] != ']' && line[i] != '{' && line[i] != '}' &&
@@ -64,7 +61,7 @@ StatusOr<double> parse_number(const std::string& word, int line_no) {
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(), value);
   if (ec != std::errc() || ptr != word.data() + word.size()) {
-    return err(line_no, "expected a number, got '" + word + "'");
+    return line_error(line_no, "expected a number, got '" + word + "'");
   }
   return value;
 }
@@ -76,7 +73,7 @@ StatusOr<SdcPortDelay> parse_object_list(const std::vector<SdcToken>& tokens,
   SdcPortDelay result;
   ++cursor;  // consume '['
   if (cursor >= tokens.size() || tokens[cursor].kind != SdcToken::Kind::kWord) {
-    return err(line_no, "expected get_ports / all_inputs / all_outputs after '['");
+    return line_error(line_no, "expected get_ports / all_inputs / all_outputs after '['");
   }
   const std::string& command = tokens[cursor].value;
   const char* all_cmd = inputs ? "all_inputs" : "all_outputs";
@@ -98,12 +95,12 @@ StatusOr<SdcPortDelay> parse_object_list(const std::vector<SdcToken>& tokens,
       }
       ++cursor;
     }
-    if (result.ports.empty()) return err(line_no, "get_ports with no ports");
+    if (result.ports.empty()) return line_error(line_no, "get_ports with no ports");
   } else {
-    return err(line_no, "unsupported object query '" + command + "'");
+    return line_error(line_no, "unsupported object query '" + command + "'");
   }
   if (cursor >= tokens.size() || tokens[cursor].kind != SdcToken::Kind::kCloseBracket) {
-    return err(line_no, "expected ']' to close the object list");
+    return line_error(line_no, "expected ']' to close the object list");
   }
   ++cursor;
   return result;
@@ -118,12 +115,12 @@ Status parse_port_delay(const std::vector<SdcToken>& tokens, bool inputs, int li
   while (cursor < tokens.size()) {
     const SdcToken& t = tokens[cursor];
     if (t.kind == SdcToken::Kind::kWord && t.value == "-clock") {
-      if (cursor + 1 >= tokens.size()) return err(line_no, "-clock needs a clock name");
+      if (cursor + 1 >= tokens.size()) return line_error(line_no, "-clock needs a clock name");
       cursor += 2;  // clock name recorded nowhere: single-clock analysis
       continue;
     }
     if (t.kind == SdcToken::Kind::kWord && !t.value.empty() && t.value[0] == '-') {
-      return err(line_no, "unsupported flag '" + t.value + "'");
+      return line_error(line_no, "unsupported flag '" + t.value + "'");
     }
     if (t.kind == SdcToken::Kind::kWord && !have_delay) {
       auto v = parse_number(t.value, line_no);
@@ -134,7 +131,7 @@ Status parse_port_delay(const std::vector<SdcToken>& tokens, bool inputs, int li
       continue;
     }
     if (t.kind == SdcToken::Kind::kOpenBracket) {
-      if (have_objects) return err(line_no, "more than one object list");
+      if (have_objects) return line_error(line_no, "more than one object list");
       auto objects = parse_object_list(tokens, cursor, inputs, line_no);
       if (!objects.ok()) return objects.status();
       entry.ports = std::move(objects->ports);
@@ -142,10 +139,10 @@ Status parse_port_delay(const std::vector<SdcToken>& tokens, bool inputs, int li
       have_objects = true;
       continue;
     }
-    return err(line_no, "unexpected '" + t.value + "'");
+    return line_error(line_no, "unexpected '" + t.value + "'");
   }
-  if (!have_delay) return err(line_no, "missing delay value");
-  if (!have_objects) return err(line_no, "missing [get_ports ...] / [all_...] object list");
+  if (!have_delay) return line_error(line_no, "missing delay value");
+  if (!have_objects) return line_error(line_no, "missing [get_ports ...] / [all_...] object list");
   entry.line = line_no;
   (inputs ? sdc.input_delays : sdc.output_delays).push_back(std::move(entry));
   return Status();
@@ -165,7 +162,7 @@ StatusOr<Sdc> read_sdc(std::string_view text) {
     const std::vector<SdcToken>& tokens = *tokens_or;
     if (tokens.empty()) continue;
     if (tokens[0].kind != SdcToken::Kind::kWord) {
-      return err(line_no, "expected a command, got '" + tokens[0].value + "'");
+      return line_error(line_no, "expected a command, got '" + tokens[0].value + "'");
     }
     const std::string& command = tokens[0].value;
 
@@ -176,7 +173,7 @@ StatusOr<Sdc> read_sdc(std::string_view text) {
         if (t.kind == SdcToken::Kind::kWord && t.value == "-period") {
           if (cursor + 1 >= tokens.size() ||
               tokens[cursor + 1].kind != SdcToken::Kind::kWord) {
-            return err(line_no, "-period needs a value");
+            return line_error(line_no, "-period needs a value");
           }
           auto v = parse_number(tokens[cursor + 1].value, line_no);
           if (!v.ok()) return v.status();
@@ -187,7 +184,7 @@ StatusOr<Sdc> read_sdc(std::string_view text) {
         if (t.kind == SdcToken::Kind::kWord && t.value == "-name") {
           if (cursor + 1 >= tokens.size() ||
               tokens[cursor + 1].kind != SdcToken::Kind::kWord) {
-            return err(line_no, "-name needs a value");
+            return line_error(line_no, "-name needs a value");
           }
           sdc.clock_name = tokens[cursor + 1].value;
           cursor += 2;
@@ -200,10 +197,10 @@ StatusOr<Sdc> read_sdc(std::string_view text) {
           if (!objects.ok()) return objects.status();
           continue;
         }
-        return err(line_no, "unexpected '" + t.value + "' in create_clock");
+        return line_error(line_no, "unexpected '" + t.value + "' in create_clock");
       }
       if (!sdc.clock_period_ps.has_value()) {
-        return err(line_no, "create_clock without -period");
+        return line_error(line_no, "create_clock without -period");
       }
       sdc.clock_line = line_no;
       continue;
@@ -217,17 +214,15 @@ StatusOr<Sdc> read_sdc(std::string_view text) {
       continue;
     }
 
-    return err(line_no, "unsupported SDC command '" + command + "'");
+    return line_error(line_no, "unsupported SDC command '" + command + "'");
   }
   return sdc;
 }
 
 StatusOr<Sdc> read_sdc_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::invalid_argument("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return read_sdc(buffer.str());
+  const StatusOr<std::string> text = read_text_file(path);
+  if (!text.ok()) return text.status();
+  return read_sdc(*text);
 }
 
 }  // namespace statsizer::bench_format

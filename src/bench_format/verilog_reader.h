@@ -24,10 +24,12 @@
 //
 // The returned netlist is fully mapped (techmap::is_mapped holds): every
 // gate carries the cell_group/size_index its instantiation named, so sized
-// netlists written by write_verilog round-trip losslessly. Instances may
-// appear in any order; undeclared nets, unknown cells or pins, duplicate
-// drivers, undriven outputs and combinational cycles are reported with line
-// numbers.
+// netlists written by write_verilog round-trip losslessly. The reader parses,
+// binds cells, matches pins and classifies assigns, reporting undeclared
+// nets, unknown cells or pins and duplicate drivers with line numbers;
+// assemble_netlist (assemble.h) builds the netlist from that, constants
+// first, and reports undriven nets and combinational cycles. Instances may
+// appear in any order.
 #pragma once
 
 #include <string_view>

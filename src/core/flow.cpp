@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 
 #include <unordered_map>
@@ -75,6 +76,14 @@ Status Flow::load_verilog_file(const std::string& path) {
   auto parsed = bench_format::read_verilog_file(path, library_, &provenance_);
   if (!parsed.ok()) return parsed.status();
   return adopt_circuit(std::move(parsed.value()));
+}
+
+Status Flow::load_file(const std::string& path) {
+  const std::string ext = std::filesystem::path(path).extension().string();
+  if (ext == ".bench") return load_bench_file(path);
+  if (ext == ".v") return load_verilog_file(path);
+  return Status::invalid_argument("unsupported extension '" + ext + "' (want .bench or .v): " +
+                                  path);
 }
 
 namespace {

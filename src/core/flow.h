@@ -147,6 +147,9 @@ class Flow {
   /// cell bindings (drive strengths) are adopted as-is: load_circuit skips
   /// re-mapping for already-mapped netlists.
   [[nodiscard]] Status load_verilog_file(const std::string& path);
+  /// Reads a netlist file with the reader its extension names: .bench or .v.
+  /// Any other extension is kInvalidArgument.
+  [[nodiscard]] Status load_file(const std::string& path);
 
   // -- constraints ------------------------------------------------------------
   /// Parses SDC text / a file and installs the resulting constraints on the

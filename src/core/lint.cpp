@@ -63,19 +63,7 @@ LintResult lint_file(const std::string& path, const LintOptions& options) {
   flow_options.drc = options.drc;
   Flow flow(flow_options);
 
-  const auto dot = path.find_last_of('.');
-  const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
-  Status load;
-  if (ext == ".bench") {
-    load = flow.load_bench_file(path);
-  } else if (ext == ".v") {
-    load = flow.load_verilog_file(path);
-  } else {
-    LintResult result;
-    result.status =
-        Status::invalid_argument("lint_file: unsupported extension '" + ext + "' (want .bench or .v)");
-    return result;
-  }
+  const Status load = flow.load_file(path);
   if (!load.ok()) {
     if (auto diagnosed = diagnose_load_failure(flow, load, path); diagnosed.has_value()) {
       return *std::move(diagnosed);

@@ -37,7 +37,7 @@ struct LintResult {
   [[nodiscard]] bool ok() const { return status.ok(); }
 };
 
-/// Lints a netlist file (.bench or .v, by extension).
+/// Lints a netlist file, read by Flow::load_file (.bench or .v).
 [[nodiscard]] LintResult lint_file(const std::string& path, const LintOptions& options = {});
 
 /// Lints one of the builtin workloads (circuits::make_table1_circuit names).

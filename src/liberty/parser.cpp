@@ -10,6 +10,8 @@ namespace statsizer::liberty {
 
 namespace {
 
+constexpr int kMaxDepth = 64;  // group nesting bound, as util::Json's
+
 enum class TokKind { kIdent, kString, kPunct, kEnd };
 
 struct Token {
@@ -155,12 +157,13 @@ class Parser {
     }
     advance();  // ')'
     if (Status s = expect_punct('{'); !s.ok()) return s;
-    if (Status s = parse_group_body(g); !s.ok()) return s;
+    if (Status s = parse_group_body(g, 1); !s.ok()) return s;
     return g;
   }
 
-  /// Parses statements until the matching '}' into @p g ('{' already eaten).
-  Status parse_group_body(AstGroup& g) {
+  /// Parses statements until the matching '}' into @p g ('{' already eaten),
+  /// @p g being nested @p depth groups deep.
+  Status parse_group_body(AstGroup& g, int depth) {
     while (!is_punct('}')) {
       if (current_.kind == TokKind::kEnd) {
         return Status::error("unexpected end of input inside group '" + g.type + "'");
@@ -203,11 +206,15 @@ class Parser {
         }
         advance();
         if (is_punct('{')) {
+          if (depth == kMaxDepth) {
+            return Status::error("line " + std::to_string(line) + ": groups nested deeper than " +
+                                 std::to_string(kMaxDepth));
+          }
           advance();
           AstGroup child;
           child.type = name;
           child.args = std::move(values);
-          Status s = parse_group_body(child);
+          Status s = parse_group_body(child, depth + 1);
           if (!s.ok()) return s;
           g.children.push_back(std::move(child));
         } else {

@@ -38,13 +38,14 @@ void Session::rebase(core::Flow& flow) {
   (void)analyzer_->analyze(flow.timing());
 }
 
-Status Session::load_workload(std::string_view name, bool run_baseline) {
+template <typename Load>
+Status Session::load_with(Load load, bool run_baseline) {
   util::checkpoint("serve/session/load");
   // Build the new state in a scratch Flow (no lock held: reads keep serving
   // the previous design). A failure anywhere — parse, DRC gate, abort —
   // discards the scratch and leaves the session untouched.
   auto scratch = std::make_unique<core::Flow>(options_.flow);
-  if (Status s = scratch->load_table1(name); !s.ok()) return s;
+  if (Status s = load(*scratch); !s.ok()) return s;
   if (scratch->preflight().has_errors()) return preflight_rejection(scratch->last_drc());
   if (run_baseline) (void)scratch->run_baseline();
   std::unique_ptr<timing::Analyzer> analyzer;
@@ -62,27 +63,12 @@ Status Session::load_workload(std::string_view name, bool run_baseline) {
   return Status();
 }
 
-Status Session::load_file(const std::string& path, bool run_baseline) {
-  util::checkpoint("serve/session/load");
-  auto scratch = std::make_unique<core::Flow>(options_.flow);
-  const bool verilog = path.size() >= 2 && path.compare(path.size() - 2, 2, ".v") == 0;
-  Status loaded = verilog ? scratch->load_verilog_file(path) : scratch->load_bench_file(path);
-  if (!loaded.ok()) return loaded;  // readers attach kInvalidArgument themselves
-  if (scratch->preflight().has_errors()) return preflight_rejection(scratch->last_drc());
-  if (run_baseline) (void)scratch->run_baseline();
-  std::unique_ptr<timing::Analyzer> analyzer;
-  try {
-    analyzer = scratch->make_analyzer(options_.engine);
-  } catch (const std::invalid_argument& e) {
-    return Status::invalid_argument(e.what());
-  }
-  (void)analyzer->analyze(scratch->timing());
+Status Session::load_workload(std::string_view name, bool run_baseline) {
+  return load_with([name](core::Flow& flow) { return flow.load_table1(name); }, run_baseline);
+}
 
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  flow_ = std::move(scratch);
-  analyzer_ = std::move(analyzer);
-  ++epoch_;
-  return Status();
+Status Session::load_file(const std::string& path, bool run_baseline) {
+  return load_with([&path](core::Flow& flow) { return flow.load_file(path); }, run_baseline);
 }
 
 Status Session::apply_sdc_text(std::string_view text) {

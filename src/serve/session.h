@@ -108,7 +108,7 @@ class Session {
   /// findings reject the load with kInvalidArgument and the previous design
   /// keeps serving.
   [[nodiscard]] Status load_workload(std::string_view name, bool run_baseline = false);
-  /// Same, from an ISCAS .bench or structural-Verilog file (by extension).
+  /// Same, from a .bench or structural-Verilog file (core::Flow::load_file).
   [[nodiscard]] Status load_file(const std::string& path, bool run_baseline = false);
 
   /// Applies SDC text to the served design (exclusive; epoch bump). The DRC
@@ -135,6 +135,10 @@ class Session {
   [[nodiscard]] std::uint64_t approx_cost_bytes() const;
 
  private:
+  /// The shared load transaction: @p load fills a scratch Flow, which is
+  /// installed only if the load, the DRC gate and the analysis all succeed.
+  template <typename Load>
+  [[nodiscard]] Status load_with(Load load, bool run_baseline);
   /// Builds the analyzer base for flow's current state. Caller holds the
   /// exclusive lock.
   void rebase(core::Flow& flow);

@@ -155,6 +155,8 @@ TEST(BenchReader, Errors) {
   EXPECT_FALSE(read_bench("INPUT(A)\nINPUT(A)\nOUTPUT(A)\n").ok());            // dup input
   EXPECT_FALSE(read_bench("INPUT(A)\nOUTPUT(Y)\nY = AND(A, Z)\nZ = NOT(Y)\n").ok());  // cycle
   EXPECT_FALSE(read_bench("INPUT(A)\nOUTPUT(Y)\nY = NOT(A)\nY = BUFF(A)\n").ok());    // redef
+  EXPECT_FALSE(read_bench("INPUT(a)\nOUTPUT(y)\ny = XOR(a)\n").ok());                // arity
+  EXPECT_FALSE(read_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n").ok());  // arity
 }
 
 TEST(BenchReader, ErrorMessagesCarryLineNumbers) {
@@ -162,6 +164,10 @@ TEST(BenchReader, ErrorMessagesCarryLineNumbers) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
       << r.status().message();
+  const auto arity = read_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n");
+  ASSERT_FALSE(arity.ok());
+  EXPECT_NE(arity.status().message().find("line 4"), std::string::npos)
+      << arity.status().message();
 }
 
 TEST(BenchReader, CommentsAndBlankLines) {

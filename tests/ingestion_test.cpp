@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "bench_format/verilog_writer.h"
 #include "circuits/iscas_suite.h"
 #include "core/flow.h"
+#include "liberty/synthetic.h"
 #include "netlist/sim.h"
 #include "netlist/topo.h"
 #include "ssta/fullssta.h"
@@ -243,6 +245,111 @@ TEST(BenchRoundTrip, PortPrefixedNamesSurvive) {
   const auto back = bench_format::read_bench(bench_format::write_bench(nl), "prefix");
   ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_TRUE(same_named_structure(nl, *back, /*check_cells=*/false));
+}
+
+// ---------------------------------------------------------------------------
+// Definition order: both readers build fanins first, whatever the line order
+// and however deep the input
+// ---------------------------------------------------------------------------
+
+/// Node-for-node equality under the same GateIds.
+::testing::AssertionResult same_numbering(const Netlist& a, const Netlist& b) {
+  if (a.node_count() != b.node_count())
+    return ::testing::AssertionFailure() << "node counts differ";
+  for (GateId id = 0; id < a.node_count(); ++id) {
+    const auto& g = a.gate(id);
+    const auto& h = b.gate(id);
+    if (g.name != h.name || g.func != h.func || g.fanins != h.fanins ||
+        g.cell_group != h.cell_group || g.size_index != h.size_index)
+      return ::testing::AssertionFailure() << "node " << id << " differs";
+  }
+  if (!std::ranges::equal(a.inputs(), b.inputs()))
+    return ::testing::AssertionFailure() << "inputs differ";
+  if (!std::ranges::equal(a.outputs(), b.outputs(), [](const auto& x, const auto& y) {
+        return x.name == y.name && x.driver == y.driver;
+      }))
+    return ::testing::AssertionFailure() << "outputs differ";
+  return ::testing::AssertionSuccess();
+}
+
+/// The inverter chain a -> n1 -> ... -> y of @p gates, as .bench or as
+/// structural Verilog, its gate lines inputs-first or outputs-first.
+std::string inverter_chain(int gates, bool verilog, bool outputs_first) {
+  const auto net = [gates](int i) {
+    return i == 0 ? std::string("a") : i == gates ? std::string("y") : "n" + std::to_string(i);
+  };
+  std::string text =
+      verilog ? "module chain (a, y);\n  input a;\n  output y;\n" : "INPUT(a)\nOUTPUT(y)\n";
+  for (int i = 1; verilog && i < gates; ++i) text += "  wire " + net(i) + ";\n";
+  for (int k = 1; k <= gates; ++k) {
+    const int i = outputs_first ? gates + 1 - k : k;
+    text += verilog ? "  INV_X1 g" + std::to_string(i) + " (.A(" + net(i - 1) + "), .ZN(" +
+                          net(i) + "));\n"
+                    : net(i) + " = NOT(" + net(i - 1) + ")\n";
+  }
+  return verilog ? text + "endmodule\n" : text;
+}
+
+TEST(DefinitionOrder, DeepOutputsFirstChainMatchesForwardOrder) {
+  // Outputs-first, every gate waits on the whole chain below it: the build
+  // is 200k levels deep, far past any call stack.
+  constexpr int kGates = 200000;
+  const liberty::Library lib = liberty::build_synthetic_90nm({});
+  for (const bool verilog : {false, true}) {
+    const auto read = [&](bool outputs_first) {
+      const std::string text = inverter_chain(kGates, verilog, outputs_first);
+      return verilog ? bench_format::read_verilog(text, lib)
+                     : bench_format::read_bench(text, "chain");
+    };
+    const auto forward = read(false);
+    const auto backward = read(true);
+    ASSERT_TRUE(forward.ok()) << forward.status().message();
+    ASSERT_TRUE(backward.ok()) << backward.status().message();
+    EXPECT_EQ(forward->node_count(), kGates + 1u);
+    EXPECT_TRUE(same_numbering(*forward, *backward)) << (verilog ? ".v" : ".bench");
+  }
+}
+
+/// @p text with its gate lines (those with an '=') in reverse order.
+std::string reverse_gate_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::vector<std::string> gates;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+    if (line.find('=') != std::string::npos) gates.push_back(line);
+  }
+  std::string out;
+  for (const std::string& line : lines) {
+    if (line.find('=') == std::string::npos) {
+      out += line;
+    } else {
+      out += gates.back();
+      gates.pop_back();
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(DefinitionOrder, ReversedTable1BenchGivesTheSameNetlist) {
+  // Ids follow the post-order from each definition in file order, so the
+  // gates may number differently; the inputs keep theirs, every gate's
+  // fanins precede it, and the named structure is the forward file's.
+  for (const std::string& name : circuits::table1_names()) {
+    const std::string text = bench_format::write_bench(circuits::make_table1_circuit(name));
+    const auto forward = bench_format::read_bench(text, name);
+    const auto reversed = bench_format::read_bench(reverse_gate_lines(text), name);
+    ASSERT_TRUE(forward.ok()) << name << ": " << forward.status().message();
+    ASSERT_TRUE(reversed.ok()) << name << ": " << reversed.status().message();
+    EXPECT_TRUE(same_named_structure(*forward, *reversed, /*check_cells=*/false)) << name;
+    EXPECT_TRUE(std::ranges::equal(forward->inputs(), reversed->inputs())) << name;
+    bool fanins_first = true;
+    for (GateId id = 0; id < reversed->node_count(); ++id) {
+      for (const GateId f : reversed->gate(id).fanins) fanins_first &= f < id;
+    }
+    EXPECT_TRUE(fanins_first) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

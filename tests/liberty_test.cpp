@@ -206,6 +206,19 @@ TEST(Parser, TinyLibrary) {
   EXPECT_DOUBLE_EQ(inv.arc_from(0).delay(10, 1), 1.0);
 }
 
+TEST(Parser, NestingDepthIsCapped) {
+  // 100k nested groups, one per line: an error at the first group past the
+  // cap, not a stack overflow.
+  std::string text = "library (deep) {\n";
+  for (int i = 0; i < 100000; ++i) text += "g (x) {\n";
+  for (int i = 0; i <= 100000; ++i) text += "}\n";
+  const auto ast = parse_ast(text);
+  ASSERT_FALSE(ast.ok());
+  EXPECT_NE(ast.status().message().find("line 65: groups nested deeper than 64"),
+            std::string::npos)
+      << ast.status().message();
+}
+
 TEST(Parser, InlineIndicesOverrideTemplate) {
   constexpr const char* text = R"(
 library (t) {

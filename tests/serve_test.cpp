@@ -608,6 +608,22 @@ TEST(ServeServer, ServesTheProtocolEndToEnd) {
   EXPECT_TRUE(ok_of(responses[7]));  // quit
 }
 
+TEST(ServeServer, LoadOfAnUnsupportedExtensionAnswersInvalidArgument) {
+  // The extension picks the reader; anything but .bench or .v is refused
+  // before any file is opened.
+  ServerOptions options;
+  Server server(options);
+  const auto responses = run_script(server,
+                                    "{\"id\":1,\"op\":\"load\",\"file\":\"x.txt\"}\n"
+                                    "{\"id\":2,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(ok_of(responses[0]));
+  EXPECT_EQ(string_at(responses[0], "code"), "invalid_argument");
+  EXPECT_NE(string_at(responses[0], "error").find("unsupported extension '.txt'"),
+            std::string::npos)
+      << string_at(responses[0], "error");
+}
+
 TEST(ServeServer, DeadlineExceededRequestAnswersStructurally) {
   ServerOptions options;
   Server server(options);

@@ -115,8 +115,8 @@ TEST(SizerParallel, BalancedFabricGlobalSweepIdenticalAcrossThreadCounts) {
 }
 
 TEST(SizerParallel, OddSpeculationWindowsIdenticalToSerial) {
-  // The confirmation window is the worker count (timing::speculation_window),
-  // so 3 and 5 cut the in-order walks at boundaries no other case uses.
+  // The confirmation window is the worker count (timing::first_accepted), so
+  // 3 and 5 cut the in-order walks at boundaries no other case uses.
   const auto chain = run_once(circuits::make_cla_adder(8), 3.0, 1);
   const auto fabric = run_once(parity_fabric(16), 9.0, 1);
   ASSERT_GT(chain.stats.exact_resizes, 0u);
