@@ -62,9 +62,9 @@ int main() {
       const auto& b = inputs[j].m;
       const int dom = fassta::dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps);
       const double sa = fassta::max_var_sensitivity_mu_a(
-          a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, options.fd_step_fraction, c);
+          a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, opt::kWnssStepFraction, c);
       const double sb = fassta::max_var_sensitivity_mu_a(
-          b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, options.fd_step_fraction, c);
+          b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, opt::kWnssStepFraction, c);
       t.add_row({std::string(inputs[i].name) + " / " + inputs[j].name,
                  util::fmt(sa, 2), util::fmt(sb, 2),
                  dom > 0 ? "left" : (dom < 0 ? "right" : "none")});

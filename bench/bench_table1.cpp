@@ -8,11 +8,10 @@
 //   --threads N   (0..1024; 0 = hardware concurrency; anything else,
 //                 including a negative or non-numeric value, exits 2)
 //                 shard circuits across N job-system workers (the
-//                 serve::JobManager fan-out pattern); each sharded run then
-//                 scores sizing candidates serially. With N = 1 (default)
-//                 circuits run sequentially and the candidate scoring inside
-//                 each run fans across hardware threads instead. Either way
-//                 the table values are identical — the sizer is
+//                 serve::JobManager fan-out pattern). Each run's sizing and
+//                 yield loops run inline on its worker, so N = 1 (default)
+//                 runs the circuits one after another on one core. Either
+//                 way the table values are identical — the sizer is
 //                 thread-count-invariant.
 //   --inject SPEC deterministic fault rule (util::parse_fault_rule syntax;
 //                 repeatable). Scope = the circuit's index in the work list.
@@ -57,18 +56,13 @@ struct RowResult {
 
 /// @p ref is null for the scaled fabrics (circuits::scaled_workload_names),
 /// which have no paper row — their reference columns print "-".
-RowResult run_circuit(const std::string& name, const circuits::Table1Reference* ref,
-                      std::size_t shards) {
+RowResult run_circuit(const std::string& name, const circuits::Table1Reference* ref) {
   RowResult out;
   core::FlowOptions flow_options;
-  // Inner scoring parallelism only when circuits are actually sharded.
-  const std::size_t sizer_threads = shards > 1 ? 1 : 0;
-  flow_options.sizer_threads = sizer_threads;
   // Yield-column estimator: importance sampling to a 0.2% standard error
   // (or the 4096-draw cap), at the clock fixed from the baseline 3-sigma
   // corner below.
   flow_options.isle.target_yield_se = 2e-3;
-  flow_options.isle.threads = sizer_threads;
 
   core::Flow flow(flow_options);
   if (const Status s = flow.load_table1(name); !s.ok()) {
@@ -101,7 +95,7 @@ RowResult run_circuit(const std::string& name, const circuits::Table1Reference* 
   // trends survive; see EXPERIMENTS.md), and the 10k+-gate scaled fabrics a
   // tighter one still.
   opt::StatisticalSizerOptions overrides;
-  overrides.threads = sizer_threads;
+  overrides.threads = flow_options.sizer_threads;
   if (flow.netlist().logic_gate_count() > 1500) {
     overrides.max_iterations = 40;
     overrides.exact_fallback_gate_limit = 10;
@@ -194,9 +188,8 @@ int main(int argc, char** argv) {
   // index-aligned slots, so the table order (and every value in it) is
   // independent of the thread count, and a failing circuit — including one
   // poisoned by --inject — is isolated to its own row's structured status.
-  // The effective shard count is bounded by the work list: asking for 8
-  // threads on one circuit must not serialize that circuit's inner candidate
-  // scoring.
+  // The effective shard count is bounded by the work list: a worker with no
+  // circuit would sit idle.
   const std::size_t shards = std::min(threads, std::max<std::size_t>(work.size(), 1));
   std::vector<RowResult> results(work.size());
   {
@@ -210,9 +203,9 @@ int main(int argc, char** argv) {
       serve::JobOptions job_options;
       job_options.fault_scope = i;  // --inject addresses circuits by index
       handles[i] = manager.submit(
-          [&work, &results, shards, i] {
-            results[i] = run_circuit(work[i].first,
-                                     work[i].second ? &*work[i].second : nullptr, shards);
+          [&work, &results, i] {
+            results[i] =
+                run_circuit(work[i].first, work[i].second ? &*work[i].second : nullptr);
             if (!results[i].error.empty()) {
               throw StatusError(Status::error(results[i].error));
             }

@@ -1,5 +1,6 @@
 // Corpus: rng-stray must fire on every wall-clock / unseeded randomness
-// pattern, and the waiver syntax must silence a justified use.
+// pattern and on every standard distribution, and the waiver syntax must
+// silence a justified use.
 #include <cstdlib>
 #include <ctime>
 #include <random>
@@ -23,6 +24,10 @@ long stray_time_seed() {
 
 long stray_std_time_seed() {
   return std::time(0);  // expect-lint: rng-stray
+}
+
+double stray_distribution(std::mt19937_64& engine) {
+  return std::normal_distribution<double>(0.0, 1.0)(engine);  // expect-lint: rng-stray
 }
 
 // A justified waiver stays silent (e.g. a one-off tool that intentionally

@@ -8,10 +8,13 @@ tests; this linter statically rejects the *source patterns* that historically
 break it before they ever reach a test:
 
   rng-stray               std::rand / srand / std::random_device / time()-
-                          seeded randomness anywhere outside util/rng.h.
-                          Unseeded or wall-clock-seeded draws are
-                          irreproducible by construction; all randomness must
-                          flow through util::Rng / util::stream_seed.
+                          seeded randomness, or any std::*_distribution,
+                          anywhere outside util/rng.h. Unseeded or
+                          wall-clock-seeded draws are irreproducible by
+                          construction, and a distribution's output is
+                          implementation-defined (a standard-library pin on
+                          bitwise results); all randomness must flow through
+                          util::Rng / util::stream_seed.
 
   unordered-iter          Range-for iteration over a std::unordered_map /
                           std::unordered_set. Bucket order is
@@ -141,23 +144,27 @@ def line_of(text: str, offset: int) -> int:
 # rule: rng-stray
 # ---------------------------------------------------------------------------
 
+NONREPRODUCIBLE = "non-reproducible randomness"
 RNG_PATTERNS = (
-    (re.compile(r"\bstd::rand\b|(?<![\w:])rand\s*\("), "std::rand"),
-    (re.compile(r"(?<!\w)srand\s*\("), "srand"),
-    (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bstd::rand\b|(?<![\w:])rand\s*\("), "std::rand", NONREPRODUCIBLE),
+    (re.compile(r"(?<!\w)srand\s*\("), "srand", NONREPRODUCIBLE),
+    (re.compile(r"\brandom_device\b"), "std::random_device", NONREPRODUCIBLE),
     (re.compile(r"(?<![\w:])(?:std::)?time\s*\(\s*(?:nullptr|NULL|0)?\s*\)"),
-     "wall-clock time() seeding"),
+     "wall-clock time() seeding", NONREPRODUCIBLE),
+    (re.compile(r"\bstd::\w+_distribution\b"), "std::*_distribution",
+     "implementation-defined output, so bitwise results would depend on the "
+     "standard library"),
 )
 
 
 def check_rng(path_rel: str, code: str, findings: list, path: Path) -> None:
     if path_rel in RNG_EXEMPT:
         return
-    for pattern, what in RNG_PATTERNS:
+    for pattern, what, why in RNG_PATTERNS:
         for m in pattern.finditer(code):
             findings.append(Finding(
                 path, line_of(code, m.start()), "rng-stray",
-                f"{what}: non-reproducible randomness; draw through util::Rng / "
+                f"{what}: {why}; draw through util::Rng / "
                 f"util::stream_seed (util/rng.h) instead"))
 
 

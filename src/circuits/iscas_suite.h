@@ -30,7 +30,7 @@ struct Table1Reference {
 /// datapath, mesh interconnect). Not in the paper's Table 1 — registered
 /// here so flows and benches load them like any other workload; their
 /// wavefront levels are wide enough for the parallel kernels to pay
-/// (median level width far above TimingOptions::min_level_width_for_parallel,
+/// (median level width far above sta::kMinParallelLevelWidth,
 /// unlike the ~400-gate Table-1 circuits).
 [[nodiscard]] const std::vector<std::string>& scaled_workload_names();
 

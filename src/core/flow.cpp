@@ -27,7 +27,7 @@ Status Flow::adopt_circuit(netlist::Netlist nl) {
   // (named cycle witness, duplicated output with both drivers) subsume the
   // invariant checker's messages for the overlapping failures, and the
   // warnings (dangling outputs, dead cones) are kept for last_drc().
-  last_drc_ = drc::check_netlist(nl, options_.drc, &provenance_);
+  last_drc_ = drc::check_netlist(nl, &provenance_);
   if (last_drc_.has_errors()) {
     const drc::Diagnostic& d = *last_drc_.first_error();
     return Status::invalid_argument(std::string(drc::rule_id(d.rule)) + ": " + d.message);
@@ -144,25 +144,21 @@ StatusOr<sta::TimingConstraints> to_constraints(const bench_format::Sdc& sdc,
 
 Status Flow::apply_sdc(std::string_view text) {
   if (!has_circuit()) return Status::invalid_argument("apply_sdc: no circuit loaded");
-  auto sdc = bench_format::read_sdc(text);
-  if (!sdc.ok()) return sdc.status();
-  auto constraints = to_constraints(*sdc, *netlist_);
-  if (!constraints.ok()) return constraints.status();
-  context_->set_constraints(std::move(constraints.value()));
-  sdc_ = std::move(sdc.value());
-  sdc_file_.clear();
-  return Status();
+  return adopt_sdc(bench_format::read_sdc(text), "");
 }
 
 Status Flow::apply_sdc_file(const std::string& path) {
   if (!has_circuit()) return Status::invalid_argument("apply_sdc_file: no circuit loaded");
-  auto sdc = bench_format::read_sdc_file(path);
+  return adopt_sdc(bench_format::read_sdc_file(path), path);
+}
+
+Status Flow::adopt_sdc(StatusOr<bench_format::Sdc> sdc, std::string file) {
   if (!sdc.ok()) return sdc.status();
   auto constraints = to_constraints(*sdc, *netlist_);
   if (!constraints.ok()) return constraints.status();
   context_->set_constraints(std::move(constraints.value()));
   sdc_ = std::move(sdc.value());
-  sdc_file_ = path;
+  sdc_file_ = std::move(file);
   return Status();
 }
 
@@ -304,15 +300,10 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
     const std::vector<MonteCarloJob>& jobs, std::size_t threads,
     const FlowOptions& options, const util::FaultPlan* faults) {
   std::vector<MonteCarloJobResult> results(jobs.size());
-  // The manager parallelizes across jobs; inner parallelism (Monte-Carlo
-  // sharding, sizer candidate scoring) is pinned to 1 — partly to avoid
-  // oversubscription, partly so every kernel runs its inline deterministic
-  // path, where cooperative checkpoints (cancellation, deadlines, fault
-  // injection) have full coverage. Determinism makes 1 and N threads
-  // equivalent result-wise.
-  FlowOptions job_options = options;
-  job_options.sizer_threads = 1;
-  job_options.isle.threads = 1;
+  // The manager parallelizes across jobs. Inside a job every inner parallel
+  // region runs inline on its worker (util::region_threads), where
+  // cooperative checkpoints (cancellation, deadlines, fault injection) have
+  // full coverage; determinism makes that equivalent result-wise.
   serve::JobManagerOptions manager_options;
   manager_options.threads = threads;
   // Batch mode admits everything: admission control is a serving concern.
@@ -325,11 +316,11 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
     serve::JobOptions job_opts;
     job_opts.fault_scope = j;  // fault plans address jobs by batch index
     handles[j] = manager.submit(
-        [&jobs, &results, &job_options, j] {
+        [&jobs, &results, &options, j] {
           const MonteCarloJob& job = jobs[j];
           MonteCarloJobResult& out = results[j];
           out = MonteCarloJobResult{};  // re-runnable under retry
-          Flow flow(job_options);
+          Flow flow(options);
           if (Status s = flow.load_table1(job.table1_name); !s.ok()) {
             throw StatusError(std::move(s));  // keeps kInvalidArgument
           }
@@ -337,9 +328,7 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
           if (job.lambda.has_value()) {
             out.record = flow.optimize(*job.lambda);
           }
-          ssta::MonteCarloOptions mc = job.mc;
-          mc.threads = 1;  // the manager parallelizes across jobs
-          out.mc = ssta::run_monte_carlo(flow.timing(), mc);
+          out.mc = ssta::run_monte_carlo(flow.timing(), job.mc);
         },
         job_opts);
   }

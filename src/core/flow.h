@@ -197,10 +197,11 @@ class Flow {
   /// concurrency) with per-job error isolation — any failure becomes that
   /// job's structured Status (its code classifying parse errors vs injected
   /// faults vs internal exceptions) and never perturbs sibling results.
-  /// Each job's Monte Carlo runs serially inside it to avoid
-  /// oversubscription. Results are index-aligned with @p jobs and
-  /// deterministic for any thread count. @p faults optionally installs a
-  /// deterministic fault-injection plan; job i reports fault scope i.
+  /// Each job's inner parallel regions (sizing, yield, Monte Carlo) run
+  /// inline on its worker (util::region_threads). Results are index-aligned
+  /// with @p jobs and deterministic for any thread count. @p faults
+  /// optionally installs a deterministic fault-injection plan; job i reports
+  /// fault scope i.
   [[nodiscard]] static std::vector<MonteCarloJobResult> run_monte_carlo_batch(
       const std::vector<MonteCarloJob>& jobs, std::size_t threads = 0,
       const FlowOptions& options = {}, const util::FaultPlan* faults = nullptr);
@@ -239,6 +240,9 @@ class Flow {
   /// invariants, mapping, context construction. Does not touch provenance_ —
   /// the file loaders fill it before delegating.
   [[nodiscard]] Status adopt_circuit(netlist::Netlist nl);
+  /// Shared tail of the apply_sdc* paths: binds @p sdc to the netlist and
+  /// records it, with its @p file ("" for text), as the source for DRC.
+  [[nodiscard]] Status adopt_sdc(StatusOr<bench_format::Sdc> sdc, std::string file);
   /// Throws std::logic_error when preflighting is on and the current design
   /// has error-severity diagnostics. @p stage names the refusing API.
   void require_clean(const char* stage);

@@ -15,6 +15,9 @@ using netlist::Netlist;
 
 namespace {
 
+/// Witness lists are truncated to this many entries.
+constexpr std::size_t kMaxWitness = 8;
+
 /// Deterministic short rendering of a physical quantity (platform-stable for
 /// the value ranges DRC prints; diagnostics must not vary run to run).
 std::string num(double v) {
@@ -130,8 +133,8 @@ void check_multi_driven(const Netlist& nl, const bench_format::Provenance* prov,
   }
 }
 
-void check_connectivity(const Netlist& nl, const DrcOptions& options,
-                        const bench_format::Provenance* prov, DrcReport& report) {
+void check_connectivity(const Netlist& nl, const bench_format::Provenance* prov,
+                        DrcReport& report) {
   const std::vector<bool> observable = netlist::observable_mask(nl);
   std::vector<std::string> cone;  // dead nodes that still feed something
   for (GateId id = 0; id < nl.node_count(); ++id) {
@@ -158,20 +161,20 @@ void check_connectivity(const Netlist& nl, const DrcOptions& options,
     d.severity = Severity::kWarning;
     d.message = std::to_string(cone.size()) +
                 " node(s) feed only logic unreachable from any primary output: " +
-                name_list(cone, options.max_witness);
+                name_list(cone, kMaxWitness);
     d.object = cone.front();
-    cone.resize(std::min(cone.size(), options.max_witness));
+    cone.resize(std::min(cone.size(), kMaxWitness));
     d.witness = std::move(cone);
     attribute(d, prov);
     report.diagnostics.push_back(std::move(d));
   }
 }
 
-void append_structural(const Netlist& nl, const DrcOptions& options,
-                       const bench_format::Provenance* prov, DrcReport& report) {
+void append_structural(const Netlist& nl, const bench_format::Provenance* prov,
+                       DrcReport& report) {
   check_cycle(nl, prov, report);
   check_multi_driven(nl, prov, report);
-  check_connectivity(nl, options, prov, report);
+  check_connectivity(nl, prov, report);
 }
 
 // ---- binding rules ----------------------------------------------------------
@@ -241,7 +244,7 @@ void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
     d.object = g.name;
     d.message = "'" + g.name + "' drives " + std::to_string(fanout) +
                 " sinks (limit " + std::to_string(options.max_fanout) + ")";
-    for (std::size_t i = 0; i < g.fanouts.size() && i < options.max_witness; ++i) {
+    for (std::size_t i = 0; i < g.fanouts.size() && i < kMaxWitness; ++i) {
       d.witness.push_back(nl.gate(g.fanouts[i]).name);
     }
     slot.findings.push_back(std::move(d));
@@ -277,7 +280,7 @@ void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
     std::sort(heavy.begin(), heavy.end(), [](const auto& a, const auto& b) {
       return a.first != b.first ? a.first > b.first : a.second < b.second;
     });
-    for (std::size_t i = 0; i < heavy.size() && i < options.max_witness; ++i) {
+    for (std::size_t i = 0; i < heavy.size() && i < kMaxWitness; ++i) {
       d.witness.push_back(nl.gate(heavy[i].second).name + " (" + num(heavy[i].first) +
                           " fF)");
     }
@@ -318,8 +321,7 @@ void append_electrical(const sta::TimingContext& ctx, const DrcOptions& options,
                        const bench_format::Provenance* prov, DrcReport& report) {
   const Netlist& nl = ctx.netlist();
   std::vector<ElectricalSlot> slots(nl.node_count());
-  sta::sweep_levels(sta::all_levels(ctx.levelization()), options.threads,
-                    options.min_level_width_for_parallel, /*chunk=*/64,
+  sta::sweep_levels(sta::all_levels(ctx.levelization()), options.threads, /*chunk=*/64,
                     [&](const GateId id, std::uint32_t) {
                       electrical_body(ctx, options, id, slots[id]);
                     });
@@ -334,8 +336,7 @@ void append_electrical(const sta::TimingContext& ctx, const DrcOptions& options,
 // ---- SDC coverage -----------------------------------------------------------
 
 void sdc_port_rules(const Netlist& nl, const bench_format::Sdc& sdc,
-                    const DrcOptions& options, const std::string& sdc_file,
-                    DrcReport& report) {
+                    const std::string& sdc_file, DrcReport& report) {
   const auto located = [&](Rule rule, Severity sev, std::string object,
                            std::string message, int line) {
     Diagnostic d;
@@ -405,8 +406,8 @@ void sdc_port_rules(const Netlist& nl, const bench_format::Sdc& sdc,
       d.object = uncovered.front();
       d.message = std::to_string(uncovered.size()) +
                   " primary input(s) have no set_input_delay: " +
-                  name_list(uncovered, options.max_witness);
-      uncovered.resize(std::min(uncovered.size(), options.max_witness));
+                  name_list(uncovered, kMaxWitness);
+      uncovered.resize(std::min(uncovered.size(), kMaxWitness));
       d.witness = std::move(uncovered);
       d.file = sdc_file;
       report.diagnostics.push_back(std::move(d));
@@ -492,10 +493,9 @@ const Diagnostic* DrcReport::first_error() const {
   return nullptr;
 }
 
-DrcReport check_netlist(const Netlist& nl, const DrcOptions& options,
-                        const bench_format::Provenance* provenance) {
+DrcReport check_netlist(const Netlist& nl, const bench_format::Provenance* provenance) {
   DrcReport report;
-  append_structural(nl, options, provenance, report);
+  append_structural(nl, provenance, report);
   return report;
 }
 
@@ -503,14 +503,14 @@ DrcReport run_drc(const sta::TimingContext& ctx, const DrcOptions& options,
                   const bench_format::Provenance* provenance,
                   const bench_format::Sdc* sdc, const std::string& sdc_file) {
   DrcReport report;
-  append_structural(ctx.netlist(), options, provenance, report);
+  append_structural(ctx.netlist(), provenance, report);
   // Electrical rules dereference the bound cells, so a broken binding must
   // stop the sweep at the binding stage.
   if (append_binding(ctx, provenance, report)) {
     append_electrical(ctx, options, provenance, report);
   }
   if (sdc != nullptr) {
-    sdc_port_rules(ctx.netlist(), *sdc, options, sdc_file, report);
+    sdc_port_rules(ctx.netlist(), *sdc, sdc_file, report);
   } else {
     constraint_rules(ctx.netlist(), ctx.constraints(), report);
   }

@@ -83,13 +83,9 @@ struct DrcOptions {
   /// the DRC screens only gross violations; 1.0 would flag half-sized but
   /// perfectly optimizable designs.
   double load_limit_scale = 2.0;
-  /// Witness lists are truncated to this many entries.
-  std::size_t max_witness = 8;
   /// Worker threads for the electrical wavefront (1 = serial, 0 = hardware
   /// concurrency). Diagnostics are bitwise identical for any value.
   std::size_t threads = 1;
-  /// Levels narrower than this run serially even when threads > 1.
-  std::size_t min_level_width_for_parallel = 16;
 };
 
 struct DrcReport {
@@ -109,7 +105,6 @@ struct DrcReport {
 /// how in-memory cycles surface as diagnostics instead of the
 /// std::logic_error topological_order() throws.
 [[nodiscard]] DrcReport check_netlist(const netlist::Netlist& nl,
-                                      const DrcOptions& options = {},
                                       const bench_format::Provenance* provenance = nullptr);
 
 /// The full sweep over a timing snapshot: structural + binding + electrical

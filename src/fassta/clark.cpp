@@ -70,8 +70,8 @@ ClarkResult clark_max_fast(double mu_a, double sigma_a, double mu_b, double sigm
   // Paper eqs. (5)/(6): the quadratic erf approximation saturates at
   // |alpha| = 2.6 — beyond it, Phi = 1, phi = 0 and the dominant input's
   // moments pass through unchanged. No further math needed.
-  if (alpha >= 2.6) return ClarkResult{mu_a, sigma_a * sigma_a, 1.0};
-  if (alpha <= -2.6) return ClarkResult{mu_b, sigma_b * sigma_b, 0.0};
+  if (alpha >= kDominanceThreshold) return ClarkResult{mu_a, sigma_a * sigma_a, 1.0};
+  if (alpha <= -kDominanceThreshold) return ClarkResult{mu_b, sigma_b * sigma_b, 0.0};
 
   return clark_core(mu_a, sigma_a, mu_b, sigma_b, a, util::normal_pdf(alpha),
                     util::normal_cdf_fast(alpha));

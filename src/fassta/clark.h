@@ -16,6 +16,10 @@
 
 namespace statsizer::fassta {
 
+/// Paper eqs. 5/6: at |alpha| >= 2.6 one input dominates the max, the point
+/// where the quadratic erf approximation saturates.
+inline constexpr double kDominanceThreshold = 2.6;
+
 /// Gaussian moment pair.
 struct Moments {
   double mean = 0.0;
@@ -34,7 +38,7 @@ struct ClarkResult {
 /// -1 if B dominates (alpha <= -threshold), 0 if neither. a == 0 (both
 /// deterministic) falls back to comparing means.
 [[nodiscard]] int dominance(double mu_a, double sigma_a, double mu_b, double sigma_b,
-                            double threshold = 2.6);
+                            double threshold = kDominanceThreshold);
 
 /// Reference-accuracy Clark max using std::erf, with optional correlation
 /// rho between A and B.

@@ -19,8 +19,8 @@ Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
-    // Dominance early-outs with the configured threshold (2.6 in the paper —
-    // the point where the quadratic erf approximation saturates).
+    // Dominance early-outs with the configured threshold (the paper's
+    // kDominanceThreshold by default).
     const int dom = dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps,
                               options_.dominance_threshold);
     if (dom > 0) return a;

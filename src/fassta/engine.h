@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "fassta/clark.h"
 #include "netlist/subcircuit.h"
 #include "sta/graph.h"
 
@@ -42,7 +43,7 @@ enum class MaxMode {
 
 struct EngineOptions {
   MaxMode max_mode = MaxMode::kFast;
-  double dominance_threshold = 2.6;  ///< |alpha| beyond which one input wins
+  double dominance_threshold = kDominanceThreshold;  ///< |alpha| beyond which one input wins
 };
 
 /// Cost summary for a subcircuit under paper eq. 7:

@@ -2,11 +2,31 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 
 namespace statsizer::liberty {
 
 namespace {
+
+// Process constants of the generator (a mainstream 90 nm process).
+constexpr double kTauPs = 6.0;               ///< logical-effort time constant (FO4 ~= 5*tau)
+constexpr double kCUnitFf = 1.8;             ///< input cap of a unit (X1) inverter
+constexpr double kSlewSensitivity = 0.15;    ///< d(delay)/d(input slew)
+constexpr double kSlewGain = 2.2;            ///< output-slew slope vs. R*C relative to delay slope
+constexpr double kQuadraticLoad = 0.002;     ///< mild nonlinearity: + q * (load/drive)^2 ps
+constexpr double kRiseSkew = 1.05;           ///< cell_rise = skew * nominal
+constexpr double kFallSkew = 0.95;           ///< cell_fall = skew * nominal
+constexpr double kAreaUnitUm2 = 0.65;        ///< um^2 per transistor at X1
+constexpr double kMaxLoadPerDriveFf = 40.0;  ///< max_capacitance = this * drive
+/// Drive strengths for simple, high-population cells (8 sizes)...
+constexpr double kSimpleDrives[] = {1, 2, 3, 4, 6, 8, 12, 16};
+/// ...and for complex cells (6 sizes), matching the paper's "6-8 sizes".
+constexpr double kComplexDrives[] = {1, 2, 3, 4, 6, 8};
+/// NLDM axes: input slew points (ps) and X1 load points (fF; scaled by drive).
+constexpr double kSlewAxisPs[] = {5, 10, 20, 40, 80, 160, 320};
+constexpr double kLoadAxisX1Ff[] = {0.5, 1, 2, 4, 8, 16, 32};
 
 /// Pin names for a family: INV/BUF use A; AOI/OAI use A1,A2,B; MUX2 uses
 /// D0,D1,S; everything else A1..An.
@@ -92,8 +112,8 @@ Library build_synthetic_90nm(const SyntheticOptions& options) {
   Library lib("statsizer_synth90");
 
   for (const CellSpec& spec : synthetic_cell_specs()) {
-    const std::vector<double>& drives =
-        spec.complex_cell ? options.complex_drives : options.simple_drives;
+    const std::span<const double> drives =
+        spec.complex_cell ? std::span<const double>(kComplexDrives) : kSimpleDrives;
     const std::vector<std::string> pins = pin_names(spec.base_name, spec.pin_efforts.size());
     const bool inverting = spec.base_name == "INV" || spec.base_name.rfind("NAND", 0) == 0 ||
                            spec.base_name.rfind("NOR", 0) == 0 || spec.base_name == "XNOR2" ||
@@ -103,13 +123,13 @@ Library build_synthetic_90nm(const SyntheticOptions& options) {
       Cell cell;
       cell.name = spec.base_name + drive_suffix(k);
       cell.drive = k;
-      cell.area_um2 = options.area_unit_um2 * spec.transistors * (0.5 + 0.5 * k);
+      cell.area_um2 = kAreaUnitUm2 * spec.transistors * (0.5 + 0.5 * k);
 
       for (std::size_t i = 0; i < pins.size(); ++i) {
         Pin p;
         p.name = pins[i];
         p.direction = PinDirection::kInput;
-        p.capacitance_ff = options.c_unit_ff * spec.pin_efforts[i] * k;
+        p.capacitance_ff = kCUnitFf * spec.pin_efforts[i] * k;
         p.max_transition_ps = options.max_transition_ps;
         cell.pins.push_back(std::move(p));
       }
@@ -118,39 +138,37 @@ Library build_synthetic_90nm(const SyntheticOptions& options) {
       out.name = inverting ? "ZN" : "Z";
       out.direction = PinDirection::kOutput;
       out.function = function_string(spec.base_name, pins);
-      out.max_capacitance_ff = options.max_load_per_drive_ff * k;
+      out.max_capacitance_ff = kMaxLoadPerDriveFf * k;
       out.max_transition_ps = options.max_transition_ps;
 
       // Load axis scales with drive so the table covers the loads this size
       // will realistically see.
-      std::vector<double> load_axis = options.load_axis_x1_ff;
+      std::vector<double> load_axis(std::begin(kLoadAxisX1Ff), std::end(kLoadAxisX1Ff));
       for (double& v : load_axis) v *= k;
 
       for (const std::string& pin : pins) {
         TimingArc arc;
         arc.related_pin = pin;
         const auto fill = [&](Lut& lut, double skew, bool transition) {
-          lut.index1 = options.slew_axis_ps;
+          lut.index1.assign(std::begin(kSlewAxisPs), std::end(kSlewAxisPs));
           lut.index2 = load_axis;
           lut.values.reserve(lut.index1.size() * lut.index2.size());
           for (const double slew : lut.index1) {
             for (const double load : lut.index2) {
-              const double rc = (options.tau_ps / options.c_unit_ff) * load / k;
+              const double rc = (kTauPs / kCUnitFf) * load / k;
               double v = 0.0;
               if (!transition) {
-                v = options.tau_ps * spec.parasitic + rc +
-                    options.slew_sensitivity * slew +
-                    options.quadratic_load * (load / k) * (load / k);
+                v = kTauPs * spec.parasitic + rc + kSlewSensitivity * slew +
+                    kQuadraticLoad * (load / k) * (load / k);
               } else {
-                v = 1.2 * options.tau_ps * spec.parasitic + options.slew_gain * rc +
-                    0.10 * slew;
+                v = 1.2 * kTauPs * spec.parasitic + kSlewGain * rc + 0.10 * slew;
               }
               lut.values.push_back(v * skew);
             }
           }
         };
-        fill(arc.cell_rise, options.rise_skew, false);
-        fill(arc.cell_fall, options.fall_skew, false);
+        fill(arc.cell_rise, kRiseSkew, false);
+        fill(arc.cell_fall, kFallSkew, false);
         fill(arc.rise_transition, 1.08, true);
         fill(arc.fall_transition, 0.92, true);
         out.arcs.push_back(std::move(arc));

@@ -22,25 +22,9 @@
 
 namespace statsizer::liberty {
 
-/// Knobs for the generator (defaults model a mainstream 90 nm process).
+/// Knobs for the generator; its process constants are fixed in synthetic.cpp.
 struct SyntheticOptions {
-  double tau_ps = 6.0;             ///< logical-effort time constant (FO4 ~= 5*tau)
-  double c_unit_ff = 1.8;          ///< input cap of a unit (X1) inverter
-  double slew_sensitivity = 0.15;  ///< d(delay)/d(input slew)
-  double slew_gain = 2.2;          ///< output-slew slope vs. R*C relative to delay slope
-  double quadratic_load = 0.002;   ///< mild nonlinearity: + q * (load/drive)^2 ps
-  double rise_skew = 1.05;         ///< cell_rise = skew * nominal
-  double fall_skew = 0.95;         ///< cell_fall = skew * nominal
-  double area_unit_um2 = 0.65;     ///< um^2 per transistor at X1
-  double max_load_per_drive_ff = 40.0;  ///< max_capacitance = this * drive
-  double max_transition_ps = 800.0;     ///< max_transition on every pin (0 = none)
-  /// Drive strengths for simple, high-population cells (8 sizes)...
-  std::vector<double> simple_drives = {1, 2, 3, 4, 6, 8, 12, 16};
-  /// ...and for complex cells (6 sizes), matching the paper's "6-8 sizes".
-  std::vector<double> complex_drives = {1, 2, 3, 4, 6, 8};
-  /// NLDM axes: input slew points (ps) and X1 load points (fF; scaled by drive).
-  std::vector<double> slew_axis_ps = {5, 10, 20, 40, 80, 160, 320};
-  std::vector<double> load_axis_x1_ff = {0.5, 1, 2, 4, 8, 16, 32};
+  double max_transition_ps = 800.0;  ///< max_transition on every pin (0 = none)
 };
 
 /// Builds the finalized synthetic library (19 cell groups, ~130 cells).

@@ -134,7 +134,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   };
 
   bool stopped = false;
-  for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxRecoveryPasses && !stopped; ++pass) {
     const std::vector<GateId> order = recovery_order(ctx);
     std::size_t changed = 0;
     // Rollback accounting: the slice of `changed` that is not yet

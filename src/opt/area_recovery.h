@@ -49,6 +49,9 @@ enum class RecoveryCriterion {
   kStatisticalCost,
 };
 
+/// Pass limit of recover_area (it also stops at a pass that changes nothing).
+inline constexpr std::size_t kMaxRecoveryPasses = 4;
+
 struct AreaRecoveryOptions {
   RecoveryCriterion criterion = RecoveryCriterion::kDeterministicArrival;
   Objective objective;           ///< used by kStatisticalCost
@@ -60,7 +63,6 @@ struct AreaRecoveryOptions {
   /// constant cost (mu + lambda*sigma is blind to the split) and quietly undo
   /// a variance optimization it runs after.
   double sigma_tolerance = 0.01;
-  std::size_t max_passes = 4;
   fassta::EngineOptions fassta;
   /// Options for the exact confirm engine — the *same* FullSstaOptions the
   /// caller measures the final result with, so the kChunk budgets and the

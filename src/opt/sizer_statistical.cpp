@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "netlist/subcircuit.h"
+#include "opt/wnss.h"
 #include "timing/analyzer.h"
 #include "util/exec.h"
 #include "util/log.h"
@@ -18,6 +19,16 @@ namespace statsizer::opt {
 using netlist::GateId;
 
 namespace {
+
+/// Required global cost decrease (ps) for the accurate engine to accept a move.
+constexpr double kMinImprovement = 1e-3;
+/// Planning threshold: a candidate enters the resize plan only if the fast
+/// engine predicts at least this much cost gain (ps). Set above the
+/// FASSTA-vs-FULLSSTA disagreement noise so plans contain confident moves;
+/// acceptance still uses kMinImprovement against the accurate engine.
+constexpr double kMinPredictedGain = 0.3;
+/// Gates per global sweep: the netlist's top gates ranked by arc sigma.
+constexpr std::size_t kGlobalSweepGateLimit = 24;
 
 /// One planned resize with its locally-predicted cost improvement.
 struct PlannedResize {
@@ -232,7 +243,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
           },
           [&](std::size_t, const timing::Summary& s) {
             cost = obj.cost(s.mean_ps, s.sigma_ps);
-            return cost < accepted_cost - options.min_improvement;
+            return cost < accepted_cost - kMinImprovement;
           });
       if (hit.speculation == nullptr) break;
       const timing::Resize& c = ordered[hit.index];
@@ -262,7 +273,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       }
     }
 
-    const WnssTrace trace = trace_wnss(ctx, full->node, options.wnss);
+    const WnssTrace trace = trace_wnss(ctx, full->node);
     if (trace.path.empty()) break;
 
     // Downstream statistical potential per node (only the subcircuit scoring
@@ -294,7 +305,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       for (std::uint16_t s = 0; s < group.size_count(); ++s) {
         if (s == gate.size_index) continue;
         const double c = costs[base + s];
-        if (c < best_cost - options.min_predicted_gain) {
+        if (c < best_cost - kMinPredictedGain) {
           best_cost = c;
           best_size = s;
         }
@@ -316,7 +327,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       auto batch_spec = confirm->propose_resizes(batch);
       const timing::Summary& batch_summary = batch_spec->score();
       const double batch_cost = obj.cost(batch_summary.mean_ps, batch_summary.sigma_ps);
-      if (batch_cost < global_cost - options.min_improvement) {
+      if (batch_cost < global_cost - kMinImprovement) {
         for (const PlannedResize& r : plan) {
           record(r.gate, nl.gate(r.gate).size_index, r.new_size, MoveSource::kPlan);
         }
@@ -420,7 +431,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       };
       std::sort(fat.begin(), fat.end(),
                 [&](GateId a, GateId b) { return worst_sigma(a) > worst_sigma(b); });
-      fat.resize(std::min(fat.size(), options.global_sweep_gate_limit));
+      fat.resize(std::min(fat.size(), kGlobalSweepGateLimit));
       accepted += exact_sweep(fat, MoveSource::kGlobalSweep);
       STATSIZER_DEBUG() << "iter " << stats.iterations << ": global sweep kept "
                         << accepted << " resizes";
@@ -458,7 +469,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
         auto spec = confirm->propose_resizes(ups);
         const timing::Summary& s = spec->score();
         const double c = obj.cost(s.mean_ps, s.sigma_ps);
-        if (c < accepted_cost - options.min_improvement) {
+        if (c < accepted_cost - kMinImprovement) {
           spec->commit();
           accepted_cost = c;
           return true;

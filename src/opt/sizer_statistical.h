@@ -40,7 +40,6 @@
 
 #include "fassta/engine.h"
 #include "opt/objective.h"
-#include "opt/wnss.h"
 #include "ssta/fullssta.h"
 #include "ssta/isle.h"
 
@@ -71,15 +70,8 @@ struct StatisticalSizerOptions {
   /// (off by default: large runs commit thousands of moves).
   bool record_trajectory = false;
   std::size_t max_iterations = 120;
-  double min_improvement = 1e-3;           ///< required global cost decrease (ps)
-  /// Planning threshold: a candidate enters the resize plan only if the fast
-  /// engine predicts at least this much cost gain (ps). Set above the
-  /// FASSTA-vs-FULLSSTA disagreement noise so plans contain confident moves;
-  /// acceptance still uses min_improvement against the accurate engine.
-  double min_predicted_gain = 0.3;
   ssta::FullSstaOptions fullssta;          ///< outer-engine controls
   fassta::EngineOptions fassta;            ///< inner-engine controls
-  WnssOptions wnss;                        ///< tracer controls
   /// Accurate confirmation engine, resolved through timing::make_analyzer.
   /// Must report per-node moments (WNSS tracing).
   /// Default: the paper's FULLSSTA, whose incremental what-if lets rescue
@@ -118,7 +110,6 @@ struct StatisticalSizerOptions {
   /// When even the exact path sweep stalls, up to max_global_sweeps times per
   /// run the optimizer sweeps the top gates netlist-wide ranked by arc sigma
   /// (the fattest delay contributors, wherever they sit).
-  std::size_t global_sweep_gate_limit = 24;
   std::size_t max_global_sweeps = 4;
   /// Coordinated move for balanced fabrics: when every single-gate move
   /// fails, try bumping whole gate populations (all gates, then the

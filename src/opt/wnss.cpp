@@ -12,17 +12,16 @@ using sta::NodeMoments;
 
 bool more_responsible(const NodeMoments& a, const NodeMoments& b, double c_a, double c_b,
                       const WnssOptions& options) {
-  const int dom = fassta::dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps,
-                                    options.dominance_threshold);
+  const int dom = fassta::dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps);
   if (dom > 0) return true;
   if (dom < 0) return false;
   // Neither dominates: rank by sensitivity of Var(max) to each input's mean
   // (with the coupled sigma step).
   const double sens_a = fassta::max_var_sensitivity_mu_a(
-      a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, options.fd_step_fraction, c_a,
+      a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, kWnssStepFraction, c_a,
       options.use_fast_clark);
   const double sens_b = fassta::max_var_sensitivity_mu_a(
-      b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, options.fd_step_fraction, c_b,
+      b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, kWnssStepFraction, c_b,
       options.use_fast_clark);
   return sens_a >= sens_b;
 }

@@ -25,10 +25,11 @@
 
 namespace statsizer::opt {
 
+/// The finite-difference step h as a fraction of the mean (paper: ~1%).
+inline constexpr double kWnssStepFraction = 0.01;
+
 struct WnssOptions {
-  double dominance_threshold = 2.6;
-  double fd_step_fraction = 0.01;  ///< h as a fraction of the mean (paper: ~1%)
-  bool use_fast_clark = true;      ///< quadratic-erf Clark in the sensitivities
+  bool use_fast_clark = true;  ///< quadratic-erf Clark in the sensitivities
 };
 
 struct WnssTrace {

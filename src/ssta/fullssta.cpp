@@ -40,8 +40,7 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
   // heavy (~samples^2 work each), so chunk size 1 load-balances the wavefront
   // best.
   sta::sweep_levels(
-      sta::all_levels(ctx.levelization()), options.threads,
-      ctx.options().min_level_width_for_parallel, 1,
+      sta::all_levels(ctx.levelization()), options.threads, 1,
       [&](GateId id, std::uint32_t) {
         const auto& g = nl.gate(id);
         if (g.fanins.empty()) return;  // PI / constant: its launch point mass

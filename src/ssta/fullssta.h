@@ -28,8 +28,7 @@ struct FullSstaOptions {
   /// level's gates are independent; levels are barriers). 1 = the classic
   /// serial topo-order loop, 0 = hardware concurrency; results are
   /// bitwise-identical for any value (levelized_update_test pins this).
-  /// Levels narrower than the context's
-  /// TimingOptions::min_level_width_for_parallel run serially.
+  /// Levels narrower than sta::kMinParallelLevelWidth run serially.
   std::size_t threads = 1;
 };
 

@@ -26,6 +26,13 @@ constexpr std::size_t kChunkSamples = 64;
 // the kNominal mode bitwise-equal to the plain MC engine.
 constexpr std::uint64_t kSelectorSalt = 0x49534c45u;  // "ISLE"
 
+// Surrogate arc score is delay + kappa * sigma: kappa > 0 ranks paths by
+// their high-quantile delay, not just the nominal critical path.
+constexpr double kSurrogateKappa = 1.0;
+
+// Degeneracy trip-wire: failures were seen but their ESS is below this.
+constexpr double kMinFailureEss = 8.0;
+
 // One arc of a dominant path with its linear-Gaussian coefficients: the
 // sampled delay is delay + sqrt(gf)*sys * x_g + local_coeff * x1 +
 // floor_coeff * x2 in the underlying standard normals (truncation aside).
@@ -79,7 +86,7 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
     std::int32_t arg = -1;
     for (std::size_t i = 0; i < g.fanins.size(); ++i) {
       const double cand = score[g.fanins[i]] + ctx.arc_delay_ps(id, i) +
-                          options.surrogate_kappa * ctx.arc_sigma_ps(id, i);
+                          kSurrogateKappa * ctx.arc_sigma_ps(id, i);
       if (arg < 0 || cand > s) {
         s = cand;
         arg = static_cast<std::int32_t>(i);
@@ -131,7 +138,7 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
 
 // Turns the surrogate paths into shifted mixture components for clock period
 // T: theta = beta * c / sigma with beta = (T - mean) / sigma clamped to
-// max_shift. Registers every retained path arc as a tracked coordinate.
+// kIsleMaxShift. Registers every retained path arc as a tracked coordinate.
 //
 // Only the dominant (highest-scored) path decides the proposal's health: if
 // *its* sigma vanishes or *its* beta clamps, the target is genuinely out of
@@ -139,8 +146,8 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
 // the same limits just means that PO cone is a useless failure direction
 // (e.g. a short side-output whose T sits hundreds of path-sigmas out) — it is
 // dropped from the mixture, which stays unbiased with whatever survives.
-Proposal finalize_proposal(const sta::TimingContext& ctx, const IsleOptions& options,
-                           std::vector<Component> components, double clock_period_ps) {
+Proposal finalize_proposal(const sta::TimingContext& ctx, std::vector<Component> components,
+                           double clock_period_ps) {
   Proposal prop;
   prop.slot_of_arc.assign(ctx.arc_count(), -1);
   std::vector<Component> kept;
@@ -156,7 +163,7 @@ Proposal finalize_proposal(const sta::TimingContext& ctx, const IsleOptions& opt
       continue;
     }
     const double raw_beta = (clock_period_ps - c.mean_ps) / c.sigma_ps;
-    c.beta = std::clamp(raw_beta, -options.max_shift, options.max_shift);
+    c.beta = std::clamp(raw_beta, -kIsleMaxShift, kIsleMaxShift);
     if (c.beta != raw_beta) {
       if (!dominant) continue;
       prop.shift_clamped = true;
@@ -202,9 +209,6 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
   if (options.clock_period_ps < 0.0) {
     throw std::invalid_argument("run_isle: negative clock_period_ps");
   }
-  if (options.max_shift <= 0.0) {
-    throw std::invalid_argument("run_isle: max_shift must be positive");
-  }
   if (options.target_yield_se < 0.0) {
     throw std::invalid_argument("run_isle: negative target_yield_se");
   }
@@ -215,7 +219,6 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
   const double sqrt_gf = std::sqrt(gf);
   const double sqrt_1mgf = std::sqrt(1.0 - gf);
   const double floor_ps = var.random_sigma_ps();
-  const double min_frac = var.params().min_delay_fraction;
 
   IsleResult result;
 
@@ -242,7 +245,7 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
                           options.defensive_fraction < 1.0 && !paths.empty();
   Proposal prop;
   if (importance) {
-    prop = finalize_proposal(ctx, options, std::move(paths), clock_period_ps);
+    prop = finalize_proposal(ctx, std::move(paths), clock_period_ps);
     result.shift_clamped = prop.shift_clamped;
     result.proposal_paths = prop.components.size();
     if (!prop.components.empty()) result.shift_beta = prop.components.front().beta;
@@ -298,7 +301,7 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
               x2s[slot] = x2;
               const double raw =
                   delay + sqrt_gf * sys * xg + sqrt_1mgf * sys * x1 + floor_ps * x2;
-              d = std::max(raw, min_frac * delay);
+              d = std::max(raw, variation::kMinDelayFraction * delay);
               return true;
             };
             result.delay_samples[s] =
@@ -395,8 +398,8 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
   }
   result.degenerate =
       result.shift_clamped ||
-      result.ess < options.min_ess_fraction * static_cast<double>(drawn) ||
-      (p_fail > 0.0 && result.failure_ess < options.min_failure_ess);
+      result.ess < kIsleMinEssFraction * static_cast<double>(drawn) ||
+      (p_fail > 0.0 && result.failure_ess < kMinFailureEss);
   return result;
 }
 

@@ -83,13 +83,6 @@ struct IsleOptions {
   /// Number of dominant paths backing the shifted mixture components (top-K
   /// distinct primary-output cones of the surrogate DP).
   std::size_t dominant_paths = 3;
-  /// Surrogate arc score is delay + kappa * sigma: kappa > 0 ranks paths by
-  /// their high-quantile delay, not just the nominal critical path.
-  double surrogate_kappa = 1.0;
-  /// Clamp on |beta| = |(T - mean) / sigma| of a shifted component. A clamp
-  /// firing marks the result degenerate (the target is further out than the
-  /// proposal can reliably cover).
-  double max_shift = 8.0;
   /// Adaptive stopping: grow the draw count in `batch` steps until the
   /// standard error of the yield estimate reaches this, then stop (subject
   /// to min_draws / samples). 0 disables adaptivity. Batch boundaries are a
@@ -97,11 +90,14 @@ struct IsleOptions {
   double target_yield_se = 0.0;
   std::size_t min_draws = 256;
   std::size_t batch = 256;
-  /// Degeneracy trip-wires: overall ESS below min_ess_fraction * draws, or
-  /// (with failures observed) failure-restricted ESS below min_failure_ess.
-  double min_ess_fraction = 0.05;
-  double min_failure_ess = 8.0;
 };
+
+/// Clamp on |beta| = |(T - mean) / sigma| of a shifted component. A clamp
+/// firing marks the result degenerate (the target is further out than the
+/// proposal can reliably cover).
+inline constexpr double kIsleMaxShift = 8.0;
+/// Degeneracy trip-wire: overall ESS below this fraction of the draws.
+inline constexpr double kIsleMinEssFraction = 0.05;
 
 struct IsleResult {
   /// The clock period the yield refers to (resolved per IsleOptions).
@@ -123,7 +119,7 @@ struct IsleResult {
   double failure_ess = 0.0;
   double weight_variance = 0.0;
   double max_weight = 0.0;
-  /// |beta| hit max_shift (or a path sigma vanished) while building the
+  /// |beta| hit kIsleMaxShift (or a path sigma vanished) while building the
   /// proposal.
   bool shift_clamped = false;
   /// The estimate should not be trusted: shift clamped, vanishing surrogate

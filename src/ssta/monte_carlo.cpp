@@ -41,13 +41,11 @@ MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
   if (options.per_node_stats) node_stats.resize(nl.node_count());
 
   // Cooperative control at sample-chunk granularity, but only when the
-  // chunk loop runs inline in deterministic order (threads == 1, the
-  // serving layer's configuration): with pool workers in play the caller
+  // chunk loop runs inline in deterministic order (one thread, or inside a
+  // pool worker such as a serving job): with pool workers in play the caller
   // would drain a scheduling-dependent subset of chunks, making fault-
-  // injection hit counts nondeterministic. Workers carry no ExecContext, so
-  // gating on the option (not the thread identity) keeps the semantics
-  // explicit.
-  const bool cooperative = options.threads == 1;
+  // injection hit counts nondeterministic.
+  const bool cooperative = util::region_threads(options.threads) == 1;
 
   util::parallel_for(
       options.samples, kChunkSamples, options.threads,

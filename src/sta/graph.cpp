@@ -106,38 +106,27 @@ void TimingContext::update() {
   arc_delay_.assign(arc_offset_[n], 0.0);
   arc_sigma_.assign(arc_offset_[n], 0.0);
 
-  // Area: serial fold in id order — the accumulation sequence is part of the
-  // bitwise contract (apply_snapshot_patch re-sums the same way).
-  area_um2_ = 0.0;
-  for (GateId id = 0; id < n; ++id) {
-    const auto& g = nl_.gate(id);
-    if (g.cell_group == netlist::kUnmapped) continue;
-    area_um2_ += lib_.cell_for(g.cell_group, g.size_index).area_um2;
-  }
+  sum_area();
 
   // Loads: each driver's terms fold independently (per-slot write, term
-  // order fixed per driver), so this pass is level-free — any split works.
+  // order fixed per driver), so this pass is level-free — any split works. A
+  // netlist narrower than a chunk is one chunk, which parallel_for runs inline.
   const auto bound_cell = [this](GateId consumer) -> const liberty::Cell& {
     const auto& cg = nl_.gate(consumer);
     return lib_.cell_for(cg.cell_group, cg.size_index);
   };
-  const std::size_t threads = options_.threads;
-  if (threads == 1 || n < options_.min_level_width_for_parallel) {
-    for (GateId id = 0; id < n; ++id) load_[id] = fold_load(id, bound_cell);
-  } else {
-    util::parallel_for(n, kLoadChunk, threads,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t id = begin; id < end; ++id) {
-                           load_[id] = fold_load(static_cast<GateId>(id), bound_cell);
-                         }
-                       });
-  }
+  util::parallel_for(n, kLoadChunk, options_.threads,
+                     [&](std::size_t begin, std::size_t end, std::size_t) {
+                       for (std::size_t id = begin; id < end; ++id) {
+                         load_[id] = fold_load(static_cast<GateId>(id), bound_cell);
+                       }
+                     });
 
   // Slews / arc delays / sigmas: the slew/arc kernel over the levelized
   // sweep. Within a level gates only read finished (lower-level) slews and
   // write their own slots; levels form the barriers.
   sweep_levels(
-      all_levels(levels_), threads, options_.min_level_width_for_parallel, kRelaxChunk,
+      all_levels(levels_), options_.threads, kRelaxChunk,
       [this](GateId id, std::uint32_t) {
         const auto& g = nl_.gate(id);
         if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
@@ -197,7 +186,12 @@ void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
       arc_sigma_[a] = arc_sigma[next];
     }
   }
-  // Area re-sum in update()'s exact visit order.
+  sum_area();
+}
+
+void TimingContext::sum_area() {
+  // A serial fold in id order: the accumulation sequence is part of the
+  // bitwise contract.
   area_um2_ = 0.0;
   for (GateId id = 0; id < nl_.node_count(); ++id) {
     const auto& g = nl_.gate(id);

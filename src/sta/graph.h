@@ -79,12 +79,6 @@ struct TimingOptions {
   /// of one level, each gate's fanin fold stays sequential, and every write
   /// goes to the gate's own preallocated slot.
   std::size_t threads = 1;
-  /// Wavefront levels narrower than this run serially even when threads > 1:
-  /// a single-digit-gate level costs more in pool dispatch than its work.
-  /// Default tuned on cla_adder(8) (levels of ~2-10 gates: serial wins) vs
-  /// c880 (tens of gates per level: fan-out wins). Also consulted by
-  /// ssta::run_fullssta and the what-if cone replay.
-  std::size_t min_level_width_for_parallel = 16;
 };
 
 /// One addition into a driver's load, in update()'s exact accumulation
@@ -267,6 +261,9 @@ class TimingContext {
                             std::span<const double> arc_sigma);
 
  private:
+  /// area_um2_ from scratch: update() and apply_snapshot_patch() share it.
+  void sum_area();
+
   netlist::Netlist& nl_;
   const liberty::Library& lib_;
   const variation::VariationModel& var_;
@@ -333,20 +330,25 @@ struct ConeWorkspace {
 LevelList collect_cone(const TimingContext& ctx, std::span<const netlist::GateId> seeds,
                        ConeWorkspace& ws);
 
+/// Wavefront levels narrower than this run serially even when threads > 1:
+/// a single-digit-gate level costs more in pool dispatch than its work.
+/// Tuned on cla_adder(8) (levels of ~2-10 gates: serial wins) vs c880 (tens
+/// of gates per level: fan-out wins).
+inline constexpr std::size_t kMinParallelLevelWidth = 16;
+
 /// The one levelized sweep every wavefront kernel runs on: body(id, slot)
 /// for every node of @p list in dependency order — serially when threads ==
 /// 1, else one wave per level (a level's gates only read lower levels, so
 /// levels are the barriers), fanned across util::ThreadPool in @p chunk
-/// pieces when it holds at least @p cutoff gates (the timing kernels pass
-/// TimingOptions::min_level_width_for_parallel), so a cone's clean levels
-/// skip and its thin ones run serially. @p checkpoint_site, when set, goes
-/// to util::checkpoint on the calling thread once per level, or every 256
-/// gates serially. Checkpoints only abort or stall (util/exec.h), so results
-/// are bitwise-identical for any thread count as long as body writes only
-/// its own gate's slots.
+/// pieces when it holds at least kMinParallelLevelWidth gates, so a cone's
+/// clean levels skip and its thin ones run serially. @p checkpoint_site,
+/// when set, goes to util::checkpoint on the calling thread once per level,
+/// or every 256 gates serially. Checkpoints only abort or stall
+/// (util/exec.h), so results are bitwise-identical for any thread count as
+/// long as body writes only its own gate's slots.
 template <typename Body>
-void sweep_levels(LevelList list, std::size_t threads, std::size_t cutoff, std::size_t chunk,
-                  Body&& body, const char* checkpoint_site = nullptr) {
+void sweep_levels(LevelList list, std::size_t threads, std::size_t chunk, Body&& body,
+                  const char* checkpoint_site = nullptr) {
   const std::span<const netlist::GateId> nodes = list.nodes;
   if (threads == 1) {
     for (std::uint32_t s = 0; s < nodes.size(); ++s) {
@@ -359,7 +361,7 @@ void sweep_levels(LevelList list, std::size_t threads, std::size_t cutoff, std::
     if (checkpoint_site != nullptr) util::checkpoint(checkpoint_site);
     const std::uint32_t begin = list.level_offset[l];
     const std::uint32_t end = list.level_offset[l + 1];
-    util::parallel_for(end - begin, chunk, end - begin < cutoff ? 1 : threads,
+    util::parallel_for(end - begin, chunk, end - begin < kMinParallelLevelWidth ? 1 : threads,
                        [&](std::size_t lo, std::size_t hi, std::size_t) {
                          for (std::uint32_t s = begin + lo; s < begin + hi; ++s) body(nodes[s], s);
                        });

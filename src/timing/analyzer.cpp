@@ -248,11 +248,10 @@ Accepted first_accepted(
     const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
     const std::function<bool(std::size_t, const Summary&)>& accept) {
   // One candidate per worker: an acceptance discards the rest of its window,
-  // and acceptances land early in the optimizer's orders.
-  std::size_t window = 1;
-  if (engine.capabilities().concurrent_speculations) {
-    window = threads == 0 ? util::ThreadPool::default_thread_count() : threads;
-  }
+  // and acceptances land early in the optimizer's orders. Inside a pool
+  // worker the scores would run inline, so the window is 1 there.
+  const std::size_t window =
+      engine.capabilities().concurrent_speculations ? util::region_threads(threads) : 1;
   std::vector<std::unique_ptr<Speculation>> wave;
   for (std::size_t next = 0; next < count;) {
     const std::size_t width = std::min(count - next, window);

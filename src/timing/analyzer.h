@@ -188,13 +188,13 @@ struct Accepted {
 /// exactly the commits ordered before it — the serial trial loop's
 /// semantics.
 ///
-/// Candidates are proposed and scored in windows: one per worker (@p threads,
-/// 0 = hardware concurrency) when the engine scores speculations
-/// concurrently, else one at a time. Scores are pure functions of (base,
-/// candidate), so the result is bitwise-identical for any thread count; a
-/// window only sets how many speculative scores an acceptance throws away
-/// and how many overlays are held at once. std::function is cheap here: each
-/// candidate costs a cone replay.
+/// Candidates are proposed and scored in windows: one per worker
+/// (util::region_threads(@p threads): 1 inside a pool worker) when the
+/// engine scores speculations concurrently, else one at a time. Scores are
+/// pure functions of (base, candidate), so the result is bitwise-identical
+/// for any thread count; a window only sets how many speculative scores an
+/// acceptance throws away and how many overlays are held at once.
+/// std::function is cheap here: each candidate costs a cone replay.
 [[nodiscard]] Accepted first_accepted(
     Analyzer& engine, std::size_t threads, std::size_t count,
     const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,

@@ -100,8 +100,7 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
   // (TimingContext::relax_gate) with candidate cells and re-folded loads
   // substituted; unmapped nodes keep the base slew and zero arcs, exactly as
   // update() leaves them.
-  const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-  sta::sweep_levels(list(), threads, cutoff, 16, [&](GateId id, std::uint32_t s) {
+  sta::sweep_levels(list(), threads, 16, [&](GateId id, std::uint32_t s) {
     if (!ctx.has_cell(id)) {
       slew[s] = ctx.slew_ps(id);
       return;

@@ -69,8 +69,7 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
         return s != sta::ConeWorkspace::kNoSlot ? ov_arrival_[s] : owner_.base_arrival_[id];
       };
       // Cone nodes are mapped gates, so each has fanins to fold.
-      const std::size_t cutoff = ctx_.options().min_level_width_for_parallel;
-      sta::sweep_levels(cone_.list(), options.threads, cutoff, 1, [&](GateId id, std::uint32_t s) {
+      sta::sweep_levels(cone_.list(), options.threads, 1, [&](GateId id, std::uint32_t s) {
         DiscretePdf acc = ssta::gate_arrival(nl.gate(id), options, arrival_of,
                                              [&](std::size_t i) { return cone_.arc(s, i); });
         moments_[s] = sta::NodeMoments{acc.mean(), acc.stddev()};

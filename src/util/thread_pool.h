@@ -59,9 +59,8 @@ class ThreadPool {
   /// Thread-safe (C++ static-local initialization).
   [[nodiscard]] static ThreadPool& shared();
 
-  /// True when the calling thread is a worker of any ThreadPool. Used by
-  /// parallel_for to run nested regions inline (a worker waiting on queued
-  /// helper tasks could otherwise deadlock the pool). Thread-safe.
+  /// True when the calling thread is a worker of any ThreadPool (see
+  /// region_threads). Thread-safe.
   [[nodiscard]] static bool in_worker();
 
  private:
@@ -75,6 +74,14 @@ class ThreadPool {
   std::size_t active_ = 0;
   bool stop_ = false;
 };
+
+/// Workers for a parallel region entered on the calling thread, and the one
+/// place that decides it: 1 inside a pool worker (nested regions run inline,
+/// so no worker waits on queued tasks), else @p threads (0 = default count).
+[[nodiscard]] inline std::size_t region_threads(std::size_t threads) {
+  if (ThreadPool::in_worker()) return 1;
+  return threads == 0 ? ThreadPool::default_thread_count() : threads;
+}
 
 namespace detail {
 
@@ -107,10 +114,10 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
                   Body&& body) {
   if (total == 0) return;
   if (chunk_size == 0) chunk_size = 1;
-  if (threads == 0) threads = ThreadPool::default_thread_count();
+  threads = region_threads(threads);
   const std::size_t chunks = detail::chunk_count(total, chunk_size);
 
-  if (threads <= 1 || chunks <= 1 || ThreadPool::in_worker()) {
+  if (threads <= 1 || chunks <= 1) {
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t begin = c * chunk_size;
       const std::size_t end = std::min(total, begin + chunk_size);

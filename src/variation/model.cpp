@@ -34,9 +34,10 @@ double VariationModel::sample_delay_ps(double delay_ps, double drive, double glo
   const double sys = systematic_sigma_ps(delay_ps, drive);
   const double shared = std::sqrt(params_.global_fraction) * sys;
   const double local = std::sqrt(1.0 - params_.global_fraction) * sys;
-  const double sample = delay_ps + shared * global_z + local * rng.normal() +
-                        params_.random_floor_ps * rng.normal();
-  return std::max(sample, params_.min_delay_fraction * delay_ps);
+  const double z1 = rng.normal();
+  const double z2 = rng.normal();
+  const double sample = delay_ps + shared * global_z + local * z1 + params_.random_floor_ps * z2;
+  return std::max(sample, kMinDelayFraction * delay_ps);
 }
 
 }  // namespace statsizer::variation

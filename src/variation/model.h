@@ -31,8 +31,10 @@ struct VariationParams {
   double size_exponent = 1.0;
   double random_floor_ps = 2.5;      ///< unsystematic sigma per gate
   double global_fraction = 0.0;      ///< share of systematic variance that is global
-  double min_delay_fraction = 0.05;  ///< sampling truncation: delay >= this * nominal
 };
+
+/// Sampling truncation: a sampled delay is >= this * nominal.
+inline constexpr double kMinDelayFraction = 0.05;
 
 /// Maps (nominal delay, drive strength) to delay sigma; samples delays.
 class VariationModel {
@@ -58,8 +60,9 @@ class VariationModel {
 
   /// Draws one delay sample. @p global_z is the standard-normal draw of the
   /// shared process variable for this sample (ignored if global_fraction = 0);
-  /// the gate-local randomness comes from @p rng. Samples are truncated below
-  /// at min_delay_fraction * nominal (delays cannot go negative).
+  /// the gate-local randomness comes from @p rng: z1 (local), then z2
+  /// (floor). Samples are truncated below at kMinDelayFraction * nominal
+  /// (delays cannot go negative).
   [[nodiscard]] double sample_delay_ps(double delay_ps, double drive, double global_z,
                                        util::Rng& rng) const;
 

@@ -25,6 +25,7 @@
 #include "liberty/synthetic.h"
 #include "opt/initial_sizing.h"
 #include "opt/sizer_statistical.h"
+#include "serve/job.h"
 #include "ssta/fullssta.h"
 #include "ssta/isle.h"
 #include "techmap/mapper.h"
@@ -517,6 +518,34 @@ INSTANTIATE_TEST_SUITE_P(Engines, FirstAccepted,
                                   std::to_string(std::get<1>(info.param));
                          });
 
+// Inside a pool worker (a serving job, a batch flow) the scores would run
+// inline, so the walk proposes one candidate at a time whatever its thread
+// count: a walk that accepts its first candidate proposes only that one.
+TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
+  Bench b(circuits::make_cla_adder(8));
+  auto an = make_analyzer("dsta");
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 20);
+  ASSERT_EQ(cands.size(), 20u);
+
+  std::size_t proposed = 0;
+  std::size_t index = cands.size();
+  serve::JobManager manager;
+  const serve::JobRef job = manager.submit([&] {
+    const Accepted hit = first_accepted(
+        *an, /*threads=*/8, cands.size(),
+        [&](std::size_t i) {
+          ++proposed;
+          return an->propose(cands[i].gate, cands[i].size);
+        },
+        [](std::size_t, const Summary&) { return true; });
+    index = hit.index;
+  });
+  ASSERT_TRUE(job->wait().ok()) << job->wait().message();
+  EXPECT_EQ(index, 0u);
+  EXPECT_EQ(proposed, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Engine selection plumbing: the sizer and the flow resolve confirm/score
 // engines through timing::make_analyzer.
@@ -577,7 +606,7 @@ TEST(IsleDegeneracy, VanishingVariationTripsTheClampFlag) {
 }
 
 TEST(IsleDegeneracy, ExtremeLambdaClampsTheShift) {
-  // A constraint dozens of sigma out forces |beta| past max_shift: the clamp
+  // A constraint dozens of sigma out forces |beta| past kIsleMaxShift: the clamp
   // fires and the result is flagged degenerate even though sampling ran.
   Bench b(circuits::make_cla_adder(4));
   ssta::IsleOptions opt;
@@ -589,7 +618,7 @@ TEST(IsleDegeneracy, ExtremeLambdaClampsTheShift) {
   const ssta::IsleResult r = ssta::run_isle(*b.ctx, opt);
   EXPECT_TRUE(r.shift_clamped);
   EXPECT_TRUE(r.degenerate);
-  EXPECT_EQ(std::abs(r.shift_beta), opt.max_shift);
+  EXPECT_EQ(std::abs(r.shift_beta), ssta::kIsleMaxShift);
 }
 
 TEST(IsleDegeneracy, CollapsedEssTripsWithoutTheDefensiveComponent) {
@@ -606,8 +635,8 @@ TEST(IsleDegeneracy, CollapsedEssTripsWithoutTheDefensiveComponent) {
 
   opt.clock_period_ps = probe.surrogate_mean_ps + 4.0 * probe.surrogate_sigma_ps;
   const ssta::IsleResult r = ssta::run_isle(*b.ctx, opt);
-  ASSERT_FALSE(r.shift_clamped);  // beta = 4 < max_shift: a genuine ESS trip
-  EXPECT_LT(r.ess, double(r.draws) * opt.min_ess_fraction);
+  ASSERT_FALSE(r.shift_clamped);  // beta = 4 < kIsleMaxShift: a genuine ESS trip
+  EXPECT_LT(r.ess, double(r.draws) * ssta::kIsleMinEssFraction);
   EXPECT_TRUE(r.degenerate);
 }
 

@@ -93,7 +93,7 @@ AreaRecoveryStats recover_area_reference(sta::TimingContext& ctx,
   std::size_t since_checkpoint = 0;
   bool stopped = false;
 
-  for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxRecoveryPasses && !stopped; ++pass) {
     const std::vector<GateId> order = recovery_order(ctx);
 
     std::size_t changed = 0;

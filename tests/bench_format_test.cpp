@@ -118,7 +118,7 @@ TEST(BenchReader, EmptyFaninArgumentIsAnError) {
   EXPECT_FALSE(trailing.ok());
   const auto leading = read_bench("INPUT(a)\nINPUT(b)\nOUTPUT(Y)\nY = AND(,a,b)\n");
   EXPECT_FALSE(leading.ok());
-  // An empty argument list still reports "no fanins".
+  // An empty argument list is a wrong fanin count (0 for AND).
   EXPECT_FALSE(read_bench("INPUT(a)\nOUTPUT(Y)\nY = AND()\n").ok());
 }
 

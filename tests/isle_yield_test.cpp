@@ -80,7 +80,7 @@ struct ChainBench {
     b.output("y", g);
     nl = b.take();
 
-    // Mild variation so the sampling truncation at min_delay_fraction is a
+    // Mild variation so the sampling truncation at kMinDelayFraction is a
     // deep-tail event and the chain delay is Normal to high accuracy; a
     // nonzero global fraction so the analytic variance must account for the
     // cross-gate correlation of the shared process variable.
@@ -127,7 +127,7 @@ TEST(IsleYield, MatchesAnalyticChainYieldAcrossLambdas) {
     ASSERT_FALSE(r.degenerate) << "lambda=" << lambda;
     EXPECT_EQ(r.draws, opt.samples);
     EXPECT_GT(r.std_error, 0.0);
-    // 1e-3 budget: the truncation at min_delay_fraction (a >5-sigma event per
+    // 1e-3 budget: the truncation at kMinDelayFraction (a >5-sigma event per
     // arc at this variation level) makes the true yield differ from the
     // untruncated Normal by far less than this.
     EXPECT_NEAR(r.yield, analytic, 3.0 * r.std_error + 1e-3) << "lambda=" << lambda;

@@ -237,26 +237,6 @@ TEST_P(LevelizedUpdate, UpdateMatchesPrePrSerialReferenceAcrossThreadCounts) {
   }
 }
 
-TEST_P(LevelizedUpdate, ForcedWavefrontAndSerialFallbackMatch) {
-  const Bench serial(circuit_for(GetParam()));
-  const RefSnapshot ref = reference_update(serial.nl, serial.lib, *serial.ctx);
-
-  // Cutoff 1: every level pays the wavefront dispatch, even single-gate ones.
-  sta::TimingOptions forced;
-  forced.threads = 8;
-  forced.min_level_width_for_parallel = 1;
-  const Bench wavefront(circuit_for(GetParam()), forced);
-  expect_snapshot_equals_reference(*wavefront.ctx, ref);
-
-  // Cutoff huge: threads > 1 but every level falls back to the serial loop
-  // (the tiny-circuit guard).
-  sta::TimingOptions guarded;
-  guarded.threads = 8;
-  guarded.min_level_width_for_parallel = SIZE_MAX;
-  const Bench fallback(circuit_for(GetParam()), guarded);
-  expect_snapshot_equals_reference(*fallback.ctx, ref);
-}
-
 TEST_P(LevelizedUpdate, FullSstaMatchesPrePrSerialReferenceAcrossThreadCounts) {
   const Bench b(circuit_for(GetParam()));
   ssta::FullSstaOptions opt;
@@ -269,14 +249,6 @@ TEST_P(LevelizedUpdate, FullSstaMatchesPrePrSerialReferenceAcrossThreadCounts) {
     topt.threads = threads;
     expect_fullssta_eq(ssta::run_fullssta(*b.ctx, topt), ref);
   }
-
-  // Forced wavefront on a context whose cutoff admits every level.
-  sta::TimingOptions forced;
-  forced.min_level_width_for_parallel = 1;
-  const Bench wide(circuit_for(GetParam()), forced);
-  ssta::FullSstaOptions topt = opt;
-  topt.threads = 8;
-  expect_fullssta_eq(ssta::run_fullssta(*wide.ctx, topt), ref);
 }
 
 TEST_P(LevelizedUpdate, ContextCachesAValidLevelization) {
@@ -306,7 +278,9 @@ TEST(LevelizedUpdate, UpdateThrowsAfterStructuralNetlistEdit) {
 // by every exact cone speculation, plus the FULLSSTA analyzer's pdf half. A
 // multi-resize speculation scored on a parallel-everything configuration
 // must match the all-serial one bitwise — score AND committed base — for
-// each engine whose cone replay runs on the shared sweep.
+// each engine whose cone replay runs on the shared sweep. The wave resizes
+// the first gates of parity_fabric(64) in level order, so its cone holds a
+// level wide enough for the wavefront to fan out.
 class LevelizedWhatIf : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
@@ -314,23 +288,33 @@ TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
   const auto run = [&engine](std::size_t threads) {
     sta::TimingOptions topt;
     topt.threads = threads;
-    topt.min_level_width_for_parallel = threads == 1 ? 16 : 1;
-    Bench b(circuits::make_cla_adder(8), topt);
+    Bench b(parity_fabric(64), topt);
 
     timing::AnalyzerOptions aopt;
     aopt.fullssta.threads = threads;
     const auto analyzer = timing::make_analyzer(engine, aopt);
     (void)analyzer->analyze(*b.ctx);
 
-    // A deterministic multi-resize wave: bump the first 6 mapped gates.
+    // A deterministic multi-resize wave: bump the first 32 mapped gates in
+    // level order.
     std::vector<timing::Resize> wave;
-    for (GateId g = 0; g < b.nl.node_count() && wave.size() < 6; ++g) {
-      if (!b.ctx->has_cell(g)) continue;
+    std::vector<GateId> seeds;
+    for (const GateId g : b.ctx->levelization().order_by_level) {
+      if (!b.ctx->has_cell(g) || wave.size() == 32) continue;
       const auto& group = b.lib.group(b.nl.gate(g).cell_group);
       const std::uint16_t next = static_cast<std::uint16_t>(
           (b.nl.gate(g).size_index + 1) % group.size_count());
       wave.push_back(timing::Resize{g, next});
+      seeds.push_back(g);
     }
+    sta::ConeWorkspace ws;
+    const sta::LevelList cone = sta::collect_cone(*b.ctx, seeds, ws);
+    std::uint32_t widest = 0;
+    for (std::size_t l = 0; l + 1 < cone.level_offset.size(); ++l) {
+      widest = std::max(widest, cone.level_offset[l + 1] - cone.level_offset[l]);
+    }
+    EXPECT_GE(widest, sta::kMinParallelLevelWidth);
+
     auto spec = analyzer->propose_resizes(wave);
     const double score_mean = spec->score().mean_ps;
     const double score_sigma = spec->score().sigma_ps;

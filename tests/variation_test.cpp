@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +75,30 @@ TEST(VariationSampling, MomentsMatchModel) {
   for (int i = 0; i < 60000; ++i) stats.add(m.sample_delay_ps(d, k, 0.0, rng));
   EXPECT_NEAR(stats.mean(), d, 0.15);
   EXPECT_NEAR(stats.stddev(), m.sigma_ps(d, k), 0.1);
+}
+
+// The local draw z1 comes first and the floor draw z2 second, the order
+// ISLE's tracked arcs draw them in: pinned bitwise against the explicit
+// formula drawn from a copy of the same stream.
+TEST(VariationSampling, DrawsLocalThenFloor) {
+  for (const double gf : {0.0, 0.6}) {
+    SCOPED_TRACE("global_fraction=" + std::to_string(gf));
+    VariationParams p;
+    p.global_fraction = gf;
+    const VariationModel m(p);
+    util::Rng rng(77);
+    util::Rng copy = rng;
+    const double delay = 40.0, drive = 2.0, global_z = 0.7;
+    const double sys = m.systematic_sigma_ps(delay, drive);
+    for (int i = 0; i < 100; ++i) {
+      const double z1 = copy.normal();
+      const double z2 = copy.normal();
+      const double want = std::max(delay + std::sqrt(gf) * sys * global_z +
+                                       std::sqrt(1.0 - gf) * sys * z1 + p.random_floor_ps * z2,
+                                   kMinDelayFraction * delay);
+      EXPECT_EQ(m.sample_delay_ps(delay, drive, global_z, rng), want) << "draw " << i;
+    }
+  }
 }
 
 TEST(VariationSampling, TruncationPreventsNegativeDelays) {
