@@ -17,6 +17,11 @@
 # design-rule sweep (BM_DrcFullSweep: preflight cost + wavefront scaling):
 #   scripts/bench_snapshot.sh BENCH_drc_sweep.json
 #
+# An output path matching *whatif* defaults the filter to the exact what-if
+# layer (BM_WhatIfConfirm: a wave of FULLSSTA confirmations; and
+# BM_AreaRecoveryThreads: DSTA/FASSTA screens plus FULLSSTA chunk checks):
+#   scripts/bench_snapshot.sh BENCH_whatif.json
+#
 # An output path matching *server* selects the bench_server binary instead
 # (BM_ServerMixed: jobs/sec + p50/p99 client latency at 1/2/8 concurrent
 # clients against a shared serving session):
@@ -38,6 +43,7 @@ BIN=bench_perf_engines
 case "${OUT}" in
   *isle_yield*) DEFAULT_FILTER='BM_IsleYield|BM_PlainMcYield' ;;
   *drc_sweep*) DEFAULT_FILTER='BM_DrcFullSweep' ;;
+  *whatif*) DEFAULT_FILTER='BM_WhatIfConfirm|BM_AreaRecoveryThreads' ;;
   *server*)
     BIN=bench_server
     DEFAULT_FILTER='BM_ServerMixed'

@@ -153,6 +153,17 @@ DiscretePdf DiscretePdf::normal(double mean, double sigma, std::size_t samples,
   return moment_matched(p, mean, sigma * sigma);
 }
 
+DiscretePdf DiscretePdf::restore(double origin, double step, std::span<const double> masses) {
+  if (masses.empty()) throw std::invalid_argument("DiscretePdf::restore: empty grid");
+  DiscretePdf p;
+  p.origin_ = origin;
+  p.step_ = step;
+  p.mass_ = MassBuffer(masses.size());
+  std::copy(masses.begin(), masses.end(), p.mass_.data());
+  p.cache_moments();
+  return p;
+}
+
 DiscretePdf DiscretePdf::from_masses(double origin, double step, std::vector<double> masses) {
   MassBuffer bins(masses.size());
   std::copy(masses.begin(), masses.end(), bins.data());

@@ -85,6 +85,13 @@ class DiscretePdf {
   static DiscretePdf normal(double mean, double sigma, std::size_t samples = 13,
                             double span_sigmas = 4.0);
 
+  /// The pdf whose grid is exactly (@p origin, @p step, @p masses), as read
+  /// back from origin(), step() and mass_view(). Nothing is normalized and
+  /// the moments are re-cached as every constructor caches them, so the
+  /// result is bitwise the pdf the grid was read from. Throws on an empty
+  /// grid.
+  static DiscretePdf restore(double origin, double step, std::span<const double> masses);
+
   /// Raw construction; masses are normalized to sum 1. Throws on empty or
   /// all-zero masses, or negative entries.
   static DiscretePdf from_masses(double origin, double step, std::vector<double> masses);

@@ -45,7 +45,7 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
         const auto& g = nl.gate(id);
         if (g.fanins.empty()) return;  // PI / constant: its launch point mass
         DiscretePdf acc = gate_arrival(g, options, arrival_of, [&](std::size_t i) {
-          return std::pair{ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i)};
+          return delay_pdf(options, ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i));
         });
         if constexpr (debug::kParanoid) {
           // Exceptions from a wavefront worker are captured and rethrown on

@@ -45,21 +45,28 @@ struct FullSstaResult {
   double sigma_ps = 0.0;
 };
 
+/// The kernel's arc delay pdf: Normal(@p delay_ps, @p sigma_ps) on the
+/// options' grid.
+[[nodiscard]] inline pdf::DiscretePdf delay_pdf(const FullSstaOptions& options, double delay_ps,
+                                                double sigma_ps) {
+  return pdf::DiscretePdf::normal(delay_ps, sigma_ps, options.samples_per_pdf,
+                                  options.span_sigmas);
+}
+
 /// The one FULLSSTA gate kernel: gate @p g's arrival pdf, the statistical
-/// max over its arcs of arrival_of(fanin) (+) Normal(delay, sigma), where
-/// arc_of(i) yields arc i's (delay, sigma). run_fullssta runs it over the
-/// snapshot; the FULLSSTA analyzer's what-if runs it over its fanout cone
-/// (timing/fullssta_analyzer.cpp), which is what keeps the two bitwise-equal.
-template <typename ArrivalOf, typename ArcOf>
+/// max over its arcs of arrival_of(fanin) (+) delay_of(i), where delay_of(i)
+/// yields arc i's delay_pdf(). run_fullssta runs it over the snapshot; the
+/// FULLSSTA analyzer's what-if runs it over its fanout cone
+/// (timing/fullssta_analyzer.cpp), reusing saved delay pdfs where an arc's
+/// (delay, sigma) did not change, which is what keeps the two bitwise-equal.
+template <typename ArrivalOf, typename DelayOf>
 [[nodiscard]] pdf::DiscretePdf gate_arrival(const netlist::Gate& g,
                                             const FullSstaOptions& options,
-                                            ArrivalOf&& arrival_of, ArcOf&& arc_of) {
+                                            ArrivalOf&& arrival_of, DelayOf&& delay_of) {
   const std::size_t samples = options.samples_per_pdf;
   pdf::DiscretePdf acc;
   for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-    const auto [delay_ps, sigma_ps] = arc_of(i);
-    const pdf::DiscretePdf delay =
-        pdf::DiscretePdf::normal(delay_ps, sigma_ps, samples, options.span_sigmas);
+    const pdf::DiscretePdf delay = delay_of(i);
     const pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
     acc = (i == 0) ? through : pdf::max(acc, through, samples);
   }

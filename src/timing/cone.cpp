@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace statsizer::timing::detail {
 
 using netlist::GateId;
@@ -15,6 +17,12 @@ struct ConeTemps {
   std::vector<GateId> drivers;
   std::vector<const liberty::Cell*> cand;  ///< by slot; nullptr = keep the bound cell
   std::vector<double> load;                ///< by slot
+  /// By slot: a resized gate or a re-folded driver, which replay() must
+  /// re-relax whatever its fanins did.
+  std::vector<std::uint8_t> seed;
+  /// By slot: the replayed slew differs bitwise from the context's. One
+  /// byte per slot, so wavefront workers never share a written word.
+  std::vector<std::uint8_t> moved;
 };
 
 ConeTemps& thread_cone_temps() {
@@ -77,9 +85,15 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
   ConeTemps& t = thread_cone_temps();
 
   std::vector<const liberty::Cell*>& cand = t.cand;
+  std::vector<std::uint8_t>& seed = t.seed;
+  std::vector<std::uint8_t>& moved = t.moved;
   cand.assign(k, nullptr);
+  seed.assign(k, 0);
+  moved.assign(k, 0);
   for (const Resize& r : resizes) {
-    cand[ws.slot(r.gate)] = &ctx.library().cell_for(nl.gate(r.gate).cell_group, r.size);
+    const std::uint32_t s = ws.slot(r.gate);
+    cand[s] = &ctx.library().cell_for(nl.gate(r.gate).cell_group, r.size);
+    seed[s] = 1;
   }
   const auto cell_of = [&](GateId consumer) -> const liberty::Cell& {
     const std::uint32_t s = ws.slot(consumer);
@@ -93,25 +107,62 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
     // exact accumulation order, candidates substituted.
     driver_load = ctx.fold_load(d, cell_of);
     const std::uint32_t s = ws.slot(d);
-    if (s != kNoSlot) load[s] = driver_load;
+    if (s != kNoSlot) {
+      load[s] = driver_load;
+      seed[s] = 1;
+    }
   }
 
-  // Re-propagate the cone through the context's slew/arc kernel
+  // Re-propagate the change front through the context's slew/arc kernel
   // (TimingContext::relax_gate) with candidate cells and re-folded loads
-  // substituted; unmapped nodes keep the base slew and zero arcs, exactly as
-  // update() leaves them.
+  // substituted. relax_gate reads only the gate's cell, its load and its
+  // fanin slews, so a node that is no seed and whose fanin slews are all
+  // bitwise the context's would recompute the context's own slew and arcs:
+  // it copies them instead. Unmapped nodes keep the base slew and zero arcs,
+  // exactly as update() leaves them.
   sta::sweep_levels(list(), threads, 16, [&](GateId id, std::uint32_t s) {
     if (!ctx.has_cell(id)) {
       slew[s] = ctx.slew_ps(id);
       return;
     }
-    slew[s] = ctx.relax_gate(
-        id, cand[s] != nullptr ? *cand[s] : ctx.cell(id), load[s],
-        [&](GateId fi) {
-          const std::uint32_t f = ws.slot(fi);
-          return f != kNoSlot ? slew[f] : ctx.slew_ps(fi);
-        },
-        arc_delay.data() + arc_begin[s], arc_sigma.data() + arc_begin[s]);
+    const auto& fanins = nl.gate(id).fanins;
+    bool front = seed[s] != 0;
+    for (std::size_t i = 0; i < fanins.size() && !front; ++i) {
+      const std::uint32_t f = ws.slot(fanins[i]);
+      front = f != kNoSlot && moved[f] != 0;
+    }
+    double* delay = arc_delay.data() + arc_begin[s];
+    double* sigma = arc_sigma.data() + arc_begin[s];
+    if (front || debug::kParanoid) {
+      slew[s] = ctx.relax_gate(
+          id, cand[s] != nullptr ? *cand[s] : ctx.cell(id), load[s],
+          [&](GateId fi) {
+            const std::uint32_t f = ws.slot(fi);
+            return f != kNoSlot ? slew[f] : ctx.slew_ps(fi);
+          },
+          delay, sigma);
+    }
+    if (front) {
+      moved[s] = same_bits(slew[s], ctx.slew_ps(id)) ? 0 : 1;
+      return;
+    }
+    if constexpr (debug::kParanoid) {
+      // The audit of the cutoff: the skipped node, re-relaxed above, must
+      // reproduce the values it would have copied.
+      bool same = same_bits(slew[s], ctx.slew_ps(id));
+      for (std::size_t i = 0; i < fanins.size(); ++i) {
+        same = same && same_bits(delay[i], ctx.arc_delay_ps(id, i)) &&
+               same_bits(sigma[i], ctx.arc_sigma_ps(id, i));
+      }
+      STATSIZER_PARANOID_CHECK(same, "ConeSnapshot::replay",
+                               "a node behind the change front relaxed to new values");
+      return;
+    }
+    slew[s] = ctx.slew_ps(id);
+    for (std::size_t i = 0; i < fanins.size(); ++i) {
+      delay[i] = ctx.arc_delay_ps(id, i);
+      sigma[i] = ctx.arc_sigma_ps(id, i);
+    }
   });
 }
 

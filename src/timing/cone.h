@@ -14,7 +14,11 @@
 // node- or arc-sized; the only GateId -> slot map is the scoring thread's
 // reused sta::ConeWorkspace. The cone is collected, and every array sized,
 // when the speculation is proposed; scoring only fills them (collect() /
-// replay()). Values outside the cone are untouched (they are
+// replay()). replay() re-relaxes only the change front: the resized gates,
+// the re-folded drivers, and the nodes with a fanin slot whose slew moved
+// bitwise; every other slot copies the context's slew and arcs, which are
+// exactly what relax_gate would recompute from unchanged inputs. Values
+// outside the cone are untouched (they are
 // bitwise-unchanged by the resizes), so an engine that calls its own gate
 // kernel over the cone in level order — reading everything else from its
 // cached base — reproduces a from-scratch update() + full run bitwise.
@@ -27,6 +31,7 @@
 // which calls the engine's kernel) and its base merge (merge_arrivals).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,6 +41,12 @@
 #include "timing/analyzer_impl.h"
 
 namespace statsizer::timing::detail {
+
+/// Bitwise equality, the proof behind the what-if cutoffs: -0.0 never
+/// equals 0.0, and a NaN equals only its own bit pattern.
+[[nodiscard]] inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// The snapshot overlay of one exact what-if: the resize set's fanout cone
 /// and the recomputed load/slew/arc values over it, indexed by cone slot.
@@ -68,7 +79,10 @@ struct ConeSnapshot {
                sta::ConeWorkspace& ws);
 
   /// The value half: recomputes the collected cone against @p ctx's current
-  /// snapshot with update()'s load fold and slew/arc kernel. @p ws must
+  /// snapshot with update()'s load fold and slew/arc kernel, re-relaxing a
+  /// node only when it is a seed or a fanin slew differs bitwise from the
+  /// context's (the others copy the context's values; a paranoid build
+  /// re-relaxes them and checks the copy). @p ws must
   /// index this cone. With @p threads != 1 the replay runs as a levelized
   /// wavefront (bitwise-identical results for any value); callers already
   /// running inside a pool worker — a wave of speculations scoring

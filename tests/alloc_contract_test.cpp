@@ -8,7 +8,8 @@
 //    on the proposing thread. Scoring it — on that thread or on a pool
 //    worker — allocates nothing once the scoring thread has served a cone
 //    that large (its reused cone workspace and replay temporaries), so a
-//    worker costs only the speculation it is scoring.
+//    worker costs only the speculation it is scoring. A commit refreshing
+//    the analyzer's saved arc delay pdfs leaves that contract intact.
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -136,6 +137,24 @@ TEST_F(WhatIfAllocation, WorkerScoresWithoutAllocating) {
   EXPECT_EQ(score_on_worker(*second), 0u);
   EXPECT_EQ(second->score().mean_ps, first->score().mean_ps);
   EXPECT_EQ(second->score().sigma_ps, first->score().sigma_ps);
+}
+
+TEST_F(WhatIfAllocation, WorkerScoreAfterACommitAllocatesNothing) {
+  util::ThreadPool pool(1);
+  const auto score_on_worker = [&](timing::Speculation& spec) {
+    std::size_t news = 0;
+    pool.submit([&] { news = news_during([&] { (void)spec.score(); }); });
+    pool.wait_idle();
+    return news;
+  };
+  const auto first = propose();
+  (void)score_on_worker(*first);
+  // The commit refreshes the analyzer's saved delay pdfs for the arcs its
+  // cone changed; the next score, of the same cone, reuses or rebuilds them
+  // in inline grids.
+  first->commit();
+  const auto next = propose();
+  EXPECT_EQ(score_on_worker(*next), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 // run (arrival moments, output pdf, mean, sigma).
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
@@ -429,6 +430,78 @@ TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
     const auto parallel = score_all(threads);
     EXPECT_EQ(parallel.first, reference.first) << "threads=" << threads;
     EXPECT_EQ(parallel.second, reference.second) << "threads=" << threads;
+  }
+}
+
+/// A from-scratch FULLSSTA analysis of @p b with @p resizes applied; the
+/// bench's sizes and snapshot are restored afterwards.
+Summary scratch_summary(Bench& b, std::span<const Resize> resizes) {
+  const auto keep = b.nl.sizes();
+  for (const Resize& r : resizes) b.nl.gate(r.gate).size_index = r.size;
+  b.ctx->update();
+  Summary s = make_analyzer("fullssta")->analyze(*b.ctx);
+  b.nl.set_sizes(keep);
+  b.ctx->update();
+  return s;
+}
+
+// The analyzer reuses an arc's saved delay pdf only when the cone arc's
+// (delay, sigma) is bitwise the pair the pdf was built from. recover_area's
+// chunk verification proposes against a context that has run ahead of the
+// analyzer's base: the netlist and the snapshot already hold the batch.
+TEST_P(FullSstaWhatIf, ReusedDelayPdfsStayExactWhenTheContextRunsAhead) {
+  Bench b(circuit());
+  auto an = make_analyzer("fullssta");
+  (void)an->analyze(*b.ctx);
+
+  const auto cands = some_candidates(*b.ctx, 6);
+  ASSERT_GE(cands.size(), 2u);
+  std::vector<Resize> batch;
+  for (const Candidate& c : cands) {
+    b.nl.gate(c.gate).size_index = c.size;
+    batch.push_back(Resize{c.gate, c.size});
+  }
+  b.ctx->update();  // the context runs ahead; the analyzer keeps its old base
+  const Summary reference = scratch_summary(b, {});
+
+  auto spec = an->propose_resizes(batch);
+  const Summary& scored = spec->score();
+  EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+  EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
+  spec->commit();
+  expect_summaries_equal(an->current(), reference);
+
+  // A later what-if, from the committed base, on a gate outside the batch.
+  const Candidate next = some_candidates(*b.ctx, cands.size() + 1).back();
+  const Resize r{next.gate, next.size};
+  const Summary later = an->propose(r.gate, r.size)->score();
+  const Summary later_reference = scratch_summary(b, std::span<const Resize>(&r, 1));
+  EXPECT_EQ(later.mean_ps, later_reference.mean_ps);
+  EXPECT_EQ(later.sigma_ps, later_reference.sigma_ps);
+}
+
+// Each commit refreshes the saved delay pdfs of the arcs its cone changed.
+// What-ifs after a chain of commits — including one that undoes the first,
+// so its arcs return to pairs the store held before the chain — must equal
+// from-scratch runs.
+TEST_P(FullSstaWhatIf, WhatIfAfterACommitChainMatchesFromScratch) {
+  Bench b(circuit());
+  auto an = make_analyzer("fullssta");
+  (void)an->analyze(*b.ctx);
+
+  const auto chain = some_candidates(*b.ctx, 4);
+  ASSERT_FALSE(chain.empty());
+  const std::uint16_t first_size = b.nl.gate(chain[0].gate).size_index;
+  for (const Candidate& c : chain) an->propose(c.gate, c.size)->commit();
+
+  std::vector<Resize> later;
+  for (const Candidate& c : some_candidates(*b.ctx, 12)) later.push_back(Resize{c.gate, c.size});
+  later.push_back(Resize{chain[0].gate, first_size});
+  for (const Resize& r : later) {
+    const Summary scored = an->propose(r.gate, r.size)->score();
+    const Summary reference = scratch_summary(b, std::span<const Resize>(&r, 1));
+    EXPECT_EQ(scored.mean_ps, reference.mean_ps) << "gate " << r.gate;
+    EXPECT_EQ(scored.sigma_ps, reference.sigma_ps) << "gate " << r.gate;
   }
 }
 

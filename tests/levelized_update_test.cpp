@@ -9,6 +9,7 @@
 // through parallel-context FULLSSTA, FASSTA and DSTA speculations against
 // serial-context references.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -485,6 +486,88 @@ TEST_P(ConeBuilder, ScoredConeSnapshotIsSizedByTheCone) {
     }
   }
   for (const auto& [driver, load] : snap.loads) EXPECT_EQ(load, b.ctx->load_ff(driver));
+}
+
+/// The bit pattern of @p v: a bitwise check tells -0.0 from 0.0 and
+/// passes a NaN only against its own pattern.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Replays @p resizes over @p b's context and checks every slot's slew and
+/// arcs, and every re-folded load, against @p twin after it applies the
+/// resizes and runs update(); then restores the twin's sizes. Returns false
+/// (after one failure) on the first difference.
+bool replay_equals_update(const Bench& b, Bench& twin, std::span<const timing::Resize> resizes,
+                          sta::ConeWorkspace& ws, timing::detail::ConeSnapshot& snap) {
+  snap.propagate(*b.ctx, resizes, ws);
+  std::vector<std::uint16_t> keep;
+  for (const timing::Resize& r : resizes) {
+    keep.push_back(twin.nl.gate(r.gate).size_index);
+    twin.nl.gate(r.gate).size_index = r.size;
+  }
+  twin.ctx->update();
+  const auto where = [&](GateId id) {
+    return "resize of gate " + std::to_string(resizes[0].gate) + " to size " +
+           std::to_string(resizes[0].size) + " (" + std::to_string(resizes.size()) +
+           " resizes), cone node " + std::to_string(id);
+  };
+  bool same = true;
+  for (std::uint32_t s = 0; s < snap.nodes.size() && same; ++s) {
+    const GateId id = snap.nodes[s];
+    same = bits(snap.slew[s]) == bits(twin.ctx->slew_ps(id));
+    EXPECT_TRUE(same) << "slew of " << where(id);
+    for (std::size_t i = 0; i < b.nl.gate(id).fanins.size() && same; ++i) {
+      const auto [delay, sigma] = snap.arc(s, i);
+      same = bits(delay) == bits(twin.ctx->arc_delay_ps(id, i)) &&
+             bits(sigma) == bits(twin.ctx->arc_sigma_ps(id, i));
+      EXPECT_TRUE(same) << "arc " << i << " of " << where(id);
+    }
+  }
+  for (const auto& [driver, load] : snap.loads) {
+    if (!same) break;
+    same = bits(load) == bits(twin.ctx->load_ff(driver));
+    EXPECT_TRUE(same) << "load of driver " << driver << ", " << where(driver);
+  }
+  for (std::size_t i = 0; i < resizes.size(); ++i) {
+    twin.nl.gate(resizes[i].gate).size_index = keep[i];
+  }
+  return same;
+}
+
+// The change-front cutoff copies every cone slot whose cell, load and fanin
+// slews are bitwise the context's. Every mapped gate, each of its other
+// sizes, and the multi-resize sets must still replay to exactly what a twin
+// context computes with update() — a cutoff that skipped a node whose fanin
+// slew moved would leave a stale slew or arc behind.
+TEST_P(ConeBuilder, ReplayedSnapshotEqualsUpdateForEveryResize) {
+  const Bench b(cone_circuit(GetParam()));
+  Bench twin(cone_circuit(GetParam()));
+  sta::ConeWorkspace ws;
+  timing::detail::ConeSnapshot snap;
+  std::size_t replays = 0;
+  for (GateId g = 0; g < b.nl.node_count(); ++g) {
+    if (!b.ctx->has_cell(g)) continue;
+    const auto& group = b.lib.group(b.nl.gate(g).cell_group);
+    for (std::uint16_t size = 0; size < group.size_count(); ++size) {
+      if (size == b.nl.gate(g).size_index) continue;
+      const timing::Resize r{g, size};
+      ASSERT_TRUE(replay_equals_update(b, twin, std::span<const timing::Resize>(&r, 1), ws, snap));
+      ++replays;
+    }
+  }
+  EXPECT_GT(replays, 0u);
+  for (const std::vector<GateId>& seeds : multi_seed_sets(b)) {
+    // Distinct mapped gates, each bumped one size.
+    std::vector<timing::Resize> resizes;
+    for (const GateId g : seeds) {
+      const bool seen = std::any_of(resizes.begin(), resizes.end(),
+                                    [g](const timing::Resize& r) { return r.gate == g; });
+      if (seen || !b.ctx->has_cell(g)) continue;
+      const auto& group = b.lib.group(b.nl.gate(g).cell_group);
+      resizes.push_back(timing::Resize{
+          g, static_cast<std::uint16_t>((b.nl.gate(g).size_index + 1) % group.size_count())});
+    }
+    ASSERT_TRUE(replay_equals_update(b, twin, resizes, ws, snap));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, ConeBuilder,
