@@ -40,20 +40,17 @@ core::Flow& flow_for(const std::string& name) {
 }
 
 /// Lightweight fixture for the propagation-kernel benches: a mapped Table-1
-/// workload with the context's wavefront threads pinned, no optimizer passes
-/// (update()/run_fullssta cost does not depend on the sizing state).
-core::Flow& raw_flow_for(const std::string& name, std::size_t threads) {
-  static std::map<std::pair<std::string, std::size_t>, std::unique_ptr<core::Flow>> cache;
-  const auto key = std::make_pair(name, threads);
-  auto it = cache.find(key);
+/// workload with no optimizer passes (run_fullssta and DRC cost do not
+/// depend on the sizing state).
+core::Flow& raw_flow_for(const std::string& name) {
+  static std::map<std::string, std::unique_ptr<core::Flow>> cache;
+  auto it = cache.find(name);
   if (it == cache.end()) {
-    core::FlowOptions options;
-    options.timing.threads = threads;
-    auto flow = std::make_unique<core::Flow>(options);
+    auto flow = std::make_unique<core::Flow>();
     if (const Status s = flow->load_table1(name); !s.ok()) {
       throw std::runtime_error(s.message());
     }
-    it = cache.emplace(key, std::move(flow)).first;
+    it = cache.emplace(name, std::move(flow)).first;
   }
   return *it->second;
 }
@@ -301,42 +298,11 @@ void BM_TimingUpdate(benchmark::State& state, const std::string& name) {
   }
 }
 
-/// Levelized wavefront update(): state.range(0) worker threads, with a
-/// one-shot check that the parallel snapshot is bitwise-identical to the
-/// serial one (loads, slews, arc delays/sigmas, area).
-void BM_UpdateThreads(benchmark::State& state, const std::string& name) {
-  auto& serial = raw_flow_for(name, 1);
-  auto& flow = raw_flow_for(name, static_cast<std::size_t>(state.range(0)));
-  serial.timing().update();
-  flow.timing().update();
-  const auto& a = serial.timing();
-  const auto& b = flow.timing();
-  bool identical = a.area_um2() == b.area_um2();
-  for (netlist::GateId g = 0; identical && g < a.netlist().node_count(); ++g) {
-    identical = a.load_ff(g) == b.load_ff(g) && a.slew_ps(g) == b.slew_ps(g);
-    for (std::size_t i = 0; identical && i < a.netlist().gate(g).fanins.size(); ++i) {
-      identical = a.arc_delay_ps(g, i) == b.arc_delay_ps(g, i) &&
-                  a.arc_sigma_ps(g, i) == b.arc_sigma_ps(g, i);
-    }
-  }
-  if (!identical) {
-    state.SkipWithError("parallel update() diverged from the serial snapshot");
-    return;
-  }
-
-  for (auto _ : state) {
-    flow.timing().update();
-  }
-  const auto& lv = flow.timing().levelization();
-  state.SetLabel(std::to_string(flow.netlist().logic_gate_count()) + " gates, " +
-                 std::to_string(lv.level_count()) + " levels");
-}
-
 /// Levelized wavefront FULLSSTA: state.range(0) worker threads for the
 /// arrival-pdf propagation, with a one-shot serial-identity check
 /// (mean/sigma/per-node moments bitwise).
 void BM_FullSstaThreads(benchmark::State& state, const std::string& name) {
-  auto& flow = raw_flow_for(name, 1);
+  auto& flow = raw_flow_for(name);
   ssta::FullSstaOptions opt;
   opt.threads = static_cast<std::size_t>(state.range(0));
 
@@ -436,31 +402,22 @@ void BM_IsleYield(benchmark::State& state, const std::string& name) {
                  " draws=" + std::to_string(reference.draws));
 }
 
-/// The same adaptive loop with the nominal proposal (= plain Monte Carlo,
-/// bitwise; see IsleYield.NominalProposalIsBitwisePlainMonteCarlo): the
 /// Full static design-rule sweep (structural + binding + electrical + SDC
-/// screen): state.range(0) worker threads for the electrical wavefront, with
-/// a one-shot check that the parallel diagnostic vector is identical to the
-/// serial one (the DRC determinism contract).
+/// screen), serial.
 void BM_DrcFullSweep(benchmark::State& state, const std::string& name) {
-  auto& flow = raw_flow_for(name, 1);
-  drc::DrcOptions opt;
-  opt.threads = static_cast<std::size_t>(state.range(0));
-  drc::DrcOptions serial = opt;
-  serial.threads = 1;
-  const drc::DrcReport reference = drc::run_drc(flow.timing(), serial);
-  const drc::DrcReport parallel = drc::run_drc(flow.timing(), opt);
-  if (parallel.diagnostics != reference.diagnostics) {
-    state.SkipWithError("parallel DRC sweep diverged from the serial reference");
-    return;
-  }
+  auto& flow = raw_flow_for(name);
+  std::size_t findings = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(drc::run_drc(flow.timing(), opt));
+    const drc::DrcReport report = drc::run_drc(flow.timing());
+    findings = report.diagnostics.size();
+    benchmark::DoNotOptimize(findings);
   }
   state.SetLabel(std::to_string(flow.netlist().logic_gate_count()) + " gates, " +
-                 std::to_string(reference.diagnostics.size()) + " findings");
+                 std::to_string(findings) + " findings");
 }
 
+/// The same adaptive loop with the nominal proposal (= plain Monte Carlo,
+/// bitwise; see IsleYield.NominalProposalIsBitwisePlainMonteCarlo): the
 /// draws-to-target-CI baseline ISLE is measured against.
 void BM_PlainMcYield(benchmark::State& state, const std::string& name) {
   auto& flow = yield_flow_for(name);
@@ -514,13 +471,6 @@ BENCHMARK_CAPTURE(BM_AreaRecoveryThreads, c880, std::string("c880"))
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TimingUpdate, c880, std::string("c880"));
-BENCHMARK_CAPTURE(BM_UpdateThreads, c880, std::string("c880"))
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_FullSstaThreads, c880, std::string("c880"))
     ->Arg(1)
     ->Arg(2)
@@ -528,17 +478,10 @@ BENCHMARK_CAPTURE(BM_FullSstaThreads, c880, std::string("c880"))
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-// Scaled-fabric wavefront benches: mesh8 (12.8k gates, median level width
-// 140) keeps every level above the parallel cutoff, so these measure the
-// kernels at the width they were built for — unlike c880, where most levels
+// Scaled-fabric wavefront bench: mesh8 (12.8k gates, median level width
+// 140) keeps every level above the parallel cutoff, so it measures the
+// kernel at the width it was built for — unlike c880, where most levels
 // fall back to the serial path.
-BENCHMARK_CAPTURE(BM_UpdateThreads, mesh8, std::string("mesh8"))
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_FullSstaThreads, mesh8, std::string("mesh8"))
     ->Arg(1)
     ->Arg(2)
@@ -547,24 +490,15 @@ BENCHMARK_CAPTURE(BM_FullSstaThreads, mesh8, std::string("mesh8"))
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 // Preflight cost on real workloads: the DRC must stay cheap enough to run
-// on every load. c880 is mostly below the parallel cutoff (serial path);
-// mesh8/mul64 exercise the wide-wavefront electrical sweep. The committed
-// snapshot point is scripts/bench_snapshot.sh BENCH_drc_sweep.json.
+// on every load. The committed snapshot point is
+// scripts/bench_snapshot.sh BENCH_drc_sweep.json.
 BENCHMARK_CAPTURE(BM_DrcFullSweep, c880, std::string("c880"))
-    ->Arg(1)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_DrcFullSweep, mesh8, std::string("mesh8"))
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_DrcFullSweep, mul64, std::string("mul64"))
-    ->Arg(1)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 // Draws-to-target-CI head-to-head: both estimators run the identical

@@ -7,9 +7,11 @@
 //   ingest --lint <netlist.(bench|v)> [--sdc file.sdc] [--json] [--strict]
 //   ingest --lint --workload <name> [--json] [--strict]
 //
-// --threads n (0..1024, 0 = hardware concurrency) sets the sizing and yield
-// workers in the flow and the DRC sweep's workers under --lint; omitted, the
-// library defaults apply. Results are identical for any value.
+// --optimize takes a finite lambda >= 0 (the whole token); --threads n
+// (0..1024, 0 = hardware concurrency) sets the flow's sizing and yield
+// workers; omitted, the library defaults apply. Results are identical for
+// any thread count. A malformed value, or --threads with --lint (the DRC
+// sweep is serial), is a usage error (exit 2).
 //
 // The netlist format is picked by extension: .bench (ISCAS, mapped with the
 // default mapper) or .v (structural Verilog, cell bindings adopted as-is).
@@ -23,6 +25,8 @@
 // error-severity finding (or unparseable input), 2 = usage; --strict
 // promotes warnings to exit 1. scripts/check.sh --drc drives this mode over
 // the semantic corpus and the builtin workloads.
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -43,16 +47,24 @@ int usage(const char* argv0) {
                "usage: %s <netlist.(bench|v)> [--sdc file.sdc] [--optimize lambda] "
                "[--out sized.v] [--threads n]\n"
                "       %s --lint (<netlist.(bench|v)> | --workload name) [--sdc file.sdc] "
-               "[--json] [--strict] [--threads n]\n",
+               "[--json] [--strict]\n",
                argv0, argv0);
   return 2;
 }
 
+/// --optimize's lambda: the whole token a finite number >= 0.
+std::optional<double> parse_lambda(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  const bool whole = *text != '\0' && std::isspace(static_cast<unsigned char>(*text)) == 0 &&
+                     *end == '\0';
+  return whole && std::isfinite(value) && value >= 0.0 ? std::optional<double>(value)
+                                                       : std::nullopt;
+}
+
 int run_lint(const std::string& netlist_path, const std::string& workload,
-             const std::string& sdc_path, bool json, bool strict,
-             std::optional<std::size_t> threads) {
+             const std::string& sdc_path, bool json, bool strict) {
   core::LintOptions options;
-  if (threads) options.drc.threads = *threads;
   options.sdc_path = sdc_path;
   const core::LintResult result = workload.empty() ? core::lint_file(netlist_path, options)
                                                    : core::lint_workload(workload, options);
@@ -91,7 +103,9 @@ int main(int argc, char** argv) {
     if (arg == "--sdc" && i + 1 < argc) {
       sdc_path = argv[++i];
     } else if (arg == "--optimize" && i + 1 < argc) {
-      lambda = std::atof(argv[++i]);
+      const std::optional<double> value = parse_lambda(argv[++i]);
+      if (!value) return usage(argv[0]);
+      lambda = *value;
       optimize = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
@@ -114,14 +128,13 @@ int main(int argc, char** argv) {
     }
   }
   if (lint) {
-    if (netlist_path.empty() == workload.empty()) return usage(argv[0]);
-    return run_lint(netlist_path, workload, sdc_path, json, strict, threads);
+    if (netlist_path.empty() == workload.empty() || threads) return usage(argv[0]);
+    return run_lint(netlist_path, workload, sdc_path, json, strict);
   }
   if (netlist_path.empty() || !workload.empty()) return usage(argv[0]);
 
   // --threads sets the sizer and yield workers; without it the library
-  // defaults (hardware concurrency) apply. update()'s wavefront stays on its
-  // serial default: it loses to the serial loop at every thread count.
+  // defaults (hardware concurrency) apply.
   core::FlowOptions options;
   if (threads) {
     options.sizer_threads = *threads;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Perf trajectory snapshot: builds the selected benchmark binary (by default
-# bench_perf_engines) and records its benchmarks (serial + wavefront
-# update()/FULLSSTA kernels and their thread sweeps) as machine-readable
-# JSON.
+# bench_perf_engines) and records its benchmarks (the serial update() and
+# FULLSSTA kernels, and FULLSSTA's wavefront thread sweep) as
+# machine-readable JSON.
 #
 #   scripts/bench_snapshot.sh                 # writes BENCH_update_levelized.json
 #   scripts/bench_snapshot.sh out.json        # custom output path
@@ -14,7 +14,7 @@
 #   scripts/bench_snapshot.sh BENCH_isle_yield.json
 #
 # An output path matching *drc_sweep* defaults the filter to the full
-# design-rule sweep (BM_DrcFullSweep: preflight cost + wavefront scaling):
+# design-rule sweep (BM_DrcFullSweep: serial preflight cost per workload):
 #   scripts/bench_snapshot.sh BENCH_drc_sweep.json
 #
 # An output path matching *whatif* defaults the filter to the exact what-if
@@ -48,7 +48,7 @@ case "${OUT}" in
     BIN=bench_server
     DEFAULT_FILTER='BM_ServerMixed'
     ;;
-  *) DEFAULT_FILTER='BM_TimingUpdate|BM_UpdateThreads|BM_FullSstaThreads|BM_Fullssta/c880' ;;
+  *) DEFAULT_FILTER='BM_TimingUpdate|BM_FullSstaThreads|BM_Fullssta/c880' ;;
 esac
 FILTER="${2:-${DEFAULT_FILTER}}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"

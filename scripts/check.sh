@@ -5,7 +5,7 @@
 #   scripts/check.sh --asan          # additionally run the fast tests under
 #                                    # AddressSanitizer + UBSan
 #   scripts/check.sh --tsan          # additionally run the concurrency suites
-#                                    # (wavefront update/FULLSSTA, parallel
+#                                    # (wavefront FULLSSTA, parallel
 #                                    # sizer/recovery/MC/ISLE, analyzer
 #                                    # conformance, pool primitives) under
 #                                    # ThreadSanitizer with scripts/tsan.supp
@@ -30,8 +30,9 @@
 #   scripts/check.sh --parser-smoke  # additionally drive example_ingest over
 #                                    # the malformed corpus: every file must
 #                                    # fail with a loud error (exit 1), never
-#                                    # crash or parse silently; and lint a
-#                                    # generated 200k-gate outputs-first
+#                                    # crash or parse silently; check that a
+#                                    # bad --optimize lambda exits 2; and lint
+#                                    # a generated 200k-gate outputs-first
 #                                    # chain (.bench and .v, exit 0)
 #   scripts/check.sh --yield-smoke   # additionally run the importance-sampled
 #                                    # yield cross-check (isle vs plain MC on
@@ -136,7 +137,7 @@ fi
 # snapshot patching (TimingContext::apply_snapshot_patch), and the
 # chunk-rollback restore path are all concurrent-lifetime code the sanitizer
 # should walk. LevelizedUpdate/LevelizedWhatIf stay in too: the wavefront
-# update()/FULLSSTA/cone-replay kernels write shared preallocated arrays from
+# FULLSSTA and FULLSSTA-cone kernels write shared preallocated arrays from
 # pool workers with level barriers between waves — exactly the code whose
 # races/overruns only a sanitized multithreaded run would catch.
 # IsleYield/IsleDegeneracy stay in too — the importance sampler's sharded
@@ -254,6 +255,18 @@ if [[ "${PARSER}" == 1 ]]; then
   done
   # And the valid pairing netlist must still go through cleanly.
   ./build/example_ingest "${VALID_BENCH}" >/dev/null
+  # --optimize parses strictly: a non-numeric, negative or non-finite lambda
+  # is a usage error (exit 2), never a silent lambda of 0.
+  for bad in abc -1 nan; do
+    set +e
+    ./build/example_ingest "${VALID_BENCH}" --optimize "${bad}" >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "check.sh: parser smoke FAILED: --optimize ${bad} exited ${rc} (want 2)" >&2
+      exit 1
+    fi
+  done
   # Depth is bounded by memory, not the call stack: a 200k-inverter chain
   # listed outputs-first (every gate waits on the whole chain below it) must
   # lint clean in both formats.

@@ -19,7 +19,7 @@
 namespace statsizer::core {
 
 struct LintOptions {
-  /// DRC thresholds and parallelism for the sweep.
+  /// DRC thresholds for the sweep.
   drc::DrcOptions drc;
   /// Optional SDC file checked for coverage against the design.
   std::string sdc_path;

@@ -224,17 +224,15 @@ bool append_binding(const sta::TimingContext& ctx,
 
 // ---- electrical rules -------------------------------------------------------
 
-/// Per-gate findings of the parallel sweep. Each wavefront worker writes only
-/// its own gate's slot; the serial compaction appends slots in GateId order,
-/// so the report is bitwise independent of thread count and chunking.
-struct ElectricalSlot {
-  std::vector<Diagnostic> findings;
-};
-
-void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
-                     GateId id, ElectricalSlot& slot) {
+/// Appends gate @p id's fanout, load and slew findings, in that order.
+void electrical_rules(const sta::TimingContext& ctx, const DrcOptions& options,
+                      const bench_format::Provenance* prov, GateId id, DrcReport& report) {
   const Netlist& nl = ctx.netlist();
   const netlist::Gate& g = nl.gate(id);
+  const auto found = [&](Diagnostic& d) {
+    attribute(d, prov);
+    report.diagnostics.push_back(std::move(d));
+  };
 
   const std::size_t fanout = g.fanouts.size() + g.po_count;
   if (fanout > options.max_fanout) {
@@ -247,7 +245,7 @@ void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
     for (std::size_t i = 0; i < g.fanouts.size() && i < kMaxWitness; ++i) {
       d.witness.push_back(nl.gate(g.fanouts[i]).name);
     }
-    slot.findings.push_back(std::move(d));
+    found(d);
   }
 
   if (!ctx.has_cell(id)) return;
@@ -284,7 +282,7 @@ void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
       d.witness.push_back(nl.gate(heavy[i].second).name + " (" + num(heavy[i].first) +
                           " fF)");
     }
-    slot.findings.push_back(std::move(d));
+    found(d);
   }
 
   // Slew limit: the binding pin is the tightest max_transition among this
@@ -313,23 +311,14 @@ void electrical_body(const sta::TimingContext& ctx, const DrcOptions& options,
     d.message = "'" + g.name + "' output slew " + num(ctx.slew_ps(id)) +
                 " ps exceeds max_transition " + num(limit) + " ps at " + limiter;
     d.witness.push_back(limiter);
-    slot.findings.push_back(std::move(d));
+    found(d);
   }
 }
 
 void append_electrical(const sta::TimingContext& ctx, const DrcOptions& options,
                        const bench_format::Provenance* prov, DrcReport& report) {
-  const Netlist& nl = ctx.netlist();
-  std::vector<ElectricalSlot> slots(nl.node_count());
-  sta::sweep_levels(sta::all_levels(ctx.levelization()), options.threads, /*chunk=*/64,
-                    [&](const GateId id, std::uint32_t) {
-                      electrical_body(ctx, options, id, slots[id]);
-                    });
-  for (GateId id = 0; id < nl.node_count(); ++id) {
-    for (Diagnostic& d : slots[id].findings) {
-      attribute(d, prov);
-      report.diagnostics.push_back(std::move(d));
-    }
+  for (GateId id = 0; id < ctx.netlist().node_count(); ++id) {
+    electrical_rules(ctx, options, prov, id, report);
   }
 }
 

@@ -14,11 +14,10 @@
 //     library limits at the nominal corner) + SDC coverage. Needs a
 //     TimingContext snapshot.
 //
-// Determinism contract: the diagnostic vector is bitwise identical for any
-// DrcOptions::threads. The electrical rules sweep the levelized wavefront in
-// parallel but write only per-gate slots; diagnostics are compacted serially
-// in GateId order. Structural, binding, and SDC rules are serial by
-// construction (id order / command order).
+// Determinism contract: every rule runs serially in a fixed order, so the
+// diagnostic vector is a pure function of its inputs. Structural and binding
+// rules go in id order, electrical rules in GateId order (a gate's fanout,
+// load, then slew finding), SDC rules in command order.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +82,9 @@ struct DrcOptions {
   /// the DRC screens only gross violations; 1.0 would flag half-sized but
   /// perfectly optimizable designs.
   double load_limit_scale = 2.0;
-  /// Worker threads for the electrical wavefront (1 = serial, 0 = hardware
-  /// concurrency). Diagnostics are bitwise identical for any value.
-  std::size_t threads = 1;
+  /// The electrical rules run serially: a parallel sweep lost at every
+  /// thread count. A constant, not a knob, kept for readers of the name.
+  static constexpr std::size_t threads = 1;
 };
 
 struct DrcReport {

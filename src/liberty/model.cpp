@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/numeric.h"
@@ -221,28 +222,22 @@ std::size_t Library::max_arity() const {
 }
 
 ParsedCellName parse_cell_name(std::string_view name) {
-  ParsedCellName result;
+  ParsedCellName result{std::string(name)};
   const auto pos = name.rfind("_X");
-  if (pos == std::string_view::npos) {
-    result.base = std::string(name);
-    return result;
-  }
+  if (pos == std::string_view::npos) return result;
+  // A drive suffix is digits with at most one 'P' as the decimal point
+  // (X0P5 -> 0.5) and a finite value > 0; anything else is part of the name.
   std::string suffix(name.substr(pos + 2));
-  if (suffix.empty()) {
-    result.base = std::string(name);
-    return result;
-  }
-  // 'P' encodes a decimal point: X0P5 -> 0.5.
-  std::replace(suffix.begin(), suffix.end(), 'P', '.');
-  const bool numeric = std::all_of(suffix.begin(), suffix.end(), [](char c) {
-    return std::isdigit(static_cast<unsigned char>(c)) || c == '.';
+  const auto digits = std::count_if(suffix.begin(), suffix.end(), [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
   });
-  if (!numeric) {
-    result.base = std::string(name);
-    return result;
-  }
+  const auto points = std::count(suffix.begin(), suffix.end(), 'P');
+  if (digits == 0 || points > 1 || digits + points != std::ssize(suffix)) return result;
+  std::replace(suffix.begin(), suffix.end(), 'P', '.');
+  const double drive = std::strtod(suffix.c_str(), nullptr);
+  if (!std::isfinite(drive) || drive <= 0.0) return result;
   result.base = std::string(name.substr(0, pos));
-  result.drive = std::stod(suffix);
+  result.drive = drive;
   return result;
 }
 

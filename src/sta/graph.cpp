@@ -8,20 +8,10 @@
 #include "netlist/topo.h"
 #include "util/check.h"
 #include "util/exec.h"
-#include "util/thread_pool.h"
 
 namespace statsizer::sta {
 
 using netlist::GateId;
-
-namespace {
-// Wavefront chunk sizes: a gate's slew/arc relaxation is a handful of NLDM
-// lookups (~hundreds of ns) and a load fold is cheaper still, so chunks are
-// sized to amortize the pool's per-chunk dispatch. Chunk geometry never
-// affects results (per-slot writes).
-constexpr std::size_t kLoadChunk = 64;
-constexpr std::size_t kRelaxChunk = 16;
-}  // namespace
 
 TimingContext::TimingContext(netlist::Netlist& nl, const liberty::Library& lib,
                              const variation::VariationModel& var, TimingOptions options)
@@ -108,34 +98,26 @@ void TimingContext::update() {
 
   sum_area();
 
-  // Loads: each driver's terms fold independently (per-slot write, term
-  // order fixed per driver), so this pass is level-free — any split works. A
-  // netlist narrower than a chunk is one chunk, which parallel_for runs inline.
+  // Loads: each driver folds its own term list (TimingContext::load_terms).
   const auto bound_cell = [this](GateId consumer) -> const liberty::Cell& {
     const auto& cg = nl_.gate(consumer);
     return lib_.cell_for(cg.cell_group, cg.size_index);
   };
-  util::parallel_for(n, kLoadChunk, options_.threads,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       for (std::size_t id = begin; id < end; ++id) {
-                         load_[id] = fold_load(static_cast<GateId>(id), bound_cell);
-                       }
-                     });
+  for (GateId id = 0; id < n; ++id) load_[id] = fold_load(id, bound_cell);
 
-  // Slews / arc delays / sigmas: the slew/arc kernel over the levelized
-  // sweep. Within a level gates only read finished (lower-level) slews and
-  // write their own slots; levels form the barriers.
-  sweep_levels(
-      all_levels(levels_), options_.threads, kRelaxChunk,
-      [this](GateId id, std::uint32_t) {
-        const auto& g = nl_.gate(id);
-        if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
-        slew_[id] = relax_gate(id, lib_.cell_for(g.cell_group, g.size_index), load_[id],
-                               [this](GateId f) { return slew_[f]; },
-                               arc_delay_.data() + arc_offset_[id],
-                               arc_sigma_.data() + arc_offset_[id]);
-      },
-      "sta/update/level");
+  // Slews / arc delays / sigmas in level order: a gate reads only finished
+  // (lower-level) slews.
+  const std::vector<GateId>& order = levels_.order_by_level;
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    if ((s & 0xFF) == 0) util::checkpoint("sta/update/level");
+    const GateId id = order[s];
+    const auto& g = nl_.gate(id);
+    if (g.cell_group == netlist::kUnmapped) continue;  // PI or constant
+    slew_[id] = relax_gate(id, lib_.cell_for(g.cell_group, g.size_index), load_[id],
+                           [this](GateId f) { return slew_[f]; },
+                           arc_delay_.data() + arc_offset_[id],
+                           arc_sigma_.data() + arc_offset_[id]);
+  }
 }
 
 double TimingContext::load_ff_with_resize(GateId driver, GateId center,

@@ -72,13 +72,10 @@ struct TimingOptions {
   double primary_input_slew_ps = 20.0;
   /// Capacitance modelled at each primary output (e.g. a register's D pin).
   double primary_output_load_ff = 4.0;
-  /// Worker threads for update()'s wavefront passes (load fold, then the
-  /// level-by-level slew/arc sweep). 1 = the classic serial topo-order loop,
-  /// 0 = hardware concurrency. Results are bitwise-identical for any value
-  /// (pinned by levelized_update_test): parallelism is only across the gates
-  /// of one level, each gate's fanin fold stays sequential, and every write
-  /// goes to the gate's own preallocated slot.
-  std::size_t threads = 1;
+  /// update() and the FASSTA/DSTA what-if replays run serially: a gate's
+  /// relax costs less than a level barrier, so the wavefront lost at every
+  /// thread count. A constant, not a knob, kept for readers of the name.
+  static constexpr std::size_t threads = 1;
 };
 
 /// One addition into a driver's load, in update()'s exact accumulation
@@ -107,11 +104,9 @@ class TimingContext {
                 const variation::VariationModel& var, TimingOptions options = {});
 
   /// Recomputes loads, slews, delays, sigmas, area for the netlist's current
-  /// sizing state. Called automatically by the constructor. With
-  /// TimingOptions::threads > 1 the load fold and the slew/arc sweep run as
-  /// levelized wavefronts across util::ThreadPool — bitwise-identical to the
-  /// serial pass for any thread count. Mutation rule unchanged: update() must
-  /// only run with no parallel region reading the snapshot in flight.
+  /// sizing state. Called automatically by the constructor. A serial pass:
+  /// the load fold, then the slew/arc sweep in level order. It must only run
+  /// with no parallel region reading the snapshot in flight.
   void update();
 
   /// Counter bumped by every write to the snapshot (update() and
@@ -130,8 +125,8 @@ class TimingContext {
   [[nodiscard]] const std::vector<netlist::GateId>& topo_order() const { return order_; }
   /// Cached level decomposition (computed with the topo order at
   /// construction; like order_, it describes the netlist's structure, which
-  /// must not change over the context's lifetime). The wavefront kernels —
-  /// update(), ssta::run_fullssta, the cone replay — iterate its levels.
+  /// must not change over the context's lifetime). update(),
+  /// ssta::run_fullssta and the cone replay iterate its levels.
   [[nodiscard]] const netlist::Levelization& levelization() const { return levels_; }
 
   // -- constraints -----------------------------------------------------------

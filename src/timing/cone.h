@@ -8,8 +8,9 @@
 // fold (TimingContext::fold_load, in update()'s exact accumulation order with
 // candidate cells substituted; a cap *delta* added to the cached load would
 // drift by an ULP), slews and arcs through the slew/arc kernel
-// (TimingContext::relax_gate), over the same levelized sweep
-// (sta::sweep_levels). Every value array is indexed by cone slot, so a
+// (TimingContext::relax_gate), over the shared levelized sweep
+// (sta::sweep_levels: a wavefront for FULLSSTA's what-ifs, serial for
+// FASSTA's and DSTA's). Every value array is indexed by cone slot, so a
 // speculation holds O(cone) memory and never allocates or clears anything
 // node- or arc-sized; the only GateId -> slot map is the scoring thread's
 // reused sta::ConeWorkspace. The cone is collected, and every array sized,
@@ -89,13 +90,13 @@ struct ConeSnapshot {
   /// concurrently — execute inline regardless. Allocates nothing once the
   /// calling thread's temporaries have served a cone this large.
   void replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-              const sta::ConeWorkspace& ws, std::size_t threads = 1);
+              const sta::ConeWorkspace& ws, std::size_t threads);
 
-  /// collect() then replay(): a one-shot overlay.
+  /// collect() then a serial replay(): a one-shot overlay.
   void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-                 sta::ConeWorkspace& ws, std::size_t threads = 1) {
+                 sta::ConeWorkspace& ws) {
     collect(ctx, resizes, ws);
-    replay(ctx, resizes, ws, threads);
+    replay(ctx, resizes, ws, 1);
   }
 };
 
@@ -165,8 +166,10 @@ class ConeSpeculation : public Speculation {
 
  protected:
   /// Threads for the snapshot half's wavefront (on the caller's thread;
-  /// inline when scoring inside a pool worker): update()'s knob by default.
-  virtual std::size_t replay_threads() const { return ctx_.options().threads; }
+  /// inline when scoring inside a pool worker). 1 unless the engine's own
+  /// wavefront wins (FULLSSTA): a cheap what-if re-relaxes a sliver of its
+  /// cone, so a level barrier costs more than the work it splits.
+  virtual std::size_t replay_threads() const { return 1; }
   /// Engine half of score(): run the engine's gate kernel over the cone
   /// (cone_.list(); ws.slot() maps a GateId to its slot), reading nodes
   /// outside it (ws.slot() == kNoSlot) from the owner's base, and fill the

@@ -15,9 +15,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flow.h"
@@ -199,31 +202,47 @@ TEST(DrcElectrical, TightLibrarySlewLimitFiresOnRealWorkload) {
 }
 
 // ---------------------------------------------------------------------------
-// determinism: diagnostics are bitwise identical for any thread count
+// determinism: electrical findings come in GateId order, sweep after sweep
 // ---------------------------------------------------------------------------
 
-TEST(DrcDeterminism, DiagnosticsInvariantUnderThreadCount) {
+TEST(DrcDeterminism, ElectricalFindingsComeInGateIdOrder) {
+  std::set<drc::Rule> seen;
   for (const char* name : {"mesh8", "mul32"}) {
     // Tight thresholds + a tight library slew limit make hundreds of
-    // findings so the parallel wavefront actually has work to race on.
+    // findings across all three electrical rules.
     core::FlowOptions options;
     options.library.max_transition_ps = 60.0;
     core::Flow flow(options);
     ASSERT_TRUE(flow.load_table1(name).ok()) << name;
-    drc::DrcOptions base;
-    base.max_fanout = 4;
-    base.load_limit_scale = 0.25;
-    base.threads = 1;
-    const drc::DrcReport reference = drc::run_drc(flow.timing(), base);
-    ASSERT_GT(reference.diagnostics.size(), 100u) << name;
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
-      drc::DrcOptions opt = base;
-      opt.threads = threads;
-      const drc::DrcReport got = drc::run_drc(flow.timing(), opt);
-      EXPECT_EQ(got.diagnostics, reference.diagnostics)
-          << name << " diverges at threads=" << threads;
+    drc::DrcOptions opt;
+    opt.max_fanout = 4;
+    opt.load_limit_scale = 0.25;
+    const drc::DrcReport report = drc::run_drc(flow.timing(), opt);
+    ASSERT_GT(report.diagnostics.size(), 100u) << name;
+
+    std::unordered_map<std::string, GateId> id_of;
+    const Netlist& nl = flow.timing().netlist();
+    for (GateId id = 0; id < nl.node_count(); ++id) id_of.emplace(nl.gate(id).name, id);
+    // A gate's findings come as fanout, load, then slew.
+    const auto rank = [](drc::Rule r) {
+      return r == drc::Rule::kFanoutExceeded ? 0 : r == drc::Rule::kLoadExceedsLimit ? 1 : 2;
+    };
+    std::pair<GateId, int> last{0, -1};
+    for (const drc::Diagnostic& d : report.diagnostics) {
+      if (d.rule != drc::Rule::kFanoutExceeded && d.rule != drc::Rule::kLoadExceedsLimit &&
+          d.rule != drc::Rule::kSlewExceedsLimit) {
+        continue;
+      }
+      seen.insert(d.rule);
+      const auto it = id_of.find(d.object);
+      ASSERT_NE(it, id_of.end()) << name << ": " << d.object;
+      const std::pair<GateId, int> key{it->second, rank(d.rule)};
+      EXPECT_LT(last, key) << name << ": " << d.object << " out of GateId order";
+      last = key;
     }
+    EXPECT_EQ(drc::run_drc(flow.timing(), opt).diagnostics, report.diagnostics) << name;
   }
+  EXPECT_EQ(seen.size(), 3u) << "every electrical rule should fire";
 }
 
 // ---------------------------------------------------------------------------

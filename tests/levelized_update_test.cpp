@@ -1,13 +1,12 @@
-// Wavefront propagation pins (ISSUE 5): TimingContext::update() and
-// ssta::run_fullssta must be bitwise-identical across thread counts
-// {1, 2, 8, 0} AND bitwise-identical to the pre-PR serial implementations,
-// on cla_adder(8), parity_fabric(16), c432, and c880. The "pre-PR serial
-// implementation" is reproduced here from first principles through the
+// Levelized propagation pins: TimingContext::update() (serial) and
+// ssta::run_fullssta (across thread counts {1, 2, 8, 0}) must be
+// bitwise-identical to the original serial implementations, on
+// cla_adder(8), parity_fabric(16), c432, and c880. The original serial
+// implementation is reproduced here from first principles through the
 // public API only (the same NLDM lookups, the same accumulation orders), so
 // a regression in either the serial path or the wavefront path fails
-// loudly. The what-if cone replay (the third wavefront kernel) is pinned
-// through parallel-context FULLSSTA, FASSTA and DSTA speculations against
-// serial-context references.
+// loudly. The FULLSSTA what-if cone wavefront is pinned through threaded
+// speculations against serial references.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -64,7 +63,7 @@ const char* circuit_name(int kind) {
   }
 }
 
-/// Mapped circuit + context under explicit TimingOptions. A deterministic
+/// Mapped circuit + context under default TimingOptions. A deterministic
 /// size staircase (gate id mod the group's size count) gives every run the
 /// same non-trivial mix of loads and slews without an optimizer pass.
 struct Bench {
@@ -73,7 +72,7 @@ struct Bench {
   variation::VariationModel var;
   std::unique_ptr<sta::TimingContext> ctx;
 
-  explicit Bench(Netlist n, sta::TimingOptions topt = {}) : nl(std::move(n)) {
+  explicit Bench(Netlist n) : nl(std::move(n)) {
     const Status s = techmap::map_to_library(nl, lib);
     if (!s.ok()) throw std::logic_error(s.message());
     for (GateId g = 0; g < nl.node_count(); ++g) {
@@ -82,7 +81,7 @@ struct Bench {
       const auto& group = lib.group(gate.cell_group);
       gate.size_index = static_cast<std::uint16_t>(g % group.size_count());
     }
-    ctx = std::make_unique<sta::TimingContext>(nl, lib, var, topt);
+    ctx = std::make_unique<sta::TimingContext>(nl, lib, var);
   }
 };
 
@@ -224,18 +223,12 @@ void expect_fullssta_eq(const ssta::FullSstaResult& a, const ssta::FullSstaResul
 
 class LevelizedUpdate : public ::testing::TestWithParam<int> {};
 
+// update() runs serially (TimingOptions::threads is the constant 1), so
+// this pins the serial pass against the reference.
 TEST_P(LevelizedUpdate, UpdateMatchesPrePrSerialReferenceAcrossThreadCounts) {
   const Bench serial(circuit_for(GetParam()));
   const RefSnapshot ref = reference_update(serial.nl, serial.lib, *serial.ctx);
   expect_snapshot_equals_reference(*serial.ctx, ref);
-
-  for (const std::size_t threads : {2u, 8u, 0u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    sta::TimingOptions topt;
-    topt.threads = threads;
-    const Bench parallel(circuit_for(GetParam()), topt);
-    expect_snapshot_equals_reference(*parallel.ctx, ref);
-  }
 }
 
 TEST_P(LevelizedUpdate, FullSstaMatchesPrePrSerialReferenceAcrossThreadCounts) {
@@ -275,21 +268,19 @@ TEST(LevelizedUpdate, UpdateThrowsAfterStructuralNetlistEdit) {
   EXPECT_THROW(b.ctx->update(), std::logic_error);
 }
 
-// The third wavefront kernel: the what-if cone replay (timing/cone.cpp), run
-// by every exact cone speculation, plus the FULLSSTA analyzer's pdf half. A
-// multi-resize speculation scored on a parallel-everything configuration
-// must match the all-serial one bitwise — score AND committed base — for
-// each engine whose cone replay runs on the shared sweep. The wave resizes
-// the first gates of parity_fabric(64) in level order, so its cone holds a
-// level wide enough for the wavefront to fan out.
+// The other wavefront kernel: the FULLSSTA what-if cone — its cone replay
+// (timing/cone.cpp) and its pdf half, both on FullSstaOptions::threads (the
+// FASSTA and DSTA what-ifs replay serially). A multi-resize speculation
+// scored with threads must match the serial one bitwise — score AND
+// committed base. The wave resizes the first gates of parity_fabric(64) in
+// level order, so its cone holds a level wide enough for the wavefront to
+// fan out.
 class LevelizedWhatIf : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
   const std::string engine = GetParam();
   const auto run = [&engine](std::size_t threads) {
-    sta::TimingOptions topt;
-    topt.threads = threads;
-    Bench b(parity_fabric(64), topt);
+    Bench b(parity_fabric(64));
 
     timing::AnalyzerOptions aopt;
     aopt.fullssta.threads = threads;
@@ -332,7 +323,7 @@ TEST_P(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, LevelizedWhatIf,
-                         ::testing::Values("fullssta", "fassta", "dsta"),
+                         ::testing::Values("fullssta"),
                          [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,34 @@ TEST(CellName, DriveSuffixes) {
   EXPECT_EQ(parse_cell_name("FOO_XBAR").base, "FOO_XBAR");
 }
 
+// A suffix of bare 'P's, more than one 'P', digits too long for a finite
+// double, or a zero drive is no drive suffix: the whole name is the base, drive 1, as for
+// FOO_XBAR. None of them may throw.
+TEST(CellName, MalformedDriveSuffixesAreNotDrives) {
+  for (const std::string name :
+       {std::string("INV_XP"), std::string("INV_X1P2P3"), "INV_X" + std::string(400, '9'),
+        std::string("INV_X0"), std::string("INV_X0P0")}) {
+    SCOPED_TRACE(name.substr(0, 16));
+    ParsedCellName parsed;
+    ASSERT_NO_THROW(parsed = parse_cell_name(name));
+    EXPECT_EQ(parsed.base, name);
+    EXPECT_EQ(parsed.drive, 1.0);
+  }
+}
+
+TEST(CellName, LibraryWithMalformedDriveSuffixParses) {
+  std::string text = write_library(build_synthetic_90nm());
+  const std::string from = "cell (INV_X1)";
+  const auto at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "cell (INV_XP)");
+  StatusOr<Library> lib = Status::error("not parsed");
+  EXPECT_NO_THROW(lib = parse_library(text));
+  ASSERT_TRUE(lib.ok()) << lib.status().message();
+  EXPECT_TRUE(lib->find_group("INV").has_value());
+  EXPECT_FALSE(lib->find_group("INV_XP").has_value());
+}
+
 TEST(BaseFunc, KnownFamilies) {
   ASSERT_TRUE(base_func_of("NAND3").has_value());
   EXPECT_EQ(base_func_of("NAND3")->arity, 3u);
