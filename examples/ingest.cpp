@@ -25,10 +25,7 @@
 // error-severity finding (or unparseable input), 2 = usage; --strict
 // promotes warnings to exit 1. scripts/check.sh --drc drives this mode over
 // the semantic corpus and the builtin workloads.
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -50,16 +47,6 @@ int usage(const char* argv0) {
                "[--json] [--strict]\n",
                argv0, argv0);
   return 2;
-}
-
-/// --optimize's lambda: the whole token a finite number >= 0.
-std::optional<double> parse_lambda(const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  const bool whole = *text != '\0' && std::isspace(static_cast<unsigned char>(*text)) == 0 &&
-                     *end == '\0';
-  return whole && std::isfinite(value) && value >= 0.0 ? std::optional<double>(value)
-                                                       : std::nullopt;
 }
 
 int run_lint(const std::string& netlist_path, const std::string& workload,
@@ -103,7 +90,7 @@ int main(int argc, char** argv) {
     if (arg == "--sdc" && i + 1 < argc) {
       sdc_path = argv[++i];
     } else if (arg == "--optimize" && i + 1 < argc) {
-      const std::optional<double> value = parse_lambda(argv[++i]);
+      const std::optional<double> value = util::parse_lambda(argv[++i]);
       if (!value) return usage(argv[0]);
       lambda = *value;
       optimize = true;

@@ -10,10 +10,11 @@
 // operating point either way.
 //
 // Usage: yield_analysis [circuit] [lambda] [engine]
-//        (default: c880, 9, fullssta)
+//        (default: c880, 9, fullssta). lambda must be a finite number >= 0;
+//        anything else is a usage error (exit 2).
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -71,8 +72,12 @@ double monte_carlo_yield(core::Flow& flow, double period_ps) {
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "c880";
-  const double lambda = argc > 2 ? std::atof(argv[2]) : 9.0;
+  const std::optional<double> lambda = argc > 2 ? util::parse_lambda(argv[2]) : 9.0;
   const std::string engine = argc > 3 ? argv[3] : "fullssta";
+  if (!lambda) {
+    std::fprintf(stderr, "usage: %s [circuit] [lambda >= 0] [engine]\n", argv[0]);
+    return 2;
+  }
 
   core::Flow flow;
   if (const Status s = flow.load_table1(name); !s.ok()) {
@@ -91,13 +96,13 @@ int main(int argc, char** argv) {
   const DelayModel original = DelayModel::from(*analyzer, analyzer->analyze(flow.timing()));
   const auto original_sizes = flow.netlist().sizes();
 
-  (void)flow.optimize(lambda);
+  (void)flow.optimize(*lambda);
   const DelayModel optimized = DelayModel::from(*analyzer, analyzer->analyze(flow.timing()));
 
   std::printf("%s via %s%s: original  mu %.1f ps sigma %.2f ps | optimized (lambda=%.0f) "
               "mu %.1f sigma %.2f\n\n",
               name.c_str(), engine.c_str(), original.has_pdf ? "" : " (normal approx)",
-              original.mean_ps, original.sigma_ps, lambda, optimized.mean_ps,
+              original.mean_ps, original.sigma_ps, *lambda, optimized.mean_ps,
               optimized.sigma_ps);
 
   // Yield curve over periods bracketing both designs. The paper's point: at a

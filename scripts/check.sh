@@ -31,9 +31,11 @@
 #                                    # the malformed corpus: every file must
 #                                    # fail with a loud error (exit 1), never
 #                                    # crash or parse silently; check that a
-#                                    # bad --optimize lambda exits 2; and lint
-#                                    # a generated 200k-gate outputs-first
-#                                    # chain (.bench and .v, exit 0)
+#                                    # bad lambda (example_ingest --optimize,
+#                                    # example_yield_analysis) exits 2; and
+#                                    # lint a generated 200k-gate
+#                                    # outputs-first chain (.bench and .v,
+#                                    # exit 0)
 #   scripts/check.sh --yield-smoke   # additionally run the importance-sampled
 #                                    # yield cross-check (isle vs plain MC on
 #                                    # c432, tight draw budget) via
@@ -255,8 +257,8 @@ if [[ "${PARSER}" == 1 ]]; then
   done
   # And the valid pairing netlist must still go through cleanly.
   ./build/example_ingest "${VALID_BENCH}" >/dev/null
-  # --optimize parses strictly: a non-numeric, negative or non-finite lambda
-  # is a usage error (exit 2), never a silent lambda of 0.
+  # Lambdas parse strictly: a non-numeric, negative or non-finite lambda is
+  # a usage error (exit 2), never a silent lambda of 0.
   for bad in abc -1 nan; do
     set +e
     ./build/example_ingest "${VALID_BENCH}" --optimize "${bad}" >/dev/null 2>&1
@@ -264,6 +266,15 @@ if [[ "${PARSER}" == 1 ]]; then
     set -e
     if [[ "${rc}" -ne 2 ]]; then
       echo "check.sh: parser smoke FAILED: --optimize ${bad} exited ${rc} (want 2)" >&2
+      exit 1
+    fi
+    # example_yield_analysis's positional lambda follows the same rule.
+    set +e
+    ./build/example_yield_analysis alu1 "${bad}" >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "check.sh: parser smoke FAILED: yield_analysis lambda ${bad} exited ${rc} (want 2)" >&2
       exit 1
     fi
   done

@@ -348,14 +348,8 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
 
 YieldReport Flow::estimate_yield(double clock_period_ps, std::string_view engine) const {
   if (!has_circuit()) throw std::logic_error("Flow::estimate_yield: no circuit loaded");
-  ssta::IsleOptions isle = options_.isle;
+  ssta::IsleOptions isle = ssta::for_yield_engine(options_.isle, engine);
   if (clock_period_ps > 0.0) isle.clock_period_ps = clock_period_ps;
-  if (engine == "mc") {
-    isle.proposal = ssta::IsleProposal::kNominal;
-  } else if (engine != "isle") {
-    throw std::invalid_argument("Flow::estimate_yield: unknown engine \"" +
-                                std::string(engine) + "\" (known: isle, mc)");
-  }
   YieldReport report;
   report.engine = engine;
   report.result = ssta::run_isle(*context_, isle);

@@ -196,10 +196,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   // missing clock fails loudly instead of surfacing mid-run (or never, when
   // the loop converges before the first check).
   if (options.target_yield.has_value()) {
-    if (options.yield_engine != "isle" && options.yield_engine != "mc") {
-      throw std::invalid_argument("unknown yield engine \"" + options.yield_engine +
-                                  "\" (known: isle, mc)");
-    }
+    (void)ssta::for_yield_engine(options.isle, options.yield_engine);
     if (options.isle.clock_period_ps <= 0.0 &&
         !ctx.constraints().clock_period_ps.has_value()) {
       throw std::invalid_argument(
@@ -208,9 +205,8 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     }
   }
   const auto estimate_yield = [&]() {
-    ssta::IsleOptions isle = options.isle;
+    ssta::IsleOptions isle = ssta::for_yield_engine(options.isle, options.yield_engine);
     isle.threads = options.threads;
-    if (options.yield_engine == "mc") isle.proposal = ssta::IsleProposal::kNominal;
     return ssta::run_isle(ctx, isle);
   };
 

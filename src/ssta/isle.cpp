@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
-#include "ssta/monte_carlo.h"
+#include "ssta/sample_loop.h"
+#include "sta/dsta.h"
 #include "util/exec.h"
 #include "util/numeric.h"
 #include "util/thread_pool.h"
@@ -16,14 +18,9 @@ using netlist::GateId;
 
 namespace {
 
-// Samples per parallel_for chunk — the same fixed geometry as
-// ssta::run_monte_carlo, so the two engines shard identically.
-constexpr std::size_t kChunkSamples = 64;
-
 // Salt deriving the mixture-component selector stream from the main seed.
 // Keeping the selection draws out of the main per-sample stream means the
-// main stream's draw order is exactly run_monte_carlo's, which is what makes
-// the kNominal mode bitwise-equal to the plain MC engine.
+// main stream's draw order is the same under every proposal.
 constexpr std::uint64_t kSelectorSalt = 0x49534c45u;  // "ISLE"
 
 // Surrogate arc score is delay + kappa * sigma: kappa > 0 ranks paths by
@@ -66,7 +63,7 @@ struct Proposal {
 };
 
 // The surrogate DP: longest path under score = delay + kappa * sigma, with
-// the same arrival initialization as run_monte_carlo (constrained primary
+// the same arrival initialization as the draw loop (constrained primary
 // inputs launch at their set_input_delay offset). Returns the top-K paths
 // (distinct primary-output drivers) with their linear-Gaussian moments.
 std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
@@ -202,7 +199,10 @@ Proposal finalize_proposal(const sta::TimingContext& ctx, std::vector<Component>
 
 }  // namespace
 
-IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
+namespace detail {
+
+IsleResult run_draws(const sta::TimingContext& ctx, const IsleOptions& options, const char* site,
+                     std::vector<sta::NodeMoments>* node) {
   if (options.defensive_fraction < 0.0 || options.defensive_fraction > 1.0) {
     throw std::invalid_argument("run_isle: defensive_fraction must be in [0, 1]");
   }
@@ -215,10 +215,6 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
 
   const auto& nl = ctx.netlist();
   const auto& var = ctx.variation();
-  const double gf = var.params().global_fraction;
-  const double sqrt_gf = std::sqrt(gf);
-  const double sqrt_1mgf = std::sqrt(1.0 - gf);
-  const double floor_ps = var.random_sigma_ps();
 
   IsleResult result;
 
@@ -255,23 +251,39 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
 
   const std::size_t cap = options.samples;
   const std::size_t batch = std::max<std::size_t>(options.batch, 1);
-  result.delay_samples.reserve(std::min(cap, batch));
-  result.weights.reserve(std::min(cap, batch));
+
+  // Per-node arrival statistics (Monte Carlo's): each draw chunk of a batch
+  // accumulates its own, and after the batch's join they fold into
+  // `node_stats` in ascending chunk order.
+  const std::size_t n = nl.node_count();
+  const std::size_t chunk_draws = node != nullptr ? kDrawChunk : kDrawChunk / 4;
+  std::vector<util::RunningStats> node_stats;
+  std::vector<std::vector<util::RunningStats>> chunk_stats;
+  if (node != nullptr) {
+    node_stats.resize(n);
+    chunk_stats.resize(util::detail::chunk_count(batch, kDrawChunk));
+  }
 
   // One batch of draws [base, base + count). Per-slot writes into the result
   // vectors; every sample's randomness comes only from its counter-based
   // streams, so the batch is bitwise thread-count-invariant.
   const auto run_batch = [&](std::size_t base, std::size_t count) {
     util::parallel_for(
-        count, kChunkSamples, options.threads,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          std::vector<double> arrival(nl.node_count(), 0.0);
+        count, chunk_draws, options.threads,
+        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+          std::vector<double> arrival(n, 0.0);
           std::vector<double> x1s(prop.tracked, 0.0);
           std::vector<double> x2s(prop.tracked, 0.0);
+          util::RunningStats* stats = nullptr;
+          if (node != nullptr) {
+            chunk_stats[chunk].assign(n, util::RunningStats{});
+            stats = chunk_stats[chunk].data();
+          }
+          const auto arrival_of = [&](GateId f) { return arrival[f]; };
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t s = base + i;
-            // Component selection from its own derived stream: the main
-            // stream below consumes draws in run_monte_carlo's exact order.
+            // Component selection from its own derived stream, so the main
+            // stream's draw order does not depend on the proposal.
             std::ptrdiff_t comp = -1;
             if (importance) {
               util::Rng sel(util::stream_seed(options.seed ^ kSelectorSalt, s));
@@ -283,29 +295,27 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
             const double zg = rng.normal();
             const double xg =
                 zg + (comp >= 0 ? prop.components[comp].theta_global : 0.0);
-            // The shared per-draw propagation; tracked coordinates decompose
-            // the draw so the shift can be applied and x recorded for the
-            // likelihood ratio (VariationModel::sample_delay_ps with the z's
-            // drawn in explicit sequence).
-            const auto tracked = [&](GateId id, std::size_t a, double& d) {
-              if (prop.tracked == 0) return false;
-              const std::int32_t slot = prop.slot_of_arc[ctx.arc_offset(id) + a];
-              if (slot < 0) return false;
-              const double delay = ctx.arc_delay_ps(id, a);
-              const double sys = var.systematic_sigma_ps(delay, ctx.drive(id));
-              const double z1 = rng.normal();
-              const double z2 = rng.normal();
-              const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
-              const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
-              x1s[slot] = x1;
-              x2s[slot] = x2;
-              const double raw =
-                  delay + sqrt_gf * sys * xg + sqrt_1mgf * sys * x1 + floor_ps * x2;
-              d = std::max(raw, variation::kMinDelayFraction * delay);
-              return true;
-            };
-            result.delay_samples[s] =
-                propagate_draw(ctx, xg, rng, arrival, tracked, [](GateId, double) {});
+            // Longest path over the draw's arc delays, drawn in topological-
+            // then-fanin order. A tracked (dominant-path) arc draws z1, z2
+            // itself so the shift can be applied and x recorded for the
+            // likelihood ratio; every other arc samples through the model.
+            for (const GateId id : ctx.topo_order()) {
+              arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t a) {
+                const double delay = ctx.arc_delay_ps(id, a);
+                const std::int32_t slot =
+                    prop.tracked == 0 ? -1 : prop.slot_of_arc[ctx.arc_offset(id) + a];
+                if (slot < 0) return var.sample_delay_ps(delay, ctx.drive(id), xg, rng);
+                const double z1 = rng.normal();
+                const double z2 = rng.normal();
+                x1s[slot] = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
+                x2s[slot] = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
+                return var.delay_at_ps(delay, ctx.drive(id), xg, x1s[slot], x2s[slot]);
+              });
+              if (stats != nullptr) stats[id].add(arrival[id]);
+            }
+            double circuit = 0.0;
+            for (const auto& po : nl.outputs()) circuit = std::max(circuit, arrival[po.driver]);
+            result.delay_samples[s] = circuit;
             // Likelihood ratio against the defensive mixture:
             //   w = 1 / (alpha + (1-alpha)/K * sum_k exp(theta_k.x - |theta_k|^2/2)).
             double w = 1.0;
@@ -326,6 +336,10 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
             result.weights[s] = w;
           }
         });
+    if (node == nullptr) return;
+    for (std::size_t c = 0; c < util::detail::chunk_count(count, kDrawChunk); ++c) {
+      for (GateId id = 0; id < n; ++id) node_stats[id].merge(chunk_stats[c][id]);
+    }
   };
 
   // Draws grow in fixed `batch` steps; after each batch one serial in-order
@@ -343,7 +357,7 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
     // Cooperative control at batch granularity, always on the calling
     // thread: the batch sequence is a pure function of the options, so
     // fault-injection hit counts stay deterministic for any thread count.
-    util::checkpoint("ssta/isle/batch");
+    util::checkpoint(site);
     const std::size_t count = std::min(batch, cap - drawn);
     result.delay_samples.resize(drawn + count);
     result.weights.resize(drawn + count);
@@ -378,6 +392,12 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
   }
 
   result.draws = drawn;
+  if (node != nullptr) {
+    node->resize(n);
+    for (GateId id = 0; id < n; ++id) {
+      (*node)[id] = sta::NodeMoments{node_stats[id].mean(), node_stats[id].stddev()};
+    }
+  }
   if (drawn == 0) {
     result.degenerate = true;
     return result;
@@ -401,6 +421,22 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
       result.ess < kIsleMinEssFraction * static_cast<double>(drawn) ||
       (p_fail > 0.0 && result.failure_ess < kMinFailureEss);
   return result;
+}
+
+}  // namespace detail
+
+IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
+  return detail::run_draws(ctx, options, "ssta/isle/batch", nullptr);
+}
+
+IsleOptions for_yield_engine(IsleOptions options, std::string_view engine) {
+  if (engine == "mc") {
+    options.proposal = IsleProposal::kNominal;
+  } else if (engine != "isle") {
+    throw std::invalid_argument("unknown yield engine \"" + std::string(engine) +
+                                "\" (known: isle, mc)");
+  }
+  return options;
 }
 
 }  // namespace statsizer::ssta

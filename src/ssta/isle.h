@@ -29,21 +29,26 @@
 // trusted (clamped shift, vanishing path sigma, collapsed ESS) instead of
 // returning a silently garbage yield.
 //
-// Determinism contract (docs/ARCHITECTURE.md): draws shard across
-// util::ThreadPool exactly like ssta::run_monte_carlo — every sample s draws
-// from the counter-based stream (seed, s), mixture-component selection from
-// a separate derived stream (seed ^ salt, s), per-sample results land in
-// per-slot vectors, and all statistics fold serially in sample order — so
-// the estimate, the weights, and every diagnostic are bitwise-identical for
-// any thread count. Each draw calls the Monte Carlo engine's per-draw
-// propagation (ssta::propagate_draw), with the shifted path arcs plugged in
-// as its tracked-arc hook, so with `proposal = kNominal` the sampler *is*
-// plain Monte Carlo: weights are identically 1 and the per-draw circuit
-// delays are bitwise-equal to run_monte_carlo's circuit_samples for the same
-// seed.
+// This is the one sample loop in the library (ssta/sample_loop.h):
+// ssta::run_monte_carlo is a caller of it (nominal proposal, no adaptive
+// stop, a fixed batch, per-node statistics), so with `proposal = kNominal`
+// the sampler *is* plain Monte Carlo — weights are identically 1 and the
+// per-draw circuit delays are bitwise-equal to run_monte_carlo's
+// circuit_samples for the same seed.
+//
+// Determinism contract (docs/ARCHITECTURE.md): each batch of draws shards
+// across util::ThreadPool in fixed-size chunks; every sample s draws from
+// the counter-based stream (seed, s), mixture-component selection from a
+// separate derived stream (seed ^ salt, s), per-sample results land in
+// per-slot vectors, and all statistics fold serially in sample (per-node
+// statistics: chunk) order — so the estimate, the weights, and every
+// diagnostic are bitwise-identical for any thread count. Every arc's delay
+// comes from variation::VariationModel::delay_at_ps; a shifted path arc
+// evaluates it at its shifted coordinates.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "sta/graph.h"
@@ -145,5 +150,10 @@ struct IsleResult {
 
 [[nodiscard]] IsleResult run_isle(const sta::TimingContext& ctx,
                                   const IsleOptions& options = {});
+
+/// The yield-engine names: "isle" keeps @p options' proposal, "mc" samples
+/// the nominal distribution (plain Monte Carlo through the same loop).
+/// Throws std::invalid_argument for any other name.
+[[nodiscard]] IsleOptions for_yield_engine(IsleOptions options, std::string_view engine);
 
 }  // namespace statsizer::ssta

@@ -4,21 +4,20 @@
 // reconvergent fanout and of the global process variable) — the golden
 // reference the test suite validates FULLSSTA/FASSTA/canonical against.
 //
-// Sampling is embarrassingly parallel and the engine shards it across a
-// thread pool (options.threads). Every sample i draws from its own
+// It runs on ISLE's sample loop (ssta/isle.h) with the nominal proposal: no
+// adaptive stop, a fixed batch of draws between checkpoints, and per-node
+// statistics folded per draw chunk. The loop shards each batch across a
+// thread pool (options.threads); every sample i draws from its own
 // counter-based RNG stream derived from (seed, i) — see util::stream_seed —
 // so results (mean, sigma, circuit_samples, per-node moments) are
-// bitwise-identical for any thread count.
+// bitwise-identical for any thread count. A cooperative checkpoint
+// ("ssta/mc/chunk") fires on the calling thread before every batch.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "sta/dsta.h"
 #include "sta/graph.h"
-#include "util/rng.h"
 
 namespace statsizer::ssta {
 
@@ -40,39 +39,6 @@ struct MonteCarloResult {
   /// Per-node arrival moments (only if per_node_stats).
   std::vector<sta::NodeMoments> node;
 };
-
-/// The one per-draw propagation, shared by run_monte_carlo and run_isle
-/// (ssta/isle.h): a longest-path pass (the DSTA arrival kernel,
-/// sta::latest_arrival) over arc delays sampled with the draw's global
-/// variable @p global_z and stream @p rng, drawn in topological-then-fanin
-/// order. Hooks: @p tracked(id, i, d) may take over arc i of gate id by
-/// writing its delay to d and returning true (ISLE's shifted path arcs);
-/// every other arc goes through VariationModel::sample_delay_ps.
-/// @p on_arrival(id, arrival) observes each node's arrival (Monte Carlo's
-/// per-node statistics). Fills @p arrival (one slot per node) and returns
-/// the circuit delay, the max over primary-output drivers.
-template <typename Tracked, typename OnArrival>
-[[nodiscard]] double propagate_draw(const sta::TimingContext& ctx, double global_z,
-                                    util::Rng& rng, std::span<double> arrival,
-                                    Tracked&& tracked, OnArrival&& on_arrival) {
-  const auto& var = ctx.variation();
-  const auto arrival_of = [&](netlist::GateId f) { return arrival[f]; };
-  for (const netlist::GateId id : ctx.topo_order()) {
-    arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t i) {
-      double d = 0.0;
-      if (!tracked(id, i, d)) {
-        d = var.sample_delay_ps(ctx.arc_delay_ps(id, i), ctx.drive(id), global_z, rng);
-      }
-      return d;
-    });
-    on_arrival(id, arrival[id]);
-  }
-  double circuit = 0.0;
-  for (const auto& po : ctx.netlist().outputs()) {
-    circuit = std::max(circuit, arrival[po.driver]);
-  }
-  return circuit;
-}
 
 [[nodiscard]] MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
                                                const MonteCarloOptions& options = {});

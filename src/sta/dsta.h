@@ -34,7 +34,7 @@ struct DstaResult {
 /// launch arrival (TimingContext::launch_arrival_ps) and, over its arcs,
 /// arrival_of(fanin) + delay_of(i). run_dsta runs it over the snapshot, the
 /// DSTA analyzer's what-if over its fanout cone, and Monte Carlo over each
-/// draw's sampled delays (ssta/monte_carlo.h).
+/// draw's sampled delays (the sample loop, ssta/isle.h).
 template <typename ArrivalOf, typename DelayOf>
 [[nodiscard]] double latest_arrival(const TimingContext& ctx, netlist::GateId id,
                                     ArrivalOf&& arrival_of, DelayOf&& delay_of) {

@@ -5,7 +5,7 @@
 // absolute deadline, fault plan + scope — and installs it on the executing
 // thread with ScopedExecContext. Library kernels call
 // util::checkpoint("site/name") at coarse, value-neutral boundaries
-// (wavefront levels, Monte-Carlo sample chunks, sizer iterations); the call
+// (wavefront levels, sample-loop batches, sizer iterations); the call
 // is a thread-local pointer read when no context is installed, and otherwise
 // applies fault-injection rules, then throws StatusError(kCancelled /
 // kDeadlineExceeded) when the token or deadline says to stop.

@@ -1,7 +1,9 @@
 #include "util/numeric.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace statsizer::util {
@@ -10,6 +12,15 @@ namespace {
 constexpr double kInvSqrt2Pi = 0.3989422804014327;  // 1 / sqrt(2 pi)
 constexpr double kInvSqrt2 = 0.7071067811865476;    // 1 / sqrt(2)
 }  // namespace
+
+std::optional<double> parse_lambda(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  const bool whole = *text != '\0' && std::isspace(static_cast<unsigned char>(*text)) == 0 &&
+                     *end == '\0';
+  return whole && std::isfinite(value) && value >= 0.0 ? std::optional<double>(value)
+                                                       : std::nullopt;
+}
 
 double normal_pdf(double x) { return kInvSqrt2Pi * std::exp(-0.5 * x * x); }
 

@@ -26,6 +26,11 @@ namespace statsizer::util {
   return whole && value <= max ? std::optional<std::uint64_t>(value) : std::nullopt;
 }
 
+/// Strict parse of a sizing lambda from the command line: all of @p text
+/// must be one finite number >= 0 (no leading whitespace or suffix);
+/// nullopt otherwise.
+[[nodiscard]] std::optional<double> parse_lambda(const char* text);
+
 /// Standard normal probability density phi(x) = exp(-x^2/2) / sqrt(2 pi).
 [[nodiscard]] double normal_pdf(double x);
 

@@ -5,7 +5,7 @@
 // caller that accumulates per-chunk partial results and merges them in chunk
 // order (or writes each index's result to its own slot) gets
 // bitwise-identical output for any number of threads. This is the contract
-// the parallel Monte-Carlo engine (ssta/monte_carlo.cpp), the batch flow API
+// the Monte Carlo / ISLE sample loop (ssta/isle.cpp), the batch flow API
 // (core::Flow::run_monte_carlo_batch), and StatisticalGreedy's candidate
 // scoring (opt/sizer_statistical.cpp) are built on; the rules are written up
 // in docs/ARCHITECTURE.md, "Concurrency & determinism contracts".

@@ -29,15 +29,20 @@ double VariationModel::mean_to_sigma_coeff(double drive) const {
   return params_.proportional_coeff / std::pow(drive, params_.size_exponent);
 }
 
-double VariationModel::sample_delay_ps(double delay_ps, double drive, double global_z,
-                                       util::Rng& rng) const {
+double VariationModel::delay_at_ps(double delay_ps, double drive, double global_z, double z1,
+                                   double z2) const {
   const double sys = systematic_sigma_ps(delay_ps, drive);
   const double shared = std::sqrt(params_.global_fraction) * sys;
   const double local = std::sqrt(1.0 - params_.global_fraction) * sys;
-  const double z1 = rng.normal();
-  const double z2 = rng.normal();
   const double sample = delay_ps + shared * global_z + local * z1 + params_.random_floor_ps * z2;
   return std::max(sample, kMinDelayFraction * delay_ps);
+}
+
+double VariationModel::sample_delay_ps(double delay_ps, double drive, double global_z,
+                                       util::Rng& rng) const {
+  const double z1 = rng.normal();
+  const double z2 = rng.normal();
+  return delay_at_ps(delay_ps, drive, global_z, z1, z2);
 }
 
 }  // namespace statsizer::variation

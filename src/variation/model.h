@@ -14,6 +14,9 @@
 // For correlation-aware engines (canonical SSTA, Monte Carlo) a fraction
 // `global_fraction` of the *systematic variance* is attributed to one global
 // process variable shared by all gates; the rest is gate-independent.
+// VariationModel::delay_at_ps is the one map from those standard-normal
+// coordinates to a sampled delay: Monte Carlo and ISLE (ssta/isle.h) both
+// draw every arc through it.
 #pragma once
 
 #include "util/rng.h"
@@ -58,11 +61,17 @@ class VariationModel {
   /// systematic proportionality at the given drive.
   [[nodiscard]] double mean_to_sigma_coeff(double drive) const;
 
-  /// Draws one delay sample. @p global_z is the standard-normal draw of the
-  /// shared process variable for this sample (ignored if global_fraction = 0);
-  /// the gate-local randomness comes from @p rng: z1 (local), then z2
-  /// (floor). Samples are truncated below at kMinDelayFraction * nominal
-  /// (delays cannot go negative).
+  /// The one arc-sampling map: the delay at standard-normal coordinates
+  /// @p global_z (the shared process variable), @p z1 (local) and @p z2
+  /// (floor), delay + sqrt(gf) * sys * global_z + sqrt(1 - gf) * sys * z1 +
+  /// floor * z2, truncated below at kMinDelayFraction * nominal (delays
+  /// cannot go negative). ISLE evaluates it at shifted coordinates.
+  [[nodiscard]] double delay_at_ps(double delay_ps, double drive, double global_z, double z1,
+                                   double z2) const;
+
+  /// Draws one delay sample: z1, then z2 from @p rng, mapped by delay_at_ps.
+  /// @p global_z is this sample's draw of the shared process variable
+  /// (ignored if global_fraction = 0).
   [[nodiscard]] double sample_delay_ps(double delay_ps, double drive, double global_z,
                                        util::Rng& rng) const;
 

@@ -22,6 +22,7 @@
 // estimators share a systematic (sampling truncation, empirical-CDF
 // discreteness); the budgets are documented at each site.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -313,6 +314,52 @@ TEST(IsleYield, NominalProposalIsBitwisePlainMonteCarlo) {
   EXPECT_EQ(r.delay_samples, mc.circuit_samples);  // bitwise, per draw
   for (const double w : r.weights) ASSERT_EQ(w, 1.0);
   EXPECT_EQ(r.yield, empirical_yield(mc.circuit_samples, opt.clock_period_ps).yield);
+}
+
+TEST(IsleYield, EngineNamesResolveInOnePlace) {
+  ssta::IsleOptions opt;
+  EXPECT_EQ(ssta::for_yield_engine(opt, "mc").proposal, ssta::IsleProposal::kNominal);
+  EXPECT_EQ(ssta::for_yield_engine(opt, "isle").proposal, ssta::IsleProposal::kImportance);
+  opt.proposal = ssta::IsleProposal::kNominal;  // "isle" keeps the caller's proposal
+  EXPECT_EQ(ssta::for_yield_engine(opt, "isle").proposal, ssta::IsleProposal::kNominal);
+  EXPECT_THROW((void)ssta::for_yield_engine(opt, "MC"), std::invalid_argument);
+}
+
+/// FNV-1a over the bit patterns of @p xs.
+std::uint64_t hash_bits(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : xs) {
+    h ^= std::bit_cast<std::uint64_t>(x);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden bits captured from the importance sampler before its draw loop
+// began serving Monte Carlo too: the shifted tracked arcs, the likelihood
+// ratios and the batch folds must keep every bit. A nonzero global fraction
+// puts every term of the arc-sampling map to work; 1000 draws in 256-draw
+// batches leave a short last batch and a short last chunk.
+TEST(IsleYield, ImportanceModeMatchesCapturedGoldenBits) {
+  core::FlowOptions fo;
+  fo.variation.global_fraction = 0.5;
+  core::Flow flow(fo);
+  ASSERT_TRUE(flow.load_table1("c432").ok());
+
+  ssta::IsleOptions opt;
+  opt.samples = 1000;
+  opt.seed = 4242;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    opt.threads = threads;
+    const ssta::IsleResult r = ssta::run_isle(flow.timing(), opt);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(r.proposal_paths, 3u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.clock_period_ps), 0x4097263838bf68e7ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.yield), 0x3fee777ac30c5fb2ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.std_error), 0x3f67a10af095ac4aull);
+    EXPECT_EQ(hash_bits(r.weights), 0x8cbf1e94ccf584beull);
+    EXPECT_EQ(hash_bits(r.delay_samples), 0x2e45e34b894ae086ull);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 // the serial one for any thread count (counter-based per-sample RNG streams),
 // and its moments must track analytic expectations on a max-free circuit.
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include "liberty/synthetic.h"
 #include "ssta/monte_carlo.h"
 #include "techmap/mapper.h"
+#include "util/exec.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -64,6 +68,87 @@ TEST(MonteCarloParallel, BitwiseIdenticalAcrossThreadCounts) {
       EXPECT_DOUBLE_EQ(r.node[i].mean_ps, ref.node[i].mean_ps) << "node " << i;
       EXPECT_DOUBLE_EQ(r.node[i].sigma_ps, ref.node[i].sigma_ps) << "node " << i;
     }
+  }
+}
+
+/// FNV-1a over the bit patterns of @p xs.
+std::uint64_t hash_bits(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : xs) {
+    h ^= std::bit_cast<std::uint64_t>(x);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden bits captured from the engine before its draw loop was shared with
+// ISLE: any restructuring of the loop, the chunk merge or the per-node fold
+// must leave every output bit as it was. 3000 draws is not a multiple of the
+// 64-draw chunk, so the short last chunk's fold is pinned too.
+TEST(MonteCarloParallel, MatchesCapturedGoldenBits) {
+  Bench b(circuits::make_cla_adder(8));
+  MonteCarloOptions opt;
+  opt.samples = 3000;
+  opt.seed = 99;
+  opt.per_node_stats = true;
+  for (const std::size_t threads : {1u, 4u}) {
+    opt.threads = threads;
+    const auto r = run_monte_carlo(*b.ctx, opt);
+    std::vector<double> moments;
+    for (const auto& m : r.node) {
+      moments.push_back(m.mean_ps);
+      moments.push_back(m.sigma_ps);
+    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_ps), 0x408cbd27821bc31bull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sigma_ps), 0x405ea4f15212b2b5ull);
+    EXPECT_EQ(hash_bits(r.circuit_samples), 0x66084b0e9595b030ull);
+    EXPECT_EQ(r.node.size(), 101u);
+    EXPECT_EQ(hash_bits(moments), 0x94fd1554888f1c79ull);
+  }
+}
+
+// The "ssta/mc/chunk" checkpoint fires on the calling thread before every
+// batch of draws, so its visits — and the hit at which a fault rule stops
+// the run — are a function of the options alone, threaded or not.
+TEST(MonteCarloParallel, CheckpointHitsAreThreadCountInvariant) {
+  Bench b(circuits::make_cla_adder(8));
+  MonteCarloOptions opt;
+  opt.samples = 5000;
+  util::FaultPlan plan;
+  util::FaultRule rule;
+  rule.site = "ssta/mc/chunk";
+  plan.rules.push_back(rule);
+
+  std::uint64_t clean_visits = 0;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    opt.threads = threads;
+    // A rule past the last visit never fires: the run completes and every
+    // thread count visits the site equally often.
+    plan.rules[0].hit = 1000;
+    util::ExecContext clean;
+    clean.faults = &plan;
+    {
+      const util::ScopedExecContext scope(clean);
+      EXPECT_EQ(run_monte_carlo(*b.ctx, opt).circuit_samples.size(), opt.samples);
+    }
+    if (clean_visits == 0) clean_visits = clean.site_hits["ssta/mc/chunk"];
+    EXPECT_GT(clean_visits, 2u);
+    EXPECT_EQ(clean.site_hits["ssta/mc/chunk"], clean_visits);
+
+    plan.rules[0].hit = 3;
+    util::ExecContext faulty;
+    faulty.faults = &plan;
+    const util::ScopedExecContext scope(faulty);
+    try {
+      (void)run_monte_carlo(*b.ctx, opt);
+      ADD_FAILURE() << "the fault rule did not stop the run";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kUnavailable);
+      EXPECT_EQ(e.status().message(), "injected fault at ssta/mc/chunk");
+    }
+    EXPECT_EQ(faulty.site_hits["ssta/mc/chunk"], 3u);
   }
 }
 
