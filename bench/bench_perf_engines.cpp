@@ -77,8 +77,10 @@ void BM_FasstaCandidate(benchmark::State& state, const std::string& name) {
   }
 }
 
+/// The full FULLSSTA pass: one serial level-order walk. The c880, c6288
+/// and mesh8 points are the serial baseline a parallel schedule must beat.
 void BM_Fullssta(benchmark::State& state, const std::string& name) {
-  auto& flow = flow_for(name);
+  auto& flow = raw_flow_for(name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ssta::run_fullssta(flow.timing()));
   }
@@ -298,37 +300,6 @@ void BM_TimingUpdate(benchmark::State& state, const std::string& name) {
   }
 }
 
-/// Levelized wavefront FULLSSTA: state.range(0) worker threads for the
-/// arrival-pdf propagation, with a one-shot serial-identity check
-/// (mean/sigma/per-node moments bitwise).
-void BM_FullSstaThreads(benchmark::State& state, const std::string& name) {
-  auto& flow = raw_flow_for(name);
-  ssta::FullSstaOptions opt;
-  opt.threads = static_cast<std::size_t>(state.range(0));
-
-  ssta::FullSstaOptions serial = opt;
-  serial.threads = 1;
-  const auto reference = ssta::run_fullssta(flow.timing(), serial);
-  const auto parallel = ssta::run_fullssta(flow.timing(), opt);
-  bool identical = parallel.mean_ps == reference.mean_ps &&
-                   parallel.sigma_ps == reference.sigma_ps &&
-                   parallel.node.size() == reference.node.size();
-  for (std::size_t i = 0; identical && i < reference.node.size(); ++i) {
-    identical = parallel.node[i].mean_ps == reference.node[i].mean_ps &&
-                parallel.node[i].sigma_ps == reference.node[i].sigma_ps;
-  }
-  if (!identical) {
-    state.SkipWithError("parallel FULLSSTA diverged from the serial reference");
-    return;
-  }
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ssta::run_fullssta(flow.timing(), opt));
-  }
-  state.SetLabel("mean=" + std::to_string(reference.mean_ps) +
-                 "ps sigma=" + std::to_string(reference.sigma_ps) + "ps");
-}
-
 // ---------------------------------------------------------------------------
 // Importance-sampled yield: draws-to-target-CI, ISLE vs plain Monte Carlo.
 // ---------------------------------------------------------------------------
@@ -440,6 +411,8 @@ BENCHMARK_CAPTURE(BM_Fassta, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_FasstaCandidate, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_Fullssta, alu2, std::string("alu2"));
 BENCHMARK_CAPTURE(BM_Fullssta, c880, std::string("c880"));
+BENCHMARK_CAPTURE(BM_Fullssta, c6288, std::string("c6288"))->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Fullssta, mesh8, std::string("mesh8"))->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Canonical, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_MonteCarlo1k, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_MonteCarloThreads, c880, std::string("c880"))
@@ -471,24 +444,6 @@ BENCHMARK_CAPTURE(BM_AreaRecoveryThreads, c880, std::string("c880"))
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TimingUpdate, c880, std::string("c880"));
-BENCHMARK_CAPTURE(BM_FullSstaThreads, c880, std::string("c880"))
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-// Scaled-fabric wavefront bench: mesh8 (12.8k gates, median level width
-// 140) keeps every level above the parallel cutoff, so it measures the
-// kernel at the width it was built for — unlike c880, where most levels
-// fall back to the serial path.
-BENCHMARK_CAPTURE(BM_FullSstaThreads, mesh8, std::string("mesh8"))
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 // Preflight cost on real workloads: the DRC must stay cheap enough to run
 // on every load. The committed snapshot point is
 // scripts/bench_snapshot.sh BENCH_drc_sweep.json.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf trajectory snapshot: builds the selected benchmark binary (by default
-# bench_perf_engines) and records its benchmarks (the serial update() and
-# FULLSSTA kernels, and FULLSSTA's wavefront thread sweep) as
+# bench_perf_engines) and records its benchmarks (by default the serial
+# update() and FULLSSTA passes, FULLSSTA on alu2, c880, c6288 and mesh8) as
 # machine-readable JSON.
 #
 #   scripts/bench_snapshot.sh                 # writes BENCH_update_levelized.json
@@ -48,7 +48,7 @@ case "${OUT}" in
     BIN=bench_server
     DEFAULT_FILTER='BM_ServerMixed'
     ;;
-  *) DEFAULT_FILTER='BM_TimingUpdate|BM_FullSstaThreads|BM_Fullssta/c880' ;;
+  *) DEFAULT_FILTER='BM_TimingUpdate|BM_Fullssta' ;;
 esac
 FILTER="${2:-${DEFAULT_FILTER}}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"

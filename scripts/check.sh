@@ -5,7 +5,7 @@
 #   scripts/check.sh --asan          # additionally run the fast tests under
 #                                    # AddressSanitizer + UBSan
 #   scripts/check.sh --tsan          # additionally run the concurrency suites
-#                                    # (wavefront FULLSSTA, parallel
+#                                    # (concurrent what-if scoring, parallel
 #                                    # sizer/recovery/MC/ISLE, analyzer
 #                                    # conformance, pool primitives) under
 #                                    # ThreadSanitizer with scripts/tsan.supp
@@ -138,10 +138,9 @@ fi
 # well: the screening waves' per-speculation overlays, the incremental
 # snapshot patching (TimingContext::apply_snapshot_patch), and the
 # chunk-rollback restore path are all concurrent-lifetime code the sanitizer
-# should walk. LevelizedUpdate/LevelizedWhatIf stay in too: the wavefront
-# FULLSSTA and FULLSSTA-cone kernels write shared preallocated arrays from
-# pool workers with level barriers between waves — exactly the code whose
-# races/overruns only a sanitized multithreaded run would catch.
+# should walk. LevelizedUpdate stays in too: its serial update() and
+# FULLSSTA passes index the preallocated per-node and per-arc arrays the
+# what-if cones read.
 # IsleYield/IsleDegeneracy stay in too — the importance sampler's sharded
 # draw loop writes per-slot weight/delay vectors from pool workers — except
 # the mesh8 SDC point, whose 12.8k-gate Monte-Carlo reference would dominate
@@ -159,14 +158,14 @@ fi
 
 if [[ "${TSAN}" == 1 ]]; then
   # Race-check the code that actually runs concurrently: the parallel_for /
-  # ThreadPool primitives, the wavefront propagation kernels, the parallel
-  # speculative scoring windows of the sizer and area recovery, the sharded
-  # MC/ISLE draw loops, the FASSTA engine's lazily refreshed base (many
-  # scorers race to refresh it after an epoch bump), and the analyzer
-  # conformance suite (which drives concurrent speculations through every
-  # engine). TSan detects races through
-  # happens-before analysis, so findings do not depend on the host's core
-  # count. scripts/tsan.supp documents every tolerated report (currently
+  # ThreadPool primitives, the parallel speculative scoring windows of the
+  # sizer and area recovery (concurrent what-ifs, each walking its own cone
+  # serially against the shared snapshot), the sharded MC/ISLE draw loops,
+  # the FASSTA engine's lazily refreshed base (many scorers race to refresh
+  # it after an epoch bump), and the analyzer conformance suite (which
+  # drives concurrent speculations through every engine). TSan detects
+  # races through happens-before analysis, so findings do not depend on the
+  # host's core count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.
   # The serving suites (JobManager, BatchIsolation, ServeSession, ServeServer)
   # are in: the job system's pool handoffs, the session's shared/exclusive
@@ -179,7 +178,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # thread), and FirstAccepted (the speculative walk's parallel windows).
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

@@ -145,15 +145,15 @@ struct AluSystemOptions {
 /// barrel shifter and flag logic over @p digits BCD digits (4 bits each).
 [[nodiscard]] Netlist make_bcd_alu(unsigned digits);
 
-// -- scaled fabrics (10k-100k gates; wavefront-width workloads) ---------------
+// -- scaled fabrics (10k-100k gates; wide-level workloads) --------------------
 
 /// Pipelined datapath: @p stages chained CLA stages over a @p bits-wide
 /// state. Stage s computes state' = CLA(state, ror1(state) XOR b) with the
 /// previous stage's carry-out as carry-in (stage 0 uses the `cin` input);
 /// ror1 rotates the bus right by one (pure wiring). Inputs a[bits], b[bits],
 /// cin; outputs r[bits] (final state) and cout<s> per stage. Each stage's
-/// propagate/generate layer is ~2*bits independent gates, so wavefront
-/// levels stay wide through the whole pipeline. ~10k gates at the defaults.
+/// propagate/generate layer is ~2*bits independent gates, so levels stay
+/// wide through the whole pipeline. ~10k gates at the defaults.
 struct PipelineOptions {
   unsigned bits = 64;
   unsigned stages = 14;

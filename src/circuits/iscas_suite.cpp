@@ -136,8 +136,8 @@ netlist::Netlist make_table1_circuit(std::string_view name) {
     nl.set_name("c7552");
     return nl;
   }
-  // Scaled fabrics (scaled_workload_names): 10k-100k-gate workloads whose
-  // wavefront levels are wide enough for the parallel kernels.
+  // Scaled fabrics (scaled_workload_names): 10k-100k-gate workloads with
+  // wide levels.
   if (name == "mul32") {
     auto nl = make_array_multiplier(32, /*expand_xor=*/true);
     nl.set_name("mul32");

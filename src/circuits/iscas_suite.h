@@ -29,9 +29,9 @@ struct Table1Reference {
 /// The scaled 10k-100k-gate fabrics (wide array multipliers, pipelined
 /// datapath, mesh interconnect). Not in the paper's Table 1 — registered
 /// here so flows and benches load them like any other workload; their
-/// wavefront levels are wide enough for the parallel kernels to pay
-/// (median level width far above sta::kMinParallelLevelWidth,
-/// unlike the ~400-gate Table-1 circuits).
+/// levels hold hundreds of gates (median width 140 on mesh8), unlike the
+/// ~400-gate Table-1 circuits, so they are the wide points of the
+/// propagation benches.
 [[nodiscard]] const std::vector<std::string>& scaled_workload_names();
 
 /// Paper reference numbers for a circuit; nullopt for unknown names.

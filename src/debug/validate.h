@@ -23,19 +23,17 @@ namespace statsizer::debug {
 /// Levelization invariants against @p nl: level_of covers every node, the
 /// bucket offsets are a monotone partition of [0, node_count), every bucket
 /// member has the bucket's level, order_by_level is a permutation of the node
-/// set, and — the property the wavefront kernels' correctness rests on —
+/// set, and — the property every level-order walk's correctness rests on —
 /// every edge goes *strictly* level-up (fanin-less nodes sit at level 0).
 void validate_levelization(const netlist::Netlist& nl, const netlist::Levelization& lv);
 
 /// Fanout-cone invariants (sta::collect_cone's contract) against @p lv:
-/// @p level_offset is a monotone [level_count + 1] partition of @p nodes,
-/// each node sits in its own level's bucket, the list is strictly increasing
-/// in order_by_level position (sorted and duplicate-free), every seed is a
+/// every node is in range, the list is strictly increasing in
+/// order_by_level position (sorted and duplicate-free), every seed is a
 /// member, and every member's fanouts are members (closed under fanout).
 void validate_cone(const netlist::Netlist& nl, const netlist::Levelization& lv,
                    std::span<const netlist::GateId> seeds,
-                   std::span<const netlist::GateId> nodes,
-                   std::span<const std::uint32_t> level_offset);
+                   std::span<const netlist::GateId> nodes);
 
 /// Load-term CSR consistency against @p nl's structure: offsets form a
 /// monotone [node_count + 1] prefix-sum ending at terms.size(), and the term

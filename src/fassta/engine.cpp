@@ -96,16 +96,16 @@ sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& 
 
   // The cone in level order: every in-cone fanin is recomputed before it is
   // read, everything else comes from the base.
-  const sta::LevelList cone = sta::collect_cone(ctx_, seeds, scratch.cone);
+  const std::span<const GateId> cone = sta::collect_cone(ctx_, seeds, scratch.cone);
   const sta::ConeWorkspace& ws = scratch.cone;
   std::vector<NodeMoments>& arrival = scratch.arrival;
-  arrival.resize(cone.nodes.size());
+  arrival.resize(cone.size());
   const auto arrival_of = [&](GateId f) -> const NodeMoments& {
     const std::uint32_t s = ws.slot(f);
     return s != sta::ConeWorkspace::kNoSlot ? arrival[s] : base[f];
   };
-  for (std::uint32_t s = 0; s < cone.nodes.size(); ++s) {
-    const GateId id = cone.nodes[s];
+  for (std::uint32_t s = 0; s < cone.size(); ++s) {
+    const GateId id = cone[s];
     double load = ctx_.load_ff(id);
     const liberty::Cell* cell = (id == center) ? &candidate : nullptr;
     for (const auto& [f, driver_load] : drivers) {

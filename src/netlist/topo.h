@@ -31,10 +31,10 @@ namespace statsizer::netlist {
 /// Cached levelization of a netlist: the node set bucketed by level (see
 /// levels()), with level buckets laid out contiguously. Because a node's
 /// level is 1 + max(level of fanins), every edge goes *strictly* level-up —
-/// nodes inside one level never feed each other, so all gates of a level can
-/// be processed concurrently once every lower level is done. This is the
-/// wavefront decomposition ssta::run_fullssta and the FULLSSTA what-if cone
-/// parallelize over; TimingContext::update() sweeps it serially.
+/// nodes inside one level never feed each other, and walking order_by_level
+/// visits every gate after all of its fanins. TimingContext::update(),
+/// ssta::run_fullssta and every what-if cone (sta::collect_cone, which
+/// starts its scan at the lowest seed's bucket) walk it serially.
 ///
 /// The struct is a value: compute it once with levelize() and reuse it until
 /// the netlist's *structure* changes (sizing changes never invalidate it —

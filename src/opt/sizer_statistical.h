@@ -13,9 +13,14 @@
 //   } until constraints met or no further improvement
 //
 // "No further improvement" is enforced on the *global* FULLSSTA objective:
-// a batch that fails to improve it is rolled back and retried as the single
-// most-promising resize; if that fails too, the loop ends. This guards
-// against oscillation, which batch-greedy sizers are prone to.
+// a batch that fails to improve it is rolled back and its resizes are
+// retried one at a time in descending predicted gain, each kept only if it
+// improves the objective. An iteration whose plan confirms nothing falls
+// through three bounded rescue sources in turn: an exact sweep of the WNSS
+// path prefix, a netlist-wide sweep of the gates with the fattest arc
+// sigmas, and a one-size bump of whole gate populations. The loop ends when
+// no source confirms a move. This guards against oscillation, which
+// batch-greedy sizers are prone to.
 //
 // Concurrency: the per-gate × per-size FASSTA candidate scoring — the runtime
 // hot path — fans out across util::ThreadPool::shared() when
@@ -47,8 +52,10 @@ namespace statsizer::opt {
 
 /// How candidate sizes are scored in the inner loop.
 enum class InnerScoring {
-  /// One full FASSTA pass per candidate (O(E), microseconds): sees the
-  /// max-over-all-paths behaviour of the objective. Default — robust.
+  /// FASSTA over the candidate's fanout cone, every other arrival from a
+  /// cached full pass (fassta::Engine::run_with_candidate; bitwise a full
+  /// pass, microseconds): sees the max-over-all-paths behaviour of the
+  /// objective. Default — robust.
   kGlobalFassta,
   /// The paper's literal formulation: FASSTA on a k-level subcircuit window,
   /// outputs projected through downstream potentials. Cheaper per candidate

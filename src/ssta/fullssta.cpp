@@ -4,6 +4,7 @@
 
 #include "debug/validate.h"
 #include "util/check.h"
+#include "util/exec.h"
 
 namespace statsizer::ssta {
 
@@ -35,28 +36,22 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
 
   const auto arrival_of = [&](GateId f) -> const DiscretePdf& { return arrival[f]; };
 
-  // One gate's arrival from its (already finished) fanins: reads lower-level
-  // pdfs, writes only the gate's own slots. Per-gate pdf convolutions are
-  // heavy (~samples^2 work each), so chunk size 1 load-balances the wavefront
-  // best.
-  sta::sweep_levels(
-      sta::all_levels(ctx.levelization()), options.threads, 1,
-      [&](GateId id, std::uint32_t) {
-        const auto& g = nl.gate(id);
-        if (g.fanins.empty()) return;  // PI / constant: its launch point mass
-        DiscretePdf acc = gate_arrival(g, options, arrival_of, [&](std::size_t i) {
-          return delay_pdf(options, ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i));
-        });
-        if constexpr (debug::kParanoid) {
-          // Exceptions from a wavefront worker are captured and rethrown on
-          // the calling thread by parallel_for, so the audit is safe in both
-          // modes.
-          debug::validate_pdf(acc);
-        }
-        result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
-        arrival[id] = std::move(acc);
-      },
-      "ssta/fullssta/level");
+  // Level order: every fanin's arrival is final before a gate reads it.
+  const std::vector<GateId>& order = ctx.levelization().order_by_level;
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    if ((s & 0xFF) == 0) util::checkpoint("ssta/fullssta/level");
+    const GateId id = order[s];
+    const auto& g = nl.gate(id);
+    if (g.fanins.empty()) continue;  // PI / constant: its launch point mass
+    DiscretePdf acc = gate_arrival(g, options, arrival_of, [&](std::size_t i) {
+      return delay_pdf(options, ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i));
+    });
+    if constexpr (debug::kParanoid) {
+      debug::validate_pdf(acc);
+    }
+    result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
+    arrival[id] = std::move(acc);
+  }
 
   DiscretePdf out = output_arrival(nl, options, arrival_of);
   if constexpr (debug::kParanoid) {

@@ -23,13 +23,11 @@ struct FullSstaOptions {
   /// Off by default: the pdfs are only needed by consumers that re-propagate
   /// increments against them (timing::Analyzer's what-if overlay).
   bool keep_node_pdfs = false;
-  /// Worker threads for the arrival-pdf propagation: gates of one level fan
-  /// across util::ThreadPool (fanins live in strictly lower levels, so a
-  /// level's gates are independent; levels are barriers). 1 = the classic
-  /// serial topo-order loop, 0 = hardware concurrency; results are
-  /// bitwise-identical for any value (levelized_update_test pins this).
-  /// Levels narrower than sta::kMinParallelLevelWidth run serially.
-  std::size_t threads = 1;
+  /// The full pass and the what-if cone walk gates serially in level
+  /// order: on the deep, narrow Table-1 circuits a level barrier costs more
+  /// than the pdf work it splits. A constant, not a knob, kept for readers
+  /// of the name.
+  static constexpr std::size_t threads = 1;
 };
 
 struct FullSstaResult {
@@ -89,7 +87,8 @@ template <typename ArrivalOf>
   return out;
 }
 
-/// Runs discrete-pdf SSTA over the whole netlist.
+/// Runs discrete-pdf SSTA over the whole netlist: gate_arrival for every
+/// gate in Levelization::order_by_level order, then output_arrival.
 [[nodiscard]] FullSstaResult run_fullssta(const sta::TimingContext& ctx,
                                           const FullSstaOptions& options = {});
 

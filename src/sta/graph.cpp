@@ -201,8 +201,8 @@ void ConeWorkspace::index_list(std::size_t node_count, std::span<const GateId> l
   }
 }
 
-LevelList collect_cone(const TimingContext& ctx, std::span<const GateId> seeds,
-                       ConeWorkspace& ws) {
+std::span<const GateId> collect_cone(const TimingContext& ctx, std::span<const GateId> seeds,
+                                     ConeWorkspace& ws) {
   const netlist::Netlist& nl = ctx.netlist();
   const netlist::Levelization& lv = ctx.levelization();
   ws.restamp(nl.node_count());
@@ -222,25 +222,18 @@ LevelList collect_cone(const TimingContext& ctx, std::span<const GateId> seeds,
   // sit in strictly higher levels, hence later in the scan, so listing the
   // entered nodes as they come up yields the closure already sorted. The
   // scan stops at the last member.
-  ws.level_offset.assign(lv.level_count() + 1, 0);
   for (std::uint32_t p = lv.level_offset[level]; pending > 0; ++p) {
     const GateId id = lv.order_by_level[p];
     if (ws.stamps[id] != ws.stamp) continue;
     --pending;
-    for (; lv.level_offset[level + 1] <= p; ++level) {
-      ws.level_offset[level + 1] = static_cast<std::uint32_t>(ws.nodes.size());
-    }
     ws.slots[id] = static_cast<std::uint32_t>(ws.nodes.size());
     ws.nodes.push_back(id);
     for (const GateId f : nl.gate(id).fanouts) enter(f);
   }
-  for (std::size_t l = level; l < lv.level_count(); ++l) {
-    ws.level_offset[l + 1] = static_cast<std::uint32_t>(ws.nodes.size());
-  }
   if constexpr (debug::kParanoid) {
-    debug::validate_cone(nl, lv, seeds, ws.nodes, ws.level_offset);
+    debug::validate_cone(nl, lv, seeds, ws.nodes);
   }
-  return ws.cone();
+  return ws.nodes;
 }
 
 }  // namespace statsizer::sta

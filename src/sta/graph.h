@@ -22,8 +22,6 @@
 #include "liberty/model.h"
 #include "netlist/netlist.h"
 #include "netlist/topo.h"
-#include "util/exec.h"
-#include "util/thread_pool.h"
 #include "variation/model.h"
 
 namespace statsizer::sta {
@@ -278,18 +276,6 @@ class TimingContext {
   std::uint64_t snapshot_epoch_ = 0;
 };
 
-/// A node list in Levelization::order_by_level order, cut into levels: level
-/// l is nodes[level_offset[l] .. level_offset[l + 1]), and a node's index is
-/// its *slot*. A full pass sweeps all_levels(); a what-if, its collect_cone().
-struct LevelList {
-  std::span<const netlist::GateId> nodes;
-  std::span<const std::uint32_t> level_offset;  ///< level_count() + 1 entries
-};
-
-[[nodiscard]] inline LevelList all_levels(const netlist::Levelization& lv) {
-  return LevelList{lv.order_by_level, lv.level_offset};
-}
-
 /// Reusable storage for collect_cone and its O(1) GateId -> slot lookup.
 /// slots[id] is live only while stamps[id] == stamp, so a new list retires
 /// the old one without clearing anything. One workspace per concurrent user.
@@ -302,65 +288,28 @@ struct ConeWorkspace {
   /// (drawn from one counter at each restamp), so a holder of a list's
   /// generation can tell whether a workspace still indexes that list.
   std::uint64_t generation = 0;
-  std::vector<netlist::GateId> nodes;       ///< the current list, by slot
-  std::vector<std::uint32_t> level_offset;  ///< its per-level offsets
+  std::vector<netlist::GateId> nodes;  ///< the current list, by slot
 
   [[nodiscard]] std::uint32_t slot(netlist::GateId id) const {
     return stamps[id] == stamp ? slots[id] : kNoSlot;
   }
-  [[nodiscard]] LevelList cone() const { return LevelList{nodes, level_offset}; }
   /// Retires the current list (new stamp; the index is reset only when the
   /// stamp wraps or @p node_count changes) and empties nodes.
   void restamp(std::size_t node_count);
-  /// Indexes @p list (slot i = list[i]) without level offsets.
+  /// Indexes @p list (slot i = list[i]).
   void index_list(std::size_t node_count, std::span<const netlist::GateId> list);
 };
 
 /// The one fanout-cone builder behind every what-if: the fanout closure of
-/// @p seeds (duplicates allowed) as a LevelList over all of the context's
-/// levels, viewing @p ws until its next use. Cost: the cone's edges plus a
-/// stamp test per order_by_level entry from the lowest seed's level to the
-/// cone's last member; nothing node-sized is cleared or sorted. Audited by
-/// debug::validate_cone under STATSIZER_PARANOID.
-LevelList collect_cone(const TimingContext& ctx, std::span<const netlist::GateId> seeds,
-                       ConeWorkspace& ws);
-
-/// Wavefront levels narrower than this run serially even when threads > 1:
-/// a single-digit-gate level costs more in pool dispatch than its work.
-/// Tuned on cla_adder(8) (levels of ~2-10 gates: serial wins) vs c880 (tens
-/// of gates per level: fan-out wins).
-inline constexpr std::size_t kMinParallelLevelWidth = 16;
-
-/// The one levelized sweep every wavefront kernel runs on: body(id, slot)
-/// for every node of @p list in dependency order — serially when threads ==
-/// 1, else one wave per level (a level's gates only read lower levels, so
-/// levels are the barriers), fanned across util::ThreadPool in @p chunk
-/// pieces when it holds at least kMinParallelLevelWidth gates, so a cone's
-/// clean levels skip and its thin ones run serially. @p checkpoint_site,
-/// when set, goes to util::checkpoint on the calling thread once per level,
-/// or every 256 gates serially. Checkpoints only abort or stall
-/// (util/exec.h), so results are bitwise-identical for any thread count as
-/// long as body writes only its own gate's slots.
-template <typename Body>
-void sweep_levels(LevelList list, std::size_t threads, std::size_t chunk, Body&& body,
-                  const char* checkpoint_site = nullptr) {
-  const std::span<const netlist::GateId> nodes = list.nodes;
-  if (threads == 1) {
-    for (std::uint32_t s = 0; s < nodes.size(); ++s) {
-      if (checkpoint_site != nullptr && (s & 0xFF) == 0) util::checkpoint(checkpoint_site);
-      body(nodes[s], s);
-    }
-    return;
-  }
-  for (std::size_t l = 0; l + 1 < list.level_offset.size(); ++l) {
-    if (checkpoint_site != nullptr) util::checkpoint(checkpoint_site);
-    const std::uint32_t begin = list.level_offset[l];
-    const std::uint32_t end = list.level_offset[l + 1];
-    util::parallel_for(end - begin, chunk, end - begin < kMinParallelLevelWidth ? 1 : threads,
-                       [&](std::size_t lo, std::size_t hi, std::size_t) {
-                         for (std::uint32_t s = begin + lo; s < begin + hi; ++s) body(nodes[s], s);
-                       });
-  }
-}
+/// @p seeds (duplicates allowed) as a subsequence of the context's
+/// Levelization::order_by_level (so every member follows its in-cone
+/// fanins; a node's index is its *slot*), viewing @p ws.nodes until its next
+/// use. Cost: the cone's edges plus a stamp test per order_by_level entry
+/// from the lowest seed's level to the cone's last member; nothing
+/// node-sized is cleared or sorted. Audited by debug::validate_cone under
+/// STATSIZER_PARANOID.
+std::span<const netlist::GateId> collect_cone(const TimingContext& ctx,
+                                              std::span<const netlist::GateId> seeds,
+                                              ConeWorkspace& ws);
 
 }  // namespace statsizer::sta

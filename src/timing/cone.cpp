@@ -20,8 +20,7 @@ struct ConeTemps {
   /// By slot: a resized gate or a re-folded driver, which replay() must
   /// re-relax whatever its fanins did.
   std::vector<std::uint8_t> seed;
-  /// By slot: the replayed slew differs bitwise from the context's. One
-  /// byte per slot, so wavefront workers never share a written word.
+  /// By slot: the replayed slew differs bitwise from the context's.
   std::vector<std::uint8_t> moved;
 };
 
@@ -60,9 +59,8 @@ void ConeSnapshot::collect(const sta::TimingContext& ctx, std::span<const Resize
   std::sort(t.drivers.begin(), t.drivers.end());
   t.drivers.erase(std::unique(t.drivers.begin(), t.drivers.end()), t.drivers.end());
 
-  const sta::LevelList cone = sta::collect_cone(ctx, t.seeds, ws);
-  nodes.assign(cone.nodes.begin(), cone.nodes.end());
-  level_offset.assign(cone.level_offset.begin(), cone.level_offset.end());
+  const std::span<const GateId> cone = sta::collect_cone(ctx, t.seeds, ws);
+  nodes.assign(cone.begin(), cone.end());
   const std::size_t k = nodes.size();
   loads.clear();
   for (const GateId d : t.drivers) loads.emplace_back(d, 0.0);
@@ -78,7 +76,7 @@ void ConeSnapshot::collect(const sta::TimingContext& ctx, std::span<const Resize
 }
 
 void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-                          const sta::ConeWorkspace& ws, std::size_t threads) {
+                          const sta::ConeWorkspace& ws) {
   const auto& nl = ctx.netlist();
   const std::size_t k = nodes.size();
   constexpr std::uint32_t kNoSlot = sta::ConeWorkspace::kNoSlot;
@@ -120,10 +118,11 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
   // bitwise the context's would recompute the context's own slew and arcs:
   // it copies them instead. Unmapped nodes keep the base slew and zero arcs,
   // exactly as update() leaves them.
-  sta::sweep_levels(list(), threads, 16, [&](GateId id, std::uint32_t s) {
+  for (std::uint32_t s = 0; s < k; ++s) {
+    const GateId id = nodes[s];
     if (!ctx.has_cell(id)) {
       slew[s] = ctx.slew_ps(id);
-      return;
+      continue;
     }
     const auto& fanins = nl.gate(id).fanins;
     bool front = seed[s] != 0;
@@ -144,7 +143,7 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
     }
     if (front) {
       moved[s] = same_bits(slew[s], ctx.slew_ps(id)) ? 0 : 1;
-      return;
+      continue;
     }
     if constexpr (debug::kParanoid) {
       // The audit of the cutoff: the skipped node, re-relaxed above, must
@@ -156,14 +155,14 @@ void ConeSnapshot::replay(const sta::TimingContext& ctx, std::span<const Resize>
       }
       STATSIZER_PARANOID_CHECK(same, "ConeSnapshot::replay",
                                "a node behind the change front relaxed to new values");
-      return;
+      continue;
     }
     slew[s] = ctx.slew_ps(id);
     for (std::size_t i = 0; i < fanins.size(); ++i) {
       delay[i] = ctx.arc_delay_ps(id, i);
       sigma[i] = ctx.arc_sigma_ps(id, i);
     }
-  });
+  }
 }
 
 }  // namespace statsizer::timing::detail

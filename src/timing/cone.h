@@ -8,12 +8,11 @@
 // fold (TimingContext::fold_load, in update()'s exact accumulation order with
 // candidate cells substituted; a cap *delta* added to the cached load would
 // drift by an ULP), slews and arcs through the slew/arc kernel
-// (TimingContext::relax_gate), over the shared levelized sweep
-// (sta::sweep_levels: a wavefront for FULLSSTA's what-ifs, serial for
-// FASSTA's and DSTA's). Every value array is indexed by cone slot, so a
-// speculation holds O(cone) memory and never allocates or clears anything
-// node- or arc-sized; the only GateId -> slot map is the scoring thread's
-// reused sta::ConeWorkspace. The cone is collected, and every array sized,
+// (TimingContext::relax_gate), in one serial walk over the level-sorted
+// cone. Every value array is indexed by cone slot, so a speculation holds
+// O(cone) memory and never allocates or clears anything node- or
+// arc-sized; the only GateId -> slot map is the scoring thread's reused
+// sta::ConeWorkspace. The cone is collected, and every array sized,
 // when the speculation is proposed; scoring only fills them (collect() /
 // replay()). replay() re-relaxes only the change front: the resized gates,
 // the re-folded drivers, and the nodes with a fanin slot whose slew moved
@@ -55,7 +54,6 @@ struct ConeSnapshot {
   /// The cone in order_by_level order (the resized gates, their mapped
   /// drivers, and the downstream fanout closure): slot s is nodes[s].
   std::vector<netlist::GateId> nodes;
-  std::vector<std::uint32_t> level_offset;  ///< nodes' per-level offsets
   /// Re-folded load of every driver of a resized gate, including unmapped
   /// ones (a primary input's load feeds no arc, but apply_snapshot_patch
   /// must still write it to stay bitwise-equal to a full update()).
@@ -71,7 +69,6 @@ struct ConeSnapshot {
   [[nodiscard]] std::pair<double, double> arc(std::uint32_t s, std::size_t i) const {
     return {arc_delay[arc_begin[s] + i], arc_sigma[arc_begin[s] + i]};
   }
-  [[nodiscard]] sta::LevelList list() const { return sta::LevelList{nodes, level_offset}; }
 
   /// The structural half, on the proposing thread: collects the cone of
   /// @p resizes into @p ws and sizes every value array, so replay() only
@@ -84,19 +81,16 @@ struct ConeSnapshot {
   /// node only when it is a seed or a fanin slew differs bitwise from the
   /// context's (the others copy the context's values; a paranoid build
   /// re-relaxes them and checks the copy). @p ws must
-  /// index this cone. With @p threads != 1 the replay runs as a levelized
-  /// wavefront (bitwise-identical results for any value); callers already
-  /// running inside a pool worker — a wave of speculations scoring
-  /// concurrently — execute inline regardless. Allocates nothing once the
-  /// calling thread's temporaries have served a cone this large.
+  /// index this cone. Allocates nothing once the calling thread's
+  /// temporaries have served a cone this large.
   void replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-              const sta::ConeWorkspace& ws, std::size_t threads);
+              const sta::ConeWorkspace& ws);
 
-  /// collect() then a serial replay(): a one-shot overlay.
+  /// collect() then replay(): a one-shot overlay.
   void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
                  sta::ConeWorkspace& ws) {
     collect(ctx, resizes, ws);
-    replay(ctx, resizes, ws, 1);
+    replay(ctx, resizes, ws);
   }
 };
 
@@ -143,7 +137,7 @@ class ConeSpeculation : public Speculation {
     if (ws.generation != collected_generation_) {
       ws.index_list(ctx_.netlist().node_count(), cone_.nodes);
     }
-    cone_.replay(ctx_, resizes_, ws, replay_threads());
+    cone_.replay(ctx_, resizes_, ws);
     propagate_arrivals(ws);
     scored_ = true;
     return result_;
@@ -165,15 +159,10 @@ class ConeSpeculation : public Speculation {
   void rollback() final {}  // the overlay never touched shared state
 
  protected:
-  /// Threads for the snapshot half's wavefront (on the caller's thread;
-  /// inline when scoring inside a pool worker). 1 unless the engine's own
-  /// wavefront wins (FULLSSTA): a cheap what-if re-relaxes a sliver of its
-  /// cone, so a level barrier costs more than the work it splits.
-  virtual std::size_t replay_threads() const { return 1; }
-  /// Engine half of score(): run the engine's gate kernel over the cone
-  /// (cone_.list(); ws.slot() maps a GateId to its slot), reading nodes
-  /// outside it (ws.slot() == kNoSlot) from the owner's base, and fill the
-  /// pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
+  /// Engine half of score(): run the engine's gate kernel over the cone in
+  /// slot order (cone_.nodes; ws.slot() maps a GateId to its slot), reading
+  /// nodes outside it (ws.slot() == kNoSlot) from the owner's base, and fill
+  /// the pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
   virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
   /// Commit half: install any per-slot state besides moments_ in the base.
   virtual void merge_arrivals() {}

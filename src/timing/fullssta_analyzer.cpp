@@ -5,8 +5,9 @@
 // half and the transaction come from the shared ConeSpeculation
 // (timing/cone.h — also the engine behind the FASSTA/DSTA what-ifs); this
 // file adds the pdf half, which calls the engine's kernel
-// (ssta::gate_arrival and ssta::output_arrival) over the level-sorted cone,
-// reading everything outside the cone from the analyzer's cached base.
+// (ssta::gate_arrival and ssta::output_arrival) in one serial walk over the
+// level-sorted cone, reading everything outside the cone from the
+// analyzer's cached base.
 // Calling the same kernels as update() and ssta::run_fullssta() is what
 // makes the score — and the base state a commit() installs —
 // bitwise-identical to a from-scratch update() + run_fullssta() of the
@@ -194,15 +195,7 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
         : ConeSpeculation(owner, ctx, resizes), ov_arrival_(cone_.nodes.size()) {}
 
    private:
-    /// Both halves run wavefront-parallel with FullSstaOptions::threads (a
-    /// speculation scored from inside a pool worker runs inline; the big
-    /// win is the atomic multi-resize confirmations scored on the caller's
-    /// thread).
-    std::size_t replay_threads() const override { return owner_.options_.threads; }
-
-    /// The pdf half: the FULLSSTA gate kernel over the cone's levels (clean
-    /// levels skip, thin ones run serially, pdf-heavy waves get per-gate
-    /// chunks).
+    /// The pdf half: the FULLSSTA gate kernel over the cone in slot order.
     void propagate_arrivals(const sta::ConeWorkspace& ws) override {
       const auto& nl = ctx_.netlist();
       const ssta::FullSstaOptions& options = owner_.options_;
@@ -211,7 +204,8 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
         return s != sta::ConeWorkspace::kNoSlot ? ov_arrival_[s] : owner_.base_arrival_[id];
       };
       // Cone nodes are mapped gates, so each has fanins to fold.
-      sta::sweep_levels(cone_.list(), options.threads, 1, [&](GateId id, std::uint32_t s) {
+      for (std::uint32_t s = 0; s < cone_.nodes.size(); ++s) {
+        const GateId id = cone_.nodes[s];
         const std::size_t arc0 = ctx_.arc_offset(id);
         DiscretePdf acc =
             ssta::gate_arrival(nl.gate(id), options, arrival_of, [&](std::size_t i) {
@@ -220,7 +214,7 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
             });
         moments_[s] = sta::NodeMoments{acc.mean(), acc.stddev()};
         ov_arrival_[s] = std::move(acc);
-      });
+      }
       ov_output_ = ssta::output_arrival(nl, options, arrival_of);
       result_.mean_ps = ov_output_.mean();
       result_.sigma_ps = ov_output_.stddev();

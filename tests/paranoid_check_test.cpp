@@ -13,6 +13,7 @@
 #include <limits>
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -316,18 +317,16 @@ TEST(ParanoidStructureFresh, TripsAfterStructuralEdit) {
 struct ConeCopy {
   std::vector<GateId> seeds;
   std::vector<GateId> nodes;
-  std::vector<std::uint32_t> level_offset;
 
   explicit ConeCopy(const Bench& bench) {
     // A primary input's fanout cone: deep enough to span several levels.
     seeds = {bench.nl.inputs()[0]};
     sta::ConeWorkspace ws;
-    const sta::LevelList cone = sta::collect_cone(*bench.ctx, seeds, ws);
-    nodes.assign(cone.nodes.begin(), cone.nodes.end());
-    level_offset.assign(cone.level_offset.begin(), cone.level_offset.end());
+    const std::span<const GateId> cone = sta::collect_cone(*bench.ctx, seeds, ws);
+    nodes.assign(cone.begin(), cone.end());
   }
   void validate(const Bench& bench) const {
-    debug::validate_cone(bench.nl, bench.ctx->levelization(), seeds, nodes, level_offset);
+    debug::validate_cone(bench.nl, bench.ctx->levelization(), seeds, nodes);
   }
 };
 
@@ -338,27 +337,17 @@ TEST(ParanoidCone, AcceptsCollectedCone) {
   EXPECT_NO_THROW(cone.validate(bench));
 }
 
-/// First slot whose successor sits in the same level bucket.
-std::uint32_t first_same_level_pair(const ConeCopy& cone) {
-  for (std::size_t l = 0; l + 1 < cone.level_offset.size(); ++l) {
-    if (cone.level_offset[l + 1] - cone.level_offset[l] >= 2) return cone.level_offset[l];
-  }
-  throw std::logic_error("cone has no level with two members");
-}
-
 TEST(ParanoidCone, TripsOnDuplicateNode) {
   const Bench bench(circuits::make_cla_adder(8));
   ConeCopy cone(bench);
-  const std::uint32_t s = first_same_level_pair(cone);
-  cone.nodes[s + 1] = cone.nodes[s];  // same level, so the buckets still check out
+  cone.nodes[1] = cone.nodes[0];
   ExpectTrip([&] { cone.validate(bench); }, "appears twice");
 }
 
 TEST(ParanoidCone, TripsOnOutOfOrderNodes) {
   const Bench bench(circuits::make_cla_adder(8));
   ConeCopy cone(bench);
-  const std::uint32_t s = first_same_level_pair(cone);
-  std::swap(cone.nodes[s], cone.nodes[s + 1]);  // buckets check out, order does not
+  std::swap(cone.nodes[0], cone.nodes[1]);
   ExpectTrip([&] { cone.validate(bench); }, "out of level order");
 }
 
@@ -372,21 +361,10 @@ TEST(ParanoidCone, TripsOnMissingSeed) {
 TEST(ParanoidCone, TripsOnConeNotClosedUnderFanout) {
   const Bench bench(circuits::make_cla_adder(8));
   ConeCopy cone(bench);
-  // Drop the last member (a sink's fanin closure is kept, but its driver's
-  // fanout is gone) and shrink its level's bucket accordingly.
+  // Drop the last member: a sink's fanin closure is kept, but its driver's
+  // fanout is gone.
   cone.nodes.pop_back();
-  for (std::uint32_t& off : cone.level_offset) {
-    off = std::min<std::uint32_t>(off, static_cast<std::uint32_t>(cone.nodes.size()));
-  }
   ExpectTrip([&] { cone.validate(bench); }, "not closed");
-}
-
-TEST(ParanoidCone, TripsOnWrongLevelBucket) {
-  const Bench bench(circuits::make_cla_adder(8));
-  ConeCopy cone(bench);
-  ASSERT_GE(cone.level_offset.size(), 3u);
-  cone.level_offset[1] += 1;  // pull a level-1 member into level 0's bucket
-  ExpectTrip([&] { cone.validate(bench); }, "bucket");
 }
 
 // ---------------------------------------------------------------------------

@@ -106,9 +106,9 @@ TEST(Numeric, InverseCdfKnownQuantiles) {
 }
 
 TEST(Numeric, InverseCdfDomain) {
-  EXPECT_THROW(normal_inv_cdf(0.0), std::domain_error);
-  EXPECT_THROW(normal_inv_cdf(1.0), std::domain_error);
-  EXPECT_THROW(normal_inv_cdf(-0.1), std::domain_error);
+  EXPECT_THROW((void)normal_inv_cdf(0.0), std::domain_error);
+  EXPECT_THROW((void)normal_inv_cdf(1.0), std::domain_error);
+  EXPECT_THROW((void)normal_inv_cdf(-0.1), std::domain_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ TEST(Interp, BilinearExactOnPlane) {
 TEST(Interp, ShapeMismatchThrows) {
   const std::vector<double> xs = {0.0, 1.0};
   const std::vector<double> bad = {1.0};
-  EXPECT_THROW(interp1(xs, bad, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)interp1(xs, bad, 0.5), std::invalid_argument);
   EXPECT_THROW((void)interp2(xs, xs, bad, 0.5, 0.5), std::invalid_argument);
 }
 
@@ -211,9 +211,9 @@ TEST(Quantile, OrderStatistics) {
 
 TEST(Quantile, Errors) {
   const std::vector<double> empty;
-  EXPECT_THROW(quantile_of(empty, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile_of(empty, 0.5), std::invalid_argument);
   const std::vector<double> xs = {1.0};
-  EXPECT_THROW(quantile_of(xs, 1.5), std::domain_error);
+  EXPECT_THROW((void)quantile_of(xs, 1.5), std::domain_error);
 }
 
 TEST(SpanStats, MeanVariance) {
