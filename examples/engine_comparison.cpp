@@ -46,16 +46,14 @@ int compare(const std::string& name, const std::vector<std::string>& engines,
   }
   (void)flow.run_baseline();
 
-  util::Table t({"engine", "mu (ps)", "sigma (ps)", "runtime (ms)", "what-if"});
+  util::Table t({"engine", "mu (ps)", "sigma (ps)", "runtime (ms)"});
   for (const std::string& engine : engines) {
     // Names were validated up front in main().
     const std::unique_ptr<timing::Analyzer> analyzer = flow.make_analyzer(engine);
     // Copy: the timed re-analyze below invalidates the returned reference.
     const timing::Summary s = analyzer->analyze(flow.timing());
     const double ms = time_ms([&] { (void)analyzer->analyze(flow.timing()); });
-    t.add_row({engine, util::fmt(s.mean_ps, 1), util::fmt(s.sigma_ps, 2),
-               util::fmt(ms, 2),
-               analyzer->capabilities().concurrent_speculations ? "parallel" : "serial"});
+    t.add_row({engine, util::fmt(s.mean_ps, 1), util::fmt(s.sigma_ps, 2), util::fmt(ms, 2)});
   }
   std::printf("global_fraction = %.1f\n%s\n", global_fraction, t.to_string().c_str());
   return 0;

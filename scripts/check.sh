@@ -50,7 +50,9 @@
 #                                    # over a scripted newline-JSON session
 #                                    # (load/whatif/yield, malformed input,
 #                                    # unknown op, expired deadline — each
-#                                    # must answer with its structured code),
+#                                    # must answer with its structured code;
+#                                    # a fault-aborted mc what-if must leave
+#                                    # the served yield bitwise unchanged),
 #                                    # check that bad numeric flags exit 2,
 #                                    # and run bench_table1 --inject (a
 #                                    # poisoned shard must fail its row, exit 1)
@@ -409,6 +411,28 @@ EOF
       exit 1
     fi
   done
+  # An aborted what-if changes nothing: with every snapshot checkpoint of
+  # request #2 (the what-if; scopes count from 0) faulted, the mc engine's
+  # speculation fails with unavailable, and the yields before and after it
+  # must match bit for bit.
+  FAULT_OUT="$(./build/statsizer_serve --engine mc \
+      --fault 'site=sta/update/level,scope=2,hit=0' <<'EOF'
+{"id":1,"op":"load","workload":"c432"}
+{"id":2,"op":"yield","clock_period_ps":900}
+{"id":3,"op":"whatif","gate":"g10","size":1}
+{"id":4,"op":"yield","clock_period_ps":900}
+{"id":5,"op":"quit"}
+EOF
+)"
+  YIELD_BEFORE="$(sed -n 2p <<< "${FAULT_OUT}" | grep -oE '"yield":[^,}]+' || true)"
+  YIELD_AFTER="$(sed -n 4p <<< "${FAULT_OUT}" | grep -oE '"yield":[^,}]+' || true)"
+  if ! sed -n 3p <<< "${FAULT_OUT}" | grep -qF '"code":"unavailable"' || \
+     [[ -z "${YIELD_BEFORE}" || "${YIELD_BEFORE}" != "${YIELD_AFTER}" ]]; then
+    echo "check.sh: serve smoke FAILED: a faulted what-if must answer unavailable" \
+         "and leave the yield unchanged" >&2
+    echo "${FAULT_OUT}" >&2
+    exit 1
+  fi
   set +e
   INJECT_OUT="$(./build/bench_table1 --threads 2 \
       --inject 'site=serve/job/start,scope=0' c432 c499 2>&1 >/dev/null)"

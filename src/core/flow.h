@@ -55,10 +55,11 @@ struct FlowOptions {
   /// tolerance, and how many lambda = 0 polish iterations run after recovery
   /// to leave the "original" circuit near its mean-delay optimum (the paper's
   /// premise; without it the lambda runs would harvest mean instead of
-  /// variance).
-  opt::RecoveryCriterion recovery_criterion = opt::RecoveryCriterion::kDeterministicArrival;
-  double recovery_tolerance = 0.003;
-  std::size_t post_recovery_polish_iterations = 20;
+  /// variance). Constants, not knobs: nothing tunes them.
+  static constexpr opt::RecoveryCriterion recovery_criterion =
+      opt::RecoveryCriterion::kDeterministicArrival;
+  static constexpr double recovery_tolerance = 0.003;
+  static constexpr std::size_t post_recovery_polish_iterations = 20;
   /// Worker threads for StatisticalGreedy's candidate scoring and exact
   /// confirmation waves and area recovery's screening waves, applied to
   /// run_baseline's stages and to optimize() when no overrides are passed

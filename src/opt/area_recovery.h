@@ -15,10 +15,12 @@
 // Engine plumbing: every trial runs through the timing::Analyzer what-if API.
 // The screen engine (screen_engine; defaults to "dsta" / "fassta" by
 // criterion) scores each candidate downsize as a Speculation against its
-// committed base — a fanout-cone re-propagation against a private overlay,
-// never a netlist mutation plus full TimingContext::update(); accepted
-// trials commit incrementally (the FASSTA/DSTA adapters patch the snapshot
-// in place). In statistical mode the screen drifts from the accurate engine
+// committed base, privately — for the default engines a fanout-cone
+// re-propagation against an overlay, never a netlist mutation plus full
+// TimingContext::update(); accepted trials commit incrementally (the
+// FASSTA/DSTA adapters patch the snapshot in place). Any engine name works:
+// every speculation scores privately, so every screen runs in parallel
+// windows. In statistical mode the screen drifts from the accurate engine
 // on reconvergent fabrics, so every kChunk accepted downsizes are
 // re-verified by the confirm engine (confirm_engine, default "fullssta",
 // configured with `fullssta` — the same options the caller uses to measure
@@ -75,8 +77,7 @@ struct AreaRecoveryOptions {
   std::size_t threads = 1;
   /// Screen engine (timing::make_analyzer name). Empty = pick by criterion:
   /// "dsta" for kDeterministicArrival, "fassta" for kStatisticalCost — the
-  /// pre-port behaviour. Engines without concurrent_speculations screen
-  /// serially.
+  /// pre-port behaviour.
   std::string screen_engine;
   /// Exact verification engine for kStatisticalCost.
   std::string confirm_engine = "fullssta";

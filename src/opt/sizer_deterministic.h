@@ -14,9 +14,10 @@
 
 namespace statsizer::opt {
 
+/// The loop's limits are constants, not knobs: nothing tunes them.
 struct DeterministicSizerOptions {
-  std::size_t max_passes = 100;
-  double min_gain_ps = 0.05;  ///< improvements below this end the loop
+  static constexpr std::size_t max_passes = 100;
+  static constexpr double min_gain_ps = 0.05;  ///< improvements below this end the loop
 };
 
 struct DeterministicSizerStats {

@@ -107,9 +107,7 @@ std::vector<double> score_candidates(sta::TimingContext& ctx,
       (void)analyzer.analyze(ctx);  // re-base against the frozen snapshot
       scorer.base_epoch = ctx.snapshot_epoch();
     }
-    const std::size_t threads =
-        analyzer.capabilities().concurrent_speculations ? options.threads : 1;
-    util::parallel_for(jobs.size(), kChunk, threads,
+    util::parallel_for(jobs.size(), kChunk, options.threads,
                        [&](std::size_t begin, std::size_t end, std::size_t) {
                          for (std::size_t i = begin; i < end; ++i) {
                            const auto spec = analyzer.propose(jobs[i].gate, jobs[i].size);

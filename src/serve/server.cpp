@@ -37,6 +37,10 @@ bool integral_in(double v, double lo, double hi) {
   return v >= lo && v <= hi && std::trunc(v) == v;
 }
 
+/// True when @p v is a finite number >= 0: the rule util::parse_lambda
+/// applies to the CLIs' lambdas, here for 'lambda' and 'clock_period_ps'.
+bool finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
+
 /// Upper bound on deadline_ms: one year, far below where adding it to a
 /// steady_clock time point could overflow.
 constexpr double kMaxDeadlineMs = 365.0 * 24 * 3600 * 1000;
@@ -308,6 +312,11 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
         continue;
       }
       const double lambda_value = lambda->as_number();
+      if (!finite_non_negative(lambda_value)) {
+        enqueue_inline(render_inline(
+            id, Status::invalid_argument("size: 'lambda' must be a finite number >= 0")));
+        continue;
+      }
       job_options.cost_bytes = session->approx_cost_bytes();
       body = [session, lambda_value, payload] {
         const StatusOr<SizeResult> r = session->size(lambda_value);
@@ -327,6 +336,12 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
       };
     } else if (op == "yield") {
       const double clock = get_number(req, "clock_period_ps", 0.0);
+      if (!finite_non_negative(clock)) {
+        enqueue_inline(render_inline(
+            id, Status::invalid_argument(
+                    "yield: 'clock_period_ps' must be a finite number >= 0 (0 = resolve)")));
+        continue;
+      }
       const std::string engine = get_string(req, "engine", "isle");
       job_options.cost_bytes = session->approx_cost_bytes();
       body = [session, clock, engine, payload] {

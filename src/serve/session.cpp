@@ -20,16 +20,7 @@ Status preflight_rejection(const drc::DrcReport& report) {
 
 }  // namespace
 
-Session::Session(SessionOptions options) : options_(std::move(options)) {
-  // Capability probe (construction only, no analysis): decides up front
-  // whether single-resize what-ifs may share the lock. An unknown engine
-  // name is surfaced as kInvalidArgument by the first load.
-  try {
-    concurrent_whatif_ =
-        timing::make_analyzer(options_.engine)->capabilities().concurrent_speculations;
-  } catch (const std::invalid_argument&) {
-  }
-}
+Session::Session(SessionOptions options) : options_(std::move(options)) {}
 
 Session::~Session() = default;
 
@@ -105,17 +96,9 @@ Status Session::apply_sdc_text(std::string_view text) {
 StatusOr<WhatIfReport> Session::what_if(const std::vector<ResizeRequest>& resizes) {
   if (resizes.empty()) return Status::invalid_argument("what_if: no resizes given");
 
-  // Single-resize speculations score concurrently against the shared base
-  // (private overlays; see the analyzer contract). Multi-resize batches —
-  // and engines without the capability — need the base to themselves.
-  const bool shared_ok = resizes.size() == 1 && concurrent_whatif_;
-  std::shared_lock<std::shared_mutex> read_lock(mutex_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> write_lock(mutex_, std::defer_lock);
-  if (shared_ok) {
-    read_lock.lock();
-  } else {
-    write_lock.lock();
-  }
+  // Speculations score privately against the shared base (see the analyzer
+  // contract), so any number run at once under the shared lock.
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
 
   util::checkpoint("serve/session/whatif");
   if (flow_ == nullptr) return Status::invalid_argument("what_if: no design loaded");
@@ -138,9 +121,7 @@ StatusOr<WhatIfReport> Session::what_if(const std::vector<ResizeRequest>& resize
   }
 
   try {
-    std::unique_ptr<timing::Speculation> spec =
-        resolved.size() == 1 ? analyzer_->propose(resolved[0].gate, resolved[0].size)
-                             : analyzer_->propose_resizes(resolved);
+    const std::unique_ptr<timing::Speculation> spec = analyzer_->propose_resizes(resolved);
     const timing::Summary& speculative = spec->score();
     const timing::Summary& base = analyzer_->current();
     WhatIfReport report;
@@ -151,13 +132,11 @@ StatusOr<WhatIfReport> Session::what_if(const std::vector<ResizeRequest>& resize
     report.base_sigma_ps = base.sigma_ps;
     spec->rollback();
     return report;
-  } catch (const std::invalid_argument& e) {
-    return Status::invalid_argument(std::string("what_if: ") + e.what());
-  } catch (const std::logic_error& e) {
+  } catch (const std::logic_error& e) {  // std::invalid_argument included
     return Status::invalid_argument(std::string("what_if: ") + e.what());
   }
-  // StatusError (cancellation, deadline, injected fault) propagates: the
-  // speculation destructor is a guaranteed-no-op rollback on the shared base.
+  // StatusError (cancellation, deadline, injected fault) propagates: an
+  // aborted score leaves the shared base untouched.
 }
 
 StatusOr<SizeResult> Session::size(double lambda) {
@@ -201,9 +180,7 @@ StatusOr<YieldResult> Session::yield(double clock_period_ps, std::string_view en
     result.draws = report.draws();
     result.clock_period_ps = report.result.clock_period_ps;
     return result;
-  } catch (const std::invalid_argument& e) {
-    return Status::invalid_argument(std::string("yield: ") + e.what());
-  } catch (const std::logic_error& e) {
+  } catch (const std::logic_error& e) {  // std::invalid_argument included
     return Status::invalid_argument(std::string("yield: ") + e.what());
   }
 }

@@ -6,17 +6,16 @@
 // its engine evaluation instead of a full reload. Concurrent requests from
 // many clients are served against that shared base:
 //
-//   - Read requests (what_if with a single resize, yield, info) hold a
-//     shared lock. Single-resize what-ifs ride the analyzer's
-//     concurrent_speculations contract: each opens a private-overlay
-//     speculation against the committed base, scores it, and rolls it back —
-//     any number may be in flight at once, and each result is
-//     bitwise-identical to the same query against an idle single-tenant
-//     Flow.
-//   - Mutations (load, SDC changes, size) and multi-resize what-ifs hold the
-//     exclusive lock. Every mutation bumps the session epoch; responses
-//     carry the epoch they were computed against, so clients can detect that
-//     a what-if raced a commit.
+//   - Read requests (what_if, yield, info) hold a shared lock. A what-if
+//     opens a speculation against the committed base, scores it privately
+//     (see timing/analyzer.h), and rolls it back — any number may be in
+//     flight at once, each result is bitwise-identical to the same query
+//     against an idle single-tenant Flow, and an aborted one (deadline,
+//     cancel, fault) leaves the base untouched.
+//   - Mutations (load, SDC changes, size) hold the exclusive lock. Every
+//     mutation bumps the session epoch; responses carry the epoch they were
+//     computed against, so clients can detect that a what-if raced a
+//     commit.
 //
 // Loads and SDC changes are transactional: the new state is built in a
 // scratch Flow and swapped in only after the DRC preflight admission gate
@@ -48,8 +47,7 @@ namespace statsizer::serve {
 
 struct SessionOptions {
   core::FlowOptions flow;
-  /// What-if engine (timing::make_analyzer name). "fullssta" (default)
-  /// scores single-resize speculations concurrently.
+  /// What-if engine (timing::make_analyzer name).
   std::string engine = "fullssta";
 };
 
@@ -144,9 +142,6 @@ class Session {
   void rebase(core::Flow& flow);
 
   SessionOptions options_;
-  /// Engine capability probed at construction: single-resize what-ifs may
-  /// score under the shared lock.
-  bool concurrent_whatif_ = false;
   mutable std::shared_mutex mutex_;
   std::unique_ptr<core::Flow> flow_;              // null until first load
   std::unique_ptr<timing::Analyzer> analyzer_;    // committed base for flow_

@@ -18,7 +18,7 @@ namespace statsizer::ssta {
 
 struct FullSstaOptions {
   std::size_t samples_per_pdf = 13;  ///< paper: "10-15 samples per pdf"
-  double span_sigmas = 4.0;          ///< grid half-width for gate-delay pdfs
+  static constexpr double span_sigmas = 4.0;  ///< grid half-width for gate-delay pdfs
   /// Also return the arrival pdf of every node (FullSstaResult::node_pdf).
   /// Off by default: the pdfs are only needed by consumers that re-propagate
   /// increments against them (timing::Analyzer's what-if overlay).

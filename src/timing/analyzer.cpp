@@ -17,11 +17,11 @@ namespace statsizer::timing {
 
 namespace detail {
 
-void BoundAnalyzer::validate_resizes(std::span<const Resize> resizes) const {
-  const sta::TimingContext& ctx = bound();
-  if (!has_base_) {
+void AnalyzerBase::validate_resizes(std::span<const Resize> resizes) const {
+  if (ctx_ == nullptr || !has_base_) {
     throw std::logic_error(std::string(name()) + ": propose() before analyze()");
   }
+  const sta::TimingContext& ctx = *ctx_;
   if (resizes.empty()) {
     throw std::invalid_argument(std::string(name()) + ": propose() with no resizes");
   }
@@ -48,6 +48,36 @@ void BoundAnalyzer::validate_resizes(std::span<const Resize> resizes) const {
     throw std::invalid_argument(std::string(name()) + ": duplicate gate " +
                                 nl.gate(*dup).name + " in one speculation");
   }
+}
+
+/// The speculation of the engines without a cone replay (canonical, mc,
+/// isle): score() runs compute() on a private copy of the design — the
+/// resized netlist under a fresh TimingContext over the same library,
+/// variation model, options and constraints — so it writes nothing shared.
+class AnalyzerBase::PrivateSpeculation final : public Transaction<AnalyzerBase> {
+ public:
+  using Transaction::Transaction;
+
+ private:
+  void evaluate() override {
+    netlist::Netlist nl = ctx_.netlist();
+    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
+    sta::TimingContext copy(nl, ctx_.library(), ctx_.variation(), ctx_.options());
+    copy.set_constraints(ctx_.constraints());
+    result_ = owner_.compute(copy);
+  }
+
+  void install() override {
+    auto& nl = ctx_.mutable_netlist();
+    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
+    ctx_.update();  // a pure function of the sizes: the snapshot the score ran on
+    owner_.install_base(result_);
+  }
+};
+
+std::unique_ptr<Speculation> AnalyzerBase::speculate(sta::TimingContext& ctx,
+                                                     std::span<const Resize> resizes) {
+  return std::make_unique<PrivateSpeculation>(*this, ctx, resizes);
 }
 
 namespace {
@@ -102,16 +132,14 @@ class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
   };
 
   Summary compute(sta::TimingContext& ctx) override {
+    engine_.emplace(ctx, options_);  // rebinds: compute() runs only in analyze()
     Summary s;
     sta::NodeMoments circuit;
     s.node = engine_->run(&circuit);
     s.mean_ps = circuit.mean_ps;
     s.sigma_ps = circuit.sigma_ps;
-    (void)ctx;
     return s;
   }
-
-  void on_bind(sta::TimingContext& ctx) override { engine_.emplace(ctx, options_); }
 
   fassta::EngineOptions options_;
   std::optional<fassta::Engine> engine_;
@@ -175,7 +203,7 @@ class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
 // global_fraction through the max.
 // ---------------------------------------------------------------------------
 
-class CanonicalAnalyzer final : public SerializedAnalyzer {
+class CanonicalAnalyzer final : public AnalyzerBase {
  public:
   explicit CanonicalAnalyzer(const AnalyzerOptions&) {}
 
@@ -200,10 +228,10 @@ class CanonicalAnalyzer final : public SerializedAnalyzer {
 // ---------------------------------------------------------------------------
 // Monte Carlo: the sampling reference. Deterministic for a fixed seed (and
 // for any MonteCarloOptions::threads value — counter-based sample streams),
-// so the serialized what-if is exact.
+// so the private-copy what-if is exact.
 // ---------------------------------------------------------------------------
 
-class McAnalyzer final : public SerializedAnalyzer {
+class McAnalyzer final : public AnalyzerBase {
  public:
   explicit McAnalyzer(const AnalyzerOptions& options) : mc_(options.monte_carlo) {}
 
@@ -244,14 +272,13 @@ std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
 }  // namespace detail
 
 Accepted first_accepted(
-    Analyzer& engine, std::size_t threads, std::size_t count,
+    Analyzer& /*engine*/, std::size_t threads, std::size_t count,
     const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
     const std::function<bool(std::size_t, const Summary&)>& accept) {
   // One candidate per worker: an acceptance discards the rest of its window,
   // and acceptances land early in the optimizer's orders. Inside a pool
   // worker the scores would run inline, so the window is 1 there.
-  const std::size_t window =
-      engine.capabilities().concurrent_speculations ? util::region_threads(threads) : 1;
+  const std::size_t window = util::region_threads(threads);
   std::vector<std::unique_ptr<Speculation>> wave;
   for (std::size_t next = 0; next < count;) {
     const std::size_t width = std::min(count - next, window);

@@ -1,10 +1,9 @@
 // timing::Analyzer — the engine-neutral analysis seam.
 //
 // The paper's StatisticalGreedy alternates a fast inner scorer (FASSTA) and
-// an accurate outer confirmer (FULLSSTA); the surrounding codebase also runs
-// deterministic STA and Monte Carlo over the same TimingContext. Before this
-// layer each engine lived behind its own free-function signature, so every
-// call site re-plumbed engines by hand. `Analyzer` unifies them:
+// an accurate outer confirmer (FULLSSTA); the codebase also runs
+// deterministic STA, canonical SSTA and sampling over the same
+// TimingContext. `Analyzer` puts every engine behind one interface:
 //
 //   auto an = timing::make_analyzer("fullssta");      // by engine name
 //   const timing::Summary& s = an->analyze(ctx);      // full analysis
@@ -12,43 +11,32 @@
 //   double cost = spec->score().mean_ps + lambda * spec->score().sigma_ps;
 //   spec->commit();   // or spec->rollback();
 //
-// The transaction lifecycle:
-//   analyze(ctx) establishes the analyzer's *base state* (netlist sizing +
-//   timing snapshot + cached engine results). propose() opens a speculation
-//   against that base; score() evaluates the engine as if the resize were
-//   applied, without touching the netlist, the TimingContext, or the base;
-//   commit() applies the resize, refreshes the TimingContext (update()) and
-//   the base state, and *invalidates every other outstanding speculation*
-//   (their base is gone — computing a fresh score() on them throws
-//   std::logic_error, though a score cached before the commit stays
-//   readable);
-//   rollback() discards the speculation and is guaranteed to leave netlist,
-//   context, and analyzer bitwise-identical to the state before propose().
-//   Destroying an unresolved speculation is an implicit rollback.
+// The transaction lifecycle: analyze(ctx) establishes the analyzer's *base
+// state* (netlist sizing + timing snapshot + cached engine results);
+// propose() opens a speculation against it; score() evaluates the engine as
+// if the resizes were applied, touching neither the netlist, the context
+// nor the base — also when it aborts (a cancel, deadline or injected fault
+// at a checkpoint); commit() applies the resizes, refreshes context and
+// base, and invalidates every other outstanding speculation — it either
+// completes or changes nothing; rollback(), or destroying the speculation,
+// discards it. The methods of Speculation below spell out each step.
+//
+// Every speculation scores privately. The FULLSSTA, FASSTA, and DSTA
+// implementations are *incremental*: a speculation re-propagates only the
+// candidate's fanout cone against a private overlay (timing/cone.h) and
+// commits by patching the snapshot in place; score and committed base are
+// bitwise-identical to a from-scratch TimingContext::update() + full engine
+// run of the resized netlist. The other engines (canonical, mc, isle) score
+// a from-scratch run on a private copy of the resized design and commit
+// with one update().
 //
 // Thread-safety contract (see docs/ARCHITECTURE.md): the Analyzer itself is
-// shared; Speculations are per-worker. When capabilities().
-// concurrent_speculations is set, any number of *single-resize* speculations
-// from the same base may be propose()d and score()d concurrently — each one
-// carries a private cone-sized overlay and only reads the shared base.
-// commit(), rollback(), and analyze() are serial operations (no speculation
-// may be scoring while they run). Engines whose score() has to mutate the shared
-// context (the generic mutate/re-run/revert fallback used by "canonical"
-// and "mc") report concurrent_speculations = false and must be scored
-// serially.
-//
-// The FULLSSTA, FASSTA, and DSTA implementations are *incremental*: a
-// speculation re-propagates only the candidate's fanout cone (loads, slews,
-// arc delays, then arrival pdfs / moments / deterministic arrivals) against
-// a private overlay sized by the cone (timing/cone.h), and both the score
-// and the committed base are bitwise-identical to a from-scratch
-// TimingContext::update() + full engine run of the resized netlist. All
-// three commit by patching the snapshot in place
-// (TimingContext::apply_snapshot_patch — bitwise-equal to a full update()
-// without the O(E) rebuild), which is what lets area recovery commit
-// thousands of accepted downsizes without a single full snapshot refresh.
-// This is also what lets first_accepted() score a window of candidates in
-// parallel and commit them serially in order without changing any result.
+// shared; Speculations are per-worker. Any number of speculations from the
+// same base may be propose()d and score()d concurrently — each one only
+// reads the shared base. commit(), rollback(), and analyze() are serial
+// operations (no speculation may be scoring while they run). This is what
+// lets first_accepted() score a window of candidates in parallel and commit
+// them serially in order without changing any result.
 #pragma once
 
 #include <cstdint>
@@ -70,20 +58,14 @@
 namespace statsizer::timing {
 
 /// What an engine behind the interface can deliver beyond the transactional
-/// what-if every engine supports. Callers gate optional behaviour (parallel
-/// speculation, pdf-based yield, WNSS tracing) on these flags instead of
-/// hard-coding engine names.
+/// what-if every engine supports. Callers gate optional behaviour (pdf-based
+/// yield, WNSS tracing) on these flags instead of hard-coding engine names.
 struct Capabilities {
   /// Summary::node carries per-node arrival moments (WNSS tracing and FASSTA
   /// boundary conditions need these).
   bool per_node_moments = false;
   /// Summary::output_pdf carries the full circuit-delay distribution.
   bool output_pdf = false;
-  /// Distinct single-resize speculations from one base may score() in
-  /// parallel (each holds a private overlay; the base is read-only).
-  /// Multi-resize speculations are always scored with no other speculation
-  /// in flight (the optimizer's batch/bump pattern).
-  bool concurrent_speculations = false;
 };
 
 /// Engine-neutral analysis result. mean_ps/sigma_ps are always filled; node
@@ -113,9 +95,6 @@ class Speculation {
   Speculation(const Speculation&) = delete;
   Speculation& operator=(const Speculation&) = delete;
 
-  /// The resizes under speculation.
-  [[nodiscard]] std::span<const Resize> resizes() const { return resizes_; }
-
   /// Evaluates the engine as if the resizes were applied. Cached: repeated
   /// calls return the same object, and a score computed before a sibling's
   /// commit stays readable afterwards. Computing a *fresh* score after a
@@ -126,7 +105,8 @@ class Speculation {
   /// Applies the resizes to the netlist, refreshes the TimingContext and the
   /// analyzer's base state, and invalidates sibling speculations. After
   /// commit, Analyzer::current() equals a from-scratch analyze() of the new
-  /// state (bitwise, for deterministic engines). Committing twice is a
+  /// state (bitwise, for deterministic engines). Only the score a commit
+  /// needs can abort, before anything changed. Committing twice is a
   /// no-op; committing an invalidated speculation throws std::logic_error.
   virtual void commit() = 0;
 
@@ -136,7 +116,6 @@ class Speculation {
 
  protected:
   Speculation() = default;
-  std::vector<Resize> resizes_;
 };
 
 /// Abstract analysis engine. Obtain instances via make_analyzer().
@@ -158,15 +137,18 @@ class Analyzer {
   /// Throws std::logic_error before the first analyze().
   [[nodiscard]] virtual const Summary& current() const = 0;
 
-  /// Opens a speculation for one resize. Requires a prior analyze().
-  /// Throws std::invalid_argument on an out-of-range size index.
-  [[nodiscard]] virtual std::unique_ptr<Speculation> propose(netlist::GateId gate,
-                                                             std::uint16_t size) = 0;
-
   /// Opens a speculation over several resizes applied together (an atomic
-  /// batch: one score, one commit/rollback). Gates must be distinct.
+  /// batch: one score, one commit/rollback). Requires a prior analyze().
+  /// Gates must be distinct and mapped; throws std::invalid_argument on an
+  /// out-of-range size index.
   [[nodiscard]] virtual std::unique_ptr<Speculation> propose_resizes(
       std::span<const Resize> resizes) = 0;
+
+  /// Opens a speculation for one resize: propose_resizes() of one.
+  [[nodiscard]] std::unique_ptr<Speculation> propose(netlist::GateId gate, std::uint16_t size) {
+    const Resize r{gate, size};
+    return propose_resizes(std::span<const Resize>(&r, 1));
+  }
 };
 
 /// The result of first_accepted(): the index of the first candidate accept()
@@ -188,12 +170,11 @@ struct Accepted {
 /// exactly the commits ordered before it — the serial trial loop's
 /// semantics.
 ///
-/// Candidates are proposed and scored in windows: one per worker
-/// (util::region_threads(@p threads): 1 inside a pool worker) when the
-/// engine scores speculations concurrently, else one at a time. Scores are
+/// Candidates are proposed and scored in windows of one per worker
+/// (util::region_threads(@p threads): 1 inside a pool worker). Scores are
 /// pure functions of (base, candidate), so the result is bitwise-identical
 /// for any thread count; a window only sets how many speculative scores an
-/// acceptance throws away and how many overlays are held at once.
+/// acceptance throws away and how many private states are held at once.
 /// std::function is cheap here: each candidate costs a cone replay.
 [[nodiscard]] Accepted first_accepted(
     Analyzer& engine, std::size_t threads, std::size_t count,

@@ -12,21 +12,91 @@
 #include "debug/validate.h"
 #include "timing/analyzer.h"
 #include "util/check.h"
+#include "util/exec.h"
 
 namespace statsizer::timing::detail {
 
-/// Bound-context / epoch / base-summary bookkeeping common to every adapter.
-/// The epoch counter implements speculation invalidation: propose() stamps
-/// the speculation with the current epoch, and commit()/analyze() bump it,
-/// so a stale speculation's score() can fail loudly instead of silently
-/// evaluating against a base that no longer exists.
-class BoundAnalyzer : public Analyzer {
+/// The one speculation transaction, shared by every engine: the epoch guard,
+/// the cached score, score-before-commit, commit-once and the no-op
+/// rollback. An engine supplies only evaluate() — fill result_ without
+/// writing any shared state — and install() — move the analyzer to the
+/// resized state. Owner is the analyzer (an AnalyzerBase).
+template <typename Owner>
+class Transaction : public Speculation {
  public:
+  Transaction(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
+      : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
+    resizes_.assign(resizes.begin(), resizes.end());
+  }
+
+  const Summary& score() final {
+    if (scored_) return result_;  // cached scores stay readable after invalidation
+    owner_.guard_epoch(epoch_);
+    evaluate();
+    scored_ = true;
+    return result_;
+  }
+
+  void commit() final {
+    if (committed_) return;  // a second commit is a no-op
+    owner_.guard_epoch(epoch_);
+    // The score runs against the pre-resize state and may abort (cancel,
+    // deadline, fault) having changed nothing; the install never aborts, so
+    // a commit either completes or never starts.
+    if (!scored_) (void)score();
+    const util::ScopedExecSuspend suspend;
+    install();  // bumps the owner's epoch, invalidating siblings
+    committed_ = true;
+  }
+
+  void rollback() final {}  // score() never touches shared state
+
+ protected:
+  /// Scores the resizes into result_, reading the shared netlist, context
+  /// and base but writing none of them, so speculations from one base score
+  /// concurrently.
+  virtual void evaluate() = 0;
+  /// Applies the resizes to the netlist and refreshes the context and the
+  /// owner's base from the scored state.
+  virtual void install() = 0;
+
+  Owner& owner_;
+  sta::TimingContext& ctx_;
+  std::vector<Resize> resizes_;
+  Summary result_;
+
+ private:
+  std::uint64_t epoch_ = 0;
+  bool scored_ = false;
+  bool committed_ = false;
+};
+
+/// Base of every built-in analyzer: the bound context, the cached base
+/// summary and the epoch counter. The epoch implements speculation
+/// invalidation: propose() stamps the speculation with the current epoch,
+/// and commit()/analyze() bump it, so a stale speculation's score() fails
+/// loudly instead of silently evaluating against a base that no longer
+/// exists. Subclasses supply compute() (a from-scratch run). An engine
+/// without its own speculation scores on a private copy of the design
+/// (PrivateSpeculation), so its compute() must only read the analyzer.
+class AnalyzerBase : public Analyzer {
+ public:
+  const Summary& analyze(sta::TimingContext& ctx) final {
+    ctx_ = &ctx;
+    install_base(compute(ctx));
+    return current();
+  }
+
   const Summary& current() const final {
     if (!has_base_) {
       throw std::logic_error(std::string(name()) + ": current() before analyze()");
     }
     return base_;
+  }
+
+  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) final {
+    validate_resizes(resizes);
+    return speculate(*ctx_, resizes);
   }
 
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
@@ -55,12 +125,16 @@ class BoundAnalyzer : public Analyzer {
   }
 
  protected:
-  sta::TimingContext& bound() const {
-    if (ctx_ == nullptr) {
-      throw std::logic_error(std::string(name()) + ": propose() before analyze()");
-    }
-    return *ctx_;
-  }
+  virtual Summary compute(sta::TimingContext& ctx) = 0;
+  /// Opens a speculation over validated resizes. The default scores on a
+  /// private copy of the design; the cone engines override it.
+  virtual std::unique_ptr<Speculation> speculate(sta::TimingContext& ctx,
+                                                 std::span<const Resize> resizes);
+
+  Summary base_;
+
+ private:
+  class PrivateSpeculation;
 
   /// propose() preconditions: a bound context, at least one resize, distinct
   /// mapped gates, size indices inside each gate's group.
@@ -74,105 +148,8 @@ class BoundAnalyzer : public Analyzer {
   }
 
   sta::TimingContext* ctx_ = nullptr;
-  Summary base_;
   bool has_base_ = false;
   std::uint64_t epoch_ = 0;
-};
-
-/// Adapter base for engines whose what-if goes through the generic
-/// transactional fallback: score() applies the resizes, re-runs the engine
-/// from scratch (compute()), and reverts — exact by construction, but it
-/// mutates the shared TimingContext, so these engines report
-/// concurrent_speculations = false and must be scored serially. Subclasses
-/// supply compute() (a from-scratch run).
-class SerializedAnalyzer : public BoundAnalyzer {
- public:
-  const Summary& analyze(sta::TimingContext& ctx) override {
-    ctx_ = &ctx;
-    on_bind(ctx);
-    install_base(compute(ctx));
-    return current();
-  }
-
-  std::unique_ptr<Speculation> propose(netlist::GateId gate, std::uint16_t size) override {
-    const Resize r{gate, size};
-    return propose_resizes(std::span<const Resize>(&r, 1));
-  }
-
-  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
-    validate_resizes(resizes);
-    return std::make_unique<SerializedSpeculation>(*this, bound(), resizes);
-  }
-
- protected:
-  virtual Summary compute(sta::TimingContext& ctx) = 0;
-  virtual void on_bind(sta::TimingContext&) {}
-
- private:
-  class SerializedSpeculation final : public Speculation {
-   public:
-    SerializedSpeculation(SerializedAnalyzer& owner, sta::TimingContext& ctx,
-                          std::span<const Resize> resizes)
-        : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
-      resizes_.assign(resizes.begin(), resizes.end());
-      old_sizes_.reserve(resizes_.size());
-      for (const Resize& r : resizes_) {
-        old_sizes_.push_back(ctx_.netlist().gate(r.gate).size_index);
-      }
-    }
-
-    const Summary& score() override {
-      if (scored_) return result_;  // cached scores stay readable after invalidation
-      owner_.guard_epoch(epoch_);
-      apply();
-      try {
-        ctx_.update();
-        result_ = owner_.compute(ctx_);
-      } catch (...) {
-        // The transactional contract: score() must never leak the speculative
-        // state, even when the engine throws mid-evaluation.
-        revert();
-        ctx_.update();
-        throw;
-      }
-      revert();
-      ctx_.update();  // pure function of the (restored) sizes: bitwise no-op
-      scored_ = true;
-      return result_;
-    }
-
-    void commit() override {
-      if (committed_) return;  // uniform contract: a second commit is a no-op
-      owner_.guard_epoch(epoch_);
-      if (!scored_) (void)score();  // the base refresh reuses the scored summary
-      apply();
-      ctx_.update();
-      owner_.install_base(result_);  // bumps the epoch, invalidating siblings
-      committed_ = true;
-    }
-
-    void rollback() override {}  // score() reverted eagerly; nothing was shared
-
-   private:
-    void apply() {
-      auto& nl = ctx_.mutable_netlist();
-      for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    }
-    void revert() {
-      auto& nl = ctx_.mutable_netlist();
-      for (std::size_t i = 0; i < resizes_.size(); ++i) {
-        nl.gate(resizes_[i].gate).size_index = old_sizes_[i];
-      }
-    }
-
-    SerializedAnalyzer& owner_;
-    sta::TimingContext& ctx_;
-    std::uint64_t epoch_ = 0;
-    std::vector<std::uint16_t> old_sizes_;  ///< pre-propose sizes, for revert()
-    Summary result_;
-    bool scored_ = false;
-    bool committed_ = false;
-  };
 };
 
 std::unique_ptr<Analyzer> make_fullssta_analyzer(const AnalyzerOptions& options);

@@ -25,10 +25,11 @@
 // TimingContext::apply_snapshot_patch() consumes the same arrays to commit
 // the overlay in place of a full update().
 //
-// ConeSpeculation is the transaction around it that the FULLSSTA, FASSTA
-// and DSTA analyzers share: epoch guard, cached score, and the incremental
-// commit. Each engine supplies only its engine half (propagate_arrivals,
-// which calls the engine's kernel) and its base merge (merge_arrivals).
+// ConeSpeculation is the Transaction (timing/analyzer_impl.h) the FULLSSTA,
+// FASSTA and DSTA analyzers share: it scores on the overlay and commits it
+// incrementally. Each engine supplies only its engine half
+// (propagate_arrivals, which calls the engine's kernel) and its base merge
+// (merge_arrivals).
 #pragma once
 
 #include <bit>
@@ -101,35 +102,46 @@ struct ConeSnapshot {
 /// else touches it mid-score.
 sta::ConeWorkspace& thread_cone_workspace();
 
-/// The exact cone speculation. Owner is the analyzer (a BoundAnalyzer); the
-/// subclass is nested in it, so its engine half reads the owner's cached
-/// base directly. Construction (propose(), on the proposing thread) collects
-/// the cone and allocates the whole overlay; score() writes only that
-/// pre-sized overlay and its thread's cone workspace, so speculations fan
-/// out in parallel and a pool worker scoring one allocates nothing of its
-/// own (its workspace and replay temporaries are reused across scores).
-/// commit() installs the overlay incrementally — sizes into the netlist, the
-/// snapshot half through TimingContext::apply_snapshot_patch()
-/// (bitwise-equal to a full update()), the engine half into the owner's
-/// base — with no O(E) re-run.
+/// The exact cone speculation of the FULLSSTA, FASSTA and DSTA analyzers.
+/// Owner is the analyzer; the subclass is nested in it, so its engine half
+/// reads the owner's cached base directly. Construction (propose(), on the
+/// proposing thread) collects the cone and allocates the whole overlay;
+/// scoring writes only that overlay and its thread's cone workspace, so a
+/// pool worker scoring one allocates nothing of its own. commit() installs
+/// the overlay incrementally — sizes into the netlist, the snapshot half
+/// through TimingContext::apply_snapshot_patch(), the engine half into the
+/// owner's base — with no O(E) re-run.
 template <typename Owner>
-class ConeSpeculation : public Speculation {
+class ConeSpeculation : public Transaction<Owner> {
  public:
-  /// Collects the cone and sizes the whole overlay on the proposing thread
-  /// (see the class comment); subclasses size their own overlay state in
-  /// their constructors.
+  /// Subclasses size their own overlay state in their constructors.
   ConeSpeculation(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
-      : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
-    resizes_.assign(resizes.begin(), resizes.end());
+      : Transaction<Owner>(owner, ctx, resizes) {
     sta::ConeWorkspace& ws = thread_cone_workspace();
     cone_.collect(ctx_, resizes_, ws);
     collected_generation_ = ws.generation;
     moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
   }
 
-  const Summary& score() final {
-    if (scored_) return result_;  // cached scores stay readable after invalidation
-    owner_.guard_epoch(epoch_);
+ protected:
+  using Transaction<Owner>::owner_;
+  using Transaction<Owner>::ctx_;
+  using Transaction<Owner>::resizes_;
+  using Transaction<Owner>::result_;
+
+  /// Engine half of score(): run the engine's gate kernel over the cone in
+  /// slot order (cone_.nodes; ws.slot() maps a GateId to its slot), reading
+  /// nodes outside it (ws.slot() == kNoSlot) from the owner's base, and fill
+  /// the pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
+  virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
+  /// Commit half: install any per-slot state besides moments_ in the base.
+  virtual void merge_arrivals() {}
+
+  ConeSnapshot cone_;
+  std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
+
+ private:
+  void evaluate() final {
     sta::ConeWorkspace& ws = thread_cone_workspace();
     // A speculation scored where it was proposed, with nothing collected in
     // between, finds its cone still indexed; elsewhere the scoring thread
@@ -139,60 +151,32 @@ class ConeSpeculation : public Speculation {
     }
     cone_.replay(ctx_, resizes_, ws);
     propagate_arrivals(ws);
-    scored_ = true;
-    return result_;
   }
 
-  void commit() final {
-    if (committed_) return;  // uniform contract: a second commit is a no-op
-    owner_.guard_epoch(epoch_);
-    if (!scored_) (void)score();  // must run against the pre-resize snapshot
+  void install() final {
     auto& nl = ctx_.mutable_netlist();
     for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
     ctx_.apply_snapshot_patch(cone_.nodes, cone_.loads, cone_.slew, cone_.arc_delay,
                               cone_.arc_sigma);
     merge_arrivals();  // engine-specific base state
     owner_.merge_committed(result_, cone_.nodes, moments_);  // bumps the epoch
-    committed_ = true;
   }
 
-  void rollback() final {}  // the overlay never touched shared state
-
- protected:
-  /// Engine half of score(): run the engine's gate kernel over the cone in
-  /// slot order (cone_.nodes; ws.slot() maps a GateId to its slot), reading
-  /// nodes outside it (ws.slot() == kNoSlot) from the owner's base, and fill
-  /// the pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
-  virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
-  /// Commit half: install any per-slot state besides moments_ in the base.
-  virtual void merge_arrivals() {}
-
-  Owner& owner_;
-  sta::TimingContext& ctx_;
-  std::uint64_t epoch_ = 0;
-  ConeSnapshot cone_;
-  std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
   std::uint64_t collected_generation_ = 0;  ///< the cone's list in the proposer's workspace
-  Summary result_;
-  bool scored_ = false;
-  bool committed_ = false;
 };
 
 /// Base of the analyzers whose what-ifs are ConeSpeculations (FULLSSTA,
-/// FASSTA, DSTA; Self::WhatIfSpeculation is the engine's subclass): their
-/// shared capabilities and propose_resizes().
+/// FASSTA, DSTA; Self::WhatIfSpeculation is the engine's subclass).
 template <typename Self>
-class ConeAnalyzer : public SerializedAnalyzer {
+class ConeAnalyzer : public AnalyzerBase {
  public:
-  Capabilities capabilities() const override {
-    return {.per_node_moments = true, .concurrent_speculations = true};
-  }
+  Capabilities capabilities() const override { return {.per_node_moments = true}; }
 
-  // Single-resize propose() is inherited: it delegates to this override.
-  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) override {
-    validate_resizes(resizes);
-    return std::make_unique<typename Self::WhatIfSpeculation>(static_cast<Self&>(*this),
-                                                              bound(), resizes);
+ protected:
+  std::unique_ptr<Speculation> speculate(sta::TimingContext& ctx,
+                                         std::span<const Resize> resizes) final {
+    return std::make_unique<typename Self::WhatIfSpeculation>(static_cast<Self&>(*this), ctx,
+                                                              resizes);
   }
 };
 

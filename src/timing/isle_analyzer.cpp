@@ -9,10 +9,10 @@
 // core::Flow::estimate_yield (or ssta::run_isle directly), which return the
 // full IsleResult payload.
 //
-// What-if goes through the serialized fallback (apply / re-run / revert):
-// the estimator is deterministic for a fixed seed and thread-count-invariant,
-// so the speculation is exact, but score() mutates the shared context —
-// hence concurrent_speculations = false.
+// What-if scores a full estimator run on a private copy of the resized
+// design (AnalyzerBase's default speculation): the estimator is
+// deterministic for a fixed seed and thread-count-invariant, so the
+// speculation is exact, and it shares nothing writable with the analyzer.
 #include "ssta/isle.h"
 #include "timing/analyzer_impl.h"
 
@@ -20,7 +20,7 @@ namespace statsizer::timing::detail {
 
 namespace {
 
-class IsleAnalyzer final : public SerializedAnalyzer {
+class IsleAnalyzer final : public AnalyzerBase {
  public:
   explicit IsleAnalyzer(const AnalyzerOptions& options) : isle_(options.isle) {
     if (isle_.clock_period_ps <= 0.0 && options.clock_period_ps.has_value()) {

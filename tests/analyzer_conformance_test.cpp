@@ -6,7 +6,11 @@
 //     and the analyzer base bitwise-identical to the pre-propose state;
 //   * a committed speculation's base equals a from-scratch analyze() of the
 //     resized netlist bitwise (deterministic engines);
-//   * commits invalidate sibling speculations (epoch guard).
+//   * commits invalidate sibling speculations (epoch guard);
+//   * a cancelled score() changes nothing, and a commit() either completes
+//     or changes nothing;
+//   * speculations from one base score concurrently, bitwise equal to
+//     serial scoring.
 // Plus the FULLSSTA-specific guarantees the parallel rescue confirmations
 // rest on: what-if scores (single and multi-resize) bitwise-equal a
 // from-scratch update() + run_fullssta() on the cla_adder and parity-fabric
@@ -31,6 +35,7 @@
 #include "ssta/isle.h"
 #include "techmap/mapper.h"
 #include "timing/analyzer.h"
+#include "util/exec.h"
 #include "util/thread_pool.h"
 
 namespace statsizer::timing {
@@ -296,6 +301,128 @@ TEST_P(AnalyzerConformance, ProposeValidatesArguments) {
   EXPECT_THROW((void)an->propose(b.nl.inputs()[0], 0), std::invalid_argument);
 }
 
+// Every speculation scores privately, so an aborted score() — here a
+// cancelled token at the first checkpoint — leaves the netlist, the snapshot
+// and the base exactly as they were, and a commit() under the same context
+// either completes or changes nothing.
+TEST_P(AnalyzerConformance, CancelledScoreChangesNothing) {
+  AnalyzerOptions opt;
+  opt.monte_carlo.samples = 400;
+  opt.isle.samples = 400;
+  auto an = make_analyzer(GetParam(), opt);
+
+  Bench b(circuits::make_cla_adder(4));
+  (void)an->analyze(*b.ctx);
+  const Summary before_summary = an->current();
+  const Fingerprint before = fingerprint(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 1);
+  ASSERT_FALSE(cands.empty());
+
+  util::ExecContext exec;
+  exec.cancel.cancel();
+  // The engines without a cone replay score a from-scratch run, whose
+  // snapshot pass checkpoints before its first gate.
+  const bool full_run = GetParam() == "canonical" || GetParam() == "mc" || GetParam() == "isle";
+  auto spec = an->propose(cands[0].gate, cands[0].size);
+  {
+    const util::ScopedExecContext scope(exec);
+    try {
+      (void)spec->score();
+      EXPECT_FALSE(full_run) << "score() ignored the cancelled token";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
+    }
+  }
+  EXPECT_EQ(fingerprint(*b.ctx), before) << "an aborted score leaked state";
+  expect_summaries_equal(an->current(), before_summary);
+
+  bool committed = false;
+  {
+    const util::ScopedExecContext scope(exec);
+    try {
+      spec->commit();
+      committed = true;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
+    }
+  }
+  if (!committed) {
+    EXPECT_EQ(fingerprint(*b.ctx), before) << "an aborted commit leaked state";
+    expect_summaries_equal(an->current(), before_summary);
+    return;
+  }
+  Bench twin(circuits::make_cla_adder(4));
+  twin.nl.gate(cands[0].gate).size_index = cands[0].size;
+  twin.ctx->update();
+  auto fresh = make_analyzer(GetParam(), opt);
+  expect_summaries_equal(an->current(), fresh->analyze(*twin.ctx));
+  EXPECT_EQ(fingerprint(*b.ctx), fingerprint(*twin.ctx));
+}
+
+TEST_P(AnalyzerConformance, CommitWithoutScoreEqualsFromScratchAnalysis) {
+  AnalyzerOptions opt;
+  opt.monte_carlo.samples = 400;
+  opt.isle.samples = 400;
+  auto an = make_analyzer(GetParam(), opt);
+
+  Bench b(circuits::make_cla_adder(4));
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 3);
+  ASSERT_FALSE(cands.empty());
+  for (const Candidate& c : cands) an->propose(c.gate, c.size)->commit();
+
+  Bench twin(circuits::make_cla_adder(4));
+  for (const Candidate& c : cands) twin.nl.gate(c.gate).size_index = c.size;
+  twin.ctx->update();
+  auto fresh = make_analyzer(GetParam(), opt);
+  expect_summaries_equal(an->current(), fresh->analyze(*twin.ctx));
+  EXPECT_EQ(fingerprint(*b.ctx), fingerprint(*twin.ctx));
+}
+
+// Single- and multi-resize speculations from one base, scored concurrently on
+// the pool, equal the serial scores bitwise for every engine.
+TEST_P(AnalyzerConformance, ConcurrentScoringIsThreadCountInvariant) {
+  AnalyzerOptions opt;
+  opt.monte_carlo.samples = 400;
+  opt.isle.samples = 400;
+  auto an = make_analyzer(GetParam(), opt);
+
+  Bench b(circuits::make_cla_adder(4));
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 8);
+  ASSERT_GE(cands.size(), 2u);
+  std::vector<std::vector<Resize>> batches;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Candidate& next = cands[(i + 1) % cands.size()];
+    batches.push_back({Resize{cands[i].gate, cands[i].size}});
+    batches.push_back({Resize{cands[i].gate, cands[i].size}, Resize{next.gate, next.size}});
+  }
+  const auto score_all = [&](std::size_t threads) {
+    std::vector<std::unique_ptr<Speculation>> specs(batches.size());
+    for (std::size_t i = 0; i < batches.size(); ++i) specs[i] = an->propose_resizes(batches[i]);
+    std::vector<double> means(batches.size());
+    std::vector<double> sigmas(batches.size());
+    util::parallel_for(batches.size(), 1, threads,
+                       [&](std::size_t begin, std::size_t end, std::size_t) {
+                         for (std::size_t i = begin; i < end; ++i) {
+                           const Summary& s = specs[i]->score();
+                           means[i] = s.mean_ps;
+                           sigmas[i] = s.sigma_ps;
+                         }
+                       });
+    return std::pair(means, sigmas);
+  };
+
+  const Fingerprint before = fingerprint(*b.ctx);
+  const auto reference = score_all(1);
+  for (const std::size_t threads : {2u, 8u}) {
+    const auto parallel = score_all(threads);
+    EXPECT_EQ(parallel.first, reference.first) << "threads=" << threads;
+    EXPECT_EQ(parallel.second, reference.second) << "threads=" << threads;
+  }
+  EXPECT_EQ(fingerprint(*b.ctx), before);
+}
+
 INSTANTIATE_TEST_SUITE_P(Registry, AnalyzerConformance,
                          ::testing::ValuesIn(analyzer_names()),
                          [](const auto& info) { return info.param; });
@@ -404,7 +531,6 @@ TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
   Bench b(circuit());
   auto an = make_analyzer("fullssta");
   (void)an->analyze(*b.ctx);
-  ASSERT_TRUE(an->capabilities().concurrent_speculations);
 
   const auto cands = some_candidates(*b.ctx, 32);
   const auto score_all = [&](std::size_t threads) {
@@ -512,9 +638,9 @@ INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
                          });
 
 // ---------------------------------------------------------------------------
-// first_accepted: the optimizer's one speculative walk, over a concurrent
-// engine (dsta: windows of one candidate per worker) and a serialized one
-// (canonical: window 1).
+// first_accepted: the optimizer's one speculative walk, over a cone engine
+// (dsta) and one that scores on a private copy of the design (canonical);
+// both score windows of one candidate per worker.
 // ---------------------------------------------------------------------------
 
 class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {

@@ -677,6 +677,54 @@ TEST(ServeServer, RejectsOutOfRangeOrFractionalIntegerFieldsAsInvalidArgument) {
   EXPECT_TRUE(ok_of(responses.back()));  // quit
 }
 
+// A negative lambda would size for a negative sigma weight, and a negative
+// clock would quietly resolve a different one: both answer invalid_argument
+// before any job is queued, as the CLIs' util::parse_lambda rule does.
+TEST(ServeServer, RejectsNegativeLambdaAndClockPeriodAsInvalidArgument) {
+  ServerOptions options;
+  Server server(options);
+  const std::vector<std::string> bad = {
+      R"({"id":1,"op":"size","lambda":-1})",
+      R"({"id":2,"op":"size","lambda":-0.5})",
+      R"({"id":3,"op":"yield","clock_period_ps":-900})",
+      R"({"id":4,"op":"yield","clock_period_ps":-1e-9})",
+  };
+  std::string script;
+  for (const std::string& line : bad) script += line + "\n";
+  script += R"({"id":5,"op":"status"})" "\n";
+  script += R"({"id":6,"op":"quit"})" "\n";
+  const auto responses = run_script(server, script);
+  ASSERT_EQ(responses.size(), bad.size() + 2);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(ok_of(responses[i])) << bad[i];
+    EXPECT_EQ(string_at(responses[i], "code"), "invalid_argument") << bad[i];
+    EXPECT_EQ(number_at(responses[i], "id"), static_cast<double>(i + 1));
+  }
+  EXPECT_NE(string_at(responses[0], "error").find("'lambda'"), std::string::npos);
+  EXPECT_NE(string_at(responses[2], "error").find("'clock_period_ps'"), std::string::npos);
+  // Rejected inline: none of them reached the job queue.
+  EXPECT_EQ(number_at(responses[bad.size()], "submitted"), 0.0);
+  EXPECT_TRUE(ok_of(responses.back()));  // quit
+}
+
+// Zero still means "resolve the clock", and lambda 0 is a valid (mean-only)
+// sizing: the bounds are inclusive.
+TEST(ServeServer, AcceptsZeroLambdaAndZeroClockPeriod) {
+  ServerOptions options;
+  Server server(options);
+  const auto responses = run_script(
+      server,
+      "{\"id\":1,\"op\":\"load\",\"workload\":\"alu1\"}\n"
+      "{\"id\":2,\"op\":\"yield\",\"clock_period_ps\":0}\n"
+      "{\"id\":3,\"op\":\"size\",\"lambda\":0}\n"
+      "{\"id\":4,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 4u);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_TRUE(ok_of(responses[i])) << responses[i].dump();
+  }
+  EXPECT_GT(number_at(responses[1], "clock_period_ps"), 0.0);
+}
+
 TEST(ServeServer, ShedsWhenTheQueueIsFullWithRetryAfter) {
   ServerOptions options;
   options.threads = 1;
