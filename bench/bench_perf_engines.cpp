@@ -77,7 +77,7 @@ void BM_FasstaCandidate(benchmark::State& state, const std::string& name) {
   }
 }
 
-/// The full FULLSSTA pass: one serial level-order walk. The c880, c6288
+/// The full FULLSSTA pass: one serial topological walk. The c880, c6288
 /// and mesh8 points are the serial baseline a parallel schedule must beat.
 void BM_Fullssta(benchmark::State& state, const std::string& name) {
   auto& flow = raw_flow_for(name);

@@ -191,7 +191,7 @@ fi
 
 if [[ "${PARANOID}" == 1 ]]; then
   # Deep invariant validators compiled into the hot paths (util/check.h,
-  # debug/validate.h): levelization + load-term CSR audits on every
+  # debug/validate.h): topo-order + load-term CSR audits on every
   # update(), pdf normalization/CDF monotonicity on every sum/max, epoch
   # discipline in the analyzer layer. The corruption-seeding tests in
   # paranoid_check_test verify each validator trips; this pass verifies the

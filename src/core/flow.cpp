@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 
@@ -87,6 +88,14 @@ Status Flow::load_file(const std::string& path) {
 }
 
 namespace {
+
+/// util::parse_lambda's rule for numbers passed through the API: finite, >= 0.
+void require_non_negative(const char* where, const char* what, double value) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(std::string(where) + ": " + what +
+                                " must be a finite number >= 0, got " + std::to_string(value));
+  }
+}
 
 /// Resolves the parsed SDC's port names against the netlist into the sta
 /// layer's dense constraint vectors. Lives here (not in bench_format) to
@@ -233,6 +242,7 @@ opt::DeterministicSizerStats Flow::run_baseline() {
 
 OptimizationRecord Flow::optimize(double lambda,
                                   const opt::StatisticalSizerOptions* overrides) {
+  require_non_negative("Flow::optimize", "lambda", lambda);
   if (!has_circuit()) throw std::logic_error("Flow::optimize: no circuit loaded");
   require_clean("Flow::optimize");
 
@@ -347,6 +357,7 @@ std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
 }
 
 YieldReport Flow::estimate_yield(double clock_period_ps, std::string_view engine) const {
+  require_non_negative("Flow::estimate_yield", "clock_period_ps", clock_period_ps);
   if (!has_circuit()) throw std::logic_error("Flow::estimate_yield: no circuit loaded");
   ssta::IsleOptions isle = ssta::for_yield_engine(options_.isle, engine);
   if (clock_period_ps > 0.0) isle.clock_period_ps = clock_period_ps;

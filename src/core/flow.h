@@ -187,6 +187,7 @@ class Flow {
 
   /// StatisticalGreedy at the given lambda, measured against the state at
   /// call time. @p overrides tweaks the sizer beyond the lambda (optional).
+  /// Throws std::invalid_argument unless @p lambda is finite and >= 0.
   OptimizationRecord optimize(double lambda,
                               const opt::StatisticalSizerOptions* overrides = nullptr);
 
@@ -215,7 +216,8 @@ class Flow {
   /// "mc" (plain Monte Carlo through the same machinery — weights are 1 and
   /// the draw budget/adaptive stopping behave identically, which makes the
   /// two reports draw-for-draw comparable). Throws std::invalid_argument for
-  /// other names, std::logic_error when no circuit is loaded.
+  /// other names or a negative or non-finite @p clock_period_ps,
+  /// std::logic_error when no circuit is loaded.
   [[nodiscard]] YieldReport estimate_yield(double clock_period_ps = 0.0,
                                            std::string_view engine = "isle") const;
   /// FULLSSTA-based summary of the current state.

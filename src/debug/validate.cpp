@@ -12,70 +12,43 @@ namespace statsizer::debug {
 
 using netlist::GateId;
 
-void validate_levelization(const netlist::Netlist& nl, const netlist::Levelization& lv) {
-  constexpr const char* kWhere = "validate_levelization";
+void validate_topo_order(const netlist::Netlist& nl, std::span<const GateId> order,
+                         std::span<const std::uint32_t> position) {
+  constexpr const char* kWhere = "validate_topo_order";
   const std::size_t n = nl.node_count();
-  STATSIZER_PARANOID_CHECK(lv.level_of.size() == n, kWhere,
-                           "level_of covers " + std::to_string(lv.level_of.size()) +
-                               " nodes, netlist has " + std::to_string(n));
-  STATSIZER_PARANOID_CHECK(!lv.level_offset.empty() && lv.level_offset.front() == 0, kWhere,
-                           "level_offset must start at 0");
-  for (std::size_t l = 0; l + 1 < lv.level_offset.size(); ++l) {
-    STATSIZER_PARANOID_CHECK(lv.level_offset[l] <= lv.level_offset[l + 1], kWhere,
-                             "level_offset decreases at level " + std::to_string(l));
-  }
-  STATSIZER_PARANOID_CHECK(lv.level_offset.back() == n, kWhere,
-                           "level_offset must end at node_count");
-  STATSIZER_PARANOID_CHECK(lv.order_by_level.size() == n, kWhere,
-                           "order_by_level covers " + std::to_string(lv.order_by_level.size()) +
-                               " nodes, netlist has " + std::to_string(n));
-
-  // order_by_level is a permutation, and each bucket member carries the
-  // bucket's level.
+  STATSIZER_PARANOID_CHECK(order.size() == n && position.size() == n, kWhere,
+                           "order covers " + std::to_string(order.size()) + " and position " +
+                               std::to_string(position.size()) + " nodes, netlist has " +
+                               std::to_string(n));
   std::vector<bool> seen(n, false);
-  for (std::size_t l = 0; l + 1 < lv.level_offset.size(); ++l) {
-    for (std::uint32_t i = lv.level_offset[l]; i < lv.level_offset[l + 1]; ++i) {
-      const GateId id = lv.order_by_level[i];
-      STATSIZER_PARANOID_CHECK(id < n, kWhere,
-                               "order_by_level holds out-of-range node " + std::to_string(id));
-      STATSIZER_PARANOID_CHECK(!seen[id], kWhere,
-                               "node " + std::to_string(id) + " appears twice in order_by_level");
-      seen[id] = true;
-      STATSIZER_PARANOID_CHECK(lv.level_of[id] == l, kWhere,
-                               "node " + std::to_string(id) + " sits in bucket " +
-                                   std::to_string(l) + " but level_of says " +
-                                   std::to_string(lv.level_of[id]));
-    }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const GateId id = order[i];
+    STATSIZER_PARANOID_CHECK(id < n, kWhere, "order holds out-of-range node " + std::to_string(id));
+    STATSIZER_PARANOID_CHECK(!seen[id], kWhere,
+                             "node " + std::to_string(id) + " appears twice in the order");
+    seen[id] = true;
+    STATSIZER_PARANOID_CHECK(position[id] == i, kWhere,
+                             "position of node " + std::to_string(id) + " is " +
+                                 std::to_string(position[id]) + ", the order has it at " +
+                                 std::to_string(i));
   }
-
-  // Every edge strictly level-up; sources sit at level 0.
+  // position is now a verified inverse, so ranks compare directly.
   for (GateId id = 0; id < n; ++id) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) {
-      STATSIZER_PARANOID_CHECK(lv.level_of[id] == 0, kWhere,
-                               "fanin-less node " + std::to_string(id) + " at level " +
-                                   std::to_string(lv.level_of[id]));
-      continue;
-    }
-    for (const GateId f : g.fanins) {
-      STATSIZER_PARANOID_CHECK(
-          lv.level_of[f] < lv.level_of[id], kWhere,
-          "edge " + std::to_string(f) + " -> " + std::to_string(id) +
-              " is not strictly level-up (levels " + std::to_string(lv.level_of[f]) + " -> " +
-              std::to_string(lv.level_of[id]) + ")");
+    for (const GateId f : nl.gate(id).fanins) {
+      STATSIZER_PARANOID_CHECK(position[f] < position[id], kWhere,
+                               "fanin " + std::to_string(f) + " comes after its node " +
+                                   std::to_string(id));
     }
   }
 }
 
-void validate_cone(const netlist::Netlist& nl, const netlist::Levelization& lv,
+void validate_cone(const netlist::Netlist& nl, std::span<const std::uint32_t> position,
                    std::span<const GateId> seeds, std::span<const GateId> nodes) {
   constexpr const char* kWhere = "validate_cone";
   for (const GateId id : nodes) {
     STATSIZER_PARANOID_CHECK(id < nl.node_count(), kWhere,
                              "cone holds out-of-range node " + std::to_string(id));
   }
-  std::vector<std::uint32_t> position(nl.node_count());
-  for (std::uint32_t i = 0; i < lv.order_by_level.size(); ++i) position[lv.order_by_level[i]] = i;
   for (std::size_t i = 1; i < nodes.size(); ++i) {
     const char* what = nodes[i] == nodes[i - 1] ? " appears twice" : " is out of level order";
     STATSIZER_PARANOID_CHECK(position[nodes[i - 1]] < position[nodes[i]], kWhere,
@@ -209,11 +182,14 @@ void validate_epoch(std::string_view engine, std::uint64_t speculation_epoch,
                                " (epoch bookkeeping corrupted)");
 }
 
-void validate_structure_fresh(const netlist::Netlist& nl, const netlist::Levelization& lv) {
+void validate_structure_fresh(const sta::TimingContext& ctx) {
+  const netlist::Netlist& nl = ctx.netlist();
+  const std::size_t nodes = ctx.topo_order().size();
   STATSIZER_PARANOID_CHECK(
-      lv.valid_for(nl), "validate_structure_fresh",
-      "levelization built at structure_version " + std::to_string(lv.structure_version) +
-          " for " + std::to_string(lv.level_of.size()) + " nodes, netlist is at version " +
+      ctx.structure_version() == nl.structure_version() && nodes == nl.node_count(),
+      "validate_structure_fresh",
+      "walk order built at structure_version " + std::to_string(ctx.structure_version()) +
+          " for " + std::to_string(nodes) + " nodes, netlist is at version " +
           std::to_string(nl.structure_version()) + " with " + std::to_string(nl.node_count()) +
           " nodes");
 }

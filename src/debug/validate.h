@@ -14,24 +14,24 @@
 #include <string_view>
 
 #include "netlist/netlist.h"
-#include "netlist/topo.h"
 #include "pdf/discrete_pdf.h"
 #include "sta/graph.h"
 
 namespace statsizer::debug {
 
-/// Levelization invariants against @p nl: level_of covers every node, the
-/// bucket offsets are a monotone partition of [0, node_count), every bucket
-/// member has the bucket's level, order_by_level is a permutation of the node
-/// set, and — the property every level-order walk's correctness rests on —
-/// every edge goes *strictly* level-up (fanin-less nodes sit at level 0).
-void validate_levelization(const netlist::Netlist& nl, const netlist::Levelization& lv);
+/// Walk-order invariants against @p nl (TimingContext's topo_order() and
+/// topo_position()): @p order is a permutation of the node set, @p position
+/// is its inverse, and — the property every walk's correctness rests on —
+/// every fanin comes before its node.
+void validate_topo_order(const netlist::Netlist& nl, std::span<const netlist::GateId> order,
+                         std::span<const std::uint32_t> position);
 
-/// Fanout-cone invariants (sta::collect_cone's contract) against @p lv:
-/// every node is in range, the list is strictly increasing in
-/// order_by_level position (sorted and duplicate-free), every seed is a
-/// member, and every member's fanouts are members (closed under fanout).
-void validate_cone(const netlist::Netlist& nl, const netlist::Levelization& lv,
+/// Fanout-cone invariants (sta::collect_cone's contract) against the
+/// walk-order ranks @p position (audited by validate_topo_order): every node
+/// is in range, the list is strictly increasing in position (sorted and
+/// duplicate-free), every seed is a member, and every member's fanouts are
+/// members (closed under fanout).
+void validate_cone(const netlist::Netlist& nl, std::span<const std::uint32_t> position,
                    std::span<const netlist::GateId> seeds,
                    std::span<const netlist::GateId> nodes);
 
@@ -63,9 +63,9 @@ void validate_pdf(const pdf::DiscretePdf& p);
 void validate_epoch(std::string_view engine, std::uint64_t speculation_epoch,
                     std::uint64_t analyzer_epoch);
 
-/// Structure-version staleness: @p lv must still describe @p nl (same
-/// structure_version, same node count). Trips when a structural edit slipped
-/// in under a live TimingContext / cached levelization.
-void validate_structure_fresh(const netlist::Netlist& nl, const netlist::Levelization& lv);
+/// Structure-version staleness: @p ctx's walk order, built at its
+/// structure_version(), must still describe its netlist. Trips when a
+/// structural edit slipped in under a live TimingContext.
+void validate_structure_fresh(const sta::TimingContext& ctx);
 
 }  // namespace statsizer::debug

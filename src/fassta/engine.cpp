@@ -94,7 +94,7 @@ sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& 
     drivers.emplace_back(f, load);
   }
 
-  // The cone in level order: every in-cone fanin is recomputed before it is
+  // The cone in topological order: every in-cone fanin is recomputed before it is
   // read, everything else comes from the base.
   const std::span<const GateId> cone = sta::collect_cone(ctx_, seeds, scratch.cone);
   const sta::ConeWorkspace& ws = scratch.cone;

@@ -95,7 +95,7 @@ class Engine {
   ///
   /// Only the fanout cone of the perturbed gates (the center, plus those of
   /// its drivers whose load_ff_with_resize differs from load_ff) is
-  /// recomputed, in level order over sta::collect_cone's list; every other
+  /// recomputed, in topological order over sta::collect_cone's list; every other
   /// arrival is read from a cached run() of the current snapshot, refreshed
   /// when TimingContext::snapshot_epoch() moves. The result is
   /// bitwise-identical to sweeping the whole netlist. Cost: the cone's

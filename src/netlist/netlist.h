@@ -151,7 +151,7 @@ class Netlist {
   /// Monotone counter bumped by every structural mutation (add_input,
   /// add_gate, add_output, rewire, transfer_fanouts). Sizing changes
   /// (size_index, set_sizes) do NOT bump it. Derived caches keyed on the
-  /// structure — topological orders, Levelization — record the version they
+  /// structure — topological orders, TimingContext — record the version they
   /// were built at and compare against this to detect staleness.
   [[nodiscard]] std::uint64_t structure_version() const { return structure_version_; }
 

@@ -57,32 +57,6 @@ std::uint32_t depth(const Netlist& nl) {
   return lv.empty() ? 0 : *std::max_element(lv.begin(), lv.end());
 }
 
-Levelization levelize(const Netlist& nl) {
-  Levelization lv;
-  lv.structure_version = nl.structure_version();
-  const std::vector<GateId> order = topological_order(nl);
-
-  lv.level_of.assign(nl.node_count(), 0);
-  std::uint32_t max_level = 0;
-  for (const GateId id : order) {
-    std::uint32_t l = 0;
-    for (GateId f : nl.gate(id).fanins) l = std::max(l, lv.level_of[f] + 1);
-    lv.level_of[id] = l;
-    max_level = std::max(max_level, l);
-  }
-
-  // Counting sort of the topo order by level: stable, so each bucket keeps
-  // its members in Kahn order and the concatenation is itself topological.
-  const std::size_t n_levels = nl.node_count() == 0 ? 0 : max_level + 1u;
-  lv.level_offset.assign(n_levels + 1, 0);
-  for (const GateId id : order) ++lv.level_offset[lv.level_of[id] + 1];
-  for (std::size_t l = 1; l <= n_levels; ++l) lv.level_offset[l] += lv.level_offset[l - 1];
-  lv.order_by_level.resize(order.size());
-  std::vector<std::uint32_t> cursor(lv.level_offset.begin(), lv.level_offset.end() - 1);
-  for (const GateId id : order) lv.order_by_level[cursor[lv.level_of[id]]++] = id;
-  return lv;
-}
-
 std::vector<bool> observable_mask(const Netlist& nl) {
   std::vector<bool> mask(nl.node_count(), false);
   std::vector<GateId> stack;

@@ -149,7 +149,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     std::span<const GateId> rest = order;
     while (!rest.empty() && !stopped) {
       const timing::Accepted hit = timing::first_accepted(
-          *screen, options.threads, rest.size(),
+          options.threads, rest.size(),
           [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
             const std::uint16_t cur = nl.gate(rest[i]).size_index;
             if (cur == 0) return nullptr;  // defensive: nothing left to shrink

@@ -229,7 +229,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     double cost = 0.0;
     while (!ordered.empty()) {
       const timing::Accepted hit = timing::first_accepted(
-          *confirm, options.threads, ordered.size(),
+          options.threads, ordered.size(),
           [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
             const timing::Resize& c = ordered[i];
             if (nl.gate(c.gate).size_index == c.size) return nullptr;  // moved here by a commit

@@ -1,7 +1,7 @@
 // serve::Session — one long-lived timing-as-a-service tenant.
 //
 // A Session caches the expensive per-design state (parsed/generated circuit,
-// technology mapping, levelized TimingContext, and a committed
+// technology mapping, TimingContext, and a committed
 // timing::Analyzer base) across requests, so a what-if or yield query costs
 // its engine evaluation instead of a full reload. Concurrent requests from
 // many clients are served against that shared base:

@@ -15,7 +15,7 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
   const auto& nl = ctx.netlist();
 
   if constexpr (debug::kParanoid) {
-    debug::validate_structure_fresh(nl, ctx.levelization());
+    debug::validate_structure_fresh(ctx);
   }
 
   FullSstaResult result;
@@ -36,8 +36,8 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
 
   const auto arrival_of = [&](GateId f) -> const DiscretePdf& { return arrival[f]; };
 
-  // Level order: every fanin's arrival is final before a gate reads it.
-  const std::vector<GateId>& order = ctx.levelization().order_by_level;
+  // Topological order: every fanin's arrival is final before a gate reads it.
+  const std::vector<GateId>& order = ctx.topo_order();
   for (std::size_t s = 0; s < order.size(); ++s) {
     if ((s & 0xFF) == 0) util::checkpoint("ssta/fullssta/level");
     const GateId id = order[s];

@@ -88,7 +88,7 @@ template <typename ArrivalOf>
 }
 
 /// Runs discrete-pdf SSTA over the whole netlist: gate_arrival for every
-/// gate in Levelization::order_by_level order, then output_arrival.
+/// gate in TimingContext::topo_order(), then output_arrival.
 [[nodiscard]] FullSstaResult run_fullssta(const sta::TimingContext& ctx,
                                           const FullSstaOptions& options = {});
 

@@ -8,7 +8,7 @@
 // same unbiased estimate from orders of magnitude fewer draws:
 //
 //   1. A cheap *stochastic-logical-effort surrogate* — one deterministic DP
-//      over the levelized netlist scoring every arc at delay + kappa * sigma
+//      over the netlist in topological order scoring every arc at delay + kappa * sigma
 //      — identifies the dominant paths (the region of variation space where
 //      failures concentrate).
 //   2. Each dominant path's delay is linear-Gaussian in the underlying

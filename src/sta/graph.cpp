@@ -17,7 +17,9 @@ TimingContext::TimingContext(netlist::Netlist& nl, const liberty::Library& lib,
                              const variation::VariationModel& var, TimingOptions options)
     : nl_(nl), lib_(lib), var_(var), options_(options) {
   order_ = netlist::topological_order(nl_);
-  levels_ = netlist::levelize(nl_);
+  position_.resize(order_.size());
+  for (std::uint32_t i = 0; i < order_.size(); ++i) position_[order_[i]] = i;
+  structure_version_ = nl_.structure_version();
   arc_offset_.assign(nl_.node_count() + 1, 0);
   for (GateId id = 0; id < nl_.node_count(); ++id) {
     arc_offset_[id + 1] =
@@ -72,11 +74,11 @@ double TimingContext::gate_delay_ps(GateId g) const {
 }
 
 void TimingContext::update() {
-  // The context's derived structure (topo order, levelization, arc offsets,
+  // The context's derived structure (topo order and positions, arc offsets,
   // load-term lists) is frozen at construction; a structural netlist edit
   // afterwards would make this pass silently wrong, so fail loudly instead
   // (structure_version exists precisely for this check).
-  if (!levels_.valid_for(nl_)) {
+  if (structure_version_ != nl_.structure_version() || order_.size() != nl_.node_count()) {
     throw std::logic_error(
         "TimingContext::update: netlist structure changed after construction "
         "(build a fresh TimingContext)");
@@ -85,8 +87,7 @@ void TimingContext::update() {
     // Deep audits of the frozen derived structure (the cheap version-counter
     // check above catches tracked mutations; these catch corruption of the
     // caches themselves).
-    debug::validate_structure_fresh(nl_, levels_);
-    debug::validate_levelization(nl_, levels_);
+    debug::validate_topo_order(nl_, order_, position_);
     debug::validate_load_terms(nl_, load_term_offset_, load_terms_);
   }
   ++snapshot_epoch_;
@@ -105,12 +106,11 @@ void TimingContext::update() {
   };
   for (GateId id = 0; id < n; ++id) load_[id] = fold_load(id, bound_cell);
 
-  // Slews / arc delays / sigmas in level order: a gate reads only finished
-  // (lower-level) slews.
-  const std::vector<GateId>& order = levels_.order_by_level;
-  for (std::size_t s = 0; s < order.size(); ++s) {
+  // Slews / arc delays / sigmas in topological order: a gate reads only
+  // finished fanin slews.
+  for (std::size_t s = 0; s < order_.size(); ++s) {
     if ((s & 0xFF) == 0) util::checkpoint("sta/update/level");
-    const GateId id = order[s];
+    const GateId id = order_[s];
     const auto& g = nl_.gate(id);
     if (g.cell_group == netlist::kUnmapped) continue;  // PI or constant
     slew_[id] = relax_gate(id, lib_.cell_for(g.cell_group, g.size_index), load_[id],
@@ -150,7 +150,7 @@ void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
                                          std::span<const double> arc_delay,
                                          std::span<const double> arc_sigma) {
   if constexpr (debug::kParanoid) {
-    debug::validate_structure_fresh(nl_, levels_);
+    debug::validate_structure_fresh(*this);
     std::size_t arcs = 0;
     for (const GateId id : cone) arcs += arc_offset_[id + 1] - arc_offset_[id];
     STATSIZER_PARANOID_CHECK(slew.size() == cone.size() && arc_delay.size() == arcs &&
@@ -204,7 +204,8 @@ void ConeWorkspace::index_list(std::size_t node_count, std::span<const GateId> l
 std::span<const GateId> collect_cone(const TimingContext& ctx, std::span<const GateId> seeds,
                                      ConeWorkspace& ws) {
   const netlist::Netlist& nl = ctx.netlist();
-  const netlist::Levelization& lv = ctx.levelization();
+  const std::span<const std::uint32_t> position = ctx.topo_position();
+  const std::vector<GateId>& order = ctx.topo_order();
   ws.restamp(nl.node_count());
   std::size_t pending = 0;  // entered, not yet listed
   const auto enter = [&](GateId id) {
@@ -212,18 +213,18 @@ std::span<const GateId> collect_cone(const TimingContext& ctx, std::span<const G
     ws.stamps[id] = ws.stamp;
     ++pending;
   };
-  auto level = static_cast<std::uint32_t>(lv.level_count());  // lowest seed level
+  auto first = static_cast<std::uint32_t>(order.size());  // lowest seed position
   for (const GateId s : seeds) {
     enter(s);
-    level = std::min(level, lv.level_of[s]);
+    first = std::min(first, position[s]);
   }
 
-  // Scan order_by_level from the lowest seed's level: every member's fanouts
-  // sit in strictly higher levels, hence later in the scan, so listing the
-  // entered nodes as they come up yields the closure already sorted. The
-  // scan stops at the last member.
-  for (std::uint32_t p = lv.level_offset[level]; pending > 0; ++p) {
-    const GateId id = lv.order_by_level[p];
+  // Scan topo_order() from the lowest seed position: every member's fanouts
+  // come later in the order, hence later in the scan, so listing the entered
+  // nodes as they come up yields the closure already sorted. The scan stops
+  // at the last member.
+  for (std::uint32_t p = first; pending > 0; ++p) {
+    const GateId id = order[p];
     if (ws.stamps[id] != ws.stamp) continue;
     --pending;
     ws.slots[id] = static_cast<std::uint32_t>(ws.nodes.size());
@@ -231,7 +232,7 @@ std::span<const GateId> collect_cone(const TimingContext& ctx, std::span<const G
     for (const GateId f : nl.gate(id).fanouts) enter(f);
   }
   if constexpr (debug::kParanoid) {
-    debug::validate_cone(nl, lv, seeds, ws.nodes);
+    debug::validate_cone(nl, position, seeds, ws.nodes);
   }
   return ws.nodes;
 }

@@ -21,7 +21,6 @@
 
 #include "liberty/model.h"
 #include "netlist/netlist.h"
-#include "netlist/topo.h"
 #include "variation/model.h"
 
 namespace statsizer::sta {
@@ -103,8 +102,9 @@ class TimingContext {
 
   /// Recomputes loads, slews, delays, sigmas, area for the netlist's current
   /// sizing state. Called automatically by the constructor. A serial pass:
-  /// the load fold, then the slew/arc sweep in level order. It must only run
-  /// with no parallel region reading the snapshot in flight.
+  /// the load fold, then the slew/arc sweep in topo_order(). It must only run
+  /// with no parallel region reading the snapshot in flight. Throws
+  /// std::logic_error once the netlist's structure has changed.
   void update();
 
   /// Counter bumped by every write to the snapshot (update() and
@@ -120,12 +120,14 @@ class TimingContext {
   [[nodiscard]] const liberty::Library& library() const { return lib_; }
   [[nodiscard]] const variation::VariationModel& variation() const { return var_; }
   [[nodiscard]] const TimingOptions& options() const { return options_; }
+  /// The one walk order (netlist::topological_order at construction; the
+  /// netlist's structure must not change over the context's lifetime).
+  /// update(), every engine pass and every what-if cone follow it.
   [[nodiscard]] const std::vector<netlist::GateId>& topo_order() const { return order_; }
-  /// Cached level decomposition (computed with the topo order at
-  /// construction; like order_, it describes the netlist's structure, which
-  /// must not change over the context's lifetime). update(),
-  /// ssta::run_fullssta and the cone replay iterate its levels.
-  [[nodiscard]] const netlist::Levelization& levelization() const { return levels_; }
+  /// Each node's rank in topo_order(), indexed by GateId.
+  [[nodiscard]] std::span<const std::uint32_t> topo_position() const { return position_; }
+  /// Netlist::structure_version() at construction.
+  [[nodiscard]] std::uint64_t structure_version() const { return structure_version_; }
 
   // -- constraints -----------------------------------------------------------
   /// Installs external timing constraints (typically from an SDC file via
@@ -264,7 +266,8 @@ class TimingContext {
   TimingConstraints constraints_;
 
   std::vector<netlist::GateId> order_;
-  netlist::Levelization levels_;
+  std::vector<std::uint32_t> position_;
+  std::uint64_t structure_version_ = 0;
   std::vector<std::uint32_t> load_term_offset_;
   std::vector<LoadTerm> load_terms_;
   std::vector<double> load_;
@@ -302,12 +305,11 @@ struct ConeWorkspace {
 
 /// The one fanout-cone builder behind every what-if: the fanout closure of
 /// @p seeds (duplicates allowed) as a subsequence of the context's
-/// Levelization::order_by_level (so every member follows its in-cone
-/// fanins; a node's index is its *slot*), viewing @p ws.nodes until its next
-/// use. Cost: the cone's edges plus a stamp test per order_by_level entry
-/// from the lowest seed's level to the cone's last member; nothing
-/// node-sized is cleared or sorted. Audited by debug::validate_cone under
-/// STATSIZER_PARANOID.
+/// topo_order() (so every member follows its in-cone fanins; a node's index
+/// is its *slot*), viewing @p ws.nodes until its next use. Cost: the cone's
+/// edges plus a stamp test per topo_order() entry from the lowest seed
+/// position to the cone's last member; nothing node-sized is cleared or
+/// sorted. Audited by debug::validate_cone under STATSIZER_PARANOID.
 std::span<const netlist::GateId> collect_cone(const TimingContext& ctx,
                                               std::span<const netlist::GateId> seeds,
                                               ConeWorkspace& ws);

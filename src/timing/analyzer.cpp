@@ -272,7 +272,7 @@ std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
 }  // namespace detail
 
 Accepted first_accepted(
-    Analyzer& /*engine*/, std::size_t threads, std::size_t count,
+    std::size_t threads, std::size_t count,
     const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
     const std::function<bool(std::size_t, const Summary&)>& accept) {
   // One candidate per worker: an acceptance discards the rest of its window,

@@ -161,9 +161,9 @@ struct Accepted {
 
 /// The optimizer's one speculative walk (the sizer's in-order confirmations,
 /// area recovery's screen). Walks candidates 0..count-1 of a fixed order and
-/// returns the first that @p accept approves, judged against @p engine's
-/// committed base: propose(i) opens candidate i's speculation (nullptr skips
-/// it), and accept(i, score) runs exactly once per non-null candidate, in
+/// returns the first that @p accept approves, judged against the committed
+/// base its analyzer holds: propose(i) opens candidate i's speculation
+/// (nullptr skips it), and accept(i, score) runs exactly once per non-null candidate, in
 /// ascending order, never past the one it approves; both run on the calling
 /// thread. The caller commits (or drops) the returned speculation and walks
 /// on from there, so every candidate is judged against the state holding
@@ -177,7 +177,7 @@ struct Accepted {
 /// acceptance throws away and how many private states are held at once.
 /// std::function is cheap here: each candidate costs a cone replay.
 [[nodiscard]] Accepted first_accepted(
-    Analyzer& engine, std::size_t threads, std::size_t count,
+    std::size_t threads, std::size_t count,
     const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
     const std::function<bool(std::size_t, const Summary&)>& accept);
 

@@ -20,7 +20,7 @@
 // exactly what relax_gate would recompute from unchanged inputs. Values
 // outside the cone are untouched (they are
 // bitwise-unchanged by the resizes), so an engine that calls its own gate
-// kernel over the cone in level order — reading everything else from its
+// kernel over the cone in topological order — reading everything else from its
 // cached base — reproduces a from-scratch update() + full run bitwise.
 // TimingContext::apply_snapshot_patch() consumes the same arrays to commit
 // the overlay in place of a full update().
@@ -52,7 +52,7 @@ namespace statsizer::timing::detail {
 /// The snapshot overlay of one exact what-if: the resize set's fanout cone
 /// and the recomputed load/slew/arc values over it, indexed by cone slot.
 struct ConeSnapshot {
-  /// The cone in order_by_level order (the resized gates, their mapped
+  /// The cone in topo_order() order (the resized gates, their mapped
   /// drivers, and the downstream fanout closure): slot s is nodes[s].
   std::vector<netlist::GateId> nodes;
   /// Re-folded load of every driver of a resized gate, including unmapped

@@ -4,7 +4,7 @@
 // callable — tests invoke them directly on deliberately corrupted inputs to
 // prove each check trips. What STATSIZER_PARANOID controls is whether the
 // *hot paths* call them automatically: TimingContext::update() audits its
-// levelization and load-term CSR, pdf::sum/max audit normalization and CDF
+// topo order and load-term CSR, pdf::sum/max audit normalization and CDF
 // monotonicity of every result, the analyzer layer audits speculation-epoch
 // discipline. Off (the default) the `if constexpr (debug::kParanoid)` call
 // sites compile to nothing; on (cmake -DSTATSIZER_PARANOID=ON, or

@@ -5,7 +5,7 @@
 // absolute deadline, fault plan + scope — and installs it on the executing
 // thread with ScopedExecContext. Library kernels call
 // util::checkpoint("site/name") at coarse, value-neutral boundaries
-// (every 256 gates of a level-order pass, sample-loop batches, sizer
+// (every 256 gates of a topological pass, sample-loop batches, sizer
 // iterations); the call is a thread-local pointer read when no context is
 // installed, and otherwise applies fault-injection rules, then throws
 // StatusError(kCancelled / kDeadlineExceeded) when the token or deadline

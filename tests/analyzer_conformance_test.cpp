@@ -662,7 +662,7 @@ TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
 
   std::vector<std::size_t> judged;
   Accepted hit = first_accepted(
-      *an, threads(), cands.size(),
+      threads(), cands.size(),
       [&](std::size_t i) -> std::unique_ptr<Speculation> {
         if (skipped(i)) return nullptr;
         return an->propose(cands[i].gate, cands[i].size);
@@ -697,7 +697,7 @@ TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
 
   std::size_t judged = 0;
   const Accepted hit = first_accepted(
-      *an, threads(), cands.size(),
+      threads(), cands.size(),
       [&](std::size_t i) { return an->propose(cands[i].gate, cands[i].size); },
       [&](std::size_t, const Summary&) {
         ++judged;
@@ -732,7 +732,7 @@ TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
   serve::JobManager manager;
   const serve::JobRef job = manager.submit([&] {
     const Accepted hit = first_accepted(
-        *an, /*threads=*/8, cands.size(),
+        /*threads=*/8, cands.size(),
         [&](std::size_t i) {
           ++proposed;
           return an->propose(cands[i].gate, cands[i].size);

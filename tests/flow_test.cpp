@@ -1,5 +1,7 @@
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,23 @@ TEST(Flow, AnalyzeRequiresCircuit) {
   EXPECT_THROW((void)flow.analyze(), std::logic_error);
   EXPECT_THROW((void)flow.run_baseline(), std::logic_error);
   EXPECT_THROW((void)flow.optimize(3.0), std::logic_error);
+}
+
+// The library applies util::parse_lambda's rule, like the CLIs and the
+// server: a negative or non-finite lambda or clock is refused, never run or
+// silently replaced by the resolved clock. A clock of 0 still resolves.
+TEST(Flow, RejectsNegativeOrNonFiniteLambdaAndClock) {
+  Flow flow;
+  ASSERT_TRUE(flow.load_table1("c432").ok());
+  const std::vector<std::uint16_t> sizes = flow.netlist().sizes();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -900.0, std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_THROW((void)flow.optimize(bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)flow.estimate_yield(bad, "isle"), std::invalid_argument) << bad;
+    EXPECT_THROW((void)flow.estimate_yield(bad, "mc"), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(flow.netlist().sizes(), sizes);
+  EXPECT_NO_THROW((void)flow.estimate_yield(0.0, "isle"));
 }
 
 TEST(Flow, LoadBenchFileRoundTrip) {

@@ -512,12 +512,8 @@ struct FabricShape {
 };
 
 std::uint32_t median_level_width(const Netlist& nl) {
-  const netlist::Levelization lv = netlist::levelize(nl);
-  std::vector<std::uint32_t> widths;
-  widths.reserve(lv.level_count());
-  for (std::size_t l = 0; l < lv.level_count(); ++l) {
-    widths.push_back(static_cast<std::uint32_t>(lv.level(l).size()));
-  }
+  std::vector<std::uint32_t> widths(netlist::depth(nl) + 1, 0);
+  for (const std::uint32_t l : netlist::levels(nl)) ++widths[l];
   std::sort(widths.begin(), widths.end());
   return widths[widths.size() / 2];
 }

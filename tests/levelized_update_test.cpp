@@ -1,5 +1,5 @@
-// Levelized propagation pins: TimingContext::update() and
-// ssta::run_fullssta, both level-order walks, must be bitwise-identical to
+// Propagation pins: TimingContext::update() and ssta::run_fullssta, both
+// walks of the context's topo_order(), must be bitwise-identical to
 // the original Kahn-order implementations, on cla_adder(8),
 // parity_fabric(16), c432, and c880. The original implementation is
 // reproduced here from first principles through the public API only (the
@@ -238,20 +238,17 @@ TEST_P(LevelizedUpdate, FullSstaMatchesPrePrSerialReferenceAcrossThreadCounts) {
   expect_fullssta_eq(ssta::run_fullssta(*b.ctx, opt), reference_fullssta(*b.ctx, opt));
 }
 
-TEST_P(LevelizedUpdate, ContextCachesAValidLevelization) {
+TEST_P(LevelizedUpdate, ContextCachesAValidTopoOrder) {
   const Bench b(circuit_for(GetParam()));
-  const netlist::Levelization& lv = b.ctx->levelization();
-  EXPECT_TRUE(lv.valid_for(b.nl));
-  const netlist::Levelization fresh = netlist::levelize(b.nl);
-  EXPECT_EQ(lv.level_of, fresh.level_of);
-  EXPECT_EQ(lv.level_offset, fresh.level_offset);
-  EXPECT_EQ(lv.order_by_level, fresh.order_by_level);
+  EXPECT_EQ(b.ctx->structure_version(), b.nl.structure_version());
+  EXPECT_EQ(b.ctx->topo_order(), netlist::topological_order(b.nl));
+  EXPECT_NO_THROW(debug::validate_topo_order(b.nl, b.ctx->topo_order(), b.ctx->topo_position()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, LevelizedUpdate, ::testing::Values(0, 1, 2, 3),
                          [](const auto& info) { return circuit_name(info.param); });
 
-// The context's derived structure (topo order, levelization, load-term
+// The context's derived structure (topo order and positions, load-term
 // lists) is frozen at construction; a structural edit afterwards must make
 // update() fail loudly instead of folding stale term lists silently.
 TEST(LevelizedUpdate, UpdateThrowsAfterStructuralNetlistEdit) {
@@ -272,8 +269,8 @@ Netlist cone_circuit(const std::string& name) {
   return circuits::make_table1_circuit(name);
 }
 
-/// Brute-force fanout closure of @p seeds, listed in order_by_level order.
-std::vector<GateId> brute_force_cone(const Netlist& nl, const netlist::Levelization& lv,
+/// Brute-force fanout closure of @p seeds, listed in @p order.
+std::vector<GateId> brute_force_cone(const Netlist& nl, const std::vector<GateId>& order,
                                      const std::vector<GateId>& seeds) {
   std::vector<bool> in(nl.node_count(), false);
   std::vector<GateId> stack(seeds.begin(), seeds.end());
@@ -285,25 +282,24 @@ std::vector<GateId> brute_force_cone(const Netlist& nl, const netlist::Levelizat
     for (const GateId f : nl.gate(g).fanouts) stack.push_back(f);
   }
   std::vector<GateId> cone;
-  for (const GateId id : lv.order_by_level) {
+  for (const GateId id : order) {
     if (in[id]) cone.push_back(id);
   }
   return cone;
 }
 
 /// Collects @p seeds into @p ws and checks the result against the brute-force
-/// closure: same members in order_by_level order (hence sorted and
+/// closure: same members in topo_order() order (hence sorted and
 /// duplicate-free), and a slot lookup that answers every node of the netlist.
 void expect_cone(const Bench& b, const std::vector<GateId>& seeds, sta::ConeWorkspace& ws) {
-  const netlist::Levelization& lv = b.ctx->levelization();
   const std::span<const GateId> cone = sta::collect_cone(*b.ctx, seeds, ws);
-  const std::vector<GateId> want = brute_force_cone(b.nl, lv, seeds);
+  const std::vector<GateId> want = brute_force_cone(b.nl, b.ctx->topo_order(), seeds);
   ASSERT_EQ(std::vector<GateId>(cone.begin(), cone.end()), want);
 
   std::vector<std::uint32_t> slot_of(b.nl.node_count(), sta::ConeWorkspace::kNoSlot);
   for (std::uint32_t s = 0; s < cone.size(); ++s) slot_of[cone[s]] = s;
   for (GateId id = 0; id < b.nl.node_count(); ++id) ASSERT_EQ(ws.slot(id), slot_of[id]);
-  debug::validate_cone(b.nl, lv, seeds, cone);
+  debug::validate_cone(b.nl, b.ctx->topo_position(), seeds, cone);
 }
 
 /// Multi-resize seed sets: strided gates, a leading batch with duplicates,

@@ -1,8 +1,13 @@
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "circuits/generators.h"
+#include "circuits/iscas_suite.h"
 #include "netlist/netlist.h"
 #include "netlist/topo.h"
 
@@ -184,12 +189,12 @@ TEST(Topo, EmptyNetlist) {
   EXPECT_TRUE(topological_order(nl).empty());
 }
 
-// -- Levelization: the wavefront decomposition's structural invariants -------
+// -- Levels and the one walk order ------------------------------------------
 
-std::vector<Netlist> levelization_corpus() {
+std::vector<Netlist> random_dag_corpus(std::uint64_t seeds) {
   std::vector<Netlist> corpus;
   corpus.push_back(small_and_or());
-  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     circuits::RandomDagOptions opt;
     opt.n_inputs = 6;
     opt.n_gates = 80;
@@ -200,94 +205,106 @@ std::vector<Netlist> levelization_corpus() {
   return corpus;
 }
 
-TEST(Levelization, EveryEdgeGoesStrictlyLevelUp) {
-  // The property the wavefront kernels rest on: a gate's fanins all live in
-  // strictly lower levels, so gates inside one level never feed each other.
-  for (const Netlist& nl : levelization_corpus()) {
+TEST(Levels, EveryEdgeGoesStrictlyLevelUp) {
+  // A gate's fanins all live in strictly lower levels, so gates inside one
+  // level never feed each other.
+  for (const Netlist& nl : random_dag_corpus(3)) {
     SCOPED_TRACE(nl.name());
-    const Levelization lv = levelize(nl);
+    const std::vector<std::uint32_t> lv = levels(nl);
+    ASSERT_EQ(lv.size(), nl.node_count());
     for (GateId id = 0; id < nl.node_count(); ++id) {
-      for (GateId f : nl.gate(id).fanins) {
-        EXPECT_LT(lv.level_of[f], lv.level_of[id]);
-      }
+      if (nl.gate(id).fanins.empty()) EXPECT_EQ(lv[id], 0u);
+      for (GateId f : nl.gate(id).fanins) EXPECT_LT(lv[f], lv[id]);
     }
-    // And level_of matches the levels() definition exactly.
-    EXPECT_EQ(lv.level_of, levels(nl));
   }
 }
 
+/// Kahn's FIFO ready list pops nodes level by level: along
+/// topological_order(), levels() start at 0 and step up by 0 or 1. This is
+/// why one order serves every walk: it is a level order too.
+void expect_levels_step_along_topo_order(const Netlist& nl) {
+  SCOPED_TRACE(nl.name());
+  const std::vector<std::uint32_t> lv = levels(nl);
+  const std::vector<GateId> order = topological_order(nl);
+  ASSERT_EQ(order.size(), nl.node_count());
+  std::uint32_t prev = 0;
+  for (const GateId id : order) {
+    ASSERT_TRUE(lv[id] == prev || lv[id] == prev + 1)
+        << "node " << id << " at level " << lv[id] << " follows level " << prev;
+    prev = lv[id];
+  }
+  EXPECT_EQ(prev, depth(nl));
+}
+
+TEST(Levels, NonDecreasingAlongTopologicalOrder) {
+  for (const std::string& name : circuits::table1_names()) {
+    expect_levels_step_along_topo_order(circuits::make_table1_circuit(name));
+  }
+  for (const std::string& name : circuits::scaled_workload_names()) {
+    expect_levels_step_along_topo_order(circuits::make_table1_circuit(name));
+  }
+  for (const Netlist& nl : random_dag_corpus(200)) expect_levels_step_along_topo_order(nl);
+}
+
 TEST(Levelization, LevelBucketsPartitionTheNodeSet) {
-  for (const Netlist& nl : levelization_corpus()) {
+  // Bucketing the nodes by levels() gives depth() + 1 buckets, none empty,
+  // holding every node exactly once.
+  for (const Netlist& nl : random_dag_corpus(3)) {
     SCOPED_TRACE(nl.name());
-    const Levelization lv = levelize(nl);
-    ASSERT_EQ(lv.level_offset.size(), lv.level_count() + 1);
-    EXPECT_EQ(lv.level_offset.front(), 0u);
-    EXPECT_EQ(lv.level_offset.back(), nl.node_count());
-    std::vector<std::size_t> seen(nl.node_count(), 0);
-    for (std::size_t l = 0; l < lv.level_count(); ++l) {
-      EXPECT_FALSE(lv.level(l).empty()) << "empty level " << l;
-      for (const GateId id : lv.level(l)) {
-        EXPECT_EQ(lv.level_of[id], l);
-        ++seen[id];
-      }
+    const std::vector<std::uint32_t> lv = levels(nl);
+    ASSERT_EQ(lv.size(), nl.node_count());
+    std::vector<std::size_t> bucket_size(depth(nl) + 1, 0);
+    for (const std::uint32_t l : lv) {
+      ASSERT_LT(l, bucket_size.size());
+      ++bucket_size[l];
     }
-    // Every node appears in exactly one bucket.
-    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](std::size_t c) { return c == 1; }));
+    std::size_t total = 0;
+    for (std::size_t l = 0; l < bucket_size.size(); ++l) {
+      EXPECT_GT(bucket_size[l], 0u) << "empty level " << l;
+      total += bucket_size[l];
+    }
+    EXPECT_EQ(total, nl.node_count());
   }
 }
 
 TEST(Levelization, OrderByLevelIsStablePartitionOfTopoOrder) {
-  for (const Netlist& nl : levelization_corpus()) {
+  // Stable-partitioning topological_order() by level changes nothing: the
+  // one walk order already is the order-by-level.
+  for (const Netlist& nl : random_dag_corpus(3)) {
     SCOPED_TRACE(nl.name());
-    const Levelization lv = levelize(nl);
+    const std::vector<std::uint32_t> lv = levels(nl);
     const std::vector<GateId> topo = topological_order(nl);
-    ASSERT_EQ(lv.order_by_level.size(), topo.size());
-    // Permutation of the topo order...
-    std::vector<GateId> a = lv.order_by_level;
-    std::vector<GateId> b = topo;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-    // ...and stable: each bucket is the topo order filtered to that level.
-    std::size_t cursor = 0;
-    for (std::size_t l = 0; l < lv.level_count(); ++l) {
-      for (const GateId id : topo) {
-        if (lv.level_of[id] == l) EXPECT_EQ(lv.order_by_level[cursor++], id);
-      }
-    }
+    std::vector<GateId> by_level = topo;
+    std::stable_sort(by_level.begin(), by_level.end(),
+                     [&lv](GateId a, GateId b) { return lv[a] < lv[b]; });
+    EXPECT_EQ(by_level, topo);
   }
 }
 
-TEST(Levelization, CacheInvalidatedByGateInsertionNotBySizing) {
-  Netlist nl = small_and_or();
-  const Levelization lv = levelize(nl);
-  EXPECT_TRUE(lv.valid_for(nl));
-
-  // Sizing is not structure: the levelization stays valid.
-  nl.gate(nl.find("g1")).size_index = 3;
-  EXPECT_TRUE(lv.valid_for(nl));
-
-  // Gate insertion is: the cached levelization must fail validation...
-  const GateId inv = nl.add_gate(GateFunc::kInv, {nl.find("g2")}, "late_inv");
-  EXPECT_FALSE(lv.valid_for(nl));
-  // ...and a rebuild covers the new node and is valid again.
-  const Levelization fresh = levelize(nl);
-  EXPECT_TRUE(fresh.valid_for(nl));
-  EXPECT_EQ(fresh.level_of[inv], fresh.level_of[nl.find("g2")] + 1);
-
-  // Rewire and output declaration are structural edits too.
-  const Levelization before_rewire = levelize(nl);
-  nl.rewire(inv, GateFunc::kInv, std::vector<GateId>{nl.find("g1")});
-  EXPECT_FALSE(before_rewire.valid_for(nl));
-  const Levelization before_output = levelize(nl);
-  nl.add_output("z", inv);
-  EXPECT_FALSE(before_output.valid_for(nl));
+TEST(Levelization, EmptyNetlist) {
+  const Netlist nl;
+  EXPECT_TRUE(levels(nl).empty());
+  EXPECT_EQ(depth(nl), 0u);
 }
 
-TEST(Levelization, EmptyNetlist) {
-  const Levelization lv = levelize(Netlist{});
-  EXPECT_EQ(lv.level_count(), 0u);
-  EXPECT_TRUE(lv.order_by_level.empty());
+TEST(Topo, StructureVersionMovesOnStructuralEditsNotOnSizing) {
+  Netlist nl = small_and_or();
+  const std::uint64_t built = nl.structure_version();
+
+  // Sizing is not structure.
+  nl.gate(nl.find("g1")).size_index = 3;
+  EXPECT_EQ(nl.structure_version(), built);
+
+  // Gate insertion, rewire and output declaration are.
+  const GateId inv = nl.add_gate(GateFunc::kInv, {nl.find("g2")}, "late_inv");
+  const std::uint64_t inserted = nl.structure_version();
+  EXPECT_GT(inserted, built);
+  EXPECT_EQ(levels(nl)[inv], levels(nl)[nl.find("g2")] + 1);
+  nl.rewire(inv, GateFunc::kInv, std::vector<GateId>{nl.find("g1")});
+  const std::uint64_t rewired = nl.structure_version();
+  EXPECT_GT(rewired, inserted);
+  nl.add_output("z", inv);
+  EXPECT_GT(nl.structure_version(), rewired);
 }
 
 }  // namespace

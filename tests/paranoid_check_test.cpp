@@ -25,7 +25,6 @@
 #include "circuits/iscas_suite.h"
 #include "debug/validate.h"
 #include "liberty/synthetic.h"
-#include "netlist/topo.h"
 #include "pdf/discrete_pdf.h"
 #include "ssta/fullssta.h"
 #include "sta/graph.h"
@@ -92,78 +91,54 @@ struct CsrCopy {
 };
 
 // ---------------------------------------------------------------------------
-// validate_levelization
+// validate_topo_order
 // ---------------------------------------------------------------------------
 
-TEST(ParanoidLevelization, AcceptsFreshLevelization) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  const netlist::Levelization lv = netlist::levelize(nl);
-  EXPECT_NO_THROW(debug::validate_levelization(nl, lv));
+/// The context's walk order and ranks, copied out so a test can corrupt them.
+struct TopoCopy {
+  std::vector<GateId> order;
+  std::vector<std::uint32_t> position;
+
+  explicit TopoCopy(const sta::TimingContext& ctx)
+      : order(ctx.topo_order()), position(ctx.topo_position().begin(), ctx.topo_position().end()) {}
+};
+
+TEST(ParanoidTopoOrder, AcceptsContextOrder) {
+  const Bench bench(circuits::make_cla_adder(8));
+  const TopoCopy topo(*bench.ctx);
+  EXPECT_NO_THROW(debug::validate_topo_order(bench.nl, topo.order, topo.position));
 }
 
-TEST(ParanoidLevelization, TripsOnTruncatedLevelOf) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  netlist::Levelization lv = netlist::levelize(nl);
-  lv.level_of.pop_back();
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "level_of covers");
+TEST(ParanoidTopoOrder, TripsOnDuplicateNode) {
+  const Bench bench(circuits::make_cla_adder(8));
+  TopoCopy topo(*bench.ctx);
+  topo.order[1] = topo.order[0];
+  ExpectTrip([&] { debug::validate_topo_order(bench.nl, topo.order, topo.position); },
+             "appears twice");
 }
 
-TEST(ParanoidLevelization, TripsOnNonMonotoneOffsets) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  netlist::Levelization lv = netlist::levelize(nl);
-  ASSERT_GE(lv.level_offset.size(), 3u);
-  std::swap(lv.level_offset[1], lv.level_offset[2]);
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "level_offset decreases");
+TEST(ParanoidTopoOrder, TripsOnWrongInverse) {
+  // The order itself stays a valid topological order; only the ranks lie.
+  const Bench bench(circuits::make_cla_adder(8));
+  TopoCopy topo(*bench.ctx);
+  std::swap(topo.position[topo.order[0]], topo.position[topo.order[1]]);
+  ExpectTrip([&] { debug::validate_topo_order(bench.nl, topo.order, topo.position); },
+             "position of node");
 }
 
-TEST(ParanoidLevelization, TripsOnDuplicateNodeInOrder) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  netlist::Levelization lv = netlist::levelize(nl);
-  // Overwrite the second member of level 0 with the first: a duplicate
-  // inside one bucket, so the permutation audit fires before the
-  // bucket-level one.
-  ASSERT_GE(lv.level_offset[1], 2u);
-  lv.order_by_level[1] = lv.order_by_level[0];
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "appears twice");
-}
-
-TEST(ParanoidLevelization, TripsOnWrongBucketLevel) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  netlist::Levelization lv = netlist::levelize(nl);
-  // Lie about one node's level without moving it between buckets.
-  const GateId victim = lv.order_by_level[lv.level_offset[1]];  // first level-1 node
-  lv.level_of[victim] += 7;
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "but level_of says");
-}
-
-TEST(ParanoidLevelization, TripsOnLevelDownEdge) {
-  // Hand-built two-node chain a -> b presented as a single flat level:
-  // internally consistent buckets (permutation + bucket levels check out),
-  // so the only audit left to catch it is the strictly-level-up edge walk —
-  // exactly the invariant the wavefront kernels' barrier placement rests on.
+TEST(ParanoidTopoOrder, TripsOnFaninAfterNode) {
+  // Hand-built chain a -> b listed backwards: a consistent permutation and
+  // inverse, so only the fanin-before-node walk can catch it — the property
+  // every walk of the order rests on.
   Netlist nl;
   const GateId a = nl.add_input("a");
   const GateId b = nl.add_gate(netlist::GateFunc::kInv, {a}, "b");
   nl.add_output("y", b);
-  netlist::Levelization lv;
-  lv.level_of = {0, 0};
-  lv.level_offset = {0, 2};
-  lv.order_by_level = {a, b};
-  lv.structure_version = nl.structure_version();
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "not strictly level-up");
-}
-
-TEST(ParanoidLevelization, TripsOnSourceAboveLevelZero) {
-  Netlist nl;
-  const GateId a = nl.add_input("a");
-  const GateId b = nl.add_gate(netlist::GateFunc::kInv, {a}, "b");
-  nl.add_output("y", b);
-  netlist::Levelization lv;
-  lv.level_of = {1, 2};  // fanin-less node hoisted off level 0
-  lv.level_offset = {0, 0, 1, 2};
-  lv.order_by_level = {a, b};
-  lv.structure_version = nl.structure_version();
-  ExpectTrip([&] { debug::validate_levelization(nl, lv); }, "fanin-less node");
+  const std::vector<GateId> order = {b, a};
+  std::vector<std::uint32_t> position(2);
+  position[b] = 0;
+  position[a] = 1;
+  ExpectTrip([&] { debug::validate_topo_order(nl, order, position); }, "comes after its node");
 }
 
 // ---------------------------------------------------------------------------
@@ -297,16 +272,14 @@ TEST(ParanoidEpoch, TripsOnFutureStamp) {
 // ---------------------------------------------------------------------------
 
 TEST(ParanoidStructureFresh, AcceptsMatchingVersion) {
-  const Netlist nl = circuits::make_cla_adder(8);
-  const netlist::Levelization lv = netlist::levelize(nl);
-  EXPECT_NO_THROW(debug::validate_structure_fresh(nl, lv));
+  const Bench bench(circuits::make_cla_adder(8));
+  EXPECT_NO_THROW(debug::validate_structure_fresh(*bench.ctx));
 }
 
 TEST(ParanoidStructureFresh, TripsAfterStructuralEdit) {
-  Netlist nl = circuits::make_cla_adder(8);
-  const netlist::Levelization lv = netlist::levelize(nl);
-  nl.add_input("late_pin");  // bumps structure_version
-  ExpectTrip([&] { debug::validate_structure_fresh(nl, lv); }, "structure_version");
+  Bench bench(circuits::make_cla_adder(8));
+  bench.nl.add_input("late_pin");  // bumps structure_version
+  ExpectTrip([&] { debug::validate_structure_fresh(*bench.ctx); }, "structure_version");
 }
 
 // ---------------------------------------------------------------------------
@@ -326,7 +299,7 @@ struct ConeCopy {
     nodes.assign(cone.begin(), cone.end());
   }
   void validate(const Bench& bench) const {
-    debug::validate_cone(bench.nl, bench.ctx->levelization(), seeds, nodes);
+    debug::validate_cone(bench.nl, bench.ctx->topo_position(), seeds, nodes);
   }
 };
 
@@ -379,9 +352,9 @@ TEST(ParanoidHotPath, GateMatchesCompileTimeFlag) {
 
 TEST(ParanoidHotPath, UpdateRefusesStaleStructure) {
   // Structural edit under a live TimingContext: update() must refuse rather
-  // than propagate over a stale levelization/CSR. The cheap version-check
+  // than propagate over a stale topo order/CSR. The cheap version-check
   // throw exists in every build; under STATSIZER_PARANOID=ON the same entry
-  // additionally runs the deep levelization/CSR audits pinned above.
+  // additionally runs the deep topo-order/CSR audits pinned above.
   Bench bench(circuits::make_cla_adder(8));
   EXPECT_NO_THROW(bench.ctx->update());
   bench.nl.add_input("late_pin");
@@ -397,7 +370,7 @@ TEST(ParanoidHotPath, CleanFlowNeverTrips) {
   EXPECT_NO_THROW(bench.ctx->update());
   ssta::FullSstaOptions opt;
   EXPECT_NO_THROW(ssta::run_fullssta(*bench.ctx, opt));
-  debug::validate_levelization(bench.nl, bench.ctx->levelization());
+  debug::validate_topo_order(bench.nl, bench.ctx->topo_order(), bench.ctx->topo_position());
   const CsrCopy csr(*bench.ctx, bench.nl);
   debug::validate_load_terms(bench.nl, csr.offsets, csr.terms);
 }

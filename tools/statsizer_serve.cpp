@@ -10,12 +10,13 @@
 //   EOF
 //
 // Fault injection (--fault SPEC, repeatable) is the deterministic test
-// harness for the serving stack: every isolation / deadline / shedding /
-// retry path can be forced on demand. SPEC syntax (util::parse_fault_rule):
+// harness for the serving stack: every isolation / deadline / shedding path
+// can be forced on demand. The server does not retry: a failed request
+// answers with its code. SPEC syntax (util::parse_fault_rule):
 //   site=<name|prefix*>[,scope=<N|*>][,hit=<N|0>][,p=<prob>]
 //       [,delay_ms=<N>][,code=<status code>][,msg=<text>][,delay_only]
 // e.g. --fault 'site=serve/job/start,scope=2' fails request #2's first
-// checkpoint with kUnavailable.
+// checkpoint with kUnavailable, and it answers "unavailable".
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
