@@ -1,4 +1,5 @@
-// The google-benchmark main shared by bench_perf_engines and bench_server.
+// The google-benchmark main shared by bench_perf_engines, bench_perf_pdf and
+// bench_server.
 // A header, not a .cpp: CMake builds every bench/*.cpp into its own
 // executable.
 //

@@ -22,6 +22,11 @@
 # BM_AreaRecoveryThreads: DSTA/FASSTA screens plus FULLSSTA chunk checks):
 #   scripts/bench_snapshot.sh BENCH_whatif.json
 #
+# An output path matching *pdf* selects the bench_perf_pdf binary instead
+# (BM_SumNodePdfs|BM_MaxNodePdfs: FULLSSTA's sum and max replayed on pairs
+# of baselined c880's own node pdfs, ns per op):
+#   scripts/bench_snapshot.sh BENCH_pdf_kernels.json
+#
 # An output path matching *server* selects the bench_server binary instead
 # (BM_ServerMixed: jobs/sec + p50/p99 client latency at 1/2/8 concurrent
 # clients against a shared serving session):
@@ -44,6 +49,10 @@ case "${OUT}" in
   *isle_yield*) DEFAULT_FILTER='BM_IsleYield|BM_PlainMcYield' ;;
   *drc_sweep*) DEFAULT_FILTER='BM_DrcFullSweep' ;;
   *whatif*) DEFAULT_FILTER='BM_WhatIfConfirm|BM_AreaRecoveryThreads' ;;
+  *pdf*)
+    BIN=bench_perf_pdf
+    DEFAULT_FILTER='BM_SumNodePdfs|BM_MaxNodePdfs'
+    ;;
   *server*)
     BIN=bench_server
     DEFAULT_FILTER='BM_ServerMixed'

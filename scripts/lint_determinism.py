@@ -50,6 +50,14 @@ break it before they ever reach a test:
                           scheduling. Record the failure in a per-slot status
                           and fail deterministically after the join.
 
+  fp-flags                #pragma GCC optimize, an optimize attribute, or
+                          -ffast-math / -Ofast / -funsafe-math-optimizations /
+                          -ffp-contract=fast in library code. The pdf kernels
+                          are bitwise-pinned to IEEE evaluation in source
+                          order (docs/ARCHITECTURE.md, "Bitwise pdf kernels");
+                          a value-changing flag or contraction reorders or
+                          fuses their operations and moves every result bit.
+
 Waivers: append `// lint-ok: <rule-id> <justification>` to the offending
 line (or place it on the immediately preceding line). The justification is
 mandatory — a bare waiver is itself a finding.
@@ -73,7 +81,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RULES = ("rng-stray", "unordered-iter", "stdout-io", "shared-mutable-capture",
-         "throw-in-parallel")
+         "throw-in-parallel", "fp-flags")
 
 # Files exempt from specific rules: the façade a rule funnels everything into
 # is the one legitimate user of the forbidden pattern.
@@ -95,9 +103,10 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks comments and string/char literals, preserving line structure so
-    offsets keep mapping to the original line numbers."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blanks comments and (unless @p keep_strings) string/char literals,
+    preserving line structure so offsets keep mapping to the original line
+    numbers."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -116,7 +125,7 @@ def strip_comments_and_strings(text: str) -> str:
             if i < n:
                 out.append("  ")
                 i += 2
-        elif c in "\"'":
+        elif c in "\"'" and not keep_strings:
             quote = c
             out.append(" ")
             i += 1
@@ -378,6 +387,30 @@ def check_throw_in_parallel(code: str, findings: list, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# rule: fp-flags
+# ---------------------------------------------------------------------------
+
+FP_FLAG_PATTERNS = (
+    (re.compile(r"#\s*pragma\s+GCC\s+optimize\b"), "#pragma GCC optimize"),
+    (re.compile(r"__attribute__\s*\(\(\s*(?:__)?optimize\b|\bgnu::(?:__)?optimize\b"),
+     "an optimize attribute"),
+    (re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b|-ffp-contract=fast\b"),
+     "a value-changing floating-point flag"),
+)
+
+
+def check_fp_flags(code_with_strings: str, findings: list, path: Path) -> None:
+    """Scans code with comments blanked but string literals kept: the flags
+    themselves only ever appear inside a pragma's or attribute's string."""
+    for pattern, what in FP_FLAG_PATTERNS:
+        for m in pattern.finditer(code_with_strings):
+            findings.append(Finding(
+                path, line_of(code_with_strings, m.start()), "fp-flags",
+                f"{what}: library code must compile to IEEE evaluation in "
+                f"source order, which the bitwise pdf kernels depend on"))
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -392,6 +425,7 @@ def lint_file(path: Path, root: Path) -> list:
     check_unordered(code, findings, path)
     check_shared_capture(code, findings, path)
     check_throw_in_parallel(code, findings, path)
+    check_fp_flags(strip_comments_and_strings(raw, keep_strings=True), findings, path)
 
     # Apply waivers (same line or the immediately preceding line). A waiver
     # without a justification is converted into its own finding.

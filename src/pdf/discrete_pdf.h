@@ -69,6 +69,13 @@ class MassBuffer {
   double inline_[kInline];          ///< [0, size_) live when heap_ is null
 };
 
+/// Grid index @p i as a double. The signed conversion gives the unsigned
+/// one's value (indices are far below 2^63) in one instruction, where x86-64
+/// converts an unsigned index with a branchy sequence.
+inline double grid_index(std::size_t i) {
+  return static_cast<double>(static_cast<std::ptrdiff_t>(i));
+}
+
 /// A probability mass function on the uniform grid
 ///   x_i = origin + i * step,  i in [0, size)
 /// with masses that sum to 1. step == 0 encodes a point mass (size 1).
@@ -100,7 +107,7 @@ class DiscretePdf {
   [[nodiscard]] std::size_t size() const { return mass_.size(); }
   [[nodiscard]] double origin() const { return origin_; }
   [[nodiscard]] double step() const { return step_; }
-  [[nodiscard]] double value_at(std::size_t i) const { return origin_ + step_ * i; }
+  [[nodiscard]] double value_at(std::size_t i) const { return origin_ + step_ * grid_index(i); }
   [[nodiscard]] double mass_at(std::size_t i) const { return mass_[i]; }
   /// The masses, viewed in place.
   [[nodiscard]] std::span<const double> mass_view() const { return {mass_.data(), mass_.size()}; }
@@ -131,7 +138,8 @@ class DiscretePdf {
   [[nodiscard]] DiscretePdf resampled(std::size_t samples) const;
 
  private:
-  friend DiscretePdf from_bins(double origin, double step, MassBuffer masses);
+  friend DiscretePdf pinned(double origin, double step, MassBuffer masses, double mean,
+                            double var, bool normalize_first);
 
   /// Fills mean_/variance_ from the grid; every constructor calls it last.
   void cache_moments();
@@ -146,12 +154,17 @@ class DiscretePdf {
 /// X + Y for independent X, Y: full discrete convolution, rebinned to
 /// @p samples points. The result's first two moments are *exact* (pinned to
 /// the analytic values via an affine grid correction); in exchange the grid
-/// may extend a fraction of one bin beyond the true support.
+/// may extend a fraction of one bin beyond the true support. The kernel is
+/// fused (block-computed pair positions, one pinning pass, no intermediate
+/// pdf) but bitwise the pairwise-deposit formulation in tests/pdf_test.cpp;
+/// see "Bitwise pdf kernels" in docs/ARCHITECTURE.md.
 [[nodiscard]] DiscretePdf sum(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples);
 
 /// max(X, Y) for independent X, Y via the CDF product
 /// P(max <= t) = Fx(t) * Fy(t), evaluated on a @p samples-point grid. Moments
 /// are pinned to the exact discrete values (same support caveat as sum).
+/// Fused like sum(), and bitwise the per-point CDF product in
+/// tests/pdf_test.cpp.
 [[nodiscard]] DiscretePdf max(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples);
 
 }  // namespace statsizer::pdf

@@ -87,13 +87,14 @@ Status parse_resizes(const Json& req, std::vector<ResizeRequest>& out) {
 }
 
 /// One output line, in request order. Either an already-rendered inline
-/// response (malformed input, status, quit) or a submitted job whose payload
-/// the body fills on success.
+/// response (malformed input, quit), a status op (rendered when written), or
+/// a submitted job whose payload the body fills on success.
 struct Pending {
   Json id;
   JobRef job;                           // null for inline responses
   std::shared_ptr<Json> payload;        // success payload (job responses)
   Json inline_response;
+  bool status = false;                  // a status op: counters as of writing
 };
 
 Json render(const Json& id, const Status& status, const Json* payload,
@@ -146,6 +147,27 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
   bool closed = false;
   std::uint64_t served = 0;
 
+  // The status op's counters, read when its response is written: every job
+  // answered before it in the output is counted, so the view is never stale.
+  const auto status_response = [this](const Json& id) {
+    const JobStats s = manager_->stats();
+    Json response;
+    response["ok"] = true;
+    response["id"] = id;
+    response["submitted"] = s.submitted;
+    response["completed"] = s.completed;
+    response["failed"] = s.failed;
+    response["cancelled"] = s.cancelled;
+    response["deadline_exceeded"] = s.deadline_exceeded;
+    response["shed"] = s.shed;
+    response["retried"] = s.retried;
+    response["queue_depth"] = s.queue_depth;
+    response["running"] = s.running;
+    const std::lock_guard<std::mutex> lock(sessions_mutex_);
+    response["sessions"] = sessions_.size();
+    return response;
+  };
+
   // Single writer: drains completions in submission order, so responses come
   // back in request order and output lines never interleave.
   std::thread writer([&] {
@@ -162,6 +184,8 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
       if (entry.job != nullptr) {
         const Status status = entry.job->wait();
         response = render(entry.id, status, entry.payload.get(), entry.job->retry_after());
+      } else if (entry.status) {
+        response = status_response(entry.id);
       } else {
         response = std::move(entry.inline_response);
       }
@@ -208,24 +232,10 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
       break;
     }
     if (op == "status") {
-      const JobStats s = manager_->stats();
-      Json response;
-      response["ok"] = true;
-      response["id"] = id;
-      response["submitted"] = s.submitted;
-      response["completed"] = s.completed;
-      response["failed"] = s.failed;
-      response["cancelled"] = s.cancelled;
-      response["deadline_exceeded"] = s.deadline_exceeded;
-      response["shed"] = s.shed;
-      response["retried"] = s.retried;
-      response["queue_depth"] = s.queue_depth;
-      response["running"] = s.running;
-      {
-        const std::lock_guard<std::mutex> lock(sessions_mutex_);
-        response["sessions"] = sessions_.size();
-      }
-      enqueue_inline(std::move(response));
+      Pending entry;
+      entry.id = id;
+      entry.status = true;
+      enqueue(std::move(entry));
       continue;
     }
 

@@ -17,7 +17,7 @@
 //   size    {"lambda":3.0}
 //   yield   {"clock_period_ps":800,"engine":"isle"}  (both optional)
 //   info    cached design snapshot (cheap)
-//   status  job-system counters (served inline, never queued)
+//   status  job-system counters as of its response (never queued)
 //   quit    drain all in-flight work, respond, stop serving
 //
 // Responses: {"id":..,"ok":true,...payload} on success, or

@@ -65,8 +65,8 @@ template <typename ArrivalOf, typename DelayOf>
   pdf::DiscretePdf acc;
   for (std::size_t i = 0; i < g.fanins.size(); ++i) {
     const pdf::DiscretePdf delay = delay_of(i);
-    const pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
-    acc = (i == 0) ? through : pdf::max(acc, through, samples);
+    pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
+    acc = (i == 0) ? std::move(through) : pdf::max(acc, through, samples);
   }
   return acc;
 }

@@ -2,12 +2,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/flow.h"
 #include "debug/validate.h"
 #include "pdf/discrete_pdf.h"
+#include "ssta/fullssta.h"
 #include "util/numeric.h"
 #include "util/rng.h"
 
@@ -207,6 +210,100 @@ TEST(Max, SampleCountInsensitivity) {
   EXPECT_NEAR(m10.stddev(), m15.stddev(), 0.25);
 }
 
+// ---------------------------------------------------------------------------
+// Reference formulations. The kernels are fused (no intermediate pdfs, one
+// moment-pinning pass over one buffer); each must reproduce, bit for bit, the
+// composition of public constructors written out below.
+// ---------------------------------------------------------------------------
+
+/// Moment pinning as a composition: the affine map x -> mean + r * (x - mean')
+/// of @p raw's grid, renormalized through from_masses.
+DiscretePdf pinned_reference(const DiscretePdf& raw, double mean, double var) {
+  if (var <= 0.0 || raw.is_point() || raw.variance() <= 0.0) return DiscretePdf::point(mean);
+  const double r = std::sqrt(var / raw.variance());
+  return DiscretePdf::from_masses(mean + r * (raw.origin() - raw.mean()), r * raw.step(),
+                                  raw.masses());
+}
+
+/// Linear split of @p mass at @p x between the two neighbouring bins.
+void deposit_reference(std::vector<double>& bins, double origin, double step, double x,
+                       double mass) {
+  if (step == 0.0 || bins.size() == 1) {
+    bins[0] += mass;
+    return;
+  }
+  const double pos = (x - origin) / step;
+  if (pos <= 0.0) {
+    bins.front() += mass;
+    return;
+  }
+  if (pos >= static_cast<double>(bins.size() - 1)) {
+    bins.back() += mass;
+    return;
+  }
+  const auto lo = static_cast<std::size_t>(pos);
+  const double t = pos - static_cast<double>(lo);
+  bins[lo] += mass * (1.0 - t);
+  bins[lo + 1] += mass * t;
+}
+
+/// sum(): pairwise deposits on the moment-windowed grid, from_masses, then
+/// pinning to the exact moments of X + Y.
+DiscretePdf sum_reference(const DiscretePdf& x, const DiscretePdf& y, std::size_t samples) {
+  if (x.is_point()) return y.shifted(x.origin());
+  if (y.is_point()) return x.shifted(y.origin());
+  const double mu = x.mean() + y.mean();
+  const double sd = std::sqrt(x.variance() + y.variance());
+  const double lo = std::max(x.min_value() + y.min_value(), mu - 5.0 * sd);
+  const double hi = std::min(x.max_value() + y.max_value(), mu + 5.0 * sd);
+  if (hi <= lo) return DiscretePdf::point(mu);
+  std::vector<double> bins(std::max<std::size_t>(samples, 2), 0.0);
+  const double step = (hi - lo) / static_cast<double>(bins.size() - 1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x.mass_at(i) == 0.0) continue;
+    for (std::size_t j = 0; j < y.size(); ++j) {
+      const double m = x.mass_at(i) * y.mass_at(j);
+      if (m == 0.0) continue;
+      deposit_reference(bins, lo, step, x.value_at(i) + y.value_at(j), m);
+    }
+  }
+  return pinned_reference(DiscretePdf::from_masses(lo, step, std::move(bins)), mu,
+                          x.variance() + y.variance());
+}
+
+/// normal(): CDF-difference bin masses, pinned with the moments of the
+/// unnormalized grid (restore() caches them without normalizing).
+DiscretePdf normal_reference(double mean, double sigma, std::size_t samples, double span) {
+  if (sigma == 0.0 || samples < 2) return DiscretePdf::point(mean);
+  const double lo = mean - span * sigma;
+  const double hi = mean + span * sigma;
+  const double step = (hi - lo) / static_cast<double>(samples - 1);
+  std::vector<double> masses(samples);
+  double prev_cdf = 0.0;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const double c = (i + 1 < samples)
+                         ? util::normal_cdf((lo + step * i + 0.5 * step - mean) / sigma)
+                         : 1.0;
+    masses[i] = c - prev_cdf;
+    prev_cdf = c;
+  }
+  return pinned_reference(DiscretePdf::restore(lo, step, masses), mean, sigma * sigma);
+}
+
+/// resampled(): deposits onto the new grid, pinned with the moments of the
+/// unnormalized deposit.
+DiscretePdf resampled_reference(const DiscretePdf& p, std::size_t samples) {
+  if (p.is_point() || samples == 1) return DiscretePdf::point(p.mean());
+  if (samples == p.size()) return p;
+  const double step = (p.max_value() - p.origin()) / static_cast<double>(samples - 1);
+  std::vector<double> bins(samples, 0.0);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    deposit_reference(bins, p.origin(), step, p.value_at(i), p.mass_at(i));
+  }
+  return pinned_reference(DiscretePdf::restore(p.origin(), step, bins), p.mean(),
+                          p.variance());
+}
+
 /// max() as a per-point CDF product: the same windowing and moment pinning,
 /// but every grid point calls cdf() on both operands (each a scan from bin
 /// 0). pdf::max's one-pass CDF sweep must reproduce it bit for bit.
@@ -243,12 +340,7 @@ DiscretePdf per_point_cdf_max(const DiscretePdf& x, const DiscretePdf& y,
     prev = c;
   }
   bins[n - 1] += std::max(0.0, 1.0 - prev);
-  const DiscretePdf raw = DiscretePdf::from_masses(lo, step, std::move(bins));
-  // Moment pinning, as pdf's internal moment_matched does it.
-  if (raw.is_point() || raw.variance() <= 0.0) return DiscretePdf::point(e1);
-  const double r = std::sqrt(var / raw.variance());
-  return DiscretePdf::from_masses(e1 + r * (raw.origin() - raw.mean()), r * raw.step(),
-                                  raw.masses());
+  return pinned_reference(DiscretePdf::from_masses(lo, step, std::move(bins)), e1, var);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -262,6 +354,97 @@ void expect_bitwise_equal(const DiscretePdf& a, const DiscretePdf& b) {
   }
   EXPECT_EQ(bits(a.mean()), bits(b.mean()));
   EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+}
+
+/// Operands for the bitwise tests: point masses, zero-mass bins, flat
+/// (step 0) grids, normals of 2..25 samples (grids above
+/// MassBuffer::kInline = 16 spill to the heap), and derived sums, maxes and
+/// rebinned grids. Sums of comparable-sigma normals are clipped at both ends
+/// of their moment window, so their end bins collect folded tails.
+std::vector<DiscretePdf> bitwise_pool(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<DiscretePdf> pool = {
+      DiscretePdf::point(50.0),
+      DiscretePdf::point(-0.0),
+      DiscretePdf::from_masses(40.0, 2.5, {0.0, 0.2, 0.0, 0.5, 0.3, 0.0}),
+      DiscretePdf::from_masses(45.0, 0.0, {0.25, 0.75}),
+      DiscretePdf::from_masses(30.0, 1.0, {1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                           0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0}),
+  };
+  const std::size_t base = pool.size();
+  for (const std::size_t samples : {2u, 13u, 21u, 25u}) {
+    for (int k = 0; k < 4; ++k) {
+      pool.push_back(
+          DiscretePdf::normal(rng.uniform(30.0, 70.0), rng.uniform(0.5, 12.0), samples));
+    }
+  }
+  const std::size_t normals = pool.size();
+  for (std::size_t k = base; k + 1 < normals; k += 2) {
+    pool.push_back(sum(pool[k], pool[k + 1], 13));
+    pool.push_back(max(pool[k], pool[k + 1].shifted(rng.uniform(-8.0, 8.0)), 21));
+    pool.push_back(pool[k].resampled(9));
+  }
+  return pool;
+}
+
+TEST(Sum, FusedKernelEqualsReferenceBitwise) {
+  const std::vector<DiscretePdf> pool = bitwise_pool(1995);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+      for (const std::size_t samples : {2u, 13u, 21u, 25u}) {
+        SCOPED_TRACE(testing::Message() << "pair " << i << "," << j << " samples " << samples);
+        expect_bitwise_equal(sum(pool[i], pool[j], samples),
+                             sum_reference(pool[i], pool[j], samples));
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 5000u);
+}
+
+TEST(DiscretePdf, NormalAndResampledEqualReferenceBitwise) {
+  util::Rng rng(2024);
+  for (int k = 0; k < 200; ++k) {
+    const double mean = rng.uniform(-50.0, 150.0);
+    const double sigma = k % 25 == 0 ? 0.0 : rng.uniform(1e-3, 20.0);
+    const double span = k % 2 == 0 ? 4.0 : rng.uniform(0.5, 6.0);
+    for (const std::size_t samples : {1u, 2u, 13u, 21u, 25u}) {
+      SCOPED_TRACE(testing::Message() << "normal " << k << " samples " << samples);
+      expect_bitwise_equal(DiscretePdf::normal(mean, sigma, samples, span),
+                           normal_reference(mean, sigma, samples, span));
+    }
+  }
+  const std::vector<DiscretePdf> pool = bitwise_pool(1789);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (const std::size_t samples : {1u, 2u, 9u, 13u, 21u, 25u}) {
+      SCOPED_TRACE(testing::Message() << "resampled " << i << " samples " << samples);
+      expect_bitwise_equal(pool[i].resampled(samples), resampled_reference(pool[i], samples));
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of @p xs.
+std::uint64_t hash_bits(std::span<const double> xs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : xs) {
+    h ^= bits(x);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden bits of a whole FULLSSTA pass, captured before the pdf kernels were
+// fused: thousands of chained sums and maxes on a real netlist must land on
+// the same output pdf, bit for bit.
+TEST(FusedKernels, FullSstaOnC880MatchesCapturedGoldenBits) {
+  core::Flow flow;
+  ASSERT_TRUE(flow.load_table1("c880").ok());
+  const ssta::FullSstaResult r = ssta::run_fullssta(flow.timing());
+  EXPECT_EQ(bits(r.mean_ps), 0x409ac668ef856d32ull);   // 1713.602476200857 ps
+  EXPECT_EQ(bits(r.sigma_ps), 0x405c2d1df14da5d0ull);  // 112.70495255072387 ps
+  EXPECT_EQ(r.output_pdf.size(), 13u);
+  EXPECT_EQ(hash_bits(r.output_pdf.mass_view()), 0x33e5cf0d40919492ull);
 }
 
 TEST(Max, CdfSweepEqualsPerPointCdfProductBitwise) {

@@ -19,6 +19,7 @@
 #include "serve/job.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "util/fault.h"
 #include "util/json.h"
 
 namespace statsizer::serve {
@@ -606,6 +607,28 @@ TEST(ServeServer, ServesTheProtocolEndToEnd) {
   EXPECT_GE(number_at(responses[6], "submitted"), 3.0);
 
   EXPECT_TRUE(ok_of(responses[7]));  // quit
+}
+
+TEST(ServeServer, StatusCountsEveryJobAnsweredBeforeIt) {
+  // The load fails at its start checkpoint. Its response precedes status in
+  // the output, so status must already count it as failed and dequeued, even
+  // though the status line was read while the load was still queued.
+  ServerOptions options;
+  auto rule = util::parse_fault_rule("site=serve/job/start,scope=0");
+  ASSERT_TRUE(rule.ok());
+  options.faults.rules.push_back(rule.value());
+  Server server(options);
+  const auto responses = run_script(server,
+                                    "{\"id\":1,\"op\":\"load\",\"workload\":\"c432\"}\n"
+                                    "{\"id\":2,\"op\":\"status\"}\n"
+                                    "{\"id\":3,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(ok_of(responses[0]));
+  EXPECT_EQ(string_at(responses[0], "code"), "unavailable");
+  EXPECT_TRUE(ok_of(responses[1]));
+  EXPECT_EQ(number_at(responses[1], "failed"), 1.0);
+  EXPECT_EQ(number_at(responses[1], "queue_depth"), 0.0);
+  EXPECT_EQ(number_at(responses[1], "running"), 0.0);
 }
 
 TEST(ServeServer, LoadOfAnUnsupportedExtensionAnswersInvalidArgument) {
