@@ -1,7 +1,8 @@
 // Ablation A3 — inner-loop scoring: the paper's literal k-level subcircuit
 // window (k = 1, 2, 3) versus the global FASSTA pass this implementation
 // defaults to. Demonstrates the window-truncation effect documented in
-// DESIGN.md: windows score candidates by a local max that can miss
+// docs/ARCHITECTURE.md, "Deviations from the paper": windows score
+// candidates by a local max that can miss
 // slow-downs re-emerging beyond the cut, so the optimizer accepts fewer (or
 // worse) moves; the global pass sees the whole max-over-paths objective.
 #include <chrono>

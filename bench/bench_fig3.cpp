@@ -31,7 +31,6 @@ int main() {
   // The paper couples sigma to mean movements with the same coefficient used
   // in the variation model; Fig. 3's values have sigma/mu ~ 0.1.
   const double c = 0.1;
-  const opt::WnssOptions options;
 
   std::printf("Figure 3 — WNSS input ranking at node X\n\n");
 
@@ -39,7 +38,7 @@ int main() {
   std::size_t winner = 0;
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     const bool keep =
-        opt::more_responsible(inputs[winner].m, inputs[i].m, c, c, options);
+        opt::more_responsible(inputs[winner].m, inputs[i].m, c, c);
     std::printf("  compare %-12s vs %-12s -> %s\n", inputs[winner].name,
                 inputs[i].name, keep ? inputs[winner].name : inputs[i].name);
     if (!keep) winner = i;
@@ -49,7 +48,7 @@ int main() {
   // The paper's headline pair: the fat, lower-mean input must outrank the
   // thin, higher-mean one.
   const bool fat_wins =
-      opt::more_responsible(inputs[1].m, inputs[0].m, c, c, options);
+      opt::more_responsible(inputs[1].m, inputs[0].m, c, c);
   std::printf("fat (310,45) vs thin (320,27): %s\n",
               fat_wins ? "fat branch more responsible (matches paper)"
                        : "thin branch picked — MISMATCH");

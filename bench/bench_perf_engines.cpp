@@ -72,8 +72,9 @@ void BM_FasstaCandidate(benchmark::State& state, const std::string& name) {
   // Representative inner-loop call: re-scoring one candidate size.
   const auto g = flow.netlist().outputs()[0].driver;
   const auto& cell = flow.timing().cell(g);
+  fassta::Engine::Scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_with_candidate(g, cell));
+    benchmark::DoNotOptimize(engine.run_with_candidate(g, cell, scratch));
   }
 }
 

@@ -180,7 +180,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # thread), and FirstAccepted (the speculative walk's parallel windows).
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

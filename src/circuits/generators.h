@@ -7,9 +7,9 @@
 // priority interrupt controllers, adder/comparator datapaths — whose gate
 // counts and logic depths land close to the mapped sizes in the paper's
 // Table 1 (see circuits/iscas_suite.h for the name -> configuration map and
-// DESIGN.md for the substitution rationale). Everything is verified
-// functionally: the test suite simulates adders adding, multipliers
-// multiplying and ECC correcting injected errors.
+// docs/ARCHITECTURE.md, "Deviations from the paper", for the substitution
+// rationale). Everything is verified functionally: the test suite simulates
+// adders adding, multipliers multiplying and ECC correcting injected errors.
 //
 // All generators produce pure GateFunc netlists; technology mapping binds
 // them to a library afterwards.

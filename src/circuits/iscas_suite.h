@@ -1,8 +1,8 @@
 // The 13 Table-1 workloads by name. Each entry instantiates a generator from
 // circuits/generators.h configured to land near the paper's mapped gate count
 // and, more importantly, its logic depth class (depth is what drives the
-// sigma/mu trends in Table 1). See DESIGN.md for the substitution rationale
-// and EXPERIMENTS.md for measured-vs-paper sizes.
+// sigma/mu trends in Table 1). Substitution rationale: docs/ARCHITECTURE.md,
+// "Deviations from the paper"; measured-vs-paper sizes: EXPERIMENTS.md.
 #pragma once
 
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "fassta/clark.h"
 
@@ -11,11 +12,7 @@ using netlist::GateId;
 using sta::NodeMoments;
 
 Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
-    : ctx_(ctx), options_(options) {
-  // Sized here, on the constructing thread: the lazy refreshes in
-  // base_arrivals() then reuse this buffer on whichever scorer runs them.
-  base_.reserve(ctx.netlist().node_count());
-}
+    : ctx_(ctx), options_(options), epoch_(ctx.snapshot_epoch()), base_(run()) {}
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
@@ -33,14 +30,8 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
 }
 
 std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
-  std::vector<NodeMoments> arrival;
-  run_into(arrival, circuit);
-  return arrival;
-}
-
-void Engine::run_into(std::vector<NodeMoments>& arrival, NodeMoments* circuit) const {
   const auto& nl = ctx_.netlist();
-  arrival.assign(nl.node_count(), NodeMoments{});
+  std::vector<NodeMoments> arrival(nl.node_count());
   const auto arrival_of = [&](GateId f) -> const NodeMoments& { return arrival[f]; };
   for (const GateId id : ctx_.topo_order()) {
     arrival[id] = fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
@@ -48,34 +39,15 @@ void Engine::run_into(std::vector<NodeMoments>& arrival, NodeMoments* circuit) c
     });
   }
   if (circuit != nullptr) *circuit = fold_outputs(arrival_of);
-}
-
-const std::vector<NodeMoments>& Engine::base_arrivals() const {
-  // Double-checked: the acquire load pairs with the release store below, so
-  // a scorer that sees the current epoch also sees the finished base_. The
-  // epoch only moves while no scorer runs (the snapshot's mutation rule),
-  // so base_ is never rewritten under a reader.
-  const std::uint64_t epoch = ctx_.snapshot_epoch();
-  if (base_epoch_.load(std::memory_order_acquire) != epoch) {
-    const std::lock_guard<std::mutex> lock(base_mutex_);
-    if (base_epoch_.load(std::memory_order_relaxed) != epoch) {
-      run_into(base_, nullptr);  // in place: a refresh reuses the buffer
-      base_epoch_.store(epoch, std::memory_order_release);
-    }
-  }
-  return base_;
-}
-
-sta::NodeMoments Engine::run_with_candidate(GateId center,
-                                            const liberty::Cell& candidate) const {
-  Scratch scratch;
-  return run_with_candidate(center, candidate, scratch);
+  return arrival;
 }
 
 sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
                                             Scratch& scratch) const {
+  if (ctx_.snapshot_epoch() != epoch_) {
+    throw std::logic_error("fassta::Engine: the snapshot moved since the engine was built");
+  }
   const auto& nl = ctx_.netlist();
-  const std::vector<NodeMoments>& base = base_arrivals();
 
   // Seeds: the center, and the drivers whose load the candidate's input pin
   // caps change (a PI driver has no arcs to perturb). Every other gate reads
@@ -96,13 +68,13 @@ sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& 
 
   // The cone in topological order: every in-cone fanin is recomputed before it is
   // read, everything else comes from the base.
-  const std::span<const GateId> cone = sta::collect_cone(ctx_, seeds, scratch.cone);
-  const sta::ConeWorkspace& ws = scratch.cone;
+  sta::ConeWorkspace& ws = sta::thread_cone_workspace();
+  const std::span<const GateId> cone = sta::collect_cone(ctx_, seeds, ws);
   std::vector<NodeMoments>& arrival = scratch.arrival;
   arrival.resize(cone.size());
   const auto arrival_of = [&](GateId f) -> const NodeMoments& {
     const std::uint32_t s = ws.slot(f);
-    return s != sta::ConeWorkspace::kNoSlot ? arrival[s] : base[f];
+    return s != sta::ConeWorkspace::kNoSlot ? arrival[s] : base_[f];
   };
   for (std::uint32_t s = 0; s < cone.size(); ++s) {
     const GateId id = cone[s];
@@ -156,26 +128,17 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
                                           std::span<const NodeMoments> boundary,
                                           std::span<const NodeMoments> downstream,
                                           GateId center, const liberty::Cell& candidate,
-                                          double lambda) const {
-  Scratch scratch;
-  return evaluate_candidate(sc, boundary, downstream, center, candidate, lambda, scratch);
-}
-
-SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
-                                          std::span<const NodeMoments> boundary,
-                                          std::span<const NodeMoments> downstream,
-                                          GateId center, const liberty::Cell& candidate,
                                           double lambda, Scratch& scratch) const {
   const auto& nl = ctx_.netlist();
 
   // Local arrival moments for members only, indexed by position in sc.gates.
-  // The scratch's stamped slot index maps GateId -> member in O(1); a new
-  // stamp retires the previous call's entries, so a reused scratch pays
-  // O(|sc|), not O(nodes), per candidate.
+  // The thread's stamped slot index maps GateId -> member in O(1); a new
+  // stamp retires the previous call's entries, so a call pays O(|sc|), not
+  // O(nodes).
   std::vector<NodeMoments>& local = scratch.arrival;
   local.assign(sc.gates.size(), NodeMoments{});
-  scratch.cone.index_list(nl.node_count(), sc.gates);
-  const sta::ConeWorkspace& members = scratch.cone;
+  sta::ConeWorkspace& members = sta::thread_cone_workspace();
+  members.index_list(nl.node_count(), sc.gates);
 
   const auto arrival_of = [&](GateId id) -> NodeMoments {
     const std::uint32_t li = members.slot(id);

@@ -7,24 +7,22 @@
 // pass. The engine's whole reason to exist is evaluating candidate gate sizes
 // inside the optimizer's inner loop at negligible cost.
 //
-// Thread safety: an Engine holds a const reference to the TimingContext
-// snapshot, immutable options, and one cache: the base arrivals of a full
-// run() that candidate scoring reads outside each resize's fanout cone. The
-// cache is keyed on TimingContext::snapshot_epoch() and refreshed lazily by
-// the first scorer that sees the epoch move (under a mutex; the others wait
-// for it), in place, into a buffer reserved on the constructing thread — so
-// a pool worker that happens to refresh it allocates nothing. Every method
-// is const and re-entrant — one Engine may be
-// shared by any number of threads as long as nobody mutates the netlist or
-// writes the snapshot concurrently. The per-call mutable state lives in an
-// explicit Scratch workspace; give each worker thread its own (see
+// Thread safety: an Engine never changes after construction. It holds a
+// const reference to the TimingContext snapshot, const options, and the
+// base arrivals of a full run() of the snapshot it was built on, which
+// candidate scoring reads outside each resize's fanout cone. A write to the
+// snapshot (TimingContext::update(), apply_snapshot_patch()) makes the
+// engine stale: run_with_candidate() then throws std::logic_error, and the
+// caller builds a new Engine. Every method is const and re-entrant — one
+// Engine may be shared by any number of threads as long as nobody mutates
+// the netlist or writes the snapshot concurrently. The per-call working
+// state lives in an explicit Scratch workspace and the calling thread's
+// sta::thread_cone_workspace(); give each worker thread its own Scratch (see
 // docs/ARCHITECTURE.md, "Concurrency & determinism contracts").
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -59,19 +57,19 @@ class Engine {
   /// Reusable workspace for the scoring entry points. A Scratch is NOT
   /// thread-safe: each thread scoring candidates must own its own instance
   /// (the engine itself may be shared). Reusing one Scratch across calls
-  /// keeps the per-call cost proportional to the cone (or subcircuit): its
-  /// one O(nodes) array, the workspace's stamped GateId -> slot index, is
-  /// allocated once and never cleared per call. If a call throws, discard
-  /// the Scratch (its bookkeeping may be mid-reset).
+  /// keeps the per-call cost proportional to the cone (or subcircuit): the
+  /// one O(nodes) array, the stamped GateId -> slot index, is the calling
+  /// thread's sta::thread_cone_workspace(), allocated once per thread and
+  /// never cleared per call. If a call throws, discard the Scratch (its
+  /// bookkeeping may be mid-reset).
   struct Scratch {
-    /// run_with_candidate: the fanout cone (sta::collect_cone);
-    /// evaluate_candidate: the subcircuit members' slots.
-    sta::ConeWorkspace cone;
     std::vector<sta::NodeMoments> arrival;  ///< cone / member arrivals, by slot
     std::vector<netlist::GateId> seeds;     ///< run_with_candidate: the cone's seeds
     std::vector<std::pair<netlist::GateId, double>> perturbed;  ///< run_with_candidate: driver loads
   };
 
+  /// Runs the base pass — run() over @p ctx's current snapshot — and
+  /// records the snapshot's epoch (TimingContext::snapshot_epoch()).
   explicit Engine(const sta::TimingContext& ctx, EngineOptions options = {});
 
   /// Statistical max of two Gaussian moment pairs under the engine's options.
@@ -79,38 +77,36 @@ class Engine {
   [[nodiscard]] sta::NodeMoments stat_max(const sta::NodeMoments& a,
                                           const sta::NodeMoments& b) const;
 
-  /// Full-netlist moment propagation (used standalone and in benchmarks).
-  /// Returns per-node arrival moments; @p circuit is filled with the moments
-  /// of the statistical max over all primary outputs if non-null. Const and
-  /// re-entrant.
+  /// Full-netlist moment propagation over the snapshot as it is now (used
+  /// standalone and in benchmarks). Returns per-node arrival moments;
+  /// @p circuit is filled with the moments of the statistical max over all
+  /// primary outputs if non-null. Const and re-entrant.
   [[nodiscard]] std::vector<sta::NodeMoments> run(sta::NodeMoments* circuit = nullptr) const;
+
+  /// run()'s per-node arrival moments at construction.
+  [[nodiscard]] std::span<const sta::NodeMoments> base() const { return base_; }
 
   /// Full-netlist moment propagation with gate @p center hypothetically bound
   /// to @p candidate: loads of the center's drivers and the affected arc
   /// delays are recomputed, everything else reuses the snapshot. Returns the
   /// circuit moments (statistical max over primary outputs). This is the
   /// robust inner-loop score: unlike a truncated window it sees the
-  /// max-over-all-paths behaviour of the objective (see DESIGN.md,
-  /// "window truncation").
+  /// max-over-all-paths behaviour of the objective (see docs/ARCHITECTURE.md,
+  /// "Deviations from the paper").
   ///
   /// Only the fanout cone of the perturbed gates (the center, plus those of
   /// its drivers whose load_ff_with_resize differs from load_ff) is
-  /// recomputed, in topological order over sta::collect_cone's list; every other
-  /// arrival is read from a cached run() of the current snapshot, refreshed
-  /// when TimingContext::snapshot_epoch() moves. The result is
-  /// bitwise-identical to sweeping the whole netlist. Cost: the cone's
-  /// edges plus collect_cone's scan, with nothing cleared per call.
+  /// recomputed, in topological order over sta::collect_cone's list; every
+  /// other arrival is read from base(). The result is bitwise-identical to
+  /// sweeping the whole netlist. Cost: the cone's edges plus collect_cone's
+  /// scan, with nothing cleared per call, and no allocation once @p scratch
+  /// and the thread's cone workspace have served a cone this large.
   /// c6288's cones average ~34% of its nodes and mesh6's ~18%; perfbench's
   /// fassta.candidate_us reads ~80-100 us per call on c6288 and ~65-80 us
-  /// on mesh6 (4-core x86-64 host, RelWithDebInfo). Const and re-entrant;
-  /// allocates its own workspace. Hot loops should use the Scratch overload
-  /// instead.
-  [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
-                                                    const liberty::Cell& candidate) const;
-
-  /// Same, reusing @p scratch for the per-call workspace. Safe to call
-  /// concurrently from many threads as long as every thread passes a distinct
-  /// Scratch; returns moments bitwise-identical to the allocating overload.
+  /// on mesh6 (4-core x86-64 host, RelWithDebInfo). Safe to call
+  /// concurrently from many threads as long as every thread passes a
+  /// distinct Scratch. Throws std::logic_error if the snapshot was written
+  /// after the engine was built.
   [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
                                                     const liberty::Cell& candidate,
                                                     Scratch& scratch) const;
@@ -121,26 +117,18 @@ class Engine {
   /// local-arrival (+) downstream-potential, which makes costs of different
   /// window outputs globally comparable — without this, a candidate that
   /// slows a side path with deep downstream logic can look like a win inside
-  /// a truncated window (see DESIGN.md, "window truncation"). Const and
-  /// re-entrant.
+  /// a truncated window (see docs/ARCHITECTURE.md, "Deviations from the
+  /// paper"). Const and re-entrant.
   [[nodiscard]] std::vector<sta::NodeMoments> compute_downstream() const;
 
   /// Evaluates paper eq. 7 over @p sc with gate @p center hypothetically
   /// bound to @p candidate (pass the currently bound cell to score the status
   /// quo). @p boundary are FULLSSTA's per-node arrival moments (subcircuit
   /// members are recomputed, boundary nodes are read as-is); @p downstream
-  /// comes from compute_downstream() on the same snapshot. Const and
-  /// re-entrant; allocates its own workspace.
-  [[nodiscard]] SubcircuitCost evaluate_candidate(const netlist::Subcircuit& sc,
-                                                  std::span<const sta::NodeMoments> boundary,
-                                                  std::span<const sta::NodeMoments> downstream,
-                                                  netlist::GateId center,
-                                                  const liberty::Cell& candidate,
-                                                  double lambda) const;
-
-  /// Same, reusing @p scratch (one Scratch per thread). The GateId -> member
-  /// map is the scratch's stamped slot index, so the reset cost per call is
-  /// O(|subcircuit|) rather than O(nodes).
+  /// comes from compute_downstream() on the same snapshot. The GateId ->
+  /// member map is the thread's stamped cone workspace, so the reset cost
+  /// per call is O(|subcircuit|) rather than O(nodes). Const and re-entrant
+  /// (one Scratch per thread).
   [[nodiscard]] SubcircuitCost evaluate_candidate(const netlist::Subcircuit& sc,
                                                   std::span<const sta::NodeMoments> boundary,
                                                   std::span<const sta::NodeMoments> downstream,
@@ -183,18 +171,10 @@ class Engine {
   }
 
  private:
-  /// run()'s arrivals for the snapshot at its current epoch (lazily refreshed).
-  const std::vector<sta::NodeMoments>& base_arrivals() const;
-  /// run() into @p arrival, reusing its capacity.
-  void run_into(std::vector<sta::NodeMoments>& arrival, sta::NodeMoments* circuit) const;
-
   const sta::TimingContext& ctx_;
   EngineOptions options_;
-
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
-  mutable std::mutex base_mutex_;  ///< serializes refreshes of base_
-  mutable std::atomic<std::uint64_t> base_epoch_{kNoEpoch};
-  mutable std::vector<sta::NodeMoments> base_;
+  std::uint64_t epoch_;                ///< the snapshot epoch base_ was run at
+  std::vector<sta::NodeMoments> base_;  ///< run() at construction
 };
 
 }  // namespace statsizer::fassta

@@ -68,13 +68,11 @@ CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library
 /// The fast-engine side of the inner loop: either the specialized fassta
 /// kernel (score_engine == "fassta", the default — per-worker Scratch, zero
 /// per-candidate allocation) or any other engine speculating
-/// through the timing::Analyzer interface.
+/// through the timing::Analyzer interface. Either scores against the
+/// snapshot the sizer last re-based it on.
 struct InnerScorer {
-  const fassta::Engine* fassta = nullptr;   ///< fast path when non-null
-  timing::Analyzer* analyzer = nullptr;     ///< analyzer path otherwise
-  /// Analyzer path only: the TimingContext::snapshot_epoch() the analyzer's
-  /// base was taken at. score_candidates re-bases when the epoch has moved.
-  std::optional<std::uint64_t> base_epoch;
+  std::optional<fassta::Engine> fassta;  ///< fast path when engaged
+  timing::Analyzer* analyzer = nullptr;  ///< analyzer path otherwise
 };
 
 /// The parallel candidate-scoring kernel shared by the plan stage and the
@@ -85,8 +83,8 @@ struct InnerScorer {
 /// the result is written exactly once by whichever worker draws it, and the
 /// scores themselves do not depend on evaluation order — so the returned
 /// array is bitwise-identical for any thread count.
-std::vector<double> score_candidates(sta::TimingContext& ctx,
-                                     InnerScorer& scorer,
+std::vector<double> score_candidates(const sta::TimingContext& ctx,
+                                     const InnerScorer& scorer,
                                      const StatisticalSizerOptions& options,
                                      InnerScoring scoring,
                                      std::span<const CandidateJob> jobs,
@@ -101,12 +99,8 @@ std::vector<double> score_candidates(sta::TimingContext& ctx,
   // function of the job count, never of the thread count.
   constexpr std::size_t kChunk = 8;
 
-  if (scorer.fassta == nullptr) {
+  if (!scorer.fassta.has_value()) {
     timing::Analyzer& analyzer = *scorer.analyzer;
-    if (scorer.base_epoch != ctx.snapshot_epoch()) {
-      (void)analyzer.analyze(ctx);  // re-base against the frozen snapshot
-      scorer.base_epoch = ctx.snapshot_epoch();
-    }
     util::parallel_for(jobs.size(), kChunk, options.threads,
                        [&](std::size_t begin, std::size_t end, std::size_t) {
                          for (std::size_t i = begin; i < end; ++i) {
@@ -183,12 +177,11 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     throw std::invalid_argument("confirm engine \"" + options.confirm_engine +
                                 "\" lacks per-node moments");
   }
-  const fassta::Engine engine(ctx, options.fassta);
   std::unique_ptr<timing::Analyzer> score_analyzer;
   if (!fassta_scorer) {
     score_analyzer = timing::make_analyzer(options.score_engine, engine_options);
   }
-  InnerScorer scorer{fassta_scorer ? &engine : nullptr, score_analyzer.get(), std::nullopt};
+  InnerScorer scorer{std::nullopt, score_analyzer.get()};
 
   // Yield-constraint mode: validated up front so a typo'd engine name or a
   // missing clock fails loudly instead of surfacing mid-run (or never, when
@@ -270,11 +263,20 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     const WnssTrace trace = trace_wnss(ctx, full->node);
     if (trace.path.empty()) break;
 
+    // The one re-base of the inner scorer per iteration. It is exact: every
+    // score_candidates call of the iteration runs before any commit (the
+    // rescue sweeps run only while nothing was accepted).
+    if (fassta_scorer) {
+      scorer.fassta.emplace(ctx, options.fassta);
+    } else {
+      (void)score_analyzer->analyze(ctx);
+    }
+
     // Downstream statistical potential per node (only the subcircuit scoring
     // mode needs it; see engine.h on window truncation).
     std::vector<sta::NodeMoments> downstream;
     if (options.scoring == InnerScoring::kSubcircuit) {
-      downstream = engine.compute_downstream();
+      downstream = scorer.fassta->compute_downstream();
     }
 
     // ---- move source 1: fast-engine plan over the WNSS path ---------------

@@ -52,8 +52,8 @@ namespace statsizer::opt {
 
 /// How candidate sizes are scored in the inner loop.
 enum class InnerScoring {
-  /// FASSTA over the candidate's fanout cone, every other arrival from a
-  /// cached full pass (fassta::Engine::run_with_candidate; bitwise a full
+  /// FASSTA over the candidate's fanout cone, every other arrival from the
+  /// engine's base pass (fassta::Engine::run_with_candidate; bitwise a full
   /// pass, microseconds): sees the max-over-all-paths behaviour of the
   /// objective. Default — robust.
   kGlobalFassta,

@@ -10,19 +10,16 @@ namespace statsizer::opt {
 using netlist::GateId;
 using sta::NodeMoments;
 
-bool more_responsible(const NodeMoments& a, const NodeMoments& b, double c_a, double c_b,
-                      const WnssOptions& options) {
+bool more_responsible(const NodeMoments& a, const NodeMoments& b, double c_a, double c_b) {
   const int dom = fassta::dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps);
   if (dom > 0) return true;
   if (dom < 0) return false;
   // Neither dominates: rank by sensitivity of Var(max) to each input's mean
   // (with the coupled sigma step).
   const double sens_a = fassta::max_var_sensitivity_mu_a(
-      a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, kWnssStepFraction, c_a,
-      options.use_fast_clark);
+      a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, kWnssStepFraction, c_a);
   const double sens_b = fassta::max_var_sensitivity_mu_a(
-      b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, kWnssStepFraction, c_b,
-      options.use_fast_clark);
+      b.mean_ps, b.sigma_ps, a.mean_ps, a.sigma_ps, kWnssStepFraction, c_b);
   return sens_a >= sens_b;
 }
 
@@ -38,8 +35,7 @@ double coupling_of(const sta::TimingContext& ctx, GateId id) {
 
 }  // namespace
 
-WnssTrace trace_wnss(const sta::TimingContext& ctx, std::span<const NodeMoments> moments,
-                     const WnssOptions& options) {
+WnssTrace trace_wnss(const sta::TimingContext& ctx, std::span<const NodeMoments> moments) {
   const auto& nl = ctx.netlist();
   WnssTrace trace;
   if (nl.outputs().empty()) return trace;
@@ -50,7 +46,7 @@ WnssTrace trace_wnss(const sta::TimingContext& ctx, std::span<const NodeMoments>
     const GateId challenger = nl.outputs()[i].driver;
     if (challenger == winner) continue;
     if (!more_responsible(moments[winner], moments[challenger], coupling_of(ctx, winner),
-                          coupling_of(ctx, challenger), options)) {
+                          coupling_of(ctx, challenger))) {
       winner = challenger;
     }
   }
@@ -79,7 +75,7 @@ WnssTrace trace_wnss(const sta::TimingContext& ctx, std::span<const NodeMoments>
       const NodeMoments m = through(i);
       const double c_best = coupling_of(ctx, g.fanins[best]);
       const double c_i = coupling_of(ctx, g.fanins[i]);
-      if (!more_responsible(best_m, m, c_best, c_i, options)) {
+      if (!more_responsible(best_m, m, c_best, c_i)) {
         best = i;
         best_m = m;
       }

@@ -28,10 +28,6 @@ namespace statsizer::opt {
 /// The finite-difference step h as a fraction of the mean (paper: ~1%).
 inline constexpr double kWnssStepFraction = 0.01;
 
-struct WnssOptions {
-  bool use_fast_clark = true;  ///< quadratic-erf Clark in the sensitivities
-};
-
 struct WnssTrace {
   /// Gates on the WNSS path, primary-input side first, critical PO driver
   /// last. Contains only sizable gates (no PIs/constants).
@@ -43,14 +39,14 @@ struct WnssTrace {
 /// Traces the WNSS path using FULLSSTA's per-node arrival moments
 /// (@p moments indexed by GateId).
 [[nodiscard]] WnssTrace trace_wnss(const sta::TimingContext& ctx,
-                                   std::span<const sta::NodeMoments> moments,
-                                   const WnssOptions& options = {});
+                                   std::span<const sta::NodeMoments> moments);
 
 /// The pairwise comparison at the heart of the tracer, exposed for tests and
 /// the Fig. 3 reproduction: returns true if input A (moments through its arc)
 /// is more responsible for the variance of max(A, B) than input B.
 /// @p c_a / @p c_b are the mean-to-sigma coupling coefficients for each side.
+/// The sensitivities use the quadratic-erf (fast) Clark.
 [[nodiscard]] bool more_responsible(const sta::NodeMoments& a, const sta::NodeMoments& b,
-                                    double c_a, double c_b, const WnssOptions& options = {});
+                                    double c_a, double c_b);
 
 }  // namespace statsizer::opt

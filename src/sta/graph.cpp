@@ -182,6 +182,11 @@ void TimingContext::sum_area() {
   }
 }
 
+ConeWorkspace& thread_cone_workspace() {
+  thread_local ConeWorkspace ws;
+  return ws;
+}
+
 void ConeWorkspace::restamp(std::size_t node_count) {
   static std::atomic<std::uint64_t> lists{0};
   generation = lists.fetch_add(1, std::memory_order_relaxed) + 1;

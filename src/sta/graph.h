@@ -108,10 +108,9 @@ class TimingContext {
   void update();
 
   /// Counter bumped by every write to the snapshot (update() and
-  /// apply_snapshot_patch()). Caches derived from the snapshot — e.g.
-  /// fassta::Engine's base arrivals — key on it and refresh lazily when it
-  /// moves. Same exclusivity rule as the writers: it only moves while no
-  /// parallel region reads the snapshot.
+  /// apply_snapshot_patch()). fassta::Engine records it at construction and
+  /// refuses to score once it moves. Same exclusivity rule as the writers:
+  /// it only moves while no parallel region reads the snapshot.
   [[nodiscard]] std::uint64_t snapshot_epoch() const { return snapshot_epoch_; }
 
   // -- bound objects ---------------------------------------------------------
@@ -302,6 +301,14 @@ struct ConeWorkspace {
   /// Indexes @p list (slot i = list[i]).
   void index_list(std::size_t node_count, std::span<const netlist::GateId> list);
 };
+
+/// The calling thread's cone workspace, reused by every cone user on it —
+/// exact what-if speculations (timing/cone.h) and FASSTA candidate scoring —
+/// so none allocates an O(nodes) slot index per call. A thread runs one of
+/// them at a time (pool workers run each task to completion and nested
+/// parallel regions run inline), so nothing else touches it mid-use; a
+/// holder of a list across calls checks its generation.
+ConeWorkspace& thread_cone_workspace();
 
 /// The one fanout-cone builder behind every what-if: the fanout closure of
 /// @p seeds (duplicates allowed) as a subsequence of the context's

@@ -131,11 +131,14 @@ class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
     }
   };
 
+  /// The engine's base pass is the analysis. Commits leave engine_ stale;
+  /// its kernels (fold_arcs, fold_outputs) read only the options.
   Summary compute(sta::TimingContext& ctx) override {
     engine_.emplace(ctx, options_);  // rebinds: compute() runs only in analyze()
     Summary s;
-    sta::NodeMoments circuit;
-    s.node = engine_->run(&circuit);
+    s.node.assign(engine_->base().begin(), engine_->base().end());
+    const sta::NodeMoments circuit =
+        engine_->fold_outputs([&](GateId id) -> const sta::NodeMoments& { return s.node[id]; });
     s.mean_ps = circuit.mean_ps;
     s.sigma_ps = circuit.sigma_ps;
     return s;

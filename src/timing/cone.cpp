@@ -31,11 +31,6 @@ ConeTemps& thread_cone_temps() {
 
 }  // namespace
 
-sta::ConeWorkspace& thread_cone_workspace() {
-  thread_local sta::ConeWorkspace ws;
-  return ws;
-}
-
 void ConeSnapshot::collect(const sta::TimingContext& ctx, std::span<const Resize> resizes,
                            sta::ConeWorkspace& ws) {
   const auto& nl = ctx.netlist();

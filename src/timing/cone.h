@@ -95,13 +95,6 @@ struct ConeSnapshot {
   }
 };
 
-/// The calling thread's cone workspace, reused by every speculation
-/// collected or scored on it, so no what-if allocates an O(nodes) slot
-/// index. A thread scores one speculation at a time — pool workers run each
-/// task to completion and nested parallel regions run inline — so nothing
-/// else touches it mid-score.
-sta::ConeWorkspace& thread_cone_workspace();
-
 /// The exact cone speculation of the FULLSSTA, FASSTA and DSTA analyzers.
 /// Owner is the analyzer; the subclass is nested in it, so its engine half
 /// reads the owner's cached base directly. Construction (propose(), on the
@@ -117,7 +110,7 @@ class ConeSpeculation : public Transaction<Owner> {
   /// Subclasses size their own overlay state in their constructors.
   ConeSpeculation(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
       : Transaction<Owner>(owner, ctx, resizes) {
-    sta::ConeWorkspace& ws = thread_cone_workspace();
+    sta::ConeWorkspace& ws = sta::thread_cone_workspace();
     cone_.collect(ctx_, resizes_, ws);
     collected_generation_ = ws.generation;
     moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
@@ -142,7 +135,7 @@ class ConeSpeculation : public Transaction<Owner> {
 
  private:
   void evaluate() final {
-    sta::ConeWorkspace& ws = thread_cone_workspace();
+    sta::ConeWorkspace& ws = sta::thread_cone_workspace();
     // A speculation scored where it was proposed, with nothing collected in
     // between, finds its cone still indexed; elsewhere the scoring thread
     // re-stamps its own workspace from the collected list.

@@ -10,6 +10,10 @@
 //    that large (its reused cone workspace and replay temporaries), so a
 //    worker costs only the speculation it is scoring. A commit refreshing
 //    the analyzer's saved arc delay pdfs leaves that contract intact.
+//  * FASSTA candidate scoring (fassta::Engine::run_with_candidate) with a
+//    reused Scratch allocates nothing once the scoring thread has served a
+//    cone that large, even after an exact what-if scored on the same thread
+//    re-stamped the cone workspace both share.
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/flow.h"
+#include "fassta/engine.h"
 #include "pdf/discrete_pdf.h"
 #include "timing/analyzer.h"
 #include "util/thread_pool.h"
@@ -155,6 +160,39 @@ TEST_F(WhatIfAllocation, WorkerScoreAfterACommitAllocatesNothing) {
   first->commit();
   const auto next = propose();
   EXPECT_EQ(score_on_worker(*next), 0u);
+}
+
+/// The what-if fixture's design, analyzer and large-cone gate, scored by
+/// the fast engine.
+class FasstaAllocation : public WhatIfAllocation {};
+
+TEST_F(FasstaAllocation, WorkerScoresCandidatesWithoutAllocating) {
+  const fassta::Engine engine(flow_.timing());
+  const netlist::Gate& gate = flow_.netlist().gate(gate_);
+  const auto size = static_cast<std::uint16_t>(
+      (gate.size_index + 1) % flow_.library().group(gate.cell_group).size_count());
+  const liberty::Cell& cell = flow_.library().cell_for(gate.cell_group, size);
+  util::ThreadPool pool(1);
+  fassta::Engine::Scratch scratch;  // the worker's, reused across calls
+  const auto score_on_worker = [&](sta::NodeMoments& out) {
+    std::size_t news = 0;
+    pool.submit([&] {
+      news = news_during([&] { out = engine.run_with_candidate(gate_, cell, scratch); });
+    });
+    pool.wait_idle();
+    return news;
+  };
+  // The first score sizes the scratch and the worker's cone workspace.
+  sta::NodeMoments first;
+  (void)score_on_worker(first);
+  // An exact what-if scored on the worker re-stamps the workspace both share.
+  const auto spec = propose();
+  pool.submit([&] { (void)spec->score(); });
+  pool.wait_idle();
+  sta::NodeMoments again;
+  EXPECT_EQ(score_on_worker(again), 0u);
+  EXPECT_EQ(again.mean_ps, first.mean_ps);
+  EXPECT_EQ(again.sigma_ps, first.sigma_ps);
 }
 
 }  // namespace

@@ -427,7 +427,8 @@ TEST(Table1Suite, DepthOrderingMatchesPaperNarrative) {
 
 TEST(Table1Suite, GateCountsInPaperBallpark) {
   // Generators target the paper's mapped gate counts; allow a generous band
-  // (substitution documented in DESIGN.md).
+  // (substitution documented in docs/ARCHITECTURE.md, "Deviations from the
+  // paper").
   for (const auto& name : table1_names()) {
     const auto ref = table1_reference(name);
     const auto nl = make_table1_circuit(name);

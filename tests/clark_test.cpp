@@ -169,5 +169,16 @@ TEST(VarSensitivity, FatterLowerMeanInputCanDominate) {
   EXPECT_GT(sens_b, 0.0);
 }
 
+TEST(VarSensitivity, FastAndExactClarkRankClearCasesAlike) {
+  // The WNSS tracer ranks inputs with the fast Clark; on a clear case (the
+  // Fig. 3 fat/thin pair) it must pick the same input as exact Clark.
+  const double c = 0.1;
+  for (const bool use_fast : {true, false}) {
+    const double fat = max_var_sensitivity_mu_a(310.0, 45.0, 320.0, 27.0, 0.01, c, use_fast);
+    const double thin = max_var_sensitivity_mu_a(320.0, 27.0, 310.0, 45.0, 0.01, c, use_fast);
+    EXPECT_GT(fat, thin) << (use_fast ? "fast" : "exact");
+  }
+}
+
 }  // namespace
 }  // namespace statsizer::fassta

@@ -71,9 +71,10 @@ TEST(Engine, RunWithCurrentCellIsIdentity) {
   const Engine eng(*b.ctx);
   sta::NodeMoments base;
   (void)eng.run(&base);
+  Engine::Scratch scratch;
   for (GateId id = 0; id < b.nl.node_count(); ++id) {
     if (!b.ctx->has_cell(id)) continue;
-    const sta::NodeMoments m = eng.run_with_candidate(id, b.ctx->cell(id));
+    const sta::NodeMoments m = eng.run_with_candidate(id, b.ctx->cell(id), scratch);
     EXPECT_NEAR(m.mean_ps, base.mean_ps, 1e-9) << b.nl.gate(id).name;
     EXPECT_NEAR(m.sigma_ps, base.sigma_ps, 1e-9) << b.nl.gate(id).name;
   }
@@ -88,7 +89,8 @@ TEST(Engine, RunWithCandidateMatchesCommittedResize) {
     const auto& group = b.lib.group(b.nl.gate(id).cell_group);
     const auto big = static_cast<std::uint16_t>(group.size_count() - 1);
     const liberty::Cell& cell = b.lib.cell_for(b.nl.gate(id).cell_group, big);
-    const sta::NodeMoments what_if = eng.run_with_candidate(id, cell);
+    Engine::Scratch scratch;
+    const sta::NodeMoments what_if = eng.run_with_candidate(id, cell, scratch);
 
     b.nl.gate(id).size_index = big;
     b.ctx->update();
@@ -156,6 +158,7 @@ TEST(Engine, SubcircuitStatusQuoConsistent) {
   const Engine eng(*b.ctx);
   const auto full = ssta::run_fullssta(*b.ctx);
   const auto down = eng.compute_downstream();
+  Engine::Scratch scratch;
 
   // Scoring the *current* cell must equal scoring through the projections
   // without any perturbation — and must never be negative or absurd.
@@ -163,7 +166,7 @@ TEST(Engine, SubcircuitStatusQuoConsistent) {
     if (!b.ctx->has_cell(id)) continue;
     const auto sc = netlist::extract_subcircuit(b.nl, id, 2, 2);
     const SubcircuitCost cost =
-        eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 3.0);
+        eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 3.0, scratch);
     EXPECT_GT(cost.cost, 0.0);
     EXPECT_GT(cost.worst_mean_ps, 0.0);
     EXPECT_GE(cost.worst_sigma_ps, 0.0);
@@ -178,10 +181,11 @@ TEST(Engine, LambdaScalesCost) {
   const auto down = eng.compute_downstream();
   const GateId id = b.nl.outputs()[0].driver;
   const auto sc = netlist::extract_subcircuit(b.nl, id, 2, 2);
+  Engine::Scratch scratch;
   const double c0 =
-      eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 0.0).cost;
+      eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 0.0, scratch).cost;
   const double c9 =
-      eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 9.0).cost;
+      eng.evaluate_candidate(sc, full.node, down, id, b.ctx->cell(id), 9.0, scratch).cost;
   EXPECT_GT(c9, c0);
 }
 
@@ -305,9 +309,10 @@ TEST_P(FasstaConeScoring, EqualsFullSweepBitwiseForEveryGateAndSize) {
   Bench b(cone_workload(GetParam()));
   const Engine eng(*b.ctx);
   expect_cone_equals_full_sweep(b, eng);
-  // The allocating overload goes through the same cone.
+  // A fresh Scratch goes through the same cone.
   const Candidate c = all_candidates(b).back();
-  EXPECT_TRUE(bitwise_equal(eng.run_with_candidate(c.gate, cell_of(b, c)),
+  Engine::Scratch fresh;
+  EXPECT_TRUE(bitwise_equal(eng.run_with_candidate(c.gate, cell_of(b, c), fresh),
                             full_sweep_with_candidate(eng, *b.ctx, c.gate, cell_of(b, c))));
 }
 
@@ -323,22 +328,6 @@ INSTANTIATE_TEST_SUITE_P(Workloads, FasstaConeScoring,
                          ::testing::Values("cla8", "parity16", "c432", "c880"),
                          [](const auto& info) { return info.param; });
 
-/// Scores a fixed candidate sample with @p eng and with a fresh Engine on the
-/// same snapshot; both must agree bitwise (and with the full sweep).
-void expect_matches_fresh_engine(const Bench& b, const Engine& eng) {
-  const Engine fresh(*b.ctx);
-  Engine::Scratch scratch;
-  const auto cands = all_candidates(b);
-  for (std::size_t i = 0; i < cands.size(); i += 3) {
-    const liberty::Cell& cell = cell_of(b, cands[i]);
-    const sta::NodeMoments reused = eng.run_with_candidate(cands[i].gate, cell, scratch);
-    EXPECT_TRUE(bitwise_equal(reused, fresh.run_with_candidate(cands[i].gate, cell)))
-        << b.nl.gate(cands[i].gate).name << " size " << cands[i].size;
-    EXPECT_TRUE(
-        bitwise_equal(reused, full_sweep_with_candidate(eng, *b.ctx, cands[i].gate, cell)));
-  }
-}
-
 /// A mid-circuit gate and a size different from its current one.
 Candidate some_resize(const Bench& b, std::size_t skip) {
   for (GateId id = 0; id < b.nl.node_count(); ++id) {
@@ -352,24 +341,26 @@ Candidate some_resize(const Bench& b, std::size_t skip) {
   throw std::logic_error("no resizable gate");
 }
 
-TEST(FasstaConeStaleness, ScoreAfterResizeAndUpdateMatchesFreshEngine) {
+TEST(FasstaStaleEngine, ScoringAfterResizeAndUpdateThrows) {
   Bench b(circuits::make_cla_adder(8));
   const Engine eng(*b.ctx);
-  expect_matches_fresh_engine(b, eng);  // base cached at this epoch
+  const Candidate c = all_candidates(b).front();
+  Engine::Scratch scratch;
+  (void)eng.run_with_candidate(c.gate, cell_of(b, c), scratch);  // current: scores
 
   const std::uint64_t before = b.ctx->snapshot_epoch();
   const Candidate r = some_resize(b, 5);
   b.nl.gate(r.gate).size_index = r.size;
   b.ctx->update();
   EXPECT_GT(b.ctx->snapshot_epoch(), before);
-  expect_matches_fresh_engine(b, eng);
+  Engine::Scratch stale;
+  EXPECT_THROW((void)eng.run_with_candidate(c.gate, cell_of(b, c), stale), std::logic_error);
+  expect_cone_equals_full_sweep(b, Engine(*b.ctx));  // an engine built after the move
 }
 
-TEST(FasstaConeStaleness, ScoreAfterCommittedFullsstaSpeculationMatchesFreshEngine) {
+TEST(FasstaStaleEngine, ScoringAfterCommittedFullsstaSpeculationThrows) {
   Bench b(circuits::make_cla_adder(8));
   const Engine eng(*b.ctx);
-  expect_matches_fresh_engine(b, eng);
-
   auto analyzer = timing::make_analyzer("fullssta");
   (void)analyzer->analyze(*b.ctx);
   const std::uint64_t before = b.ctx->snapshot_epoch();
@@ -379,18 +370,18 @@ TEST(FasstaConeStaleness, ScoreAfterCommittedFullsstaSpeculationMatchesFreshEngi
   spec->commit();  // apply_snapshot_patch, no update()
   ASSERT_EQ(b.nl.gate(r.gate).size_index, r.size);
   EXPECT_GT(b.ctx->snapshot_epoch(), before);
-  expect_matches_fresh_engine(b, eng);
+  Engine::Scratch scratch;
+  EXPECT_THROW((void)eng.run_with_candidate(r.gate, cell_of(b, r), scratch), std::logic_error);
+  expect_cone_equals_full_sweep(b, Engine(*b.ctx));  // an engine built after the move
 }
 
 TEST(FasstaConeConcurrency, EightThreadsScoreThroughOneEngineAfterEpochBump) {
   Bench b(circuits::make_table1_circuit("c432"));
-  const Engine eng(*b.ctx);
-  const auto cands = all_candidates(b);
-  (void)eng.run_with_candidate(cands[0].gate, cell_of(b, cands[0]));  // cache a base
-
   const Candidate r = some_resize(b, 11);
   b.nl.gate(r.gate).size_index = r.size;
-  b.ctx->update();  // every thread below races to refresh the stale base
+  b.ctx->update();
+  const Engine eng(*b.ctx);  // immutable from here: the threads only read it
+  const auto cands = all_candidates(b);
 
   constexpr std::size_t kThreads = 8;
   std::vector<sta::NodeMoments> got(cands.size());
@@ -407,11 +398,9 @@ TEST(FasstaConeConcurrency, EightThreadsScoreThroughOneEngineAfterEpochBump) {
   }
   for (auto& w : workers) w.join();
 
-  const Engine fresh(*b.ctx);
-  Engine::Scratch scratch;
   for (std::size_t i = 0; i < cands.size(); ++i) {
     ASSERT_TRUE(bitwise_equal(
-        got[i], fresh.run_with_candidate(cands[i].gate, cell_of(b, cands[i]), scratch)))
+        got[i], full_sweep_with_candidate(eng, *b.ctx, cands[i].gate, cell_of(b, cands[i]))))
         << b.nl.gate(cands[i].gate).name << " size " << cands[i].size;
   }
 }

@@ -44,17 +44,6 @@ TEST(MoreResponsible, SymmetricTieIsStable) {
   EXPECT_TRUE(ab);  // ties break toward the first argument (>=)
 }
 
-TEST(MoreResponsible, FastAndExactModesAgreeOnClearCases) {
-  WnssOptions fast;
-  fast.use_fast_clark = true;
-  WnssOptions exact;
-  exact.use_fast_clark = false;
-  const NodeMoments fat{310.0, 45.0};
-  const NodeMoments thin{320.0, 27.0};
-  EXPECT_EQ(more_responsible(fat, thin, 0.1, 0.1, fast),
-            more_responsible(fat, thin, 0.1, 0.1, exact));
-}
-
 // ---------------------------------------------------------------------------
 // tracing on constructed netlists
 // ---------------------------------------------------------------------------
