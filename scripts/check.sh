@@ -49,8 +49,10 @@
 #   scripts/check.sh --serve-smoke   # additionally drive statsizer_serve
 #                                    # over a scripted newline-JSON session
 #                                    # (load/whatif/yield, malformed input,
-#                                    # unknown op, expired deadline — each
-#                                    # must answer with its structured code;
+#                                    # unknown op, expired deadline, a
+#                                    # DRC-rejected sdc — each must answer
+#                                    # with its structured code, and a size
+#                                    # after the rejected sdc must succeed;
 #                                    # a fault-aborted mc what-if must leave
 #                                    # the served yield bitwise unchanged),
 #                                    # check that bad numeric flags exit 2,
@@ -395,11 +397,13 @@ this line is not json
 {"id":4,"op":"frobnicate"}
 {"id":5,"op":"yield","deadline_ms":1}
 {"id":6,"op":"status"}
-{"id":7,"op":"quit"}
+{"id":7,"op":"sdc","text":"create_clock -period 0 -name clk"}
+{"id":8,"op":"size","lambda":3}
+{"id":9,"op":"quit"}
 EOF
 )"
-  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 7 ]]; then
-    echo "check.sh: serve smoke FAILED: expected 7 response lines" >&2
+  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 9 ]]; then
+    echo "check.sh: serve smoke FAILED: expected 9 response lines" >&2
     echo "${SERVE_OUT}" >&2
     exit 1
   fi
@@ -411,6 +415,14 @@ EOF
       exit 1
     fi
   done
+  # A rejected SDC leaves nothing behind: the DRC gate refuses the zero clock,
+  # and the size after it must still pass its own preflight.
+  if ! sed -n 7p <<< "${SERVE_OUT}" | grep -qF '[non-positive-clock]' || \
+     ! sed -n 8p <<< "${SERVE_OUT}" | grep -qF '"ok":true'; then
+    echo "check.sh: serve smoke FAILED: a rejected sdc must not block the next size" >&2
+    echo "${SERVE_OUT}" >&2
+    exit 1
+  fi
   # An aborted what-if changes nothing: with every snapshot checkpoint of
   # request #2 (the what-if; scopes count from 0) faulted, the mc engine's
   # speculation fails with unavailable, and the yields before and after it

@@ -411,37 +411,6 @@ void sdc_port_rules(const Netlist& nl, const bench_format::Sdc& sdc,
   }
 }
 
-/// Without the parsed SDC only the dense vectors remain; screen them for the
-/// same intent. Empty TimingConstraints mean "analysis unconstrained by
-/// design" and yield no findings.
-void constraint_rules(const Netlist& nl, const sta::TimingConstraints& c,
-                      DrcReport& report) {
-  if (c.empty()) return;
-  if (c.clock_period_ps.has_value() && *c.clock_period_ps <= 0.0) {
-    Diagnostic d;
-    d.rule = Rule::kNonPositiveClock;
-    d.severity = Severity::kError;
-    d.object = "clock";
-    d.message = "clock period " + num(*c.clock_period_ps) + " ps is not positive";
-    report.diagnostics.push_back(std::move(d));
-  }
-  if (c.clock_period_ps.has_value() && *c.clock_period_ps > 0.0 &&
-      c.input_arrival_ps.empty() && !nl.inputs().empty()) {
-    Diagnostic d;
-    d.rule = Rule::kUnconstrainedInput;
-    d.severity = Severity::kWarning;
-    d.message = "clock is set but no primary input has an arrival time";
-    report.diagnostics.push_back(std::move(d));
-  }
-  if (!c.clock_period_ps.has_value()) {
-    Diagnostic d;
-    d.rule = Rule::kUnconstrainedOutput;
-    d.severity = Severity::kWarning;
-    d.message = "port delays are set but no clock defines a required time";
-    report.diagnostics.push_back(std::move(d));
-  }
-}
-
 }  // namespace
 
 std::string_view rule_id(Rule rule) {
@@ -498,11 +467,7 @@ DrcReport run_drc(const sta::TimingContext& ctx, const DrcOptions& options,
   if (append_binding(ctx, provenance, report)) {
     append_electrical(ctx, options, provenance, report);
   }
-  if (sdc != nullptr) {
-    sdc_port_rules(ctx.netlist(), *sdc, sdc_file, report);
-  } else {
-    constraint_rules(ctx.netlist(), ctx.constraints(), report);
-  }
+  if (sdc != nullptr) sdc_port_rules(ctx.netlist(), *sdc, sdc_file, report);
   return report;
 }
 

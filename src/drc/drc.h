@@ -107,10 +107,9 @@ struct DrcReport {
                                       const bench_format::Provenance* provenance = nullptr);
 
 /// The full sweep over a timing snapshot: structural + binding + electrical
-/// + SDC coverage. @p sdc (optional) enables the per-statement constraint
-/// rules with @p sdc_file/line attribution; without it the dense
-/// ctx.constraints() vectors are screened heuristically (an empty
-/// TimingConstraints yields no SDC findings).
+/// + SDC coverage. The SDC rules check @p sdc statement by statement, with
+/// @p sdc_file/line attribution; without @p sdc (core::Flow passes the parsed
+/// SDC whenever constraints exist) there are no SDC findings.
 [[nodiscard]] DrcReport run_drc(const sta::TimingContext& ctx,
                                 const DrcOptions& options = {},
                                 const bench_format::Provenance* provenance = nullptr,

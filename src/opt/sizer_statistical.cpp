@@ -183,24 +183,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   }
   InnerScorer scorer{std::nullopt, score_analyzer.get()};
 
-  // Yield-constraint mode: validated up front so a typo'd engine name or a
-  // missing clock fails loudly instead of surfacing mid-run (or never, when
-  // the loop converges before the first check).
-  if (options.target_yield.has_value()) {
-    (void)ssta::for_yield_engine(options.isle, options.yield_engine);
-    if (options.isle.clock_period_ps <= 0.0 &&
-        !ctx.constraints().clock_period_ps.has_value()) {
-      throw std::invalid_argument(
-          "target_yield requires a clock period (isle.clock_period_ps or an SDC "
-          "create_clock constraint)");
-    }
-  }
-  const auto estimate_yield = [&]() {
-    ssta::IsleOptions isle = ssta::for_yield_engine(options.isle, options.yield_engine);
-    isle.threads = options.threads;
-    return ssta::run_isle(ctx, isle);
-  };
-
   StatisticalSizerStats stats;
 
   ctx.update();
@@ -250,14 +232,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     if (options.target_sigma_ps.has_value() && full->sigma_ps <= *options.target_sigma_ps) {
       stats.constraints_met = true;
       break;
-    }
-    if (options.target_yield.has_value()) {
-      const ssta::IsleResult y = estimate_yield();
-      stats.yield_draws += y.draws;
-      if (!y.degenerate && y.yield >= *options.target_yield) {
-        stats.constraints_met = true;
-        break;
-      }
     }
 
     const WnssTrace trace = trace_wnss(ctx, full->node);
@@ -499,17 +473,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   if (options.target_sigma_ps.has_value() &&
       confirm->current().sigma_ps <= *options.target_sigma_ps) {
     stats.constraints_met = true;
-  }
-  if (options.target_yield.has_value()) {
-    // One evaluation of the final state: the loop may have resized since its
-    // last check (or broken before any), and the report should describe what
-    // the caller actually gets.
-    const ssta::IsleResult y = estimate_yield();
-    stats.final_yield = y.yield;
-    stats.final_yield_se = y.std_error;
-    stats.yield_draws += y.draws;
-    stats.yield_degenerate = y.degenerate;
-    if (!y.degenerate && y.yield >= *options.target_yield) stats.constraints_met = true;
   }
   return stats;
 }

@@ -46,7 +46,6 @@
 #include "fassta/engine.h"
 #include "opt/objective.h"
 #include "ssta/fullssta.h"
-#include "ssta/isle.h"
 
 namespace statsizer::opt {
 
@@ -91,22 +90,6 @@ struct StatisticalSizerOptions {
   std::string score_engine = "fassta";
   /// Optional constraint mode: stop as soon as sigma reaches this target.
   std::optional<double> target_sigma_ps;
-  /// Optional constraint mode: stop as soon as the estimated timing yield at
-  /// the constraint clock reaches this target (e.g. 0.99). Requires a clock
-  /// period — either isle.clock_period_ps or the context's SDC constraint —
-  /// and is evaluated with yield_engine at the top of every iteration plus
-  /// once on the final state (StatisticalSizerStats::final_yield). A
-  /// degenerate estimate (IsleResult::degenerate) never satisfies the
-  /// target.
-  std::optional<double> target_yield;
-  /// Engine for the target_yield evaluations: "isle" (importance sampling,
-  /// the default — cheap enough to sit inside the sizing loop) or "mc"
-  /// (plain Monte Carlo through the same machinery).
-  std::string yield_engine = "isle";
-  /// Estimator configuration for the target_yield evaluations. Its threads
-  /// field is overridden by `threads` above (results are identical either
-  /// way).
-  ssta::IsleOptions isle;
 
   // -- convergence rescue (bounded exact-engine move sources) -----------------
   /// When the fast-engine plan yields nothing the accurate engine confirms,
@@ -166,13 +149,6 @@ struct StatisticalSizerStats {
   CircuitStats initial;
   CircuitStats final_;
   bool constraints_met = false;
-  /// Yield of the final state at the constraint clock (only when
-  /// target_yield was set; -1 otherwise). Draws are totalled over every
-  /// in-loop evaluation plus the final one.
-  double final_yield = -1.0;
-  double final_yield_se = 0.0;
-  std::size_t yield_draws = 0;
-  bool yield_degenerate = false;
 };
 
 /// Runs StatisticalGreedy in place on the context's netlist. Mutates the

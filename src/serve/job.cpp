@@ -1,7 +1,6 @@
 #include "serve/job.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace statsizer::serve {
@@ -88,8 +87,6 @@ JobRef JobManager::submit(std::function<void()> body, JobOptions options) {
   auto job = JobRef(new Job());
   job->priority_ = options.priority;
   job->cost_bytes_ = options.cost_bytes;
-  job->max_retries_ = options.max_retries;
-  job->backoff_ = std::max(options.backoff, std::chrono::milliseconds(1));
   job->submitted_at_ = std::chrono::steady_clock::now();
   if (options.deadline.count() > 0) {
     job->deadline_ = job->submitted_at_ + options.deadline;
@@ -160,55 +157,26 @@ void JobManager::run_one() {
 }
 
 void JobManager::execute(const JobRef& job) {
+  {
+    const std::lock_guard<std::mutex> lock(job->mutex_);
+    job->attempts_ = 1;
+  }
+  util::ExecContext exec;
+  exec.cancel = job->cancel_;
+  exec.deadline = job->deadline_;
+  exec.faults = options_.faults;
+  exec.fault_scope = job->fault_scope_;
   Status status;
-  std::chrono::milliseconds backoff = job->backoff_;
-  for (int attempt = 1;; ++attempt) {
-    {
-      const std::lock_guard<std::mutex> lock(job->mutex_);
-      job->attempts_ = attempt;
-    }
-    util::ExecContext exec;
-    exec.cancel = job->cancel_;
-    exec.deadline = job->deadline_;
-    exec.faults = options_.faults;
-    exec.fault_scope = job->fault_scope_;
-    try {
-      const util::ScopedExecContext scope(exec);
-      util::checkpoint(attempt == 1 ? "serve/job/start" : "serve/job/retry");
-      job->body_();
-      status = Status();
-    } catch (const StatusError& e) {
-      status = e.status();
-    } catch (const std::exception& e) {
-      status = Status::internal(std::string("job failed: ") + e.what());
-    } catch (...) {
-      status = Status::internal("job failed: unknown exception");
-    }
-
-    if (status.ok() || !status.transient() || attempt > job->max_retries_) break;
-
-    // Transient failure with retry budget left: back off (bounded by the
-    // remaining deadline), re-check the cooperative controls, go again.
-    std::chrono::milliseconds sleep = backoff;
-    if (job->deadline_.has_value()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= *job->deadline_) {
-        status = Status::deadline_exceeded("deadline exceeded before retry");
-        break;
-      }
-      sleep = std::min(
-          sleep, std::chrono::duration_cast<std::chrono::milliseconds>(*job->deadline_ - now));
-    }
-    std::this_thread::sleep_for(sleep);
-    backoff *= 2;
-    if (job->cancel_.cancelled()) {
-      status = Status::cancelled("cancelled before retry");
-      break;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.retried;
-    }
+  try {
+    const util::ScopedExecContext scope(exec);
+    util::checkpoint("serve/job/start");
+    job->body_();
+  } catch (const StatusError& e) {
+    status = e.status();
+  } catch (const std::exception& e) {
+    status = Status::internal(std::string("job failed: ") + e.what());
+  } catch (...) {
+    status = Status::internal("job failed: unknown exception");
   }
   retire(job, std::move(status));
 }

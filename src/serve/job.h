@@ -1,7 +1,6 @@
 // Fault-isolated async job system: a priority queue + futures layer over
 // util::ThreadPool with per-job error isolation, cooperative deadlines and
-// cancellation, bounded-queue admission control with graceful shedding, and
-// retry-with-backoff for transient failures.
+// cancellation, and bounded-queue admission control with graceful shedding.
 //
 // Layering: this header depends only on util/ — core::Flow's batch API and
 // the serving layer (serve/session.h, serve/server.h, which sit *above*
@@ -21,10 +20,8 @@
 //     util::checkpoint() inside the timing/SSTA kernels becomes a
 //     cancellation point. Jobs whose deadline expires while still queued
 //     complete kDeadlineExceeded without running.
-//   - A body that fails with a *transient* status (kUnavailable) is retried
-//     in place up to JobOptions::max_retries times with doubling backoff
-//     (capped by the remaining deadline). Bodies must therefore be
-//     re-runnable from scratch.
+//   - Every admitted body runs at most once: a failure, whatever its code,
+//     is the job's terminal status.
 //   - Priorities order the pending queue (higher first, FIFO within a
 //     priority); they never preempt running jobs.
 #pragma once
@@ -76,11 +73,6 @@ struct JobOptions {
   /// Admission-control cost estimate (e.g. bytes of working state the job
   /// will hold). 0 = free.
   std::size_t cost_bytes = 0;
-  /// Retries for transient (Status::transient()) failures.
-  int max_retries = 0;
-  /// Initial retry backoff; doubles per retry, capped by the remaining
-  /// deadline.
-  std::chrono::milliseconds backoff{1};
   /// Fault-injection scope for this job; defaults to the job id (the
   /// submission sequence number), so a plan can poison job N specifically.
   std::optional<std::uint64_t> fault_scope;
@@ -94,7 +86,9 @@ struct JobStats {
   std::uint64_t cancelled = 0;   ///< subset of failed: kCancelled
   std::uint64_t deadline_exceeded = 0;  ///< subset of failed: kDeadlineExceeded
   std::uint64_t shed = 0;        ///< rejected by admission control
-  std::uint64_t retried = 0;     ///< transient-failure re-runs
+  /// Always 0: bodies run at most once. Kept for readers of the name
+  /// (the server's status op reports it).
+  std::uint64_t retried = 0;
   std::size_t queue_depth = 0;   ///< gauge: pending jobs
   std::size_t running = 0;       ///< gauge: executing jobs
   std::size_t inflight_bytes = 0;  ///< gauge: admitted cost
@@ -119,7 +113,7 @@ class Job {
   /// without running; running jobs stop at their next checkpoint.
   void cancel();
 
-  /// Total body attempts (>= 1 once run; 0 for jobs that never ran).
+  /// Body attempts: 1 once run, 0 for jobs that never ran.
   [[nodiscard]] int attempts() const;
   /// For shed jobs: the admission controller's suggested backoff.
   [[nodiscard]] std::chrono::milliseconds retry_after() const;
@@ -142,8 +136,6 @@ class Job {
   int priority_ = 0;
   int attempts_ = 0;
   std::size_t cost_bytes_ = 0;
-  int max_retries_ = 0;
-  std::chrono::milliseconds backoff_{1};
   std::chrono::milliseconds retry_after_{0};
   std::uint64_t fault_scope_ = 0;
   util::CancelToken cancel_;

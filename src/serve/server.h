@@ -30,9 +30,9 @@
 // Ordering: responses are written in request order (a single writer drains
 // completions in submission sequence), so clients may correlate by position
 // as well as by id. Admission control, deadlines, cancellation and fault
-// injection all come from the underlying JobManager. Its retry of transient
-// failures (JobOptions::max_retries) stays off: a transient failure answers
-// "unavailable" on its first attempt and the client decides whether to resend.
+// injection all come from the underlying JobManager, which runs each job once:
+// a transient failure answers "unavailable" and the client decides whether to
+// resend.
 #pragma once
 
 #include <iosfwd>

@@ -66,17 +66,15 @@ Status Session::apply_sdc_text(std::string_view text) {
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   util::checkpoint("serve/session/sdc");
   if (flow_ == nullptr) return Status::invalid_argument("apply_sdc: no design loaded");
-  // apply_sdc itself is transactional (constraints install only after a full
-  // parse + port resolution), so a parse error leaves the old constraints.
-  const sta::TimingConstraints previous = flow_->timing().constraints();
+  // DRC admission gate: the candidate SDC is screened before anything is
+  // installed, so a rejection leaves the session as it was. apply_sdc itself
+  // installs only after a full parse and port resolution.
+  const StatusOr<bench_format::Sdc> sdc = bench_format::read_sdc(text);
+  if (!sdc.ok()) return sdc.status();
+  const drc::DrcReport report = drc::run_drc(flow_->timing(), flow_->options().drc,
+                                             &flow_->provenance(), &*sdc);
+  if (report.has_errors()) return preflight_rejection(report);
   if (Status s = flow_->apply_sdc(text); !s.ok()) return s;
-  // DRC admission gate over the new constraints (e.g. SDC coverage rules):
-  // revert on error findings.
-  if (flow_->preflight().has_errors()) {
-    const Status rejection = preflight_rejection(flow_->last_drc());
-    flow_->timing().set_constraints(previous);
-    return rejection;
-  }
   try {
     flow_->timing().update();  // constraints feed arrivals/required times
     rebase(*flow_);

@@ -17,9 +17,10 @@
 //     computed against, so clients can detect that a what-if raced a
 //     commit.
 //
-// Loads and SDC changes are transactional: the new state is built in a
-// scratch Flow and swapped in only after the DRC preflight admission gate
-// passes, so a rejected or aborted load leaves the previous design
+// Loads and SDC changes are transactional: a load is built in a scratch
+// Flow and swapped in only after the DRC preflight admission gate passes,
+// and an SDC is screened by the DRC before anything is installed, so a
+// rejected or aborted load, or a rejected SDC, leaves the previous design
 // serving. size() mutates in place and is NOT transactional under
 // cancellation — resizes committed before the abort persist — but the
 // session always recovers to a consistent, freshly analyzed state (the
@@ -110,8 +111,9 @@ class Session {
   [[nodiscard]] Status load_file(const std::string& path, bool run_baseline = false);
 
   /// Applies SDC text to the served design (exclusive; epoch bump). The DRC
-  /// sweep re-runs as the admission gate; like loads, a rejected SDC leaves
-  /// the previous constraints serving.
+  /// sweep over the candidate SDC is the admission gate and runs before
+  /// anything is installed: like loads, a rejected SDC leaves the session as
+  /// it was.
   [[nodiscard]] Status apply_sdc_text(std::string_view text);
 
   /// Scores the resizes against the committed base without mutating it.

@@ -86,13 +86,6 @@ struct ConeSnapshot {
   /// temporaries have served a cone this large.
   void replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
               const sta::ConeWorkspace& ws);
-
-  /// collect() then replay(): a one-shot overlay.
-  void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
-                 sta::ConeWorkspace& ws) {
-    collect(ctx, resizes, ws);
-    replay(ctx, resizes, ws);
-  }
 };
 
 /// The exact cone speculation of the FULLSSTA, FASSTA and DSTA analyzers.

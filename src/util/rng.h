@@ -50,12 +50,6 @@ class Rng {
   /// Bernoulli draw.
   [[nodiscard]] bool flip(double p = 0.5) { return uniform() < p; }
 
-  /// Derives an independent child stream (for per-sample / per-gate streams).
-  [[nodiscard]] Rng fork() { return Rng(engine_() ^ 0x9e3779b97f4a7c15ULL); }
-
-  /// Access to the raw engine for std distributions.
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::normal_distribution<double> normal_{0.0, 1.0};

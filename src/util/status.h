@@ -37,8 +37,8 @@ enum class StatusCode {
   /// over limit). The condition is load-dependent: retry after backing off.
   kResourceExhausted,
   /// A transient dependency failure (the code deterministic fault injection
-  /// uses for "flaky" faults). The job system's retry-with-backoff treats
-  /// exactly this code as retryable.
+  /// uses for "flaky" faults). Nothing re-runs the operation: the client
+  /// decides whether to resend it.
   kUnavailable,
   /// Everything else: an unexpected exception escaping a job, a broken
   /// invariant surfacing as Status instead of a crash.
@@ -100,13 +100,6 @@ class Status {
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const { return code_; }
   [[nodiscard]] const std::string& message() const { return message_; }
-
-  /// True for the one code the job system's retry-with-backoff may retry
-  /// (kUnavailable). kResourceExhausted is deliberately not transient from
-  /// the worker's perspective: admission rejections are retried by the
-  /// *client* after the advertised backoff, not by the queue that just shed
-  /// them.
-  [[nodiscard]] bool transient() const { return code_ == StatusCode::kUnavailable; }
 
  private:
   StatusCode code_ = StatusCode::kOk;

@@ -839,26 +839,6 @@ TEST(IsleDegeneracy, CollapsedEssTripsWithoutTheDefensiveComponent) {
   EXPECT_TRUE(r.degenerate);
 }
 
-TEST(EngineSelection, SizerValidatesYieldTargetConfiguration) {
-  Bench b(circuits::make_ripple_adder(4));
-  opt::StatisticalSizerOptions opt;
-  opt.max_iterations = 1;
-  opt.target_yield = 0.5;
-  opt.yield_engine = "no-such-engine";
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-  opt.yield_engine = "isle";  // no clock period anywhere: cannot evaluate yield
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-
-  // With a clock the loop runs and reports the final yield + draw total.
-  const ssta::FullSstaResult full = ssta::run_fullssta(*b.ctx);
-  opt.isle.clock_period_ps = full.mean_ps + 3.0 * full.sigma_ps;
-  opt.isle.samples = 256;
-  const auto stats = opt::size_statistically(*b.ctx, opt);
-  EXPECT_GE(stats.final_yield, 0.0);
-  EXPECT_LE(stats.final_yield, 1.0);
-  EXPECT_GT(stats.yield_draws, 0u);
-}
-
 TEST(EngineSelection, FlowMakeAnalyzerUsesFlowOptions) {
   core::FlowOptions options;
   options.fullssta.samples_per_pdf = 9;

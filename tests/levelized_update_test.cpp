@@ -374,7 +374,8 @@ TEST_P(ConeBuilder, ScoredConeSnapshotIsSizedByTheCone) {
                                    (b.nl.gate(gate).size_index + 1) % group.size_count())};
   sta::ConeWorkspace ws;
   timing::detail::ConeSnapshot snap;
-  snap.propagate(*b.ctx, std::span<const timing::Resize>(&r, 1), ws);
+  snap.collect(*b.ctx, std::span<const timing::Resize>(&r, 1), ws);
+  snap.replay(*b.ctx, std::span<const timing::Resize>(&r, 1), ws);
 
   EXPECT_EQ(snap.nodes, ws.nodes);
   EXPECT_LT(snap.nodes.size(), b.nl.node_count());
@@ -389,7 +390,8 @@ TEST_P(ConeBuilder, ScoredConeSnapshotIsSizedByTheCone) {
   // Re-binding the gate's current size replays the same cone with the bound
   // cells, which must reproduce the snapshot bitwise.
   const timing::Resize same{gate, b.nl.gate(gate).size_index};
-  snap.propagate(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
+  snap.collect(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
+  snap.replay(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
   for (std::uint32_t s = 0; s < snap.nodes.size(); ++s) {
     const GateId id = snap.nodes[s];
     EXPECT_EQ(snap.slew[s], b.ctx->slew_ps(id));
@@ -410,7 +412,8 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// (after one failure) on the first difference.
 bool replay_equals_update(const Bench& b, Bench& twin, std::span<const timing::Resize> resizes,
                           sta::ConeWorkspace& ws, timing::detail::ConeSnapshot& snap) {
-  snap.propagate(*b.ctx, resizes, ws);
+  snap.collect(*b.ctx, resizes, ws);
+  snap.replay(*b.ctx, resizes, ws);
   std::vector<std::uint16_t> keep;
   for (const timing::Resize& r : resizes) {
     keep.push_back(twin.nl.gate(r.gate).size_index);

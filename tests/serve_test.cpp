@@ -251,64 +251,19 @@ TEST(JobManager, ShedsOnInflightCostButAdmitsWhenEmpty) {
   EXPECT_EQ(manager.stats().inflight_bytes, 0u);
 }
 
-TEST(JobManager, RetriesTransientFailuresWithBackoff) {
-  JobManager manager;
-  std::atomic<int> calls{0};
-  JobOptions options;
-  options.max_retries = 3;
-  options.backoff = 1ms;
-  JobRef job = manager.submit(
-      [&] {
-        if (calls.fetch_add(1) == 0) {
-          throw StatusError(Status::unavailable("transient glitch"));
-        }
-      },
-      options);
-  EXPECT_TRUE(job->wait().ok());
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(job->attempts(), 2);
-  EXPECT_EQ(manager.stats().retried, 1u);
-}
-
 TEST(JobManager, DoesNotRetryNonTransientFailures) {
+  // A failing body runs once, whatever its code, kUnavailable included; its
+  // status is the job's.
   JobManager manager;
   std::atomic<int> calls{0};
-  JobOptions options;
-  options.max_retries = 3;
-  JobRef job = manager.submit(
-      [&] {
-        calls.fetch_add(1);
-        throw StatusError(Status::invalid_argument("permanently bad"));
-      },
-      options);
-  EXPECT_EQ(job->wait().code(), StatusCode::kInvalidArgument);
+  JobRef job = manager.submit([&] {
+    calls.fetch_add(1);
+    throw StatusError(Status::unavailable("flaky dependency"));
+  });
+  EXPECT_EQ(job->wait().code(), StatusCode::kUnavailable);
   EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(job->attempts(), 1);
   EXPECT_EQ(manager.stats().retried, 0u);
-}
-
-TEST(JobManager, FaultPlanDrivesRetryThroughTheNamedSites) {
-  // First attempt fails at serve/job/start with a transient status; the
-  // retry goes through serve/job/retry and succeeds. Entirely deterministic.
-  util::FaultPlan plan;
-  plan.seed = 7;
-  util::FaultRule rule;
-  rule.site = "serve/job/start";
-  rule.hit = 1;
-  rule.code = StatusCode::kUnavailable;
-  plan.rules.push_back(rule);
-
-  JobManagerOptions manager_options;
-  manager_options.faults = &plan;
-  JobManager manager(manager_options);
-  std::atomic<int> calls{0};
-  JobOptions options;
-  options.max_retries = 1;
-  options.backoff = 1ms;
-  JobRef job = manager.submit([&] { calls.fetch_add(1); }, options);
-  EXPECT_TRUE(job->wait().ok());
-  EXPECT_EQ(calls.load(), 1);  // attempt 1 died at its start checkpoint
-  EXPECT_EQ(job->attempts(), 2);
-  EXPECT_EQ(manager.stats().retried, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,6 +414,36 @@ TEST(ServeSession, FailedLoadLeavesThePreviousDesignServing) {
   EXPECT_EQ(after.epoch, before.epoch);
   EXPECT_EQ(after.mean_ps, before.mean_ps);  // still serving, bitwise
   EXPECT_TRUE(session.what_if({ResizeRequest{whatif_targets("c432", 1)[0], 1}}).ok());
+}
+
+TEST(ServeSession, RejectedSdcLeavesTheSessionAsItWas) {
+  // The reference: a twin session that never sees the rejected SDC.
+  Session twin;
+  ASSERT_TRUE(twin.load_workload("c432").ok());
+  Session session;
+  ASSERT_TRUE(session.load_workload("c432").ok());
+  const SessionInfo before = session.info();
+
+  const Status rejected = session.apply_sdc_text("create_clock -period 0 -name clk");
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.message().find("[non-positive-clock]"), std::string::npos)
+      << rejected.message();
+  const SessionInfo after = session.info();
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.mean_ps, before.mean_ps);
+  EXPECT_EQ(after.sigma_ps, before.sigma_ps);
+
+  // size() re-runs the preflight DRC over the served design, so it passes
+  // only if the rejected SDC left nothing behind; it then sizes exactly as
+  // the twin does.
+  const auto sized = session.size(3.0);
+  ASSERT_TRUE(sized.ok()) << sized.status().message();
+  const auto reference = twin.size(3.0);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  EXPECT_EQ(sized.value().record.resizes, reference.value().record.resizes);
+  EXPECT_EQ(sized.value().record.after.mean_ps, reference.value().record.after.mean_ps);
+  EXPECT_EQ(sized.value().record.after.sigma_ps, reference.value().record.after.sigma_ps);
+  EXPECT_EQ(sized.value().record.after.area_um2, reference.value().record.after.area_um2);
 }
 
 TEST(ServeSession, EpochAdvancesOnMutationsAndWhatIfReportsIt) {
