@@ -10,7 +10,9 @@
 #include "sta/dsta.h"
 #include "util/exec.h"
 #include "util/numeric.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
+#include "variation/model.h"
 
 namespace statsizer::ssta {
 
@@ -71,9 +73,6 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
   const auto& nl = ctx.netlist();
   const auto& var = ctx.variation();
   const auto& pi_arrival = ctx.constraints().input_arrival_ps;
-  const double gf = var.params().global_fraction;
-  const double sqrt_gf = std::sqrt(gf);
-  const double sqrt_1mgf = std::sqrt(1.0 - gf);
 
   std::vector<double> score(nl.node_count(), 0.0);
   std::vector<std::int32_t> best(nl.node_count(), -1);
@@ -100,8 +99,11 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
       drivers.push_back(po.driver);
     }
   }
-  std::sort(drivers.begin(), drivers.end(),
-            [&](GateId a, GateId b) { return score[a] > score[b]; });
+  // Equal scores keep GateId order, so the pick never rests on the sort's
+  // unspecified order of equal keys.
+  std::sort(drivers.begin(), drivers.end(), [&](GateId a, GateId b) {
+    return score[a] != score[b] ? score[a] > score[b] : a < b;
+  });
   const std::size_t k = std::min<std::size_t>(std::max<std::size_t>(options.dominant_paths, 1),
                                               drivers.size());
 
@@ -113,16 +115,15 @@ std::vector<Component> build_surrogate_paths(const sta::TimingContext& ctx,
     double var_sum = 0.0;
     while (best[g] >= 0) {
       const auto i = static_cast<std::uint32_t>(best[g]);
-      const double delay = ctx.arc_delay_ps(g, i);
-      const double sys = var.systematic_sigma_ps(delay, ctx.drive(g));
+      const variation::ArcTerms terms = var.arc_terms(ctx.arc_delay_ps(g, i), ctx.drive(g));
       PathArc arc;
       arc.gate = g;
       arc.fanin = i;
-      arc.local_coeff = sqrt_1mgf * sys;
+      arc.local_coeff = terms.local_ps;
       arc.floor_coeff = var.random_sigma_ps();
       c.arcs.push_back(arc);
-      c.mean_ps += delay;
-      c.global_coeff += sqrt_gf * sys;
+      c.mean_ps += terms.delay_ps;
+      c.global_coeff += terms.shared_ps;
       var_sum += arc.local_coeff * arc.local_coeff + arc.floor_coeff * arc.floor_coeff;
       g = nl.gate(g).fanins[i];
     }
@@ -264,6 +265,14 @@ IsleResult run_draws(const sta::TimingContext& ctx, const IsleOptions& options, 
     chunk_stats.resize(util::detail::chunk_count(batch, kDrawChunk));
   }
 
+  // delay_at_ps's per-arc terms, computed once for every draw of the run.
+  std::vector<variation::ArcTerms> terms(ctx.arc_count());
+  for (GateId id = 0; id < n; ++id) {
+    for (std::size_t i = 0; i < nl.gate(id).fanins.size(); ++i) {
+      terms[ctx.arc_offset(id) + i] = var.arc_terms(ctx.arc_delay_ps(id, i), ctx.drive(id));
+    }
+  }
+
   // One batch of draws [base, base + count). Per-slot writes into the result
   // vectors; every sample's randomness comes only from its counter-based
   // streams, so the batch is bitwise thread-count-invariant.
@@ -300,16 +309,15 @@ IsleResult run_draws(const sta::TimingContext& ctx, const IsleOptions& options, 
             // itself so the shift can be applied and x recorded for the
             // likelihood ratio; every other arc samples through the model.
             for (const GateId id : ctx.topo_order()) {
-              arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t a) {
-                const double delay = ctx.arc_delay_ps(id, a);
-                const std::int32_t slot =
-                    prop.tracked == 0 ? -1 : prop.slot_of_arc[ctx.arc_offset(id) + a];
-                if (slot < 0) return var.sample_delay_ps(delay, ctx.drive(id), xg, rng);
+              arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t i) {
+                const std::size_t a = ctx.arc_offset(id) + i;
                 const double z1 = rng.normal();
                 const double z2 = rng.normal();
+                const std::int32_t slot = prop.tracked == 0 ? -1 : prop.slot_of_arc[a];
+                if (slot < 0) return var.delay_at_ps(terms[a], xg, z1, z2);
                 x1s[slot] = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
                 x2s[slot] = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
-                return var.delay_at_ps(delay, ctx.drive(id), xg, x1s[slot], x2s[slot]);
+                return var.delay_at_ps(terms[a], xg, x1s[slot], x2s[slot]);
               });
               if (stats != nullptr) stats[id].add(arrival[id]);
             }

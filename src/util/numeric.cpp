@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/rng.h"
+
 namespace statsizer::util {
 
 namespace {
@@ -43,40 +45,10 @@ double half_erf_over_sqrt2_fast(double x) {
 double normal_cdf_fast(double x) { return 0.5 + half_erf_over_sqrt2_fast(x); }
 
 double normal_inv_cdf(double p) {
-  // Peter Acklam's algorithm. Valid for p in (0,1).
   if (!(p > 0.0 && p < 1.0)) {
     throw std::domain_error("normal_inv_cdf: p must be in (0,1)");
   }
-  static constexpr double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                                 -2.759285104469687e+02, 1.383577518672690e+02,
-                                 -3.066479806614716e+01, 2.506628277459239e+00};
-  static constexpr double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                                 -1.556989798598866e+02, 6.680131188771972e+01,
-                                 -1.328068155288572e+01};
-  static constexpr double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                                 -2.400758277161838e+00, -2.549732539343734e+00,
-                                 4.374664141464968e+00,  2.938163982698783e+00};
-  static constexpr double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                                 2.445134137142996e+00, 3.754408661907416e+00};
-  constexpr double plow = 0.02425;
-  constexpr double phigh = 1.0 - plow;
-
-  double q = 0.0;
-  double r = 0.0;
-  if (p < plow) {
-    q = std::sqrt(-2.0 * std::log(p));
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  if (p <= phigh) {
-    q = p - 0.5;
-    r = q * q;
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  }
-  q = std::sqrt(-2.0 * std::log(1.0 - p));
-  return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+  return normal_quantile(p);
 }
 
 double interp1(std::span<const double> xs, std::span<const double> ys, double x) {

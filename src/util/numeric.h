@@ -53,9 +53,9 @@ namespace statsizer::util {
 /// Phi(x) = 0.5 + (1/2) erf(x / sqrt 2).
 [[nodiscard]] double normal_cdf_fast(double x);
 
-/// Inverse standard normal CDF (Acklam's rational approximation, ~1e-9
-/// relative accuracy). Used for quantile reporting (e.g. 99th-percentile
-/// delay) and for stratified Monte-Carlo sampling.
+/// Inverse standard normal CDF: util::normal_quantile (util/rng.h) behind a
+/// domain check that throws std::domain_error outside (0, 1). Used for
+/// quantile reporting (e.g. 99th-percentile delay).
 [[nodiscard]] double normal_inv_cdf(double p);
 
 /// Linear interpolation of y(x) over sorted breakpoints xs (ys same length).

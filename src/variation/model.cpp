@@ -1,6 +1,5 @@
 #include "variation/model.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,20 +28,10 @@ double VariationModel::mean_to_sigma_coeff(double drive) const {
   return params_.proportional_coeff / std::pow(drive, params_.size_exponent);
 }
 
-double VariationModel::delay_at_ps(double delay_ps, double drive, double global_z, double z1,
-                                   double z2) const {
+ArcTerms VariationModel::arc_terms(double delay_ps, double drive) const {
   const double sys = systematic_sigma_ps(delay_ps, drive);
-  const double shared = std::sqrt(params_.global_fraction) * sys;
-  const double local = std::sqrt(1.0 - params_.global_fraction) * sys;
-  const double sample = delay_ps + shared * global_z + local * z1 + params_.random_floor_ps * z2;
-  return std::max(sample, kMinDelayFraction * delay_ps);
-}
-
-double VariationModel::sample_delay_ps(double delay_ps, double drive, double global_z,
-                                       util::Rng& rng) const {
-  const double z1 = rng.normal();
-  const double z2 = rng.normal();
-  return delay_at_ps(delay_ps, drive, global_z, z1, z2);
+  return ArcTerms{delay_ps, std::sqrt(params_.global_fraction) * sys,
+                  std::sqrt(1.0 - params_.global_fraction) * sys};
 }
 
 }  // namespace statsizer::variation

@@ -16,10 +16,10 @@
 // process variable shared by all gates; the rest is gate-independent.
 // VariationModel::delay_at_ps is the one map from those standard-normal
 // coordinates to a sampled delay: Monte Carlo and ISLE (ssta/isle.h) both
-// draw every arc through it.
+// draw every arc through it, at the arc's ArcTerms computed once per run.
 #pragma once
 
-#include "util/rng.h"
+#include <algorithm>
 
 namespace statsizer::variation {
 
@@ -38,6 +38,14 @@ struct VariationParams {
 
 /// Sampling truncation: a sampled delay is >= this * nominal.
 inline constexpr double kMinDelayFraction = 0.05;
+
+/// The per-arc terms of VariationModel::delay_at_ps: everything in the map
+/// that depends on the arc's nominal delay and drive but not on the draw.
+struct ArcTerms {
+  double delay_ps = 0.0;
+  double shared_ps = 0.0;  ///< sqrt(gf) * sigma_sys, the global coordinate's coefficient
+  double local_ps = 0.0;   ///< sqrt(1 - gf) * sigma_sys, the local coordinate's coefficient
+};
 
 /// Maps (nominal delay, drive strength) to delay sigma; samples delays.
 class VariationModel {
@@ -67,13 +75,22 @@ class VariationModel {
   /// floor * z2, truncated below at kMinDelayFraction * nominal (delays
   /// cannot go negative). ISLE evaluates it at shifted coordinates.
   [[nodiscard]] double delay_at_ps(double delay_ps, double drive, double global_z, double z1,
-                                   double z2) const;
+                                   double z2) const {
+    return delay_at_ps(arc_terms(delay_ps, drive), global_z, z1, z2);
+  }
 
-  /// Draws one delay sample: z1, then z2 from @p rng, mapped by delay_at_ps.
-  /// @p global_z is this sample's draw of the shared process variable
-  /// (ignored if global_fraction = 0).
-  [[nodiscard]] double sample_delay_ps(double delay_ps, double drive, double global_z,
-                                       util::Rng& rng) const;
+  /// The arc's terms of delay_at_ps, for a sampler that evaluates the map at
+  /// many draws of one arc.
+  [[nodiscard]] ArcTerms arc_terms(double delay_ps, double drive) const;
+
+  /// delay_at_ps at the precomputed terms @p t: the same IEEE operations in
+  /// the same order, so bitwise equal to the five-argument form.
+  [[nodiscard]] double delay_at_ps(const ArcTerms& t, double global_z, double z1,
+                                   double z2) const {
+    const double sample =
+        t.delay_ps + t.shared_ps * global_z + t.local_ps * z1 + params_.random_floor_ps * z2;
+    return std::max(sample, kMinDelayFraction * t.delay_ps);
+  }
 
  private:
   VariationParams params_;

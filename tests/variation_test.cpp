@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,42 +64,55 @@ TEST(VariationModel, InvalidParamsRejected) {
   EXPECT_THROW(VariationModel{bad2}, std::invalid_argument);
 }
 
+// Keyed standard normals for the sampling tests: draw i of one fixed stream.
+double z(std::uint64_t i) { return util::keyed_normal(util::stream_seed(2005, 0), i); }
+
 TEST(VariationSampling, MomentsMatchModel) {
   VariationParams p;
   p.proportional_coeff = 0.15;
   p.size_exponent = 1.0;
   p.random_floor_ps = 2.0;
   const VariationModel m(p);
-  util::Rng rng(123);
   util::RunningStats stats;
   const double d = 60.0;
   const double k = 2.0;
-  for (int i = 0; i < 60000; ++i) stats.add(m.sample_delay_ps(d, k, 0.0, rng));
+  for (std::uint64_t i = 0; i < 60000; ++i) {
+    stats.add(m.delay_at_ps(d, k, 0.0, z(2 * i), z(2 * i + 1)));
+  }
   EXPECT_NEAR(stats.mean(), d, 0.15);
   EXPECT_NEAR(stats.stddev(), m.sigma_ps(d, k), 0.1);
 }
 
-// The local draw z1 comes first and the floor draw z2 second, the order
-// ISLE's tracked arcs draw them in: pinned bitwise against the explicit
-// formula drawn from a copy of the same stream.
-TEST(VariationSampling, DrawsLocalThenFloor) {
-  for (const double gf : {0.0, 0.6}) {
+// The sample loop evaluates the map at terms computed once per arc: over a
+// seeded pool of arcs and coordinates, truncated samples included, that is
+// bitwise the five-argument map and the written-out formula.
+TEST(VariationSampling, PrecomputedTermsMatchDelayAtBitwise) {
+  const std::uint64_t pool = util::stream_seed(77, 0);
+  for (const double gf : {0.0, 0.6, 1.0}) {
     SCOPED_TRACE("global_fraction=" + std::to_string(gf));
     VariationParams p;
+    p.proportional_coeff = 0.9;
+    p.size_exponent = 1.0;
     p.global_fraction = gf;
     const VariationModel m(p);
-    util::Rng rng(77);
-    util::Rng copy = rng;
-    const double delay = 40.0, drive = 2.0, global_z = 0.7;
-    const double sys = m.systematic_sigma_ps(delay, drive);
-    for (int i = 0; i < 100; ++i) {
-      const double z1 = copy.normal();
-      const double z2 = copy.normal();
-      const double want = std::max(delay + std::sqrt(gf) * sys * global_z +
-                                       std::sqrt(1.0 - gf) * sys * z1 + p.random_floor_ps * z2,
-                                   kMinDelayFraction * delay);
-      EXPECT_EQ(m.sample_delay_ps(delay, drive, global_z, rng), want) << "draw " << i;
+    int truncated = 0;
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      const double delay = 200.0 * util::keyed_uniform(pool, 6 * i);
+      const double drive = 1.0 + 7.0 * util::keyed_uniform(pool, 6 * i + 1);
+      // Scaled coordinates reach deep enough to truncate a fair share.
+      const double global_z = 2.0 * util::keyed_normal(pool, 6 * i + 2);
+      const double z1 = 2.0 * util::keyed_normal(pool, 6 * i + 3);
+      const double z2 = 2.0 * util::keyed_normal(pool, 6 * i + 4);
+      const ArcTerms t = m.arc_terms(delay, drive);
+      const double got = m.delay_at_ps(t, global_z, z1, z2);
+      EXPECT_EQ(got, m.delay_at_ps(delay, drive, global_z, z1, z2)) << "arc " << i;
+      const double sys = m.systematic_sigma_ps(delay, drive);
+      const double sample = delay + std::sqrt(gf) * sys * global_z +
+                            std::sqrt(1.0 - gf) * sys * z1 + p.random_floor_ps * z2;
+      EXPECT_EQ(got, std::max(sample, kMinDelayFraction * delay)) << "arc " << i;
+      if (sample < kMinDelayFraction * delay) ++truncated;
     }
+    EXPECT_GT(truncated, 100);
   }
 }
 
@@ -105,9 +120,8 @@ TEST(VariationSampling, TruncationPreventsNegativeDelays) {
   VariationParams p;
   p.proportional_coeff = 2.0;  // absurdly wide on purpose
   const VariationModel m(p);
-  util::Rng rng(5);
-  for (int i = 0; i < 20000; ++i) {
-    EXPECT_GE(m.sample_delay_ps(30.0, 1.0, 0.0, rng), 0.05 * 30.0);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    EXPECT_GE(m.delay_at_ps(30.0, 1.0, 0.0, z(2 * i), z(2 * i + 1)), 0.05 * 30.0);
   }
 }
 
@@ -117,11 +131,10 @@ TEST(VariationSampling, GlobalFractionSplitsVariance) {
   p.random_floor_ps = 0.0;
   p.global_fraction = 1.0;  // fully correlated systematic part
   const VariationModel m(p);
-  util::Rng rng(9);
   // With global_fraction = 1 and a fixed global draw, samples are
   // deterministic (no local randomness left).
-  const double s1 = m.sample_delay_ps(50.0, 1.0, 1.7, rng);
-  const double s2 = m.sample_delay_ps(50.0, 1.0, 1.7, rng);
+  const double s1 = m.delay_at_ps(50.0, 1.0, 1.7, z(0), z(1));
+  const double s2 = m.delay_at_ps(50.0, 1.0, 1.7, z(2), z(3));
   EXPECT_DOUBLE_EQ(s1, s2);
   EXPECT_NEAR(s1, 50.0 + 0.3 * 50.0 * 1.7, 1e-9);
 }
@@ -132,14 +145,12 @@ TEST(VariationSampling, GlobalComponentCorrelatesGates) {
   p.random_floor_ps = 0.0;
   p.global_fraction = 0.8;
   const VariationModel m(p);
-  util::Rng rng(42);
   // Correlation between two gates sampled under the same global draw.
-  util::RunningStats cov_acc;
   std::vector<double> xs, ys;
-  for (int i = 0; i < 20000; ++i) {
-    const double g = rng.normal();
-    xs.push_back(m.sample_delay_ps(50.0, 1.0, g, rng));
-    ys.push_back(m.sample_delay_ps(50.0, 1.0, g, rng));
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    const double g = z(5 * i);
+    xs.push_back(m.delay_at_ps(50.0, 1.0, g, z(5 * i + 1), z(5 * i + 2)));
+    ys.push_back(m.delay_at_ps(50.0, 1.0, g, z(5 * i + 3), z(5 * i + 4)));
   }
   const double mx = util::mean_of(xs);
   const double my = util::mean_of(ys);
