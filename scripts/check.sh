@@ -180,9 +180,11 @@ if [[ "${TSAN}" == 1 ]]; then
   # default, threaded flow against the serial one), WhatIfAllocation /
   # PdfAllocation (a pool worker scoring an overlay sized on the proposing
   # thread), and FirstAccepted (the speculative walk's parallel windows).
+  # KeyedRng and KeyedDraws pin the counter-keyed draws that make the sample
+  # loop's workers share no generator state.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

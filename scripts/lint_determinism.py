@@ -16,6 +16,15 @@ break it before they ever reach a test:
                           bitwise results); all randomness must flow through
                           util::Rng / util::stream_seed.
 
+  rng-stateful            A util::Rng or a standard engine (std::mt19937,
+                          std::*_engine) in a sampling layer: src/ssta/ or
+                          src/variation/. Every number the sample loop draws
+                          is a pure function of its key (seed, draw, arc, k)
+                          through util::keyed_normal / keyed_uniform /
+                          keyed_index (util/rng.h); a stateful generator
+                          there would tie draws to the order of the calls
+                          that consume it.
+
   unordered-iter          Range-for iteration over a std::unordered_map /
                           std::unordered_set. Bucket order is
                           implementation-defined and changes with load
@@ -80,7 +89,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-RULES = ("rng-stray", "unordered-iter", "stdout-io", "shared-mutable-capture",
+RULES = ("rng-stray", "rng-stateful", "unordered-iter", "stdout-io", "shared-mutable-capture",
          "throw-in-parallel", "fp-flags")
 
 # Files exempt from specific rules: the façade a rule funnels everything into
@@ -175,6 +184,26 @@ def check_rng(path_rel: str, code: str, findings: list, path: Path) -> None:
                 path, line_of(code, m.start()), "rng-stray",
                 f"{what}: {why}; draw through util::Rng / "
                 f"util::stream_seed (util/rng.h) instead"))
+
+
+# ---------------------------------------------------------------------------
+# rule: rng-stateful
+# ---------------------------------------------------------------------------
+
+KEYED_LAYER_RE = re.compile(r"(?:^|/)src/(?:ssta|variation)/")
+STATEFUL_RNG_RE = re.compile(
+    r"\b(?:util\s*::\s*)?Rng\b|\bstd\s*::\s*(?:mt19937(?:_64)?|\w+_engine)\b")
+
+
+def check_stateful_rng(path_rel: str, code: str, findings: list, path: Path) -> None:
+    if not KEYED_LAYER_RE.search(path_rel):
+        return
+    for m in STATEFUL_RNG_RE.finditer(code):
+        findings.append(Finding(
+            path, line_of(code, m.start()), "rng-stateful",
+            f"stateful generator '{m.group(0)}' in a sampling layer: draw "
+            f"through util::keyed_normal / keyed_uniform / keyed_index "
+            f"(util/rng.h) so every number is a pure function of its key"))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +450,7 @@ def lint_file(path: Path, root: Path) -> list:
 
     findings: list = []
     check_rng(rel, code, findings, path)
+    check_stateful_rng(rel, code, findings, path)
     check_io(rel, code, findings, path)
     check_unordered(code, findings, path)
     check_shared_capture(code, findings, path)

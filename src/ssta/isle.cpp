@@ -20,9 +20,8 @@ using netlist::GateId;
 
 namespace {
 
-// Salt deriving the mixture-component selector stream from the main seed.
-// Keeping the selection draws out of the main per-sample stream means the
-// main stream's draw order is the same under every proposal.
+// Salt deriving the mixture-component selector stream from the main seed,
+// so the selection draws never share a key with the arc normals.
 constexpr std::uint64_t kSelectorSalt = 0x49534c45u;  // "ISLE"
 
 // Surrogate arc score is delay + kappa * sigma: kappa > 0 ranks paths by
@@ -291,28 +290,27 @@ IsleResult run_draws(const sta::TimingContext& ctx, const IsleOptions& options, 
           const auto arrival_of = [&](GateId f) { return arrival[f]; };
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t s = base + i;
-            // Component selection from its own derived stream, so the main
-            // stream's draw order does not depend on the proposal.
+            // Component selection from its own derived stream: word 0 flips
+            // the defensive coin, word 1 picks the component.
             std::ptrdiff_t comp = -1;
             if (importance) {
-              util::Rng sel(util::stream_seed(options.seed ^ kSelectorSalt, s));
-              if (!sel.flip(alpha)) {
-                comp = static_cast<std::ptrdiff_t>(sel.index(num_components));
+              const std::uint64_t sel = util::stream_seed(options.seed ^ kSelectorSalt, s);
+              if (!(util::keyed_uniform(sel, 0) < alpha)) {
+                comp = static_cast<std::ptrdiff_t>(util::keyed_index(sel, 1, num_components));
               }
             }
-            util::Rng rng(util::stream_seed(options.seed, s));
-            const double zg = rng.normal();
-            const double xg =
-                zg + (comp >= 0 ? prop.components[comp].theta_global : 0.0);
-            // Longest path over the draw's arc delays, drawn in topological-
-            // then-fanin order. A tracked (dominant-path) arc draws z1, z2
-            // itself so the shift can be applied and x recorded for the
-            // likelihood ratio; every other arc samples through the model.
+            const std::uint64_t stream = util::stream_seed(options.seed, s);
+            const double xg = util::keyed_normal(stream, kGlobalNormalKey) +
+                              (comp >= 0 ? prop.components[comp].theta_global : 0.0);
+            // Longest path over the draw's arc delays. Every arc's normals are
+            // keyed by its dense index, so no draw depends on the visit order.
+            // A tracked (dominant-path) arc shifts them and records x for the
+            // likelihood ratio.
             for (const GateId id : ctx.topo_order()) {
-              arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t i) {
-                const std::size_t a = ctx.arc_offset(id) + i;
-                const double z1 = rng.normal();
-                const double z2 = rng.normal();
+              arrival[id] = sta::latest_arrival(ctx, id, arrival_of, [&](std::size_t f) {
+                const std::size_t a = ctx.arc_offset(id) + f;
+                const double z1 = util::keyed_normal(stream, arc_normal_key(a, 0));
+                const double z2 = util::keyed_normal(stream, arc_normal_key(a, 1));
                 const std::int32_t slot = prop.tracked == 0 ? -1 : prop.slot_of_arc[a];
                 if (slot < 0) return var.delay_at_ps(terms[a], xg, z1, z2);
                 x1s[slot] = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
@@ -411,7 +409,10 @@ IsleResult run_draws(const sta::TimingContext& ctx, const IsleOptions& options, 
     return result;
   }
 
-  const double p_fail = std::clamp(wi_stats.mean(), 0.0, 1.0);
+  // The plain sum over the draw count, not the running mean: under the
+  // nominal proposal it is the failure count over the draws, correctly
+  // rounded, so the yield is Monte Carlo's pass fraction.
+  const double p_fail = std::clamp(sum_wi / static_cast<double>(drawn), 0.0, 1.0);
   result.failure_probability = p_fail;
   result.yield = 1.0 - p_fail;
   result.std_error = std::sqrt(wi_stats.sample_variance() / static_cast<double>(drawn));

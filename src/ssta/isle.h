@@ -37,16 +37,17 @@
 // circuit_samples for the same seed.
 //
 // Determinism contract (docs/ARCHITECTURE.md): each batch of draws shards
-// across util::ThreadPool in fixed-size chunks; every sample s draws from
-// the counter-based stream (seed, s), mixture-component selection from a
-// separate derived stream (seed ^ salt, s), per-sample results land in
-// per-slot vectors, and all statistics fold serially in sample (per-node
-// statistics: chunk) order — so the estimate, the weights, and every
+// across util::ThreadPool in fixed-size chunks; every number a draw uses is
+// a pure function of its key (the key layout below), so no draw depends on
+// the thread, the chunk or the order its arcs are visited in; per-sample
+// results land in per-slot vectors, and all statistics fold serially in
+// sample (per-node statistics: chunk) order — so the estimate, the weights, and every
 // diagnostic are bitwise-identical for any thread count. Every arc's delay
 // comes from variation::VariationModel::delay_at_ps; a shifted path arc
 // evaluates it at its shifted coordinates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -54,6 +55,18 @@
 #include "sta/graph.h"
 
 namespace statsizer::ssta {
+
+/// Key layout of a draw (util/rng.h's counter-keyed functions). Draw s of
+/// seed `seed` reads the stream util::stream_seed(seed, s): normal k of dense
+/// arc a (TimingContext::arc_offset(gate) + fanin) is
+/// util::keyed_normal(stream, arc_normal_key(a, k)), with k = 0 the local and
+/// k = 1 the floor coordinate, and the global process variable is
+/// util::keyed_normal(stream, kGlobalNormalKey). ISLE's mixture selection
+/// reads its own stream, util::stream_seed(seed ^ salt, s).
+inline constexpr std::uint64_t kGlobalNormalKey = ~std::uint64_t{0};
+[[nodiscard]] constexpr std::uint64_t arc_normal_key(std::size_t arc, unsigned k) {
+  return 2 * static_cast<std::uint64_t>(arc) + k;
+}
 
 enum class IsleProposal {
   /// Surrogate-guided defensive-mixture proposal (the point of ISLE).

@@ -7,8 +7,8 @@
 // It runs on ISLE's sample loop (ssta/isle.h) with the nominal proposal: no
 // adaptive stop, a fixed batch of draws between checkpoints, and per-node
 // statistics folded per draw chunk. The loop shards each batch across a
-// thread pool (options.threads); every sample i draws from its own
-// counter-based RNG stream derived from (seed, i) — see util::stream_seed —
+// thread pool (options.threads); every number sample i draws is a pure
+// function of its key (seed, i, arc, k) — the key layout in ssta/isle.h —
 // so results (mean, sigma, circuit_samples, per-node moments) are
 // bitwise-identical for any thread count. A cooperative checkpoint
 // ("ssta/mc/chunk") fires on the calling thread before every batch.

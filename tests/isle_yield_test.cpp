@@ -316,6 +316,38 @@ TEST(IsleYield, NominalProposalIsBitwisePlainMonteCarlo) {
   EXPECT_EQ(r.yield, empirical_yield(mc.circuit_samples, opt.clock_period_ps).yield);
 }
 
+// A tracked (shifted) path arc reads the same keys as every other arc, so a
+// draw that the defensive coin sends to the nominal component is Monte
+// Carlo's draw of the same index, bit for bit; a shifted draw never is.
+TEST(KeyedDraws, IsleNominalComponentDrawsAreMonteCarloDraws) {
+  core::FlowOptions fo;
+  fo.variation.global_fraction = 0.5;
+  core::Flow flow(fo);
+  ASSERT_TRUE(flow.load_table1("c432").ok());
+
+  ssta::MonteCarloOptions mo;
+  mo.samples = 1000;
+  mo.seed = 606;
+  mo.threads = 0;
+  const ssta::MonteCarloResult mc = ssta::run_monte_carlo(flow.timing(), mo);
+
+  ssta::IsleOptions opt;
+  opt.samples = 1000;
+  opt.seed = 606;
+  opt.threads = 0;
+  opt.defensive_fraction = 0.3;
+  const ssta::IsleResult r = ssta::run_isle(flow.timing(), opt);
+  ASSERT_GT(r.proposal_paths, 0u);
+  ASSERT_EQ(r.delay_samples.size(), mc.circuit_samples.size());
+
+  std::size_t same = 0;
+  for (std::size_t s = 0; s < r.delay_samples.size(); ++s) {
+    if (r.delay_samples[s] == mc.circuit_samples[s]) ++same;
+  }
+  // Binomial(1000, 0.3): mean 300, five standard deviations 72.
+  EXPECT_NEAR(static_cast<double>(same), 300.0, 72.0);
+}
+
 TEST(IsleYield, EngineNamesResolveInOnePlace) {
   ssta::IsleOptions opt;
   EXPECT_EQ(ssta::for_yield_engine(opt, "mc").proposal, ssta::IsleProposal::kNominal);
@@ -335,9 +367,9 @@ std::uint64_t hash_bits(const std::vector<double>& xs) {
   return h;
 }
 
-// Golden bits captured from the importance sampler before its draw loop
-// began serving Monte Carlo too: the shifted tracked arcs, the likelihood
-// ratios and the batch folds must keep every bit. A nonzero global fraction
+// Golden bits of the importance sampler on the counter-keyed draws: the
+// shifted tracked arcs, the likelihood ratios and the batch folds must keep
+// every bit. A nonzero global fraction
 // puts every term of the arc-sampling map to work; 1000 draws in 256-draw
 // batches leave a short last batch and a short last chunk.
 TEST(IsleYield, ImportanceModeMatchesCapturedGoldenBits) {
@@ -355,10 +387,10 @@ TEST(IsleYield, ImportanceModeMatchesCapturedGoldenBits) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(r.proposal_paths, 3u);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.clock_period_ps), 0x4097263838bf68e7ull);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.yield), 0x3fee777ac30c5fb2ull);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.std_error), 0x3f67a10af095ac4aull);
-    EXPECT_EQ(hash_bits(r.weights), 0x8cbf1e94ccf584beull);
-    EXPECT_EQ(hash_bits(r.delay_samples), 0x2e45e34b894ae086ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.yield), 0x3fee4ca3bf3ab4ffull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.std_error), 0x3f69946272b99790ull);
+    EXPECT_EQ(hash_bits(r.weights), 0xf1b7e9860db83f02ull);
+    EXPECT_EQ(hash_bits(r.delay_samples), 0xcc81aa69ad6bee19ull);
   }
 }
 

@@ -1,6 +1,7 @@
 // Parallel Monte-Carlo SSTA: the sharded engine must be bitwise-identical to
 // the serial one for any thread count (counter-based per-sample RNG streams),
 // and its moments must track analytic expectations on a max-free circuit.
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -14,6 +15,7 @@
 
 #include "circuits/generators.h"
 #include "liberty/synthetic.h"
+#include "ssta/isle.h"
 #include "ssta/monte_carlo.h"
 #include "techmap/mapper.h"
 #include "util/exec.h"
@@ -81,9 +83,9 @@ std::uint64_t hash_bits(const std::vector<double>& xs) {
   return h;
 }
 
-// Golden bits captured from the engine before its draw loop was shared with
-// ISLE: any restructuring of the loop, the chunk merge or the per-node fold
-// must leave every output bit as it was. 3000 draws is not a multiple of the
+// Golden bits of the engine on the counter-keyed draws: any restructuring of
+// the loop, the chunk merge or the per-node fold must leave every output bit
+// as it was. 3000 draws is not a multiple of the
 // 64-draw chunk, so the short last chunk's fold is pinned too.
 TEST(MonteCarloParallel, MatchesCapturedGoldenBits) {
   Bench b(circuits::make_cla_adder(8));
@@ -100,11 +102,52 @@ TEST(MonteCarloParallel, MatchesCapturedGoldenBits) {
       moments.push_back(m.sigma_ps);
     }
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_ps), 0x408cbd27821bc31bull);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sigma_ps), 0x405ea4f15212b2b5ull);
-    EXPECT_EQ(hash_bits(r.circuit_samples), 0x66084b0e9595b030ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_ps), 0x408cc51723a77c69ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sigma_ps), 0x405e5c5ee7fbdee4ull);
+    EXPECT_EQ(hash_bits(r.circuit_samples), 0x3cd74e27a5d366d4ull);
     EXPECT_EQ(r.node.size(), 101u);
-    EXPECT_EQ(hash_bits(moments), 0x94fd1554888f1c79ull);
+    EXPECT_EQ(hash_bits(moments), 0x52905c82c6ec68f0ull);
+  }
+}
+
+// A draw is a pure function of its keys: rebuilt here from the documented
+// key layout alone, with the arcs' delays drawn in reverse dense order before
+// one longest-path pass, every draw matches the engine's bit for bit.
+TEST(KeyedDraws, MonteCarloDrawIsAPureFunctionOfItsKeys) {
+  variation::VariationParams vp;
+  vp.global_fraction = 0.5;
+  Bench b(circuits::make_cla_adder(8), vp);
+  const sta::TimingContext& ctx = *b.ctx;
+  MonteCarloOptions opt;
+  opt.samples = 200;
+  opt.seed = 1234;
+  opt.threads = 4;
+  const auto r = run_monte_carlo(ctx, opt);
+
+  const auto& nl = ctx.netlist();
+  std::vector<double> delay(ctx.arc_count());
+  std::vector<double> arrival(nl.node_count());
+  for (std::size_t s = 0; s < opt.samples; ++s) {
+    const std::uint64_t stream = util::stream_seed(opt.seed, s);
+    const double zg = util::keyed_normal(stream, kGlobalNormalKey);
+    for (GateId g = nl.node_count(); g-- > 0;) {
+      for (std::size_t i = nl.gate(g).fanins.size(); i-- > 0;) {
+        const std::size_t a = ctx.arc_offset(g) + i;
+        delay[a] = b.var.delay_at_ps(ctx.arc_delay_ps(g, i), ctx.drive(g), zg,
+                                     util::keyed_normal(stream, arc_normal_key(a, 0)),
+                                     util::keyed_normal(stream, arc_normal_key(a, 1)));
+      }
+    }
+    for (const GateId g : ctx.topo_order()) {
+      double arr = ctx.launch_arrival_ps(g);
+      for (std::size_t i = 0; i < nl.gate(g).fanins.size(); ++i) {
+        arr = std::max(arr, arrival[nl.gate(g).fanins[i]] + delay[ctx.arc_offset(g) + i]);
+      }
+      arrival[g] = arr;
+    }
+    double circuit = 0.0;
+    for (const auto& po : nl.outputs()) circuit = std::max(circuit, arrival[po.driver]);
+    ASSERT_EQ(r.circuit_samples[s], circuit) << "draw " << s;
   }
 }
 

@@ -1,3 +1,4 @@
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -258,6 +259,98 @@ TEST(Rng, IndexInRange) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.index(7), 7u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Counter-keyed draws
+// ---------------------------------------------------------------------------
+
+// Word i of stream s is output i of SplitMix64 seeded with s: the reference
+// generator's published first outputs for seed 0.
+TEST(KeyedRng, WordsAreSplitMix64Outputs) {
+  EXPECT_EQ(keyed_bits(0, 0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(keyed_bits(0, 1), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(keyed_bits(0, 2), 0x06c45d188009454full);
+  EXPECT_EQ(keyed_bits(0, 3), 0xf88bb8a8724c81ecull);
+}
+
+// The first keyed uniforms and normals of one stream, as bits. No standard-
+// library distribution is involved: integer mixing and IEEE arithmetic make
+// the central values, libm's log (and erfc/exp deep in the tail) the rest.
+TEST(KeyedRng, PinsFirstUniformsAndNormals) {
+  const std::uint64_t s = stream_seed(2005, 7);
+  const std::uint64_t u[] = {0x3fe97ad6ec354739ull, 0x3fe5f9da9dee1eb9ull, 0x3fe9336219e37531ull,
+                             0x3fa3aa98b360fef0ull, 0x3fa3a3da2e2f0470ull, 0x3fe7a9d81235de87ull};
+  const std::uint64_t z[] = {0x3fea814cb8847ae2ull, 0x3fdf2568e44d1f6bull, 0x3fe98804eca7306dull,
+                             0xbffc4f97b3a17b04ull, 0xbffc521f2953487aull, 0x3fe4893ba4bec3feull};
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(keyed_uniform(s, i)), u[i]) << "i = " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(keyed_normal(s, i)), z[i]) << "i = " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(keyed_normal(s, 8)), 0xc001d876aa7c5ea5ull);    // tail
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(keyed_normal(s, 987)), 0xc009d15dfb2c13feull);  // refined
+}
+
+// Phi(quantile(p)) against p, relative, on a log grid of tail masses from
+// 2^-53 (the smallest keyed uniform) to 1/2, in both tails. Phi comes from
+// erfc, which keeps its relative accuracy in the tail.
+TEST(KeyedRng, QuantileRoundTripWithinOneE8OnBothTails) {
+  const auto lower_mass = [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); };
+  for (double e = -53.0; e <= -1.0; e += 0.01) {
+    const double t = std::exp2(e);
+    EXPECT_LE(std::abs(lower_mass(normal_quantile(t)) - t), 1e-8 * t) << "lower, t = 2^" << e;
+    const double p = 1.0 - t;  // upper tail: its mass is 1 - p, exactly
+    const double mass = 1.0 - p;
+    EXPECT_LE(std::abs(lower_mass(-normal_quantile(p)) - mass), 1e-8 * mass)
+        << "upper, t = 2^" << e;
+  }
+}
+
+TEST(KeyedRng, QuantileIsAntisymmetricOnKeyedUniforms) {
+  const std::uint64_t s = stream_seed(31, 4);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    const double u = keyed_uniform(s, i);
+    ASSERT_GT(u, 0.0);
+    ASSERT_LT(u, 1.0);
+    ASSERT_EQ(normal_quantile(1.0 - u), -normal_quantile(u)) << "u = " << u;
+  }
+  // The extreme keyed uniforms, (0 + 1/2) * 2^-52 and (2^52 - 1/2) * 2^-52.
+  EXPECT_TRUE(std::isfinite(normal_quantile(0x1p-53)));
+  EXPECT_EQ(normal_quantile(1.0 - 0x1p-53), -normal_quantile(0x1p-53));
+  EXPECT_EQ(normal_inv_cdf(0x1p-53), normal_quantile(0x1p-53));
+}
+
+// Lemire's multiply-shift against the high word of the 128-bit product,
+// built from 32-bit halves.
+TEST(KeyedRng, IndexIsTheHighWordOfTheProduct) {
+  const std::uint64_t s = stream_seed(8, 8);
+  for (const std::uint64_t n : {1ull, 2ull, 3ull, 7ull, 1000003ull, 0xffffffffffull}) {
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      const std::uint64_t w = keyed_bits(s, i);
+      const std::uint64_t wl = w & 0xffffffffu, wh = w >> 32;
+      const std::uint64_t nl = n & 0xffffffffu, nh = n >> 32;
+      const std::uint64_t mid = (wl * nl >> 32) + (wh * nl & 0xffffffffu) + (wl * nh & 0xffffffffu);
+      const std::uint64_t high = wh * nh + (wh * nl >> 32) + (wl * nh >> 32) + (mid >> 32);
+      ASSERT_EQ(keyed_index(s, i, n), high) << "n = " << n << ", i = " << i;
+      ASSERT_LT(high, n);
+    }
+  }
+}
+
+TEST(KeyedRng, NormalMomentsAndTailMass) {
+  const std::uint64_t s = stream_seed(9, 0);
+  RunningStats stats;
+  int below = 0;
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) {
+    const double z = keyed_normal(s, static_cast<std::uint64_t>(i));
+    stats.add(z);
+    if (z < -2.0) ++below;
+  }
+  EXPECT_NEAR(stats.mean(), 0.0, 0.012);
+  EXPECT_NEAR(stats.stddev(), 1.0, 0.01);
+  // P(Z < -2) = 0.02275; 5 standard errors at n = 200000 is 0.0017.
+  EXPECT_NEAR(static_cast<double>(below) / n, 0.02275, 0.0017);
 }
 
 // ---------------------------------------------------------------------------
