@@ -369,9 +369,9 @@ std::uint64_t hash_bits(const std::vector<double>& xs) {
 
 // Golden bits of the importance sampler on the counter-keyed draws: the
 // shifted tracked arcs, the likelihood ratios and the batch folds must keep
-// every bit. A nonzero global fraction
-// puts every term of the arc-sampling map to work; 1000 draws in 256-draw
-// batches leave a short last batch and a short last chunk.
+// every bit. A nonzero global fraction puts every term of the arc-sampling
+// map to work; 1000 draws in 256-draw batches leave a short last batch and a
+// short last chunk.
 TEST(IsleYield, ImportanceModeMatchesCapturedGoldenBits) {
   core::FlowOptions fo;
   fo.variation.global_fraction = 0.5;

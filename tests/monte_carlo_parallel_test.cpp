@@ -1,5 +1,5 @@
 // Parallel Monte-Carlo SSTA: the sharded engine must be bitwise-identical to
-// the serial one for any thread count (counter-based per-sample RNG streams),
+// the serial one for any thread count (counter-keyed draws),
 // and its moments must track analytic expectations on a max-free circuit.
 #include <algorithm>
 #include <atomic>
@@ -85,8 +85,8 @@ std::uint64_t hash_bits(const std::vector<double>& xs) {
 
 // Golden bits of the engine on the counter-keyed draws: any restructuring of
 // the loop, the chunk merge or the per-node fold must leave every output bit
-// as it was. 3000 draws is not a multiple of the
-// 64-draw chunk, so the short last chunk's fold is pinned too.
+// as it was. 3000 draws is not a multiple of the 64-draw chunk, so the short
+// last chunk's fold is pinned too.
 TEST(MonteCarloParallel, MatchesCapturedGoldenBits) {
   Bench b(circuits::make_cla_adder(8));
   MonteCarloOptions opt;
