@@ -171,9 +171,9 @@ if [[ "${TSAN}" == 1 ]]; then
   # races through happens-before analysis, so findings do not depend on the
   # host's core count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.
-  # The serving suites (JobManager, BatchIsolation, ServeSession, ServeServer)
-  # are in: the job system's pool handoffs, the session's shared/exclusive
-  # lock discipline under concurrent what-ifs, and the server's reader/writer/
+  # The serving suites (JobManager, ServeSession, ServeServer) are in: the
+  # job system's pool handoffs, the session's shared/exclusive lock
+  # discipline under concurrent what-ifs, and the server's reader/writer/
   # worker triangle are exactly the lifetimes TSan should walk. ConeBuilder is
   # in too: concurrent FASSTA scorers and speculation waves each collect
   # their cones into their own reused workspace. So are FlowThreading (the
@@ -184,7 +184,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # loop's workers share no generator state.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|BatchIsolation|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

@@ -67,6 +67,15 @@ break it before they ever reach a test:
                           a value-changing flag or contraction reorders or
                           fuses their operations and moves every result bit.
 
+  layer-order             An #include "<module>/..." in src/ that points to a
+                          module above the including file's own module in
+                          LAYER_ORDER (docs/ARCHITECTURE.md, "Layer map"), or
+                          that names a module the list does not place.
+                          Dependencies point downward only; debug/ (the
+                          paranoid validators every engine layer may call)
+                          is exempt both ways. A new module joins the list
+                          before anything includes it.
+
 Waivers: append `// lint-ok: <rule-id> <justification>` to the offending
 line (or place it on the immediately preceding line). The justification is
 mandatory — a bare waiver is itself a finding.
@@ -90,7 +99,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RULES = ("rng-stray", "rng-stateful", "unordered-iter", "stdout-io", "shared-mutable-capture",
-         "throw-in-parallel", "fp-flags")
+         "throw-in-parallel", "fp-flags", "layer-order")
 
 # Files exempt from specific rules: the façade a rule funnels everything into
 # is the one legitimate user of the forbidden pattern.
@@ -440,6 +449,50 @@ def check_fp_flags(code_with_strings: str, findings: list, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# rule: layer-order
+# ---------------------------------------------------------------------------
+
+# src/ modules from the bottom up; modules of one tuple share a rank and may
+# include each other.
+LAYER_ORDER = (
+    ("util",), ("variation",), ("netlist",), ("liberty",),
+    ("techmap", "circuits", "bench_format"),
+    ("pdf",), ("sta",), ("drc",), ("fassta",), ("ssta",), ("timing",), ("opt",),
+    ("core",), ("serve",),
+)
+LAYER_RANK = {module: rank for rank, tier in enumerate(LAYER_ORDER) for module in tier}
+LAYER_EXEMPT = ("debug",)
+MODULE_DIR_RE = re.compile(r"(?:^|/)src/(\w+)/")
+MODULE_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"(\w+)/', re.MULTILINE)
+
+
+def check_layer_order(path_rel: str, code_with_strings: str, findings: list,
+                      path: Path) -> None:
+    """Scans code with comments blanked but string literals kept: the
+    included path is the directive's string."""
+    dm = MODULE_DIR_RE.search(path_rel)
+    if not dm or dm.group(1) in LAYER_EXEMPT:
+        return
+    own = dm.group(1)
+    for m in MODULE_INCLUDE_RE.finditer(code_with_strings):
+        target = m.group(1)
+        if target == own or target in LAYER_EXEMPT:
+            continue
+        line = line_of(code_with_strings, m.start())
+        unplaced = [mod for mod in (own, target) if mod not in LAYER_RANK]
+        if unplaced:
+            findings.append(Finding(
+                path, line, "layer-order",
+                f"module '{unplaced[0]}/' is not in LAYER_ORDER: place it in the "
+                f"layer list before it includes or is included"))
+        elif LAYER_RANK[target] > LAYER_RANK[own]:
+            findings.append(Finding(
+                path, line, "layer-order",
+                f"'{own}/' includes '{target}/', which sits above it in LAYER_ORDER: "
+                f"dependencies point downward only"))
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -455,7 +508,9 @@ def lint_file(path: Path, root: Path) -> list:
     check_unordered(code, findings, path)
     check_shared_capture(code, findings, path)
     check_throw_in_parallel(code, findings, path)
-    check_fp_flags(strip_comments_and_strings(raw, keep_strings=True), findings, path)
+    code_with_strings = strip_comments_and_strings(raw, keep_strings=True)
+    check_fp_flags(code_with_strings, findings, path)
+    check_layer_order(rel, code_with_strings, findings, path)
 
     # Apply waivers (same line or the immediately preceding line). A waiver
     # without a justification is converted into its own finding.

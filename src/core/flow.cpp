@@ -1,11 +1,9 @@
 #include "core/flow.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
-
 #include <unordered_map>
 
 #include "bench_format/bench_reader.h"
@@ -13,8 +11,6 @@
 #include "bench_format/verilog_reader.h"
 #include "bench_format/verilog_writer.h"
 #include "circuits/iscas_suite.h"
-#include "serve/job.h"
-#include "util/thread_pool.h"
 
 namespace statsizer::core {
 
@@ -304,56 +300,6 @@ OptimizationRecord Flow::optimize(double lambda,
   // The recovery's final analysis already holds the pdf of this exact state.
   rec.output_pdf = std::move(recovered.final_summary.output_pdf);
   return rec;
-}
-
-std::vector<MonteCarloJobResult> Flow::run_monte_carlo_batch(
-    const std::vector<MonteCarloJob>& jobs, std::size_t threads,
-    const FlowOptions& options, const util::FaultPlan* faults) {
-  std::vector<MonteCarloJobResult> results(jobs.size());
-  // The manager parallelizes across jobs. Inside a job every inner parallel
-  // region runs inline on its worker (util::region_threads), where
-  // cooperative checkpoints (cancellation, deadlines, fault injection) have
-  // full coverage; determinism makes that equivalent result-wise.
-  serve::JobManagerOptions manager_options;
-  manager_options.threads = threads;
-  // Batch mode admits everything: admission control is a serving concern.
-  manager_options.limits.max_queue_depth = std::max<std::size_t>(jobs.size(), 1);
-  manager_options.faults = faults;
-  serve::JobManager manager(manager_options);
-
-  std::vector<serve::JobRef> handles(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    serve::JobOptions job_opts;
-    job_opts.fault_scope = j;  // fault plans address jobs by batch index
-    handles[j] = manager.submit(
-        [&jobs, &results, &options, j] {
-          const MonteCarloJob& job = jobs[j];
-          MonteCarloJobResult& out = results[j];
-          out = MonteCarloJobResult{};  // re-runnable under retry
-          Flow flow(options);
-          if (Status s = flow.load_table1(job.table1_name); !s.ok()) {
-            throw StatusError(std::move(s));  // keeps kInvalidArgument
-          }
-          (void)flow.run_baseline();
-          if (job.lambda.has_value()) {
-            out.record = flow.optimize(*job.lambda);
-          }
-          out.mc = ssta::run_monte_carlo(flow.timing(), job.mc);
-        },
-        job_opts);
-  }
-  manager.wait_all();
-
-  // Per-job error isolation: a failed job carries its structured Status and
-  // empty payloads; siblings are untouched (bitwise-identical to a clean run).
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    results[j].status = handles[j]->status();
-    if (!results[j].status.ok()) {
-      results[j].mc = ssta::MonteCarloResult{};
-      results[j].record.reset();
-    }
-  }
-  return results;
 }
 
 YieldReport Flow::estimate_yield(double clock_period_ps, std::string_view engine) const {

@@ -1,5 +1,5 @@
 // Flow — the library's front door. Wires together the whole stack
-// (synthetic library or parsed Liberty, circuit generation or .bench input,
+// (synthetic library, circuit generation or .bench/.v input,
 // technology mapping, variation model, baseline mean-delay sizing,
 // StatisticalGreedy optimization, reporting) behind a handful of calls:
 //
@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "bench_format/provenance.h"
 #include "bench_format/sdc_reader.h"
@@ -31,10 +30,8 @@
 #include "sta/graph.h"
 #include "ssta/fullssta.h"
 #include "ssta/isle.h"
-#include "ssta/monte_carlo.h"
 #include "techmap/mapper.h"
 #include "timing/analyzer.h"
-#include "util/fault.h"
 #include "util/status.h"
 #include "variation/model.h"
 
@@ -103,22 +100,6 @@ struct OptimizationRecord {
   /// configured confirm engine cannot produce a pdf (non-default engines
   /// without the output_pdf capability).
   pdf::DiscretePdf output_pdf;
-};
-
-/// One unit of work for run_monte_carlo_batch: a Table-1 workload, an
-/// optional StatisticalGreedy lambda (nullopt = Monte-Carlo the baseline
-/// point), and the Monte-Carlo configuration for that circuit.
-struct MonteCarloJob {
-  std::string table1_name;
-  std::optional<double> lambda;
-  ssta::MonteCarloOptions mc;
-};
-
-struct MonteCarloJobResult {
-  Status status;  ///< load failure leaves mc/record empty
-  ssta::MonteCarloResult mc;
-  /// Present when the job requested an optimization lambda.
-  std::optional<OptimizationRecord> record;
 };
 
 /// Flow::estimate_yield's payload: which engine produced the estimate plus
@@ -190,23 +171,6 @@ class Flow {
   /// Throws std::invalid_argument unless @p lambda is finite and >= 0.
   OptimizationRecord optimize(double lambda,
                               const opt::StatisticalSizerOptions* overrides = nullptr);
-
-  // -- batch analysis ---------------------------------------------------------
-  /// Evaluates many (circuit, lambda) points concurrently: each job gets its
-  /// own Flow (load_table1 -> run_baseline -> optional optimize) and a
-  /// Monte-Carlo run of the resulting circuit. Jobs run through the general
-  /// async job system (serve::JobManager; @p threads workers, 0 = hardware
-  /// concurrency) with per-job error isolation — any failure becomes that
-  /// job's structured Status (its code classifying parse errors vs injected
-  /// faults vs internal exceptions) and never perturbs sibling results.
-  /// Each job's inner parallel regions (sizing, yield, Monte Carlo) run
-  /// inline on its worker (util::region_threads). Results are index-aligned
-  /// with @p jobs and deterministic for any thread count. @p faults
-  /// optionally installs a deterministic fault-injection plan; job i reports
-  /// fault scope i.
-  [[nodiscard]] static std::vector<MonteCarloJobResult> run_monte_carlo_batch(
-      const std::vector<MonteCarloJob>& jobs, std::size_t threads = 0,
-      const FlowOptions& options = {}, const util::FaultPlan* faults = nullptr);
 
   // -- analysis ----------------------------------------------------------------
   /// Timing yield Y(T) = P(circuit delay <= T) of the current state.

@@ -130,7 +130,7 @@ class Library {
   std::uint32_t add_cell(Cell cell);
 
   /// Builds cell groups and lookup maps; validates cells. Must be called
-  /// once after construction/parsing before timing queries.
+  /// once after the last add_cell() before timing queries.
   [[nodiscard]] Status finalize();
 
   [[nodiscard]] std::span<const Cell> cells() const { return cells_; }

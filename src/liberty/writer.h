@@ -1,6 +1,6 @@
-// Serializes a liberty::Library back to Liberty text. The emitted subset is
-// exactly what liberty::parse_library understands, so write -> parse is an
-// identity on the model (round-trip tested).
+// Serializes a liberty::Library to Liberty text, so a sized design can be
+// handed to outside tools together with the cells it was sized against.
+// Output is deterministic (the synthetic library's text is digest-pinned).
 #pragma once
 
 #include <string>

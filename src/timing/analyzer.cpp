@@ -90,7 +90,7 @@ using netlist::GateId;
 // per node (moment pairs for FASSTA, latest arrival for DSTA) from the
 // snapshot's arc delays, so the engine half of a speculation calls the
 // engine's kernel (fassta::Engine::fold_arcs / fold_outputs,
-// sta::latest_arrival / latest_output) over the level-sorted cone, reading
+// sta::latest_arrival / latest_output) over the topo-ordered cone, reading
 // everything outside the cone from the analyzer's cached base
 // (Summary::node). Commits patch the snapshot in place, which is what
 // lets opt::recover_area screen thousands of downsize trials without a

@@ -2,13 +2,13 @@
 // resize set's fanout cone. Internal to src/timing (not installed).
 //
 // ConeSnapshot is the snapshot half: the fanout cone of a resize set
-// (sta::collect_cone — the one cone builder, level-sorted) plus the
+// (sta::collect_cone — the one cone builder, in topo_order()) plus the
 // recomputed loads, slews, arc delays, and arc sigmas over it, computed by
 // calling the context's own kernels — loads through the shared per-driver
 // fold (TimingContext::fold_load, in update()'s exact accumulation order with
 // candidate cells substituted; a cap *delta* added to the cached load would
 // drift by an ULP), slews and arcs through the slew/arc kernel
-// (TimingContext::relax_gate), in one serial walk over the level-sorted
+// (TimingContext::relax_gate), in one serial walk over the topo-ordered
 // cone. Every value array is indexed by cone slot, so a speculation holds
 // O(cone) memory and never allocates or clears anything node- or
 // arc-sized; the only GateId -> slot map is the scoring thread's reused

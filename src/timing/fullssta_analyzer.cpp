@@ -6,7 +6,7 @@
 // (timing/cone.h — also the engine behind the FASSTA/DSTA what-ifs); this
 // file adds the pdf half, which calls the engine's kernel
 // (ssta::gate_arrival and ssta::output_arrival) in one serial walk over the
-// level-sorted cone, reading everything outside the cone from the
+// topo-ordered cone, reading everything outside the cone from the
 // analyzer's cached base.
 // Calling the same kernels as update() and ssta::run_fullssta() is what
 // makes the score — and the base state a commit() installs —

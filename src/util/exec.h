@@ -18,7 +18,7 @@
 // Contexts do not propagate into ThreadPool workers: a checkpoint reached on
 // a pool worker during a nested parallel_for is a no-op. Jobs that want
 // cooperative control of their kernels run them with inner threads = 1 (the
-// serving layer and run_monte_carlo_batch already do, to avoid
+// serving layer and bench_table1's job fan-out already do, to avoid
 // oversubscription), in which case every checkpoint executes inline on the
 // job's own thread.
 #pragma once

@@ -1,11 +1,12 @@
 // Golden end-to-end regression: the quickstart flow on the c432-class
-// workload must keep reproducing the paper's headline result, and the batch
-// Monte-Carlo API must agree with running the same points one at a time.
+// workload must keep reproducing the paper's headline result, and Monte Carlo
+// must confirm that the optimized point's spread beats the baseline's.
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/flow.h"
+#include "ssta/monte_carlo.h"
 
 namespace statsizer::core {
 namespace {
@@ -34,38 +35,35 @@ TEST(FlowRegression, C432Lambda3ReproducesPaperBand) {
   EXPECT_GT(rec.resizes, 0u);
 }
 
-TEST(FlowRegression, MonteCarloBatchMatchesSequential) {
+TEST(FlowRegression, MonteCarloSigmaFallsAtLambda3) {
   ssta::MonteCarloOptions mc;
   mc.samples = 400;
   mc.seed = 5;
 
-  std::vector<MonteCarloJob> jobs;
-  jobs.push_back({"alu2", std::nullopt, mc});
-  jobs.push_back({"alu2", 3.0, mc});
-  jobs.push_back({"no-such-circuit", std::nullopt, mc});
+  Flow baseline;
+  ASSERT_TRUE(baseline.load_table1("alu2").ok());
+  (void)baseline.run_baseline();
+  const ssta::MonteCarloResult before = ssta::run_monte_carlo(baseline.timing(), mc);
 
-  const auto batch = Flow::run_monte_carlo_batch(jobs, /*threads=*/2);
-  ASSERT_EQ(batch.size(), jobs.size());
+  Flow sized;
+  ASSERT_TRUE(sized.load_table1("alu2").ok());
+  (void)sized.run_baseline();
+  // Two independent flows reach the same baseline point, bit for bit.
+  const ssta::MonteCarloResult again = ssta::run_monte_carlo(sized.timing(), mc);
+  EXPECT_EQ(again.circuit_samples, before.circuit_samples);
+  EXPECT_EQ(again.mean_ps, before.mean_ps);
+  EXPECT_EQ(again.sigma_ps, before.sigma_ps);
 
-  ASSERT_TRUE(batch[0].status.ok());
-  ASSERT_TRUE(batch[1].status.ok());
-  EXPECT_FALSE(batch[2].status.ok());
-  EXPECT_TRUE(batch[2].mc.circuit_samples.empty());
-
-  EXPECT_FALSE(batch[0].record.has_value());
-  ASSERT_TRUE(batch[1].record.has_value());
-  EXPECT_LT(batch[1].record->sigma_change, 0.0);
+  const OptimizationRecord rec = sized.optimize(3.0);
+  EXPECT_LT(rec.sigma_change, 0.0);
   // The optimized point's Monte-Carlo sigma improves on the baseline's.
-  EXPECT_LT(batch[1].mc.sigma_ps, batch[0].mc.sigma_ps);
+  const ssta::MonteCarloResult after = ssta::run_monte_carlo(sized.timing(), mc);
+  EXPECT_LT(after.sigma_ps, before.sigma_ps);
 
-  // Batch result == the same point evaluated through the single-flow API.
-  Flow flow;
-  ASSERT_TRUE(flow.load_table1("alu2").ok());
-  (void)flow.run_baseline();
-  const auto solo = ssta::run_monte_carlo(flow.timing(), mc);
-  EXPECT_DOUBLE_EQ(batch[0].mc.mean_ps, solo.mean_ps);
-  EXPECT_DOUBLE_EQ(batch[0].mc.sigma_ps, solo.sigma_ps);
-  EXPECT_EQ(batch[0].mc.circuit_samples, solo.circuit_samples);
+  // An unknown workload is a load error, not a throw.
+  Flow unknown;
+  EXPECT_FALSE(unknown.load_table1("no-such-circuit").ok());
+  EXPECT_FALSE(unknown.has_circuit());
 }
 
 }  // namespace

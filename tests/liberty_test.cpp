@@ -1,9 +1,12 @@
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "liberty/model.h"
-#include "liberty/parser.h"
 #include "liberty/synthetic.h"
 #include "liberty/writer.h"
+#include "util/fault.h"
 
 namespace statsizer::liberty {
 namespace {
@@ -39,16 +42,20 @@ TEST(CellName, MalformedDriveSuffixesAreNotDrives) {
 }
 
 TEST(CellName, LibraryWithMalformedDriveSuffixParses) {
-  std::string text = write_library(build_synthetic_90nm());
-  const std::string from = "cell (INV_X1)";
-  const auto at = text.find(from);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, from.size(), "cell (INV_XP)");
-  StatusOr<Library> lib = Status::error("not parsed");
-  EXPECT_NO_THROW(lib = parse_library(text));
-  ASSERT_TRUE(lib.ok()) << lib.status().message();
-  EXPECT_TRUE(lib->find_group("INV").has_value());
-  EXPECT_FALSE(lib->find_group("INV_XP").has_value());
+  // The synthetic cells with INV_X1 renamed INV_XP: finalize() must accept
+  // the library, keep INV_XP out of the INV sizing group, and not throw.
+  const Library synthetic = build_synthetic_90nm();
+  Library lib("malformed");
+  for (Cell cell : synthetic.cells()) {
+    if (cell.name == "INV_X1") cell.name = "INV_XP";
+    lib.add_cell(std::move(cell));
+  }
+  Status finalized = Status::error("not finalized");
+  EXPECT_NO_THROW(finalized = lib.finalize());
+  ASSERT_TRUE(finalized.ok()) << finalized.message();
+  ASSERT_TRUE(lib.find_cell("INV_XP").has_value());
+  EXPECT_TRUE(lib.find_group("INV").has_value());
+  EXPECT_FALSE(lib.find_group("INV_XP").has_value());
 }
 
 TEST(BaseFunc, KnownFamilies) {
@@ -186,174 +193,98 @@ TEST_F(SyntheticLibTest, FindGroupByFunc) {
 }
 
 // ---------------------------------------------------------------------------
-// parser
+// library model validation
 // ---------------------------------------------------------------------------
 
-constexpr const char* kTinyLib = R"(
-library (tiny) {
-  /* comment */
-  time_unit : "1ps";
-  lu_table_template (lut2x2) {
-    variable_1 : input_net_transition;
-    variable_2 : total_output_net_capacitance;
-    index_1("10, 20");
-    index_2("1, 2");
-  }
-  cell (INV_X1) {
-    area : 1.3;
-    pin (A) { direction : input; capacitance : 1.8; }
-    pin (ZN) {
-      direction : output;
-      function : "!A";
-      max_capacitance : 40;
-      timing () {
-        related_pin : "A";
-        cell_rise (lut2x2) { values("1, 2", "3, 4"); }
-        cell_fall (lut2x2) { values("0.9, 1.8", "2.7, 3.6"); }
-        rise_transition (lut2x2) { values("2, 4", "6, 8"); }
-        fall_transition (lut2x2) { values("1, 3", "5, 7"); }
-      }
-    }
-  }
-}
-)";
-
-TEST(Parser, TinyLibrary) {
-  auto lib = parse_library(kTinyLib);
-  ASSERT_TRUE(lib.ok()) << lib.status().message();
-  EXPECT_EQ(lib->name(), "tiny");
-  ASSERT_EQ(lib->cells().size(), 1u);
-  const Cell& inv = lib->cell(0);
-  EXPECT_DOUBLE_EQ(inv.area_um2, 1.3);
-  EXPECT_DOUBLE_EQ(inv.drive, 1.0);
-  EXPECT_DOUBLE_EQ(inv.input_cap_ff(0), 1.8);
-  // Template indices flow into the tables.
-  EXPECT_DOUBLE_EQ(inv.arc_from(0).cell_rise.lookup(10, 1), 1.0);
-  EXPECT_DOUBLE_EQ(inv.arc_from(0).cell_rise.lookup(20, 2), 4.0);
-  // delay() is the worse of rise/fall.
-  EXPECT_DOUBLE_EQ(inv.arc_from(0).delay(10, 1), 1.0);
+/// A one-input cell with one scalar arc from A: delays @p rise / @p fall,
+/// transitions 1.
+Cell tiny_inverter(std::string name, double rise = 1.0, double fall = 1.0) {
+  Cell cell;
+  cell.name = std::move(name);
+  cell.area_um2 = 1.0;
+  Pin in;
+  in.name = "A";
+  in.capacitance_ff = 1.0;
+  Pin out;
+  out.name = "ZN";
+  out.direction = PinDirection::kOutput;
+  out.function = "!A";
+  TimingArc arc;
+  arc.related_pin = "A";
+  arc.cell_rise.values = {rise};
+  arc.cell_fall.values = {fall};
+  arc.rise_transition.values = {1.0};
+  arc.fall_transition.values = {1.0};
+  out.arcs.push_back(arc);
+  cell.pins = {in, out};
+  return cell;
 }
 
-TEST(Parser, NestingDepthIsCapped) {
-  // 100k nested groups, one per line: an error at the first group past the
-  // cap, not a stack overflow.
-  std::string text = "library (deep) {\n";
-  for (int i = 0; i < 100000; ++i) text += "g (x) {\n";
-  for (int i = 0; i <= 100000; ++i) text += "}\n";
-  const auto ast = parse_ast(text);
-  ASSERT_FALSE(ast.ok());
-  EXPECT_NE(ast.status().message().find("line 65: groups nested deeper than 64"),
-            std::string::npos)
-      << ast.status().message();
+TEST(LibraryModel, FinalizeRejectsDuplicateCellNames) {
+  Library lib("dup");
+  lib.add_cell(tiny_inverter("INV_X1"));
+  lib.add_cell(tiny_inverter("INV_X1"));
+  const Status s = lib.finalize();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("duplicate cell name: INV_X1"), std::string::npos) << s.message();
 }
 
-TEST(Parser, InlineIndicesOverrideTemplate) {
-  constexpr const char* text = R"(
-library (t) {
-  lu_table_template (tpl) { index_1("1, 2"); index_2("1, 2"); }
-  cell (BUF_X1) {
-    area : 1;
-    pin (A) { direction : input; capacitance : 1; }
-    pin (Z) {
-      direction : output;
-      function : "A";
-      timing () {
-        related_pin : "A";
-        cell_rise (tpl) { index_1("100, 200"); index_2("10, 20"); values("1, 2", "3, 4"); }
-        cell_fall (tpl) { index_1("100, 200"); index_2("10, 20"); values("1, 2", "3, 4"); }
-      }
-    }
-  }
-}
-)";
-  auto lib = parse_library(text);
-  ASSERT_TRUE(lib.ok()) << lib.status().message();
-  EXPECT_DOUBLE_EQ(lib->cell(0).arc_from(0).cell_rise.lookup(100, 10), 1.0);
+TEST(LibraryModel, FinalizeNamesAMissingTimingArc) {
+  Cell cell = tiny_inverter("INV_X1");
+  cell.pins[1].arcs.clear();
+  Library lib("no_arc");
+  lib.add_cell(std::move(cell));
+  const Status s = lib.finalize();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("missing timing arc from pin A"), std::string::npos)
+      << s.message();
 }
 
-TEST(Parser, ErrorsAreDescriptive) {
-  EXPECT_FALSE(parse_library("not_a_library (x) { }").ok());
-  EXPECT_FALSE(parse_library("library (x) { cell () { } }").ok());
-  const auto missing_arc = parse_library(R"(
-library (x) {
-  cell (INV_X1) {
-    area : 1;
-    pin (A) { direction : input; capacitance : 1; }
-    pin (ZN) { direction : output; function : "!A"; }
-  }
-}
-)");
-  ASSERT_FALSE(missing_arc.ok());
-  EXPECT_NE(missing_arc.status().message().find("timing arc"), std::string::npos);
-}
-
-TEST(Parser, UnterminatedGroupFails) {
-  EXPECT_FALSE(parse_library("library (x) { cell (C) { area : 1; ").ok());
-}
-
-TEST(Parser, NumberList) {
-  auto xs = parse_number_list(" 1.5, 2 , 3e1 ");
-  ASSERT_TRUE(xs.ok());
-  ASSERT_EQ(xs->size(), 3u);
-  EXPECT_DOUBLE_EQ((*xs)[2], 30.0);
-  EXPECT_FALSE(parse_number_list("1, banana").ok());
-  EXPECT_TRUE(parse_number_list("").ok());
-}
-
-TEST(Parser, DuplicateCellNameRejected) {
-  constexpr const char* text = R"(
-library (t) {
-  cell (INV_X1) {
-    area : 1;
-    pin (A) { direction : input; capacitance : 1; }
-    pin (ZN) { direction : output; function : "!A";
-      timing () { related_pin : "A"; cell_rise (s) { values("1"); } cell_fall (s) { values("1"); } }
-    }
-  }
-  cell (INV_X1) {
-    area : 2;
-    pin (A) { direction : input; capacitance : 1; }
-    pin (ZN) { direction : output; function : "!A";
-      timing () { related_pin : "A"; cell_rise (s) { values("1"); } cell_fall (s) { values("1"); } }
-    }
-  }
-}
-)";
-  // Note: "s" is not a declared template; use scalar-style values instead.
-  const auto lib = parse_library(text);
-  EXPECT_FALSE(lib.ok());
+TEST(LibraryModel, ArcDelayIsTheWorseOfRiseAndFall) {
+  Library lib("worst");
+  lib.add_cell(tiny_inverter("INV_X1", /*rise=*/1.0, /*fall=*/2.5));
+  lib.add_cell(tiny_inverter("INV_X2", /*rise=*/3.0, /*fall=*/0.5));
+  ASSERT_TRUE(lib.finalize().ok());
+  EXPECT_DOUBLE_EQ(lib.cell(0).arc_from(0).delay(10, 1), 2.5);
+  EXPECT_DOUBLE_EQ(lib.cell(1).arc_from(0).delay(10, 1), 3.0);
+  EXPECT_DOUBLE_EQ(lib.cell(0).drive, 1.0);
+  EXPECT_DOUBLE_EQ(lib.cell(1).drive, 2.0);
 }
 
 // ---------------------------------------------------------------------------
-// writer round trip
+// writer
 // ---------------------------------------------------------------------------
+
+/// The writer's number format.
+std::string liberty_number(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.10g", v);
+  return buf;
+}
 
 TEST(Writer, SyntheticLibraryRoundTrips) {
-  const Library original = build_synthetic_90nm();
-  const std::string text = write_library(original);
-  auto reparsed = parse_library(text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  const Library lib = build_synthetic_90nm();
+  const std::string text = write_library(lib);
+  // FNV-1a of the whole text: any change to the exported library moves it.
+  EXPECT_EQ(util::fnv1a(text), 0xb03c0cc20e0bf2adULL);
+  EXPECT_EQ(text.size(), 1230923u);
 
-  ASSERT_EQ(reparsed->cells().size(), original.cells().size());
-  for (std::size_t i = 0; i < original.cells().size(); ++i) {
-    const Cell& a = original.cell(i);
-    const Cell& b = reparsed->cell(i);
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_NEAR(a.area_um2, b.area_um2, 1e-6);
-    EXPECT_DOUBLE_EQ(a.drive, b.drive);
-    ASSERT_EQ(a.pins.size(), b.pins.size());
-    // Spot-check timing fidelity on a grid of query points.
-    for (std::size_t p = 0; p < a.arity(); ++p) {
-      for (double slew : {10.0, 77.0}) {
-        for (double load : {2.0, 19.0}) {
-          EXPECT_NEAR(a.arc_from(p).delay(slew, load), b.arc_from(p).delay(slew, load),
-                      1e-4)
-              << a.name;
-        }
-      }
-    }
+  // Every cell's group carries its area and its output's max_transition.
+  for (std::size_t i = 0; i < lib.cells().size(); ++i) {
+    const Cell& cell = lib.cell(i);
+    const std::size_t at = text.find("  cell (" + cell.name + ") {\n");
+    ASSERT_NE(at, std::string::npos) << cell.name;
+    const std::size_t end = text.find("\n  cell (", at + 1);
+    const std::string group = text.substr(at, end == std::string::npos ? end : end - at);
+    EXPECT_NE(group.find("    area : " + liberty_number(cell.area_um2) + ";\n"),
+              std::string::npos)
+        << cell.name;
+    ASSERT_GT(cell.output().max_transition_ps, 0.0) << cell.name;
+    EXPECT_NE(group.find("max_transition : " + liberty_number(cell.output().max_transition_ps) +
+                         ";\n"),
+              std::string::npos)
+        << cell.name;
   }
-  EXPECT_EQ(reparsed->groups().size(), original.groups().size());
 }
 
 }  // namespace

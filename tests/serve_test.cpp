@@ -1,8 +1,9 @@
-// The serving stack: JobManager (isolation, priorities, deadlines,
-// cancellation, admission control, retry), Flow::run_monte_carlo_batch
-// per-job isolation with bitwise-pinned siblings, Session epoch/locking
-// semantics against a single-tenant Flow, and the Server's newline-JSON
-// protocol — all failure paths driven by deterministic fault injection.
+// The serving stack: JobManager (isolation with bitwise-pinned Monte-Carlo
+// siblings, priorities, deadlines, cancellation, admission control), Session
+// epoch/locking semantics against a single-tenant Flow, and the Server's
+// newline-JSON protocol — all failure paths driven by deterministic fault
+// injection.
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,6 +20,7 @@
 #include "serve/job.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "ssta/monte_carlo.h"
 #include "util/fault.h"
 #include "util/json.h"
 
@@ -267,23 +269,49 @@ TEST(JobManager, DoesNotRetryNonTransientFailures) {
 }
 
 // ---------------------------------------------------------------------------
-// run_monte_carlo_batch isolation (bitwise-pinned siblings)
+// JobManager isolation of real kernels (bitwise-pinned siblings)
 // ---------------------------------------------------------------------------
 
-std::vector<core::MonteCarloJob> batch_jobs() {
-  std::vector<core::MonteCarloJob> jobs(3);
-  jobs[0].table1_name = "c432";
-  jobs[1].table1_name = "c499";
-  jobs[2].table1_name = "c880";
-  for (auto& j : jobs) j.mc.samples = 64;
-  return jobs;
+struct McJobs {
+  std::vector<Status> status;
+  std::vector<ssta::MonteCarloResult> mc;
+};
+
+/// One job per flow, each a 64-draw Monte Carlo of that flow's circuit,
+/// scoped by its index under @p faults; a failed job keeps an empty result.
+McJobs run_mc_jobs(std::vector<core::Flow>& flows, std::size_t threads,
+                   const util::FaultPlan* faults) {
+  McJobs out;
+  out.mc.resize(flows.size());
+  JobManagerOptions options;
+  options.threads = threads;
+  options.faults = faults;
+  JobManager manager(options);
+  std::vector<JobRef> jobs;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    JobOptions job_options;
+    job_options.fault_scope = i;
+    jobs.push_back(manager.submit(
+        [&flows, &out, i] {
+          ssta::MonteCarloOptions mc;
+          mc.samples = 64;
+          out.mc[i] = ssta::run_monte_carlo(flows[i].timing(), mc);
+        },
+        job_options));
+  }
+  manager.wait_all();
+  for (const JobRef& job : jobs) out.status.push_back(job->status());
+  return out;
 }
 
-TEST(BatchIsolation, PoisonedJobFailsStructurallyAndSiblingsStayBitwise) {
-  const auto jobs = batch_jobs();
-  const auto clean = core::Flow::run_monte_carlo_batch(jobs, 2);
-  ASSERT_EQ(clean.size(), 3u);
-  for (const auto& r : clean) ASSERT_TRUE(r.status.ok()) << r.status.message();
+TEST(JobManager, PoisonedMonteCarloJobFailsStructurallyAndSiblingsStayBitwise) {
+  const std::array<const char*, 3> workloads = {"c432", "c499", "c880"};
+  std::vector<core::Flow> flows(workloads.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    ASSERT_TRUE(flows[i].load_table1(workloads[i]).ok()) << workloads[i];
+  }
+  const McJobs clean = run_mc_jobs(flows, 2, nullptr);
+  for (const Status& s : clean.status) ASSERT_TRUE(s.ok()) << s.message();
 
   // Poison job 1's first Monte-Carlo chunk; jobs 0 and 2 are untouched.
   util::FaultPlan plan;
@@ -294,26 +322,24 @@ TEST(BatchIsolation, PoisonedJobFailsStructurallyAndSiblingsStayBitwise) {
   rule.hit = 1;
   plan.rules.push_back(rule);
 
-  const auto poisoned = core::Flow::run_monte_carlo_batch(jobs, 2, {}, &plan);
-  ASSERT_EQ(poisoned.size(), 3u);
-  EXPECT_EQ(poisoned[1].status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(poisoned[1].status.message().find("injected fault at ssta/mc/chunk"),
+  const McJobs poisoned = run_mc_jobs(flows, 2, &plan);
+  EXPECT_EQ(poisoned.status[1].code(), StatusCode::kUnavailable);
+  EXPECT_NE(poisoned.status[1].message().find("injected fault at ssta/mc/chunk"),
             std::string::npos);
-  EXPECT_TRUE(poisoned[1].mc.circuit_samples.empty());
+  EXPECT_TRUE(poisoned.mc[1].circuit_samples.empty());
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_TRUE(poisoned[i].status.ok());
+    ASSERT_TRUE(poisoned.status[i].ok());
     // Bitwise-identical to the fault-free run: the failure never leaked.
-    EXPECT_EQ(poisoned[i].mc.circuit_samples, clean[i].mc.circuit_samples);
-    EXPECT_EQ(poisoned[i].mc.mean_ps, clean[i].mc.mean_ps);
-    EXPECT_EQ(poisoned[i].mc.sigma_ps, clean[i].mc.sigma_ps);
+    EXPECT_EQ(poisoned.mc[i].circuit_samples, clean.mc[i].circuit_samples);
+    EXPECT_EQ(poisoned.mc[i].mean_ps, clean.mc[i].mean_ps);
+    EXPECT_EQ(poisoned.mc[i].sigma_ps, clean.mc[i].sigma_ps);
   }
 
   // Thread-count invariance holds for the poisoned run too.
-  const auto serial = core::Flow::run_monte_carlo_batch(jobs, 1, {}, &plan);
-  ASSERT_EQ(serial.size(), 3u);
-  EXPECT_EQ(serial[1].status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(serial[0].mc.circuit_samples, poisoned[0].mc.circuit_samples);
-  EXPECT_EQ(serial[2].mc.circuit_samples, poisoned[2].mc.circuit_samples);
+  const McJobs serial = run_mc_jobs(flows, 1, &plan);
+  EXPECT_EQ(serial.status[1].code(), StatusCode::kUnavailable);
+  EXPECT_EQ(serial.mc[0].circuit_samples, poisoned.mc[0].circuit_samples);
+  EXPECT_EQ(serial.mc[2].circuit_samples, poisoned.mc[2].circuit_samples);
 }
 
 // ---------------------------------------------------------------------------
@@ -738,12 +764,20 @@ TEST(ServeServer, ShedsWhenTheQueueIsFullWithRetryAfter) {
   options.threads = 1;
   options.limits.max_queue_depth = 1;
   options.limits.retry_after = 15ms;
+  // The load (job 0) stalls 500 ms at its start, so the single worker is
+  // still busy with it while the three infos arrive, even on a loaded host:
+  // at most one fits the depth-1 queue, the rest shed.
+  // (Which info sneaks in, or whether none does because the worker had not
+  // yet taken the load off the queue, depends on worker wakeup; the
+  // invariants below do not.)
+  util::FaultRule stall;
+  stall.site = "serve/job/start";
+  stall.scope = 0;
+  stall.delay_ms = 500;
+  stall.fail = false;
+  options.faults.rules.push_back(stall);
   Server server(options);
 
-  // The load takes far longer than reading three more lines, so the single
-  // worker is busy with it while the infos arrive: at most one fits the
-  // depth-1 queue, the rest shed. (Which specific info sneaks in depends on
-  // worker wakeup; the invariants below do not.)
   const auto responses = run_script(
       server,
       "{\"id\":1,\"op\":\"load\",\"workload\":\"c432\"}\n"
