@@ -4,9 +4,9 @@
 // clock period T, timing yield is P(delay <= T). This example measures that
 // probability for a Table-1 workload before and after statistical sizing,
 // with the analysis engine selected by registry name through the
-// timing::Analyzer interface. Engines that publish the full delay pdf
-// (fullssta) yield exact CDF reads; moment-only engines (fassta, canonical)
-// fall back to the normal approximation. Monte Carlo cross-checks one
+// timing::Analyzer interface (fullssta, fassta or dsta). An engine that
+// publishes the full delay pdf (fullssta) yields exact CDF reads; the
+// moment-only engines fall back to the normal approximation. Monte Carlo cross-checks one
 // operating point either way.
 //
 // Usage: yield_analysis [circuit] [lambda] [engine]
@@ -36,9 +36,9 @@ struct DelayModel {
   double mean_ps = 0.0;
   double sigma_ps = 0.0;
 
-  static DelayModel from(const timing::Analyzer& analyzer, const timing::Summary& s) {
+  static DelayModel from(const timing::Summary& s) {
     DelayModel m;
-    m.has_pdf = analyzer.capabilities().output_pdf;
+    m.has_pdf = s.output_pdf.size() > 0;
     if (m.has_pdf) m.pdf = s.output_pdf;
     m.mean_ps = s.mean_ps;
     m.sigma_ps = s.sigma_ps;
@@ -93,11 +93,11 @@ int main(int argc, char** argv) {
   }
 
   (void)flow.run_baseline();
-  const DelayModel original = DelayModel::from(*analyzer, analyzer->analyze(flow.timing()));
+  const DelayModel original = DelayModel::from(analyzer->analyze(flow.timing()));
   const auto original_sizes = flow.netlist().sizes();
 
   (void)flow.optimize(*lambda);
-  const DelayModel optimized = DelayModel::from(*analyzer, analyzer->analyze(flow.timing()));
+  const DelayModel optimized = DelayModel::from(analyzer->analyze(flow.timing()));
 
   std::printf("%s via %s%s: original  mu %.1f ps sigma %.2f ps | optimized (lambda=%.0f) "
               "mu %.1f sigma %.2f\n\n",

@@ -425,12 +425,12 @@ EOF
     echo "${SERVE_OUT}" >&2
     exit 1
   fi
-  # An aborted what-if changes nothing: with every snapshot checkpoint of
-  # request #2 (the what-if; scopes count from 0) faulted, the mc engine's
-  # speculation fails with unavailable, and the yields before and after it
-  # must match bit for bit.
-  FAULT_OUT="$(./build/statsizer_serve --engine mc \
-      --fault 'site=sta/update/level,scope=2,hit=0' <<'EOF'
+  # An aborted what-if changes nothing: with the session's what-if checkpoint
+  # of request #2 (scopes count from 0) faulted, the default engine's
+  # what-if fails with unavailable, and the yields before and after it must
+  # match bit for bit.
+  FAULT_OUT="$(./build/statsizer_serve \
+      --fault 'site=serve/session/whatif,scope=2,hit=0' <<'EOF'
 {"id":1,"op":"load","workload":"c432"}
 {"id":2,"op":"yield","clock_period_ps":900}
 {"id":3,"op":"whatif","gate":"g10","size":1}

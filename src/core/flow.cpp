@@ -331,7 +331,6 @@ ssta::FullSstaResult Flow::full_analysis() const {
 std::unique_ptr<timing::Analyzer> Flow::make_analyzer(std::string_view name) const {
   timing::AnalyzerOptions analyzer_options;
   analyzer_options.fullssta = options_.fullssta;
-  analyzer_options.isle = options_.isle;
   return timing::make_analyzer(name, analyzer_options);
 }
 

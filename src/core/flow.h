@@ -45,8 +45,7 @@ struct FlowOptions {
   opt::InitialSizingOptions initial_sizing;
   opt::DeterministicSizerOptions baseline;
   ssta::FullSstaOptions fullssta;
-  /// Importance-sampled yield estimation (Flow::estimate_yield and the
-  /// "isle" analyzer created through Flow::make_analyzer).
+  /// Importance-sampled yield estimation (Flow::estimate_yield).
   ssta::IsleOptions isle;
   /// Baseline shaping: how constrained-mode area recovery guards timing, its
   /// tolerance, and how many lambda = 0 polish iterations run after recovery
@@ -67,15 +66,15 @@ struct FlowOptions {
   /// against 1). Each extra worker holds one speculative overlay at a time
   /// and allocates nothing of its own while scoring.
   std::size_t sizer_threads = 0;
-  /// Engine selection for the statistical sizer and area recovery
+  /// Engines of the statistical sizer and area recovery
   /// (timing::make_analyzer registry names), applied — like sizer_threads —
   /// to run_baseline's stages and to optimize() without overrides.
-  /// confirm_engine is the accurate acceptance/verification engine (the
-  /// sizer needs what-if + per-node moments; recovery needs what-if);
+  /// confirm_engine is the accurate acceptance/verification engine;
   /// score_engine is the fast inner-loop scorer ("fassta" = the specialized
-  /// kernel) and doubles as optimize()'s recovery screen.
-  std::string confirm_engine = "fullssta";
-  std::string score_engine = "fassta";
+  /// kernel) and doubles as optimize()'s recovery screen. Constants: an
+  /// overrides struct passed to optimize() carries its own engines.
+  static constexpr std::string_view confirm_engine = "fullssta";
+  static constexpr std::string_view score_engine = "fassta";
   /// Design-rule analysis thresholds (loading and preflight()).
   drc::DrcOptions drc;
   /// When set (the default), run_baseline() and optimize() refuse — with a
@@ -96,9 +95,9 @@ struct OptimizationRecord {
   std::size_t iterations = 0;
   std::size_t resizes = 0;
   double runtime_seconds = 0.0;
-  /// Output-delay pdf after optimization (Fig. 1 material). Empty when the
-  /// configured confirm engine cannot produce a pdf (non-default engines
-  /// without the output_pdf capability).
+  /// Output-delay pdf after optimization (Fig. 1 material). Size 0 when
+  /// optimize()'s overrides pick a confirm engine other than "fullssta",
+  /// the only one that carries a pdf.
   pdf::DiscretePdf output_pdf;
 };
 
@@ -188,9 +187,10 @@ class Flow {
   [[nodiscard]] opt::CircuitStats analyze() const;
   /// Full FULLSSTA result (pdfs, per-node moments).
   [[nodiscard]] ssta::FullSstaResult full_analysis() const;
-  /// A timing::Analyzer from the registry, configured with this flow's
-  /// engine options (not yet bound: call ->analyze(flow.timing())). Throws
-  /// std::invalid_argument for unknown names.
+  /// A what-if timing::Analyzer from the registry ("dsta", "fassta",
+  /// "fullssta"), configured with this flow's FULLSSTA options (not yet
+  /// bound: call ->analyze(flow.timing())). Throws std::invalid_argument for
+  /// any other name.
   [[nodiscard]] std::unique_ptr<timing::Analyzer> make_analyzer(
       std::string_view name = "fullssta") const;
 

@@ -15,12 +15,11 @@
 // Engine plumbing: every trial runs through the timing::Analyzer what-if API.
 // The screen engine (screen_engine; defaults to "dsta" / "fassta" by
 // criterion) scores each candidate downsize as a Speculation against its
-// committed base, privately — for the default engines a fanout-cone
-// re-propagation against an overlay, never a netlist mutation plus full
-// TimingContext::update(); accepted trials commit incrementally (the
-// FASSTA/DSTA adapters patch the snapshot in place). Any engine name works:
-// every speculation scores privately, so every screen runs in parallel
-// windows. In statistical mode the screen drifts from the accurate engine
+// committed base, privately — a fanout-cone re-propagation against an
+// overlay, never a netlist mutation plus full TimingContext::update();
+// accepted trials commit incrementally (the snapshot is patched in place).
+// Any registry engine works: every speculation scores privately, so every
+// screen runs in parallel windows. In statistical mode the screen drifts from the accurate engine
 // on reconvergent fabrics, so every kChunk accepted downsizes are
 // re-verified by the confirm engine (confirm_engine, default "fullssta",
 // configured with `fullssta` — the same options the caller uses to measure

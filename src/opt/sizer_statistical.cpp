@@ -173,10 +173,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   }
   const std::unique_ptr<timing::Analyzer> confirm =
       timing::make_analyzer(options.confirm_engine, engine_options);
-  if (!confirm->capabilities().per_node_moments) {
-    throw std::invalid_argument("confirm engine \"" + options.confirm_engine +
-                                "\" lacks per-node moments");
-  }
   std::unique_ptr<timing::Analyzer> score_analyzer;
   if (!fassta_scorer) {
     score_analyzer = timing::make_analyzer(options.score_engine, engine_options);

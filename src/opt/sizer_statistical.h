@@ -78,10 +78,10 @@ struct StatisticalSizerOptions {
   std::size_t max_iterations = 120;
   ssta::FullSstaOptions fullssta;          ///< outer-engine controls
   fassta::EngineOptions fassta;            ///< inner-engine controls
-  /// Accurate confirmation engine, resolved through timing::make_analyzer.
-  /// Must report per-node moments (WNSS tracing).
-  /// Default: the paper's FULLSSTA, whose incremental what-if lets rescue
-  /// confirmations score in parallel.
+  /// Accurate confirmation engine, resolved through timing::make_analyzer
+  /// (its per-node moments feed WNSS tracing). Default: the paper's
+  /// FULLSSTA, whose incremental what-if lets rescue confirmations score in
+  /// parallel.
   std::string confirm_engine = "fullssta";
   /// Fast candidate-scoring engine (timing::make_analyzer name). "fassta" uses the
   /// specialized zero-allocation kernel (and is required for

@@ -36,15 +36,15 @@ Status Session::load_with(Load load, bool run_baseline) {
   // the previous design). A failure anywhere — parse, DRC gate, abort —
   // discards the scratch and leaves the session untouched.
   auto scratch = std::make_unique<core::Flow>(options_.flow);
-  if (Status s = load(*scratch); !s.ok()) return s;
-  if (scratch->preflight().has_errors()) return preflight_rejection(scratch->last_drc());
-  if (run_baseline) (void)scratch->run_baseline();
   std::unique_ptr<timing::Analyzer> analyzer;
   try {
     analyzer = scratch->make_analyzer(options_.engine);
   } catch (const std::invalid_argument& e) {
     return Status::invalid_argument(e.what());
   }
+  if (Status s = load(*scratch); !s.ok()) return s;
+  if (scratch->preflight().has_errors()) return preflight_rejection(scratch->last_drc());
+  if (run_baseline) (void)scratch->run_baseline();
   (void)analyzer->analyze(scratch->timing());
 
   const std::unique_lock<std::shared_mutex> lock(mutex_);

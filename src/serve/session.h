@@ -48,7 +48,8 @@ namespace statsizer::serve {
 
 struct SessionOptions {
   core::FlowOptions flow;
-  /// What-if engine (timing::make_analyzer name).
+  /// What-if engine (timing::make_analyzer name: dsta, fassta, fullssta). A
+  /// load answers invalid_argument for any other name.
   std::string engine = "fullssta";
 };
 

@@ -1,15 +1,13 @@
-// The engine table, the speculative walk, and the FASSTA / DSTA / canonical /
-// Monte-Carlo adapters. The FULLSSTA adapter (the incremental what-if
-// overlay) lives in fullssta_analyzer.cpp, the ISLE one in isle_analyzer.cpp.
+// The engine table, the speculative walk, and the FASSTA and DSTA adapters.
+// The FULLSSTA adapter (the incremental what-if overlay with its pdf half)
+// lives in fullssta_analyzer.cpp.
 #include "timing/analyzer.h"
 
 #include <algorithm>
 #include <optional>
 #include <utility>
 
-#include "ssta/canonical.h"
 #include "sta/dsta.h"
-#include "timing/analyzer_impl.h"
 #include "timing/cone.h"
 #include "util/thread_pool.h"
 
@@ -17,23 +15,20 @@ namespace statsizer::timing {
 
 namespace detail {
 
-void AnalyzerBase::validate_resizes(std::span<const Resize> resizes) const {
-  if (ctx_ == nullptr || !has_base_) {
-    throw std::logic_error(std::string(name()) + ": propose() before analyze()");
-  }
-  const sta::TimingContext& ctx = *ctx_;
-  if (resizes.empty()) {
-    throw std::invalid_argument(std::string(name()) + ": propose() with no resizes");
-  }
+void validate_resizes(std::string_view engine, const sta::TimingContext& ctx,
+                      std::span<const Resize> resizes) {
+  const auto fail = [&](const std::string& what) {
+    throw std::invalid_argument(std::string(engine) + ": " + what);
+  };
+  if (resizes.empty()) fail("propose() with no resizes");
   const auto& nl = ctx.netlist();
   for (const Resize& r : resizes) {
     if (r.gate >= nl.node_count() || !ctx.has_cell(r.gate)) {
-      throw std::invalid_argument(std::string(name()) + ": propose() on unmapped gate");
+      fail("propose() on unmapped gate");
     }
     const auto& group = ctx.library().group(nl.gate(r.gate).cell_group);
     if (r.size >= group.size_count()) {
-      throw std::invalid_argument(std::string(name()) + ": size index out of range for " +
-                                  nl.gate(r.gate).name);
+      fail("size index out of range for " + nl.gate(r.gate).name);
     }
   }
   // Duplicate-gate detection over a sorted copy of the batch's gates: no
@@ -45,39 +40,8 @@ void AnalyzerBase::validate_resizes(std::span<const Resize> resizes) const {
   std::sort(gates.begin(), gates.end());
   const auto dup = std::adjacent_find(gates.begin(), gates.end());
   if (dup != gates.end()) {
-    throw std::invalid_argument(std::string(name()) + ": duplicate gate " +
-                                nl.gate(*dup).name + " in one speculation");
+    fail("duplicate gate " + nl.gate(*dup).name + " in one speculation");
   }
-}
-
-/// The speculation of the engines without a cone replay (canonical, mc,
-/// isle): score() runs compute() on a private copy of the design — the
-/// resized netlist under a fresh TimingContext over the same library,
-/// variation model, options and constraints — so it writes nothing shared.
-class AnalyzerBase::PrivateSpeculation final : public Transaction<AnalyzerBase> {
- public:
-  using Transaction::Transaction;
-
- private:
-  void evaluate() override {
-    netlist::Netlist nl = ctx_.netlist();
-    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    sta::TimingContext copy(nl, ctx_.library(), ctx_.variation(), ctx_.options());
-    copy.set_constraints(ctx_.constraints());
-    result_ = owner_.compute(copy);
-  }
-
-  void install() override {
-    auto& nl = ctx_.mutable_netlist();
-    for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    ctx_.update();  // a pure function of the sizes: the snapshot the score ran on
-    owner_.install_base(result_);
-  }
-};
-
-std::unique_ptr<Speculation> AnalyzerBase::speculate(sta::TimingContext& ctx,
-                                                     std::span<const Resize> resizes) {
-  return std::make_unique<PrivateSpeculation>(*this, ctx, resizes);
 }
 
 namespace {
@@ -97,14 +61,14 @@ using netlist::GateId;
 // single full TimingContext::update().
 // ---------------------------------------------------------------------------
 
-class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
+class FasstaAnalyzer final : public AnalyzerBase<FasstaAnalyzer> {
  public:
   explicit FasstaAnalyzer(const AnalyzerOptions& options) : options_(options.fassta) {}
 
   std::string_view name() const override { return "fassta"; }
 
  private:
-  friend class ConeAnalyzer<FasstaAnalyzer>;
+  friend class AnalyzerBase<FasstaAnalyzer>;
 
   class WhatIfSpeculation final : public ConeSpeculation<FasstaAnalyzer> {
    public:
@@ -133,7 +97,7 @@ class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
 
   /// The engine's base pass is the analysis. Commits leave engine_ stale;
   /// its kernels (fold_arcs, fold_outputs) read only the options.
-  Summary compute(sta::TimingContext& ctx) override {
+  Summary compute(const sta::TimingContext& ctx) {
     engine_.emplace(ctx, options_);  // rebinds: compute() runs only in analyze()
     Summary s;
     s.node.assign(engine_->base().begin(), engine_->base().end());
@@ -152,15 +116,12 @@ class FasstaAnalyzer final : public ConeAnalyzer<FasstaAnalyzer> {
 // Deterministic STA: mean = latest primary-output arrival, sigma = 0.
 // ---------------------------------------------------------------------------
 
-class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
+class DstaAnalyzer final : public AnalyzerBase<DstaAnalyzer> {
  public:
-  explicit DstaAnalyzer(const AnalyzerOptions& options)
-      : clock_period_ps_(options.clock_period_ps) {}
-
   std::string_view name() const override { return "dsta"; }
 
  private:
-  friend class ConeAnalyzer<DstaAnalyzer>;
+  friend class AnalyzerBase<DstaAnalyzer>;
 
   class WhatIfSpeculation final : public ConeSpeculation<DstaAnalyzer> {
    public:
@@ -185,8 +146,8 @@ class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
     }
   };
 
-  Summary compute(sta::TimingContext& ctx) override {
-    const sta::DstaResult r = sta::run_dsta(ctx, clock_period_ps_);
+  static Summary compute(const sta::TimingContext& ctx) {
+    const sta::DstaResult r = sta::run_dsta(ctx);
     Summary s;
     s.mean_ps = r.max_arrival_ps;
     s.sigma_ps = 0.0;
@@ -196,82 +157,16 @@ class DstaAnalyzer final : public ConeAnalyzer<DstaAnalyzer> {
     }
     return s;
   }
-
-  std::optional<double> clock_period_ps_;
 };
-
-// ---------------------------------------------------------------------------
-// Canonical first-order SSTA: the correlation-aware engine (one shared
-// global variable). Unlike FULLSSTA/FASSTA it tracks the variation model's
-// global_fraction through the max.
-// ---------------------------------------------------------------------------
-
-class CanonicalAnalyzer final : public AnalyzerBase {
- public:
-  explicit CanonicalAnalyzer(const AnalyzerOptions&) {}
-
-  std::string_view name() const override { return "canonical"; }
-
-  Capabilities capabilities() const override { return {.per_node_moments = true}; }
-
- private:
-  Summary compute(sta::TimingContext& ctx) override {
-    const ssta::CanonicalResult r = ssta::run_canonical(ctx);
-    Summary s;
-    s.mean_ps = r.mean_ps;
-    s.sigma_ps = r.sigma_ps;
-    s.node.resize(r.node.size());
-    for (std::size_t i = 0; i < r.node.size(); ++i) {
-      s.node[i] = sta::NodeMoments{r.node[i].mean_ps(), r.node[i].sigma_ps()};
-    }
-    return s;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Monte Carlo: the sampling reference. Deterministic for a fixed seed (and
-// for any MonteCarloOptions::threads value — counter-based sample streams),
-// so the private-copy what-if is exact.
-// ---------------------------------------------------------------------------
-
-class McAnalyzer final : public AnalyzerBase {
- public:
-  explicit McAnalyzer(const AnalyzerOptions& options) : mc_(options.monte_carlo) {}
-
-  std::string_view name() const override { return "mc"; }
-
-  Capabilities capabilities() const override {
-    return {.per_node_moments = mc_.per_node_stats};
-  }
-
- private:
-  Summary compute(sta::TimingContext& ctx) override {
-    const ssta::MonteCarloResult r = ssta::run_monte_carlo(ctx, mc_);
-    Summary s;
-    s.mean_ps = r.mean_ps;
-    s.sigma_ps = r.sigma_ps;
-    s.node = r.node;  // empty unless per_node_stats
-    return s;
-  }
-
-  ssta::MonteCarloOptions mc_;
-};
-
-}  // namespace
 
 std::unique_ptr<Analyzer> make_fassta_analyzer(const AnalyzerOptions& options) {
   return std::make_unique<FasstaAnalyzer>(options);
 }
-std::unique_ptr<Analyzer> make_canonical_analyzer(const AnalyzerOptions& options) {
-  return std::make_unique<CanonicalAnalyzer>(options);
-}
-std::unique_ptr<Analyzer> make_dsta_analyzer(const AnalyzerOptions& options) {
-  return std::make_unique<DstaAnalyzer>(options);
-}
-std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
-  return std::make_unique<McAnalyzer>(options);
+std::unique_ptr<Analyzer> make_dsta_analyzer(const AnalyzerOptions&) {
+  return std::make_unique<DstaAnalyzer>();
 }
 
+}  // namespace
 }  // namespace detail
 
 Accepted first_accepted(
@@ -320,12 +215,9 @@ struct EngineEntry {
 /// Sorted by name: analyzer_names() and the unknown-name message list it in
 /// this order.
 constexpr EngineEntry kEngines[] = {
-    {"canonical", detail::make_canonical_analyzer},
     {"dsta", detail::make_dsta_analyzer},
     {"fassta", detail::make_fassta_analyzer},
     {"fullssta", detail::make_fullssta_analyzer},
-    {"isle", detail::make_isle_analyzer},
-    {"mc", detail::make_mc_analyzer},
 };
 
 }  // namespace

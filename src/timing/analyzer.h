@@ -1,9 +1,9 @@
 // timing::Analyzer — the engine-neutral analysis seam.
 //
 // The paper's StatisticalGreedy alternates a fast inner scorer (FASSTA) and
-// an accurate outer confirmer (FULLSSTA); the codebase also runs
-// deterministic STA, canonical SSTA and sampling over the same
-// TimingContext. `Analyzer` puts every engine behind one interface:
+// an accurate outer confirmer (FULLSSTA); area recovery also screens with
+// deterministic STA. `Analyzer` puts these three what-if engines behind one
+// interface:
 //
 //   auto an = timing::make_analyzer("fullssta");      // by engine name
 //   const timing::Summary& s = an->analyze(ctx);      // full analysis
@@ -15,20 +15,18 @@
 // state* (netlist sizing + timing snapshot + cached engine results);
 // propose() opens a speculation against it; score() evaluates the engine as
 // if the resizes were applied, touching neither the netlist, the context
-// nor the base — also when it aborts (a cancel, deadline or injected fault
-// at a checkpoint); commit() applies the resizes, refreshes context and
+// nor the base; commit() applies the resizes, refreshes context and
 // base, and invalidates every other outstanding speculation — it either
 // completes or changes nothing; rollback(), or destroying the speculation,
 // discards it. The methods of Speculation below spell out each step.
 //
-// Every speculation scores privately. The FULLSSTA, FASSTA, and DSTA
-// implementations are *incremental*: a speculation re-propagates only the
-// candidate's fanout cone against a private overlay (timing/cone.h) and
-// commits by patching the snapshot in place; score and committed base are
-// bitwise-identical to a from-scratch TimingContext::update() + full engine
-// run of the resized netlist. The other engines (canonical, mc, isle) score
-// a from-scratch run on a private copy of the resized design and commit
-// with one update().
+// Every speculation scores privately and incrementally: it re-propagates
+// only the candidate's fanout cone against a private overlay (timing/cone.h)
+// and commits by patching the snapshot in place; score and committed base
+// are bitwise-identical to a from-scratch TimingContext::update() + full
+// engine run of the resized netlist. The other timing engines (canonical
+// SSTA, Monte Carlo, ISLE) have no what-if: call ssta::run_canonical,
+// ssta::run_monte_carlo, ssta::run_isle or core::Flow::estimate_yield.
 //
 // Thread-safety contract (see docs/ARCHITECTURE.md): the Analyzer itself is
 // shared; Speculations are per-worker. Any number of speculations from the
@@ -42,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,33 +48,20 @@
 #include "fassta/engine.h"
 #include "pdf/discrete_pdf.h"
 #include "ssta/fullssta.h"
-#include "ssta/isle.h"
-#include "ssta/monte_carlo.h"
 #include "sta/graph.h"
 
 namespace statsizer::timing {
 
-/// What an engine behind the interface can deliver beyond the transactional
-/// what-if every engine supports. Callers gate optional behaviour (pdf-based
-/// yield, WNSS tracing) on these flags instead of hard-coding engine names.
-struct Capabilities {
-  /// Summary::node carries per-node arrival moments (WNSS tracing and FASSTA
-  /// boundary conditions need these).
-  bool per_node_moments = false;
-  /// Summary::output_pdf carries the full circuit-delay distribution.
-  bool output_pdf = false;
-};
-
-/// Engine-neutral analysis result. mean_ps/sigma_ps are always filled; node
-/// and output_pdf only when the engine's capabilities say so. Speculative
-/// scores (Speculation::score) fill only mean_ps/sigma_ps — the full payload
-/// is guaranteed on analyze() / current().
+/// Engine-neutral analysis result. analyze() / current() fill mean_ps,
+/// sigma_ps and node, and fullssta also output_pdf (size 0 from the other
+/// engines). Speculative scores (Speculation::score) fill only
+/// mean_ps/sigma_ps.
 struct Summary {
   double mean_ps = 0.0;
   double sigma_ps = 0.0;
-  /// Per-node arrival moments, indexed by GateId (per_node_moments).
+  /// Per-node arrival moments, indexed by GateId.
   std::vector<sta::NodeMoments> node;
-  /// Circuit-delay pdf: the statistical max over primary outputs (output_pdf).
+  /// Circuit-delay pdf: the statistical max over primary outputs (fullssta).
   pdf::DiscretePdf output_pdf;
 };
 
@@ -105,9 +89,9 @@ class Speculation {
   /// Applies the resizes to the netlist, refreshes the TimingContext and the
   /// analyzer's base state, and invalidates sibling speculations. After
   /// commit, Analyzer::current() equals a from-scratch analyze() of the new
-  /// state (bitwise, for deterministic engines). Only the score a commit
-  /// needs can abort, before anything changed. Committing twice is a
-  /// no-op; committing an invalidated speculation throws std::logic_error.
+  /// state, bitwise. Only the score a commit needs can abort, before
+  /// anything changed. Committing twice is a no-op; committing an
+  /// invalidated speculation throws std::logic_error.
   virtual void commit() = 0;
 
   /// Discards the speculation. Guaranteed no-op on netlist, context, and
@@ -123,9 +107,8 @@ class Analyzer {
  public:
   virtual ~Analyzer() = default;
 
-  /// Engine name ("fullssta", "fassta", "dsta", "mc", ...).
+  /// Engine name ("dsta", "fassta" or "fullssta").
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual Capabilities capabilities() const = 0;
 
   /// Full analysis of @p ctx's current state. Binds the analyzer to @p ctx,
   /// (re)establishes the base state for subsequent propose() calls, and
@@ -182,26 +165,17 @@ struct Accepted {
     const std::function<bool(std::size_t, const Summary&)>& accept);
 
 /// Engine-specific knobs carried through make_analyzer. Each adapter reads
-/// only its own field.
+/// only its own field (dsta has none).
 struct AnalyzerOptions {
   ssta::FullSstaOptions fullssta;
   fassta::EngineOptions fassta;
-  ssta::MonteCarloOptions monte_carlo;
-  /// Importance-sampled yield engine ("isle"). Its clock_period_ps field
-  /// falls back to the shared clock_period_ps below when unset.
-  ssta::IsleOptions isle;
-  /// Deterministic STA required-time reference (nullopt = zero-slack
-  /// normalization at the observed max arrival).
-  std::optional<double> clock_period_ps;
 };
 
-/// Creates an analyzer by name. The engines are a fixed table: "fullssta"
-/// (discrete-pdf SSTA with the incremental what-if overlay), "fassta"
-/// (Clark-moment fast engine), "canonical" (correlation-aware first-order
-/// SSTA), "dsta" (deterministic STA; sigma = 0), "mc" (Monte Carlo), "isle"
-/// (importance-sampled yield; summary carries the self-normalized weighted
-/// delay moments). Throws std::invalid_argument for unknown names (message
-/// lists the known ones).
+/// Creates an analyzer by name. The engines are a fixed table of the what-if
+/// engines: "dsta" (deterministic STA; sigma = 0), "fassta" (Clark-moment
+/// fast engine) and "fullssta" (discrete-pdf SSTA), each with the
+/// incremental cone overlay. Throws std::invalid_argument for any other name
+/// (message lists the known ones).
 [[nodiscard]] std::unique_ptr<Analyzer> make_analyzer(std::string_view name,
                                                       const AnalyzerOptions& options = {});
 

@@ -1,5 +1,6 @@
 // Shared machinery for *exact* incremental what-if speculations over a
-// resize set's fanout cone. Internal to src/timing (not installed).
+// resize set's fanout cone, and the analyzer base they commit into.
+// Internal to src/timing (not installed); include only from src/timing/*.cpp.
 //
 // ConeSnapshot is the snapshot half: the fanout cone of a resize set
 // (sta::collect_cone — the one cone builder, in topo_order()) plus the
@@ -25,21 +26,28 @@
 // TimingContext::apply_snapshot_patch() consumes the same arrays to commit
 // the overlay in place of a full update().
 //
-// ConeSpeculation is the Transaction (timing/analyzer_impl.h) the FULLSSTA,
-// FASSTA and DSTA analyzers share: it scores on the overlay and commits it
+// ConeSpeculation is the one speculation transaction, shared by the
+// FULLSSTA, FASSTA and DSTA analyzers: it scores on the overlay and commits it
 // incrementally. Each engine supplies only its engine half
 // (propagate_arrivals, which calls the engine's kernel) and its base merge
-// (merge_arrivals).
+// (merge_arrivals). AnalyzerBase is the one analyzer base: the bound context,
+// the cached base summary and the epoch that invalidates stale speculations.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "timing/analyzer_impl.h"
+#include "debug/validate.h"
+#include "timing/analyzer.h"
+#include "util/check.h"
+#include "util/exec.h"
 
 namespace statsizer::timing::detail {
 
@@ -88,46 +96,34 @@ struct ConeSnapshot {
               const sta::ConeWorkspace& ws);
 };
 
-/// The exact cone speculation of the FULLSSTA, FASSTA and DSTA analyzers.
-/// Owner is the analyzer; the subclass is nested in it, so its engine half
-/// reads the owner's cached base directly. Construction (propose(), on the
-/// proposing thread) collects the cone and allocates the whole overlay;
-/// scoring writes only that overlay and its thread's cone workspace, so a
-/// pool worker scoring one allocates nothing of its own. commit() installs
-/// the overlay incrementally — sizes into the netlist, the snapshot half
-/// through TimingContext::apply_snapshot_patch(), the engine half into the
-/// owner's base — with no O(E) re-run.
+/// The one speculation transaction, the exact cone what-if of the FULLSSTA,
+/// FASSTA and DSTA analyzers: the epoch guard, the cached score,
+/// score-before-commit, commit-once and the no-op rollback. Owner is the
+/// analyzer (an AnalyzerBase); the subclass is nested in it, so its engine
+/// half reads the owner's cached base directly. Construction (propose(), on
+/// the proposing thread) collects the cone and allocates the whole overlay;
+/// scoring writes only that overlay and its thread's cone workspace — never
+/// the shared netlist, context or base — so speculations from one base score
+/// concurrently and a pool worker scoring one allocates nothing of its own.
+/// commit() installs the overlay incrementally — sizes into the netlist, the
+/// snapshot half through TimingContext::apply_snapshot_patch(), the engine
+/// half into the owner's base — with no O(E) re-run.
 template <typename Owner>
-class ConeSpeculation : public Transaction<Owner> {
+class ConeSpeculation : public Speculation {
  public:
   /// Subclasses size their own overlay state in their constructors.
   ConeSpeculation(Owner& owner, sta::TimingContext& ctx, std::span<const Resize> resizes)
-      : Transaction<Owner>(owner, ctx, resizes) {
+      : owner_(owner), ctx_(ctx), resizes_(resizes.begin(), resizes.end()),
+        epoch_(owner.epoch()) {
     sta::ConeWorkspace& ws = sta::thread_cone_workspace();
     cone_.collect(ctx_, resizes_, ws);
     collected_generation_ = ws.generation;
     moments_.assign(cone_.nodes.size(), sta::NodeMoments{});
   }
 
- protected:
-  using Transaction<Owner>::owner_;
-  using Transaction<Owner>::ctx_;
-  using Transaction<Owner>::resizes_;
-  using Transaction<Owner>::result_;
-
-  /// Engine half of score(): run the engine's gate kernel over the cone in
-  /// slot order (cone_.nodes; ws.slot() maps a GateId to its slot), reading
-  /// nodes outside it (ws.slot() == kNoSlot) from the owner's base, and fill
-  /// the pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
-  virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
-  /// Commit half: install any per-slot state besides moments_ in the base.
-  virtual void merge_arrivals() {}
-
-  ConeSnapshot cone_;
-  std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
-
- private:
-  void evaluate() final {
+  const Summary& score() final {
+    if (scored_) return result_;  // cached scores stay readable after invalidation
+    owner_.guard_epoch(epoch_);
     sta::ConeWorkspace& ws = sta::thread_cone_workspace();
     // A speculation scored where it was proposed, with nothing collected in
     // between, finds its cone still indexed; elsewhere the scoring thread
@@ -137,33 +133,125 @@ class ConeSpeculation : public Transaction<Owner> {
     }
     cone_.replay(ctx_, resizes_, ws);
     propagate_arrivals(ws);
+    scored_ = true;
+    return result_;
   }
 
-  void install() final {
+  void commit() final {
+    if (committed_) return;  // a second commit is a no-op
+    owner_.guard_epoch(epoch_);
+    // Nothing shared changes before the install, and the install runs with
+    // checkpoints suspended, so a commit either completes or never starts.
+    if (!scored_) (void)score();
+    const util::ScopedExecSuspend suspend;
     auto& nl = ctx_.mutable_netlist();
     for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
     ctx_.apply_snapshot_patch(cone_.nodes, cone_.loads, cone_.slew, cone_.arc_delay,
                               cone_.arc_sigma);
     merge_arrivals();  // engine-specific base state
     owner_.merge_committed(result_, cone_.nodes, moments_);  // bumps the epoch
+    committed_ = true;
   }
 
-  std::uint64_t collected_generation_ = 0;  ///< the cone's list in the proposer's workspace
-};
-
-/// Base of the analyzers whose what-ifs are ConeSpeculations (FULLSSTA,
-/// FASSTA, DSTA; Self::WhatIfSpeculation is the engine's subclass).
-template <typename Self>
-class ConeAnalyzer : public AnalyzerBase {
- public:
-  Capabilities capabilities() const override { return {.per_node_moments = true}; }
+  void rollback() final {}  // score() never touches shared state
 
  protected:
-  std::unique_ptr<Speculation> speculate(sta::TimingContext& ctx,
-                                         std::span<const Resize> resizes) final {
-    return std::make_unique<typename Self::WhatIfSpeculation>(static_cast<Self&>(*this), ctx,
+  /// Engine half of score(): run the engine's gate kernel over the cone in
+  /// slot order (cone_.nodes; ws.slot() maps a GateId to its slot), reading
+  /// nodes outside it (ws.slot() == kNoSlot) from the owner's base, and fill
+  /// the pre-sized moments_ and result_.mean_ps / result_.sigma_ps.
+  virtual void propagate_arrivals(const sta::ConeWorkspace& ws) = 0;
+  /// Commit half: install any per-slot state besides moments_ in the base.
+  virtual void merge_arrivals() {}
+
+  Owner& owner_;
+  sta::TimingContext& ctx_;
+  std::vector<Resize> resizes_;
+  Summary result_;
+  ConeSnapshot cone_;
+  std::vector<sta::NodeMoments> moments_;  ///< arrival moments by cone slot
+
+ private:
+  std::uint64_t epoch_ = 0;
+  std::uint64_t collected_generation_ = 0;  ///< the cone's list in the proposer's workspace
+  bool scored_ = false;
+  bool committed_ = false;
+};
+
+/// propose() preconditions on a bound context: at least one resize, distinct
+/// mapped gates, size indices inside each gate's group. Throws
+/// std::invalid_argument naming @p engine.
+void validate_resizes(std::string_view engine, const sta::TimingContext& ctx,
+                      std::span<const Resize> resizes);
+
+/// Base of every built-in analyzer: the bound context, the cached base
+/// summary and the epoch counter. The epoch implements speculation
+/// invalidation: propose() stamps the speculation with the current epoch,
+/// and commit()/analyze() bump it, so a stale speculation's score() fails
+/// loudly instead of silently evaluating against a base that no longer
+/// exists. Self supplies compute() (a from-scratch run) and its
+/// ConeSpeculation subclass Self::WhatIfSpeculation; both may be private
+/// with AnalyzerBase<Self> a friend.
+template <typename Self>
+class AnalyzerBase : public Analyzer {
+ public:
+  const Summary& analyze(sta::TimingContext& ctx) final {
+    base_ = static_cast<Self&>(*this).compute(ctx);
+    ctx_ = &ctx;
+    ++epoch_;
+    return base_;
+  }
+
+  const Summary& current() const final {
+    if (ctx_ == nullptr) {
+      throw std::logic_error(std::string(name()) + ": current() before analyze()");
+    }
+    return base_;
+  }
+
+  std::unique_ptr<Speculation> propose_resizes(std::span<const Resize> resizes) final {
+    if (ctx_ == nullptr) {
+      throw std::logic_error(std::string(name()) + ": propose() before analyze()");
+    }
+    validate_resizes(name(), *ctx_, resizes);
+    return std::make_unique<typename Self::WhatIfSpeculation>(static_cast<Self&>(*this), *ctx_,
                                                               resizes);
   }
+
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
+  void guard_epoch(std::uint64_t speculation_epoch) const {
+    if constexpr (debug::kParanoid) {
+      // A stamp *ahead* of the analyzer epoch can never come from correct
+      // bookkeeping (stale stamps are the caller error handled below).
+      debug::validate_epoch(name(), speculation_epoch, epoch_);
+    }
+    if (speculation_epoch != epoch_) {
+      throw std::logic_error(std::string(name()) +
+                             ": speculation invalidated by a commit or re-analyze");
+    }
+  }
+
+  /// Installs a committed speculation's summary scalars and the arrival
+  /// moments of its cone (@p moments[s] belongs to @p cone[s]), and
+  /// invalidates its siblings.
+  void merge_committed(const Summary& scored, std::span<const netlist::GateId> cone,
+                       std::span<const sta::NodeMoments> moments) {
+    base_.mean_ps = scored.mean_ps;
+    base_.sigma_ps = scored.sigma_ps;
+    for (std::size_t s = 0; s < cone.size(); ++s) base_.node[cone[s]] = moments[s];
+    ++epoch_;
+  }
+
+ protected:
+  Summary base_;
+
+ private:
+  sta::TimingContext* ctx_ = nullptr;  ///< null until the first analyze() completes
+  std::uint64_t epoch_ = 0;
 };
+
+/// The FULLSSTA engine-table row (fullssta_analyzer.cpp).
+std::unique_ptr<Analyzer> make_fullssta_analyzer(const AnalyzerOptions& options);
 
 }  // namespace statsizer::timing::detail

@@ -172,21 +172,15 @@ class DelayPdfStore {
   std::vector<std::uint32_t> by_key_;      ///< live records, sorted by key
 };
 
-class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
+class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
  public:
   explicit FullSstaAnalyzer(const AnalyzerOptions& options)
       : options_(options.fullssta), delays_(options_) {}
 
   std::string_view name() const override { return "fullssta"; }
 
-  Capabilities capabilities() const override {
-    Capabilities c = ConeAnalyzer::capabilities();
-    c.output_pdf = true;
-    return c;
-  }
-
  private:
-  friend class ConeAnalyzer<FullSstaAnalyzer>;
+  friend class AnalyzerBase<FullSstaAnalyzer>;
 
   class WhatIfSpeculation final : public ConeSpeculation<FullSstaAnalyzer> {
    public:
@@ -238,7 +232,7 @@ class FullSstaAnalyzer final : public ConeAnalyzer<FullSstaAnalyzer> {
     DiscretePdf ov_output_;
   };
 
-  Summary compute(sta::TimingContext& ctx) override {
+  Summary compute(const sta::TimingContext& ctx) {
     ssta::FullSstaOptions opt = options_;
     opt.keep_node_pdfs = true;
     ssta::FullSstaResult r = ssta::run_fullssta(ctx, opt);

@@ -1,11 +1,12 @@
 // Table-driven conformance suite for the timing::Analyzer engine API.
-// Every engine in timing::analyzer_names() runs through the same contract
-// checks:
-//   * analyze() produces a finite summary consistent with its capabilities;
+// Every engine in timing::analyzer_names() (dsta, fassta, fullssta) runs
+// through the same contract checks:
+//   * analyze() produces a finite summary with per-node moments, and a pdf
+//     consistent with its mean where it carries one;
 //   * propose()/score()/rollback() leaves the netlist, the TimingContext,
 //     and the analyzer base bitwise-identical to the pre-propose state;
 //   * a committed speculation's base equals a from-scratch analyze() of the
-//     resized netlist bitwise (deterministic engines);
+//     resized netlist bitwise;
 //   * commits invalidate sibling speculations (epoch guard);
 //   * a cancelled score() changes nothing, and a commit() either completes
 //     or changes nothing;
@@ -133,10 +134,7 @@ class AnalyzerConformance : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AnalyzerConformance, AnalyzeProducesCapabilityConsistentSummary) {
   Bench b(circuits::make_cla_adder(4));
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;  // keep the sampling engines test-sized
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
   EXPECT_EQ(an->name(), GetParam());
   EXPECT_THROW((void)an->current(), std::logic_error);
   EXPECT_THROW((void)an->propose(0, 0), std::logic_error);  // before analyze()
@@ -144,11 +142,9 @@ TEST_P(AnalyzerConformance, AnalyzeProducesCapabilityConsistentSummary) {
   const Summary& s = an->analyze(*b.ctx);
   EXPECT_GT(s.mean_ps, 0.0);
   EXPECT_GE(s.sigma_ps, 0.0);
-  const Capabilities caps = an->capabilities();
-  if (caps.per_node_moments) {
-    EXPECT_EQ(s.node.size(), b.nl.node_count());
-  }
-  if (caps.output_pdf) {
+  EXPECT_EQ(s.node.size(), b.nl.node_count());
+  if (s.output_pdf.size() > 0) {
+    EXPECT_EQ(an->name(), "fullssta");
     EXPECT_GT(s.output_pdf.size(), 1u);
     EXPECT_EQ(s.mean_ps, s.output_pdf.mean());
   }
@@ -156,10 +152,7 @@ TEST_P(AnalyzerConformance, AnalyzeProducesCapabilityConsistentSummary) {
 
 TEST_P(AnalyzerConformance, RollbackRestoresBitwiseIdenticalState) {
   Bench b(circuits::make_cla_adder(4));
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   (void)an->analyze(*b.ctx);
   const Summary before_summary = an->current();
@@ -181,10 +174,7 @@ TEST_P(AnalyzerConformance, RollbackRestoresBitwiseIdenticalState) {
 }
 
 TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -201,7 +191,7 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
   Bench twin(circuits::make_cla_adder(4));
   twin.nl.gate(cands[0].gate).size_index = cands[0].size;
   twin.ctx->update();
-  auto fresh = make_analyzer(GetParam(), opt);
+  auto fresh = make_analyzer(GetParam());
   const Summary& reference = fresh->analyze(*twin.ctx);
 
   expect_summaries_equal(committed, reference);
@@ -215,10 +205,7 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysis) {
 // while a cone replay reads their arrivals from the base. A committed what-if
 // on an SDC-constrained context must still equal a from-scratch analysis.
 TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSdc) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   const auto constrained = [] {
     auto b = std::make_unique<Bench>(circuits::make_cla_adder(4));
@@ -246,7 +233,7 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSd
   const auto twin = constrained();
   twin->nl.gate(cands[0].gate).size_index = cands[0].size;
   twin->ctx->update();
-  auto fresh = make_analyzer(GetParam(), opt);
+  auto fresh = make_analyzer(GetParam());
   const Summary& reference = fresh->analyze(*twin->ctx);
 
   expect_summaries_equal(committed, reference);
@@ -256,10 +243,7 @@ TEST_P(AnalyzerConformance, CommittedSpeculationEqualsFromScratchAnalysisUnderSd
 }
 
 TEST_P(AnalyzerConformance, CommitInvalidatesSiblingSpeculations) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -279,10 +263,7 @@ TEST_P(AnalyzerConformance, CommitInvalidatesSiblingSpeculations) {
 }
 
 TEST_P(AnalyzerConformance, ProposeValidatesArguments) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -301,15 +282,12 @@ TEST_P(AnalyzerConformance, ProposeValidatesArguments) {
   EXPECT_THROW((void)an->propose(b.nl.inputs()[0], 0), std::invalid_argument);
 }
 
-// Every speculation scores privately, so an aborted score() — here a
-// cancelled token at the first checkpoint — leaves the netlist, the snapshot
-// and the base exactly as they were, and a commit() under the same context
-// either completes or changes nothing.
+// Every speculation scores privately, so a score() under a cancelled token
+// — which a cone replay, having no checkpoint, completes — leaves the
+// netlist, the snapshot and the base exactly as they were, and a commit()
+// under the same context either completes or changes nothing.
 TEST_P(AnalyzerConformance, CancelledScoreChangesNothing) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -320,15 +298,11 @@ TEST_P(AnalyzerConformance, CancelledScoreChangesNothing) {
 
   util::ExecContext exec;
   exec.cancel.cancel();
-  // The engines without a cone replay score a from-scratch run, whose
-  // snapshot pass checkpoints before its first gate.
-  const bool full_run = GetParam() == "canonical" || GetParam() == "mc" || GetParam() == "isle";
   auto spec = an->propose(cands[0].gate, cands[0].size);
   {
     const util::ScopedExecContext scope(exec);
     try {
       (void)spec->score();
-      EXPECT_FALSE(full_run) << "score() ignored the cancelled token";
     } catch (const StatusError& e) {
       EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
     }
@@ -354,16 +328,13 @@ TEST_P(AnalyzerConformance, CancelledScoreChangesNothing) {
   Bench twin(circuits::make_cla_adder(4));
   twin.nl.gate(cands[0].gate).size_index = cands[0].size;
   twin.ctx->update();
-  auto fresh = make_analyzer(GetParam(), opt);
+  auto fresh = make_analyzer(GetParam());
   expect_summaries_equal(an->current(), fresh->analyze(*twin.ctx));
   EXPECT_EQ(fingerprint(*b.ctx), fingerprint(*twin.ctx));
 }
 
 TEST_P(AnalyzerConformance, CommitWithoutScoreEqualsFromScratchAnalysis) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -374,7 +345,7 @@ TEST_P(AnalyzerConformance, CommitWithoutScoreEqualsFromScratchAnalysis) {
   Bench twin(circuits::make_cla_adder(4));
   for (const Candidate& c : cands) twin.nl.gate(c.gate).size_index = c.size;
   twin.ctx->update();
-  auto fresh = make_analyzer(GetParam(), opt);
+  auto fresh = make_analyzer(GetParam());
   expect_summaries_equal(an->current(), fresh->analyze(*twin.ctx));
   EXPECT_EQ(fingerprint(*b.ctx), fingerprint(*twin.ctx));
 }
@@ -382,10 +353,7 @@ TEST_P(AnalyzerConformance, CommitWithoutScoreEqualsFromScratchAnalysis) {
 // Single- and multi-resize speculations from one base, scored concurrently on
 // the pool, equal the serial scores bitwise for every engine.
 TEST_P(AnalyzerConformance, ConcurrentScoringIsThreadCountInvariant) {
-  AnalyzerOptions opt;
-  opt.monte_carlo.samples = 400;
-  opt.isle.samples = 400;
-  auto an = make_analyzer(GetParam(), opt);
+  auto an = make_analyzer(GetParam());
 
   Bench b(circuits::make_cla_adder(4));
   (void)an->analyze(*b.ctx);
@@ -429,10 +397,12 @@ INSTANTIATE_TEST_SUITE_P(Registry, AnalyzerConformance,
 
 TEST(AnalyzerRegistry, KnowsTheBuiltins) {
   const auto names = analyzer_names();
-  for (const char* expected : {"canonical", "dsta", "fassta", "fullssta", "isle", "mc"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
-  }
+  EXPECT_EQ(names, (std::vector<std::string>{"dsta", "fassta", "fullssta"}));
   EXPECT_THROW((void)make_analyzer("no-such-engine"), std::invalid_argument);
+  // canonical SSTA, Monte Carlo and ISLE have no what-if: not registry engines.
+  for (const char* removed : {"canonical", "mc", "isle"}) {
+    EXPECT_THROW((void)make_analyzer(removed), std::invalid_argument) << removed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -638,9 +608,8 @@ INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
                          });
 
 // ---------------------------------------------------------------------------
-// first_accepted: the optimizer's one speculative walk, over a cone engine
-// (dsta) and one that scores on a private copy of the design (canonical);
-// both score windows of one candidate per worker.
+// first_accepted: the optimizer's one speculative walk, over two cone
+// engines (dsta, fassta); both score windows of one candidate per worker.
 // ---------------------------------------------------------------------------
 
 class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
@@ -710,7 +679,7 @@ TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, FirstAccepted,
-                         ::testing::Combine(::testing::Values("dsta", "canonical"),
+                         ::testing::Combine(::testing::Values("dsta", "fassta"),
                                             ::testing::Values(1u, 2u, 3u, 8u)),
                          [](const auto& info) {
                            return std::get<0>(info.param) + "_threads" +
@@ -771,7 +740,7 @@ TEST(EngineSelection, SizerRejectsIncapableOrUnknownEngines) {
   opt.max_iterations = 1;
   opt.confirm_engine = "no-such-engine";
   EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-  opt.confirm_engine = "mc";  // no per-node moments unless per_node_stats
+  opt.confirm_engine = "mc";  // not a registry engine
   EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
   opt.confirm_engine = "fullssta";
   opt.score_engine = "dsta";

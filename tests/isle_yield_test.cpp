@@ -37,6 +37,7 @@
 #include "ssta/isle.h"
 #include "ssta/monte_carlo.h"
 #include "techmap/mapper.h"
+#include "util/exec.h"
 #include "util/numeric.h"
 #include "variation/model.h"
 
@@ -290,6 +291,28 @@ TEST(IsleYield, SeedReproducibility) {
   opt.seed = 4321;
   const ssta::IsleResult other = ssta::run_isle(*b.ctx, opt);
   EXPECT_NE(other.delay_samples, first.delay_samples);
+}
+
+// A cancelled token stops the estimator at its first checkpoint, and the
+// context it read still gives the clean run's bits afterwards.
+TEST(IsleYield, CancelledTokenAbortsTheRun) {
+  const ChainBench b(16);
+  ssta::IsleOptions opt;
+  opt.samples = 512;
+  const ssta::IsleResult clean = ssta::run_isle(*b.ctx, opt);
+
+  util::ExecContext exec;
+  exec.cancel.cancel();
+  {
+    const util::ScopedExecContext scope(exec);
+    try {
+      (void)ssta::run_isle(*b.ctx, opt);
+      ADD_FAILURE() << "run_isle ignored the cancelled token";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
+    }
+  }
+  expect_results_bitwise_equal(ssta::run_isle(*b.ctx, opt), clean);
 }
 
 TEST(IsleYield, NominalProposalIsBitwisePlainMonteCarlo) {

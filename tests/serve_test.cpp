@@ -442,6 +442,18 @@ TEST(ServeSession, FailedLoadLeavesThePreviousDesignServing) {
   EXPECT_TRUE(session.what_if({ResizeRequest{whatif_targets("c432", 1)[0], 1}}).ok());
 }
 
+// canonical SSTA, Monte Carlo and ISLE have no what-if, so a session asked
+// to serve what-ifs with one refuses the load like any unknown engine.
+TEST(ServeSession, RemovedWhatIfEngineRejectsTheLoad) {
+  SessionOptions options;
+  options.engine = "mc";
+  Session session(options);
+  const Status s = session.load_workload("c432");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("dsta, fassta, fullssta"), std::string::npos) << s.message();
+  EXPECT_FALSE(session.info().loaded);
+}
+
 TEST(ServeSession, RejectedSdcLeavesTheSessionAsItWas) {
   // The reference: a twin session that never sees the rejected SDC.
   Session twin;

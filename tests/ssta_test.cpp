@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +225,51 @@ TEST(Canonical, GlobalCoeffGrowsAlongPath) {
     EXPECT_GT(r.node[id].global_coeff, prev);
     prev = r.node[id].global_coeff;
   }
+}
+
+// Canonical SSTA reads only the timing snapshot: a context resized and
+// updated in place and a twin built at those sizes give the same forms bit
+// for bit, and runs on one shared context from several threads agree with a
+// serial run.
+TEST(Canonical, IsAPureFunctionOfTheSnapshot) {
+  Bench b(circuits::make_cla_adder(8));
+  Bench twin(circuits::make_cla_adder(8));
+  std::size_t resized = 0;
+  for (GateId g = 0; g < b.nl.node_count() && resized < 5; ++g) {
+    if (!b.ctx->has_cell(g)) continue;
+    const auto& group = b.lib.group(b.nl.gate(g).cell_group);
+    if (group.size_count() < 2) continue;
+    const auto size = static_cast<std::uint16_t>((b.nl.gate(g).size_index + 1) % group.size_count());
+    b.nl.gate(g).size_index = size;
+    twin.nl.gate(g).size_index = size;
+    ++resized;
+  }
+  ASSERT_EQ(resized, 5u);
+  b.ctx->update();
+  twin.ctx->update();
+
+  const auto expect_same = [](const CanonicalResult& x, const CanonicalResult& y) {
+    EXPECT_EQ(x.mean_ps, y.mean_ps);
+    EXPECT_EQ(x.sigma_ps, y.sigma_ps);
+    ASSERT_EQ(x.node.size(), y.node.size());
+    for (std::size_t i = 0; i < x.node.size(); ++i) {
+      EXPECT_EQ(x.node[i].nominal_ps, y.node[i].nominal_ps) << "node " << i;
+      EXPECT_EQ(x.node[i].global_coeff, y.node[i].global_coeff) << "node " << i;
+      EXPECT_EQ(x.node[i].independent_ps, y.node[i].independent_ps) << "node " << i;
+    }
+  };
+  const CanonicalResult reference = run_canonical(*b.ctx);
+  EXPECT_GT(reference.mean_ps, 0.0);
+  EXPECT_GT(reference.sigma_ps, 0.0);
+  expect_same(run_canonical(*twin.ctx), reference);
+
+  std::vector<CanonicalResult> concurrent(4);
+  std::vector<std::thread> workers;
+  for (CanonicalResult& r : concurrent) {
+    workers.emplace_back([&r, &b] { r = run_canonical(*b.ctx); });
+  }
+  for (std::thread& t : workers) t.join();
+  for (const CanonicalResult& r : concurrent) expect_same(r, reference);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ void usage() {
          "  --queue-depth N      admission: max pending requests (default 64)\n"
          "  --max-inflight-mb N  admission: max summed request cost (default off)\n"
          "  --retry-after-ms N   backoff hint on shed requests (default 10)\n"
-         "  --engine NAME        what-if engine (default fullssta)\n"
+         "  --engine NAME        what-if engine: dsta, fassta, fullssta (default fullssta)\n"
          "  --fault SPEC         deterministic fault rule (repeatable)\n"
          "  --seed N             fault-plan seed (default 1)\n"
 #ifdef __unix__
