@@ -7,13 +7,16 @@
 // snapshots under scripts/bench_snapshot.sh.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "bench_main.h"
+#include "circuits/generators.h"
 #include "core/flow.h"
 #include "drc/drc.h"
 #include "fassta/engine.h"
+#include "opt/wnss.h"
 #include "ssta/canonical.h"
 #include "ssta/fullssta.h"
 #include "ssta/monte_carlo.h"
@@ -24,13 +27,18 @@ namespace {
 
 using namespace statsizer;
 
-/// Shared fixture: a baselined Table-1 workload per circuit name.
+/// Shared fixture: a baselined Table-1 workload per circuit name, or
+/// "mesh6", perfbench's fabric-mesh6 design (a 6x6 mesh of 8-bit nodes).
 core::Flow& flow_for(const std::string& name) {
   static std::map<std::string, std::unique_ptr<core::Flow>> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
     auto flow = std::make_unique<core::Flow>();
-    if (const Status s = flow->load_table1(name); !s.ok()) {
+    const Status s =
+        name == "mesh6"
+            ? flow->load_circuit(circuits::make_mesh_interconnect(circuits::MeshOptions{6, 6, 8}))
+            : flow->load_table1(name);
+    if (!s.ok()) {
       throw std::runtime_error(s.message());
     }
     (void)flow->run_baseline();
@@ -76,6 +84,104 @@ void BM_FasstaCandidate(benchmark::State& state, const std::string& name) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run_with_candidate(g, cell, scratch));
   }
+}
+
+/// Plan scoring, the sizer's largest CPU consumer, two ways over the
+/// baselined workload's WNSS path gates (the sizer's first plan), fanned
+/// across state.range(1) workers one gate per chunk:
+///   state.range(0) == 0: one run_with_candidate() call per (gate, size);
+///   state.range(0) == 1: one run_with_candidates() walk per gate over its
+///     other sizes, the current size read from base_circuit() (the sizer).
+/// A one-shot check asserts both ways agree bitwise. The counters are exact
+/// per-pass counts, identical run to run: cone_nodes (cone nodes walked) and
+/// lane_nodes (node x lane evaluations), so the work a change removes can be
+/// read apart from host noise.
+void BM_FasstaGateScoring(benchmark::State& state, const std::string& name) {
+  auto& flow = flow_for(name);
+  const auto& ctx = flow.timing();
+  const auto& nl = flow.netlist();
+  const auto& lib = flow.library();
+  const fassta::Engine engine(ctx);
+  const std::vector<netlist::GateId> gates =
+      opt::trace_wnss(ctx, ssta::run_fullssta(ctx, flow.options().fullssta).node).path;
+  std::vector<std::size_t> offsets;  // gate i's scores: [offsets[i], offsets[i + 1])
+  offsets.push_back(0);
+  for (const netlist::GateId g : gates) {
+    offsets.push_back(offsets.back() + lib.group(nl.gate(g).cell_group).size_count());
+  }
+  const bool use_lanes = state.range(0) != 0;
+  const auto threads = static_cast<std::size_t>(state.range(1));
+
+  // Scores gate i at every size into scores[offsets[i]...]; returns the walk's
+  // (cone nodes, node x lane evaluations).
+  const auto score_gate = [&](std::size_t i, bool lanes, std::vector<sta::NodeMoments>& scores) {
+    thread_local fassta::Engine::Scratch scratch;
+    thread_local std::vector<const liberty::Cell*> cells;
+    thread_local std::vector<sta::NodeMoments> out;
+    const netlist::Gate& gate = nl.gate(gates[i]);
+    const std::size_t sizes = offsets[i + 1] - offsets[i];
+    std::pair<std::size_t, std::size_t> work{0, 0};
+    if (!lanes) {
+      for (std::uint16_t s = 0; s < sizes; ++s) {
+        scores[offsets[i] + s] =
+            engine.run_with_candidate(gates[i], lib.cell_for(gate.cell_group, s), scratch);
+        work.first += sta::thread_cone_workspace().nodes.size();
+      }
+      work.second = work.first;
+      return work;
+    }
+    cells.clear();
+    for (std::uint16_t s = 0; s < sizes; ++s) {
+      if (s != gate.size_index) cells.push_back(&lib.cell_for(gate.cell_group, s));
+    }
+    out.resize(cells.size());
+    engine.run_with_candidates(gates[i], cells, out, scratch);
+    for (std::uint16_t s = 0, k = 0; s < sizes; ++s) {
+      scores[offsets[i] + s] = s == gate.size_index ? engine.base_circuit() : out[k++];
+    }
+    work.first = sta::thread_cone_workspace().nodes.size();
+    for (std::size_t n = 0; n < work.first; ++n) {
+      work.second += static_cast<std::size_t>(std::popcount(scratch.slots[n].reached));
+    }
+    return work;
+  };
+  const auto score_all = [&](bool lanes, std::size_t workers) {
+    std::vector<sta::NodeMoments> scores(offsets.back());
+    util::parallel_for(gates.size(), 1, workers,
+                       [&](std::size_t begin, std::size_t end, std::size_t) {
+                         for (std::size_t i = begin; i < end; ++i) (void)score_gate(i, lanes, scores);
+                       });
+    return scores;
+  };
+
+  const auto reference = score_all(false, 1);
+  const auto mine = score_all(use_lanes, threads);
+  for (std::size_t j = 0; j < reference.size(); ++j) {
+    if (std::bit_cast<std::uint64_t>(mine[j].mean_ps) !=
+            std::bit_cast<std::uint64_t>(reference[j].mean_ps) ||
+        std::bit_cast<std::uint64_t>(mine[j].sigma_ps) !=
+            std::bit_cast<std::uint64_t>(reference[j].sigma_ps)) {
+      state.SkipWithError("gate scoring diverged from one call per size");
+      return;
+    }
+  }
+  std::vector<sta::NodeMoments> sink(offsets.back());
+  std::size_t cone_nodes = 0;
+  std::size_t lane_nodes = 0;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const auto [nodes, evaluations] = score_gate(i, use_lanes, sink);
+    cone_nodes += nodes;
+    lane_nodes += evaluations;
+  }
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(score_all(use_lanes, threads));
+  }
+  state.counters["gates"] = static_cast<double>(gates.size());
+  state.counters["candidates"] = static_cast<double>(offsets.back());
+  state.counters["cone_nodes"] = static_cast<double>(cone_nodes);
+  state.counters["lane_nodes"] = static_cast<double>(lane_nodes);
+  state.SetLabel(use_lanes ? "one lane walk per gate" : "one call per size");
 }
 
 /// The full FULLSSTA pass: one serial topological walk. The c880, c6288
@@ -410,6 +516,18 @@ void BM_PlainMcYield(benchmark::State& state, const std::string& name) {
 BENCHMARK_CAPTURE(BM_Fassta, alu2, std::string("alu2"));
 BENCHMARK_CAPTURE(BM_Fassta, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_FasstaCandidate, c880, std::string("c880"));
+// Plan scoring per call vs per gate at 1 and 4 workers. The committed
+// snapshot point is scripts/bench_snapshot.sh BENCH_fassta_scoring.json.
+BENCHMARK_CAPTURE(BM_FasstaGateScoring, c6288, std::string("c6288"))
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->ArgNames({"lanes", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FasstaGateScoring, mesh6, std::string("mesh6"))
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->ArgNames({"lanes", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Fullssta, alu2, std::string("alu2"));
 BENCHMARK_CAPTURE(BM_Fullssta, c880, std::string("c880"));
 BENCHMARK_CAPTURE(BM_Fullssta, c6288, std::string("c6288"))->Unit(benchmark::kMillisecond);

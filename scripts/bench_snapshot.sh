@@ -22,6 +22,12 @@
 # BM_AreaRecoveryThreads: DSTA/FASSTA screens plus FULLSSTA chunk checks):
 #   scripts/bench_snapshot.sh BENCH_whatif.json
 #
+# An output path matching *fassta_scoring* defaults the filter to FASSTA plan
+# scoring (BM_FasstaGateScoring: one call per candidate size against one lane
+# walk per gate, at 1 and 4 workers, with exact cone_nodes / lane_nodes
+# counters):
+#   scripts/bench_snapshot.sh BENCH_fassta_scoring.json
+#
 # An output path matching *pdf* selects the bench_perf_pdf binary instead
 # (BM_SumNodePdfs|BM_MaxNodePdfs: FULLSSTA's sum and max replayed on pairs
 # of baselined c880's own node pdfs, ns per op):
@@ -49,6 +55,7 @@ case "${OUT}" in
   *isle_yield*) DEFAULT_FILTER='BM_IsleYield|BM_PlainMcYield' ;;
   *drc_sweep*) DEFAULT_FILTER='BM_DrcFullSweep' ;;
   *whatif*) DEFAULT_FILTER='BM_WhatIfConfirm|BM_AreaRecoveryThreads' ;;
+  *fassta_scoring*) DEFAULT_FILTER='BM_FasstaGateScoring' ;;
   *pdf*)
     BIN=bench_perf_pdf
     DEFAULT_FILTER='BM_SumNodePdfs|BM_MaxNodePdfs'

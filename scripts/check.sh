@@ -181,10 +181,12 @@ if [[ "${TSAN}" == 1 ]]; then
   # PdfAllocation (a pool worker scoring an overlay sized on the proposing
   # thread), and FirstAccepted (the speculative walk's parallel windows).
   # KeyedRng and KeyedDraws pin the counter-keyed draws that make the sample
-  # loop's workers share no generator state.
+  # loop's workers share no generator state. FasstaLaneScoring walks every
+  # size of a gate in lanes through the per-thread scratch and cone workspace
+  # the sizer's pool workers score with.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|FasstaLaneScoring|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"
@@ -197,9 +199,11 @@ if [[ "${PARANOID}" == 1 ]]; then
   # Deep invariant validators compiled into the hot paths (util/check.h,
   # debug/validate.h): topo-order + load-term CSR audits on every
   # update(), pdf normalization/CDF monotonicity on every sum/max, epoch
-  # discipline in the analyzer layer. The corruption-seeding tests in
-  # paranoid_check_test verify each validator trips; this pass verifies the
-  # *clean* code never trips one.
+  # discipline in the analyzer layer, and per gate in the sizer's FASSTA
+  # scoring: one lane re-scored alone equals its lane bitwise, and the
+  # current size scores the base cost it reads instead. The
+  # corruption-seeding tests in paranoid_check_test verify each validator
+  # trips; this pass verifies the *clean* code never trips one.
   echo "check.sh: paranoid pass (STATSIZER_PARANOID=ON, fast tests)"
   CTEST_EXTRA=("${FAST_FILTER[@]}")
   run_suite build-paranoid -DSTATSIZER_PARANOID=ON -DSTATSIZER_BUILD_BENCHES=OFF \

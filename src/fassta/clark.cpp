@@ -63,9 +63,13 @@ ClarkResult clark_max_exact(double mu_a, double sigma_a, double mu_b, double sig
 
 ClarkResult clark_max_fast(double mu_a, double sigma_a, double mu_b, double sigma_b) {
   const double a2 = sigma_a * sigma_a + sigma_b * sigma_b;
-  if (a2 <= 1e-24) return degenerate_max(mu_a, sigma_a, mu_b, sigma_b);
   const double a = std::sqrt(a2);
-  const double alpha = (mu_a - mu_b) / a;
+  return clark_max_fast_core(mu_a, sigma_a, mu_b, sigma_b, a2, a, (mu_a - mu_b) / a);
+}
+
+ClarkResult clark_max_fast_core(double mu_a, double sigma_a, double mu_b, double sigma_b,
+                                double a2, double a, double alpha) {
+  if (a2 <= 1e-24) return degenerate_max(mu_a, sigma_a, mu_b, sigma_b);
 
   // Paper eqs. (5)/(6): the quadratic erf approximation saturates at
   // |alpha| = 2.6 — beyond it, Phi = 1, phi = 0 and the dominant input's

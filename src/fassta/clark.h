@@ -51,6 +51,12 @@ struct ClarkResult {
 [[nodiscard]] ClarkResult clark_max_fast(double mu_a, double sigma_a, double mu_b,
                                          double sigma_b);
 
+/// clark_max_fast, bit for bit, for a caller that already holds
+/// a2 = sigma_a^2 + sigma_b^2, a = sqrt(a2) and alpha = (mu_a - mu_b) / a.
+[[nodiscard]] ClarkResult clark_max_fast_core(double mu_a, double sigma_a, double mu_b,
+                                              double sigma_b, double a2, double a,
+                                              double alpha);
+
 /// Sensitivity of Var(max(A,B)) to mu_A via the paper's forward finite
 /// difference (section 4.4): mean step h = h_frac * |mu_A| and a *coupled*
 /// sigma step g = c_a * h, because mean and sigma along a path move together

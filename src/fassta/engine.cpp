@@ -1,6 +1,7 @@
 #include "fassta/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,17 +13,20 @@ using netlist::GateId;
 using sta::NodeMoments;
 
 Engine::Engine(const sta::TimingContext& ctx, EngineOptions options)
-    : ctx_(ctx), options_(options), epoch_(ctx.snapshot_epoch()), base_(run()) {}
+    : ctx_(ctx), options_(options), epoch_(ctx.snapshot_epoch()), base_(run(&circuit_)) {}
 
 NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   if (options_.max_mode == MaxMode::kFast) {
-    // Dominance early-outs with the configured threshold (the paper's
-    // kDominanceThreshold by default).
-    const int dom = dominance(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps,
-                              options_.dominance_threshold);
-    if (dom > 0) return a;
-    if (dom < 0) return b;
-    const ClarkResult r = clark_max_fast(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps);
+    // dominance() at the configured threshold (the paper's 2.6 by default),
+    // keeping a2, a and alpha for the Clark core instead of recomputing them.
+    const double a2 = a.sigma_ps * a.sigma_ps + b.sigma_ps * b.sigma_ps;
+    if (a2 <= 0.0) return a.mean_ps >= b.mean_ps ? a : b;
+    const double root = std::sqrt(a2);
+    const double alpha = (a.mean_ps - b.mean_ps) / root;
+    if (alpha >= options_.dominance_threshold) return a;
+    if (alpha <= -options_.dominance_threshold) return b;
+    const ClarkResult r =
+        clark_max_fast_core(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps, a2, root, alpha);
     return NodeMoments{r.mean, std::sqrt(r.var)};
   }
   const ClarkResult r = clark_max_exact(a.mean_ps, a.sigma_ps, b.mean_ps, b.sigma_ps);
@@ -42,57 +46,117 @@ std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
   return arrival;
 }
 
-sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
-                                            Scratch& scratch) const {
+NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
+                                       Scratch& scratch) const {
+  const liberty::Cell* const lane[] = {&candidate};
+  NodeMoments circuit;
+  run_with_candidates(center, lane, {&circuit, 1}, scratch);
+  return circuit;
+}
+
+void Engine::run_with_candidates(GateId center, std::span<const liberty::Cell* const> cells,
+                                 std::span<NodeMoments> out, Scratch& scratch) const {
   if (ctx_.snapshot_epoch() != epoch_) {
     throw std::logic_error("fassta::Engine: the snapshot moved since the engine was built");
   }
+  if (cells.empty()) return;
+  if (cells.size() > kMaxLanes) {  // longer lists are walked in turns
+    run_with_candidates(center, cells.first(kMaxLanes), out.first(kMaxLanes), scratch);
+    run_with_candidates(center, cells.subspan(kMaxLanes), out.subspan(kMaxLanes), scratch);
+    return;
+  }
   const auto& nl = ctx_.netlist();
+  const std::size_t lanes = cells.size();
+  const LaneMask all = ~LaneMask{0} >> (kMaxLanes - lanes);
 
-  // Seeds: the center, and the drivers whose load the candidate's input pin
-  // caps change (a PI driver has no arcs to perturb). Every other gate reads
-  // the snapshot's arcs, in or out of the cone.
-  std::vector<GateId>& seeds = scratch.seeds;
-  std::vector<std::pair<GateId, double>>& drivers = scratch.perturbed;
-  seeds.assign(1, center);
-  drivers.clear();
-  for (const GateId f : nl.gate(center).fanins) {
-    if (nl.gate(f).fanins.empty() || std::find(seeds.begin(), seeds.end(), f) != seeds.end()) {
-      continue;
+  // Seeds: the center in every lane, and each driver in the lanes whose input
+  // pin caps change its load (a PI driver has no arcs to perturb). Every
+  // other gate reads the snapshot's arcs, in or out of the cone.
+  const auto lanes_loading = [&](GateId f) {
+    LaneMask mask = 0;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      mask |= LaneMask{ctx_.load_ff_with_resize(f, center, *cells[k]) != ctx_.load_ff(f)} << k;
     }
-    const double load = ctx_.load_ff_with_resize(f, center, candidate);
-    if (load == ctx_.load_ff(f)) continue;
-    seeds.push_back(f);
-    drivers.emplace_back(f, load);
+    return mask;
+  };
+  std::vector<GateId>& seeds = scratch.seeds;
+  seeds.assign(1, center);
+  for (const GateId f : nl.gate(center).fanins) {
+    if (!nl.gate(f).fanins.empty() && std::find(seeds.begin(), seeds.end(), f) == seeds.end() &&
+        lanes_loading(f) != 0) {
+      seeds.push_back(f);
+    }
   }
 
-  // The cone in topological order: every in-cone fanin is recomputed before it is
-  // read, everything else comes from the base.
+  // The union cone in topological order, each lane replaying its own cone's
+  // walk: base arrivals where its own seeds do not reach. A node's lanes live
+  // in a row until its last reader (a primary-output driver's to the end),
+  // so the rows in use are the cone's front, not the cone.
+  constexpr std::uint32_t kNone = sta::ConeWorkspace::kNoSlot;
   sta::ConeWorkspace& ws = sta::thread_cone_workspace();
   const std::span<const GateId> cone = sta::collect_cone(ctx_, seeds, ws);
-  std::vector<NodeMoments>& arrival = scratch.arrival;
-  arrival.resize(cone.size());
-  const auto arrival_of = [&](GateId f) -> const NodeMoments& {
-    const std::uint32_t s = ws.slot(f);
-    return s != sta::ConeWorkspace::kNoSlot ? arrival[s] : base_[f];
-  };
+  std::vector<NodeMoments>& rows = scratch.arrival;
+  std::vector<Scratch::Slot>& slots = scratch.slots;
+  std::vector<std::uint32_t>& free_rows = scratch.free_rows;
+  slots.assign(cone.size(), Scratch::Slot{});
+  for (const GateId f : seeds) slots[ws.slot(f)].perturbed = f == center ? all : lanes_loading(f);
+  free_rows.clear();
+  std::uint32_t rows_used = 0;
   for (std::uint32_t s = 0; s < cone.size(); ++s) {
     const GateId id = cone[s];
-    double load = ctx_.load_ff(id);
-    const liberty::Cell* cell = (id == center) ? &candidate : nullptr;
-    for (const auto& [f, driver_load] : drivers) {
-      if (f == id) {
-        load = driver_load;
-        cell = &ctx_.cell(id);
+    const netlist::Gate& g = nl.gate(id);
+    Scratch::Slot& slot = slots[s];
+    slot.last_reader = g.po_count > 0 ? kNone : 0;  // every fanout is in the cone
+    for (const GateId f : g.fanouts) slot.last_reader = std::max(slot.last_reader, ws.slot(f));
+    if (free_rows.empty()) free_rows.push_back(rows_used++);
+    slot.row = free_rows.back();
+    free_rows.pop_back();
+    rows.resize(std::max<std::size_t>(rows.size(), rows_used * lanes));
+    NodeMoments* lane = &rows[slot.row * lanes];
+
+    slot.reached = slot.perturbed;
+    for (const GateId f : g.fanins) {
+      if (ws.slot(f) != kNone) slot.reached |= slots[ws.slot(f)].reached;
+    }
+    for (LaneMask m = g.fanins.empty() ? all : all & ~slot.reached; m != 0; m &= m - 1) {
+      lane[std::countr_zero(m)] = base_[id];
+    }
+    // fold_arcs, lane by lane: per-node lookups are shared, arcs outermost.
+    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+      const std::uint32_t fs = ws.slot(g.fanins[i]);
+      const NodeMoments* in = fs != kNone ? &rows[slots[fs].row * lanes] : &base_[g.fanins[i]];
+      const double snapshot_d = ctx_.arc_delay_ps(id, i);
+      const double snapshot_sg = ctx_.arc_sigma_ps(id, i);
+      for (LaneMask m = slot.reached; m != 0; m &= m - 1) {
+        const auto k = static_cast<std::size_t>(std::countr_zero(m));
+        double d = snapshot_d;
+        double sg = snapshot_sg;
+        if ((slot.perturbed >> k) & 1) {  // the center, or a driver it loads differently
+          const liberty::Cell& cell = (id == center) ? *cells[k] : ctx_.cell(id);
+          d = ctx_.arc_delay_with(
+              id, i, cell,
+              id == center ? ctx_.load_ff(id) : ctx_.load_ff_with_resize(id, center, *cells[k]));
+          sg = ctx_.sigma_for(cell, d);
+        }
+        const NodeMoments& x = in[fs != kNone ? k : 0];
+        const NodeMoments through{x.mean_ps + d, std::sqrt(x.sigma_ps * x.sigma_ps + sg * sg)};
+        lane[k] = (i == 0) ? through : stat_max(lane[k], through);
       }
     }
-    arrival[s] = fold_arcs(nl.gate(id), arrival_of, [&](std::size_t i) {
-      if (cell == nullptr) return std::pair{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
-      const double d = ctx_.arc_delay_with(id, i, *cell, load);
-      return std::pair{d, ctx_.sigma_for(*cell, d)};
+    for (const GateId f : g.fanins) {  // this node was the last to read f
+      const std::uint32_t fs = ws.slot(f);
+      if (fs != kNone && slots[fs].last_reader == s) {
+        free_rows.push_back(slots[fs].row);
+        slots[fs].last_reader = kNone;  // a repeated fanin frees its row once
+      }
+    }
+  }
+  for (std::size_t k = 0; k < lanes; ++k) {
+    out[k] = fold_outputs([&](GateId id) -> const NodeMoments& {
+      const std::uint32_t s = ws.slot(id);
+      return s != kNone ? rows[slots[s].row * lanes + k] : base_[id];
     });
   }
-  return fold_outputs(arrival_of);
 }
 
 std::vector<NodeMoments> Engine::compute_downstream() const {

@@ -54,6 +54,10 @@ struct SubcircuitCost {
 
 class Engine {
  public:
+  /// run_with_candidates() lanes as bits, and how many lanes one walk carries.
+  using LaneMask = std::uint64_t;
+  static constexpr std::size_t kMaxLanes = 64;
+
   /// Reusable workspace for the scoring entry points. A Scratch is NOT
   /// thread-safe: each thread scoring candidates must own its own instance
   /// (the engine itself may be shared). Reusing one Scratch across calls
@@ -63,9 +67,16 @@ class Engine {
   /// never cleared per call. If a call throws, discard the Scratch (its
   /// bookkeeping may be mid-reset).
   struct Scratch {
-    std::vector<sta::NodeMoments> arrival;  ///< cone / member arrivals, by slot
-    std::vector<netlist::GateId> seeds;     ///< run_with_candidate: the cone's seeds
-    std::vector<std::pair<netlist::GateId, double>> perturbed;  ///< run_with_candidate: driver loads
+    struct Slot {
+      std::uint32_t row = 0;          ///< the node's row of lanes in arrival
+      std::uint32_t last_reader = 0;  ///< the last cone slot reading the row
+      LaneMask perturbed = 0;         ///< the lanes the node is a seed of
+      LaneMask reached = 0;           ///< the lanes whose own seeds reach the node
+    };
+    std::vector<sta::NodeMoments> arrival;  ///< by subcircuit member, or rows of lanes
+    std::vector<Slot> slots;                ///< run_with_candidates: per cone slot
+    std::vector<std::uint32_t> free_rows;   ///< rows whose node has no reader left
+    std::vector<netlist::GateId> seeds;     ///< the union of the lanes' seeds
   };
 
   /// Runs the base pass — run() over @p ctx's current snapshot — and
@@ -86,13 +97,18 @@ class Engine {
   /// run()'s per-node arrival moments at construction.
   [[nodiscard]] std::span<const sta::NodeMoments> base() const { return base_; }
 
+  /// run()'s circuit moments at construction: bitwise run_with_candidate()
+  /// of any gate at its current cell, which changes no load and no arc.
+  [[nodiscard]] const sta::NodeMoments& base_circuit() const { return circuit_; }
+
   /// Full-netlist moment propagation with gate @p center hypothetically bound
   /// to @p candidate: loads of the center's drivers and the affected arc
   /// delays are recomputed, everything else reuses the snapshot. Returns the
   /// circuit moments (statistical max over primary outputs). This is the
   /// robust inner-loop score: unlike a truncated window it sees the
   /// max-over-all-paths behaviour of the objective (see docs/ARCHITECTURE.md,
-  /// "Deviations from the paper").
+  /// "Deviations from the paper"). The one-lane case of
+  /// run_with_candidates().
   ///
   /// Only the fanout cone of the perturbed gates (the center, plus those of
   /// its drivers whose load_ff_with_resize differs from load_ff) is
@@ -102,14 +118,22 @@ class Engine {
   /// scan, with nothing cleared per call, and no allocation once @p scratch
   /// and the thread's cone workspace have served a cone this large.
   /// c6288's cones average ~34% of its nodes and mesh6's ~18%; perfbench's
-  /// fassta.candidate_us reads ~80-100 us per call on c6288 and ~65-80 us
-  /// on mesh6 (4-core x86-64 host, RelWithDebInfo). Safe to call
-  /// concurrently from many threads as long as every thread passes a
-  /// distinct Scratch. Throws std::logic_error if the snapshot was written
-  /// after the engine was built.
+  /// fassta.candidate_us reads CANDIDATE_US (4-core x86-64 host,
+  /// RelWithDebInfo). Safe to call concurrently from many threads as long as
+  /// every thread passes a distinct Scratch. Throws std::logic_error if the
+  /// snapshot was written after the engine was built.
   [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
                                                     const liberty::Cell& candidate,
                                                     Scratch& scratch) const;
+
+  /// out[k] = run_with_candidate(center, *cells[k]), bitwise, from one cone
+  /// walk: the cone of the union of the candidates' seeds, with one lane
+  /// per candidate performing its own walk's IEEE operations in order (base
+  /// arrivals where its own seeds do not reach). Lanes share the per-node
+  /// lookups and the cone collection: LANE_GAIN. Same contracts as
+  /// run_with_candidate().
+  void run_with_candidates(netlist::GateId center, std::span<const liberty::Cell* const> cells,
+                           std::span<sta::NodeMoments> out, Scratch& scratch) const;
 
   /// Backward moment pass: for every node, the statistical moments of the
   /// worst downstream path from the node's *output* to any primary output
@@ -141,8 +165,9 @@ class Engine {
   /// The one FASSTA gate kernel: gate @p g's arrival moments, the
   /// statistical max over its arcs of arrival_of(fanin) + arc, where
   /// arc_of(i) yields arc i's (delay, sigma); (0, 0) for a gate without
-  /// fanins. run(), run_with_candidate(), evaluate_candidate() and the
-  /// FASSTA analyzer's what-if all fold through it.
+  /// fanins. run(), evaluate_candidate() and the FASSTA analyzer's what-if
+  /// fold through it; run_with_candidates() performs the same operations
+  /// lane by lane.
   template <typename ArrivalOf, typename ArcOf>
   [[nodiscard]] sta::NodeMoments fold_arcs(const netlist::Gate& g, ArrivalOf&& arrival_of,
                                            ArcOf&& arc_of) const {
@@ -174,6 +199,7 @@ class Engine {
   const sta::TimingContext& ctx_;
   EngineOptions options_;
   std::uint64_t epoch_;                ///< the snapshot epoch base_ was run at
+  sta::NodeMoments circuit_;            ///< run()'s circuit moments at construction
   std::vector<sta::NodeMoments> base_;  ///< run() at construction
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -10,6 +11,7 @@
 #include "netlist/subcircuit.h"
 #include "opt/wnss.h"
 #include "timing/analyzer.h"
+#include "util/check.h"
 #include "util/exec.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -37,30 +39,19 @@ struct PlannedResize {
   double predicted_gain = 0.0;
 };
 
-/// One (gate, candidate size) scoring unit for the parallel kernel.
-struct CandidateJob {
-  GateId gate = netlist::kNoGate;
-  std::uint16_t size = 0;
-};
-
-/// Flattened gate × every-library-size job list over a gate set. The jobs for
-/// gates[i] occupy [offsets[i], offsets[i] + size_count) in library size
-/// order, so a score array indexed like `jobs` can be read back per gate.
+/// A gate list × every library size of each gate. Gate i's sizes score into
+/// [offsets[i], offsets[i + 1]) in library size order, so a score array can
+/// be read back per gate.
 struct CandidateJobs {
-  std::vector<CandidateJob> jobs;
-  std::vector<std::size_t> offsets;
+  std::span<const GateId> gates;
+  std::vector<std::size_t> offsets;  ///< gates.size() + 1 entries
 };
 
 CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library& lib,
                               std::span<const GateId> gates) {
-  CandidateJobs out;
-  out.offsets.reserve(gates.size());
+  CandidateJobs out{gates, {0}};
   for (const GateId g : gates) {
-    out.offsets.push_back(out.jobs.size());
-    const auto& group = lib.group(nl.gate(g).cell_group);
-    for (std::uint16_t s = 0; s < group.size_count(); ++s) {
-      out.jobs.push_back(CandidateJob{g, s});
-    }
+    out.offsets.push_back(out.offsets.back() + lib.group(nl.gate(g).cell_group).size_count());
   }
   return out;
 }
@@ -82,29 +73,27 @@ struct InnerScorer {
 /// state private (a fassta Scratch, or a Speculation's overlay); slot i of
 /// the result is written exactly once by whichever worker draws it, and the
 /// scores themselves do not depend on evaluation order — so the returned
-/// array is bitwise-identical for any thread count.
+/// array is bitwise-identical for any thread count. A chunk is one gate at
+/// all of its sizes: the global fassta mode walks the gate's cone once, one
+/// lane per size but the current one, whose score is the base cost.
 std::vector<double> score_candidates(const sta::TimingContext& ctx,
                                      const InnerScorer& scorer,
                                      const StatisticalSizerOptions& options,
-                                     InnerScoring scoring,
-                                     std::span<const CandidateJob> jobs,
+                                     InnerScoring scoring, const CandidateJobs& cand,
                                      std::span<const sta::NodeMoments> boundary,
                                      std::span<const sta::NodeMoments> downstream) {
   const auto& nl = ctx.netlist();
   const auto& lib = ctx.library();
   const Objective& obj = options.objective;
-  std::vector<double> costs(jobs.size());
-  // Chunked so one scratch (and, in subcircuit mode, one window extraction
-  // per job) amortizes across several candidates; chunk geometry is a pure
-  // function of the job count, never of the thread count.
-  constexpr std::size_t kChunk = 8;
+  std::vector<double> costs(cand.offsets.back());
 
   if (!scorer.fassta.has_value()) {
     timing::Analyzer& analyzer = *scorer.analyzer;
-    util::parallel_for(jobs.size(), kChunk, options.threads,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           const auto spec = analyzer.propose(jobs[i].gate, jobs[i].size);
+    util::parallel_for(cand.gates.size(), 1, options.threads,
+                       [&](std::size_t gi, std::size_t, std::size_t) {
+                         for (std::size_t i = cand.offsets[gi]; i < cand.offsets[gi + 1]; ++i) {
+                           const auto spec = analyzer.propose(
+                               cand.gates[gi], static_cast<std::uint16_t>(i - cand.offsets[gi]));
                            const timing::Summary& s = spec->score();
                            costs[i] = obj.cost(s.mean_ps, s.sigma_ps);
                          }
@@ -113,32 +102,49 @@ std::vector<double> score_candidates(const sta::TimingContext& ctx,
   }
 
   const fassta::Engine& engine = *scorer.fassta;
+  // Gate gi's lanes (its sizes but the current one) take slots from offsets[gi].
+  std::vector<const liberty::Cell*> cells(cand.offsets.back());
+  std::vector<sta::NodeMoments> lanes(cand.offsets.back());
   util::parallel_for(
-      jobs.size(), kChunk, options.threads,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        // One scratch per thread, reused across chunks and calls: once it
-        // has served the largest cone, scoring allocates nothing.
+      cand.gates.size(), 1, options.threads, [&](std::size_t gi, std::size_t, std::size_t) {
+        // One scratch per thread, reused across gates and calls: once it has
+        // served the largest cone, scoring allocates nothing.
         thread_local fassta::Engine::Scratch scratch;
-        netlist::Subcircuit sc;
-        GateId sc_gate = netlist::kNoGate;
-        for (std::size_t i = begin; i < end; ++i) {
-          const CandidateJob& job = jobs[i];
-          const liberty::Cell& cell = lib.cell_for(nl.gate(job.gate).cell_group, job.size);
-          if (scoring == InnerScoring::kGlobalFassta) {
-            costs[i] = obj.cost(engine.run_with_candidate(job.gate, cell, scratch));
-          } else {
-            // A gate's jobs are contiguous, so one window extraction serves
-            // every size of the gate (the window depends only on the gate).
-            if (job.gate != sc_gate) {
-              sc = netlist::extract_subcircuit(nl, job.gate, options.subcircuit_levels,
-                                               options.subcircuit_levels);
-              sc_gate = job.gate;
-            }
-            costs[i] = engine
-                           .evaluate_candidate(sc, boundary, downstream, job.gate, cell,
-                                               obj.lambda, scratch)
-                           .cost;
+        const GateId g = cand.gates[gi];
+        const netlist::Gate& gate = nl.gate(g);
+        const std::size_t first = cand.offsets[gi];
+        const auto sizes = static_cast<std::uint16_t>(cand.offsets[gi + 1] - first);
+        std::size_t n = 0;  // lanes
+        if (scoring == InnerScoring::kSubcircuit) {
+          const netlist::Subcircuit sc = netlist::extract_subcircuit(
+              nl, g, options.subcircuit_levels, options.subcircuit_levels);
+          for (std::uint16_t s = 0; s < sizes; ++s) {
+            const liberty::Cell& cell = lib.cell_for(gate.cell_group, s);
+            costs[first + s] =
+                engine.evaluate_candidate(sc, boundary, downstream, g, cell, obj.lambda, scratch)
+                    .cost;
           }
+          return;
+        }
+        for (std::uint16_t s = 0; s < sizes; ++s) {
+          if (s != gate.size_index) cells[first + n++] = &lib.cell_for(gate.cell_group, s);
+        }
+        engine.run_with_candidates(g, {&cells[first], n}, {&lanes[first], n}, scratch);
+        for (std::uint16_t s = 0, k = 0; s < sizes; ++s) {
+          costs[first + s] =
+              obj.cost(s == gate.size_index ? engine.base_circuit() : lanes[first + k++]);
+        }
+        if constexpr (debug::kParanoid) {
+          const liberty::Cell& current = lib.cell_for(gate.cell_group, gate.size_index);
+          const sta::NodeMoments alone = engine.run_with_candidate(g, current, scratch);
+          STATSIZER_PARANOID_CHECK(std::memcmp(&alone, &engine.base_circuit(), sizeof alone) == 0,
+                                   "opt/score_candidates",
+                                   "the current size does not score the base cost");
+          if (n == 0) return;
+          const std::size_t k = first + gi % n;
+          const sta::NodeMoments lane = engine.run_with_candidate(g, *cells[k], scratch);
+          STATSIZER_PARANOID_CHECK(std::memcmp(&lane, &lanes[k], sizeof lane) == 0,
+                                   "opt/score_candidates", "a lane differs from its one-lane score");
         }
       });
   return costs;
@@ -254,9 +260,9 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     // frozen snapshot; the plan itself is then built serially from the score
     // array, which keeps it independent of the thread count.
     const CandidateJobs cand = list_candidates(nl, lib, trace.path);
-    stats.fassta_evaluations += cand.jobs.size();
-    const std::vector<double> costs = score_candidates(
-        ctx, scorer, options, options.scoring, cand.jobs, full->node, downstream);
+    stats.fassta_evaluations += cand.offsets.back();
+    const std::vector<double> costs =
+        score_candidates(ctx, scorer, options, options.scoring, cand, full->node, downstream);
 
     std::vector<PlannedResize> plan;
     for (std::size_t gi = 0; gi < trace.path.size(); ++gi) {
@@ -327,10 +333,10 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     // exactly what this rescue exists for.
     const auto exact_sweep = [&](std::span<const GateId> gates, MoveSource source) {
       const CandidateJobs sweep = list_candidates(nl, lib, gates);
-      stats.fassta_evaluations += sweep.jobs.size();
+      stats.fassta_evaluations += sweep.offsets.back();
       const std::vector<double> prescores =
-          score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, sweep.jobs,
-                           full->node, {});
+          score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, sweep, full->node,
+                           {});
 
       struct RescueCandidate {
         GateId gate = netlist::kNoGate;
@@ -388,15 +394,14 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       for (GateId g = 0; g < nl.node_count(); ++g) {
         if (ctx.has_cell(g)) fat.push_back(g);
       }
-      const auto worst_sigma = [&](GateId g) {
-        double s = 0.0;
+      std::vector<double> worst_sigma(nl.node_count(), 0.0);  // sort keys, computed once
+      for (const GateId g : fat) {
         for (std::size_t i = 0; i < nl.gate(g).fanins.size(); ++i) {
-          s = std::max(s, ctx.arc_sigma_ps(g, i));
+          worst_sigma[g] = std::max(worst_sigma[g], ctx.arc_sigma_ps(g, i));
         }
-        return s;
-      };
+      }
       std::sort(fat.begin(), fat.end(),
-                [&](GateId a, GateId b) { return worst_sigma(a) > worst_sigma(b); });
+                [&](GateId a, GateId b) { return worst_sigma[a] > worst_sigma[b]; });
       fat.resize(std::min(fat.size(), kGlobalSweepGateLimit));
       accepted += exact_sweep(fat, MoveSource::kGlobalSweep);
       STATSIZER_DEBUG() << "iter " << stats.iterations << ": global sweep kept "

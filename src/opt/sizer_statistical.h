@@ -52,9 +52,9 @@ namespace statsizer::opt {
 /// How candidate sizes are scored in the inner loop.
 enum class InnerScoring {
   /// FASSTA over the candidate's fanout cone, every other arrival from the
-  /// engine's base pass (fassta::Engine::run_with_candidate; bitwise a full
-  /// pass, microseconds): sees the max-over-all-paths behaviour of the
-  /// objective. Default — robust.
+  /// engine's base pass (fassta::Engine::run_with_candidates: one walk per
+  /// gate, a lane per size; bitwise a full pass): sees the max-over-all-paths
+  /// behaviour of the objective. Default — robust.
   kGlobalFassta,
   /// The paper's literal formulation: FASSTA on a k-level subcircuit window,
   /// outputs projected through downstream potentials. Cheaper per candidate
@@ -134,9 +134,9 @@ struct ResizeEvent {
 struct StatisticalSizerStats {
   std::size_t iterations = 0;
   std::size_t resizes = 0;
-  /// Inner-scorer candidate evaluations (plan scoring + rescue prescoring).
-  /// Counted for whichever score_engine ran — the name reflects the default
-  /// fassta kernel.
+  /// Inner-scorer candidates (plan scoring + rescue prescoring): every
+  /// (gate, size), the current size included though the fassta kernel reads
+  /// its score from the base pass. Counted for whichever score_engine ran.
   std::size_t fassta_evaluations = 0;
   /// Resizes confirmed by the exact rescue sweeps (fallback + global).
   std::size_t exact_resizes = 0;

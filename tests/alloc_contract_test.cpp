@@ -10,14 +10,16 @@
 //    that large (its reused cone workspace and replay temporaries), so a
 //    worker costs only the speculation it is scoring. A commit refreshing
 //    the analyzer's saved arc delay pdfs leaves that contract intact.
-//  * FASSTA candidate scoring (fassta::Engine::run_with_candidate) with a
-//    reused Scratch allocates nothing once the scoring thread has served a
-//    cone that large, even after an exact what-if scored on the same thread
+//  * FASSTA candidate scoring (fassta::Engine::run_with_candidate, and the
+//    lane walk over every size of a gate, run_with_candidates) with a reused
+//    Scratch allocates nothing once the scoring thread has served a cone
+//    that large, even after an exact what-if scored on the same thread
 //    re-stamped the cone workspace both share.
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -193,6 +195,38 @@ TEST_F(FasstaAllocation, WorkerScoresCandidatesWithoutAllocating) {
   EXPECT_EQ(score_on_worker(again), 0u);
   EXPECT_EQ(again.mean_ps, first.mean_ps);
   EXPECT_EQ(again.sigma_ps, first.sigma_ps);
+}
+
+TEST_F(FasstaAllocation, WorkerScoresLanesWithoutAllocating) {
+  const fassta::Engine engine(flow_.timing());
+  const netlist::Gate& gate = flow_.netlist().gate(gate_);
+  std::vector<const liberty::Cell*> cells;
+  for (std::uint16_t s = 0; s < flow_.library().group(gate.cell_group).size_count(); ++s) {
+    if (s != gate.size_index) cells.push_back(&flow_.library().cell_for(gate.cell_group, s));
+  }
+  std::vector<sta::NodeMoments> lanes(cells.size());
+  util::ThreadPool pool(1);
+  fassta::Engine::Scratch scratch;  // the worker's, reused across calls
+  const auto score_on_worker = [&] {
+    std::size_t news = 0;
+    pool.submit([&] {
+      news = news_during([&] { engine.run_with_candidates(gate_, cells, lanes, scratch); });
+    });
+    pool.wait_idle();
+    return news;
+  };
+  // The first walk sizes the scratch's lanes and the worker's cone workspace.
+  (void)score_on_worker();
+  const std::vector<sta::NodeMoments> first = lanes;
+  // An exact what-if scored on the worker re-stamps the workspace both share.
+  const auto spec = propose();
+  pool.submit([&] { (void)spec->score(); });
+  pool.wait_idle();
+  EXPECT_EQ(score_on_worker(), 0u);
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    EXPECT_EQ(lanes[k].mean_ps, first[k].mean_ps);
+    EXPECT_EQ(lanes[k].sigma_ps, first[k].sigma_ps);
+  }
 }
 
 }  // namespace
