@@ -5,14 +5,15 @@
 //         approximation (fassta/clark.h)
 // Boundary conditions at a subcircuit cut come from the most recent FULLSSTA
 // pass. The engine's whole reason to exist is evaluating candidate gate sizes
-// inside the optimizer's inner loop at negligible cost.
+// inside the optimizer's inner loop at negligible cost: all sizes of a gate
+// in one walk of their fanout cone, a lane per size (run_with_candidates).
 //
 // Thread safety: an Engine never changes after construction. It holds a
 // const reference to the TimingContext snapshot, const options, and the
 // base arrivals of a full run() of the snapshot it was built on, which
 // candidate scoring reads outside each resize's fanout cone. A write to the
 // snapshot (TimingContext::update(), apply_snapshot_patch()) makes the
-// engine stale: run_with_candidate() then throws std::logic_error, and the
+// engine stale: candidate scoring then throws std::logic_error, and the
 // caller builds a new Engine. Every method is const and re-entrant — one
 // Engine may be shared by any number of threads as long as nobody mutates
 // the netlist or writes the snapshot concurrently. The per-call working
@@ -117,11 +118,13 @@ class Engine {
   /// sweeping the whole netlist. Cost: the cone's edges plus collect_cone's
   /// scan, with nothing cleared per call, and no allocation once @p scratch
   /// and the thread's cone workspace have served a cone this large.
-  /// c6288's cones average ~34% of its nodes and mesh6's ~18%; perfbench's
-  /// fassta.candidate_us reads CANDIDATE_US (4-core x86-64 host,
-  /// RelWithDebInfo). Safe to call concurrently from many threads as long as
-  /// every thread passes a distinct Scratch. Throws std::logic_error if the
-  /// snapshot was written after the engine was built.
+  /// c6288's cones average ~34% of its nodes and mesh6's ~18% (the baseline
+  /// WNSS path gates' union cones 35% and 24%); perfbench's
+  /// fassta.candidate_us read 73 us per call on c6288 and 88 us on mesh6
+  /// (one traced run each, 4-core x86-64 host, RelWithDebInfo). Safe to call
+  /// concurrently from many threads as long as every thread passes a
+  /// distinct Scratch. Throws std::logic_error if the snapshot was written
+  /// after the engine was built.
   [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
                                                     const liberty::Cell& candidate,
                                                     Scratch& scratch) const;
@@ -129,9 +132,11 @@ class Engine {
   /// out[k] = run_with_candidate(center, *cells[k]), bitwise, from one cone
   /// walk: the cone of the union of the candidates' seeds, with one lane
   /// per candidate performing its own walk's IEEE operations in order (base
-  /// arrivals where its own seeds do not reach). Lanes share the per-node
-  /// lookups and the cone collection: LANE_GAIN. Same contracts as
-  /// run_with_candidate().
+  /// arrivals where its own seeds do not reach). Lanes share the cone
+  /// collection and the per-node lookups, and a row is recycled after its
+  /// node's last reader: a c6288 path gate's 7 other sizes take 0.40-0.45x
+  /// the time of its 8 calls (BM_FasstaGateScoring, 4-core x86-64 host).
+  /// Same contracts as run_with_candidate().
   void run_with_candidates(netlist::GateId center, std::span<const liberty::Cell* const> cells,
                            std::span<sta::NodeMoments> out, Scratch& scratch) const;
 
