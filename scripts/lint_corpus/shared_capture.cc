@@ -78,6 +78,45 @@ void per_chunk_local(std::size_t n, std::vector<double>& partial) {
   });
 }
 
+// A per-thread scratch carries a storage class; it is still a body local.
+void per_thread_scratch(std::size_t n, std::vector<double>& out) {
+  util::parallel_for(n, 1, 0, [&](std::size_t begin, std::size_t end, std::size_t) {
+    thread_local std::vector<double> scratch;
+    static constexpr std::size_t kLimit = 4;
+    scratch.clear();
+    for (std::size_t i = begin; i < end && i < kLimit; ++i) {
+      scratch.push_back(static_cast<double>(i));  // silent: thread_local body local
+    }
+    out[begin] = scratch.empty() ? 0.0 : scratch.back();
+  });
+}
+
+// A local declared right after a closing brace is a body local too.
+void local_after_block(std::size_t n, std::vector<double>& out) {
+  util::parallel_for(n, 1, 0, [&](std::size_t begin, std::size_t end, std::size_t) {
+    if (begin == end) {
+      return;
+    }
+    std::size_t lanes = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      lanes++;  // silent: declared after the if block
+    }
+    out[begin] = static_cast<double>(lanes);
+  });
+}
+
+// Neither shape hides a captured outer container.
+void racy_after_block(std::size_t n, std::vector<double>& shared) {
+  thread_local std::vector<double> outer;
+  util::parallel_for(n, 1, 0, [&](std::size_t begin, std::size_t end, std::size_t) {
+    if (begin == end) {
+      return;
+    }
+    shared.push_back(1.0);  // expect-lint: shared-mutable-capture
+    outer.push_back(1.0);  // expect-lint: shared-mutable-capture
+  });
+}
+
 // Waived: a deliberately shared atomic-like pattern, justified inline.
 void waived_shared(std::size_t n, std::vector<double>& bins) {
   util::parallel_for(n, 16, 0, [&](std::size_t begin, std::size_t end, std::size_t) {

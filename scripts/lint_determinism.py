@@ -358,10 +358,13 @@ def lambda_args_of_call(code: str, call_start: int):
 
 def locals_of_body(body: str) -> set:
     """Heuristic set of names declared inside a lambda body (or taken as its
-    parameters — handled by the caller)."""
+    parameters — handled by the caller). A declaration may follow a closing
+    brace and carry storage-class or cv specifiers (`thread_local`, `static`,
+    `constexpr`, `const`)."""
     names = set()
     decl_re = re.compile(
-        r"(?:^|[;{(,])\s*(?:const\s+)?(?:auto|bool|int|unsigned|float|double|"
+        r"(?:^|[;{}(,])\s*(?:(?:thread_local|static|constexpr|const)\s+)*"
+        r"(?:auto|bool|int|unsigned|float|double|"
         r"std?\s*::\s*\w+(?:\s*<[^<>;{}]*>)?|[A-Za-z_]\w*(?:::\w+)*(?:\s*<[^<>;{}]*>)?)"
         r"\s*[&*]?\s+([A-Za-z_]\w*)\s*(?:[=;{(]|:)")
     for m in decl_re.finditer(body):

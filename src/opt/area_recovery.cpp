@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <vector>
 
+#include "opt/confirm.h"
 #include "ssta/fullssta.h"
 
 namespace statsizer::opt {
@@ -42,9 +42,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   const Objective& obj = options.objective;
   const bool statistical = options.criterion == RecoveryCriterion::kStatisticalCost;
 
-  timing::AnalyzerOptions engine_options;
-  engine_options.fullssta = options.fullssta;
-  engine_options.fassta = options.fassta;
+  const timing::AnalyzerOptions engine_options{options.fullssta, options.fassta};
   const auto screen = timing::make_analyzer(screen_engine_name(options, statistical),
                                             engine_options);
 
@@ -88,20 +86,15 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   };
   std::vector<PendingGate> pending;
   std::size_t since_checkpoint = 0;  // accepted downsize *steps* since the checkpoint
-  const auto note_accept = [&](GateId g, std::uint16_t from) {
-    for (const PendingGate& p : pending) {
-      if (p.gate == g) return;  // keep the first (= checkpoint) size
-    }
-    pending.push_back(PendingGate{g, from});
-  };
 
-  // The kChunk exact re-verification: one atomic multi-resize speculation
-  // from the checkpoint base (the confirm engine re-propagates only the
-  // pending resizes' fanout cone — the pre-port loop re-ran the full engine
-  // here). On success the commit makes the current state the new checkpoint;
-  // on failure the speculation's rollback is free and the netlist's pending
-  // size indices are restored in place of the old wholesale
-  // set_sizes(checkpoint) + update().
+  // The kChunk exact re-verification: a one-candidate walk of one atomic
+  // multi-resize speculation from the checkpoint base (the confirm engine
+  // re-propagates only the pending resizes' fanout cone). The netlist already
+  // holds the batch sizes and the screen commits kept the snapshot bitwise in
+  // sync, so an approved commit re-patches the cone with identical values
+  // and advances the confirm engine's base to the new checkpoint. A rejected
+  // speculation is dropped, and the netlist's pending size indices are
+  // restored.
   const auto verify_chunk = [&]() -> bool {
     ++stats.exact_verifications;
     std::vector<timing::Resize> batch;
@@ -109,18 +102,16 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     for (const PendingGate& p : pending) {
       batch.push_back(timing::Resize{p.gate, nl.gate(p.gate).size_index});
     }
-    auto spec = confirm->propose_resizes(batch);
-    const timing::Summary& s = spec->score();
-    const bool ok = obj.cost(s.mean_ps, s.sigma_ps) <= exact_cost_budget &&
-                    s.sigma_ps <= exact_sigma_budget;
-    if (ok) {
-      // The netlist already holds the batch sizes and the screen commits
-      // kept the snapshot bitwise in sync, so this commit re-patches the
-      // cone with identical values and advances the confirm engine's base
-      // to the new checkpoint — no O(E) snapshot rebuild.
-      spec->commit();
-    } else {
-      spec->rollback();
+    const bool ok =
+        opt::confirm(
+            options.threads, 1, [&](std::size_t) { return confirm->propose_resizes(batch); },
+            [&](std::size_t, const timing::Summary& s) {
+              return obj.cost(s.mean_ps, s.sigma_ps) <= exact_cost_budget &&
+                     s.sigma_ps <= exact_sigma_budget;
+            },
+            [](std::size_t, const std::function<void()>&) { return kStopWalk; })
+            .committed == 1;
+    if (!ok) {
       ++stats.chunk_rollbacks;
       stats.downsizes -= since_checkpoint;
       for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
@@ -135,55 +126,41 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
 
   bool stopped = false;
   for (std::size_t pass = 0; pass < kMaxRecoveryPasses && !stopped; ++pass) {
-    const std::vector<GateId> order = recovery_order(ctx);
-    std::size_t changed = 0;
-    // Rollback accounting: the slice of `changed` that is not yet
-    // exact-verified, so a chunk rollback can retract exactly this pass's
-    // share and `changed` keeps matching the committed netlist.
-    std::size_t changed_since_checkpoint = 0;
-
     // Visit gates in descending-area order and downsize each one step at a
     // time until a trial violates a budget (the gate is then done for this
     // pass) or size 0: after an acceptance the walk resumes at the accepted
-    // gate while it has headroom.
-    std::span<const GateId> rest = order;
-    while (!rest.empty() && !stopped) {
-      const timing::Accepted hit = timing::first_accepted(
-          options.threads, rest.size(),
-          [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
-            const std::uint16_t cur = nl.gate(rest[i]).size_index;
-            if (cur == 0) return nullptr;  // defensive: nothing left to shrink
-            return screen->propose(rest[i], static_cast<std::uint16_t>(cur - 1));
-          },
-          [&](std::size_t, const timing::Summary& s) {
-            ++stats.screen_trials;
-            return screen_cost(s) <= screen_budget &&
-                   (!statistical || s.sigma_ps <= screen_sigma_budget);
-          });
-      if (hit.speculation == nullptr) break;
-      const GateId g = rest[hit.index];
-      // Checkpoint bookkeeping is only consumed by the statistical chunk
-      // verification; the deterministic criterion skips its cost.
-      if (statistical) {
-        note_accept(g, nl.gate(g).size_index);
-        ++changed_since_checkpoint;
-        ++since_checkpoint;
-      }
-      hit.speculation->commit();  // incremental: patches the snapshot, no update()
-      ++stats.downsizes;
-      ++changed;
-      rest = rest.subspan(nl.gate(g).size_index > 0 ? hit.index : hit.index + 1);
-      if (statistical && since_checkpoint >= kChunk) {
-        if (verify_chunk()) {
-          changed_since_checkpoint = 0;
-        } else {
-          changed -= changed_since_checkpoint;
-          changed_since_checkpoint = 0;
-          stopped = true;
-        }
-      }
-    }
-    if (changed == 0) break;
+    // gate while it has headroom. A failed chunk verification stops it.
+    const std::vector<GateId> order = recovery_order(ctx);
+    const Confirmed walk = opt::confirm(
+        options.threads, order.size(),
+        [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
+          const std::uint16_t cur = nl.gate(order[i]).size_index;
+          if (cur == 0) return nullptr;  // defensive: nothing left to shrink
+          return screen->propose(order[i], static_cast<std::uint16_t>(cur - 1));
+        },
+        [&](std::size_t, const timing::Summary& s) {
+          return screen_cost(s) <= screen_budget &&
+                 (!statistical || s.sigma_ps <= screen_sigma_budget);
+        },
+        [&](std::size_t i, const std::function<void()>& commit) {
+          const GateId g = order[i];
+          // Checkpoint bookkeeping is only consumed by the statistical chunk
+          // verification; the deterministic criterion skips its cost.
+          if (statistical && std::none_of(pending.begin(), pending.end(),
+                                          [&](const PendingGate& p) { return p.gate == g; })) {
+            pending.push_back(PendingGate{g, nl.gate(g).size_index});
+          }
+          commit();  // incremental: patches the snapshot, no update()
+          ++stats.downsizes;
+          const std::size_t resume = nl.gate(g).size_index > 0 ? i : i + 1;
+          if (statistical && ++since_checkpoint >= kChunk && !verify_chunk()) {
+            stopped = true;
+            return kStopWalk;
+          }
+          return resume;
+        });
+    stats.screen_trials += walk.judged;
+    if (walk.committed == 0) break;
   }
 
   // Verify the trailing partial chunk.

@@ -19,20 +19,21 @@
 // overlay, never a netlist mutation plus full TimingContext::update();
 // accepted trials commit incrementally (the snapshot is patched in place).
 // Any registry engine works: every speculation scores privately, so every
-// screen runs in parallel windows. In statistical mode the screen drifts from the accurate engine
-// on reconvergent fabrics, so every kChunk accepted downsizes are
-// re-verified by the confirm engine (confirm_engine, default "fullssta",
-// configured with `fullssta` — the same options the caller uses to measure
-// the result, so the guard and the report agree) as one atomic multi-resize
-// speculation from the last checkpoint; a failed verification rolls the
-// whole chunk back and stops.
+// screen runs in parallel windows. In statistical mode the screen drifts from
+// the accurate engine on reconvergent fabrics, so every kChunk accepted
+// downsizes are re-verified by the confirm engine (confirm_engine, default
+// "fullssta", configured with `fullssta` — the same options the caller uses
+// to measure the result, so the guard and the report agree) as one atomic
+// multi-resize speculation from the last checkpoint; a failed verification
+// restores the whole chunk and stops.
 //
 // Concurrency: the screen walks the descending-area order through
-// timing::first_accepted, so accepted downsizes, final sizes, and
-// AreaRecoveryStats are bitwise-identical for any `threads` value, and
-// identical to the pre-port serial mutate-and-rerun loop (pinned by
-// tests/area_recovery_parallel_test.cpp, which keeps that loop as its
-// reference oracle).
+// opt::confirm (opt/confirm.h), resuming at each accepted gate, and each
+// chunk verification is a one-candidate walk of the same seam. So accepted
+// downsizes, final sizes, and AreaRecoveryStats are bitwise-identical for
+// any `threads` value, and identical to the pre-port serial mutate-and-rerun
+// loop (pinned by tests/area_recovery_parallel_test.cpp, which keeps that
+// loop as its reference oracle).
 #pragma once
 
 #include <cstddef>
@@ -71,7 +72,7 @@ struct AreaRecoveryOptions {
   /// options_.fullssta here).
   ssta::FullSstaOptions fullssta;
   /// Worker threads for the speculative screening walk
-  /// (timing::first_accepted). 1 = serial on the calling thread; 0 =
+  /// (opt::confirm). 1 = serial on the calling thread; 0 =
   /// hardware concurrency. Results are bitwise-identical for any value.
   std::size_t threads = 1;
   /// Screen engine (timing::make_analyzer name). Empty = pick by criterion:

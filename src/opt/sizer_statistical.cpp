@@ -1,7 +1,6 @@
 #include "opt/sizer_statistical.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 
 #include "netlist/subcircuit.h"
+#include "opt/confirm.h"
 #include "opt/wnss.h"
 #include "timing/analyzer.h"
 #include "util/check.h"
@@ -34,27 +34,16 @@ constexpr std::size_t kGlobalSweepGateLimit = 24;
 
 /// One planned resize with its locally-predicted cost improvement.
 struct PlannedResize {
-  GateId gate = netlist::kNoGate;
-  std::uint16_t new_size = 0;
+  timing::Resize move;
   double predicted_gain = 0.0;
 };
 
-/// A gate list × every library size of each gate. Gate i's sizes score into
-/// [offsets[i], offsets[i + 1]) in library size order, so a score array can
-/// be read back per gate.
-struct CandidateJobs {
-  std::span<const GateId> gates;
+/// Every library size of each gate of a list, scored: gate i's sizes score
+/// into [offsets[i], offsets[i + 1]) of costs in library size order.
+struct CandidateScores {
   std::vector<std::size_t> offsets;  ///< gates.size() + 1 entries
+  std::vector<double> costs;
 };
-
-CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library& lib,
-                              std::span<const GateId> gates) {
-  CandidateJobs out{gates, {0}};
-  for (const GateId g : gates) {
-    out.offsets.push_back(out.offsets.back() + lib.group(nl.gate(g).cell_group).size_count());
-  }
-  return out;
-}
 
 /// The fast-engine side of the inner loop: either the specialized fassta
 /// kernel (score_engine == "fassta", the default — per-worker Scratch, zero
@@ -76,44 +65,49 @@ struct InnerScorer {
 /// array is bitwise-identical for any thread count. A chunk is one gate at
 /// all of its sizes: the global fassta mode walks the gate's cone once, one
 /// lane per size but the current one, whose score is the base cost.
-std::vector<double> score_candidates(const sta::TimingContext& ctx,
-                                     const InnerScorer& scorer,
-                                     const StatisticalSizerOptions& options,
-                                     InnerScoring scoring, const CandidateJobs& cand,
-                                     std::span<const sta::NodeMoments> boundary,
-                                     std::span<const sta::NodeMoments> downstream) {
+CandidateScores score_candidates(const sta::TimingContext& ctx, const InnerScorer& scorer,
+                                 const StatisticalSizerOptions& options, InnerScoring scoring,
+                                 std::span<const GateId> gates,
+                                 std::span<const sta::NodeMoments> boundary,
+                                 std::span<const sta::NodeMoments> downstream) {
   const auto& nl = ctx.netlist();
   const auto& lib = ctx.library();
   const Objective& obj = options.objective;
-  std::vector<double> costs(cand.offsets.back());
+  CandidateScores out{{0}, {}};
+  for (const GateId g : gates) {
+    out.offsets.push_back(out.offsets.back() + lib.group(nl.gate(g).cell_group).size_count());
+  }
+  const std::vector<std::size_t>& offsets = out.offsets;
+  std::vector<double>& costs = out.costs;
+  costs.resize(offsets.back());
 
   if (!scorer.fassta.has_value()) {
     timing::Analyzer& analyzer = *scorer.analyzer;
-    util::parallel_for(cand.gates.size(), 1, options.threads,
+    util::parallel_for(gates.size(), 1, options.threads,
                        [&](std::size_t gi, std::size_t, std::size_t) {
-                         for (std::size_t i = cand.offsets[gi]; i < cand.offsets[gi + 1]; ++i) {
+                         for (std::size_t i = offsets[gi]; i < offsets[gi + 1]; ++i) {
                            const auto spec = analyzer.propose(
-                               cand.gates[gi], static_cast<std::uint16_t>(i - cand.offsets[gi]));
+                               gates[gi], static_cast<std::uint16_t>(i - offsets[gi]));
                            const timing::Summary& s = spec->score();
                            costs[i] = obj.cost(s.mean_ps, s.sigma_ps);
                          }
                        });
-    return costs;
+    return out;
   }
 
   const fassta::Engine& engine = *scorer.fassta;
   // Gate gi's lanes (its sizes but the current one) take slots from offsets[gi].
-  std::vector<const liberty::Cell*> cells(cand.offsets.back());
-  std::vector<sta::NodeMoments> lanes(cand.offsets.back());
+  std::vector<const liberty::Cell*> cells(offsets.back());
+  std::vector<sta::NodeMoments> lanes(offsets.back());
   util::parallel_for(
-      cand.gates.size(), 1, options.threads, [&](std::size_t gi, std::size_t, std::size_t) {
+      gates.size(), 1, options.threads, [&](std::size_t gi, std::size_t, std::size_t) {
         // One scratch per thread, reused across gates and calls: once it has
         // served the largest cone, scoring allocates nothing.
         thread_local fassta::Engine::Scratch scratch;
-        const GateId g = cand.gates[gi];
+        const GateId g = gates[gi];
         const netlist::Gate& gate = nl.gate(g);
-        const std::size_t first = cand.offsets[gi];
-        const auto sizes = static_cast<std::uint16_t>(cand.offsets[gi + 1] - first);
+        const std::size_t first = offsets[gi];
+        const auto sizes = static_cast<std::uint16_t>(offsets[gi + 1] - first);
         std::size_t n = 0;  // lanes
         if (scoring == InnerScoring::kSubcircuit) {
           const netlist::Subcircuit sc = netlist::extract_subcircuit(
@@ -147,15 +141,130 @@ std::vector<double> score_candidates(const sta::TimingContext& ctx,
                                    "opt/score_candidates", "a lane differs from its one-lane score");
         }
       });
-  return costs;
+  return out;
+}
+
+/// Move source 1: the fast-engine plan over the WNSS path. Every (gate, size)
+/// pair on the path is scored concurrently against the frozen snapshot; the
+/// plan, in path order, is then built serially from the score array, which
+/// keeps it independent of the thread count.
+std::vector<PlannedResize> plan_moves(const sta::TimingContext& ctx, const InnerScorer& scorer,
+                                      const StatisticalSizerOptions& options,
+                                      std::span<const GateId> path,
+                                      std::span<const sta::NodeMoments> boundary,
+                                      std::span<const sta::NodeMoments> downstream,
+                                      std::size_t& evaluations) {
+  const auto& nl = ctx.netlist();
+  const auto [offsets, costs] =
+      score_candidates(ctx, scorer, options, options.scoring, path, boundary, downstream);
+  evaluations += costs.size();
+  std::vector<PlannedResize> plan;
+  for (std::size_t gi = 0; gi < path.size(); ++gi) {
+    const std::uint16_t current = nl.gate(path[gi]).size_index;
+    const std::size_t base = offsets[gi];
+    std::uint16_t best_size = current;
+    double best_cost = costs[base + current];
+    for (std::size_t s = base; s < offsets[gi + 1]; ++s) {
+      if (s != base + current && costs[s] < best_cost - kMinPredictedGain) {
+        best_cost = costs[s];
+        best_size = static_cast<std::uint16_t>(s - base);
+      }
+    }
+    if (best_size != current) {
+      plan.push_back({{path[gi], best_size}, costs[base + current] - best_cost});
+    }
+  }
+  return plan;
+}
+
+/// Move sources 2 and 3: every other size of each of @p gates, in descending
+/// fast-engine predicted gain, for the accurate engine to confirm in order.
+/// The prescore only orders, never filters: engine disagreement is exactly
+/// what these rescues exist for.
+std::vector<timing::Resize> sweep_moves(const sta::TimingContext& ctx, const InnerScorer& scorer,
+                                        const StatisticalSizerOptions& options,
+                                        std::span<const GateId> gates, std::size_t& evaluations) {
+  const auto& nl = ctx.netlist();
+  const auto [offsets, prescores] =
+      score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, gates, {}, {});
+  evaluations += prescores.size();
+
+  struct RescueCandidate {
+    timing::Resize move;
+    double gain = 0.0;
+    std::size_t job_index = 0;  ///< deterministic tiebreak (gate order, size)
+  };
+  std::vector<RescueCandidate> ordered;
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    const std::size_t base = offsets[gi];
+    const std::uint16_t current = nl.gate(gates[gi]).size_index;
+    for (std::size_t s = base; s < offsets[gi + 1]; ++s) {
+      if (s == base + current) continue;
+      ordered.push_back({{gates[gi], static_cast<std::uint16_t>(s - base)},
+                         prescores[base + current] - prescores[s], s});
+    }
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const RescueCandidate& a, const RescueCandidate& b) {
+              if (a.gain != b.gain) return a.gain > b.gain;
+              return a.job_index < b.job_index;
+            });
+  std::vector<timing::Resize> moves;
+  moves.reserve(ordered.size());
+  for (const RescueCandidate& c : ordered) moves.push_back(c.move);
+  return moves;
+}
+
+/// Move source 3's gates: the netlist's top gates ranked by arc sigma (the
+/// fattest delay contributors, wherever they sit).
+std::vector<GateId> fattest_gates(const sta::TimingContext& ctx) {
+  const auto& nl = ctx.netlist();
+  std::vector<GateId> fat;
+  for (GateId g = 0; g < nl.node_count(); ++g) {
+    if (ctx.has_cell(g)) fat.push_back(g);
+  }
+  std::vector<double> worst_sigma(nl.node_count(), 0.0);  // sort keys, computed once
+  for (const GateId g : fat) {
+    for (std::size_t i = 0; i < nl.gate(g).fanins.size(); ++i) {
+      worst_sigma[g] = std::max(worst_sigma[g], ctx.arc_sigma_ps(g, i));
+    }
+  }
+  std::sort(fat.begin(), fat.end(),
+            [&](GateId a, GateId b) { return worst_sigma[a] > worst_sigma[b]; });
+  fat.resize(std::min(fat.size(), kGlobalSweepGateLimit));
+  return fat;
+}
+
+/// Move source 4: one size up for every mapped gate with headroom, or only
+/// for those at or below the median drive. Balanced fabrics (wide XOR trees)
+/// spread the output variance over thousands of near-identical paths; no
+/// single-gate move registers, but a whole-population upsize halves sigma at
+/// once (sigma ~ 1/drive).
+std::vector<timing::Resize> bump_moves(const sta::TimingContext& ctx, bool only_small) {
+  const auto& nl = ctx.netlist();
+  double median_drive = 1.0;
+  if (only_small) {
+    std::vector<double> drives;
+    for (GateId g = 0; g < nl.node_count(); ++g) {
+      if (ctx.has_cell(g)) drives.push_back(ctx.drive(g));
+    }
+    std::sort(drives.begin(), drives.end());
+    if (!drives.empty()) median_drive = drives[drives.size() / 2];
+  }
+  std::vector<timing::Resize> ups;
+  for (GateId g = 0; g < nl.node_count(); ++g) {
+    if (!ctx.has_cell(g)) continue;
+    if (only_small && ctx.drive(g) > median_drive) continue;
+    const std::uint16_t size = nl.gate(g).size_index;
+    if (size + 1u < ctx.library().group(nl.gate(g).cell_group).size_count()) {
+      ups.push_back(timing::Resize{g, static_cast<std::uint16_t>(size + 1)});
+    }
+  }
+  return ups;
 }
 
 CircuitStats stats_of(const sta::TimingContext& ctx, const timing::Summary& s) {
-  CircuitStats out;
-  out.mean_ps = s.mean_ps;
-  out.sigma_ps = s.sigma_ps;
-  out.area_um2 = ctx.area_um2();
-  return out;
+  return CircuitStats{s.mean_ps, s.sigma_ps, ctx.area_um2()};
 }
 
 }  // namespace
@@ -163,15 +272,12 @@ CircuitStats stats_of(const sta::TimingContext& ctx, const timing::Summary& s) {
 StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
                                          const StatisticalSizerOptions& options) {
   auto& nl = ctx.mutable_netlist();
-  const auto& lib = ctx.library();
   const Objective& obj = options.objective;
 
   // Engine selection through timing::make_analyzer. The fassta
   // score engine keeps the specialized kernel below; everything accurate
   // goes through the confirm analyzer's transactional what-if API.
-  timing::AnalyzerOptions engine_options;
-  engine_options.fullssta = options.fullssta;
-  engine_options.fassta = options.fassta;
+  const timing::AnalyzerOptions engine_options{options.fullssta, options.fassta};
   const bool fassta_scorer = options.score_engine == "fassta";
   if (!fassta_scorer && options.scoring == InnerScoring::kSubcircuit) {
     throw std::invalid_argument(
@@ -179,10 +285,8 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   }
   const std::unique_ptr<timing::Analyzer> confirm =
       timing::make_analyzer(options.confirm_engine, engine_options);
-  std::unique_ptr<timing::Analyzer> score_analyzer;
-  if (!fassta_scorer) {
-    score_analyzer = timing::make_analyzer(options.score_engine, engine_options);
-  }
+  const std::unique_ptr<timing::Analyzer> score_analyzer =
+      fassta_scorer ? nullptr : timing::make_analyzer(options.score_engine, engine_options);
   InnerScorer scorer{std::nullopt, score_analyzer.get()};
 
   StatisticalSizerStats stats;
@@ -191,40 +295,44 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   const timing::Summary* full = &confirm->analyze(ctx);
   stats.initial = stats_of(ctx, *full);
   double global_cost = obj.cost(full->mean_ps, full->sigma_ps);
+  double accepted_cost = global_cost;  // the cost a confirmation must beat
 
-  const auto record = [&](GateId gate, std::uint16_t from, std::uint16_t to,
-                          MoveSource source) {
-    if (!options.record_trajectory) return;
-    stats.trajectory.push_back(ResizeEvent{stats.iterations, gate, from, to, source});
+  const auto record = [&](GateId gate, std::uint16_t from, std::uint16_t to, MoveSource source) {
+    if (options.record_trajectory) {
+      stats.trajectory.push_back(ResizeEvent{stats.iterations, gate, from, to, source});
+    }
   };
 
-  // Confirms a fixed-order candidate list through timing::first_accepted:
-  // commits each first improvement and walks on from the next candidate.
-  const auto confirm_in_order = [&](std::span<const timing::Resize> ordered,
-                                    double& accepted_cost, MoveSource source) {
-    std::size_t kept = 0;
+  // Confirms @p moves through opt::confirm against the accurate engine: one
+  // candidate per resize walked in order, or (atomic) the whole list as one
+  // multi-resize speculation. Every approved candidate is recorded, committed
+  // and becomes the cost to beat; returns the number of candidates committed.
+  const auto confirm_moves = [&](std::span<const timing::Resize> moves, bool atomic,
+                                 MoveSource source) {
     double cost = 0.0;
-    while (!ordered.empty()) {
-      const timing::Accepted hit = timing::first_accepted(
-          options.threads, ordered.size(),
-          [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
-            const timing::Resize& c = ordered[i];
-            if (nl.gate(c.gate).size_index == c.size) return nullptr;  // moved here by a commit
-            return confirm->propose(c.gate, c.size);
-          },
-          [&](std::size_t, const timing::Summary& s) {
-            cost = obj.cost(s.mean_ps, s.sigma_ps);
-            return cost < accepted_cost - kMinImprovement;
-          });
-      if (hit.speculation == nullptr) break;
-      const timing::Resize& c = ordered[hit.index];
-      record(c.gate, nl.gate(c.gate).size_index, c.size, source);
-      hit.speculation->commit();
-      accepted_cost = cost;
-      ++kept;
-      ordered = ordered.subspan(hit.index + 1);
-    }
-    return kept;
+    const auto propose = [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
+      if (atomic) return confirm->propose_resizes(moves);
+      const timing::Resize& c = moves[i];
+      if (nl.gate(c.gate).size_index == c.size) return nullptr;  // moved here by a commit
+      return confirm->propose(c.gate, c.size);
+    };
+    const auto judge = [&](std::size_t, const timing::Summary& s) {
+      cost = obj.cost(s.mean_ps, s.sigma_ps);
+      return cost < accepted_cost - kMinImprovement;
+    };
+    return opt::confirm(options.threads, atomic ? 1 : moves.size(), propose, judge,
+                        [&](std::size_t i, const std::function<void()>&) {
+                          accepted_cost = cost;
+                          if (source == MoveSource::kUniformBump) {
+                            record(netlist::kNoGate, 0, 0, source);  // the whole population
+                          } else {
+                            for (const timing::Resize& r : atomic ? moves : moves.subspan(i, 1)) {
+                              record(r.gate, nl.gate(r.gate).size_index, r.size, source);
+                            }
+                          }
+                          return i + 1;
+                        })
+        .committed;
   };
 
   for (stats.iterations = 0; stats.iterations < options.max_iterations; ++stats.iterations) {
@@ -240,8 +348,8 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     if (trace.path.empty()) break;
 
     // The one re-base of the inner scorer per iteration. It is exact: every
-    // score_candidates call of the iteration runs before any commit (the
-    // rescue sweeps run only while nothing was accepted).
+    // move source scores before any commit (the rescue sources run only
+    // while nothing was accepted).
     if (fassta_scorer) {
       scorer.fassta.emplace(ctx, options.fassta);
     } else {
@@ -255,203 +363,66 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       downstream = scorer.fassta->compute_downstream();
     }
 
-    // ---- move source 1: fast-engine plan over the WNSS path ---------------
-    // Every (gate, size) pair on the path is scored concurrently against the
-    // frozen snapshot; the plan itself is then built serially from the score
-    // array, which keeps it independent of the thread count.
-    const CandidateJobs cand = list_candidates(nl, lib, trace.path);
-    stats.fassta_evaluations += cand.offsets.back();
-    const std::vector<double> costs =
-        score_candidates(ctx, scorer, options, options.scoring, cand, full->node, downstream);
-
-    std::vector<PlannedResize> plan;
-    for (std::size_t gi = 0; gi < trace.path.size(); ++gi) {
-      const GateId g = trace.path[gi];
-      const auto& gate = nl.gate(g);
-      const auto& group = lib.group(gate.cell_group);
-      const std::size_t base = cand.offsets[gi];
-
-      const double current_cost = costs[base + gate.size_index];
-      std::uint16_t best_size = gate.size_index;
-      double best_cost = current_cost;
-      for (std::uint16_t s = 0; s < group.size_count(); ++s) {
-        if (s == gate.size_index) continue;
-        const double c = costs[base + s];
-        if (c < best_cost - kMinPredictedGain) {
-          best_cost = c;
-          best_size = s;
-        }
-      }
-      if (best_size != gate.size_index) {
-        plan.push_back(PlannedResize{g, best_size, current_cost - best_cost});
-      }
-    }
-
     std::size_t accepted = 0;
-    double accepted_cost = global_cost;
+    accepted_cost = global_cost;
 
+    // ---- move source 1: the plan, as one batch, else one resize at a time ----
+    std::vector<PlannedResize> plan = plan_moves(ctx, scorer, options, trace.path, full->node,
+                                                 downstream, stats.fassta_evaluations);
     if (!plan.empty()) {
-      // Batch commit: one multi-resize speculation, verified against the
-      // accurate global objective, accepted or rolled back atomically.
-      std::vector<timing::Resize> batch;
-      batch.reserve(plan.size());
-      for (const PlannedResize& r : plan) batch.push_back(timing::Resize{r.gate, r.new_size});
-      auto batch_spec = confirm->propose_resizes(batch);
-      const timing::Summary& batch_summary = batch_spec->score();
-      const double batch_cost = obj.cost(batch_summary.mean_ps, batch_summary.sigma_ps);
-      if (batch_cost < global_cost - kMinImprovement) {
-        for (const PlannedResize& r : plan) {
-          record(r.gate, nl.gate(r.gate).size_index, r.new_size, MoveSource::kPlan);
-        }
-        batch_spec->commit();
+      std::vector<timing::Resize> moves;
+      for (const PlannedResize& r : plan) moves.push_back(r.move);
+      if (confirm_moves(moves, /*atomic=*/true, MoveSource::kPlan) == 1) {
         accepted = plan.size();
-        accepted_cost = batch_cost;
       } else {
-        // Roll back, then retry one at a time in descending predicted gain.
-        batch_spec->rollback();
         STATSIZER_DEBUG() << "iter " << stats.iterations << ": batch of " << plan.size()
-                          << " rejected (" << global_cost << " -> " << batch_cost
-                          << "), trying singles";
+                          << " rejected, trying singles";
         std::sort(plan.begin(), plan.end(),
                   [](const PlannedResize& a, const PlannedResize& b) {
                     return a.predicted_gain > b.predicted_gain;
                   });
-        std::vector<timing::Resize> singles;
-        singles.reserve(plan.size());
-        for (const PlannedResize& r : plan) {
-          singles.push_back(timing::Resize{r.gate, r.new_size});
-        }
-        accepted += confirm_in_order(singles, accepted_cost, MoveSource::kSingle);
+        for (std::size_t i = 0; i < plan.size(); ++i) moves[i] = plan[i].move;
+        accepted = confirm_moves(moves, /*atomic=*/false, MoveSource::kSingle);
       }
     }
 
-    // Bounded exact-engine sweep over a gate list: the fast engine prescores
-    // every (gate, size) candidate in parallel — the same kernel as the plan
-    // stage — to order the trials by predicted gain; the accurate engine then
-    // confirms the candidates in that fixed order (confirm_in_order).
-    // The prescore only orders, never filters: engine disagreement is
-    // exactly what this rescue exists for.
-    const auto exact_sweep = [&](std::span<const GateId> gates, MoveSource source) {
-      const CandidateJobs sweep = list_candidates(nl, lib, gates);
-      stats.fassta_evaluations += sweep.offsets.back();
-      const std::vector<double> prescores =
-          score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, sweep, full->node,
-                           {});
-
-      struct RescueCandidate {
-        GateId gate = netlist::kNoGate;
-        std::uint16_t size = 0;
-        double gain = 0.0;
-        std::size_t job_index = 0;  ///< deterministic tiebreak (gate order, size)
-      };
-      std::vector<RescueCandidate> ordered;
-      for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-        const GateId g = gates[gi];
-        const std::size_t base = sweep.offsets[gi];
-        const std::uint16_t current = nl.gate(g).size_index;
-        const auto& group = lib.group(nl.gate(g).cell_group);
-        for (std::uint16_t s = 0; s < group.size_count(); ++s) {
-          if (s == current) continue;
-          ordered.push_back(
-              RescueCandidate{g, s, prescores[base + current] - prescores[base + s],
-                              base + s});
-        }
-      }
-      std::sort(ordered.begin(), ordered.end(),
-                [](const RescueCandidate& a, const RescueCandidate& b) {
-                  if (a.gain != b.gain) return a.gain > b.gain;
-                  return a.job_index < b.job_index;
-                });
-
-      std::vector<timing::Resize> trials;
-      trials.reserve(ordered.size());
-      for (const RescueCandidate& c : ordered) {
-        trials.push_back(timing::Resize{c.gate, c.size});
-      }
-      const std::size_t kept = confirm_in_order(trials, accepted_cost, source);
-      stats.exact_resizes += kept;
-      return kept;
-    };
-
-    // ---- move source 2: exact sweep of the path prefix ---------------------
+    // ---- move source 2: exact sweep of the path prefix -----------------------
+    // The fast engine's plan may have filtered out moves the accurate engine
+    // would take (engine disagreement). This implements the paper's "until
+    // ... no further improvement" termination on the *accurate* objective,
+    // with a bounded budget.
     if (accepted == 0) {
-      // The fast engine's plan may have filtered out moves the accurate
-      // engine would take (engine disagreement). This implements the paper's
-      // "until ... no further improvement" termination on the *accurate*
-      // objective, with a bounded budget.
-      const std::size_t n_path =
-          std::min(trace.path.size(), options.exact_fallback_gate_limit);
-      accepted += exact_sweep(std::span<const GateId>(trace.path.data(), n_path),
-                              MoveSource::kExactFallback);
+      const std::span<const GateId> prefix(
+          trace.path.data(), std::min(trace.path.size(), options.exact_fallback_gate_limit));
+      accepted = confirm_moves(
+          sweep_moves(ctx, scorer, options, prefix, stats.fassta_evaluations),
+          /*atomic=*/false, MoveSource::kExactFallback);
+      stats.exact_resizes += accepted;
     }
 
-    // ---- move source 3: netlist-wide sweep of the fattest arcs -------------
+    // ---- move source 3: netlist-wide sweep of the fattest arcs ---------------
     if (accepted == 0 && stats.global_sweeps < options.max_global_sweeps) {
       ++stats.global_sweeps;
-      // The snapshot is always in sync here: trials are speculative (they
-      // never touch the netlist) and every commit refreshed the context.
-      std::vector<GateId> fat;
-      for (GateId g = 0; g < nl.node_count(); ++g) {
-        if (ctx.has_cell(g)) fat.push_back(g);
-      }
-      std::vector<double> worst_sigma(nl.node_count(), 0.0);  // sort keys, computed once
-      for (const GateId g : fat) {
-        for (std::size_t i = 0; i < nl.gate(g).fanins.size(); ++i) {
-          worst_sigma[g] = std::max(worst_sigma[g], ctx.arc_sigma_ps(g, i));
-        }
-      }
-      std::sort(fat.begin(), fat.end(),
-                [&](GateId a, GateId b) { return worst_sigma[a] > worst_sigma[b]; });
-      fat.resize(std::min(fat.size(), kGlobalSweepGateLimit));
-      accepted += exact_sweep(fat, MoveSource::kGlobalSweep);
-      STATSIZER_DEBUG() << "iter " << stats.iterations << ": global sweep kept "
-                        << accepted << " resizes";
+      accepted = confirm_moves(
+          sweep_moves(ctx, scorer, options, fattest_gates(ctx), stats.fassta_evaluations),
+          /*atomic=*/false, MoveSource::kGlobalSweep);
+      stats.exact_resizes += accepted;
+      STATSIZER_DEBUG() << "iter " << stats.iterations << ": global sweep kept " << accepted
+                        << " resizes";
     }
 
-    // ---- move source 4: coordinated population bump -------------------------
-    // Balanced fabrics (wide XOR trees) spread the output variance over
-    // thousands of near-identical paths; no single-gate move registers, but a
-    // whole-population upsize halves sigma at once (sigma ~ 1/drive). The
-    // bump is one multi-resize speculation: scored without touching the
-    // netlist, committed (or discarded) atomically.
+    // ---- move source 4: coordinated population bump --------------------------
+    // All gates first, then the below-median-drive half; the second bump is
+    // proposed only after the first is rejected.
     if (accepted == 0 && stats.uniform_bump_rounds < options.max_uniform_bumps) {
       ++stats.uniform_bump_rounds;
-      const auto try_bump = [&](bool only_small) {
-        double median_drive = 1.0;
-        if (only_small) {
-          std::vector<double> drives;
-          for (GateId g = 0; g < nl.node_count(); ++g) {
-            if (ctx.has_cell(g)) drives.push_back(ctx.drive(g));
-          }
-          std::sort(drives.begin(), drives.end());
-          if (!drives.empty()) median_drive = drives[drives.size() / 2];
+      for (const bool only_small : {false, true}) {
+        const std::vector<timing::Resize> ups = bump_moves(ctx, only_small);
+        if (!ups.empty() && confirm_moves(ups, /*atomic=*/true, MoveSource::kUniformBump) == 1) {
+          accepted = 1;
+          STATSIZER_DEBUG() << "iter " << stats.iterations << ": uniform bump accepted";
+          break;
         }
-        std::vector<timing::Resize> ups;
-        for (GateId g = 0; g < nl.node_count(); ++g) {
-          if (!ctx.has_cell(g)) continue;
-          if (only_small && ctx.drive(g) > median_drive) continue;
-          const auto& group = lib.group(nl.gate(g).cell_group);
-          if (nl.gate(g).size_index + 1u < group.size_count()) {
-            ups.push_back(
-                timing::Resize{g, static_cast<std::uint16_t>(nl.gate(g).size_index + 1)});
-          }
-        }
-        if (ups.empty()) return false;
-        auto spec = confirm->propose_resizes(ups);
-        const timing::Summary& s = spec->score();
-        const double c = obj.cost(s.mean_ps, s.sigma_ps);
-        if (c < accepted_cost - kMinImprovement) {
-          spec->commit();
-          accepted_cost = c;
-          return true;
-        }
-        spec->rollback();
-        return false;
-      };
-      if (try_bump(/*only_small=*/false) || try_bump(/*only_small=*/true)) {
-        ++accepted;
-        record(netlist::kNoGate, 0, 0, MoveSource::kUniformBump);
-        STATSIZER_DEBUG() << "iter " << stats.iterations << ": uniform bump accepted";
       }
     }
 
@@ -459,9 +430,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     stats.resizes += accepted;
 
     // The committed base IS the refreshed accurate analysis: every commit
-    // merged its overlay into the analyzer's summary, so the back-to-back
-    // update() + run_fullssta() refreshes that used to live here (and at
-    // the function exit) are gone.
+    // merged its overlay into the analyzer's summary.
     full = &confirm->current();
     global_cost = obj.cost(full->mean_ps, full->sigma_ps);
     STATSIZER_DEBUG() << "iter " << stats.iterations << ": cost " << global_cost

@@ -31,10 +31,11 @@
 // contract as the parallel Monte-Carlo engine; see docs/ARCHITECTURE.md,
 // "Concurrency & determinism contracts").
 //
-// The accurate confirmations (batch acceptance, the singles retry, the
-// rescue sweeps) are timing::Analyzer speculations scored against the
-// committed base; the in-order ones walk through timing::first_accepted,
-// whose contract keeps them bitwise-identical for any thread count.
+// Each move source returns an ordered candidate list, and every accurate
+// confirmation goes through opt::confirm (opt/confirm.h): the plan batch and
+// each population bump are one-candidate walks, and the singles and both
+// sweeps walk their lists. The walk's contract keeps every decision
+// bitwise-identical for any thread count.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,13 @@
-// The engine table, the speculative walk, and the FASSTA and DSTA adapters.
+// The engine table and the FASSTA and DSTA adapters.
 // The FULLSSTA adapter (the incremental what-if overlay with its pdf half)
 // lives in fullssta_analyzer.cpp.
 #include "timing/analyzer.h"
 
 #include <algorithm>
 #include <optional>
-#include <utility>
 
 #include "sta/dsta.h"
 #include "timing/cone.h"
-#include "util/thread_pool.h"
 
 namespace statsizer::timing {
 
@@ -168,38 +166,6 @@ std::unique_ptr<Analyzer> make_dsta_analyzer(const AnalyzerOptions&) {
 
 }  // namespace
 }  // namespace detail
-
-Accepted first_accepted(
-    std::size_t threads, std::size_t count,
-    const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
-    const std::function<bool(std::size_t, const Summary&)>& accept) {
-  // One candidate per worker: an acceptance discards the rest of its window,
-  // and acceptances land early in the optimizer's orders. Inside a pool
-  // worker the scores would run inline, so the window is 1 there.
-  const std::size_t window = util::region_threads(threads);
-  std::vector<std::unique_ptr<Speculation>> wave;
-  for (std::size_t next = 0; next < count;) {
-    const std::size_t width = std::min(count - next, window);
-    wave.clear();
-    wave.resize(width);
-    for (std::size_t i = 0; i < width; ++i) wave[i] = propose(next + i);
-    if (width > 1) {
-      // Chunk 1: each score is a whole fanout-cone replay.
-      util::parallel_for(width, 1, window, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (wave[i] != nullptr) (void)wave[i]->score();
-        }
-      });
-    }
-    for (std::size_t i = 0; i < width; ++i) {
-      if (wave[i] == nullptr) continue;
-      if (accept(next + i, wave[i]->score())) return {next + i, std::move(wave[i])};
-      wave[i].reset();  // a rejected overlay is never reread
-    }
-    next += width;
-  }
-  return {count, nullptr};
-}
 
 // ---------------------------------------------------------------------------
 // The engine table

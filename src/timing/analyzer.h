@@ -33,12 +33,12 @@
 // same base may be propose()d and score()d concurrently — each one only
 // reads the shared base. commit(), rollback(), and analyze() are serial
 // operations (no speculation may be scoring while they run). This is what
-// lets first_accepted() score a window of candidates in parallel and commit
-// them serially in order without changing any result.
+// lets the optimizer's confirmation walk (opt/confirm.h) score a window of
+// candidates in parallel and commit them serially in order without changing
+// any result.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -133,36 +133,6 @@ class Analyzer {
     return propose_resizes(std::span<const Resize>(&r, 1));
   }
 };
-
-/// The result of first_accepted(): the index of the first candidate accept()
-/// approved — count when none was — and its scored, uncommitted speculation
-/// (nullptr when none was).
-struct Accepted {
-  std::size_t index = 0;
-  std::unique_ptr<Speculation> speculation;
-};
-
-/// The optimizer's one speculative walk (the sizer's in-order confirmations,
-/// area recovery's screen). Walks candidates 0..count-1 of a fixed order and
-/// returns the first that @p accept approves, judged against the committed
-/// base its analyzer holds: propose(i) opens candidate i's speculation
-/// (nullptr skips it), and accept(i, score) runs exactly once per non-null candidate, in
-/// ascending order, never past the one it approves; both run on the calling
-/// thread. The caller commits (or drops) the returned speculation and walks
-/// on from there, so every candidate is judged against the state holding
-/// exactly the commits ordered before it — the serial trial loop's
-/// semantics.
-///
-/// Candidates are proposed and scored in windows of one per worker
-/// (util::region_threads(@p threads): 1 inside a pool worker). Scores are
-/// pure functions of (base, candidate), so the result is bitwise-identical
-/// for any thread count; a window only sets how many speculative scores an
-/// acceptance throws away and how many private states are held at once.
-/// std::function is cheap here: each candidate costs a cone replay.
-[[nodiscard]] Accepted first_accepted(
-    std::size_t threads, std::size_t count,
-    const std::function<std::unique_ptr<Speculation>(std::size_t)>& propose,
-    const std::function<bool(std::size_t, const Summary&)>& accept);
 
 /// Engine-specific knobs carried through make_analyzer. Each adapter reads
 /// only its own field (dsta has none).

@@ -19,6 +19,7 @@
 // thread-count-invariant, and a committed overlay equals the from-scratch
 // run (arrival moments, output pdf, mean, sigma).
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -29,6 +30,7 @@
 #include "circuits/generators.h"
 #include "core/flow.h"
 #include "liberty/synthetic.h"
+#include "opt/confirm.h"
 #include "opt/initial_sizing.h"
 #include "opt/sizer_statistical.h"
 #include "serve/job.h"
@@ -529,13 +531,15 @@ TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
   }
 }
 
-/// A from-scratch FULLSSTA analysis of @p b with @p resizes applied; the
-/// bench's sizes and snapshot are restored afterwards.
-Summary scratch_summary(Bench& b, std::span<const Resize> resizes) {
+/// A from-scratch analysis of @p b with @p resizes applied (FULLSSTA unless
+/// @p engine says otherwise); the bench's sizes and snapshot are restored
+/// afterwards.
+Summary scratch_summary(Bench& b, std::span<const Resize> resizes,
+                        const std::string& engine = "fullssta") {
   const auto keep = b.nl.sizes();
   for (const Resize& r : resizes) b.nl.gate(r.gate).size_index = r.size;
   b.ctx->update();
-  Summary s = make_analyzer("fullssta")->analyze(*b.ctx);
+  Summary s = make_analyzer(engine)->analyze(*b.ctx);
   b.nl.set_sizes(keep);
   b.ctx->update();
   return s;
@@ -608,8 +612,9 @@ INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
                          });
 
 // ---------------------------------------------------------------------------
-// first_accepted: the optimizer's one speculative walk, over two cone
-// engines (dsta, fassta); both score windows of one candidate per worker.
+// opt::confirm: the optimizer's one confirmation walk, over two cone engines
+// (dsta, fassta); both score windows of one candidate per worker. The suite
+// keeps the name of the walk's policy: the first approved candidate wins.
 // ---------------------------------------------------------------------------
 
 class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
@@ -618,6 +623,8 @@ class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, st
   static std::size_t threads() { return std::get<1>(GetParam()); }
 };
 
+// The hook sees the first approved candidate before its commit: nothing has
+// moved until it calls commit().
 TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
   Bench b(circuits::make_cla_adder(8));
   auto an = make_analyzer(engine());
@@ -630,7 +637,8 @@ TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
   const std::vector<std::uint16_t> sizes = b.nl.sizes();
 
   std::vector<std::size_t> judged;
-  Accepted hit = first_accepted(
+  std::size_t hit = cands.size();
+  const opt::Confirmed walk = opt::confirm(
       threads(), cands.size(),
       [&](std::size_t i) -> std::unique_ptr<Speculation> {
         if (skipped(i)) return nullptr;
@@ -640,23 +648,27 @@ TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
         EXPECT_GT(s.mean_ps, 0.0);
         judged.push_back(i);
         return i == k;
+      },
+      [&](std::size_t i, const std::function<void()>& commit) {
+        hit = i;
+        EXPECT_EQ(b.nl.sizes(), sizes);
+        expect_summaries_equal(an->current(), base);
+        commit();
+        EXPECT_EQ(b.nl.gate(cands[k].gate).size_index, cands[k].size);
+        return opt::kStopWalk;
       });
 
-  ASSERT_EQ(hit.index, k);
-  ASSERT_NE(hit.speculation, nullptr);
+  EXPECT_EQ(hit, k);
+  EXPECT_EQ(walk.committed, 1u);
   std::vector<std::size_t> expected;
   for (std::size_t i = 0; i <= k; ++i) {
     if (!skipped(i)) expected.push_back(i);
   }
   EXPECT_EQ(judged, expected);  // once each, ascending, none skipped, none past k
-
-  // Nothing moves until the caller commits.
-  EXPECT_EQ(b.nl.sizes(), sizes);
-  expect_summaries_equal(an->current(), base);
-  hit.speculation->commit();
-  EXPECT_EQ(b.nl.gate(cands[k].gate).size_index, cands[k].size);
+  EXPECT_EQ(walk.judged, expected.size());
 }
 
+// No approval: every candidate is judged once and nothing is committed.
 TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
   Bench b(circuits::make_cla_adder(8));
   auto an = make_analyzer(engine());
@@ -665,17 +677,73 @@ TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
   const std::vector<std::uint16_t> sizes = b.nl.sizes();
 
   std::size_t judged = 0;
-  const Accepted hit = first_accepted(
+  const opt::Confirmed walk = opt::confirm(
       threads(), cands.size(),
       [&](std::size_t i) { return an->propose(cands[i].gate, cands[i].size); },
       [&](std::size_t, const Summary&) {
         ++judged;
         return false;
+      },
+      [](std::size_t, const std::function<void()>&) -> std::size_t {
+        ADD_FAILURE() << "nothing was approved";
+        return opt::kStopWalk;
       });
-  EXPECT_EQ(hit.index, cands.size());
-  EXPECT_EQ(hit.speculation, nullptr);
+  EXPECT_EQ(walk.judged, cands.size());
+  EXPECT_EQ(walk.committed, 0u);
   EXPECT_EQ(judged, cands.size());
   EXPECT_EQ(b.nl.sizes(), sizes);
+}
+
+// A hook that resumes at the accepted index re-proposes that candidate, and
+// the walk judges it against the base the commit left: bitwise a
+// from-scratch analysis of the committed netlist with the new move applied.
+TEST_P(FirstAccepted, ResumingAtTheAcceptedIndexJudgesAgainstTheNewBase) {
+  Bench b(circuits::make_cla_adder(8));
+  auto an = make_analyzer(engine());
+  (void)an->analyze(*b.ctx);
+  const auto cands = some_candidates(*b.ctx, 20);
+  ASSERT_EQ(cands.size(), 20u);
+  const std::size_t k = 13;
+  const GateId g = cands[k].gate;
+  const std::uint16_t first_size = b.nl.gate(g).size_index;
+  const std::size_t size_count = b.lib.group(b.nl.gate(g).cell_group).size_count();
+  ASSERT_GE(size_count, 3u);
+  const auto next_move = [&] {
+    return Resize{g, static_cast<std::uint16_t>((b.nl.gate(g).size_index + 1) % size_count)};
+  };
+
+  std::vector<std::size_t> judged;
+  std::size_t commits = 0;
+  Summary reference;
+  const opt::Confirmed walk = opt::confirm(
+      threads(), cands.size(),
+      [&](std::size_t i) {
+        const Resize r = i == k ? next_move() : Resize{cands[i].gate, cands[i].size};
+        return an->propose(r.gate, r.size);
+      },
+      [&](std::size_t i, const Summary& s) {
+        judged.push_back(i);
+        if (i == k && commits == 1) {
+          EXPECT_EQ(s.mean_ps, reference.mean_ps);
+          EXPECT_EQ(s.sigma_ps, reference.sigma_ps);
+        }
+        return i == k;
+      },
+      [&](std::size_t i, const std::function<void()>& commit) {
+        commit();
+        if (++commits == 2) return opt::kStopWalk;
+        const Resize r = next_move();
+        reference = scratch_summary(b, std::span<const Resize>(&r, 1), engine());
+        return i;
+      });
+
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i <= k; ++i) expected.push_back(i);
+  expected.push_back(k);  // the re-proposed candidate, judged once more
+  EXPECT_EQ(judged, expected);
+  EXPECT_EQ(walk.judged, expected.size());
+  EXPECT_EQ(walk.committed, 2u);
+  EXPECT_EQ(b.nl.gate(g).size_index, (first_size + 2) % size_count);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, FirstAccepted,
@@ -700,14 +768,18 @@ TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
   std::size_t index = cands.size();
   serve::JobManager manager;
   const serve::JobRef job = manager.submit([&] {
-    const Accepted hit = first_accepted(
+    (void)opt::confirm(
         /*threads=*/8, cands.size(),
         [&](std::size_t i) {
           ++proposed;
           return an->propose(cands[i].gate, cands[i].size);
         },
-        [](std::size_t, const Summary&) { return true; });
-    index = hit.index;
+        [](std::size_t, const Summary&) { return true; },
+        [&](std::size_t i, const std::function<void()>& commit) {
+          index = i;
+          commit();
+          return opt::kStopWalk;
+        });
   });
   ASSERT_TRUE(job->wait().ok()) << job->wait().message();
   EXPECT_EQ(index, 0u);

@@ -298,7 +298,7 @@ TEST_P(AreaRecoveryParallel, MatchesPrePortSerialLoop) {
 }
 
 TEST_P(AreaRecoveryParallel, OddScreenWindowsIdenticalToSerial) {
-  // The screen window is the worker count (timing::first_accepted), so 3
+  // The screen window is the worker count (opt::confirm), so 3
   // and 5 cut the wave walk at boundaries no other case uses.
   const RunResult ref = run_once(circuit(), options(), 1, headroom());
   ASSERT_GT(ref.stats.downsizes, 0u);

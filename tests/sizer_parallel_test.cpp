@@ -115,7 +115,7 @@ TEST(SizerParallel, BalancedFabricGlobalSweepIdenticalAcrossThreadCounts) {
 }
 
 TEST(SizerParallel, OddSpeculationWindowsIdenticalToSerial) {
-  // The confirmation window is the worker count (timing::first_accepted), so
+  // The confirmation window is the worker count (opt::confirm), so
   // 3 and 5 cut the in-order walks at boundaries no other case uses.
   const auto chain = run_once(circuits::make_cla_adder(8), 3.0, 1);
   const auto fabric = run_once(parity_fabric(16), 9.0, 1);
