@@ -145,6 +145,9 @@ fi
 # should walk. LevelizedUpdate stays in too: its serial update() and
 # FULLSSTA passes index the preallocated per-node and per-arc arrays the
 # what-if cones read.
+# ConfirmGolden stays in: its cross-commit pins reach every caller of the
+# confirmation walk (opt::confirm), ~8 s sanitized; its suite name keeps it
+# clear of the StatisticalSizer exclusion below.
 # IsleYield/IsleDegeneracy stay in too — the importance sampler's sharded
 # draw loop writes per-slot weight/delay vectors from pool workers — except
 # the mesh8 SDC point, whose 12.8k-gate Monte-Carlo reference would dominate
@@ -179,7 +182,8 @@ if [[ "${TSAN}" == 1 ]]; then
   # their cones into their own reused workspace. So are FlowThreading (the
   # default, threaded flow against the serial one), WhatIfAllocation /
   # PdfAllocation (a pool worker scoring an overlay sized on the proposing
-  # thread), and FirstAccepted (the speculative walk's parallel windows).
+  # thread), and FirstAccepted (opt::confirm's parallel windows: the suite
+  # that drives the confirmation walk keeps the name of its policy).
   # KeyedRng and KeyedDraws pin the counter-keyed draws that make the sample
   # loop's workers share no generator state. FasstaLaneScoring walks every
   # size of a gate in lanes through the per-thread scratch and cone workspace

@@ -119,9 +119,9 @@ class Engine {
   /// scan, with nothing cleared per call, and no allocation once @p scratch
   /// and the thread's cone workspace have served a cone this large.
   /// c6288's cones average ~34% of its nodes and mesh6's ~18% (the baseline
-  /// WNSS path gates' union cones 35% and 24%); perfbench's
-  /// fassta.candidate_us read 73 us per call on c6288 and 88 us on mesh6
-  /// (one traced run each, 4-core x86-64 host, RelWithDebInfo). Safe to call
+  /// WNSS path gates' union cones 35% and 24%). perfbench's
+  /// fassta.candidate_us times this one-lane call, which the sizer no longer
+  /// makes; BM_FasstaGateScoring times its lane walks. Safe to call
   /// concurrently from many threads as long as every thread passes a
   /// distinct Scratch. Throws std::logic_error if the snapshot was written
   /// after the engine was built.
