@@ -168,9 +168,10 @@ if [[ "${TSAN}" == 1 ]]; then
   # ThreadPool primitives, the parallel speculative scoring windows of the
   # sizer and area recovery (concurrent what-ifs, each walking its own cone
   # serially against the shared snapshot), the sharded MC/ISLE draw loops,
-  # the FASSTA engine's lazily refreshed base (many scorers race to refresh
-  # it after an epoch bump), and the analyzer conformance suite (which
-  # drives concurrent speculations through every engine). TSan detects
+  # the sizer's candidate scoring (pool workers share one immutable FASSTA
+  # engine per iteration, each walking lanes in its own scratch), and the
+  # analyzer conformance suite (which drives concurrent speculations through
+  # every engine). TSan detects
   # races through happens-before analysis, so findings do not depend on the
   # host's core count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.

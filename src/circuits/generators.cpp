@@ -239,7 +239,6 @@ Netlist make_alu(const AluOptions& options) {
   const unsigned n = options.bits;
   if (n < 2) throw std::invalid_argument("make_alu: bits must be >= 2");
   Builder b("alu" + std::to_string(n));
-  b.set_expand_xor(options.expand_xor);
 
   const auto a = b.bus("a", n);
   const auto bb = b.bus("b", n);
@@ -254,8 +253,7 @@ Netlist make_alu(const AluOptions& options) {
   std::vector<GateId> b_eff(n);
   for (unsigned i = 0; i < n; ++i) b_eff[i] = b.xor_(bb[i], op2);
   const GateId arith_cin = b.or_(op2, b.and_(cin, op0));
-  const AdderBits sum = options.use_cla ? cla_adder(b, a, b_eff, arith_cin)
-                                        : ripple_adder(b, a, b_eff, arith_cin);
+  const AdderBits sum = cla_adder(b, a, b_eff, arith_cin);
 
   // Logic unit per bit + 4:1 result mux: {AND, OR, XOR, SUM} by (op1, op0),
   // then op2 swaps in {NOR, pass-A} variants on the logic side.
@@ -293,18 +291,15 @@ Netlist make_alu(const AluOptions& options) {
   b.bus_out("f", result);
   b.output("cout", sum.carry_out);
 
-  if (options.with_flags) {
-    std::vector<GateId> inverted(n);
-    for (unsigned i = 0; i < n; ++i) inverted[i] = b.not_(result[i]);
-    b.output("zero", b.and_tree(inverted));
-    b.output("sign", b.buf(result[n - 1]));
-    // Signed overflow of the adder: carry into MSB != carry out of MSB,
-    // approximated from operands and sum signs.
-    const GateId ovf =
-        b.and_(b.xnor_(a[n - 1], b_eff[n - 1]), b.xor_(a[n - 1], sum.sum[n - 1]));
-    b.output("ovf", ovf);
-    b.output("parity", b.xor_tree(result));
-  }
+  std::vector<GateId> inverted(n);
+  for (unsigned i = 0; i < n; ++i) inverted[i] = b.not_(result[i]);
+  b.output("zero", b.and_tree(inverted));
+  b.output("sign", b.buf(result[n - 1]));
+  // Signed overflow of the adder: carry into MSB != carry out of MSB,
+  // approximated from operands and sum signs.
+  const GateId ovf = b.and_(b.xnor_(a[n - 1], b_eff[n - 1]), b.xor_(a[n - 1], sum.sum[n - 1]));
+  b.output("ovf", ovf);
+  b.output("parity", b.xor_tree(result));
   return b.take();
 }
 
@@ -601,13 +596,11 @@ Netlist make_alu_system(const AluSystemOptions& options) {
   if (options.comparator_bits >= 2) {
     instantiate(system, make_adder_comparator(options.comparator_bits), "cmp_");
   }
-  if (options.with_parity) {
-    // A shared parity checker across one of the ALU operand buses.
-    Builder pb("par");
-    const auto bus = pb.bus("x", options.alu_bits);
-    pb.output("p", pb.xor_tree(bus));
-    instantiate(system, pb.take(), "par_");
-  }
+  // A shared parity checker across one of the ALU operand buses.
+  Builder pb("par");
+  const auto bus = pb.bus("x", options.alu_bits);
+  pb.output("p", pb.xor_tree(bus));
+  instantiate(system, pb.take(), "par_");
   return system;
 }
 
@@ -690,7 +683,6 @@ Netlist make_pipelined_datapath(const PipelineOptions& options) {
     throw std::invalid_argument("make_pipelined_datapath: need bits >= 2 and stages >= 1");
   }
   Builder b("pipe" + std::to_string(options.bits) + "x" + std::to_string(options.stages));
-  b.set_expand_xor(options.expand_xor);
   std::vector<GateId> state = b.bus("a", options.bits);
   const std::vector<GateId> mix = b.bus("b", options.bits);
   GateId carry = b.input("cin");

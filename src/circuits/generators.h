@@ -98,14 +98,11 @@ AdderBits cla_adder(Builder& b, std::span<const GateId> a, std::span<const GateI
 [[nodiscard]] Netlist make_array_multiplier(unsigned bits, bool expand_xor = true);
 
 /// ALU configuration. Operations (op[2:0]): AND, OR, XOR, ADD, SUB, NOR,
-/// pass-A, pass-B; optional barrel shifter on the result and status flags
-/// (zero, sign, carry, overflow, parity).
+/// pass-A, pass-B over a carry-lookahead adder; optional barrel shifter on
+/// the result; status flags (zero, sign, carry, overflow, parity).
 struct AluOptions {
   unsigned bits = 8;
-  bool use_cla = true;
   bool with_shifter = false;
-  bool with_flags = true;
-  bool expand_xor = false;
 };
 [[nodiscard]] Netlist make_alu(const AluOptions& options);
 
@@ -137,7 +134,6 @@ struct AluSystemOptions {
   unsigned multiplier_bits = 0;  ///< 0 = no multiplier
   unsigned interrupt_channels = 18;
   unsigned comparator_bits = 12;
-  bool with_parity = true;
 };
 [[nodiscard]] Netlist make_alu_system(const AluSystemOptions& options);
 
@@ -157,7 +153,6 @@ struct AluSystemOptions {
 struct PipelineOptions {
   unsigned bits = 64;
   unsigned stages = 14;
-  bool expand_xor = false;
 };
 [[nodiscard]] Netlist make_pipelined_datapath(const PipelineOptions& options);
 

@@ -11,6 +11,7 @@
 #include "bench_format/verilog_reader.h"
 #include "bench_format/verilog_writer.h"
 #include "circuits/iscas_suite.h"
+#include "techmap/mapper.h"
 
 namespace statsizer::core {
 
@@ -35,10 +36,7 @@ Status Flow::adopt_circuit(netlist::Netlist nl) {
   // instantiation names its cell and drive) keeps its bindings; everything
   // else goes through the mapper.
   if (!techmap::is_mapped(*owned, library_)) {
-    if (const Status s = techmap::map_to_library(*owned, library_, options_.mapping);
-        !s.ok()) {
-      return s;
-    }
+    if (const Status s = techmap::map_to_library(*owned, library_); !s.ok()) return s;
   }
   netlist_ = std::move(owned);
   context_ = std::make_unique<sta::TimingContext>(*netlist_, library_, variation_,
@@ -203,7 +201,6 @@ opt::DeterministicSizerStats Flow::run_baseline() {
   polish.objective.lambda = 0.0;
   polish.threads = options_.sizer_threads;
   polish.confirm_engine = options_.confirm_engine;
-  polish.score_engine = options_.score_engine;
   // Bounded effort on large circuits: the polish exists to put the baseline
   // at its E[max] optimum, and diminishing returns set in well before the
   // default cap on multi-thousand-gate netlists.
@@ -250,7 +247,6 @@ OptimizationRecord Flow::optimize(double lambda,
     // (including fullssta options) untouched.
     sizer.threads = options_.sizer_threads;
     sizer.confirm_engine = options_.confirm_engine;
-    sizer.score_engine = options_.score_engine;
     sizer.fullssta = options_.fullssta;
   }
   sizer.objective.lambda = lambda;
@@ -261,14 +257,14 @@ OptimizationRecord Flow::optimize(double lambda,
   // Constrained-mode cleanup: the optimizer's coordinated moves (population
   // bumps) oversize gates whose contribution to the achieved objective is
   // marginal; recover that area without giving the objective back. Recovery
-  // guards and measures with the sizer's engines and FullSstaOptions, so its
-  // exact budgets agree with the record reported below.
+  // screens with FASSTA (the statistical criterion's default, the sizer's
+  // scorer too) and guards and measures with the sizer's confirm engine and
+  // FullSstaOptions, so its exact budgets agree with the record reported below.
   opt::AreaRecoveryOptions recovery;
   recovery.criterion = opt::RecoveryCriterion::kStatisticalCost;
   recovery.objective = sizer.objective;
   recovery.tolerance = 0.002;
   recovery.threads = sizer.threads;
-  recovery.screen_engine = sizer.score_engine;
   recovery.confirm_engine = sizer.confirm_engine;
   recovery.fullssta = sizer.fullssta;
   recovery.fassta = sizer.fassta;

@@ -30,7 +30,6 @@
 #include "sta/graph.h"
 #include "ssta/fullssta.h"
 #include "ssta/isle.h"
-#include "techmap/mapper.h"
 #include "timing/analyzer.h"
 #include "util/status.h"
 #include "variation/model.h"
@@ -41,7 +40,6 @@ struct FlowOptions {
   liberty::SyntheticOptions library;
   variation::VariationParams variation;
   sta::TimingOptions timing;
-  techmap::MapOptions mapping;
   opt::InitialSizingOptions initial_sizing;
   opt::DeterministicSizerOptions baseline;
   ssta::FullSstaOptions fullssta;
@@ -66,14 +64,15 @@ struct FlowOptions {
   /// against 1). Each extra worker holds one speculative overlay at a time
   /// and allocates nothing of its own while scoring.
   std::size_t sizer_threads = 0;
-  /// Engines of the statistical sizer and area recovery
-  /// (timing::make_analyzer registry names), applied — like sizer_threads —
-  /// to run_baseline's stages and to optimize() without overrides.
-  /// confirm_engine is the accurate acceptance/verification engine;
-  /// score_engine is the fast inner-loop scorer ("fassta" = the specialized
-  /// kernel) and doubles as optimize()'s recovery screen. Constants: an
-  /// overrides struct passed to optimize() carries its own engines.
+  /// Accurate acceptance/verification engine of the statistical sizer and
+  /// area recovery (a timing::make_analyzer registry name), applied — like
+  /// sizer_threads — to run_baseline's stages and to optimize() without
+  /// overrides. A constant: an overrides struct passed to optimize() carries
+  /// its own confirm_engine.
   static constexpr std::string_view confirm_engine = "fullssta";
+  /// The sizer's only candidate scorer (StatisticalSizerOptions::score_engine
+  /// accepts nothing else). Flow does not read it; kept for perfbench,
+  /// which does.
   static constexpr std::string_view score_engine = "fassta";
   /// Design-rule analysis thresholds (loading and preflight()).
   drc::DrcOptions drc;

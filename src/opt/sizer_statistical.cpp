@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -45,27 +44,17 @@ struct CandidateScores {
   std::vector<double> costs;
 };
 
-/// The fast-engine side of the inner loop: either the specialized fassta
-/// kernel (score_engine == "fassta", the default — per-worker Scratch, zero
-/// per-candidate allocation) or any other engine speculating
-/// through the timing::Analyzer interface. Either scores against the
-/// snapshot the sizer last re-based it on.
-struct InnerScorer {
-  std::optional<fassta::Engine> fassta;  ///< fast path when engaged
-  timing::Analyzer* analyzer = nullptr;  ///< analyzer path otherwise
-};
-
 /// The parallel candidate-scoring kernel shared by the plan stage and the
-/// rescue sweeps' prescoring. Fans the fast-engine evaluations across
-/// options.threads workers: every worker reads the same const TimingContext
-/// snapshot (through the shared Engine or Analyzer) and keeps its mutable
-/// state private (a fassta Scratch, or a Speculation's overlay); slot i of
-/// the result is written exactly once by whichever worker draws it, and the
-/// scores themselves do not depend on evaluation order — so the returned
-/// array is bitwise-identical for any thread count. A chunk is one gate at
-/// all of its sizes: the global fassta mode walks the gate's cone once, one
-/// lane per size but the current one, whose score is the base cost.
-CandidateScores score_candidates(const sta::TimingContext& ctx, const InnerScorer& scorer,
+/// rescue sweeps' prescoring. Fans the FASSTA evaluations across
+/// options.threads workers: every worker reads the iteration's immutable
+/// Engine (and through it the const TimingContext snapshot) and keeps its
+/// mutable state in a private Scratch; slot i of the result is written
+/// exactly once by whichever worker draws it, and the scores themselves do
+/// not depend on evaluation order — so the returned array is
+/// bitwise-identical for any thread count. A chunk is one gate at all of its
+/// sizes: the global mode walks the gate's cone once, one lane per size but
+/// the current one, whose score is the base cost.
+CandidateScores score_candidates(const sta::TimingContext& ctx, const fassta::Engine& engine,
                                  const StatisticalSizerOptions& options, InnerScoring scoring,
                                  std::span<const GateId> gates,
                                  std::span<const sta::NodeMoments> boundary,
@@ -81,21 +70,6 @@ CandidateScores score_candidates(const sta::TimingContext& ctx, const InnerScore
   std::vector<double>& costs = out.costs;
   costs.resize(offsets.back());
 
-  if (!scorer.fassta.has_value()) {
-    timing::Analyzer& analyzer = *scorer.analyzer;
-    util::parallel_for(gates.size(), 1, options.threads,
-                       [&](std::size_t gi, std::size_t, std::size_t) {
-                         for (std::size_t i = offsets[gi]; i < offsets[gi + 1]; ++i) {
-                           const auto spec = analyzer.propose(
-                               gates[gi], static_cast<std::uint16_t>(i - offsets[gi]));
-                           const timing::Summary& s = spec->score();
-                           costs[i] = obj.cost(s.mean_ps, s.sigma_ps);
-                         }
-                       });
-    return out;
-  }
-
-  const fassta::Engine& engine = *scorer.fassta;
   // Gate gi's lanes (its sizes but the current one) take slots from offsets[gi].
   std::vector<const liberty::Cell*> cells(offsets.back());
   std::vector<sta::NodeMoments> lanes(offsets.back());
@@ -148,7 +122,7 @@ CandidateScores score_candidates(const sta::TimingContext& ctx, const InnerScore
 /// pair on the path is scored concurrently against the frozen snapshot; the
 /// plan, in path order, is then built serially from the score array, which
 /// keeps it independent of the thread count.
-std::vector<PlannedResize> plan_moves(const sta::TimingContext& ctx, const InnerScorer& scorer,
+std::vector<PlannedResize> plan_moves(const sta::TimingContext& ctx, const fassta::Engine& engine,
                                       const StatisticalSizerOptions& options,
                                       std::span<const GateId> path,
                                       std::span<const sta::NodeMoments> boundary,
@@ -156,7 +130,7 @@ std::vector<PlannedResize> plan_moves(const sta::TimingContext& ctx, const Inner
                                       std::size_t& evaluations) {
   const auto& nl = ctx.netlist();
   const auto [offsets, costs] =
-      score_candidates(ctx, scorer, options, options.scoring, path, boundary, downstream);
+      score_candidates(ctx, engine, options, options.scoring, path, boundary, downstream);
   evaluations += costs.size();
   std::vector<PlannedResize> plan;
   for (std::size_t gi = 0; gi < path.size(); ++gi) {
@@ -181,12 +155,12 @@ std::vector<PlannedResize> plan_moves(const sta::TimingContext& ctx, const Inner
 /// fast-engine predicted gain, for the accurate engine to confirm in order.
 /// The prescore only orders, never filters: engine disagreement is exactly
 /// what these rescues exist for.
-std::vector<timing::Resize> sweep_moves(const sta::TimingContext& ctx, const InnerScorer& scorer,
+std::vector<timing::Resize> sweep_moves(const sta::TimingContext& ctx, const fassta::Engine& engine,
                                         const StatisticalSizerOptions& options,
                                         std::span<const GateId> gates, std::size_t& evaluations) {
   const auto& nl = ctx.netlist();
   const auto [offsets, prescores] =
-      score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, gates, {}, {});
+      score_candidates(ctx, engine, options, InnerScoring::kGlobalFassta, gates, {}, {});
   evaluations += prescores.size();
 
   struct RescueCandidate {
@@ -274,20 +248,14 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   auto& nl = ctx.mutable_netlist();
   const Objective& obj = options.objective;
 
-  // Engine selection through timing::make_analyzer. The fassta
-  // score engine keeps the specialized kernel below; everything accurate
-  // goes through the confirm analyzer's transactional what-if API.
-  const timing::AnalyzerOptions engine_options{options.fullssta, options.fassta};
-  const bool fassta_scorer = options.score_engine == "fassta";
-  if (!fassta_scorer && options.scoring == InnerScoring::kSubcircuit) {
-    throw std::invalid_argument(
-        "InnerScoring::kSubcircuit requires score_engine == \"fassta\"");
+  // Candidates score on the FASSTA kernel below; everything accurate goes
+  // through the confirm analyzer's transactional what-if API.
+  if (options.score_engine != "fassta") {
+    throw std::invalid_argument("size_statistically: score_engine must be \"fassta\", got \"" +
+                                options.score_engine + "\"");
   }
-  const std::unique_ptr<timing::Analyzer> confirm =
-      timing::make_analyzer(options.confirm_engine, engine_options);
-  const std::unique_ptr<timing::Analyzer> score_analyzer =
-      fassta_scorer ? nullptr : timing::make_analyzer(options.score_engine, engine_options);
-  InnerScorer scorer{std::nullopt, score_analyzer.get()};
+  const std::unique_ptr<timing::Analyzer> confirm = timing::make_analyzer(
+      options.confirm_engine, timing::AnalyzerOptions{options.fullssta, options.fassta});
 
   StatisticalSizerStats stats;
 
@@ -347,21 +315,15 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     const WnssTrace trace = trace_wnss(ctx, full->node);
     if (trace.path.empty()) break;
 
-    // The one re-base of the inner scorer per iteration. It is exact: every
-    // move source scores before any commit (the rescue sources run only
-    // while nothing was accepted).
-    if (fassta_scorer) {
-      scorer.fassta.emplace(ctx, options.fassta);
-    } else {
-      (void)score_analyzer->analyze(ctx);
-    }
+    // The inner scorer, built on this iteration's snapshot. That is exact:
+    // every move source scores before any commit (the rescue sources run
+    // only while nothing was accepted).
+    const fassta::Engine scorer(ctx, options.fassta);
 
     // Downstream statistical potential per node (only the subcircuit scoring
     // mode needs it; see engine.h on window truncation).
     std::vector<sta::NodeMoments> downstream;
-    if (options.scoring == InnerScoring::kSubcircuit) {
-      downstream = scorer.fassta->compute_downstream();
-    }
+    if (options.scoring == InnerScoring::kSubcircuit) downstream = scorer.compute_downstream();
 
     std::size_t accepted = 0;
     accepted_cost = global_cost;
@@ -414,7 +376,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     // ---- move source 4: coordinated population bump --------------------------
     // All gates first, then the below-median-drive half; the second bump is
     // proposed only after the first is rejected.
-    if (accepted == 0 && stats.uniform_bump_rounds < options.max_uniform_bumps) {
+    if (accepted == 0 && stats.uniform_bump_rounds < kMaxUniformBumps) {
       ++stats.uniform_bump_rounds;
       for (const bool only_small : {false, true}) {
         const std::vector<timing::Resize> ups = bump_moves(ctx, only_small);

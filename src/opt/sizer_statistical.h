@@ -84,10 +84,10 @@ struct StatisticalSizerOptions {
   /// FULLSSTA, whose incremental what-if lets rescue confirmations score in
   /// parallel.
   std::string confirm_engine = "fullssta";
-  /// Fast candidate-scoring engine (timing::make_analyzer name). "fassta" uses the
-  /// specialized zero-allocation kernel (and is required for
-  /// InnerScoring::kSubcircuit); any other engine scores through
-  /// timing::Analyzer speculations.
+  /// Candidate-scoring engine: only "fassta" is accepted (every candidate
+  /// scores on the fassta::Engine lane kernel; size_statistically throws
+  /// std::invalid_argument naming this field for any other value). Not a
+  /// knob: kept for perfbench, which assigns and reads the name.
   std::string score_engine = "fassta";
   /// Optional constraint mode: stop as soon as sigma reaches this target.
   std::optional<double> target_sigma_ps;
@@ -102,13 +102,15 @@ struct StatisticalSizerOptions {
   /// run the optimizer sweeps the top gates netlist-wide ranked by arc sigma
   /// (the fattest delay contributors, wherever they sit).
   std::size_t max_global_sweeps = 4;
-  /// Coordinated move for balanced fabrics: when every single-gate move
-  /// fails, try bumping whole gate populations (all gates, then the
-  /// below-median-drive half) one size up and keep the bump iff the accurate
-  /// engine confirms it. sigma ~ 1/drive makes this the natural fabric-wide
-  /// variance lever; single-gate greedy cannot express it.
-  std::size_t max_uniform_bumps = 6;
 };
+
+/// Coordinated move for balanced fabrics: when every single-gate move fails,
+/// size_statistically tries bumping whole gate populations (all gates, then
+/// the below-median-drive half) one size up and keeps the bump iff the
+/// accurate engine confirms it, in at most this many rounds per run. sigma ~
+/// 1/drive makes this the natural fabric-wide variance lever; single-gate
+/// greedy cannot express it.
+inline constexpr std::size_t kMaxUniformBumps = 6;
 
 /// Which move source committed a resize (ordered as tried per iteration).
 enum class MoveSource : std::uint8_t {
@@ -135,15 +137,15 @@ struct ResizeEvent {
 struct StatisticalSizerStats {
   std::size_t iterations = 0;
   std::size_t resizes = 0;
-  /// Inner-scorer candidates (plan scoring + rescue prescoring): every
-  /// (gate, size), the current size included though the fassta kernel reads
-  /// its score from the base pass. Counted for whichever score_engine ran.
+  /// FASSTA-scored candidates (plan scoring + rescue prescoring): every
+  /// (gate, size), the current size included though the kernel reads its
+  /// score from the base pass.
   std::size_t fassta_evaluations = 0;
   /// Resizes confirmed by the exact rescue sweeps (fallback + global).
   std::size_t exact_resizes = 0;
   /// Netlist-wide rescue sweeps run (bounded by max_global_sweeps).
   std::size_t global_sweeps = 0;
-  /// Population-bump rounds attempted (bounded by max_uniform_bumps).
+  /// Population-bump rounds attempted (bounded by kMaxUniformBumps).
   std::size_t uniform_bump_rounds = 0;
   /// Every confirmed resize in commit order (only if record_trajectory).
   std::vector<ResizeEvent> trajectory;

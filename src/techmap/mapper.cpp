@@ -39,7 +39,7 @@ GateFunc inner_func(GateFunc func) {
 
 }  // namespace
 
-Status map_to_library(Netlist& nl, const Library& lib, const MapOptions& options) {
+Status map_to_library(Netlist& nl, const Library& lib) {
   // Pass 1: decompose gates whose arity exceeds the library's offering.
   // New gates are appended, so iterate by index over the original count and
   // let appended gates (which are always within limits) be handled in pass 2.
@@ -123,10 +123,7 @@ Status map_to_library(Netlist& nl, const Library& lib, const MapOptions& options
                            ")");
     }
     g.cell_group = *group;
-    const std::size_t n_sizes = lib.group(*group).size_count();
-    g.size_index = options.initial_size == InitialSize::kSmallest
-                       ? 0
-                       : static_cast<std::uint16_t>(n_sizes / 2);
+    g.size_index = 0;
   }
   return Status();
 }

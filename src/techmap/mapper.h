@@ -1,11 +1,9 @@
-// Technology binding: assigns every logic gate a library cell group and an
-// initial size, decomposing gates whose arity exceeds what the library offers
+// Technology binding: assigns every logic gate a library cell group at its
+// smallest size, decomposing gates whose arity exceeds what the library offers
 // (e.g. a 9-input AND from a .bench file) into balanced trees of library
 // cells. Logic function is preserved exactly (verified by simulation in the
 // test suite).
 #pragma once
-
-#include <cstdint>
 
 #include "liberty/model.h"
 #include "netlist/netlist.h"
@@ -13,21 +11,12 @@
 
 namespace statsizer::techmap {
 
-enum class InitialSize : std::uint8_t {
-  kSmallest,  ///< start from minimum drive (deterministic sizer's seed)
-  kMiddle,    ///< start from the median drive
-};
-
-struct MapOptions {
-  InitialSize initial_size = InitialSize::kSmallest;
-};
-
 /// Maps @p nl in place onto @p lib. After success every non-input,
-/// non-constant gate has a valid cell_group/size_index and arity within the
-/// library's limits. Fails (without completing the mapping) if the library
-/// lacks a cell family for some function.
-[[nodiscard]] Status map_to_library(netlist::Netlist& nl, const liberty::Library& lib,
-                                    const MapOptions& options = {});
+/// non-constant gate has a valid cell_group and arity within the library's
+/// limits, bound at size 0 (minimum drive, the deterministic sizer's seed).
+/// Fails (without completing the mapping) if the library lacks a cell family
+/// for some function.
+[[nodiscard]] Status map_to_library(netlist::Netlist& nl, const liberty::Library& lib);
 
 /// True if every logic gate of @p nl is bound to a group of @p lib with a
 /// compatible arity and an in-range size index.

@@ -787,8 +787,8 @@ TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine selection plumbing: the sizer and the flow resolve confirm/score
-// engines through timing::make_analyzer.
+// Engine selection plumbing: the sizer and the flow resolve confirm engines
+// through timing::make_analyzer; candidates score on the FASSTA kernel only.
 // ---------------------------------------------------------------------------
 
 TEST(EngineSelection, SizerRunsWithAlternateEngines) {
@@ -798,7 +798,6 @@ TEST(EngineSelection, SizerRunsWithAlternateEngines) {
   opt::StatisticalSizerOptions opt;
   opt.objective.lambda = 3.0;
   opt.confirm_engine = "fassta";
-  opt.score_engine = "dsta";  // analyzer-path inner scoring (concurrent)
   opt.max_iterations = 3;
   const auto stats = opt::size_statistically(*b.ctx, opt);
   EXPECT_GT(stats.initial.mean_ps, 0.0);
@@ -815,9 +814,13 @@ TEST(EngineSelection, SizerRejectsIncapableOrUnknownEngines) {
   opt.confirm_engine = "mc";  // not a registry engine
   EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
   opt.confirm_engine = "fullssta";
-  opt.score_engine = "dsta";
-  opt.scoring = opt::InnerScoring::kSubcircuit;  // needs the fassta kernel
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
+  opt.score_engine = "dsta";  // candidates score on the fassta kernel only
+  try {
+    (void)opt::size_statistically(*b.ctx, opt);
+    ADD_FAILURE() << "score_engine \"dsta\" was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("score_engine"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -82,23 +82,11 @@ TEST(Techmap, PoReferencesSurviveDecomposition) {
 }
 
 TEST(Techmap, InitialSizeSeeding) {
-  auto nl1 = circuits::make_ripple_adder(4);
-  MapOptions smallest;
-  smallest.initial_size = InitialSize::kSmallest;
-  ASSERT_TRUE(map_to_library(nl1, lib(), smallest).ok());
-  for (GateId id = 0; id < nl1.node_count(); ++id) {
-    if (!nl1.is_input(id)) EXPECT_EQ(nl1.gate(id).size_index, 0);
+  auto nl = circuits::make_ripple_adder(4);
+  ASSERT_TRUE(map_to_library(nl, lib()).ok());
+  for (GateId id = 0; id < nl.node_count(); ++id) {
+    if (!nl.is_input(id)) EXPECT_EQ(nl.gate(id).size_index, 0);
   }
-
-  auto nl2 = circuits::make_ripple_adder(4);
-  MapOptions middle;
-  middle.initial_size = InitialSize::kMiddle;
-  ASSERT_TRUE(map_to_library(nl2, lib(), middle).ok());
-  bool any_nonzero = false;
-  for (GateId id = 0; id < nl2.node_count(); ++id) {
-    if (!nl2.is_input(id) && nl2.gate(id).size_index > 0) any_nonzero = true;
-  }
-  EXPECT_TRUE(any_nonzero);
 }
 
 TEST(Techmap, AllGeneratorsMap) {
