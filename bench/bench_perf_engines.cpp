@@ -279,13 +279,14 @@ void BM_SizerThreads(benchmark::State& state, const std::string& name) {
   flow.timing().update();
 }
 
-/// Parallel speculative FULLSSTA confirmation — the rescue-sweep pattern:
-/// one wave of what-if speculations (every alternative size of the gates
-/// with the fattest arc sigmas) is scored across state.range(0) workers
-/// through timing::Analyzer, with a one-shot check that every thread count
-/// reproduces the 1-thread scores bitwise (each speculation re-propagates
-/// only its fanout cone against a private overlay; the shared base is
-/// read-only).
+/// Concurrent FULLSSTA what-ifs from one base — the pattern of concurrent
+/// served what-ifs: one wave of speculations (every alternative size of the
+/// gates with the fattest arc sigmas) is scored side by side across
+/// state.range(0) workers through timing::Analyzer, with a one-shot check
+/// that every thread count reproduces the 1-thread scores bitwise (each
+/// speculation re-propagates only its fanout cone against a private
+/// overlay; the shared base is read-only). The optimizer scores one what-if
+/// at a time instead (BM_WhatIfConeWalk).
 void BM_WhatIfConfirm(benchmark::State& state, const std::string& name) {
   auto& flow = flow_for(name);
   const auto analyzer = flow.make_analyzer("fullssta");
@@ -349,13 +350,56 @@ void BM_WhatIfConfirm(benchmark::State& state, const std::string& name) {
   state.SetLabel(std::to_string(wave.size()) + " speculations/wave");
 }
 
+/// One FULLSSTA what-if at a time, its cone walked on state.range(0)
+/// workers — the confirmation walk's pattern (opt::confirm): the next size
+/// of every 7th sizable gate, proposed and scored in turn on an unbaselined
+/// workload, with a one-shot check that the walk reproduces the 1-worker
+/// scores bitwise.
+void BM_WhatIfConeWalk(benchmark::State& state, const std::string& name) {
+  auto& flow = raw_flow_for(name);
+  const auto& nl = flow.netlist();
+  std::vector<timing::Resize> moves;
+  for (netlist::GateId g = 0; g < nl.node_count(); g += 7) {
+    while (g < nl.node_count() && !flow.timing().has_cell(g)) ++g;
+    if (g == nl.node_count()) break;
+    const auto sizes = flow.library().group(nl.gate(g).cell_group).size_count();
+    moves.push_back(
+        timing::Resize{g, static_cast<std::uint16_t>((nl.gate(g).size_index + 1) % sizes)});
+  }
+  const auto analyzer_with = [&](std::size_t workers) {
+    timing::AnalyzerOptions options;
+    options.fullssta = flow.options().fullssta;
+    options.threads = workers;
+    auto analyzer = timing::make_analyzer("fullssta", options);
+    (void)analyzer->analyze(flow.timing());
+    return analyzer;
+  };
+  const auto score_all = [&](timing::Analyzer& analyzer) {
+    std::vector<double> costs;
+    for (const timing::Resize& m : moves) {
+      const auto spec = analyzer.propose(m.gate, m.size);
+      costs.push_back(spec->score().mean_ps + 3.0 * spec->score().sigma_ps);
+    }
+    return costs;
+  };
+  const auto walker = analyzer_with(static_cast<std::size_t>(state.range(0)));
+  if (score_all(*walker) != score_all(*analyzer_with(1))) {
+    state.SkipWithError("the parallel cone walk diverged from the serial one");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(score_all(*walker));
+  }
+  state.SetLabel(std::to_string(moves.size()) + " what-ifs/iteration");
+}
+
 /// Parallel area recovery — the constrained-mode cleanup on the analyzer
-/// what-if API: screening waves of per-gate downsize speculations fan across
-/// state.range(0) workers (each holds a private fanout-cone overlay),
-/// commits apply serially in descending-area order, and every kChunk
-/// accepted downsizes are re-verified by one atomic multi-resize FULLSSTA
-/// speculation. A one-shot check re-asserts that every thread count
-/// reproduces the 1-thread run bitwise (sizes, stats, final summary).
+/// what-if API: per-gate downsize speculations are screened one at a time
+/// in descending-area order, accepted ones commit incrementally, and every
+/// kChunk accepted downsizes are re-verified by one atomic multi-resize
+/// FULLSSTA speculation whose cone walk runs on state.range(0) workers. A
+/// one-shot check re-asserts that every thread count reproduces the
+/// 1-thread run bitwise (sizes, stats, final summary).
 void BM_AreaRecoveryThreads(benchmark::State& state, const std::string& name) {
   auto& flow = flow_for(name);
   const auto baseline_sizes = flow.netlist().sizes();
@@ -553,6 +597,12 @@ BENCHMARK_CAPTURE(BM_WhatIfConfirm, c880, std::string("c880"))
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WhatIfConeWalk, c6288, std::string("c6288"))
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AreaRecoveryThreads, c880, std::string("c880"))

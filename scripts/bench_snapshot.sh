@@ -18,7 +18,8 @@
 #   scripts/bench_snapshot.sh BENCH_drc_sweep.json
 #
 # An output path matching *whatif* defaults the filter to the exact what-if
-# layer (BM_WhatIfConfirm: a wave of FULLSSTA confirmations; and
+# layer (BM_WhatIfConfirm: a wave of FULLSSTA what-ifs scored side by side;
+# BM_WhatIfConeWalk: one at a time, each cone walked on the workers; and
 # BM_AreaRecoveryThreads: DSTA/FASSTA screens plus FULLSSTA chunk checks):
 #   scripts/bench_snapshot.sh BENCH_whatif.json
 #
@@ -54,7 +55,7 @@ BIN=bench_perf_engines
 case "${OUT}" in
   *isle_yield*) DEFAULT_FILTER='BM_IsleYield|BM_PlainMcYield' ;;
   *drc_sweep*) DEFAULT_FILTER='BM_DrcFullSweep' ;;
-  *whatif*) DEFAULT_FILTER='BM_WhatIfConfirm|BM_AreaRecoveryThreads' ;;
+  *whatif*) DEFAULT_FILTER='BM_WhatIfConfirm|BM_WhatIfConeWalk|BM_AreaRecoveryThreads' ;;
   *fassta_scoring*) DEFAULT_FILTER='BM_FasstaGateScoring' ;;
   *pdf*)
     BIN=bench_perf_pdf

@@ -9,6 +9,11 @@
 #                                    # sizer/recovery/MC/ISLE, analyzer
 #                                    # conformance, pool primitives) under
 #                                    # ThreadSanitizer with scripts/tsan.supp
+#   scripts/check.sh --native        # additionally build with
+#                                    # -march=native (FMA where the host has
+#                                    # it) and run the golden-bit suites:
+#                                    # result bits must not depend on the
+#                                    # target (-ffp-contract=off)
 #   scripts/check.sh --paranoid      # additionally build with
 #                                    # -DSTATSIZER_PARANOID=ON (deep invariant
 #                                    # validators compiled into the hot paths)
@@ -81,6 +86,7 @@ run_suite() {
 ASAN=0
 TSAN=0
 PARANOID=0
+NATIVE=0
 LINT=0
 TIDY=0
 FORMAT=0
@@ -94,6 +100,7 @@ for arg in "$@"; do
     --asan) ASAN=1 ;;
     --tsan) TSAN=1 ;;
     --paranoid) PARANOID=1 ;;
+    --native) NATIVE=1 ;;
     --lint) LINT=1 ;;
     --tidy) TIDY=1 ;;
     --format) FORMAT=1 ;;
@@ -103,7 +110,7 @@ for arg in "$@"; do
     --drc) DRC=1 ;;
     --serve-smoke) SERVE=1 ;;
     *)
-      echo "usage: scripts/check.sh [--asan] [--tsan] [--paranoid] [--lint] [--tidy]" \
+      echo "usage: scripts/check.sh [--asan] [--tsan] [--paranoid] [--native] [--lint] [--tidy]" \
            "[--format] [--table1-smoke] [--parser-smoke] [--yield-smoke] [--drc]" \
            "[--serve-smoke]" >&2
       exit 2
@@ -135,11 +142,11 @@ fi
 # end-to-end flows are covered by the normal build; instrumented they would
 # dominate the wall clock). SizerParallel stays in: it exercises the
 # concurrent candidate-scoring kernel, per-worker scratch reuse, AND the
-# parallel speculative what-if confirmations — exactly where memory bugs
+# confirmations' parallel FULLSSTA cone walks — exactly where memory bugs
 # would surface — at ~10 s sanitized. AnalyzerConformance/FullSstaWhatIf stay
 # in too: the overlay engine's private-state discipline is what the sanitizer
 # should see. AreaRecovery{Parallel,Equivalence,Rollback,Options} stay in as
-# well: the screening waves' per-speculation overlays, the incremental
+# well: the screen walk's per-speculation overlays, the incremental
 # snapshot patching (TimingContext::apply_snapshot_patch), and the
 # chunk-rollback restore path are all concurrent-lifetime code the sanitizer
 # should walk. LevelizedUpdate stays in too: its serial update() and
@@ -165,11 +172,14 @@ fi
 
 if [[ "${TSAN}" == 1 ]]; then
   # Race-check the code that actually runs concurrently: the parallel_for /
-  # ThreadPool primitives, the parallel speculative scoring windows of the
-  # sizer and area recovery (concurrent what-ifs, each walking its own cone
-  # serially against the shared snapshot), the sharded MC/ISLE draw loops,
+  # ThreadPool primitives, the sizer's and area recovery's parallel runs
+  # (SizerParallel, AreaRecovery), the sharded MC/ISLE draw loops,
   # the sizer's candidate scoring (pool workers share one immutable FASSTA
-  # engine per iteration, each walking lanes in its own scratch), and the
+  # engine per iteration, each walking lanes in its own scratch), the
+  # FULLSSTA what-if's dataflow cone walk (DataflowFor drives util::
+  # dataflow_for on synthetic DAGs, including a throwing node;
+  # FullSstaConeWalk and FullSstaWhatIf walk real cones at 1 to 8 workers;
+  # ConeWalkAllocation walks one on pool workers that must not allocate), and the
   # analyzer conformance suite (which drives concurrent speculations through
   # every engine). TSan detects
   # races through happens-before analysis, so findings do not depend on the
@@ -179,19 +189,20 @@ if [[ "${TSAN}" == 1 ]]; then
   # job system's pool handoffs, the session's shared/exclusive lock
   # discipline under concurrent what-ifs, and the server's reader/writer/
   # worker triangle are exactly the lifetimes TSan should walk. ConeBuilder is
-  # in too: concurrent FASSTA scorers and speculation waves each collect
-  # their cones into their own reused workspace. So are FlowThreading (the
+  # in too: concurrent FASSTA scorers and speculations each collect their
+  # cones into their own reused workspace. So are FlowThreading (the
   # default, threaded flow against the serial one), WhatIfAllocation /
   # PdfAllocation (a pool worker scoring an overlay sized on the proposing
-  # thread), and FirstAccepted (opt::confirm's parallel windows: the suite
-  # that drives the confirmation walk keeps the name of its policy).
+  # thread), and FirstAccepted (opt::confirm over every engine, the FULLSSTA
+  # one walking its cones at 1 to 8 workers: the suite that drives the
+  # confirmation walk keeps the name of its policy).
   # KeyedRng and KeyedDraws pin the counter-keyed draws that make the sample
   # loop's workers share no generator state. FasstaLaneScoring walks every
   # size of a gate in lanes through the per-thread scratch and cone workspace
   # the sizer's pool workers score with.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FirstAccepted|EngineSelection|FasstaConeConcurrency|FasstaLaneScoring|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FullSstaConeWalk|DataflowFor|ConeWalkAllocation|FirstAccepted|EngineSelection|FasstaConeConcurrency|FasstaLaneScoring|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"
@@ -212,6 +223,17 @@ if [[ "${PARANOID}" == 1 ]]; then
   echo "check.sh: paranoid pass (STATSIZER_PARANOID=ON, fast tests)"
   CTEST_EXTRA=("${FAST_FILTER[@]}")
   run_suite build-paranoid -DSTATSIZER_PARANOID=ON -DSTATSIZER_BUILD_BENCHES=OFF \
+    -DSTATSIZER_BUILD_EXAMPLES=OFF
+fi
+
+if [[ "${NATIVE}" == 1 ]]; then
+  # The golden-bit suites pin result bits captured on the default target.
+  # Built for the host's own ISA (FMA on most x86-64 and every aarch64 host)
+  # they must still match: the library's -ffp-contract=off keeps the
+  # compiler from fusing the pinned multiply-adds.
+  echo "check.sh: native pass (-march=native, golden-bit suites)"
+  CTEST_EXTRA=(-R 'ConfirmGolden|IsleYield|MonteCarloParallel|FusedKernels|KeyedRng')
+  run_suite build-native -DCMAKE_CXX_FLAGS=-march=native -DSTATSIZER_BUILD_BENCHES=OFF \
     -DSTATSIZER_BUILD_EXAMPLES=OFF
 fi
 

@@ -42,7 +42,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   const Objective& obj = options.objective;
   const bool statistical = options.criterion == RecoveryCriterion::kStatisticalCost;
 
-  const timing::AnalyzerOptions engine_options{options.fullssta, options.fassta};
+  const timing::AnalyzerOptions engine_options{options.fullssta, options.fassta, options.threads};
   const auto screen = timing::make_analyzer(screen_engine_name(options, statistical),
                                             engine_options);
 
@@ -104,7 +104,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     }
     const bool ok =
         opt::confirm(
-            options.threads, 1, [&](std::size_t) { return confirm->propose_resizes(batch); },
+            1, [&](std::size_t) { return confirm->propose_resizes(batch); },
             [&](std::size_t, const timing::Summary& s) {
               return obj.cost(s.mean_ps, s.sigma_ps) <= exact_cost_budget &&
                      s.sigma_ps <= exact_sigma_budget;
@@ -132,7 +132,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     // gate while it has headroom. A failed chunk verification stops it.
     const std::vector<GateId> order = recovery_order(ctx);
     const Confirmed walk = opt::confirm(
-        options.threads, order.size(),
+        order.size(),
         [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
           const std::uint16_t cur = nl.gate(order[i]).size_index;
           if (cur == 0) return nullptr;  // defensive: nothing left to shrink

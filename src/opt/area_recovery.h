@@ -18,18 +18,19 @@
 // committed base, privately — a fanout-cone re-propagation against an
 // overlay, never a netlist mutation plus full TimingContext::update();
 // accepted trials commit incrementally (the snapshot is patched in place).
-// Any registry engine works: every speculation scores privately, so every
-// screen runs in parallel windows. In statistical mode the screen drifts from
-// the accurate engine on reconvergent fabrics, so every kChunk accepted
-// downsizes are re-verified by the confirm engine (confirm_engine, default
-// "fullssta", configured with `fullssta` — the same options the caller uses
-// to measure the result, so the guard and the report agree) as one atomic
-// multi-resize speculation from the last checkpoint; a failed verification
-// restores the whole chunk and stops.
+// Any registry engine works: every speculation scores privately. In
+// statistical mode the screen drifts from the accurate engine on
+// reconvergent fabrics, so every kChunk accepted downsizes are re-verified
+// by the confirm engine (confirm_engine, default "fullssta", configured with
+// `fullssta` — the same options the caller uses to measure the result, so
+// the guard and the report agree) as one atomic multi-resize speculation
+// from the last checkpoint; a failed verification restores the whole chunk
+// and stops.
 //
 // Concurrency: the screen walks the descending-area order through
-// opt::confirm (opt/confirm.h), resuming at each accepted gate, and each
-// chunk verification is a one-candidate walk of the same seam. So accepted
+// opt::confirm (opt/confirm.h), one candidate at a time, resuming at each
+// accepted gate, and each chunk verification is a one-candidate walk of the
+// same seam whose FULLSSTA cone walk runs on `threads` workers. So accepted
 // downsizes, final sizes, and AreaRecoveryStats are bitwise-identical for
 // any `threads` value, and identical to the pre-port serial mutate-and-rerun
 // loop (pinned by tests/area_recovery_parallel_test.cpp, which keeps that
@@ -71,9 +72,9 @@ struct AreaRecoveryOptions {
   /// reported objective use one statistical model (core::Flow plumbs its
   /// options_.fullssta here).
   ssta::FullSstaOptions fullssta;
-  /// Worker threads for the speculative screening walk
-  /// (opt::confirm). 1 = serial on the calling thread; 0 =
-  /// hardware concurrency. Results are bitwise-identical for any value.
+  /// Workers for the FULLSSTA what-ifs' cone walks (timing::AnalyzerOptions::
+  /// threads). 1 = serial on the calling thread; 0 = hardware concurrency.
+  /// Results are bitwise-identical for any value.
   std::size_t threads = 1;
   /// Screen engine (timing::make_analyzer name). Empty = pick by criterion:
   /// "dsta" for kDeterministicArrival, "fassta" for kStatisticalCost — the
@@ -106,7 +107,7 @@ struct AreaRecoveryStats {
 
 /// Recovers area in place; the netlist keeps its function and mapping.
 /// Mutates size indices and the timing snapshot; not safe to call
-/// concurrently on the same context. Internal screening fans out across
+/// concurrently on the same context. FULLSSTA what-ifs fan out across
 /// options.threads workers with thread-count-invariant results (see the
 /// header comment).
 AreaRecoveryStats recover_area(sta::TimingContext& ctx,

@@ -15,12 +15,11 @@
 // holding exactly the commits ordered before it: the serial trial loop's
 // semantics.
 //
-// Candidates are proposed and scored in windows of one per worker
-// (util::region_threads(threads): 1 inside a pool worker). Scores are pure
-// functions of (base, candidate), so every decision is bitwise-identical for
-// any thread count; a window only sets how many speculative scores an
-// acceptance throws away. The rest of a window is dropped before the commit,
-// and a rejected speculation as soon as it is judged.
+// One candidate is live at a time: it is proposed, scored, judged, and
+// then committed or dropped before the next is proposed, so no score is
+// ever thrown away. The parallelism is inside the score: the FULLSSTA
+// what-if walks its cone on the analyzer's workers (AnalyzerOptions::threads,
+// timing/fullssta_analyzer.cpp), bitwise-identically for any worker count.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +44,7 @@ struct Confirmed {
 /// on the calling thread. std::function is cheap here: each candidate costs
 /// a cone replay.
 Confirmed confirm(
-    std::size_t threads, std::size_t count,
+    std::size_t count,
     const std::function<std::unique_ptr<timing::Speculation>(std::size_t)>& propose,
     const std::function<bool(std::size_t, const timing::Summary&)>& judge,
     const std::function<std::size_t(std::size_t, const std::function<void()>& commit)>&

@@ -60,7 +60,7 @@ DeterministicSizerStats size_for_mean_delay(sta::TimingContext& ctx,
   auto best_sizes = nl.sizes();
 
   for (stats.passes = 0; stats.passes < options.max_passes; ++stats.passes) {
-    bool changed = false;
+    std::size_t batch = 0;  // this pass's resizes, counted only if kept
     for (const GateId g : dsta.critical_path) {
       if (!ctx.has_cell(g)) continue;
       const auto& gate = nl.gate(g);
@@ -80,17 +80,17 @@ DeterministicSizerStats size_for_mean_delay(sta::TimingContext& ctx,
       }
       if (best_size != gate.size_index) {
         nl.gate(g).size_index = best_size;
-        ++stats.resizes;
-        changed = true;
+        ++batch;
       }
     }
-    if (!changed) break;
+    if (batch == 0) break;
 
     ctx.update();
     dsta = run_dsta(ctx);
     if (dsta.max_arrival_ps < best_arrival - options.min_gain_ps) {
       best_arrival = dsta.max_arrival_ps;
       best_sizes = nl.sizes();
+      stats.resizes += batch;
     } else {
       // Batch overshoot (e.g. two neighbours both upsized): restore the best
       // known state and stop.

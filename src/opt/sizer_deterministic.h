@@ -22,7 +22,7 @@ struct DeterministicSizerOptions {
 
 struct DeterministicSizerStats {
   std::size_t passes = 0;
-  std::size_t resizes = 0;
+  std::size_t resizes = 0;  ///< kept resizes: an overshooting batch is reverted, uncounted
   double initial_arrival_ps = 0.0;
   double final_arrival_ps = 0.0;
 };

@@ -255,7 +255,8 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
                                 options.score_engine + "\"");
   }
   const std::unique_ptr<timing::Analyzer> confirm = timing::make_analyzer(
-      options.confirm_engine, timing::AnalyzerOptions{options.fullssta, options.fassta});
+      options.confirm_engine,
+      timing::AnalyzerOptions{options.fullssta, options.fassta, options.threads});
 
   StatisticalSizerStats stats;
 
@@ -288,7 +289,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       cost = obj.cost(s.mean_ps, s.sigma_ps);
       return cost < accepted_cost - kMinImprovement;
     };
-    return opt::confirm(options.threads, atomic ? 1 : moves.size(), propose, judge,
+    return opt::confirm(atomic ? 1 : moves.size(), propose, judge,
                         [&](std::size_t i, const std::function<void()>&) {
                           accepted_cost = cost;
                           if (source == MoveSource::kUniformBump) {

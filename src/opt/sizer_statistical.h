@@ -29,12 +29,13 @@
 // chosen plan, the whole optimization trajectory, StatisticalSizerStats, and
 // the final sizes are bitwise-identical for any thread count (the same
 // contract as the parallel Monte-Carlo engine; see docs/ARCHITECTURE.md,
-// "Concurrency & determinism contracts").
+// "Concurrency & determinism contracts"). The same workers walk each exact
+// FULLSSTA what-if's cone (timing::AnalyzerOptions::threads).
 //
 // Each move source returns an ordered candidate list, and every accurate
 // confirmation goes through opt::confirm (opt/confirm.h): the plan batch and
 // each population bump are one-candidate walks, and the singles and both
-// sweeps walk their lists. The walk's contract keeps every decision
+// sweeps walk their lists, one exact what-if at a time. Every decision is
 // bitwise-identical for any thread count.
 #pragma once
 
@@ -68,7 +69,8 @@ struct StatisticalSizerOptions {
   InnerScoring scoring = InnerScoring::kGlobalFassta;
   unsigned subcircuit_levels = 2;          ///< TFI/TFO depth (paper: 2)
   /// Worker threads for the inner-loop candidate scoring (and the rescue
-  /// paths' fast-engine prescoring) and the exact confirmation walks. 1 =
+  /// paths' fast-engine prescoring) and each exact confirmation's cone walk
+  /// (timing::AnalyzerOptions::threads). 1 =
   /// serial on the calling thread; 0 = hardware concurrency (core::Flow's
   /// default, FlowOptions::sizer_threads). Results — trajectory, stats,
   /// final sizes — are bitwise-identical for any value.

@@ -23,10 +23,10 @@ struct FullSstaOptions {
   /// Off by default: the pdfs are only needed by consumers that re-propagate
   /// increments against them (timing::Analyzer's what-if overlay).
   bool keep_node_pdfs = false;
-  /// The full pass and the what-if cone walk gates serially in level
-  /// order: on the deep, narrow Table-1 circuits a level barrier costs more
-  /// than the pdf work it splits. A constant, not a knob, kept for readers
-  /// of the name.
+  /// The full pass walks gates serially in topo order: on the deep, narrow
+  /// Table-1 circuits a level barrier costs more than the pdf work it
+  /// splits. (The what-if cone is a dataflow walk on its analyzer's
+  /// workers, timing::AnalyzerOptions::threads.) A constant: perfbench prints it.
   static constexpr std::size_t threads = 1;
 };
 

@@ -32,10 +32,10 @@
 // shared; Speculations are per-worker. Any number of speculations from the
 // same base may be propose()d and score()d concurrently — each one only
 // reads the shared base. commit(), rollback(), and analyze() are serial
-// operations (no speculation may be scoring while they run). This is what
-// lets the optimizer's confirmation walk (opt/confirm.h) score a window of
-// candidates in parallel and commit them serially in order without changing
-// any result.
+// operations (no speculation may be scoring while they run). Inside one
+// score, the fullssta what-if walks its cone on AnalyzerOptions::threads
+// workers with a bitwise-identical result for any count; the optimizer's
+// confirmation walk (opt/confirm.h) scores one candidate at a time on it.
 #pragma once
 
 #include <cstdint>
@@ -135,10 +135,14 @@ class Analyzer {
 };
 
 /// Engine-specific knobs carried through make_analyzer. Each adapter reads
-/// only its own field (dsta has none).
+/// only its own fields (dsta has none).
 struct AnalyzerOptions {
   ssta::FullSstaOptions fullssta;
   fassta::EngineOptions fassta;
+  /// Workers for the fullssta what-if's cone walk (util::dataflow_for: 1
+  /// inside a pool worker, 0 = default count). Scores are bitwise-identical
+  /// for any value; the other engines' what-ifs are serial.
+  std::size_t threads = 1;
 };
 
 /// Creates an analyzer by name. The engines are a fixed table of the what-if

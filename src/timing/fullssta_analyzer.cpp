@@ -5,9 +5,11 @@
 // half and the transaction come from the shared ConeSpeculation
 // (timing/cone.h — also the engine behind the FASSTA/DSTA what-ifs); this
 // file adds the pdf half, which calls the engine's kernel
-// (ssta::gate_arrival and ssta::output_arrival) in one serial walk over the
-// topo-ordered cone, reading everything outside the cone from the
-// analyzer's cached base.
+// (ssta::gate_arrival and ssta::output_arrival) over the topo-ordered cone,
+// reading everything outside the cone from the analyzer's cached base, in a
+// dataflow walk (util::dataflow_for) on AnalyzerOptions::threads workers
+// that runs a slot once its in-cone fanins are done: any worker count
+// computes the serial walk's bits.
 // Calling the same kernels as update() and ssta::run_fullssta() is what
 // makes the score — and the base state a commit() installs —
 // bitwise-identical to a from-scratch update() + run_fullssta() of the
@@ -26,10 +28,12 @@
 // Overlay storage is sparse: the arrival pdfs and moments are indexed by
 // cone slot, so a speculation holds O(cone) pdfs and never touches an
 // O(nodes) array (the GateId -> slot lookup is the scoring thread's reused
-// sta::ConeWorkspace). Both are sized when the speculation is proposed, and
-// the pdfs' grids are inline (pdf::MassBuffer), so a pool worker scoring a
-// what-if fills them without allocating.
+// sta::ConeWorkspace, which the walk's workers only read). They and the
+// walk's done flags are sized when the speculation is proposed, and the
+// pdfs' grids are inline (pdf::MassBuffer), so no pool worker scoring a
+// what-if or walking its cone allocates.
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -37,6 +41,7 @@
 #include <utility>
 
 #include "timing/cone.h"
+#include "util/thread_pool.h"
 
 namespace statsizer::timing::detail {
 
@@ -175,7 +180,7 @@ class DelayPdfStore {
 class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
  public:
   explicit FullSstaAnalyzer(const AnalyzerOptions& options)
-      : options_(options.fullssta), delays_(options_) {}
+      : options_(options.fullssta), threads_(options.threads), delays_(options_) {}
 
   std::string_view name() const override { return "fullssta"; }
 
@@ -186,10 +191,11 @@ class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
    public:
     WhatIfSpeculation(FullSstaAnalyzer& owner, sta::TimingContext& ctx,
                       std::span<const Resize> resizes)
-        : ConeSpeculation(owner, ctx, resizes), ov_arrival_(cone_.nodes.size()) {}
+        : ConeSpeculation(owner, ctx, resizes), ov_arrival_(cone_.nodes.size()),
+          done_(cone_.nodes.size()) {}
 
    private:
-    /// The pdf half: the FULLSSTA gate kernel over the cone in slot order.
+    /// The pdf half: the FULLSSTA gate kernel over the cone, fanins first.
     void propagate_arrivals(const sta::ConeWorkspace& ws) override {
       const auto& nl = ctx_.netlist();
       const ssta::FullSstaOptions& options = owner_.options_;
@@ -198,17 +204,24 @@ class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
         return s != sta::ConeWorkspace::kNoSlot ? ov_arrival_[s] : owner_.base_arrival_[id];
       };
       // Cone nodes are mapped gates, so each has fanins to fold.
-      for (std::uint32_t s = 0; s < cone_.nodes.size(); ++s) {
-        const GateId id = cone_.nodes[s];
-        const std::size_t arc0 = ctx_.arc_offset(id);
-        DiscretePdf acc =
-            ssta::gate_arrival(nl.gate(id), options, arrival_of, [&](std::size_t i) {
-              const auto [delay, sigma] = cone_.arc(s, i);
-              return owner_.delays_.pdf(arc0 + i, delay, sigma);
-            });
-        moments_[s] = sta::NodeMoments{acc.mean(), acc.stddev()};
-        ov_arrival_[s] = std::move(acc);
-      }
+      util::dataflow_for(
+          done_, owner_.threads_,
+          [&](std::size_t s, const auto& visit) {
+            for (const GateId f : nl.gate(cone_.nodes[s]).fanins) {
+              if (const std::uint32_t p = ws.slot(f); p != sta::ConeWorkspace::kNoSlot) visit(p);
+            }
+          },
+          [&](std::size_t s) {
+            const GateId id = cone_.nodes[s];
+            const std::size_t arc0 = ctx_.arc_offset(id);
+            DiscretePdf acc =
+                ssta::gate_arrival(nl.gate(id), options, arrival_of, [&](std::size_t i) {
+                  const auto [delay, sigma] = cone_.arc(static_cast<std::uint32_t>(s), i);
+                  return owner_.delays_.pdf(arc0 + i, delay, sigma);
+                });
+            moments_[s] = sta::NodeMoments{acc.mean(), acc.stddev()};
+            ov_arrival_[s] = std::move(acc);
+          });
       ov_output_ = ssta::output_arrival(nl, options, arrival_of);
       result_.mean_ps = ov_output_.mean();
       result_.sigma_ps = ov_output_.stddev();
@@ -230,6 +243,7 @@ class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
     // Overlay state by cone slot, kept after score() so commit() can merge it.
     std::vector<DiscretePdf> ov_arrival_;
     DiscretePdf ov_output_;
+    std::vector<std::atomic<std::uint8_t>> done_;  ///< the cone walk's flags, by slot
   };
 
   Summary compute(const sta::TimingContext& ctx) {
@@ -247,6 +261,7 @@ class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
   }
 
   ssta::FullSstaOptions options_;
+  std::size_t threads_;  ///< cone walk workers
   std::vector<DiscretePdf> base_arrival_;
   DelayPdfStore delays_;  ///< keyed on its own pairs; see the file comment
 };

@@ -10,16 +10,19 @@
 // written up in docs/ARCHITECTURE.md, "Concurrency & determinism contracts".
 //
 // Exceptions thrown by a chunk body are captured and rethrown on the calling
-// thread after all workers have drained (first one wins).
+// thread after all workers have drained (first one wins). dataflow_for runs
+// a DAG's nodes on the same pool, each once its predecessors are done.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -161,6 +164,65 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
   drain();
   std::unique_lock<std::mutex> lock(mutex);
   helpers_done.wait(lock, [&] { return helpers_finished == helpers; });
+  if (error) std::rethrow_exception(error);
+}
+
+/// Runs body(i) once for every node i in [0, done.size()), numbered in a
+/// topological order: each_pred(i, visit) calls visit(p) for every node
+/// p < i whose results body(i) reads. With threads <= 1 (or in a pool
+/// worker) this is the serial loop; else the caller and up to threads - 1
+/// pool helpers claim nodes in index order from one atomic cursor, and a
+/// worker acquire-waits on each predecessor's flag in @p done (a bounded
+/// spin, then yields) before running a node and release-stores its flag
+/// after. Every claimed node is held by a running worker, so no wait
+/// outlives the walk, and a body reads exactly the serial loop's inputs.
+/// @p done is the caller's (a flag per node, any values): workers allocate
+/// nothing. A body that throws flags its node failed and its dependents are
+/// skipped; the lowest failed node's exception, the serial loop's, is
+/// rethrown on the caller after the join.
+template <typename Preds, typename Body>
+void dataflow_for(std::span<std::atomic<std::uint8_t>> done, std::size_t threads,
+                  Preds&& each_pred, Body&& body) {
+  const std::size_t total = done.size();
+  threads = std::min(region_threads(threads), total);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < total; ++i) body(i);
+    return;
+  }
+  enum : std::uint8_t { kPending, kDone, kFailed };
+  constexpr unsigned kSpins = 1024;  // about one node's work before yielding
+  for (std::atomic<std::uint8_t>& flag : done) flag.store(kPending, std::memory_order_relaxed);
+  std::atomic<std::size_t> cursor{0};
+  std::mutex mutex;
+  std::size_t first_failed = total;
+  std::exception_ptr error;
+  parallel_for(threads, 1, threads, [&](std::size_t, std::size_t, std::size_t) {
+    for (std::size_t i; (i = cursor.fetch_add(1, std::memory_order_relaxed)) < total;) {
+      bool ready = true;
+      each_pred(i, [&](std::size_t p) {
+        std::uint8_t state = kPending;
+        for (unsigned spin = 0; (state = done[p].load(std::memory_order_acquire)) == kPending;
+             ++spin) {
+          if (spin >= kSpins) std::this_thread::yield();
+        }
+        ready = ready && state == kDone;
+      });
+      std::uint8_t state = kFailed;
+      if (ready) {
+        try {
+          body(i);
+          state = kDone;
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (i < first_failed) {
+            first_failed = i;
+            error = std::current_exception();
+          }
+        }
+      }
+      done[i].store(state, std::memory_order_release);
+    }
+  });
   if (error) std::rethrow_exception(error);
 }
 

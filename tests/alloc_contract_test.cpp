@@ -9,12 +9,15 @@
 //    worker — allocates nothing once the scoring thread has served a cone
 //    that large (its reused cone workspace and replay temporaries), so a
 //    worker costs only the speculation it is scoring. A commit refreshing
-//    the analyzer's saved arc delay pdfs leaves that contract intact.
+//    the analyzer's saved arc delay pdfs leaves that contract intact, and
+//    the pool workers of a multi-worker cone walk allocate nothing: the
+//    walk's done flags are sized when the speculation is proposed.
 //  * FASSTA candidate scoring (fassta::Engine::run_with_candidate, and the
 //    lane walk over every size of a gate, run_with_candidates) with a reused
 //    Scratch allocates nothing once the scoring thread has served a cone
 //    that large, even after an exact what-if scored on the same thread
 //    re-stamped the cone workspace both share.
+#include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -31,12 +34,16 @@
 
 namespace {
 thread_local std::size_t tls_news = 0;  // operator new calls on this thread
+std::atomic<std::size_t> pool_worker_news{0};  // ... on any thread-pool worker
 }  // namespace
 
 // Both forms are replaced: sanitizer runtimes serve new[] without calling
 // operator new.
 void* operator new(std::size_t size) {
   ++tls_news;
+  if (statsizer::util::ThreadPool::in_worker()) {
+    pool_worker_news.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -226,6 +233,32 @@ TEST_F(FasstaAllocation, WorkerScoresLanesWithoutAllocating) {
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     EXPECT_EQ(lanes[k].mean_ps, first[k].mean_ps);
     EXPECT_EQ(lanes[k].sigma_ps, first[k].sigma_ps);
+  }
+}
+
+/// The what-if fixture's design and large-cone gate, scored by analyzers
+/// whose cone walk runs on the shared pool's workers.
+class ConeWalkAllocation : public WhatIfAllocation {};
+
+TEST_F(ConeWalkAllocation, PoolWorkersWalkingAConeAllocateNothing) {
+  const timing::Summary serial = propose()->score();
+  const auto& group = flow_.library().group(flow_.netlist().gate(gate_).cell_group);
+  const auto size = static_cast<std::uint16_t>(
+      (flow_.netlist().gate(gate_).size_index + 1) % group.size_count());
+  for (const std::size_t workers : {2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    timing::AnalyzerOptions options;
+    options.fullssta = flow_.options().fullssta;
+    options.threads = workers;
+    const auto walker = timing::make_analyzer("fullssta", options);
+    (void)walker->analyze(flow_.timing());
+    (void)walker->propose(gate_, size)->score();  // warms the scoring thread's temporaries
+    const auto spec = walker->propose(gate_, size);
+    const std::size_t before = pool_worker_news.load();
+    const timing::Summary& scored = spec->score();
+    EXPECT_EQ(pool_worker_news.load() - before, 0u);
+    EXPECT_EQ(scored.mean_ps, serial.mean_ps);
+    EXPECT_EQ(scored.sigma_ps, serial.sigma_ps);
   }
 }
 

@@ -16,8 +16,9 @@
 // rest on: what-if scores (single and multi-resize) bitwise-equal a
 // from-scratch update() + run_fullssta() on the cla_adder and parity-fabric
 // circuits from sizer_parallel_test, concurrent speculative scoring is
-// thread-count-invariant, and a committed overlay equals the from-scratch
-// run (arrival moments, output pdf, mean, sigma).
+// thread-count-invariant, a committed overlay equals the from-scratch
+// run (arrival moments, output pdf, mean, sigma), and so does the dataflow
+// cone walk at 1, 2, 3 and 8 workers, over a c6288 cone of 1000+ slots too.
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -605,15 +606,91 @@ TEST_P(FullSstaWhatIf, WhatIfAfterACommitChainMatchesFromScratch) {
   }
 }
 
+// The cone walk runs a slot once its in-cone fanins are done, on the
+// analyzer's workers: a score and a committed base stay bitwise a
+// from-scratch run at every worker count, the serial walk's included.
+TEST_P(FullSstaWhatIf, ConeWalkMatchesFromScratchAtEveryWorkerCount) {
+  Bench b(circuit());
+  const auto cands = some_candidates(*b.ctx, 6);
+  ASSERT_GE(cands.size(), 2u);
+  std::vector<Resize> batch;
+  for (const Candidate& c : cands) batch.push_back(Resize{c.gate, c.size});
+  const Summary single = scratch_summary(b, std::span<const Resize>(batch.data(), 1));
+  const Summary multi = scratch_summary(b, batch);
+  const auto keep = b.nl.sizes();
+
+  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    AnalyzerOptions options;
+    options.threads = workers;
+    auto an = make_analyzer("fullssta", options);
+    (void)an->analyze(*b.ctx);
+    const Summary one = an->propose(batch[0].gate, batch[0].size)->score();
+    EXPECT_EQ(one.mean_ps, single.mean_ps);
+    EXPECT_EQ(one.sigma_ps, single.sigma_ps);
+    auto spec = an->propose_resizes(batch);
+    EXPECT_EQ(spec->score().mean_ps, multi.mean_ps);
+    EXPECT_EQ(spec->score().sigma_ps, multi.sigma_ps);
+    spec->commit();
+    expect_summaries_equal(an->current(), multi);
+    b.nl.set_sizes(keep);
+    b.ctx->update();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
                          [](const auto& info) {
                            return info.param == 0 ? std::string("cla_adder")
                                                   : std::string("parity_fabric");
                          });
 
+// c6288's input-side gates fan out through the multiplier's array: a cone
+// of more than a thousand slots and the walk's longest dependency chains.
+TEST(FullSstaConeWalk, C6288InputSideGateMatchesFromScratchAtEveryWorkerCount) {
+  core::Flow flow;
+  ASSERT_TRUE(flow.load_table1("c6288").ok());
+  sta::TimingContext& ctx = flow.timing();
+  auto& nl = ctx.mutable_netlist();
+  sta::ConeWorkspace ws;
+  Resize move;
+  std::size_t cone = 0;
+  for (GateId g = 0; g < nl.node_count() && move.gate == netlist::kNoGate; ++g) {
+    if (!ctx.has_cell(g)) continue;
+    const std::size_t sizes = flow.library().group(nl.gate(g).cell_group).size_count();
+    cone = sta::collect_cone(ctx, std::span<const GateId>(&g, 1), ws).size();
+    if (sizes > 1 && cone > 1000) {
+      move = Resize{g, static_cast<std::uint16_t>((nl.gate(g).size_index + 1) % sizes)};
+    }
+  }
+  ASSERT_NE(move.gate, netlist::kNoGate);
+  const auto keep = nl.sizes();
+  nl.gate(move.gate).size_index = move.size;
+  ctx.update();
+  const Summary reference = make_analyzer("fullssta")->analyze(ctx);
+  nl.set_sizes(keep);
+  ctx.update();
+
+  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers) + ", cone=" + std::to_string(cone));
+    AnalyzerOptions options;
+    options.threads = workers;
+    auto an = make_analyzer("fullssta", options);
+    (void)an->analyze(ctx);
+    auto spec = an->propose(move.gate, move.size);
+    EXPECT_EQ(spec->score().mean_ps, reference.mean_ps);
+    EXPECT_EQ(spec->score().sigma_ps, reference.sigma_ps);
+    spec->commit();
+    expect_summaries_equal(an->current(), reference);
+    nl.set_sizes(keep);
+    ctx.update();
+  }
+}
+
 // ---------------------------------------------------------------------------
-// opt::confirm: the optimizer's one confirmation walk, over two cone engines
-// (dsta, fassta); both score windows of one candidate per worker. The suite
+// opt::confirm: the optimizer's one confirmation walk, over the three cone
+// engines, one candidate at a time. The parameter's thread count is the
+// analyzer's (AnalyzerOptions::threads): the workers of fullssta's cone
+// walk; the dsta and fassta what-ifs are serial at any count. The suite
 // keeps the name of the walk's policy: the first approved candidate wins.
 // ---------------------------------------------------------------------------
 
@@ -621,17 +698,22 @@ class FirstAccepted : public ::testing::TestWithParam<std::tuple<std::string, st
  protected:
   static std::string engine() { return std::get<0>(GetParam()); }
   static std::size_t threads() { return std::get<1>(GetParam()); }
+  static std::unique_ptr<Analyzer> analyzer() {
+    AnalyzerOptions options;
+    options.threads = threads();
+    return make_analyzer(engine(), options);
+  }
 };
 
 // The hook sees the first approved candidate before its commit: nothing has
 // moved until it calls commit().
 TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
   Bench b(circuits::make_cla_adder(8));
-  auto an = make_analyzer(engine());
+  auto an = analyzer();
   (void)an->analyze(*b.ctx);
   const auto cands = some_candidates(*b.ctx, 20);
   ASSERT_EQ(cands.size(), 20u);
-  const std::size_t k = 13;  // past the first window at every thread count
+  const std::size_t k = 13;  // deep in the list, after skipped candidates
   const auto skipped = [](std::size_t i) { return i % 5 == 2; };  // never k
   const Summary base = an->current();
   const std::vector<std::uint16_t> sizes = b.nl.sizes();
@@ -639,7 +721,7 @@ TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
   std::vector<std::size_t> judged;
   std::size_t hit = cands.size();
   const opt::Confirmed walk = opt::confirm(
-      threads(), cands.size(),
+      cands.size(),
       [&](std::size_t i) -> std::unique_ptr<Speculation> {
         if (skipped(i)) return nullptr;
         return an->propose(cands[i].gate, cands[i].size);
@@ -671,14 +753,14 @@ TEST_P(FirstAccepted, ReturnsTheFirstApprovedCandidateUncommitted) {
 // No approval: every candidate is judged once and nothing is committed.
 TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
   Bench b(circuits::make_cla_adder(8));
-  auto an = make_analyzer(engine());
+  auto an = analyzer();
   (void)an->analyze(*b.ctx);
   const auto cands = some_candidates(*b.ctx, 11);
   const std::vector<std::uint16_t> sizes = b.nl.sizes();
 
   std::size_t judged = 0;
   const opt::Confirmed walk = opt::confirm(
-      threads(), cands.size(),
+      cands.size(),
       [&](std::size_t i) { return an->propose(cands[i].gate, cands[i].size); },
       [&](std::size_t, const Summary&) {
         ++judged;
@@ -699,7 +781,7 @@ TEST_P(FirstAccepted, NoApprovalReturnsCountAndNull) {
 // from-scratch analysis of the committed netlist with the new move applied.
 TEST_P(FirstAccepted, ResumingAtTheAcceptedIndexJudgesAgainstTheNewBase) {
   Bench b(circuits::make_cla_adder(8));
-  auto an = make_analyzer(engine());
+  auto an = analyzer();
   (void)an->analyze(*b.ctx);
   const auto cands = some_candidates(*b.ctx, 20);
   ASSERT_EQ(cands.size(), 20u);
@@ -716,7 +798,7 @@ TEST_P(FirstAccepted, ResumingAtTheAcceptedIndexJudgesAgainstTheNewBase) {
   std::size_t commits = 0;
   Summary reference;
   const opt::Confirmed walk = opt::confirm(
-      threads(), cands.size(),
+      cands.size(),
       [&](std::size_t i) {
         const Resize r = i == k ? next_move() : Resize{cands[i].gate, cands[i].size};
         return an->propose(r.gate, r.size);
@@ -747,34 +829,43 @@ TEST_P(FirstAccepted, ResumingAtTheAcceptedIndexJudgesAgainstTheNewBase) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, FirstAccepted,
-                         ::testing::Combine(::testing::Values("dsta", "fassta"),
+                         ::testing::Combine(::testing::Values("dsta", "fassta", "fullssta"),
                                             ::testing::Values(1u, 2u, 3u, 8u)),
                          [](const auto& info) {
                            return std::get<0>(info.param) + "_threads" +
                                   std::to_string(std::get<1>(info.param));
                          });
 
-// Inside a pool worker (a serving job, a batch flow) the scores would run
-// inline, so the walk proposes one candidate at a time whatever its thread
-// count: a walk that accepts its first candidate proposes only that one.
+// Inside a pool worker (a serving job, a batch flow) an 8-worker cone walk
+// runs inline, and the walk proposes one candidate at a time: a walk that
+// accepts its first candidate proposes only that one, and scores it as the
+// serial walk does.
 TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
   Bench b(circuits::make_cla_adder(8));
-  auto an = make_analyzer("dsta");
+  AnalyzerOptions options;
+  options.threads = 8;
+  auto an = make_analyzer("fullssta", options);
   (void)an->analyze(*b.ctx);
   const auto cands = some_candidates(*b.ctx, 20);
   ASSERT_EQ(cands.size(), 20u);
+  const Resize first{cands[0].gate, cands[0].size};
+  const Summary reference = scratch_summary(b, std::span<const Resize>(&first, 1));
 
   std::size_t proposed = 0;
   std::size_t index = cands.size();
+  Summary judged;
   serve::JobManager manager;
   const serve::JobRef job = manager.submit([&] {
     (void)opt::confirm(
-        /*threads=*/8, cands.size(),
+        cands.size(),
         [&](std::size_t i) {
           ++proposed;
           return an->propose(cands[i].gate, cands[i].size);
         },
-        [](std::size_t, const Summary&) { return true; },
+        [&](std::size_t, const Summary& s) {
+          judged = s;
+          return true;
+        },
         [&](std::size_t i, const std::function<void()>& commit) {
           index = i;
           commit();
@@ -784,6 +875,8 @@ TEST(FirstAcceptedInWorker, ProposesOneCandidateAtATime) {
   ASSERT_TRUE(job->wait().ok()) << job->wait().message();
   EXPECT_EQ(index, 0u);
   EXPECT_EQ(proposed, 1u);
+  EXPECT_EQ(judged.mean_ps, reference.mean_ps);
+  EXPECT_EQ(judged.sigma_ps, reference.sigma_ps);
 }
 
 // ---------------------------------------------------------------------------

@@ -298,8 +298,10 @@ TEST_P(AreaRecoveryParallel, MatchesPrePortSerialLoop) {
 }
 
 TEST_P(AreaRecoveryParallel, OddScreenWindowsIdenticalToSerial) {
-  // The screen window is the worker count (opt::confirm), so 3
-  // and 5 cut the wave walk at boundaries no other case uses.
+  // The thread count is the worker count of every FULLSSTA what-if's
+  // cone walk (the statistical mode's chunk verifications; util::
+  // dataflow_for): 3 and 5 workers split the cones' slots in ways no other
+  // case does.
   const RunResult ref = run_once(circuit(), options(), 1, headroom());
   ASSERT_GT(ref.stats.downsizes, 0u);
   for (const std::size_t threads : {3u, 5u}) {

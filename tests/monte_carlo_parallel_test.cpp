@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -345,6 +347,98 @@ TEST(ParallelFor, PropagatesExceptionsFromWorkerThreads) {
     EXPECT_STREQ(e.what(), "boom on worker");
   }
   EXPECT_TRUE(worker_threw.load());
+}
+
+/// A DAG in topological order: node i reads node i - 1 when i is odd and
+/// node i - 10 when i >= 10.
+void lattice_preds(std::size_t i, const std::function<void(std::size_t)>& visit) {
+  if (i % 2 == 1) visit(i - 1);
+  if (i >= 10) visit(i - 10);
+}
+
+TEST(DataflowFor, RunsEveryNodeOnceAfterItsPredecessors) {
+  constexpr std::size_t n = 500;
+  const auto walk = [&](std::size_t threads) {
+    std::vector<std::atomic<std::uint8_t>> done(n);
+    std::vector<double> value(n, 0.0);
+    std::vector<std::atomic<int>> runs(n);
+    util::dataflow_for(done, threads, lattice_preds, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      double v = 1.0 + 1e-3 * static_cast<double>(i);
+      lattice_preds(i, [&](std::size_t p) { v = v * 0.75 + value[p] / 3.0; });
+      value[i] = v;
+    });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << "node " << i;
+    return value;
+  };
+  const std::vector<double> serial = walk(1);
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    EXPECT_EQ(walk(threads), serial) << "threads=" << threads;
+  }
+}
+
+// Nodes 40 and 70 throw: the caller sees node 40's exception, the one the
+// serial loop throws first, at any worker count, and no dependent of a
+// failed node runs.
+TEST(DataflowFor, RethrowsTheSerialLoopsExceptionOnTheCaller) {
+  constexpr std::size_t n = 200;
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<std::uint8_t>> done(n);
+      std::vector<std::atomic<int>> runs(n);
+      try {
+        util::dataflow_for(done, threads, lattice_preds, [&](std::size_t i) {
+          runs[i].fetch_add(1);
+          if (i == 40 || i == 70) throw std::runtime_error("node " + std::to_string(i));
+        });
+        ADD_FAILURE() << "dataflow_for swallowed the exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "node 40") << "threads=" << threads;
+      }
+      for (const std::size_t dependent : {41u, 50u, 51u, 80u, 190u}) {
+        EXPECT_EQ(runs[dependent].load(), 0) << "node " << dependent;
+      }
+      EXPECT_EQ(runs[39].load(), 1);
+    }
+  }
+}
+
+// The throw lands on a pool worker: the caller's nodes wait (bounded) until
+// a worker-run node has thrown, so a walk that hung on its failed node or
+// lost a worker's exception fails here.
+TEST(DataflowFor, RethrowsAPoolWorkersExceptionOnTheCaller) {
+  constexpr std::size_t n = 64;
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    std::vector<std::atomic<std::uint8_t>> done(n);
+    std::atomic<bool> worker_threw{false};
+    const auto chain = [](std::size_t i, const auto& visit) {
+      if (i > 0) visit(i - 1);
+    };
+    try {
+      util::dataflow_for(done, threads, [](std::size_t, const auto&) {}, [&](std::size_t) {
+        if (util::ThreadPool::in_worker()) {
+          if (!worker_threw.exchange(true)) throw std::runtime_error("boom on worker");
+          return;
+        }
+        for (int spin = 0; spin < 10'000 && !worker_threw.load(); ++spin) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      });
+      ADD_FAILURE() << "dataflow_for swallowed the worker exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom on worker") << "threads=" << threads;
+    }
+    EXPECT_TRUE(worker_threw.load());
+    // A chain whose first node fails skips every later node.
+    std::atomic<int> runs{0};
+    EXPECT_THROW(util::dataflow_for(done, threads, chain,
+                                    [&](std::size_t i) {
+                                      runs.fetch_add(1);
+                                      if (i == 0) throw std::runtime_error("first");
+                                    }),
+                 std::runtime_error);
+    EXPECT_EQ(runs.load(), 1);
+  }
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {

@@ -1,7 +1,8 @@
-// Parallel StatisticalGreedy: candidate scoring fans across the thread pool,
-// and the contract (mirroring the parallel Monte-Carlo engine) is that the
-// whole optimization — resize trajectory, stats, final sizes, final
-// moments — is bitwise-identical for any thread count.
+// Parallel StatisticalGreedy: candidate scoring and each exact confirmation's
+// FULLSSTA cone walk fan across the thread pool, and the contract (mirroring
+// the parallel Monte-Carlo engine) is that the whole optimization — resize
+// trajectory, stats, final sizes, final moments — is bitwise-identical for
+// any thread count.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -115,8 +116,10 @@ TEST(SizerParallel, BalancedFabricGlobalSweepIdenticalAcrossThreadCounts) {
 }
 
 TEST(SizerParallel, OddSpeculationWindowsIdenticalToSerial) {
-  // The confirmation window is the worker count (opt::confirm), so
-  // 3 and 5 cut the in-order walks at boundaries no other case uses.
+  // The thread count is the worker count of every confirmation's FULLSSTA
+  // cone walk (util::dataflow_for) and of the candidate scoring: 3 and 5
+  // workers split the cones' slots and the score arrays in ways no other
+  // case does.
   const auto chain = run_once(circuits::make_cla_adder(8), 3.0, 1);
   const auto fabric = run_once(parity_fabric(16), 9.0, 1);
   ASSERT_GT(chain.stats.exact_resizes, 0u);

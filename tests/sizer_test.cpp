@@ -87,6 +87,31 @@ TEST(DeterministicSizer, NeverWorsensOnAnyGenerator) {
   try_one(circuits::make_hamming_sec(8));
 }
 
+// Only kept resizes count. On this decoder the first batch overshoots and is
+// reverted, so nothing is kept; on the carry-lookahead adder every pass is
+// kept, and each changed gate was resized at least once.
+TEST(DeterministicSizer, CountsOnlyKeptResizes) {
+  Bench b(circuits::make_hamming_sec(8));
+  (void)apply_initial_sizing(*b.ctx);
+  const std::vector<std::uint16_t> sizes = b.nl.sizes();
+  const DeterministicSizerStats reverted = size_for_mean_delay(*b.ctx);
+  EXPECT_EQ(reverted.passes, 0u);
+  EXPECT_EQ(reverted.resizes, 0u);
+  EXPECT_EQ(b.nl.sizes(), sizes);
+  EXPECT_EQ(reverted.final_arrival_ps, reverted.initial_arrival_ps);
+
+  Bench kept(circuits::make_cla_adder(8));
+  (void)apply_initial_sizing(*kept.ctx);
+  const std::vector<std::uint16_t> before = kept.nl.sizes();
+  const DeterministicSizerStats stats = size_for_mean_delay(*kept.ctx);
+  const std::vector<std::uint16_t> after = kept.nl.sizes();
+  std::size_t changed = 0;
+  for (std::size_t g = 0; g < before.size(); ++g) changed += after[g] != before[g];
+  EXPECT_GT(changed, 0u);
+  EXPECT_GE(stats.resizes, changed);
+  EXPECT_LT(stats.final_arrival_ps, stats.initial_arrival_ps);
+}
+
 // ---------------------------------------------------------------------------
 // statistical sizer
 // ---------------------------------------------------------------------------
