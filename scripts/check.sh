@@ -199,10 +199,13 @@ if [[ "${TSAN}" == 1 ]]; then
   # KeyedRng and KeyedDraws pin the counter-keyed draws that make the sample
   # loop's workers share no generator state. FasstaLaneScoring walks every
   # size of a gate in lanes through the per-thread scratch and cone workspace
-  # the sizer's pool workers score with.
+  # the sizer's pool workers score with. WhatIfFront (with its c6288 case,
+  # WhatIfFrontC6288) drives every engine's front-only replay and commit,
+  # whose non-front reads go to the shared context; ThreadPool includes the
+  # fork-join that retracts helpers no worker started.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FullSstaConeWalk|DataflowFor|ConeWalkAllocation|FirstAccepted|EngineSelection|FasstaConeConcurrency|FasstaLaneScoring|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation'
+    -R 'AnalyzerRegistry|AnalyzerConformance|FullSstaWhatIf|FullSstaConeWalk|DataflowFor|ConeWalkAllocation|FirstAccepted|EngineSelection|FasstaConeConcurrency|FasstaLaneScoring|IsleDegeneracy|LevelizedUpdate|ConeBuilder|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|KeyedRng|KeyedDraws|JobManager|ServeSession|ServeServer|FlowThreading|WhatIfAllocation|FasstaAllocation|PdfAllocation|WhatIfFront'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

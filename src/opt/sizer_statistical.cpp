@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "netlist/subcircuit.h"
 #include "opt/confirm.h"
@@ -272,36 +274,69 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     }
   };
 
+  // Resize sets the accurate engine rejected at the snapshot epoch
+  // rejected_epoch, each as its sorted (gate, size) keys. Until the next
+  // commit the base and the cost to beat are fixed, and so is a verdict.
+  std::set<std::vector<std::uint64_t>> rejected;
+  std::uint64_t rejected_epoch = ctx.snapshot_epoch();
+
   // Confirms @p moves through opt::confirm against the accurate engine: one
   // candidate per resize walked in order, or (atomic) the whole list as one
-  // multi-resize speculation. Every approved candidate is recorded, committed
-  // and becomes the cost to beat; returns the number of candidates committed.
+  // multi-resize speculation. A candidate already rejected at this snapshot
+  // is skipped, not re-judged. Every approved candidate is recorded,
+  // committed and becomes the cost to beat; returns the number of
+  // candidates committed.
   const auto confirm_moves = [&](std::span<const timing::Resize> moves, bool atomic,
                                  MoveSource source) {
+    SourceConfirmations& counts = stats.confirmations[static_cast<std::size_t>(source)];
     double cost = 0.0;
+    std::vector<std::uint64_t> key;  // the live candidate's
+    const timing::Speculation* live = nullptr;
     const auto propose = [&](std::size_t i) -> std::unique_ptr<timing::Speculation> {
-      if (atomic) return confirm->propose_resizes(moves);
-      const timing::Resize& c = moves[i];
-      if (nl.gate(c.gate).size_index == c.size) return nullptr;  // moved here by a commit
-      return confirm->propose(c.gate, c.size);
+      const std::span<const timing::Resize> set = atomic ? moves : moves.subspan(i, 1);
+      if (!atomic && nl.gate(set[0].gate).size_index == set[0].size) {
+        return nullptr;  // moved here by a commit
+      }
+      if (ctx.snapshot_epoch() != rejected_epoch) {
+        rejected.clear();
+        rejected_epoch = ctx.snapshot_epoch();
+      }
+      key.clear();
+      for (const timing::Resize& r : set) key.push_back(std::uint64_t{r.gate} << 16 | r.size);
+      std::sort(key.begin(), key.end());
+      if (rejected.count(key) != 0) {
+        ++counts.skipped_repeats;
+        return nullptr;
+      }
+      std::unique_ptr<timing::Speculation> spec = confirm->propose_resizes(set);
+      live = spec.get();
+      return spec;
     };
     const auto judge = [&](std::size_t, const timing::Summary& s) {
+      const timing::ReplayCounts replayed = live->replayed();
+      stats.cone_slots += replayed.cone_slots;
+      stats.front_slots += replayed.front_slots;
       cost = obj.cost(s.mean_ps, s.sigma_ps);
-      return cost < accepted_cost - kMinImprovement;
+      const bool approved = cost < accepted_cost - kMinImprovement;
+      if (!approved) rejected.insert(key);
+      return approved;
     };
-    return opt::confirm(atomic ? 1 : moves.size(), propose, judge,
-                        [&](std::size_t i, const std::function<void()>&) {
-                          accepted_cost = cost;
-                          if (source == MoveSource::kUniformBump) {
-                            record(netlist::kNoGate, 0, 0, source);  // the whole population
-                          } else {
-                            for (const timing::Resize& r : atomic ? moves : moves.subspan(i, 1)) {
-                              record(r.gate, nl.gate(r.gate).size_index, r.size, source);
-                            }
-                          }
-                          return i + 1;
-                        })
-        .committed;
+    const Confirmed walk =
+        opt::confirm(atomic ? 1 : moves.size(), propose, judge,
+                     [&](std::size_t i, const std::function<void()>&) {
+                       accepted_cost = cost;
+                       if (source == MoveSource::kUniformBump) {
+                         record(netlist::kNoGate, 0, 0, source);  // the whole population
+                       } else {
+                         for (const timing::Resize& r : atomic ? moves : moves.subspan(i, 1)) {
+                           record(r.gate, nl.gate(r.gate).size_index, r.size, source);
+                         }
+                       }
+                       return i + 1;
+                     });
+    counts.judged += walk.judged;
+    counts.committed += walk.committed;
+    return walk.committed;
   };
 
   for (stats.iterations = 0; stats.iterations < options.max_iterations; ++stats.iterations) {

@@ -39,6 +39,7 @@
 // bitwise-identical for any thread count.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -122,6 +123,18 @@ enum class MoveSource : std::uint8_t {
   kGlobalSweep,   ///< accurate sweep of the fattest arcs netlist-wide
   kUniformBump,   ///< coordinated whole-population upsize
 };
+inline constexpr std::size_t kMoveSourceCount = 5;
+
+/// One move source's exact confirmations (opt::confirm walks).
+struct SourceConfirmations {
+  std::size_t judged = 0;     ///< exact what-ifs scored and judged
+  std::size_t committed = 0;  ///< of them, committed
+  /// Candidates never proposed: the same resize set was already rejected
+  /// at the current snapshot, whose base and cost to beat fix the verdict.
+  std::size_t skipped_repeats = 0;
+
+  friend bool operator==(const SourceConfirmations&, const SourceConfirmations&) = default;
+};
 
 /// One confirmed resize (only recorded when options.record_trajectory).
 /// A kUniformBump event stands for the whole population move: gate is
@@ -149,6 +162,12 @@ struct StatisticalSizerStats {
   std::size_t global_sweeps = 0;
   /// Population-bump rounds attempted (bounded by kMaxUniformBumps).
   std::size_t uniform_bump_rounds = 0;
+  /// Exact confirmations by move source, indexed by MoveSource.
+  std::array<SourceConfirmations, kMoveSourceCount> confirmations{};
+  /// Over every judged what-if: its cone's slots and the change front its
+  /// replay re-relaxed (timing::ReplayCounts, summed).
+  std::size_t cone_slots = 0;
+  std::size_t front_slots = 0;
   /// Every confirmed resize in commit order (only if record_trajectory).
   std::vector<ResizeEvent> trajectory;
   CircuitStats initial;

@@ -164,13 +164,21 @@ DiscretePdf DiscretePdf::normal(double mean, double sigma, std::size_t samples,
 }
 
 DiscretePdf DiscretePdf::restore(double origin, double step, std::span<const double> masses) {
+  DiscretePdf p = restore(origin, step, masses, 0.0, 0.0);
+  p.cache_moments();
+  return p;
+}
+
+DiscretePdf DiscretePdf::restore(double origin, double step, std::span<const double> masses,
+                                 double mean, double variance) {
   if (masses.empty()) throw std::invalid_argument("DiscretePdf::restore: empty grid");
   DiscretePdf p;
   p.origin_ = origin;
   p.step_ = step;
   p.mass_ = MassBuffer(masses.size());
   std::copy(masses.begin(), masses.end(), p.mass_.data());
-  p.cache_moments();
+  p.mean_ = mean;
+  p.variance_ = variance;
   return p;
 }
 

@@ -98,6 +98,10 @@ class DiscretePdf {
   /// result is bitwise the pdf the grid was read from. Throws on an empty
   /// grid.
   static DiscretePdf restore(double origin, double step, std::span<const double> masses);
+  /// restore() with the moments read back too (mean(), variance()), so
+  /// nothing is re-cached: bitwise the pdf all five were read from.
+  static DiscretePdf restore(double origin, double step, std::span<const double> masses,
+                             double mean, double variance);
 
   /// Raw construction; masses are normalized to sum 1. Throws on empty or
   /// all-zero masses, or negative entries.

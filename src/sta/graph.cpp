@@ -144,7 +144,7 @@ double TimingContext::sigma_for(const liberty::Cell& cell, double delay_ps) cons
   return var_.sigma_ps(delay_ps, cell.drive);
 }
 
-void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
+void TimingContext::apply_snapshot_patch(std::span<const GateId> nodes,
                                          std::span<const std::pair<GateId, double>> loads,
                                          std::span<const double> slew,
                                          std::span<const double> arc_delay,
@@ -152,16 +152,16 @@ void TimingContext::apply_snapshot_patch(std::span<const GateId> cone,
   if constexpr (debug::kParanoid) {
     debug::validate_structure_fresh(*this);
     std::size_t arcs = 0;
-    for (const GateId id : cone) arcs += arc_offset_[id + 1] - arc_offset_[id];
-    STATSIZER_PARANOID_CHECK(slew.size() == cone.size() && arc_delay.size() == arcs &&
+    for (const GateId id : nodes) arcs += arc_offset_[id + 1] - arc_offset_[id];
+    STATSIZER_PARANOID_CHECK(slew.size() == nodes.size() && arc_delay.size() == arcs &&
                                  arc_sigma.size() == arcs,
-                             "apply_snapshot_patch", "patch spans do not match the cone's shape");
+                             "apply_snapshot_patch", "patch spans do not match the nodes' shape");
   }
   ++snapshot_epoch_;
   for (const auto& [driver, load] : loads) load_[driver] = load;
-  std::size_t next = 0;  // the cone's arcs, back to back
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    const GateId id = cone[i];
+  std::size_t next = 0;  // the nodes' arcs, back to back
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const GateId id = nodes[i];
     slew_[id] = slew[i];
     for (std::uint32_t a = arc_offset_[id]; a < arc_offset_[id + 1]; ++a, ++next) {
       arc_delay_[a] = arc_delay[next];

@@ -242,14 +242,15 @@ class TimingContext {
   // -- incremental snapshot commit ---------------------------------------------
   /// Commits an exact what-if overlay (timing/cone.h) in place of a full
   /// update(): writes each (driver, load) of @p loads; for the i-th node of
-  /// @p cone, writes @p slew[i] and its arcs from @p arc_delay / @p arc_sigma,
-  /// which hold the cone's arcs back to back in cone order; then re-sums the
-  /// cell area exactly as update() does (floating-point addition is not
-  /// associative, so an area *delta* would drift by ULPs). The caller
-  /// guarantees the patched values are what a full update() would compute
-  /// for the netlist's current sizing state — after the call the snapshot is
-  /// bitwise-identical to having called update().
-  void apply_snapshot_patch(std::span<const netlist::GateId> cone,
+  /// @p nodes (the overlay's change front), writes @p slew[i] and its arcs
+  /// from @p arc_delay / @p arc_sigma, which hold the nodes' arcs back to
+  /// back in that order; then re-sums the cell area exactly as update() does
+  /// (floating-point addition is not associative, so an area *delta* would
+  /// drift by ULPs). The caller guarantees the patched values are what a full
+  /// update() would compute for the netlist's current sizing state, and that
+  /// every node it leaves out already holds them — after the call the
+  /// snapshot is bitwise-identical to having called update().
+  void apply_snapshot_patch(std::span<const netlist::GateId> nodes,
                             std::span<const std::pair<netlist::GateId, double>> loads,
                             std::span<const double> slew, std::span<const double> arc_delay,
                             std::span<const double> arc_sigma);

@@ -38,6 +38,7 @@
 // confirmation walk (opt/confirm.h) scores one candidate at a time on it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -71,6 +72,12 @@ struct Resize {
   std::uint16_t size = 0;
 };
 
+/// What one exact what-if recomputed: Speculation::replayed(), after score().
+struct ReplayCounts {
+  std::size_t cone_slots = 0;   ///< nodes of the resize set's fanout cone
+  std::size_t front_slots = 0;  ///< of them, re-relaxed: the change front
+};
+
 /// A transactional what-if opened by Analyzer::propose. See the lifecycle in
 /// the header comment. Not copyable; owned by the caller.
 class Speculation {
@@ -97,6 +104,10 @@ class Speculation {
   /// Discards the speculation. Guaranteed no-op on netlist, context, and
   /// analyzer state. Safe to call on an invalidated speculation.
   virtual void rollback() = 0;
+
+  /// The cone the score walked and the front it re-relaxed (zero before
+  /// the first score()).
+  [[nodiscard]] virtual ReplayCounts replayed() const = 0;
 
  protected:
   Speculation() = default;

@@ -4,26 +4,26 @@
 //
 // ConeSnapshot is the snapshot half: the fanout cone of a resize set
 // (sta::collect_cone — the one cone builder, in topo_order()) plus the
-// recomputed loads, slews, arc delays, and arc sigmas over it, computed by
-// calling the context's own kernels — loads through the shared per-driver
-// fold (TimingContext::fold_load, in update()'s exact accumulation order with
-// candidate cells substituted; a cap *delta* added to the cached load would
-// drift by an ULP), slews and arcs through the slew/arc kernel
-// (TimingContext::relax_gate), in one serial walk over the topo-ordered
-// cone. Every value array is indexed by cone slot, so a speculation holds
-// O(cone) memory and never allocates or clears anything node- or
-// arc-sized; the only GateId -> slot map is the scoring thread's reused
-// sta::ConeWorkspace. The cone is collected, and every array sized,
-// when the speculation is proposed; scoring only fills them (collect() /
-// replay()). replay() re-relaxes only the change front: the resized gates,
-// the re-folded drivers, and the nodes with a fanin slot whose slew moved
-// bitwise; every other slot copies the context's slew and arcs, which are
-// exactly what relax_gate would recompute from unchanged inputs. Values
-// outside the cone are untouched (they are
-// bitwise-unchanged by the resizes), so an engine that calls its own gate
-// kernel over the cone in topological order — reading everything else from its
-// cached base — reproduces a from-scratch update() + full run bitwise.
-// TimingContext::apply_snapshot_patch() consumes the same arrays to commit
+// recomputed loads, slews, arc delays, and arc sigmas of its change front,
+// computed by calling the context's own kernels — loads through the shared
+// per-driver fold (TimingContext::fold_load, in update()'s exact
+// accumulation order with candidate cells substituted; a cap *delta* added
+// to the cached load would drift by an ULP), slews and arcs through the
+// slew/arc kernel (TimingContext::relax_gate), in one serial walk over the
+// topo-ordered cone. replay() re-relaxes and stores only the change front:
+// the resized gates, the re-folded drivers, and the fanouts of a front node
+// whose slew moved bitwise. Every other cone node would recompute the
+// context's own slew and arcs from unchanged inputs, so the engine halves
+// read those from the context through the snapshot's one accessor
+// (ConeSnapshot::arc) and nothing copies them. Front storage is reserved
+// when the speculation is proposed, so a speculation holds O(cone) memory
+// and never allocates or clears anything node- or arc-sized; the only
+// GateId -> slot map is the scoring thread's reused sta::ConeWorkspace.
+// Values outside the cone are untouched (they are bitwise-unchanged by the
+// resizes), so an engine that calls its own gate kernel over the cone in
+// topological order — reading everything else from its cached base —
+// reproduces a from-scratch update() + full run bitwise.
+// TimingContext::apply_snapshot_patch() writes the front alone to commit
 // the overlay in place of a full update().
 //
 // ConeSpeculation is the one speculation transaction, shared by the
@@ -57,9 +57,11 @@ namespace statsizer::timing::detail {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The snapshot overlay of one exact what-if: the resize set's fanout cone
-/// and the recomputed load/slew/arc values over it, indexed by cone slot.
+/// The snapshot overlay of one exact what-if: the resize set's fanout cone,
+/// and the recomputed load/slew/arc values of its change front.
 struct ConeSnapshot {
+  static constexpr std::uint32_t kNotFront = ~std::uint32_t{0};
+
   /// The cone in topo_order() order (the resized gates, their mapped
   /// drivers, and the downstream fanout closure): slot s is nodes[s].
   std::vector<netlist::GateId> nodes;
@@ -67,33 +69,52 @@ struct ConeSnapshot {
   /// ones (a primary input's load feeds no arc, but apply_snapshot_patch
   /// must still write it to stay bitwise-equal to a full update()).
   std::vector<std::pair<netlist::GateId, double>> loads;
-  std::vector<double> slew;  ///< per slot
-  /// Slot s's arcs are [arc_begin[s], arc_begin[s + 1]) of arc_delay and
-  /// arc_sigma: the cone's arcs back to back, in cone order.
+  /// The change front: the slots replay() re-relaxed, as GateIds in slot
+  /// order. Every other slot's slew and arcs are the context's, bitwise.
+  std::vector<netlist::GateId> front;
+  /// By slot: the slot's index in front, or kNotFront.
+  std::vector<std::uint32_t> front_of;
+  std::vector<double> slew;  ///< per front entry
+  /// Front entry f's arcs are [arc_begin[f], arc_begin[f + 1]) of arc_delay
+  /// and arc_sigma: the front's arcs back to back, in front order.
   std::vector<std::uint32_t> arc_begin;
   std::vector<double> arc_delay;
   std::vector<double> arc_sigma;
 
-  /// Arc @p i of the node at slot @p s: its (delay, sigma).
+  /// Arc @p i of the node at slot @p s: its (delay, sigma), from the front
+  /// or, behind it, from the context collect() was given. The one accessor
+  /// the engine halves read the cone's arcs through.
   [[nodiscard]] std::pair<double, double> arc(std::uint32_t s, std::size_t i) const {
-    return {arc_delay[arc_begin[s] + i], arc_sigma[arc_begin[s] + i]};
+    const std::uint32_t f = front_of[s];
+    if (f == kNotFront) return {ctx_->arc_delay_ps(nodes[s], i), ctx_->arc_sigma_ps(nodes[s], i)};
+    return {arc_delay[arc_begin[f] + i], arc_sigma[arc_begin[f] + i]};
+  }
+  /// The replayed slew of the node at slot @p s.
+  [[nodiscard]] double slew_at(std::uint32_t s) const {
+    const std::uint32_t f = front_of[s];
+    return f == kNotFront ? ctx_->slew_ps(nodes[s]) : slew[f];
   }
 
   /// The structural half, on the proposing thread: collects the cone of
-  /// @p resizes into @p ws and sizes every value array, so replay() only
-  /// fills storage that already exists. @p ws then indexes the cone.
+  /// @p resizes into @p ws and reserves every value array for a front as
+  /// large as the cone, so replay() only fills storage that already exists.
+  /// @p ws then indexes the cone.
   void collect(const sta::TimingContext& ctx, std::span<const Resize> resizes,
                sta::ConeWorkspace& ws);
 
-  /// The value half: recomputes the collected cone against @p ctx's current
-  /// snapshot with update()'s load fold and slew/arc kernel, re-relaxing a
-  /// node only when it is a seed or a fanin slew differs bitwise from the
-  /// context's (the others copy the context's values; a paranoid build
-  /// re-relaxes them and checks the copy). @p ws must
-  /// index this cone. Allocates nothing once the calling thread's
-  /// temporaries have served a cone this large.
+  /// The value half: recomputes the change front of the collected cone
+  /// against @p ctx's current snapshot with update()'s load fold and slew/arc
+  /// kernel. A node is re-relaxed and stored only when it is a resized gate,
+  /// a re-folded driver, or a fanout of a front node whose slew moved
+  /// bitwise; every other node's values are exactly the context's, read
+  /// through arc() and slew_at() (a paranoid build re-relaxes them and
+  /// checks). @p ws must index this cone. Allocates nothing once the calling
+  /// thread's temporaries have served a cone this large.
   void replay(const sta::TimingContext& ctx, std::span<const Resize> resizes,
               const sta::ConeWorkspace& ws);
+
+ private:
+  const sta::TimingContext* ctx_ = nullptr;  ///< bound by collect()
 };
 
 /// The one speculation transaction, the exact cone what-if of the FULLSSTA,
@@ -146,7 +167,7 @@ class ConeSpeculation : public Speculation {
     const util::ScopedExecSuspend suspend;
     auto& nl = ctx_.mutable_netlist();
     for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-    ctx_.apply_snapshot_patch(cone_.nodes, cone_.loads, cone_.slew, cone_.arc_delay,
+    ctx_.apply_snapshot_patch(cone_.front, cone_.loads, cone_.slew, cone_.arc_delay,
                               cone_.arc_sigma);
     merge_arrivals();  // engine-specific base state
     owner_.merge_committed(result_, cone_.nodes, moments_);  // bumps the epoch
@@ -154,6 +175,10 @@ class ConeSpeculation : public Speculation {
   }
 
   void rollback() final {}  // score() never touches shared state
+
+  ReplayCounts replayed() const final {
+    return scored_ ? ReplayCounts{cone_.nodes.size(), cone_.front.size()} : ReplayCounts{};
+  }
 
  protected:
   /// Engine half of score(): run the engine's gate kernel over the cone in

@@ -22,8 +22,10 @@
 // whenever the cone arc's pair is bitwise the one the pdf was built from.
 // The key is the store's own pair, never the context's, so a reuse is exact
 // whatever state the context has run ahead to. analyze() fills the store;
-// a commit refreshes only the arcs whose pair changed, on the committing
-// thread.
+// a commit refreshes only its change front's arcs, the only ones whose pair
+// can have changed, and re-sorts the store's key index once, on the
+// committing thread. A record keeps its pdf's moments, so a reuse restores
+// the pdf without recomputing them.
 //
 // Overlay storage is sparse: the arrival pdfs and moments are indexed by
 // cone slot, so a speculation holds O(cone) pdfs and never touches an
@@ -52,15 +54,16 @@ using pdf::DiscretePdf;
 
 /// Every arc's delay pdf, ssta::delay_pdf(delay, sigma), deduplicated by
 /// value: arcs sharing a (delay, sigma) pair share one record. A record is
-/// (4 + max(samples, 2)) doubles — the key pair it was built from, then its
-/// grid's origin, step and masses (136 bytes at the default 13 samples); a
-/// point pdf (size 1) stores -1 as its second mass, which no real grid
-/// holds. Per arc the store holds a record index; per record, a reference
-/// count and a slot in the key-sorted index that finds a pair's record.
+/// (6 + max(samples, 2)) doubles — the key pair it was built from, then its
+/// grid's origin and step, its mean and variance, and its masses (152 bytes
+/// at the default 13 samples); a point pdf (size 1) stores -1 as its second
+/// mass, which no real grid holds. Per arc the store holds a record index;
+/// per record, a reference count and a slot in the key-sorted index that
+/// finds a pair's record.
 class DelayPdfStore {
  public:
   explicit DelayPdfStore(const ssta::FullSstaOptions& options)
-      : options_(options), width_(4 + std::max<std::size_t>(options.samples_per_pdf, 2)) {}
+      : options_(options), width_(kHead + std::max<std::size_t>(options.samples_per_pdf, 2)) {}
 
   /// Sizes the store for @p ctx's arcs and refreshes every arc from it.
   void refresh_all(const sta::TimingContext& ctx) {
@@ -71,41 +74,39 @@ class DelayPdfStore {
       free_.clear();
       by_key_.clear();
     }
-    const auto& nl = ctx.netlist();
-    for (GateId id = 0; id < nl.node_count(); ++id) {
-      for (std::size_t i = 0; i < nl.gate(id).fanins.size(); ++i) {
-        refresh(ctx.arc_offset(id) + i, ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i));
+    refresh([&](const auto& arc) {
+      const auto& nl = ctx.netlist();
+      for (GateId id = 0; id < nl.node_count(); ++id) {
+        for (std::size_t i = 0; i < nl.gate(id).fanins.size(); ++i) {
+          arc(ctx.arc_offset(id) + i, ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i));
+        }
       }
-    }
+    });
   }
 
-  /// Makes arc @p a's pdf the one of (@p delay, @p sigma), building it only
-  /// when no arc holds that pair already.
-  void refresh(std::size_t a, double delay, double sigma) {
-    const Key key{bits(delay), bits(sigma)};
-    std::uint32_t& r = arc_record_[a];
-    if (r != kNone && key_of(r) == key) return;
-    if (r != kNone && --refs_[r] == 0) {
-      by_key_.erase(find(key_of(r)));
-      free_.push_back(r);
+  /// Makes the pdf of every arc that @p each_arc passes to its callback,
+  /// arc(a, delay, sigma), the one of that pair, building a record only for
+  /// a pair no arc holds; then updates the key index once, for the whole
+  /// batch.
+  template <typename EachArc>
+  void refresh(EachArc&& each_arc) {
+    added_.clear();
+    released_.clear();
+    each_arc([this](std::size_t a, double delay, double sigma) { assign(a, delay, sigma); });
+    bool freed = false;
+    for (const std::uint32_t r : released_) {
+      if (--refs_[r] == 0) {
+        free_.push_back(r);
+        freed = true;
+      }
     }
-    const auto at = find(key);
-    if (at != by_key_.end() && key_of(*at) == key) {
-      r = *at;
-      ++refs_[r];
-      return;
+    if (!added_.empty()) {
+      merged_.resize(by_key_.size() + added_.size());
+      std::merge(by_key_.begin(), by_key_.end(), added_.begin(), added_.end(), merged_.begin(),
+                 [this](std::uint32_t a, std::uint32_t b) { return key_of(a) < key_of(b); });
+      by_key_.swap(merged_);
     }
-    if (free_.empty()) {
-      r = static_cast<std::uint32_t>(refs_.size());
-      refs_.push_back(0);
-      if (r % kBlock == 0) blocks_.push_back(std::make_unique<double[]>(kBlock * width_));
-    } else {
-      r = free_.back();
-      free_.pop_back();
-    }
-    save(record(r), delay, sigma);
-    refs_[r] = 1;
-    by_key_.insert(at, r);
+    if (freed) std::erase_if(by_key_, [this](std::uint32_t r) { return refs_[r] == 0; });
   }
 
   /// Arc @p a's delay pdf for (@p delay, @p sigma): the saved one when the
@@ -116,8 +117,9 @@ class DelayPdfStore {
       return ssta::delay_pdf(options_, delay, sigma);
     }
     const double* rec = record(r);
-    const std::size_t n = rec[5] == -1.0 ? 1 : width_ - 4;
-    DiscretePdf p = DiscretePdf::restore(rec[2], rec[3], std::span<const double>(rec + 4, n));
+    const std::size_t n = rec[kHead + 1] == -1.0 ? 1 : width_ - kHead;
+    DiscretePdf p = DiscretePdf::restore(rec[2], rec[3], std::span<const double>(rec + kHead, n),
+                                         rec[4], rec[5]);
     if constexpr (debug::kParanoid) {
       const DiscretePdf fresh = ssta::delay_pdf(options_, delay, sigma);
       bool same = p.size() == fresh.size() && same_bits(p.origin(), fresh.origin()) &&
@@ -137,7 +139,9 @@ class DelayPdfStore {
   /// never matches 0.0 and a NaN matches only its own pattern.
   using Key = std::pair<std::uint64_t, std::uint64_t>;
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  /// Records per pool block: 35 KB blocks at 13 samples, so the pool grows
+  /// Doubles ahead of a record's masses: key pair, origin, step, moments.
+  static constexpr std::size_t kHead = 6;
+  /// Records per pool block: 38 KB blocks at 13 samples, so the pool grows
   /// without copying and never holds more than one block of slack.
   static constexpr std::uint32_t kBlock = 256;
 
@@ -151,10 +155,39 @@ class DelayPdfStore {
   [[nodiscard]] Key key_of(std::uint32_t r) const {
     return {bits(record(r)[0]), bits(record(r)[1])};
   }
-  /// The first live record in by_key_ whose key is not below @p key.
-  [[nodiscard]] std::vector<std::uint32_t>::iterator find(const Key& key) {
-    return std::lower_bound(by_key_.begin(), by_key_.end(), key,
+  /// The first record of the key-sorted @p list whose key is not below @p key.
+  [[nodiscard]] std::vector<std::uint32_t>::iterator find(std::vector<std::uint32_t>& list,
+                                                          const Key& key) {
+    return std::lower_bound(list.begin(), list.end(), key,
                             [this](std::uint32_t r, const Key& k) { return key_of(r) < k; });
+  }
+
+  /// One arc of a refresh() batch. The arc's old record is released only
+  /// after the batch, so a pair that moves between arcs keeps its record;
+  /// a new pair is found in the index, else among the batch's new records
+  /// (added_, key-sorted), else built.
+  void assign(std::size_t a, double delay, double sigma) {
+    const Key key{bits(delay), bits(sigma)};
+    std::uint32_t& r = arc_record_[a];
+    if (r != kNone && key_of(r) == key) return;
+    if (r != kNone) released_.push_back(r);
+    if (const auto at = find(by_key_, key); at != by_key_.end() && key_of(*at) == key) {
+      r = *at;
+    } else if (const auto add = find(added_, key); add != added_.end() && key_of(*add) == key) {
+      r = *add;
+    } else {
+      if (free_.empty()) {
+        r = static_cast<std::uint32_t>(refs_.size());
+        refs_.push_back(0);
+        if (r % kBlock == 0) blocks_.push_back(std::make_unique<double[]>(kBlock * width_));
+      } else {
+        r = free_.back();
+        free_.pop_back();
+      }
+      save(record(r), delay, sigma);
+      added_.insert(add, r);
+    }
+    ++refs_[r];
   }
 
   void save(double* rec, double delay, double sigma) const {
@@ -163,9 +196,11 @@ class DelayPdfStore {
     rec[1] = sigma;
     rec[2] = p.origin();
     rec[3] = p.step();
-    std::fill(rec + 4, rec + width_, 0.0);
-    std::copy(p.mass_view().begin(), p.mass_view().end(), rec + 4);
-    if (p.size() == 1) rec[5] = -1.0;
+    rec[4] = p.mean();
+    rec[5] = p.variance();
+    std::fill(rec + kHead, rec + width_, 0.0);
+    std::copy(p.mass_view().begin(), p.mass_view().end(), rec + kHead);
+    if (p.size() == 1) rec[kHead + 1] = -1.0;
   }
 
   const ssta::FullSstaOptions& options_;
@@ -175,6 +210,9 @@ class DelayPdfStore {
   std::vector<std::uint32_t> refs_;        ///< by record: arcs holding it (0 = free)
   std::vector<std::uint32_t> free_;        ///< unreferenced records, for reuse
   std::vector<std::uint32_t> by_key_;      ///< live records, sorted by key
+  std::vector<std::uint32_t> added_;       ///< a batch's new records, sorted by key
+  std::vector<std::uint32_t> released_;    ///< a batch's replaced records, one per arc
+  std::vector<std::uint32_t> merged_;      ///< the index being merged; swapped with by_key_
 };
 
 class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
@@ -228,15 +266,18 @@ class FullSstaAnalyzer final : public AnalyzerBase<FullSstaAnalyzer> {
     }
 
     void merge_arrivals() override {
-      const auto& nl = ctx_.netlist();
       for (std::size_t s = 0; s < cone_.nodes.size(); ++s) {
-        const GateId id = cone_.nodes[s];
-        owner_.base_arrival_[id] = std::move(ov_arrival_[s]);
-        for (std::size_t i = 0; i < nl.gate(id).fanins.size(); ++i) {
-          const auto [delay, sigma] = cone_.arc(static_cast<std::uint32_t>(s), i);
-          owner_.delays_.refresh(ctx_.arc_offset(id) + i, delay, sigma);
-        }
+        owner_.base_arrival_[cone_.nodes[s]] = std::move(ov_arrival_[s]);
       }
+      // Only front arcs can hold a new pair: every other arc is the context's.
+      owner_.delays_.refresh([&](const auto& arc) {
+        for (std::size_t f = 0; f < cone_.front.size(); ++f) {
+          const std::size_t a0 = ctx_.arc_offset(cone_.front[f]);
+          for (std::uint32_t j = cone_.arc_begin[f]; j < cone_.arc_begin[f + 1]; ++j) {
+            arc(a0 + (j - cone_.arc_begin[f]), cone_.arc_delay[j], cone_.arc_sigma[j]);
+          }
+        }
+      });
       owner_.base_.output_pdf = std::move(ov_output_);
     }
 

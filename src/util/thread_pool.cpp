@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 
 namespace statsizer::util {
@@ -43,9 +44,47 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task), nullptr});
   }
   task_ready_.notify_one();
+}
+
+void ThreadPool::fork_join(std::size_t helpers, void (*work)(void*), void* arg) {
+  if (helpers == 0) {
+    work(arg);
+    return;
+  }
+  Region region{work, arg, {helpers}};
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < helpers; ++i) queue_.push_back(Task{{}, &region});
+  }
+  if (helpers == 1) {
+    task_ready_.notify_one();
+  } else {
+    task_ready_.notify_all();
+  }
+  work(arg);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // The caller's work has claimed everything: a helper still queued would
+  // find nothing, so it leaves the queue instead of being waited for.
+  const std::size_t retracted =
+      std::erase_if(queue_, [&](const Task& t) { return t.region == &region; });
+  if (retracted > 0) {
+    region.unfinished.fetch_sub(retracted, std::memory_order_relaxed);
+    if (queue_.empty() && active_ == 0) all_idle_.notify_all();
+  }
+  if (region.unfinished.load(std::memory_order_acquire) == 0) return;
+  // The started helpers are past their last claim or finishing it: spin
+  // briefly before sleeping on their wake-up.
+  lock.unlock();
+  constexpr unsigned kSpins = 4096;
+  for (unsigned spin = 0; spin < kSpins; ++spin) {
+    if (region.unfinished.load(std::memory_order_acquire) == 0) return;
+    if (spin >= kSpins / 4) std::this_thread::yield();
+  }
+  lock.lock();
+  region_done_.wait(lock, [&] { return region.unfinished.load(std::memory_order_acquire) == 0; });
 }
 
 void ThreadPool::wait_idle() {
@@ -62,18 +101,28 @@ void ThreadPool::worker_loop() {
       if (stop_) return;
       continue;
     }
-    std::function<void()> task = std::move(queue_.front());
+    Task task = std::move(queue_.front());
     queue_.pop_front();
     ++active_;
     lock.unlock();
     try {
-      task();
+      if (task.region != nullptr) {
+        task.region->work(task.region->arg);
+      } else {
+        task.fn();
+      }
     } catch (...) {
       // Swallowed per the submit() contract; an escaped exception here would
       // std::terminate and a missed --active_ would wedge wait_idle.
     }
     lock.lock();
     --active_;
+    // The region's caller may return the moment it reads zero, so this is
+    // the helper's last access to it; region_done_ belongs to the pool.
+    if (task.region != nullptr &&
+        task.region->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      region_done_.notify_all();
+    }
     if (queue_.empty() && active_ == 0) all_idle_.notify_all();
   }
 }

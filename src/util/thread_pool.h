@@ -65,14 +65,39 @@ class ThreadPool {
   /// region_threads). Thread-safe.
   [[nodiscard]] static bool in_worker();
 
+  /// The fork-join behind parallel_for: queues @p helpers tasks that each
+  /// call work(arg) on a worker, calls work(arg) on the calling thread, then
+  /// retracts the helpers no worker has started and waits for the started
+  /// ones to return. So work must leave nothing for a helper once the
+  /// caller's call returns (parallel_for's chunk cursor is exhausted by
+  /// then), and a region that the caller finishes alone never waits for a
+  /// wake-up. Nothing is allocated: the tasks point at the caller's frame.
+  /// work must not throw. Must not be called from a pool worker.
+  void fork_join(std::size_t helpers, void (*work)(void*), void* arg);
+
  private:
+  /// One fork_join call, on the caller's stack. unfinished counts its
+  /// queued and running helpers; a helper's decrement, made under mutex_,
+  /// is its last access to the region.
+  struct Region {
+    void (*work)(void*);
+    void* arg;
+    std::atomic<std::size_t> unfinished;
+  };
+  /// A queued task: a submitted function, or a helper of @p region.
+  struct Task {
+    std::function<void()> fn;
+    Region* region = nullptr;
+  };
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
   std::condition_variable all_idle_;
+  std::condition_variable region_done_;
   std::size_t active_ = 0;
   bool stop_ = false;
 };
@@ -101,9 +126,12 @@ namespace detail {
 /// parallel region, everything executes inline on the calling thread.
 /// Otherwise the caller plus up to threads - 1 helper tasks on the shared
 /// pool pull chunks from an atomic cursor (actual concurrency is also capped
-/// by the shared pool's size plus the caller). threads == 0 means
-/// ThreadPool::default_thread_count(). Returns only after every helper has
-/// finished, so the body may capture caller-stack state by reference.
+/// by the shared pool's size plus the caller; ThreadPool::fork_join, so a
+/// helper no worker has started when the caller runs out of chunks is
+/// retracted, not waited for). threads == 0 means
+/// ThreadPool::default_thread_count(). Returns only after every started
+/// helper has finished, so the body may capture caller-stack state by
+/// reference.
 ///
 /// Thread-safety contract for the body: it may run on the caller's thread or
 /// any pool worker, concurrently with other chunks. Shared inputs must be
@@ -130,10 +158,7 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
 
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex mutex;
-  std::condition_variable helpers_done;
-  std::size_t helpers_finished = 0;
+  std::exception_ptr error;  // written once, by the first chunk to throw
 
   auto drain = [&] {
     while (!failed.load(std::memory_order_relaxed)) {
@@ -144,26 +169,15 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
       try {
         body(begin, end, c);
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+        if (!failed.exchange(true, std::memory_order_relaxed)) error = std::current_exception();
       }
     }
   };
 
+  using Drain = decltype(drain);
   const std::size_t helpers = std::min(threads, chunks) - 1;  // caller drains too
-  ThreadPool& pool = ThreadPool::shared();
-  for (std::size_t i = 0; i < helpers; ++i) {
-    pool.submit([&mutex, &helpers_done, &helpers_finished, drain] {
-      drain();
-      const std::lock_guard<std::mutex> lock(mutex);
-      ++helpers_finished;
-      helpers_done.notify_all();
-    });
-  }
-  drain();
-  std::unique_lock<std::mutex> lock(mutex);
-  helpers_done.wait(lock, [&] { return helpers_finished == helpers; });
+  ThreadPool::shared().fork_join(
+      helpers, [](void* d) { (*static_cast<Drain*>(d))(); }, &drain);
   if (error) std::rethrow_exception(error);
 }
 

@@ -11,12 +11,15 @@
 //    worker costs only the speculation it is scoring. A commit refreshing
 //    the analyzer's saved arc delay pdfs leaves that contract intact, and
 //    the pool workers of a multi-worker cone walk allocate nothing: the
-//    walk's done flags are sized when the speculation is proposed.
+//    walk's done flags are sized when the speculation is proposed. The same
+//    holds on every engine: the replay writes only the change front, into
+//    storage reserved at the proposal for a front as large as the cone.
 //  * FASSTA candidate scoring (fassta::Engine::run_with_candidate, and the
 //    lane walk over every size of a gate, run_with_candidates) with a reused
 //    Scratch allocates nothing once the scoring thread has served a cone
 //    that large, even after an exact what-if scored on the same thread
 //    re-stamped the cone workspace both share.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -37,8 +40,10 @@ thread_local std::size_t tls_news = 0;  // operator new calls on this thread
 std::atomic<std::size_t> pool_worker_news{0};  // ... on any thread-pool worker
 }  // namespace
 
-// Both forms are replaced: sanitizer runtimes serve new[] without calling
-// operator new.
+// Every form is replaced: sanitizer runtimes serve new[] and the nothrow
+// forms (std::get_temporary_buffer's, under std::stable_sort and
+// std::inplace_merge) without calling operator new, and their memory would
+// reach the std::free below.
 void* operator new(std::size_t size) {
   ++tls_news;
   if (statsizer::util::ThreadPool::in_worker()) {
@@ -48,10 +53,22 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace statsizer {
 namespace {
@@ -64,6 +81,22 @@ std::size_t news_during(Fn&& fn) {
   const std::size_t before = tls_news;
   fn();
   return tls_news - before;
+}
+
+// The nothrow forms go through the counting operator new and pair with its
+// deletes; a sanitizer build reports a mismatch if its own runtime served
+// them instead.
+TEST(AllocCounting, NothrowNewIsCountedAndFreedByTheReplacement) {
+  EXPECT_EQ(news_during([] {
+              std::vector<int> v(1000);
+              for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int>(i % 7);
+              std::stable_sort(v.begin(), v.end());  // a temporary buffer, nothrow new
+              void* p = ::operator new(16, std::nothrow);
+              ::operator delete(p, std::nothrow);
+              void* q = ::operator new[](16, std::nothrow);
+              ::operator delete[](q);
+            }),
+            4u);
 }
 
 TEST(PdfAllocation, InlineGridPrimitivesNeverAllocate) {
@@ -169,6 +202,33 @@ TEST_F(WhatIfAllocation, WorkerScoreAfterACommitAllocatesNothing) {
   first->commit();
   const auto next = propose();
   EXPECT_EQ(score_on_worker(*next), 0u);
+}
+
+// The replay walks and stores only the change front, into storage the
+// proposal reserved for a front as large as the cone: on every engine a
+// worker's score allocates nothing, and the front is a strict part of the
+// cone, so the walk behind it is exercised.
+TEST_F(WhatIfAllocation, EveryEngineReplaysTheFrontOnAWorkerWithoutAllocating) {
+  util::ThreadPool pool(1);
+  for (const char* engine : {"dsta", "fassta", "fullssta"}) {
+    SCOPED_TRACE(engine);
+    analyzer_ = flow_.make_analyzer(engine);
+    (void)analyzer_->analyze(flow_.timing());
+    const auto score_on_worker = [&](timing::Speculation& spec) {
+      std::size_t news = 0;
+      pool.submit([&] { news = news_during([&] { (void)spec.score(); }); });
+      pool.wait_idle();
+      return news;
+    };
+    const auto first = propose();
+    (void)score_on_worker(*first);
+    const auto second = propose();
+    EXPECT_EQ(score_on_worker(*second), 0u);
+    const timing::ReplayCounts replayed = second->replayed();
+    EXPECT_GT(replayed.front_slots, 0u);
+    EXPECT_LT(replayed.front_slots, replayed.cone_slots);
+    EXPECT_EQ(second->score().mean_ps, first->score().mean_ps);
+  }
 }
 
 /// The what-if fixture's design, analyzer and large-cone gate, scored by

@@ -19,6 +19,8 @@
 // thread-count-invariant, a committed overlay equals the from-scratch
 // run (arrival moments, output pdf, mean, sigma), and so does the dataflow
 // cone walk at 1, 2, 3 and 8 workers, over a c6288 cone of 1000+ slots too.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -29,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/generators.h"
+#include "circuits/iscas_suite.h"
 #include "core/flow.h"
 #include "liberty/synthetic.h"
 #include "opt/confirm.h"
@@ -683,6 +686,125 @@ TEST(FullSstaConeWalk, C6288InputSideGateMatchesFromScratchAtEveryWorkerCount) {
     expect_summaries_equal(an->current(), reference);
     nl.set_sizes(keep);
     ctx.update();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The change front. A what-if re-relaxes exactly the resized gates, their
+// mapped drivers and the mapped nodes with a fanin whose slew moved; the
+// rest of its cone is read from the context, and its commit writes the
+// front alone. On every engine the committed context must still equal a
+// twin's update() bitwise, and the re-relaxed count must be that front,
+// computed here from the twin's slews.
+// ---------------------------------------------------------------------------
+
+/// The change front of @p resizes proposed on @p before, where @p after is
+/// a context of the same netlist with the resizes applied and update()d.
+std::size_t expected_front(const sta::TimingContext& before, const sta::TimingContext& after,
+                           std::span<const Resize> resizes) {
+  const auto& nl = before.netlist();
+  std::size_t front = 0;
+  for (GateId id = 0; id < nl.node_count(); ++id) {
+    if (!before.has_cell(id)) continue;
+    bool member = false;
+    for (const Resize& r : resizes) {
+      const auto& fanins = nl.gate(r.gate).fanins;
+      member = member || r.gate == id || std::find(fanins.begin(), fanins.end(), id) != fanins.end();
+    }
+    for (const GateId f : nl.gate(id).fanins) {
+      member = member || std::bit_cast<std::uint64_t>(before.slew_ps(f)) !=
+                             std::bit_cast<std::uint64_t>(after.slew_ps(f));
+    }
+    front += member ? 1 : 0;
+  }
+  return front;
+}
+
+/// Proposes @p resizes on @p an (analyzed on @p ctx), applies them to
+/// @p twin (a context of an identical netlist in the same state) with
+/// update(), checks the score's replay counts against the twin's front,
+/// commits, and checks @p ctx against the twin bitwise.
+void commit_and_compare(Analyzer& an, sta::TimingContext& ctx, sta::TimingContext& twin,
+                        std::span<const Resize> resizes) {
+  auto spec = an.propose_resizes(resizes);
+  EXPECT_EQ(spec->replayed().cone_slots, 0u);  // nothing replayed before the score
+  (void)spec->score();
+  for (const Resize& r : resizes) twin.mutable_netlist().gate(r.gate).size_index = r.size;
+  twin.update();
+  const ReplayCounts replayed = spec->replayed();
+  EXPECT_EQ(replayed.front_slots, expected_front(ctx, twin, resizes));
+  EXPECT_GE(replayed.front_slots, 1u);
+  EXPECT_LE(replayed.front_slots, replayed.cone_slots);
+  spec->commit();
+  EXPECT_TRUE(fingerprint(ctx) == fingerprint(twin)) << "committed snapshot differs from update()";
+}
+
+class WhatIfFront : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+ protected:
+  static Netlist circuit() {
+    const std::string& name = std::get<0>(GetParam());
+    if (name == "cla8") return circuits::make_cla_adder(8);
+    if (name == "parity16") return parity_fabric(16);
+    return circuits::make_table1_circuit(name);
+  }
+  static std::string engine() { return std::get<1>(GetParam()); }
+};
+
+// A chain of single commits and then one multi-resize commit, each against
+// the base the previous commit left.
+TEST_P(WhatIfFront, CommitsEqualUpdateAndReplayOnlyTheFront) {
+  Bench b(circuit());
+  Bench twin(circuit());
+  auto an = make_analyzer(engine());
+  (void)an->analyze(*b.ctx);
+  const std::vector<Candidate> cands = some_candidates(*b.ctx, 16);
+  ASSERT_GE(cands.size(), 8u);
+  for (std::size_t i = 0; i < 12 && i < cands.size(); ++i) {
+    SCOPED_TRACE("gate " + std::to_string(cands[i].gate));
+    const Resize r{cands[i].gate, cands[i].size};
+    commit_and_compare(*an, *b.ctx, *twin.ctx, std::span<const Resize>(&r, 1));
+  }
+  std::vector<Resize> batch;
+  for (std::size_t i = 12; i < cands.size(); ++i) batch.push_back({cands[i].gate, cands[i].size});
+  if (!batch.empty()) commit_and_compare(*an, *b.ctx, *twin.ctx, batch);
+  expect_summaries_equal(an->current(), make_analyzer(engine())->analyze(*twin.ctx));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits, WhatIfFront,
+    ::testing::Combine(::testing::Values("cla8", "parity16", "c432"),
+                       ::testing::Values("dsta", "fassta", "fullssta")),
+    [](const auto& info) { return std::get<0>(info.param) + "_" + std::get<1>(info.param); });
+
+// A c6288 input-side gate: a cone of more than a thousand slots whose front
+// is a small share of it.
+TEST(WhatIfFrontC6288, InputSideGateOnEveryEngine) {
+  core::Flow flow;
+  core::Flow twin;
+  ASSERT_TRUE(flow.load_table1("c6288").ok());
+  ASSERT_TRUE(twin.load_table1("c6288").ok());
+  sta::TimingContext& ctx = flow.timing();
+  const auto& nl = ctx.netlist();
+  sta::ConeWorkspace ws;
+  Resize move;
+  for (GateId g = 0; g < nl.node_count() && move.gate == netlist::kNoGate; ++g) {
+    if (!ctx.has_cell(g)) continue;
+    const std::size_t sizes = flow.library().group(nl.gate(g).cell_group).size_count();
+    if (sizes > 1 && sta::collect_cone(ctx, std::span<const GateId>(&g, 1), ws).size() > 1000) {
+      move = Resize{g, static_cast<std::uint16_t>((nl.gate(g).size_index + 1) % sizes)};
+    }
+  }
+  ASSERT_NE(move.gate, netlist::kNoGate);
+  const auto keep = nl.sizes();
+  for (const std::string engine : {"dsta", "fassta", "fullssta"}) {
+    SCOPED_TRACE(engine);
+    auto an = make_analyzer(engine);
+    (void)an->analyze(ctx);
+    commit_and_compare(*an, ctx, twin.timing(), std::span<const Resize>(&move, 1));
+    flow.timing().mutable_netlist().set_sizes(keep);
+    ctx.update();
+    twin.timing().mutable_netlist().set_sizes(keep);
+    twin.timing().update();
   }
 }
 

@@ -123,34 +123,49 @@ constexpr SizerPin kSizerPins[] = {
     {"parity32", 60.0, 49, 123, 24, 4, 3, 123, 0x3260026bcaef1d26ULL},
 };
 
+/// A pinned sizer run: its stats, with the netlist's final sizes folded
+/// into the digest.
+struct SizerRun {
+  StatisticalSizerStats stats;
+  std::uint64_t digest = 0;  ///< sizes, trajectory and every pinned stats field
+};
+
+SizerRun run_sizer(const SizerPin& pin) {
+  Bench b(circuit(pin.circuit));
+  StatisticalSizerOptions opt;
+  opt.objective.lambda = pin.lambda;
+  opt.threads = 3;  // scoring and cone walks on three workers
+  opt.record_trajectory = true;
+  SizerRun run{size_statistically(*b.ctx, opt)};
+  const StatisticalSizerStats& stats = run.stats;
+
+  Digest d;
+  d.add(b.nl.sizes());
+  for (const ResizeEvent& e : stats.trajectory) {
+    d.add(std::uint64_t{e.iteration});
+    d.add(std::uint64_t{e.gate});
+    d.add(std::uint64_t{e.from_size});
+    d.add(std::uint64_t{e.to_size});
+    d.add(std::uint64_t{static_cast<std::uint8_t>(e.source)});
+  }
+  for (const std::size_t n :
+       {stats.iterations, stats.resizes, stats.fassta_evaluations, stats.exact_resizes,
+        stats.global_sweeps, stats.uniform_bump_rounds, std::size_t{stats.constraints_met}}) {
+    d.add(std::uint64_t{n});
+  }
+  d.add(stats.initial);
+  d.add(stats.final_);
+  run.digest = d.h;
+  return run;
+}
+
 TEST(ConfirmGolden, SizerRunsMatchTheirPins) {
   std::set<MoveSource> sources;
   for (const SizerPin& pin : kSizerPins) {
     SCOPED_TRACE(std::string(pin.circuit) + " lambda=" + std::to_string(pin.lambda));
-    Bench b(circuit(pin.circuit));
-    StatisticalSizerOptions opt;
-    opt.objective.lambda = pin.lambda;
-    opt.threads = 3;  // odd windows: the walk cuts its lists mid-window
-    opt.record_trajectory = true;
-    const StatisticalSizerStats stats = size_statistically(*b.ctx, opt);
-
-    Digest d;
-    d.add(b.nl.sizes());
-    for (const ResizeEvent& e : stats.trajectory) {
-      d.add(std::uint64_t{e.iteration});
-      d.add(std::uint64_t{e.gate});
-      d.add(std::uint64_t{e.from_size});
-      d.add(std::uint64_t{e.to_size});
-      d.add(std::uint64_t{static_cast<std::uint8_t>(e.source)});
-      sources.insert(e.source);
-    }
-    for (const std::size_t n :
-         {stats.iterations, stats.resizes, stats.fassta_evaluations, stats.exact_resizes,
-          stats.global_sweeps, stats.uniform_bump_rounds, std::size_t{stats.constraints_met}}) {
-      d.add(std::uint64_t{n});
-    }
-    d.add(stats.initial);
-    d.add(stats.final_);
+    const SizerRun run = run_sizer(pin);
+    const StatisticalSizerStats& stats = run.stats;
+    for (const ResizeEvent& e : stats.trajectory) sources.insert(e.source);
 
     EXPECT_EQ(stats.iterations, pin.iterations);
     EXPECT_EQ(stats.resizes, pin.resizes);
@@ -158,13 +173,42 @@ TEST(ConfirmGolden, SizerRunsMatchTheirPins) {
     EXPECT_EQ(stats.global_sweeps, pin.global_sweeps);
     EXPECT_EQ(stats.uniform_bump_rounds, pin.uniform_bump_rounds);
     EXPECT_EQ(stats.trajectory.size(), pin.trajectory_events);
-    EXPECT_EQ(hex(d.h), hex(pin.digest));
+    EXPECT_EQ(hex(run.digest), hex(pin.digest));
   }
   // Every move source confirmed at least one move somewhere in the pins.
   for (const MoveSource s : {MoveSource::kPlan, MoveSource::kSingle, MoveSource::kExactFallback,
                              MoveSource::kGlobalSweep, MoveSource::kUniformBump}) {
     EXPECT_TRUE(sources.count(s) == 1) << "no pinned run reaches MoveSource "
                                        << static_cast<int>(s);
+  }
+}
+
+// The pins were recorded before the sizer skipped repeats (a resize set
+// already rejected at the current snapshot is not judged again). On cla8
+// and c432 at lambda 3 the prefix sweep re-proposes singles the plan's
+// one-at-a-time walk rejected: those runs must skip them and still land on
+// their pins — the same sizes and trajectory as judging every repeat — and
+// the per-source counts must agree with the trajectory and the stats.
+TEST(ConfirmGolden, SkippedRepeatsKeepTheSizerPins) {
+  for (const SizerPin& pin : {kSizerPins[0], kSizerPins[4]}) {
+    SCOPED_TRACE(std::string(pin.circuit) + " lambda=" + std::to_string(pin.lambda));
+    const SizerRun run = run_sizer(pin);
+    const StatisticalSizerStats& stats = run.stats;
+    EXPECT_EQ(hex(run.digest), hex(pin.digest));
+    const auto& by = stats.confirmations;
+    const auto at = [&](MoveSource s) { return by[static_cast<std::size_t>(s)]; };
+    EXPECT_GT(at(MoveSource::kExactFallback).skipped_repeats, 0u);
+    std::size_t events[kMoveSourceCount] = {};
+    for (const ResizeEvent& e : stats.trajectory) ++events[static_cast<std::size_t>(e.source)];
+    for (const MoveSource s :
+         {MoveSource::kSingle, MoveSource::kExactFallback, MoveSource::kGlobalSweep}) {
+      EXPECT_EQ(at(s).committed, events[static_cast<std::size_t>(s)]);
+    }
+    EXPECT_EQ(at(MoveSource::kExactFallback).committed + at(MoveSource::kGlobalSweep).committed,
+              stats.exact_resizes);
+    for (const SourceConfirmations& c : by) EXPECT_LE(c.committed, c.judged);
+    EXPECT_GT(stats.front_slots, 0u);
+    EXPECT_LT(stats.front_slots, stats.cone_slots);
   }
 }
 

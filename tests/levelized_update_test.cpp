@@ -382,19 +382,35 @@ TEST_P(ConeBuilder, ScoredConeSnapshotIsSizedByTheCone) {
   std::size_t arcs = 0;
   for (const GateId id : snap.nodes) arcs += b.nl.gate(id).fanins.size();
   EXPECT_LT(arcs, b.ctx->arc_count());
-  EXPECT_EQ(snap.slew.size(), snap.nodes.size());
-  EXPECT_EQ(snap.arc_begin.size(), snap.nodes.size() + 1);
-  EXPECT_EQ(snap.arc_delay.size(), arcs);
-  EXPECT_EQ(snap.arc_sigma.size(), arcs);
+  // The front is stored back to back; room for a front as large as the
+  // cone was reserved when the cone was collected.
+  EXPECT_EQ(snap.front_of.size(), snap.nodes.size());
+  EXPECT_GE(snap.front.size(), 1u);
+  EXPECT_LE(snap.front.size(), snap.nodes.size());
+  EXPECT_EQ(snap.slew.size(), snap.front.size());
+  EXPECT_EQ(snap.arc_begin.size(), snap.front.size() + 1);
+  EXPECT_EQ(snap.arc_delay.size(), snap.arc_begin.back());
+  EXPECT_EQ(snap.arc_sigma.size(), snap.arc_begin.back());
+  EXPECT_GE(snap.arc_delay.capacity(), arcs);
+  EXPECT_GE(snap.front.capacity(), snap.nodes.size());
+  for (std::uint32_t s = 0; s < snap.nodes.size(); ++s) {
+    if (snap.front_of[s] != timing::detail::ConeSnapshot::kNotFront) {
+      EXPECT_EQ(snap.front[snap.front_of[s]], snap.nodes[s]);
+    }
+  }
   EXPECT_LE(snap.loads.size(), b.nl.gate(gate).fanins.size());
   // Re-binding the gate's current size replays the same cone with the bound
-  // cells, which must reproduce the snapshot bitwise.
+  // cells, which must reproduce the snapshot bitwise: no slew moves, so the
+  // front is the gate and its mapped drivers alone.
   const timing::Resize same{gate, b.nl.gate(gate).size_index};
   snap.collect(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
   snap.replay(*b.ctx, std::span<const timing::Resize>(&same, 1), ws);
+  std::size_t seeds = 1;
+  for (const GateId d : b.nl.gate(gate).fanins) seeds += b.ctx->has_cell(d) ? 1 : 0;
+  EXPECT_EQ(snap.front.size(), seeds);
   for (std::uint32_t s = 0; s < snap.nodes.size(); ++s) {
     const GateId id = snap.nodes[s];
-    EXPECT_EQ(snap.slew[s], b.ctx->slew_ps(id));
+    EXPECT_EQ(snap.slew_at(s), b.ctx->slew_ps(id));
     for (std::size_t i = 0; i < b.nl.gate(id).fanins.size(); ++i) {
       EXPECT_EQ(snap.arc(s, i), std::pair(b.ctx->arc_delay_ps(id, i), b.ctx->arc_sigma_ps(id, i)));
     }
@@ -408,8 +424,10 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Replays @p resizes over @p b's context and checks every slot's slew and
 /// arcs, and every re-folded load, against @p twin after it applies the
-/// resizes and runs update(); then restores the twin's sizes. Returns false
-/// (after one failure) on the first difference.
+/// resizes and runs update(); checks that the replay re-relaxed exactly the
+/// change front (the resized gates, their mapped drivers, and the mapped
+/// nodes with a fanin whose slew update() moved); then restores the twin's
+/// sizes. Returns false (after one failure) on the first difference.
 bool replay_equals_update(const Bench& b, Bench& twin, std::span<const timing::Resize> resizes,
                           sta::ConeWorkspace& ws, timing::detail::ConeSnapshot& snap) {
   snap.collect(*b.ctx, resizes, ws);
@@ -428,7 +446,7 @@ bool replay_equals_update(const Bench& b, Bench& twin, std::span<const timing::R
   bool same = true;
   for (std::uint32_t s = 0; s < snap.nodes.size() && same; ++s) {
     const GateId id = snap.nodes[s];
-    same = bits(snap.slew[s]) == bits(twin.ctx->slew_ps(id));
+    same = bits(snap.slew_at(s)) == bits(twin.ctx->slew_ps(id));
     EXPECT_TRUE(same) << "slew of " << where(id);
     for (std::size_t i = 0; i < b.nl.gate(id).fanins.size() && same; ++i) {
       const auto [delay, sigma] = snap.arc(s, i);
@@ -442,17 +460,37 @@ bool replay_equals_update(const Bench& b, Bench& twin, std::span<const timing::R
     same = bits(load) == bits(twin.ctx->load_ff(driver));
     EXPECT_TRUE(same) << "load of driver " << driver << ", " << where(driver);
   }
+  std::vector<GateId> front;
+  for (const GateId id : snap.nodes) {
+    if (!b.ctx->has_cell(id)) continue;
+    bool seed = false;
+    for (const timing::Resize& r : resizes) {
+      const auto& fanins = b.nl.gate(r.gate).fanins;
+      seed = seed || r.gate == id || std::find(fanins.begin(), fanins.end(), id) != fanins.end();
+    }
+    bool moved = false;
+    for (const GateId f : b.nl.gate(id).fanins) {
+      moved = moved || bits(b.ctx->slew_ps(f)) != bits(twin.ctx->slew_ps(f));
+    }
+    if (seed || moved) front.push_back(id);
+  }
+  if (same) {
+    same = snap.front == front;
+    EXPECT_TRUE(same) << "front of " << snap.front.size() << " nodes, expected " << front.size()
+                      << ", " << where(resizes[0].gate);
+  }
   for (std::size_t i = 0; i < resizes.size(); ++i) {
     twin.nl.gate(resizes[i].gate).size_index = keep[i];
   }
   return same;
 }
 
-// The change-front cutoff copies every cone slot whose cell, load and fanin
-// slews are bitwise the context's. Every mapped gate, each of its other
-// sizes, and the multi-resize sets must still replay to exactly what a twin
-// context computes with update() — a cutoff that skipped a node whose fanin
-// slew moved would leave a stale slew or arc behind.
+// The change-front cutoff leaves every cone slot whose cell, load and fanin
+// slews are bitwise the context's to the context. Every mapped gate, each
+// of its other sizes, and the multi-resize sets must still replay to
+// exactly what a twin context computes with update() — a cutoff that
+// skipped a node whose fanin slew moved would leave a stale slew or arc
+// behind — and must re-relax no node outside the front.
 TEST_P(ConeBuilder, ReplayedSnapshotEqualsUpdateForEveryResize) {
   const Bench b(cone_circuit(GetParam()));
   Bench twin(cone_circuit(GetParam()));

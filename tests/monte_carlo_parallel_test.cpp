@@ -441,6 +441,41 @@ TEST(DataflowFor, RethrowsAPoolWorkersExceptionOnTheCaller) {
   }
 }
 
+// A fork-join whose caller does all the work never waits for a helper no
+// worker has started: with the pool's only worker busy, the helpers are
+// retracted from the queue and never run. (Without the retraction the call
+// would wait for the blocker's bounded spin and then run both helpers.)
+TEST(ThreadPool, ForkJoinRetractsHelpersNoWorkerStarted) {
+  util::ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocking{false};
+  pool.submit([&] {
+    blocking.store(true);
+    for (int spin = 0; spin < 10'000 && !release.load(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (!blocking.load()) std::this_thread::yield();
+  std::atomic<int> calls{0};
+  const auto work = [](void* arg) { static_cast<std::atomic<int>*>(arg)->fetch_add(1); };
+  pool.fork_join(2, work, &calls);
+  const bool retracted = !release.exchange(true);
+  pool.wait_idle();
+  EXPECT_TRUE(retracted);
+  EXPECT_EQ(calls.load(), 1);
+  // Started helpers are joined: on an idle pool they run and are waited for.
+  std::atomic<int> slow_calls{0};
+  pool.fork_join(1, [](void* arg) {
+    auto& n = *static_cast<std::atomic<int>*>(arg);
+    if (n.fetch_add(1) == 0) {  // the first call waits for the second
+      for (int spin = 0; spin < 10'000 && n.load() < 2; ++spin) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  }, &slow_calls);
+  EXPECT_EQ(slow_calls.load(), 2);
+}
+
 TEST(ThreadPool, RunsSubmittedTasks) {
   util::ThreadPool pool(3);
   EXPECT_EQ(pool.thread_count(), 3u);
